@@ -103,6 +103,7 @@ pub(crate) fn append_sets<S: AsRef<str>>(
                 dict.id(t).expect("token interned above")
             }));
         }
+        collection.max_set_len = collection.max_set_len.max(elements.len());
         collection.sets.push(SetRecord {
             elements: elements.into(),
         });
@@ -314,6 +315,23 @@ mod tests {
         for (a, b) in c.sets().iter().zip(fresh.sets()) {
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn max_set_len_follows_build_append_compact_and_decode() {
+        let mut c = Collection::build(&[vec!["a", "b"], vec!["c"]], Tokenization::Whitespace);
+        assert_eq!(c.max_set_len(), 2);
+        c.append_sets(&[vec!["d"], vec!["e", "f", "g", "h"]]);
+        assert_eq!(c.max_set_len(), 4);
+        // A tombstoned slot still exists, so it still bounds the scratch.
+        c.remove_sets(&[3]).unwrap();
+        assert_eq!(c.max_set_len(), 4);
+        let decoded = crate::codec::decode(&crate::codec::encode(&c)).unwrap();
+        assert_eq!(decoded.max_set_len(), 2);
+        c.compact();
+        assert_eq!(c.max_set_len(), 2);
+        let empty = Collection::build(&Vec::<Vec<&str>>::new(), Tokenization::Whitespace);
+        assert_eq!(empty.max_set_len(), 0);
     }
 
     #[test]

@@ -92,6 +92,8 @@ pub struct Collection {
     live: Vec<bool>,
     /// Number of `true` entries in `live`.
     live_count: usize,
+    /// Element count of the largest set slot, live or tombstoned.
+    max_set_len: usize,
 }
 
 impl Collection {
@@ -120,6 +122,14 @@ impl Collection {
     /// Number of live (non-tombstoned) sets.
     pub fn live_len(&self) -> usize {
         self.live_count
+    }
+
+    /// Element count of the largest set slot (tombstoned slots
+    /// included, so it only shrinks at [`compact`](Self::compact)): the
+    /// size search passes give their per-element scratch, tracked here
+    /// so that no query has to walk the sets for it.
+    pub fn max_set_len(&self) -> usize {
+        self.max_set_len
     }
 
     /// True when the slot exists and has not been tombstoned.
@@ -240,6 +250,7 @@ impl Collection {
         Self {
             live: vec![true; live_count],
             live_count,
+            max_set_len: sets.iter().map(SetRecord::len).max().unwrap_or(0),
             sets,
             dict,
             tokenization,

@@ -9,7 +9,6 @@ use crate::config::{ConfigError, EngineConfig, RelatednessMetric};
 use crate::explain::explain_pair;
 use crate::filter::{PassStats, Restriction, Searcher};
 use crate::query::{Query, QueryIter};
-use crate::rank::rank_top_k;
 use crate::spec::{PhaseTiming, QueryOutput, QuerySpec};
 use silkmoth_collection::{Collection, InvertedIndex, SetIdx, SetRecord, UpdateError};
 
@@ -232,9 +231,12 @@ impl Engine {
     /// Executes one [`QuerySpec`] — the owned, serializable query
     /// description every layer of the stack shares. The reference is
     /// encoded against this engine's dictionary, the pass runs through
-    /// the same chunked filter/verify loop as [`Query::iter`], and the
-    /// output is **byte-identical** (ids, tie order, bit-equal scores)
-    /// to the equivalent fluent-builder query.
+    /// the same ordered filter/verify loop as [`Query::iter`]
+    /// ([`QueryIter`] describes it; with `top_k` it stops as soon as no
+    /// unexamined candidate can still rank), and the output is
+    /// **byte-identical** (ids, tie order, bit-equal scores) to the
+    /// equivalent fluent-builder query and to ranking
+    /// [`brute::search`](crate::brute::search).
     ///
     /// Infallible: a [`QuerySpec`] is validated at construction, so
     /// there is nothing left to reject here.
@@ -271,11 +273,14 @@ impl Engine {
         let t0 = Instant::now();
         let mut iter = QueryIter::stage(self, r, spec, deadline);
         let staged_at = Instant::now();
-        let mut hits: Vec<(SetIdx, f64)> = iter.by_ref().collect();
-        match spec.top_k() {
-            Some(k) => rank_top_k(&mut hits, k),
-            None => hits.sort_unstable_by_key(|&(sid, _)| sid),
-        }
+        let hits = match spec.top_k() {
+            Some(k) => iter.top_k(k),
+            None => {
+                let mut hits: Vec<(SetIdx, f64)> = iter.by_ref().collect();
+                hits.sort_unstable_by_key(|&(sid, _)| sid);
+                hits
+            }
+        };
         let verified_at = Instant::now();
         let stats = iter.stats();
         let mut timed_out = iter.timed_out();

@@ -9,12 +9,14 @@
 //!
 //! The implementation intentionally mirrors (but does not share scratch
 //! state with) the production pass in `filter.rs`; a test asserts the two
-//! always agree on the final verdict.
+//! always agree on the final verdict. The thresholds are shared, not
+//! mirrored: the signature's θ and the matching score the pair needs
+//! come from the same functions the pass calls.
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, FILTER_EPS, VERIFY_EPS};
 use crate::phi::Phi;
 use crate::signature::{generate, SigKind, SigParams};
-use crate::verify::{matching_score, relatedness, size_check, VerifyCost};
+use crate::verify::{matching_score, need, relatedness, size_check, VerifyCost};
 use silkmoth_collection::{InvertedIndex, SetRecord};
 use silkmoth_text::sim::sorted_overlaps;
 
@@ -39,8 +41,13 @@ pub struct ElementExplanation {
 /// Full diagnostics for one pair.
 #[derive(Debug, Clone)]
 pub struct PairExplanation {
-    /// θ = δ|R|.
+    /// θ = δ|R|, the signature's threshold (generated before any `S` is
+    /// known).
     pub theta: f64,
+    /// The smallest matching score with which this pair reaches δ —
+    /// `δ(|R|+|S|)/(1+δ)` under SET-SIMILARITY, θ under SET-CONTAINMENT —
+    /// and what the nearest-neighbor filter compares its bound with.
+    pub need: f64,
     /// Whether the signature was degenerate (all sets candidates).
     pub degenerate_signature: bool,
     /// Whether `S` passes the metric size check.
@@ -52,7 +59,7 @@ pub struct PairExplanation {
     pub passes_check_filter: bool,
     /// The nearest-neighbor filter's (exact) upper bound Σ max φα.
     pub nn_upper_bound: f64,
-    /// Whether the NN bound clears θ.
+    /// Whether the NN bound clears [`need`](Self::need).
     pub passes_nn_filter: bool,
     /// The maximum matching score `|R ∩̃_φα S|`.
     pub matching_score: f64,
@@ -129,7 +136,8 @@ pub fn explain_pair(
     let is_candidate = size_ok && (signature.degenerate || any_match);
     let passes_check =
         is_candidate && (signature.degenerate || !signature.check_prunable || any_check_pass);
-    let passes_nn = passes_check && nn_upper >= theta - crate::config::FILTER_EPS;
+    let need = need(cfg.metric, cfg.delta, r.len(), s.len());
+    let passes_nn = passes_check && nn_upper >= need - FILTER_EPS;
 
     let mut cost = VerifyCost::default();
     let m = matching_score(r, s, &phi, cfg.reduction_applicable(), &mut cost);
@@ -137,6 +145,7 @@ pub fn explain_pair(
 
     PairExplanation {
         theta,
+        need,
         degenerate_signature: signature.degenerate,
         size_check_ok: size_ok,
         is_candidate,
@@ -145,14 +154,14 @@ pub fn explain_pair(
         passes_nn_filter: passes_nn,
         matching_score: m,
         relatedness: rel,
-        related: rel >= cfg.delta - crate::config::VERIFY_EPS,
+        related: rel >= cfg.delta - VERIFY_EPS,
         elements,
     }
 }
 
 impl std::fmt::Display for PairExplanation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "θ = {:.4}", self.theta)?;
+        writeln!(f, "θ = {:.4}, need = {:.4}", self.theta, self.need)?;
         writeln!(
             f,
             "candidate: {} (size check {}, degenerate {})",
@@ -161,8 +170,8 @@ impl std::fmt::Display for PairExplanation {
         writeln!(f, "check filter: {}", self.passes_check_filter)?;
         writeln!(
             f,
-            "NN filter: {} (bound {:.4} vs θ {:.4})",
-            self.passes_nn_filter, self.nn_upper_bound, self.theta
+            "NN filter: {} (bound {:.4} vs need {:.4})",
+            self.passes_nn_filter, self.nn_upper_bound, self.need
         )?;
         writeln!(
             f,

@@ -1,10 +1,23 @@
 //! One *search pass*: candidate selection, check filter (Algorithm 1),
 //! nearest-neighbor filter (Algorithm 2), and verification (§3, §5, §6.5).
+//!
+//! The pass is staged and ordered. [`Searcher::stage`] selects the
+//! candidates, runs the check filter over all of them and queues the
+//! survivors by an upper bound on their relatedness that costs no φ
+//! evaluation. [`Searcher::step`] then takes them best bound first
+//! against a threshold the caller may raise between steps: it ends the
+//! pass at the first candidate whose bound cannot reach the threshold
+//! (none behind it can either) and runs the nearest-neighbor filter on
+//! the others. A floor-only pass keeps the threshold at δ; a top-k pass
+//! raises it to the k-th best verified score.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::config::{EngineConfig, FilterKind, FILTER_EPS};
 use crate::phi::Phi;
 use crate::signature::{generate, SigKind, SigParams, Signature};
-use crate::verify::{size_check, verify_pair, VerifyCost};
+use crate::verify::{need, relatedness, size_check, verify_pair, VerifyCost};
 use silkmoth_collection::{Collection, Element, InvertedIndex, SetIdx, SetRecord};
 
 /// Which candidate sets a pass may consider (self-join symmetry/self
@@ -37,17 +50,28 @@ impl Restriction {
 }
 
 /// Per-pass instrumentation (candidate counts per stage, §8's metrics).
+///
+/// `candidates`, `after_check` and `signature_cost` are final once the
+/// pass is staged, whatever the query asks for: the check filter runs
+/// over every candidate to order them. `after_nn`, `verified`, `results`
+/// and `sim_evals` count the candidates **examined before the pass
+/// stopped**. A floor-only pass stops where no remaining bound reaches δ,
+/// so it examines every candidate that could be related; a top-k pass
+/// stops as soon as no remaining bound reaches its k-th best score, so
+/// for the same reference and floor these four are at most — and usually
+/// far below — the floor-only counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Candidates admitted from the inverted index (post size check).
     pub candidates: usize,
     /// Candidates surviving the check filter.
     pub after_check: usize,
-    /// Candidates surviving the nearest-neighbor filter.
+    /// Examined candidates surviving the nearest-neighbor filter.
     pub after_nn: usize,
     /// Pairs verified with maximum matching.
     pub verified: usize,
-    /// Related pairs found.
+    /// Verified pairs related at the pass's δ (the floor; under top-k
+    /// some of them are outranked and not returned).
     pub results: usize,
     /// φ evaluations across filters and verification.
     pub sim_evals: u64,
@@ -100,12 +124,6 @@ const NONE_SIM: f64 = -1.0;
 impl<'a> Searcher<'a> {
     /// Creates a searcher bound to a collection, its index, and a config.
     pub fn new(collection: &'a Collection, index: &'a InvertedIndex, cfg: EngineConfig) -> Self {
-        let max_set_len = collection
-            .sets()
-            .iter()
-            .map(SetRecord::len)
-            .max()
-            .unwrap_or(0);
         Self {
             collection,
             index,
@@ -115,7 +133,7 @@ impl<'a> Searcher<'a> {
             cand_stamp: vec![0; collection.len()],
             cand_slot: vec![0; collection.len()],
             version: 0,
-            elem_stamp: vec![0; max_set_len],
+            elem_stamp: vec![0; collection.max_set_len()],
             elem_version: 0,
             postings: Vec::new(),
         }
@@ -158,27 +176,34 @@ impl<'a> Searcher<'a> {
     }
 
     /// The pre-verification stages of a pass — candidate selection, check
-    /// filter, nearest-neighbor filter — returning the surviving set ids
-    /// (in candidate-admission order) and the stats so far. These stages
-    /// are index-bound; the `O(n³)` maximum-matching work happens only
-    /// when survivors are verified, which streaming callers
-    /// ([`Query::iter`](crate::Query::iter)) do lazily.
+    /// filter, nearest-neighbor filter — at the configured δ, returning
+    /// the surviving set ids (best relatedness bound first) and the stats
+    /// so far. These stages are index-bound; the `O(n³)` maximum-matching
+    /// work happens only when survivors are verified, which streaming
+    /// callers ([`Query::iter`](crate::Query::iter)) do lazily.
     pub fn survivors(
         &mut self,
         r: &SetRecord,
         restriction: Restriction,
     ) -> (Vec<SetIdx>, PassStats) {
         let mut pass = self.stage(r, restriction);
-        let survivors = self.filter_chunk(r, &mut pass, usize::MAX);
+        let mut survivors = Vec::new();
+        loop {
+            match self.step(r, &mut pass, self.cfg.delta) {
+                Step::Done => break,
+                Step::Pruned => {}
+                Step::Survivor(sid) => survivors.push(sid),
+            }
+        }
         (survivors, pass.stats)
     }
 
-    /// Candidate selection only: builds a [`StagedPass`] holding the
-    /// admitted candidates plus everything the check and nearest-neighbor
-    /// filters need, so filtering can proceed incrementally via
-    /// [`filter_chunk`](Self::filter_chunk). Chunked callers
-    /// ([`Query::iter`](crate::Query::iter)) use this to avoid paying for
-    /// filtering the full candidate set when they terminate early.
+    /// Candidate selection, the check filter and the ordering: builds a
+    /// [`StagedPass`] whose queue holds the check filter's survivors, best
+    /// bound first, plus what the nearest-neighbor filter needs to examine
+    /// them one [`step`](Self::step) at a time. Everything here is
+    /// index-bound; a caller that stops early never pays for the
+    /// nearest-neighbor searches or the verification of the rest.
     pub(crate) fn stage(&mut self, r: &SetRecord, restriction: Restriction) -> StagedPass {
         let mut stats = PassStats::default();
         let theta = self.cfg.delta * r.len() as f64;
@@ -295,93 +320,112 @@ impl<'a> Searcher<'a> {
                 }
             })
             .collect();
+        let check_prunable = compute_sims && !signature.degenerate && signature.check_prunable;
+        let ub = unmatched_upper_bounds(&signature, self.cfg.alpha);
+        // The per-element bounds are the nearest-neighbor filter's; with
+        // it off (the §8.3 ablations, where `best` may not even be
+        // computed) all that is claimed is φ ≤ 1, so at a fixed δ every
+        // check survivor reaches verification as before.
+        let nn_filter = self.cfg.filter == FilterKind::CheckAndNearestNeighbor;
+
+        // ---- Check filter (Algorithm 1), then the cheap bound ------------
+        let mut queue = Vec::new();
+        for (slot, &sid) in cand_sets.iter().enumerate() {
+            let row = &best[slot * n..(slot + 1) * n];
+            if check_prunable
+                && !row
+                    .iter()
+                    .zip(&check_thr)
+                    .any(|(&b, &thr)| b >= thr - 1e-12)
+            {
+                continue;
+            }
+            stats.after_check += 1;
+            // est_i = max(best computed φα, bound on uncomputed elements):
+            // no φ evaluation, and the sum the NN filter starts from.
+            let cheap = if nn_filter {
+                row.iter()
+                    .zip(&ub)
+                    .fold(0.0, |sum, (&b, &u)| sum + b.max(u))
+            } else {
+                n as f64
+            };
+            let s_len = self.collection.set(sid).len();
+            queue.push(Bounded {
+                relatedness: relatedness(self.cfg.metric, cheap, n, s_len),
+                cheap,
+                sid,
+                slot: slot as u32,
+            });
+        }
 
         StagedPass {
-            cand_sets,
             best,
-            check_thr,
-            ub: unmatched_upper_bounds(&signature, self.cfg.alpha),
-            theta,
+            ub,
             n,
-            check_prunable: compute_sims && !signature.degenerate && signature.check_prunable,
-            cursor: 0,
-            est: vec![0.0; n],
-            exact: vec![false; n],
+            // O(len), and only what is popped pays the log.
+            queue: BinaryHeap::from(queue),
             stats,
         }
     }
 
-    /// Runs the check and nearest-neighbor filters over the next `max`
-    /// candidates of a [`StagedPass`] (admission order), returning the
-    /// surviving set ids. Both filters are per-candidate, so chunking never
-    /// changes which candidates survive or the accumulated stats — a full
-    /// drain is identical to [`survivors`](Self::survivors).
-    pub(crate) fn filter_chunk(
+    /// Examines the queued candidate with the best bound against the
+    /// relatedness threshold `delta` — the pass's δ, or anything above it
+    /// that results already held allow (a top-k pass's k-th best score).
+    ///
+    /// **Stop rule**: when that candidate's cheap bound is below
+    /// [`need`]`(delta, |R|, |S|)` by more than `FILTER_EPS`, its
+    /// relatedness bound is strictly below `delta`, and so is every bound
+    /// still queued: the pass is over. Strictly — a candidate that can
+    /// still *equal* `delta` is examined, which is what lets a tie at the
+    /// k-th score resolve by id.
+    pub(crate) fn step(&mut self, r: &SetRecord, pass: &mut StagedPass, delta: f64) -> Step {
+        let Some(cand) = pass.queue.pop() else {
+            return Step::Done;
+        };
+        let s_len = self.collection.set(cand.sid).len();
+        let need = need(self.cfg.metric, delta, pass.n, s_len);
+        if cand.cheap < need - FILTER_EPS {
+            pass.queue.clear();
+            return Step::Done;
+        }
+        if self.cfg.filter == FilterKind::CheckAndNearestNeighbor
+            && !self.nn_admits(r, pass, &cand, need)
+        {
+            return Step::Pruned;
+        }
+        pass.stats.after_nn += 1;
+        Step::Survivor(cand.sid)
+    }
+
+    /// One candidate's nearest-neighbor refinement (§5.2, §6.5 extension):
+    /// starting from its cheap bound, replaces each inexact per-element
+    /// estimate by the nearest-neighbor similarity, giving up as soon as
+    /// the sum falls below `need`.
+    fn nn_admits(
         &mut self,
         r: &SetRecord,
         pass: &mut StagedPass,
-        max: usize,
-    ) -> Vec<SetIdx> {
-        let n = pass.n;
-        let nn_filter = self.cfg.filter == FilterKind::CheckAndNearestNeighbor;
-        let hi = pass.cursor.saturating_add(max).min(pass.cand_sets.len());
-        let mut out = Vec::new();
-        while pass.cursor < hi {
-            let slot = pass.cursor;
-            pass.cursor += 1;
-
-            // ---- Check filter (Algorithm 1) ------------------------------
-            if pass.check_prunable
-                && !(0..n).any(|i| pass.best[slot * n + i] >= pass.check_thr[i] - 1e-12)
-            {
-                continue;
-            }
-            pass.stats.after_check += 1;
-
-            // ---- Nearest-neighbor filter (Algorithm 2) -------------------
-            if nn_filter && !self.nn_admits(r, pass, slot) {
-                continue;
-            }
-            pass.stats.after_nn += 1;
-            out.push(pass.cand_sets[slot]);
-        }
-        out
-    }
-
-    /// One candidate's nearest-neighbor filter decision (§5.2, §6.5
-    /// extension).
-    fn nn_admits(&mut self, r: &SetRecord, pass: &mut StagedPass, slot: usize) -> bool {
-        let n = pass.n;
-        let sid = pass.cand_sets[slot];
-        let s_set = self.collection.set(sid);
-        let mut total = 0.0f64;
-        for i in 0..n {
-            let b = pass.best[slot * n + i];
-            // est_i = max(best computed φα, bound on uncomputed elements);
-            // exact when the computed value dominates the bound (computation
-            // reuse, §5.2) or the bound is 0 (saturated / α-clamped
-            // elements: uncomputed elements contribute exactly 0).
-            let (e, ex) = if b >= pass.ub[i] {
-                (b.max(0.0), true)
-            } else {
-                (pass.ub[i], pass.ub[i] == 0.0)
-            };
-            pass.est[i] = e;
-            pass.exact[i] = ex;
-            total += e;
-        }
-        if total < pass.theta - FILTER_EPS {
-            return false;
-        }
-        for i in 0..n {
-            if pass.exact[i] {
+        cand: &Bounded,
+        need: f64,
+    ) -> bool {
+        let s_set = self.collection.set(cand.sid);
+        let row = cand.slot as usize * pass.n;
+        let mut total = cand.cheap;
+        for (i, r_elem) in r.elements.iter().enumerate() {
+            let (b, ub) = (pass.best[row + i], pass.ub[i]);
+            // The estimate is exact when the computed value dominates the
+            // bound (computation reuse, §5.2) or the bound is 0 (saturated
+            // / α-clamped elements: uncomputed elements contribute exactly
+            // 0).
+            if b >= ub || ub == 0.0 {
                 continue;
             }
             let nn = self
-                .nn_search(&r.elements[i], sid, s_set, &mut pass.stats)
-                .min(pass.est[i]);
-            total += nn - pass.est[i];
-            if total < pass.theta - FILTER_EPS {
+                .nn_search(r_elem, cand.sid, s_set, &mut pass.stats)
+                .min(ub);
+            total += nn - ub;
+            if total < need - FILTER_EPS {
                 return false;
             }
         }
@@ -432,44 +476,75 @@ impl<'a> Searcher<'a> {
     }
 }
 
-/// Candidate-selection output consumed incrementally by
-/// [`Searcher::filter_chunk`]: the admitted candidates (in admission
-/// order), the per-(candidate, reference-element) similarity cache the
-/// filters read, the filter thresholds, and the running [`PassStats`].
-///
-/// Selection is index-bound and runs once; filtering then proceeds in
-/// chunks so early-terminating callers never pay for filtering (and
-/// verifying) the tail of a large candidate set.
+/// What [`Searcher::step`] found out about one candidate.
+pub(crate) enum Step {
+    /// The queue is empty or the stop rule fired: the pass is over.
+    Done,
+    /// The nearest-neighbor filter pruned the candidate.
+    Pruned,
+    /// The candidate is due for verification.
+    Survivor(SetIdx),
+}
+
+/// A check-filter survivor waiting in a [`StagedPass`] queue.
+#[derive(Debug)]
+struct Bounded {
+    /// `cheap` as a relatedness: the queue's order.
+    relatedness: f64,
+    /// Σᵢ max(bestᵢ, ubᵢ), an upper bound on the matching score.
+    cheap: f64,
+    sid: SetIdx,
+    /// Row of the candidate in [`StagedPass::best`].
+    slot: u32,
+}
+
+impl PartialEq for Bounded {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Bounded {}
+
+impl PartialOrd for Bounded {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bounded {
+    /// Greater pops first: the larger bound, then the smaller id.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.relatedness
+            .total_cmp(&other.relatedness)
+            .then(other.sid.cmp(&self.sid))
+    }
+}
+
+/// [`Searcher::stage`]'s output, consumed one candidate at a time by
+/// [`Searcher::step`]: the queue of check-filter survivors, the
+/// per-(candidate, reference-element) similarity cache and bounds the
+/// nearest-neighbor filter reads, and the running [`PassStats`].
 #[derive(Debug)]
 pub(crate) struct StagedPass {
-    cand_sets: Vec<SetIdx>,
     /// Best computed φα per (candidate slot, reference element), flattened
     /// row-major with stride `n`.
     best: Vec<f64>,
-    /// Check-filter threshold per reference element.
-    check_thr: Vec<f64>,
     /// NN upper bound per reference element with no computed similarity.
     ub: Vec<f64>,
-    /// θ = δ·|R|.
-    theta: f64,
     /// |R|.
     n: usize,
-    /// Whether the check filter may prune (vs only priming the NN cache).
-    check_prunable: bool,
-    /// Next unfiltered candidate slot.
-    cursor: usize,
-    // Scratch for the NN filter's per-candidate estimates.
-    est: Vec<f64>,
-    exact: Vec<bool>,
-    /// Stats so far: selection counters are final, `after_check`/
-    /// `after_nn`/`sim_evals` grow as chunks are filtered.
+    /// Check-filter survivors not yet examined, best bound on top.
+    queue: BinaryHeap<Bounded>,
+    /// Stats so far: selection and check-filter counters are final,
+    /// `after_nn`/`sim_evals` grow as candidates are examined.
     pub(crate) stats: PassStats,
 }
 
 impl StagedPass {
-    /// Candidates not yet run through the filters.
+    /// Check-filter survivors not yet examined.
     pub(crate) fn remaining(&self) -> usize {
-        self.cand_sets.len() - self.cursor
+        self.queue.len()
     }
 }
 

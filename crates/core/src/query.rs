@@ -11,17 +11,11 @@ use std::time::{Duration, Instant};
 
 use crate::config::ConfigError;
 use crate::engine::{Engine, SearchOutput};
-use crate::filter::{PassStats, Searcher, StagedPass};
-use crate::phi::Phi;
+use crate::filter::{PassStats, Searcher, StagedPass, Step};
+use crate::rank::TopK;
 use crate::spec::QuerySpec;
 use crate::verify::{verify_pair, VerifyCost};
 use silkmoth_collection::{SetIdx, SetRecord};
-
-/// How many candidates [`Query::iter`] runs through the filters at a
-/// time. Small enough that a caller stopping at the first hit rarely pays
-/// for filtering more than one chunk; large enough to amortize the
-/// per-chunk bookkeeping.
-const ITER_CHUNK: usize = 64;
 
 /// A parameterized RELATED SET SEARCH, created by [`Engine::query`].
 ///
@@ -34,13 +28,14 @@ const ITER_CHUNK: usize = 64;
 ///   [`ConfigError::FloorOutOfRange`], never silently clamped);
 /// * [`top_k`](Self::top_k) ranks the results by score and keeps the `k`
 ///   best. Ties are broken deterministically: **score descending, then
-///   set id ascending**.
+///   set id ascending**. The pass stops as soon as no unexamined
+///   candidate can still rank (see [`QueryIter`]).
 /// * [`deadline`](Self::deadline) bounds the query's wall-clock budget;
 ///   see [`QuerySpec::with_deadline`].
 ///
 /// [`iter`](Self::iter) streams `(set, score)` results as verification
 /// proves them, for early termination; `top_k` does not apply there
-/// (ranking needs the full result set).
+/// (a streamed result cannot be taken back when a better one arrives).
 ///
 /// Everything a `Query` can express, a [`QuerySpec`] can too — and the
 /// spec is owned and serializable. `run()` literally builds one and
@@ -149,19 +144,18 @@ impl<'e, 'r> Query<'e, 'r> {
     }
 
     /// Streams results as verification proves them, instead of waiting
-    /// for the whole pass: candidate selection runs up front (it is
-    /// index-bound and fast), then candidates are pushed through the
-    /// check/nearest-neighbor filters in fixed-size chunks and each
-    /// surviving candidate is verified lazily as the iterator is
-    /// advanced. A caller that stops after the first hit pays for
-    /// filtering at most one chunk beyond it and never for verifying the
-    /// rest, which is where the `O(n³)` time goes.
+    /// for the whole pass: candidate selection, the check filter and the
+    /// ordering run up front (index-bound, no matching), then each call
+    /// examines candidates best relatedness bound first — nearest-neighbor
+    /// filter, then verification — until one proves related. A caller
+    /// that stops after the first hit never pays for the
+    /// nearest-neighbor searches or the `O(n³)` verification of the rest.
     ///
-    /// Yield order follows candidate order, not set id; collect and sort
-    /// when order matters. A fully drained iterator yields exactly
-    /// [`run`](Self::run)'s result set (chunking never changes which
-    /// candidates survive). [`top_k`](Self::top_k) is ignored here;
-    /// [`floor`](Self::floor) and [`deadline`](Self::deadline) apply.
+    /// Yield order follows the candidates' bounds, not their scores or
+    /// set ids; collect and sort when order matters. A fully drained
+    /// iterator yields exactly [`run`](Self::run)'s result set.
+    /// [`top_k`](Self::top_k) is ignored here; [`floor`](Self::floor) and
+    /// [`deadline`](Self::deadline) apply.
     pub fn iter(&self) -> Result<QueryIter<'e, 'r>, ConfigError> {
         let spec = self.knobs_spec(Vec::new())?;
         let deadline = spec.deadline_at(None);
@@ -169,21 +163,30 @@ impl<'e, 'r> Query<'e, 'r> {
     }
 }
 
-/// Streaming query results: filtering happens chunk by chunk and
-/// verification one surviving candidate at a time, both inside
-/// [`Iterator::next`]. A deadline, when set, is checked cooperatively
-/// before every chunk filter and every verification; on expiry the
-/// iterator stops yielding and [`timed_out`](Self::timed_out) reports
-/// it.
+/// One staged, ordered pass over a reference's candidates: the single
+/// execution path behind [`Query::iter`], [`Query::run`] and
+/// [`Engine::execute`](crate::Engine::execute).
+///
+/// Staging queues the check filter's survivors by an upper bound on
+/// their relatedness. Each step takes the best-bounded one and compares
+/// its bound with the pass's **threshold** — the floor (the engine's δ
+/// or the query's), raised under `top_k` to the k-th best score verified
+/// so far: a bound strictly below the threshold ends the pass, because
+/// every bound still queued is lower; otherwise the candidate goes
+/// through the nearest-neighbor filter against the same threshold and,
+/// if it survives, maximum-matching verification.
+///
+/// As an [`Iterator`] the threshold stays at the floor and every related
+/// set is yielded, the nearest-neighbor searches and verification of
+/// each happening inside [`Iterator::next`]. A deadline, when set, is
+/// checked cooperatively before every candidate; on expiry the iterator
+/// stops yielding and [`timed_out`](Self::timed_out) reports it.
 pub struct QueryIter<'e, 'r> {
     engine: &'e Engine,
     r: &'r SetRecord,
     cfg: crate::config::EngineConfig,
-    phi: Phi,
     searcher: Searcher<'e>,
     pass: StagedPass,
-    /// Survivors of the current chunk, not yet verified.
-    chunk: std::vec::IntoIter<SetIdx>,
     verified: usize,
     results: usize,
     vcost: VerifyCost,
@@ -221,10 +224,8 @@ impl<'e, 'r> QueryIter<'e, 'r> {
             engine,
             r,
             cfg,
-            phi: Phi::new(cfg.similarity, cfg.alpha),
             searcher,
             pass,
-            chunk: Vec::new().into_iter(),
             verified: 0,
             results: 0,
             vcost: VerifyCost::default(),
@@ -233,10 +234,13 @@ impl<'e, 'r> QueryIter<'e, 'r> {
         }
     }
 
-    /// Pass counters as of now: candidate-selection counts are final,
-    /// while the filter-stage counts (`after_check`/`after_nn`) and
-    /// `verified`/`results`/`sim_evals` grow as the iterator advances.
-    /// After exhaustion this equals the stats [`Query::run`] reports.
+    /// Pass counters as of now: `candidates`, `after_check` and
+    /// `signature_cost` are final, while `after_nn`, `verified`,
+    /// `results` and `sim_evals` grow as candidates are examined. After
+    /// exhaustion this equals the stats [`Query::run`] reports for the
+    /// same query without `top_k`; a top-k pass stops earlier, so its
+    /// counters cover only the candidates examined before the stop (see
+    /// [`PassStats`]).
     pub fn stats(&self) -> PassStats {
         let mut stats = self.pass.stats;
         stats.verified += self.verified;
@@ -246,10 +250,10 @@ impl<'e, 'r> QueryIter<'e, 'r> {
         stats
     }
 
-    /// How many candidates are still pending: unverified survivors of the
-    /// current chunk plus candidates the filters have not seen yet.
+    /// How many check-filter survivors have not been examined yet (0
+    /// once the pass has stopped).
     pub fn remaining_candidates(&self) -> usize {
-        self.chunk.len() + self.pass.remaining()
+        self.pass.remaining()
     }
 
     /// True when the deadline expired before the pass finished; the
@@ -267,45 +271,63 @@ impl<'e, 'r> QueryIter<'e, 'r> {
         }
         self.timed_out
     }
+
+    /// Examines candidates against the threshold `delta` until one
+    /// verifies as related at the floor, and returns it; `None` when the
+    /// pass is over or out of time.
+    fn next_at(&mut self, delta: f64) -> Option<(SetIdx, f64)> {
+        // One candidate — its nearest-neighbor searches and its O(n³)
+        // verification — is the unit of work; check the budget before
+        // each, but only while there is work left to abandon.
+        while self.pass.remaining() > 0 && !self.expired() {
+            let Step::Survivor(sid) = self.searcher.step(self.r, &mut self.pass, delta) else {
+                continue;
+            };
+            self.verified += 1;
+            if let Some(score) = verify_pair(
+                self.r,
+                self.engine.collection().set(sid),
+                &self.cfg,
+                self.searcher.phi(),
+                &mut self.vcost,
+            ) {
+                self.results += 1;
+                return Some((sid, score));
+            }
+        }
+        None
+    }
+
+    /// Drains the pass for the `k` best results, in rank order (score
+    /// descending, ties by ascending set id). Once `k` results are held
+    /// the threshold is their lowest score and rises with it, so the
+    /// pass stops when no queued bound reaches the current k-th best. A
+    /// pass cut short by its deadline has examined the best-bounded
+    /// prefix of the queue, and returns the best `k` of what that
+    /// verified.
+    pub(crate) fn top_k(&mut self, k: usize) -> Vec<(SetIdx, f64)> {
+        if k == 0 {
+            // Nothing can rank, so no candidate is worth examining.
+            return Vec::new();
+        }
+        let floor = self.cfg.delta;
+        let mut top = TopK::new(k);
+        loop {
+            let threshold = top.kth_score().map_or(floor, |kth| kth.max(floor));
+            let Some((sid, score)) = self.next_at(threshold) else {
+                break;
+            };
+            top.push(sid, score);
+        }
+        top.into_ranked()
+    }
 }
 
 impl Iterator for QueryIter<'_, '_> {
     type Item = (SetIdx, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.timed_out {
-            return None;
-        }
-        loop {
-            while let Some(sid) = self.chunk.next() {
-                // Verification is the O(n³) unit of work; check the
-                // budget before each one.
-                if self.expired() {
-                    return None;
-                }
-                self.verified += 1;
-                if let Some(score) = verify_pair(
-                    self.r,
-                    self.engine.collection().set(sid),
-                    &self.cfg,
-                    &self.phi,
-                    &mut self.vcost,
-                ) {
-                    self.results += 1;
-                    return Some((sid, score));
-                }
-            }
-            if self.pass.remaining() == 0 {
-                return None;
-            }
-            if self.expired() {
-                return None;
-            }
-            self.chunk = self
-                .searcher
-                .filter_chunk(self.r, &mut self.pass, ITER_CHUNK)
-                .into_iter();
-        }
+        self.next_at(self.cfg.delta)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -400,12 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn iter_chunked_filtering_equals_run_across_chunk_boundaries() {
-        // A workload whose candidate set spans several ITER_CHUNK-sized
-        // chunks (floor 0 admits every set), so the chunked filter path is
-        // exercised across boundaries — results and drained stats must
+    fn iter_drained_equals_run_over_a_long_queue() {
+        // A workload whose queue holds a couple of hundred candidates
+        // (floor 0 admits every set) — results and drained stats must
         // still match run() exactly.
-        let raw: Vec<Vec<String>> = (0..(3 * super::ITER_CHUNK + 17))
+        let raw: Vec<Vec<String>> = (0..209)
             .map(|i| {
                 (0..3)
                     .map(|j| format!("w{} w{} shared{}", (i * 3 + j) % 11, (i + j) % 7, i % 5))
@@ -427,9 +448,8 @@ mod tests {
             let run = engine.query(&r).floor(floor).run().unwrap();
             let mut iter = engine.query(&r).floor(floor).iter().unwrap();
             if floor == 0.0 {
-                // Floor 0 admits every set, so this floor is guaranteed to
-                // span multiple chunks.
-                assert!(iter.remaining_candidates() > super::ITER_CHUNK);
+                // Floor 0 admits every set.
+                assert_eq!(iter.remaining_candidates(), raw.len());
             }
             let mut streamed: Vec<(u32, f64)> = iter.by_ref().collect();
             streamed.sort_unstable_by_key(|&(sid, _)| sid);
@@ -440,12 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_early_termination_skips_filtering_of_later_chunks() {
+    fn iter_early_termination_skips_filtering_of_the_rest() {
         // With floor 0 every set is a candidate and every verification
-        // succeeds, so after one next() only the first chunk can have been
-        // filtered: the NN filter's sim_evals for later chunks must not
-        // have been spent yet.
-        let raw: Vec<Vec<String>> = (0..(2 * super::ITER_CHUNK + 9))
+        // succeeds, so after one next() exactly one candidate has been
+        // through the NN filter: the others' sim_evals must not have been
+        // spent yet.
+        let raw: Vec<Vec<String>> = (0..137)
             .map(|i| vec![format!("a{} b{}", i % 13, i % 3), format!("c{}", i % 4)])
             .collect();
         let c = silkmoth_collection::Collection::build(
@@ -463,16 +483,52 @@ mod tests {
         let mut iter = engine.query(&r).floor(0.0).iter().unwrap();
         iter.next().expect("floor 0 always yields");
         let partial = iter.stats();
-        assert!(
-            partial.after_nn < full.stats.after_nn,
-            "later chunks must not have been filtered yet ({} vs {})",
-            partial.after_nn,
-            full.stats.after_nn
-        );
-        assert!(partial.verified < full.stats.verified);
+        assert_eq!((partial.after_nn, partial.verified), (1, 1));
+        assert!(partial.sim_evals < full.stats.sim_evals);
+        assert_eq!(iter.remaining_candidates(), raw.len() - 1);
         // Draining afterwards still converges to the run() stats.
         iter.by_ref().for_each(drop);
         assert_eq!(iter.stats(), full.stats);
+    }
+
+    #[test]
+    fn top_k_stops_early_and_answers_like_ranking_the_full_run() {
+        let raw: Vec<Vec<String>> = (0..209)
+            .map(|i| {
+                (0..3)
+                    .map(|j| format!("w{} w{} shared{}", (i * 3 + j) % 11, (i + j) % 7, i % 5))
+                    .collect()
+            })
+            .collect();
+        let c = silkmoth_collection::Collection::build(
+            &raw,
+            silkmoth_collection::Tokenization::Whitespace,
+        );
+        let engine = Engine::builder(c)
+            .metric(RelatednessMetric::Similarity)
+            .phi(SimilarityFunction::Jaccard)
+            .delta(0.6)
+            .build()
+            .unwrap();
+        let r = engine.collection().set(0).clone();
+        let full = engine.query(&r).floor(0.2).run().unwrap();
+        assert!(full.results.len() > 20, "need a long result list");
+        for k in [1, 3, 10] {
+            let top = engine.query(&r).floor(0.2).top_k(k).run().unwrap();
+            let mut want = full.results.clone();
+            crate::rank::rank_top_k(&mut want, k);
+            assert_eq!(top.results, want, "k={k}");
+            // Selection and the check filter do not depend on k; what is
+            // examined afterwards does.
+            assert_eq!(top.stats.candidates, full.stats.candidates);
+            assert_eq!(top.stats.after_check, full.stats.after_check);
+            assert!(top.stats.verified < full.stats.verified, "k={k}");
+            assert!(top.stats.sim_evals < full.stats.sim_evals, "k={k}");
+        }
+        // k = 0 examines nothing at all.
+        let none = engine.query(&r).floor(0.2).top_k(0).run().unwrap();
+        assert!(none.results.is_empty());
+        assert_eq!(none.stats.verified, 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   [`Engine::execute`](crate::Engine::execute) is infallible.
 //! * **Deadline-aware**: an optional wall-clock *budget* (a
 //!   [`Duration`], measured from the moment execution starts). Expiry is
-//!   checked cooperatively in the chunked filter/verify loop, so an
+//!   checked cooperatively in the ordered filter/verify loop, so an
 //!   expired query returns a truncated but well-formed [`QueryOutput`]
 //!   flagged [`timed_out`](QueryOutput::timed_out) instead of scanning
 //!   to the floor.
@@ -90,8 +90,9 @@ impl QuerySpec {
     /// Give the query a wall-clock budget, measured from the start of
     /// its execution. On expiry the execution stops cooperatively and
     /// the output is flagged [`QueryOutput::timed_out`]; results found
-    /// before the deadline are still returned (under `top_k`, ranked
-    /// among what was verified in time).
+    /// before the deadline are still returned (under `top_k`, the best
+    /// `k` among what was verified in time — candidates are examined
+    /// best relatedness bound first).
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
@@ -190,10 +191,12 @@ impl QuerySpec {
 ///
 /// The phases partition `execute`'s wall time:
 ///
-/// * `stage` — candidate generation: signature selection + inverted
-///   index probe (`Searcher::stage`).
-/// * `verify` — the chunked check/NN filter + exact maximum-matching
-///   verification drain, including ranking.
+/// * `stage` — candidate generation: signature selection, inverted
+///   index probe, check filter and the ordering of its survivors
+///   (`Searcher::stage`).
+/// * `verify` — the examination of the ordered candidates: the stop
+///   rule, the nearest-neighbor filter and exact maximum-matching
+///   verification, including ranking.
 /// * `explain` — per-hit explanation derivation (zero unless the spec
 ///   asked for explanations).
 ///
@@ -205,9 +208,10 @@ impl QuerySpec {
 /// wall time exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTiming {
-    /// Candidate generation (signatures + index probe).
+    /// Candidate generation (signature, index probe, check filter,
+    /// ordering).
     pub stage: Duration,
-    /// Chunked filtering + exact verification + ranking.
+    /// Nearest-neighbor filtering + exact verification + ranking.
     pub verify: Duration,
     /// Per-hit explanation derivation (zero without `want_explain`).
     pub explain: Duration,

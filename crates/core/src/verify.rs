@@ -98,6 +98,25 @@ pub fn relatedness(metric: RelatednessMetric, m: f64, r_len: usize, s_len: usize
     }
 }
 
+/// The smallest matching score with which an `|R| = r_len`, `|S| = s_len`
+/// pair can still reach relatedness `delta` — [`relatedness`] solved for
+/// `m`. The nearest-neighbor filter, the ordered pass's stop rule and
+/// [`explain_pair`](crate::explain::explain_pair) all prune against this
+/// one value.
+///
+/// * `Similarity`: `m/(|R|+|S|−m) ≥ δ ⇔ m ≥ δ(|R|+|S|)/(1+δ)`, which is
+///   at least `δ|R|` whenever `|S| ≥ δ|R|` (the [`size_check`]).
+/// * `Containment`: `m/|R| ≥ δ ⇔ m ≥ δ|R|`; `|S|` plays no part.
+///
+/// Signature generation keeps `θ = δ|R|`: it runs before any `S` is
+/// known.
+pub(crate) fn need(metric: RelatednessMetric, delta: f64, r_len: usize, s_len: usize) -> f64 {
+    match metric {
+        RelatednessMetric::Similarity => delta * (r_len + s_len) as f64 / (1.0 + delta),
+        RelatednessMetric::Containment => delta * r_len as f64,
+    }
+}
+
 /// Fully verifies one pair: matching score → relatedness → threshold.
 /// Returns the relatedness score when the pair is related.
 pub fn verify_pair(
@@ -218,6 +237,27 @@ mod tests {
         assert_eq!(relatedness(RelatednessMetric::Similarity, 0.0, 0, 0), 1.0);
         assert_eq!(relatedness(RelatednessMetric::Similarity, 0.0, 0, 3), 0.0);
         assert_eq!(relatedness(RelatednessMetric::Containment, 0.0, 0, 3), 0.0);
+    }
+
+    #[test]
+    fn need_is_relatedness_solved_for_the_matching_score() {
+        for metric in [
+            RelatednessMetric::Similarity,
+            RelatednessMetric::Containment,
+        ] {
+            for delta in [f64::MIN_POSITIVE, 0.05, 0.3, 0.7, 1.0] {
+                for (r_len, s_len) in [(1, 1), (3, 7), (10, 4), (12, 12)] {
+                    let m = need(metric, delta, r_len, s_len);
+                    let rel = relatedness(metric, m, r_len, s_len);
+                    assert!((rel - delta).abs() < 1e-12, "{metric:?} δ={delta}");
+                    // Never below the signature's θ once the size check
+                    // has passed.
+                    if size_check(metric, delta, r_len, s_len) {
+                        assert!(m >= delta * r_len as f64 - 1e-9);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -140,6 +140,7 @@ pub fn explanation_json(set: u32, expl: &PairExplanation) -> Json {
         ("relatedness", Json::Num(expl.relatedness)),
         ("matching_score", Json::Num(expl.matching_score)),
         ("theta", Json::Num(expl.theta)),
+        ("need", Json::Num(expl.need)),
         ("candidate", Json::Bool(expl.is_candidate)),
         ("check_filter", Json::Bool(expl.passes_check_filter)),
         ("nn_filter", Json::Bool(expl.passes_nn_filter)),

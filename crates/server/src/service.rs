@@ -520,7 +520,7 @@ impl SearchService {
 
     /// Bounds how long one `/search` or `/search/batch` request may
     /// run. The deadline is enforced cooperatively inside the engine's
-    /// chunked filter/verify loop (capped together with any per-query
+    /// ordered filter/verify loop (capped together with any per-query
     /// `deadline_ms` the spec carries); a request that exhausts the
     /// whole budget answers `504` instead of partial results — a
     /// per-query `deadline_ms` that expires on its own still answers

@@ -73,6 +73,10 @@ pub fn levenshtein_bounded(a: &str, b: &str, max: usize) -> Option<usize> {
 
 /// Banded Levenshtein over pre-collected char slices. See
 /// [`levenshtein_bounded`].
+///
+/// The two DP rows are as long as the shorter string; up to
+/// 64 chars (`STACK_ROW`) they live on the stack, so the common case (a
+/// title, a cell, a name) allocates nothing per evaluation.
 pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<usize> {
     let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
     let (n, m) = (a.len(), b.len());
@@ -82,13 +86,35 @@ pub fn levenshtein_bounded_chars(a: &[char], b: &[char], max: usize) -> Option<u
     if m == 0 {
         return Some(n);
     }
-    const BIG: usize = usize::MAX / 2;
+    if m <= STACK_ROW {
+        let (mut prev, mut cur) = ([BIG; STACK_ROW + 1], [BIG; STACK_ROW + 1]);
+        banded_rows(a, b, max, &mut prev[..=m], &mut cur[..=m])
+    } else {
+        let (mut prev, mut cur) = (vec![BIG; m + 1], vec![BIG; m + 1]);
+        banded_rows(a, b, max, &mut prev, &mut cur)
+    }
+}
+
+/// Longest shorter-side string whose DP rows fit the stack buffers.
+const STACK_ROW: usize = 64;
+
+/// "Outside the band": larger than any distance, small enough to add 1 to.
+const BIG: usize = usize::MAX / 2;
+
+/// The banded DP of [`levenshtein_bounded_chars`] over caller-provided
+/// rows of `|b| + 1` cells, all [`BIG`]; `a` is the longer side.
+fn banded_rows<'a>(
+    a: &[char],
+    b: &[char],
+    max: usize,
+    mut prev: &'a mut [usize],
+    mut cur: &'a mut [usize],
+) -> Option<usize> {
+    let m = b.len();
     // Row i covers columns j in [lo, hi] with |i - j| bounded by the band.
-    let mut prev = vec![BIG; m + 1];
     for (j, cell) in prev.iter_mut().enumerate().take(max.min(m) + 1) {
         *cell = j;
     }
-    let mut cur = vec![BIG; m + 1];
     for (i, &ca) in a.iter().enumerate() {
         let row = i + 1;
         let lo = row.saturating_sub(max);
@@ -198,6 +224,21 @@ mod tests {
     #[test]
     fn bounded_length_gap_short_circuit() {
         assert_eq!(levenshtein_bounded("ab", "abcdefgh", 3), None);
+    }
+
+    #[test]
+    fn bounded_agrees_across_the_stack_row_limit() {
+        // Shorter side just below, at, and above STACK_ROW chars: the
+        // stack rows and the heap rows must give the classic distance.
+        for m in [STACK_ROW - 1, STACK_ROW, STACK_ROW + 1, 2 * STACK_ROW] {
+            let b: String = (0..m).map(|i| char::from(b'a' + (i % 7) as u8)).collect();
+            let mut a = b.replace('c', "x");
+            a.push_str("tail");
+            let d = levenshtein(&a, &b);
+            assert_eq!(levenshtein_bounded(&a, &b, d), Some(d), "m={m}");
+            assert_eq!(levenshtein_bounded(&b, &a, d + 5), Some(d), "m={m}");
+            assert_eq!(levenshtein_bounded(&a, &b, d - 1), None, "m={m}");
+        }
     }
 
     #[test]

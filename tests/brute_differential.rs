@@ -4,6 +4,12 @@
 //! signature-scheme × reduction combination — including on collections
 //! mutated through the incremental-update layer.
 //!
+//! The ordered top-k pass has two legs of its own here: a property that
+//! the size-aware `need` never prunes a related pair, and a corpus built
+//! for **ties at the k-th boundary** — sets that score the same while
+//! their bounds differ — across shard counts {1, 2, 7}, fresh and
+//! post-update.
+//!
 //! Cases are generated by the vendored proptest (seeded per test name;
 //! the runner prints the failing case's seed for reproduction — no
 //! shrinking, so workloads are kept small enough to debug directly).
@@ -11,9 +17,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use silkmoth::core::rank::rank_top_k;
 use silkmoth::{
-    brute, Collection, Engine, EngineConfig, FilterKind, RelatednessMetric, SignatureScheme,
-    SimilarityFunction, Update,
+    brute, Collection, Engine, EngineConfig, FilterKind, QuerySpec, RelatednessMetric,
+    ShardedEngine, SignatureScheme, SimilarityFunction, Update,
 };
 
 const SCHEMES: [SignatureScheme; 5] = [
@@ -175,5 +182,174 @@ proptest! {
         engine.apply(Update::Remove(doomed)).unwrap();
         prop_assume!(engine.collection().live_len() > 0);
         assert_engine_matches_brute(engine.collection(), engine.config(), rng);
+    }
+
+    // The filters prune against the matching score a pair *needs* —
+    // δ(|R|+|S|)/(1+δ) under SET-SIMILARITY, which grows with |S| — and a
+    // top-k pass against its rising k-th score. Neither may ever drop a
+    // related pair: sets of unequal sizes, both metrics, Jaccard and Eds,
+    // α off and high, floors down to 0.
+    #[test]
+    fn size_aware_need_never_prunes_a_related_pair(seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let edit = rng.random::<bool>();
+        let (similarity, element): (_, &dyn Fn(&mut StdRng) -> String) = if edit {
+            (SimilarityFunction::Eds { q: 2 }, &string_element)
+        } else {
+            (SimilarityFunction::Jaccard, &word_element)
+        };
+        let raw: Vec<Vec<String>> = (0..rng.random_range(6..=16usize))
+            .map(|_| (0..rng.random_range(1..=6usize)).map(|_| element(rng)).collect())
+            .collect();
+        let alpha = [0.0, 0.8][rng.random_range(0..2usize)];
+        for metric in METRICS {
+            let cfg = EngineConfig::full(metric, similarity, 0.7, alpha);
+            let engine = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+            let reference = raw[rng.random_range(0..raw.len())].clone();
+            for floor in [0.0, 0.05, 0.2, 0.5, 0.9] {
+                let label = format!("{metric:?}/{similarity:?} α={alpha} floor={floor}");
+                let spec = QuerySpec::new(reference.clone()).with_floor(floor).unwrap();
+                let want = brute_at(&engine, &reference, floor);
+                assert_hits_identical(&engine.execute(&spec).hits, &want, &label);
+                for k in [1, 3] {
+                    let mut ranked = want.clone();
+                    rank_top_k(&mut ranked, k);
+                    let got = engine.execute(&spec.clone().with_top_k(k)).hits;
+                    assert_hits_identical(&got, &ranked, &format!("{label} k={k}"));
+                }
+            }
+        }
+    }
+}
+
+/// `brute::search` from `reference` at `floor` over the engine's own
+/// collection, in ascending id order.
+fn brute_at(engine: &Engine, reference: &[String], floor: f64) -> Vec<(u32, f64)> {
+    let mut cfg = *engine.config();
+    cfg.delta = floor.max(f64::MIN_POSITIVE);
+    let r = engine.collection().encode_set(reference);
+    brute::search(&r, engine.collection(), &cfg)
+}
+
+fn assert_hits_identical(got: &[(u32, f64)], want: &[(u32, f64)], label: &str) {
+    let ids = |hits: &[(u32, f64)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
+    assert_eq!(ids(got), ids(want), "{label}: ids and tie order");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(
+            g.1.to_bits(),
+            w.1.to_bits(),
+            "{label}: score bits of {}",
+            g.0
+        );
+    }
+}
+
+/// The reference the tie corpus is built around.
+const TIE_REFERENCE: [&str; 3] = ["a b c d", "a b c e", "p q r s"];
+
+/// One set of the tie corpus, by kind; `i` makes its filler elements
+/// unique, so they share no token with anything.
+///
+/// * `Exact`: a copy of the reference — every copy scores 1.
+/// * `Tight`: one reference element and filler. Matching score 1, and
+///   nothing else in it resembles the reference, so its upper bound is
+///   (about) its score.
+/// * `Loose`: `"a b c d"` and filler. Matching score 1 as well — the one
+///   element can be matched once — but *two* reference elements have it
+///   as their nearest neighbor, so its bound is well above its score.
+/// * `Far`: filler only.
+///
+/// `Tight` and `Loose` tie on score while the ordered pass meets every
+/// `Loose` set first. With `Tight` sets on the lower ids, a top-k cut
+/// inside that tie group is right only if the pass goes on examining
+/// candidates whose bound merely *equals* its k-th score.
+#[derive(Clone, Copy)]
+enum TieKind {
+    Exact,
+    Tight,
+    Loose,
+    Far,
+}
+
+fn tie_set(kind: TieKind, i: usize) -> Vec<String> {
+    let filler = |j: usize| format!("f{i}x{j} f{i}y{j} f{i}z{j} f{i}w{j}");
+    match kind {
+        TieKind::Exact => TIE_REFERENCE.iter().map(|e| e.to_string()).collect(),
+        TieKind::Tight => vec!["p q r s".into(), filler(0), filler(1)],
+        TieKind::Loose => vec![filler(0), "a b c d".into(), filler(1)],
+        TieKind::Far => vec![filler(0), filler(1), filler(2)],
+    }
+}
+
+/// Engine, sharded engines {1, 2, 7} and `brute::search` must agree on
+/// ids, tie order and score bits for every `k`.
+fn assert_topk_matches_brute(engine: &Engine, sharded: &[ShardedEngine], label: &str) {
+    let with_extra: Vec<String> = TIE_REFERENCE
+        .iter()
+        .map(|e| e.to_string())
+        .chain(["u v w".to_string()])
+        .collect();
+    for reference in [&with_extra[..3], &with_extra[..]] {
+        for floor in [0.0, 0.15] {
+            let all = brute_at(engine, reference, floor);
+            // k = 1, cuts inside and exactly at the end of each tie
+            // group, one past the result count, and far past it.
+            let n = all.len();
+            for k in [0, 1, 2, 9, 10, 11, 13, 17, 20, 25, n - 1, n, n + 1, 1000] {
+                let mut want = all.clone();
+                rank_top_k(&mut want, k);
+                let spec = QuerySpec::new(reference.to_vec())
+                    .with_floor(floor)
+                    .unwrap()
+                    .with_top_k(k);
+                let label = format!("{label} |R|={} floor={floor} k={k}", reference.len());
+                assert_hits_identical(&engine.execute(&spec).hits, &want, &label);
+                for s in sharded {
+                    let label = format!("{label} shards={}", s.shards().len());
+                    assert_hits_identical(&s.execute(&spec).hits, &want, &label);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn topk_ties_at_the_kth_boundary_match_brute_across_shards_and_updates() {
+    use TieKind::{Exact, Far, Loose, Tight};
+    // Tight on the low ids of every stretch, Loose on the high ones.
+    let kinds = [Tight, Exact, Far, Loose];
+    let raw: Vec<Vec<String>> = (0..40).map(|i| tie_set(kinds[i % 4], i)).collect();
+    for metric in METRICS {
+        for alpha in [0.0, 0.5] {
+            let cfg = EngineConfig::full(metric, SimilarityFunction::Jaccard, 0.7, alpha);
+            let label = format!("{metric:?} α={alpha}");
+            let mut engine = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+            let mut sharded: Vec<ShardedEngine> = [1, 2, 7]
+                .iter()
+                .map(|&shards| ShardedEngine::build(&raw, cfg, shards).unwrap())
+                .collect();
+            assert_topk_matches_brute(&engine, &sharded, &format!("{label} fresh"));
+
+            // Post-update: the lowest id of each tie group goes, and new
+            // members arrive on the highest ids — Loose before Tight, so
+            // the new stretch ties the other way round. No compaction:
+            // the engine's ids stay the sharded engines' global ids.
+            let updates = [
+                Update::Remove(vec![0, 1, 3]),
+                Update::Append(vec![
+                    tie_set(Loose, 40),
+                    tie_set(Exact, 41),
+                    tie_set(Tight, 42),
+                    tie_set(Tight, 43),
+                ]),
+            ];
+            for update in updates {
+                for s in &mut sharded {
+                    s.apply(update.clone()).unwrap();
+                }
+                engine.apply(update).unwrap();
+            }
+            assert_topk_matches_brute(&engine, &sharded, &format!("{label} post-update"));
+        }
     }
 }
