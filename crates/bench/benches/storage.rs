@@ -17,7 +17,6 @@ use silkmoth_storage::{
 };
 use silkmoth_text::SimilarityFunction;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn cfg() -> EngineConfig {
@@ -140,14 +139,6 @@ fn bench_snapshot_load(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Scenario rows for `BENCH_8.json` (loadgen `REPORT_VERSION` 1
-/// shape), collected as the benches run and written once at the end.
-static REPORT: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-fn record_scenario(row: String) {
-    REPORT.lock().unwrap().push(row);
-}
-
 /// One timed pass of `writers` threads each pushing `per_writer`
 /// single-set appends through the service's durable update route
 /// (fsync per commit batch). Returns the wall time.
@@ -165,19 +156,6 @@ fn group_commit_pass(service: &SearchService, writers: usize, per_writer: usize)
         }
     });
     start.elapsed()
-}
-
-/// Commit-batch count from the service's own metrics page.
-fn commit_batches(service: &SearchService) -> u64 {
-    let page = service.handle(&Request::new("GET", "/metrics", Vec::new()));
-    String::from_utf8(page.body)
-        .unwrap()
-        .lines()
-        .find_map(|l| l.strip_prefix("silkmoth_wal_commit_batch_records_count "))
-        .expect("batch histogram present")
-        .trim()
-        .parse::<f64>()
-        .unwrap() as u64
 }
 
 fn durable_service(dir: &PathBuf) -> SearchService {
@@ -201,10 +179,8 @@ fn bench_group_commit(c: &mut Criterion) {
     // Long enough per pass that steady-state batching dominates the
     // first few small warm-up batches.
     const PER_WRITER: usize = 96;
-    const PASSES: usize = 5;
     let mut group = c.benchmark_group("storage/group_commit_sync");
     group.sample_size(10);
-    let mut throughputs: Vec<(usize, f64)> = Vec::new();
     for writers in [1usize, 4, 16] {
         group.throughput(Throughput::Elements((writers * PER_WRITER) as u64));
         let dir = temp_dir(&format!("group-commit-{writers}"));
@@ -214,49 +190,8 @@ fn bench_group_commit(c: &mut Criterion) {
             |b| b.iter(|| group_commit_pass(&service, writers, PER_WRITER)),
         );
         let _ = std::fs::remove_dir_all(&dir);
-
-        // The report row measures a fresh service (absolute batch
-        // counts), best of PASSES passes to damp scheduler noise.
-        let dir = temp_dir(&format!("group-commit-report-{writers}"));
-        let service = durable_service(&dir);
-        let mut best = Duration::MAX;
-        for _ in 0..PASSES {
-            best = best.min(group_commit_pass(&service, writers, PER_WRITER));
-        }
-        let batches = commit_batches(&service);
-        let total = (PASSES * writers * PER_WRITER) as u64;
-        let ok = (writers * PER_WRITER) as u64;
-        let req_per_s = ok as f64 / best.as_secs_f64();
-        throughputs.push((writers, req_per_s));
-        record_scenario(format!(
-            concat!(
-                "{{\"version\": 1, \"label\": \"group-commit-{}\", \"path\": \"/sets\", ",
-                "\"threads\": {}, \"requests_per_thread\": {}, \"ok\": {}, \"errors\": 0, ",
-                "\"elapsed_s\": {:.9}, \"req_per_s\": {:.3}, ",
-                "\"commit_batches_all_passes\": {}, \"updates_per_fsync\": {:.2}}}"
-            ),
-            writers,
-            writers,
-            PER_WRITER,
-            ok,
-            best.as_secs_f64(),
-            req_per_s,
-            batches,
-            total as f64 / batches as f64,
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
-    let one = throughputs[0].1;
-    let sixteen = throughputs[2].1;
-    record_scenario(format!(
-        concat!(
-            "{{\"version\": 1, \"label\": \"group-commit-speedup\", ",
-            "\"speedup_16_writers_vs_1\": {:.2}, \"floor\": 5.0, \"pass\": {}}}"
-        ),
-        sixteen / one,
-        sixteen / one >= 5.0,
-    ));
 }
 
 /// Crash recovery over a segmented WAL (decoded and CRC-checked in
@@ -288,7 +223,6 @@ fn bench_parallel_recovery(c: &mut Criterion) {
                 )]]))
                 .unwrap();
         }
-        let segments = store.status().wal_segments;
         drop(store);
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
@@ -297,56 +231,9 @@ fn bench_parallel_recovery(c: &mut Criterion) {
                 store.engine().collection().live_len()
             })
         });
-        let mut best = Duration::MAX;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            let (store, report) = Store::<Engine>::open(&dir, &cfg(), store_cfg).unwrap();
-            assert_eq!(report.wal_replayed, WAL as u64);
-            criterion::black_box(store.engine().collection().live_len());
-            best = best.min(t0.elapsed());
-        }
-        record_scenario(format!(
-            concat!(
-                "{{\"version\": 1, \"label\": \"recovery-{}\", \"sets\": {}, ",
-                "\"wal_records\": {}, \"wal_segments\": {}, \"elapsed_s\": {:.9}, ",
-                "\"req_per_s\": {:.3}}}"
-            ),
-            label,
-            SETS,
-            WAL,
-            segments,
-            best.as_secs_f64(),
-            WAL as f64 / best.as_secs_f64(),
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
-}
-
-/// Writes `BENCH_8.json` from the scenarios the benches above
-/// recorded. Runs last in the group; a filtered run that skipped them
-/// leaves the file untouched.
-fn bench_write_report(_c: &mut Criterion) {
-    let scenarios = REPORT.lock().unwrap();
-    if scenarios.is_empty() {
-        return;
-    }
-    let body = format!(
-        concat!(
-            "{{\n \"version\": 1,\n \"pr\": 8,\n",
-            " \"note\": \"Numbers measured inside this development container (single shared ",
-            "CPU, ext4, release build); compare shapes and ratios, not absolutes. Each ",
-            "scenario is the best of repeated runs to damp scheduler noise.\",\n",
-            " \"workload\": \"group commit: 100-set 2-shard durable SearchService, sync fsync ",
-            "per commit batch, 96 single-set appends per writer; recovery: 2000-set snapshot ",
-            "+ 1024 WAL records, segmented at 4096 bytes vs one unbounded segment\",\n",
-            " \"scenarios\": [\n  {}\n ]\n}}\n"
-        ),
-        scenarios.join(",\n  "),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
-    std::fs::write(path, body).expect("write BENCH_8.json");
-    println!("wrote {path}");
 }
 
 criterion_group!(
@@ -356,7 +243,6 @@ criterion_group!(
     bench_snapshot_load,
     bench_recovery,
     bench_group_commit,
-    bench_parallel_recovery,
-    bench_write_report
+    bench_parallel_recovery
 );
 criterion_main!(benches);

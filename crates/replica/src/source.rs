@@ -6,8 +6,8 @@
 use crate::proto::{read_handshake, write_frame, Frame};
 use crate::ReplicaError;
 use silkmoth_storage::{
-    list_wal_segments, read_wal_payloads, snapshot_bytes, wal_file_path, CommitHook, SnapshotMeta,
-    StorageError, Store, StoreEngine, StoreStatus,
+    list_wal_segments, read_wal_payloads, snapshot_bytes, CommitHook, SnapshotMeta, StorageError,
+    Store, StoreEngine, StoreStatus,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -125,11 +125,10 @@ struct LogSpan {
 }
 
 /// Maps a follower cursor onto a store's **retained** WAL files —
-/// every version-2 segment still on disk (including sealed segments of
-/// older generations kept back for cursors like this one, whose bases
-/// chain globally across generations) plus the current generation's
-/// legacy single-file log if the store predates segmentation — and
-/// reads the next batch of raw record payloads. `status` and `dir`
+/// every segment still on disk (including sealed segments of older
+/// generations kept back for cursors like this one, whose bases chain
+/// globally across generations) — and reads the next batch of raw
+/// record payloads. `status` and `dir`
 /// must come from one consistent read of the store (hold the lock
 /// while calling `status()`; the file reads themselves happen
 /// lock-free — committed WAL bytes are append-only, and a segment
@@ -148,31 +147,22 @@ pub fn store_records_after(
     if take == 0 {
         return Ok(Some(Vec::new()));
     }
-    let mut spans: Vec<LogSpan> = Vec::new();
-    let legacy = wal_file_path(dir, status.snapshot_seq);
-    if legacy.exists() {
-        spans.push(LogSpan {
-            path: legacy,
-            generation: status.snapshot_seq,
-            base: status.update_seq - status.wal_records,
-        });
-    }
-    let segments = list_wal_segments(dir).map_err(ReplicaError::Storage)?;
-    for seg in segments {
-        // A segment with an unreadable header (mid-creation or damaged)
-        // serves no one; skip it — a cursor actually needing its
-        // records fails the shortfall check below.
-        if let Some(base) = seg.base_seq {
-            spans.push(LogSpan {
+    // A segment with an unreadable header (mid-creation or damaged)
+    // serves no one; skip it — a cursor actually needing its records
+    // fails the shortfall check below.
+    let mut spans: Vec<LogSpan> = list_wal_segments(dir)
+        .map_err(ReplicaError::Storage)?
+        .into_iter()
+        .filter_map(|seg| {
+            Some(LogSpan {
+                base: seg.base_seq?,
                 path: seg.path,
                 generation: seg.generation,
-                base,
-            });
-        }
-    }
-    // Bases are global sequence numbers, so sorting by base interleaves
-    // the legacy file and the segments of every generation into one
-    // contiguous log.
+            })
+        })
+        .collect();
+    // Bases are global sequence numbers, so sorting by base chains the
+    // segments of every generation into one contiguous log.
     spans.sort_by_key(|s| s.base);
     let Some(mut i) = spans.iter().rposition(|s| s.base <= applied) else {
         // The cursor predates everything retained.

@@ -1,7 +1,11 @@
-//! The multi-tenant front: a [`CatalogService`] routes requests across
-//! named collections, each served by its own [`SearchService`] (own
-//! [`ShardedEngine`], own durable store directory, own quota bounds,
-//! own `collection`-labelled metric series on the shared registry).
+//! The multi-tenant catalog: a [`CatalogService`] resolves every
+//! request to one of its named collections — each a [`SearchService`]
+//! core with its own [`ShardedEngine`], durable store directory, quota
+//! bounds and `collection`-labelled metric series on the shared
+//! registry — and answers it through the **one front** all of them
+//! share (the default collection's), so request ids, the request log,
+//! slow-query capture, traces and the replication role cover scoped,
+//! unscoped and management requests alike.
 //!
 //! ## Routes
 //!
@@ -11,23 +15,27 @@
 //! * `GET /collections/<name>` — one collection's spec + summary;
 //! * `DELETE /collections/<name>` — drop (the `default` collection
 //!   cannot be dropped);
-//! * `/collections/<name>/<route>` — any service route, scoped: the
-//!   prefix is stripped and the request dispatched to that collection's
-//!   service, so `/collections/a/search` behaves exactly like `/search`
-//!   against collection `a`;
-//! * everything else — the `default` collection, byte-for-byte the
-//!   single-tenant server's behaviour (`GET /stats` and `GET /healthz`
-//!   additionally gain a `collections` section).
+//! * `/collections/<name>/<route>` — any collection route, scoped: the
+//!   same call that serves `/<route>`, against collection `<name>`;
+//! * everything else — the `default` collection: `/search` *is*
+//!   `/collections/default/search`, byte for byte. On the default
+//!   collection `GET /stats` and `GET /healthz` additionally end with a
+//!   `collections` section summarising every collection.
+//!
+//! `POST /promote`, `GET /metrics` and `GET /debug/traces` are
+//! per-process: they answer the same under any scope.
 //!
 //! ## Isolation
 //!
-//! Per-tenant quotas ride machinery that already exists per service:
+//! Per-tenant quotas ride machinery that already exists per core:
 //! `max_inflight_updates` bounds **that collection's own** in-flight
 //! counter (503 + `Retry-After` beyond it), so one tenant saturating
 //! its write path cannot make the admission check reject another
 //! tenant's requests; `deadline_cap_ms` caps that collection's search
 //! deadline (504 on exhaustion); `max_sets`/`max_bytes` answer a named
-//! 403 at append time.
+//! 403 at append time. The replication role is *not* per tenant: on a
+//! `--replicate-from` server every collection is read-only until
+//! `POST /promote`.
 //!
 //! ## Durability
 //!
@@ -46,7 +54,7 @@ use std::io;
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use silkmoth_catalog::{
     validate_name, CollectionSpec, Manifest, ManifestError, Quotas, DEFAULT_COLLECTION,
@@ -54,13 +62,14 @@ use silkmoth_catalog::{
 };
 use silkmoth_core::{CompactionPolicy, ConfigError, EngineConfig};
 use silkmoth_storage::{StorageError, Store, StoreConfig};
-use silkmoth_telemetry::{Gauge, Registry};
+use silkmoth_telemetry::Gauge;
 
 use crate::durable::ShardSpec;
-use crate::http::{self, HttpServer, Request, Response};
+use crate::front::RequestInfo;
+use crate::http::{self, split_target, HttpServer, Request, Response};
 use crate::json::{obj, Json};
-use crate::metrics::ServiceMetrics;
-use crate::service::{error_response, parse_body, SearchService};
+use crate::metrics::{canonical_route, ServiceMetrics};
+use crate::service::{error_response, page, parse_body, Answer, Fields, SearchService};
 use crate::shard::ShardedEngine;
 
 /// How the catalog builds collection services: the shared engine
@@ -135,22 +144,20 @@ impl From<ConfigError> for CatalogError {
     }
 }
 
-/// The multi-tenant collection registry fronting one HTTP listener.
+/// The multi-tenant collection registry behind one HTTP listener.
 /// See the module docs for routing and isolation semantics.
 #[derive(Debug)]
 pub struct CatalogService {
-    /// The collection unscoped routes serve. Built by the caller
-    /// exactly like the single-tenant service (including replication
-    /// wiring, which covers the default collection only).
+    /// The collection unscoped routes serve, and the owner of the front
+    /// every collection answers through. Built by the caller exactly
+    /// like the single-tenant service (including replication wiring,
+    /// which covers the default collection only).
     default: Arc<SearchService>,
     /// Every non-default collection, by name.
     extras: RwLock<BTreeMap<String, Arc<SearchService>>>,
     /// The durable registry the `extras` map mirrors.
     manifest: Mutex<Manifest>,
     config: CatalogConfig,
-    /// The shared metric registry (the default service's), where each
-    /// collection's labelled families and the catalog gauges live.
-    registry: Arc<Registry>,
     /// `silkmoth_catalog_collections`: registered collections,
     /// including `default`.
     collections_gauge: Gauge,
@@ -166,16 +173,43 @@ fn empty_engine(cfg: EngineConfig, shards: usize) -> Result<ShardedEngine, Confi
     ShardedEngine::restore(Vec::new(), &[], 0, cfg, shards)
 }
 
-/// Applies a collection's quotas (over the server-wide defaults) and
-/// its labelled metric bundle to a freshly built service.
-fn configure_service(
-    service: SearchService,
-    name: &str,
-    quotas: &Quotas,
+/// Builds the core of the registered collection `spec` as a tenant of
+/// `default`'s catalog: the shared front, its labelled metric bundle,
+/// and its quotas over the server-wide defaults. With a data directory
+/// the core is durable under `collections/<name>/`: a new store — or,
+/// to `recover`, the existing one (a registration whose store a crash
+/// never got to create is honoured with an empty store).
+fn build_tenant(
     config: &CatalogConfig,
-    registry: &Arc<Registry>,
-) -> Arc<SearchService> {
-    let mut service = service.with_metrics(ServiceMetrics::for_collection(registry, name));
+    default: &SearchService,
+    spec: &CollectionSpec,
+    recover: bool,
+) -> Result<Arc<SearchService>, CatalogError> {
+    let shards = (spec.shards as usize).max(1);
+    let engine = || empty_engine(config.engine_cfg, shards);
+    let service = match &config.data_dir {
+        None => SearchService::new(engine()?).with_policy(config.ephemeral_policy),
+        Some(data_dir) => {
+            let dir = collection_dir(data_dir, &spec.name);
+            let shard_spec = ShardSpec {
+                cfg: config.engine_cfg,
+                shards,
+            };
+            let opened = recover.then(|| Store::open(&dir, &shard_spec, config.store_cfg));
+            SearchService::durable(match opened {
+                Some(Ok((store, _report))) => store,
+                None | Some(Err(StorageError::NotInitialized { .. })) => {
+                    Store::create(&dir, engine()?, config.store_cfg)?
+                }
+                Some(Err(e)) => return Err(e.into()),
+            })
+        }
+    };
+    let metrics = ServiceMetrics::for_collection(default.metrics().registry(), &spec.name);
+    let mut service = service.into_tenant_of(default, metrics);
+    let quotas = &spec.quotas;
+    service.max_sets = quotas.max_sets.map(|n| n as usize);
+    service.max_bytes = quotas.max_bytes;
     let inflight = quotas
         .max_inflight_updates
         .map(|n| n as usize)
@@ -183,22 +217,15 @@ fn configure_service(
     if let Some(n) = inflight {
         service = service.with_max_inflight_updates(n);
     }
-    if let Some(n) = quotas.max_sets {
-        service = service.with_max_sets(n as usize);
-    }
-    if let Some(n) = quotas.max_bytes {
-        service = service.with_max_bytes(n);
-    }
     let cap = quotas.deadline_cap_ms.map(Duration::from_millis);
     let timeout = match (cap, config.search_timeout) {
         (Some(cap), Some(server)) => Some(server.min(cap)),
-        (Some(cap), None) => Some(cap),
-        (None, server) => server,
+        (cap, server) => cap.or(server),
     };
     if let Some(t) = timeout {
         service = service.with_search_timeout(t);
     }
-    Arc::new(service)
+    Ok(Arc::new(service))
 }
 
 impl CatalogService {
@@ -208,7 +235,7 @@ impl CatalogService {
     /// default-only manifest written; an unknown manifest version is a
     /// hard error (never guess at another format's layout).
     pub fn open(default: Arc<SearchService>, config: CatalogConfig) -> Result<Self, CatalogError> {
-        let registry = Arc::clone(default.metrics().registry());
+        let registry = default.metrics().registry();
         let collections_gauge = registry.gauge(
             "silkmoth_catalog_collections",
             "Collections currently registered in the catalog (including default)",
@@ -244,30 +271,7 @@ impl CatalogService {
             if spec.name == DEFAULT_COLLECTION {
                 continue;
             }
-            let shards = (spec.shards as usize).max(1);
-            let service = match &config.data_dir {
-                Some(data_dir) => {
-                    let dir = collection_dir(data_dir, &spec.name);
-                    let shard_spec = ShardSpec {
-                        cfg: config.engine_cfg,
-                        shards,
-                    };
-                    match Store::open(&dir, &shard_spec, config.store_cfg) {
-                        Ok((store, _report)) => SearchService::durable(store),
-                        // Registered but storeless: a crash between the
-                        // manifest write and the store create. Honour
-                        // the registration with an empty store.
-                        Err(StorageError::NotInitialized { .. }) => {
-                            let engine = empty_engine(config.engine_cfg, shards)?;
-                            SearchService::durable(Store::create(&dir, engine, config.store_cfg)?)
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                None => SearchService::new(empty_engine(config.engine_cfg, shards)?)
-                    .with_policy(config.ephemeral_policy),
-            };
-            let service = configure_service(service, &spec.name, &spec.quotas, &config, &registry);
+            let service = build_tenant(&config, &default, spec, true)?;
             extras.insert(spec.name.clone(), service);
         }
         collections_gauge.set(1 + extras.len() as i64);
@@ -276,7 +280,6 @@ impl CatalogService {
             extras: RwLock::new(extras),
             manifest: Mutex::new(manifest),
             config,
-            registry,
             collections_gauge,
         })
     }
@@ -311,69 +314,80 @@ impl CatalogService {
         names
     }
 
-    /// Routes one request: catalog management and collection-scoped
-    /// paths are handled here, everything else goes to the `default`
-    /// service unchanged (with `GET /stats` / `GET /healthz` gaining
-    /// the per-collection section on the way out).
+    /// Routes one request. The path resolves to a collection — the
+    /// `default` one unless it is scoped `/collections/<name>/<route>` —
+    /// or to catalog management; either way the response goes out
+    /// through the one shared front, observed under the resolved
+    /// collection's metrics.
     pub fn handle(&self, req: &Request) -> Response {
-        let (path, query) = match req.path.split_once('?') {
-            Some((p, q)) => (p, Some(q)),
-            None => (req.path.as_str(), None),
+        let (path, query) = split_target(&req.path);
+        let default = &*self.default;
+        let tenant;
+        let label = canonical_route(path);
+        let (service, route, label) = if label != "/collections" {
+            (default, path, label)
+        } else if let Some((found, route)) = self.scoped(path) {
+            tenant = found;
+            (&*tenant, route, canonical_route(route))
+        } else {
+            // Management (and scoped-lookup failures) share the one
+            // "/collections" route label on the default's metrics.
+            return default
+                .front()
+                .observe(default.metrics(), "/collections", |_| {
+                    self.management(&req.method, path, &req.body)
+                });
         };
-        if path == "/collections" || path.starts_with("/collections/") {
-            // Scoped dispatch: the inner service owns the request's
-            // observability (its own request id, metrics, logging).
-            if let Some(rest) = path.strip_prefix("/collections/") {
-                if let Some((name, tail)) = rest.split_once('/') {
-                    if validate_name(name).is_ok() {
-                        if let Some(service) = self.collection(name) {
-                            return service.handle(&scoped_request(req, tail, query));
-                        }
-                    }
+        let observed = |info: &mut RequestInfo| {
+            let top_level = std::ptr::eq(service, default);
+            match (top_level, req.method.as_str(), route) {
+                (true, "GET", "/stats") => Ok(page(self.with_collections(service.stats_fields()))),
+                (true, "GET", "/healthz") => {
+                    Ok(page(self.with_collections(service.healthz_fields())))
                 }
+                // Promotion is per-process: whatever the scope, it is
+                // the replicated (default) store whose epoch bumps.
+                (false, _, "/promote") => default.route(&req.method, route, query, &req.body, info),
+                _ => service.route(&req.method, route, query, &req.body, info),
             }
-            // Management (and scoped-lookup failures): observed at the
-            // catalog level under the one "/collections" route label.
-            let start = Instant::now();
-            let resp = self.management(req, path);
-            self.default
-                .metrics()
-                .observe_request("/collections", resp.status, start.elapsed());
-            return resp;
-        }
-        let resp = self.default.handle(req);
-        if req.method == "GET" && (path == "/stats" || path == "/healthz") && resp.status == 200 {
-            return self.with_collections_section(resp);
-        }
-        resp
+        };
+        default.front().observe(service.metrics(), label, observed)
     }
 
-    fn management(&self, req: &Request, path: &str) -> Response {
-        if path == "/collections" {
-            return match req.method.as_str() {
-                "GET" => self.list(),
-                _ => error_response(405, "method not allowed for this route"),
+    /// The live collection a `/collections/<name>/<route>` path
+    /// addresses, and the route within it.
+    fn scoped<'p>(&self, path: &'p str) -> Option<(Arc<SearchService>, &'p str)> {
+        let scoped = path.strip_prefix("/collections/")?;
+        let slash = scoped.find('/')?;
+        let name = &scoped[..slash];
+        validate_name(name).ok()?;
+        Some((self.collection(name)?, &scoped[slash..]))
+    }
+
+    fn management(&self, method: &str, path: &str, body: &[u8]) -> Answer {
+        let not_allowed = || Err(error_response(405, "method not allowed for this route"));
+        let Some(rest) = path.strip_prefix("/collections/") else {
+            return match method {
+                "GET" => Ok(self.list()),
+                _ => not_allowed(),
             };
-        }
-        let rest = path.strip_prefix("/collections/").expect("caller checked");
-        let (name, tail) = match rest.split_once('/') {
-            Some((name, tail)) => (name, Some(tail)),
-            None => (rest, None),
         };
-        if let Err(e) = validate_name(name) {
-            return error_response(400, &format!("invalid collection name: {e}"));
-        }
-        if tail.is_some() {
+        let (name, scoped) = match rest.split_once('/') {
+            Some((name, _)) => (name, true),
+            None => (rest, false),
+        };
+        validate_name(name)
+            .map_err(|e| error_response(400, &format!("invalid collection name: {e}")))?;
+        if scoped {
             // A valid name with a scoped tail only lands here when the
-            // collection doesn't exist (the dispatch above handled the
-            // live ones).
-            return error_response(404, &format!("no such collection '{name}'"));
+            // collection doesn't exist (`scoped` found the live ones).
+            return Err(no_such_collection(name));
         }
-        match req.method.as_str() {
-            "PUT" => self.create(name, &req.body),
+        match method {
+            "PUT" => self.create(name, body),
             "GET" => self.info(name),
             "DELETE" => self.drop_collection(name),
-            _ => error_response(405, "method not allowed for this route"),
+            _ => not_allowed(),
         }
     }
 
@@ -392,26 +406,23 @@ impl CatalogService {
             .iter()
             .map(|spec| {
                 let mut fields = vec![
-                    ("name".to_owned(), Json::Str(spec.name.clone())),
-                    ("shards".to_owned(), Json::Num(f64::from(spec.shards))),
+                    ("name", Json::Str(spec.name.clone())),
+                    ("shards", Json::Num(f64::from(spec.shards))),
                 ];
                 if let Some(service) = self.collection(&spec.name) {
-                    fields.push(("sets".to_owned(), Json::Num(service.engine().len() as f64)));
+                    fields.push(("sets", Json::Num(service.engine().len() as f64)));
                 }
-                fields.push(("quotas".to_owned(), quotas_json(&spec.quotas)));
-                Json::Obj(fields)
+                fields.push(("quotas", quotas_json(&spec.quotas)));
+                obj(fields)
             })
             .collect();
-        Response::json(
-            200,
-            obj(vec![("collections", Json::Arr(collections))]).to_string(),
-        )
+        page(vec![("collections", Json::Arr(collections))])
     }
 
-    fn info(&self, name: &str) -> Response {
-        let Some(service) = self.collection(name) else {
-            return error_response(404, &format!("no such collection '{name}'"));
-        };
+    fn info(&self, name: &str) -> Answer {
+        let service = self
+            .collection(name)
+            .ok_or_else(|| no_such_collection(name))?;
         let quotas = self
             .manifest
             .lock()
@@ -419,96 +430,78 @@ impl CatalogService {
             .get(name)
             .map(|spec| spec.quotas)
             .unwrap_or_default();
-        let mut fields = vec![("name".to_owned(), Json::Str(name.to_owned()))];
-        let Json::Obj(summary) = service.collection_summary_json() else {
-            unreachable!("collection summaries are objects");
-        };
-        fields.extend(summary);
-        fields.push(("quotas".to_owned(), quotas_json(&quotas)));
-        Response::json(200, Json::Obj(fields).to_string())
+        let mut fields = vec![("name", Json::Str(name.to_owned()))];
+        fields.extend(service.summary_fields());
+        fields.push(("quotas", quotas_json(&quotas)));
+        Ok(page(fields))
     }
 
-    fn create(&self, name: &str, body: &[u8]) -> Response {
-        if let Some(resp) = self.default.reject_if_follower() {
-            return resp;
-        }
-        let (shards, quotas) = match parse_create_body(body, self.config.default_shards) {
-            Ok(parsed) => parsed,
-            Err(resp) => return resp,
-        };
+    fn create(&self, name: &str, body: &[u8]) -> Answer {
+        self.default.front().check_writable()?;
+        let (shards, quotas) = parse_create_body(body, self.config.default_shards)?;
         // The extras write lock serializes every create/drop, so the
         // map, the manifest, and the gauge stay consistent.
         let mut extras = self.extras.write().unwrap_or_else(PoisonError::into_inner);
         if name == DEFAULT_COLLECTION || extras.contains_key(name) {
-            return error_response(409, &format!("collection '{name}' already exists"));
+            return Err(error_response(
+                409,
+                &format!("collection '{name}' already exists"),
+            ));
         }
         if 1 + extras.len() >= self.config.max_collections {
-            return error_response(
+            return Err(error_response(
                 403,
                 &format!(
                     "collection limit reached ({} of --max-collections {})",
                     1 + extras.len(),
                     self.config.max_collections
                 ),
-            );
+            ));
         }
-        let engine = match empty_engine(self.config.engine_cfg, shards) {
-            Ok(engine) => engine,
-            Err(e) => return error_response(400, &format!("engine config: {e}")),
+        let spec = CollectionSpec {
+            name: name.to_owned(),
+            shards: shards as u32,
+            quotas,
         };
         // Store first, manifest second: a crash in between leaves an
         // orphan directory (harmless), never a registered collection
         // without its store.
-        let service = match &self.config.data_dir {
-            Some(data_dir) => {
-                let dir = collection_dir(data_dir, name);
-                match Store::create(&dir, engine, self.config.store_cfg) {
-                    Ok(store) => SearchService::durable(store),
-                    Err(e) => return error_response(500, &format!("storage: {e}")),
-                }
-            }
-            None => SearchService::new(engine).with_policy(self.config.ephemeral_policy),
-        };
-        let service = configure_service(service, name, &quotas, &self.config, &self.registry);
+        let service =
+            build_tenant(&self.config, &self.default, &spec, false).map_err(|e| match e {
+                CatalogError::Config(e) => error_response(400, &format!("engine config: {e}")),
+                CatalogError::Storage(e) => error_response(500, &format!("storage: {e}")),
+                e => error_response(500, &e.to_string()),
+            })?;
         let mut manifest = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-        manifest
-            .upsert(CollectionSpec {
-                name: name.to_owned(),
-                shards: shards as u32,
-                quotas,
-            })
-            .expect("name validated by the route");
+        manifest.upsert(spec).expect("name validated by the route");
         if let Some(data_dir) = &self.config.data_dir {
             if let Err(e) = manifest.save(&data_dir.join(MANIFEST_FILE)) {
                 // Roll the registration back: an unregistered store
                 // directory is recoverable garbage, a collection the
                 // next restart forgets is acked data loss.
                 manifest.remove(name);
-                return error_response(500, &format!("saving catalog manifest: {e}"));
+                return Err(manifest_save_failed(&e));
             }
         }
         extras.insert(name.to_owned(), service);
         self.collections_gauge.set(1 + extras.len() as i64);
-        Response::json(
-            200,
-            obj(vec![
-                ("created", Json::Str(name.to_owned())),
-                ("shards", Json::Num(shards as f64)),
-            ])
-            .to_string(),
-        )
+        Ok(page(vec![
+            ("created", Json::Str(name.to_owned())),
+            ("shards", Json::Num(shards as f64)),
+        ]))
     }
 
-    fn drop_collection(&self, name: &str) -> Response {
-        if let Some(resp) = self.default.reject_if_follower() {
-            return resp;
-        }
+    fn drop_collection(&self, name: &str) -> Answer {
+        self.default.front().check_writable()?;
         if name == DEFAULT_COLLECTION {
-            return error_response(409, "the default collection cannot be dropped");
+            return Err(error_response(
+                409,
+                "the default collection cannot be dropped",
+            ));
         }
         let mut extras = self.extras.write().unwrap_or_else(PoisonError::into_inner);
         if !extras.contains_key(name) {
-            return error_response(404, &format!("no such collection '{name}'"));
+            return Err(no_such_collection(name));
         }
         let mut manifest = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
         let removed_spec = manifest.get(name).cloned();
@@ -518,7 +511,7 @@ impl CatalogService {
                 if let Some(spec) = removed_spec {
                     manifest.upsert(spec).expect("spec came from the manifest");
                 }
-                return error_response(500, &format!("saving catalog manifest: {e}"));
+                return Err(manifest_save_failed(&e));
             }
         }
         extras.remove(name);
@@ -533,44 +526,32 @@ impl CatalogService {
                 fields.push(("purge_error", Json::Str(e.to_string())));
             }
         }
-        Response::json(200, obj(fields).to_string())
+        Ok(page(fields))
     }
 
-    /// Appends the per-collection `collections` section to a `/stats`
-    /// or `/healthz` body. Lock poison is recovered throughout
-    /// (`into_inner` + each summary's own recovery): one tenant's
-    /// panicked writer must not take the whole page down.
-    fn with_collections_section(&self, resp: Response) -> Response {
-        let Ok(text) = std::str::from_utf8(&resp.body) else {
-            return resp;
-        };
-        let Ok(Json::Obj(mut fields)) = Json::parse(text) else {
-            return resp;
-        };
+    /// Ends a top-level `/stats` or `/healthz` page with the
+    /// per-collection `collections` section.
+    fn with_collections(&self, mut fields: Fields) -> Fields {
         let mut sections = vec![(
             DEFAULT_COLLECTION.to_owned(),
-            self.default.collection_summary_json(),
+            obj(self.default.summary_fields()),
         )];
         let extras = self.extras.read().unwrap_or_else(PoisonError::into_inner);
         for (name, service) in extras.iter() {
-            sections.push((name.clone(), service.collection_summary_json()));
+            sections.push((name.clone(), obj(service.summary_fields())));
         }
         drop(extras);
-        fields.push(("collections".to_owned(), Json::Obj(sections)));
-        Response::json(resp.status, Json::Obj(fields).to_string())
+        fields.push(("collections", Json::Obj(sections)));
+        fields
     }
 }
 
-/// Rebuilds a scoped request against the inner service: the
-/// `/collections/<name>` prefix stripped, the query string kept.
-fn scoped_request(req: &Request, tail: &str, query: Option<&str>) -> Request {
-    let path = match query {
-        Some(q) => format!("/{tail}?{q}"),
-        None => format!("/{tail}"),
-    };
-    let mut inner = Request::new(&req.method, &path, req.body.clone());
-    inner.headers = req.headers.clone();
-    inner
+fn no_such_collection(name: &str) -> Response {
+    error_response(404, &format!("no such collection '{name}'"))
+}
+
+fn manifest_save_failed(e: &ManifestError) -> Response {
+    error_response(500, &format!("saving catalog manifest: {e}"))
 }
 
 /// Parses the optional `PUT /collections/<name>` body:
@@ -649,6 +630,7 @@ pub fn serve_catalog<A: ToSocketAddrs>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::testutil::header;
     use silkmoth_core::RelatednessMetric;
     use silkmoth_text::SimilarityFunction;
     use std::sync::mpsc;
@@ -1026,6 +1008,228 @@ mod tests {
             [200, 503],
             "the admitted append lands once unblocked"
         );
+    }
+
+    /// The role is held once, by the front: on a `--replicate-from`
+    /// server every collection is read-only and says so, and one
+    /// `POST /promote` — under any scope — opens all of them.
+    #[test]
+    fn a_follower_is_read_only_for_every_collection_until_promoted() {
+        use crate::replication::{follower_store_config, start_follower};
+        use silkmoth_replica::FollowerConfig;
+
+        let dir =
+            std::env::temp_dir().join(format!("silkmoth-catalog-svc-{}-role", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store_cfg = follower_store_config(StoreConfig {
+            sync: false,
+            policy: CompactionPolicy::DISABLED,
+        });
+        let engine = ShardedEngine::build(&corpus(), engine_cfg(), 2).unwrap();
+        let default = Arc::new(SearchService::durable(
+            Store::create(&dir, engine, store_cfg).unwrap(),
+        ));
+        let catalog = CatalogService::open(
+            Arc::clone(&default),
+            CatalogConfig {
+                data_dir: Some(dir.clone()),
+                store_cfg,
+                ..ephemeral_config()
+            },
+        )
+        .unwrap();
+        let (status, _) = send(&catalog, "PUT", "/collections/tenant", "");
+        assert_eq!(status, 200);
+
+        // Tail a primary that refuses connections: the loop retries
+        // forever, which is all the follower role needs here.
+        let runtime = start_follower(
+            Arc::clone(&default),
+            "127.0.0.1:9".to_string(),
+            ShardSpec {
+                cfg: engine_cfg(),
+                shards: 2,
+            },
+            store_cfg,
+            FollowerConfig {
+                backoff_min: Duration::from_millis(2),
+                backoff_max: Duration::from_millis(20),
+                ..FollowerConfig::default()
+            },
+        );
+
+        let sets = r#"{"sets": [["nope"]]}"#;
+        for (method, path, body) in [
+            ("POST", "/collections/tenant/sets", sets),
+            ("DELETE", "/collections/tenant/sets", r#"{"ids": [0]}"#),
+            ("POST", "/collections/tenant/compact", ""),
+            ("POST", "/sets", sets),
+            ("PUT", "/collections/late", ""),
+            ("DELETE", "/collections/tenant", ""),
+        ] {
+            let (status, body) = send(&catalog, method, path, body);
+            assert_eq!(status, 409, "{method} {path}: {body}");
+            let err = body.get("error").and_then(Json::as_str).unwrap();
+            assert!(
+                err.contains("read-only follower") && err.contains("127.0.0.1:9"),
+                "{method} {path}: {err}"
+            );
+        }
+        for path in ["/collections/tenant/healthz", "/healthz"] {
+            let (_, body) = send(&catalog, "GET", path, "");
+            assert_eq!(
+                body.get("role").and_then(Json::as_str),
+                Some("follower"),
+                "{path}"
+            );
+        }
+        // Reads stay open.
+        let (status, _) = send(
+            &catalog,
+            "POST",
+            "/collections/tenant/search",
+            r#"{"reference": ["w0 shared0"]}"#,
+        );
+        assert_eq!(status, 200);
+
+        // Promotion is per-process: asked under the tenant's scope, it
+        // still bumps the replicated (default) store's epoch.
+        let (status, body) = send(&catalog, "POST", "/collections/tenant/promote", "");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.get("epoch").and_then(Json::as_usize), Some(1));
+        runtime.handle.join().unwrap();
+        let (_, stats) = send(&catalog, "GET", "/stats", "");
+        assert_eq!(
+            stats
+                .get("storage")
+                .and_then(|s| s.get("epoch"))
+                .and_then(Json::as_usize),
+            Some(1)
+        );
+        let (_, body) = send(&catalog, "GET", "/collections/tenant/healthz", "");
+        assert_eq!(body.get("role").and_then(Json::as_str), Some("primary"));
+        let (status, body) = send(&catalog, "POST", "/collections/tenant/sets", sets);
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = send(&catalog, "POST", "/sets", sets);
+        assert_eq!(status, 200, "{body}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What the server was started with covers every collection: a
+    /// scoped search is logged, slow-captured and traced by the one
+    /// front, and the ring is the same under any scope.
+    #[test]
+    fn a_scoped_search_is_logged_slow_captured_and_traced() {
+        use crate::LogFormat;
+
+        let lines = Arc::new(Mutex::new(Vec::<String>::new()));
+        let sink = Arc::clone(&lines);
+        let default = SearchService::new(ShardedEngine::build(&corpus(), engine_cfg(), 2).unwrap())
+            .with_log_format(LogFormat::Json)
+            .with_slow_query_ms(0) // everything is "slow"
+            .with_trace_sample(1)
+            .with_log_sink(move |line| sink.lock().unwrap().push(line.to_owned()));
+        let catalog = CatalogService::open(Arc::new(default), ephemeral_config()).unwrap();
+        send(&catalog, "PUT", "/collections/a", "");
+        send(
+            &catalog,
+            "POST",
+            "/collections/a/sets",
+            r#"{"sets": [["alpha beta"]]}"#,
+        );
+        lines.lock().unwrap().clear();
+
+        let resp = catalog.handle(&request(
+            "POST",
+            "/collections/a/search",
+            r#"{"reference": ["alpha beta"], "k": 2}"#,
+        ));
+        assert_eq!(resp.status, 200);
+        let id: usize = header(&resp, "X-Request-Id").unwrap().parse().unwrap();
+
+        let logged: Vec<Json> = lines
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|l| Json::parse(l).expect("log lines are JSON"))
+            .collect();
+        let events: Vec<&str> = logged
+            .iter()
+            .map(|l| l.get("event").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(events, ["request", "slow_query"], "{logged:?}");
+        assert_eq!(logged[0].get("id").and_then(Json::as_usize), Some(id));
+        assert_eq!(
+            logged[0].get("route").and_then(Json::as_str),
+            Some("/search")
+        );
+        assert_eq!(
+            logged[1]
+                .get("spec")
+                .and_then(|s| s.get("k"))
+                .and_then(Json::as_usize),
+            Some(2)
+        );
+
+        // The trace sits in the one ring, tagged with its collection,
+        // and both scopes serve that ring.
+        let (_, top) = send(&catalog, "GET", &format!("/debug/traces?id={id}"), "");
+        let (_, scoped) = send(
+            &catalog,
+            "GET",
+            &format!("/collections/a/debug/traces?id={id}"),
+            "",
+        );
+        assert_eq!(top.to_string(), scoped.to_string());
+        let traces = top.get("traces").and_then(Json::as_array).unwrap();
+        assert_eq!(traces.len(), 1, "{top}");
+        assert_eq!(traces[0].get("slow"), Some(&Json::Bool(true)));
+        let query = traces[0]
+            .get("spans")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .find(|sp| sp.get("kind").and_then(Json::as_str) == Some("query"))
+            .expect("a query span");
+        assert_eq!(
+            query
+                .get("attrs")
+                .and_then(|a| a.get("collection"))
+                .and_then(Json::as_str),
+            Some("a")
+        );
+    }
+
+    #[test]
+    fn request_ids_are_one_increasing_sequence_across_every_kind_of_request() {
+        let catalog = catalog_with(ephemeral_config());
+        let search = r#"{"reference": ["w0 shared0"]}"#;
+        let mut last = 0u64;
+        for (method, path, body, want) in [
+            ("POST", "/search", search, 200),
+            ("PUT", "/collections/a", "", 200),
+            ("POST", "/collections/a/search", search, 200),
+            ("PUT", "/collections/b", "", 200),
+            ("GET", "/healthz", "", 200),
+            ("POST", "/collections/b/sets", r#"{"sets": [["x"]]}"#, 200),
+            ("PUT", "/collections/b", "", 409),
+            ("PUT", "/collections/UPPER", "", 400),
+            ("POST", "/collections/ghost/search", search, 404),
+            ("POST", "/collections", "", 405),
+            ("GET", "/collections", "", 200),
+            ("POST", "/collections/default/search", search, 200),
+            ("GET", "/collections/a/nope", "", 404),
+        ] {
+            let resp = catalog.handle(&request(method, path, body));
+            assert_eq!(resp.status, want, "{method} {path}");
+            let id: u64 = header(&resp, "X-Request-Id")
+                .unwrap_or_else(|| panic!("{method} {path} carries no X-Request-Id"))
+                .parse()
+                .unwrap();
+            assert!(id > last, "{method} {path}: id {id} after {last}");
+            last = id;
+        }
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl Request {
     }
 }
 
+/// Splits a request target into its path and query string (empty when
+/// there is none).
+pub(crate) fn split_target(target: &str) -> (&str, &str) {
+    target.split_once('?').unwrap_or((target, ""))
+}
+
 /// One HTTP response.
 #[derive(Debug)]
 pub struct Response {

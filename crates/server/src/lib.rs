@@ -6,7 +6,7 @@
 //! the in-crate [`json`] subset, the transport the in-crate [`http`]
 //! server).
 //!
-//! Three layers:
+//! The layers, bottom up:
 //!
 //! * [`shard`] — [`ShardedEngine`]: the collection hash-partitioned
 //!   across N engines, scatter-gather search/discovery with output
@@ -14,10 +14,14 @@
 //!   top-k rank, bit-identical scores — see the module docs for why);
 //! * [`http`] — an HTTP/1.1 server on [`std::net::TcpListener`] with a
 //!   fixed worker pool, keep-alive, and graceful drain on shutdown;
-//! * [`service`] — the routes: `POST /search`, `POST /discover`,
-//!   `GET /stats` (cumulative per-shard [`PassStats`] merged),
-//!   `GET /healthz`, and `GET /metrics` (the [`metrics`] bundle in the
-//!   Prometheus text exposition format).
+//! * [`service`] — one collection's core, [`SearchService`]: the routes
+//!   (`POST /search`, `POST /discover`, `POST /sets`, `GET /stats` with
+//!   cumulative per-shard [`PassStats`] merged, `GET /healthz`, …) and
+//!   the group-commit write path, answering through the listener's one
+//!   front (request ids, logs, traces, `GET /metrics` — the [`metrics`]
+//!   registry in the Prometheus text exposition format);
+//! * [`catalog`] — [`CatalogService`]: named collections, each a core
+//!   behind the default collection's front.
 //!
 //! ## Example
 //!
@@ -52,6 +56,7 @@
 
 pub mod catalog;
 pub mod durable;
+mod front;
 pub mod http;
 pub mod json;
 pub mod metrics;
@@ -62,6 +67,7 @@ pub mod shard;
 
 pub use catalog::{serve_catalog, CatalogConfig, CatalogError, CatalogService};
 pub use durable::ShardSpec;
+pub use front::LogFormat;
 pub use http::{read_simple_response, HttpServer, Request, Response};
 pub use json::{Json, JsonError};
 pub use metrics::{canonical_route, ServiceMetrics};
@@ -70,7 +76,7 @@ pub use replication::{
     dir_needs_fresh_store, follower_store_config, serve_log, start_follower, FollowerConfig,
     FollowerRuntime, ReplicaServer, ServiceSink, ServiceSource, StreamerConfig,
 };
-pub use service::{serve, serve_service, EngineGuard, LogFormat, SearchService};
+pub use service::{serve, serve_service, EngineGuard, SearchService};
 pub use shard::{
     merge_stats, ShardedDiscoveryOutput, ShardedEngine, ShardedQueryOutput, ShardedSearchOutput,
 };

@@ -7,7 +7,7 @@
 //!
 //! * **HTTP** — per-route request counters (`route`/`status` labels),
 //!   per-route latency histograms, and an in-flight gauge, observed by
-//!   the service's request wrapper;
+//!   the front's request wrapper;
 //! * **query phases** — stage / verify / explain durations from
 //!   [`PhaseTiming`], the per-shard worst merged by
 //!   [`ShardedQueryOutput::merged_timing`](crate::shard::ShardedQueryOutput::merged_timing);
@@ -51,9 +51,9 @@ const HTTP_DURATION_HELP: &str = "Wall-clock request latency, by route";
 /// `/collections/<name>`) collapse to one `"/collections"` label — the
 /// name must not leak into the route label because collection identity
 /// rides the dedicated `collection` label. Collection-*scoped* routes
-/// never reach this function with their prefix: the catalog rewrites
-/// `/collections/<name>/search` to `/search` before dispatching to
-/// that collection's service.
+/// never reach this function with their prefix: the catalog resolves
+/// `/collections/<name>/search` to that collection and labels the
+/// request with the route behind the prefix, `/search`.
 pub fn canonical_route(path: &str) -> &'static str {
     if path == "/collections" || path.starts_with("/collections/") {
         return "/collections";

@@ -4,20 +4,22 @@
 //! [`ReplicaSink`] + [`start_follower`] that tail a primary into a
 //! follower service (`serve --replicate-from`).
 //!
-//! Both sides reuse the service's own backend lock, so replicated
-//! records serialize with HTTP traffic exactly like local updates do:
-//! a search on a follower sees all of a replicated update or none of
-//! it. The follower's HTTP surface stays read-only (update routes
-//! answer `409` naming the primary) until `POST /promote` stops the
-//! tail loop, bumps the store's failover epoch durably, and flips the
-//! service to the primary role.
+//! Both sides reach the store through the service's quiesced accessor,
+//! so replicated records serialize with HTTP traffic exactly like local
+//! updates do — a search on a follower sees all of a replicated update
+//! or none of it — and a bootstrap snapshot is never cut between a
+//! batch's WAL commit and its engine apply. The follower's HTTP surface
+//! stays read-only (update routes of every collection answer `409`
+//! naming the primary) until `POST /promote` stops the tail loop, bumps
+//! the store's failover epoch durably, and flips the process to the
+//! primary role.
 
 use crate::durable::ShardSpec;
 use crate::service::SearchService;
 use crate::shard::ShardedEngine;
 use silkmoth_core::wire::decode_update;
 use silkmoth_replica::{
-    run_follower, store_records_after, CommitSignal, FollowerShared, ReplicaError, ReplicaSink,
+    run_follower, store_records_after, FollowerShared, ReplicaError, ReplicaSink,
     ReplicationSource, TcpConnector,
 };
 use silkmoth_storage::{
@@ -41,10 +43,6 @@ impl ServiceSource {
     pub fn new(service: Arc<SearchService>) -> Self {
         Self { service }
     }
-
-    fn signal(&self) -> &Arc<CommitSignal> {
-        self.service.commit_signal()
-    }
 }
 
 fn not_durable() -> ReplicaError {
@@ -54,16 +52,16 @@ fn not_durable() -> ReplicaError {
 impl ReplicationSource for ServiceSource {
     fn epoch(&self) -> u64 {
         self.service
-            .read_durable(|store| store.status().epoch)
-            .unwrap_or(0)
+            .store_position()
+            .map_or(0, |(_, status)| status.epoch)
     }
 
     fn committed_seq(&self) -> u64 {
-        self.signal().current()
+        self.service.commit_signal().current()
     }
 
     fn wait_beyond(&self, seen: u64, timeout: Duration) -> u64 {
-        self.signal().wait_beyond(seen, timeout)
+        self.service.commit_signal().wait_beyond(seen, timeout)
     }
 
     fn records_after(
@@ -71,31 +69,34 @@ impl ReplicationSource for ServiceSource {
         applied: u64,
         limit: usize,
     ) -> Result<Option<Vec<Vec<u8>>>, ReplicaError> {
-        let (dir, status) = self
-            .service
-            .read_durable(|store| (store.dir().to_path_buf(), store.status()))
-            .ok_or_else(not_durable)?;
+        let (dir, status) = self.service.store_position().ok_or_else(not_durable)?;
         store_records_after(&dir, &status, applied, limit)
     }
 
     fn snapshot(&self) -> Result<(Vec<u8>, u64, u64), ReplicaError> {
-        self.service
-            .read_durable(|store| {
-                let status = store.status();
-                let meta = SnapshotMeta {
-                    seq: status.snapshot_seq,
-                    update_seq: status.update_seq,
-                    epoch: status.epoch,
-                };
-                let bytes = snapshot_bytes(meta, &StoreEngine::capture(store.engine()));
-                (bytes, status.update_seq, status.epoch)
-            })
-            .ok_or_else(not_durable)
+        // The cut is `(seq, state)` as one pair: quiesced, so the seq it
+        // is stamped with is one the engine has reached. Stamping a
+        // committed-but-unapplied seq would make the follower skip that
+        // record for good.
+        let (status, state) = self
+            .service
+            .quiesced(|store| (store.status(), StoreEngine::capture(store.engine())))
+            .ok_or_else(not_durable)?;
+        let meta = SnapshotMeta {
+            seq: status.snapshot_seq,
+            update_seq: status.update_seq,
+            epoch: status.epoch,
+        };
+        Ok((
+            snapshot_bytes(meta, &state),
+            status.update_seq,
+            status.epoch,
+        ))
     }
 }
 
 /// A [`ReplicaSink`] that lands replicated records in a
-/// [`SearchService`]'s durable store, under the service's write lock —
+/// [`SearchService`]'s durable store through the quiesced accessor —
 /// so follower searches serialize with replication exactly as primary
 /// searches serialize with local writes.
 pub struct ServiceSink {
@@ -116,14 +117,14 @@ impl ServiceSink {
 impl ReplicaSink for ServiceSink {
     fn epoch(&self) -> u64 {
         self.service
-            .read_durable(|store| store.status().epoch)
-            .unwrap_or(0)
+            .store_position()
+            .map_or(0, |(_, status)| status.epoch)
     }
 
     fn applied_seq(&self) -> u64 {
         self.service
-            .read_durable(|store| store.status().update_seq)
-            .unwrap_or(0)
+            .store_position()
+            .map_or(0, |(_, status)| status.update_seq)
     }
 
     fn install_snapshot(
@@ -142,10 +143,7 @@ impl ReplicaSink for ServiceSink {
         }
         let engine = <ShardedEngine as StoreEngine>::restore(&self.spec, state)
             .map_err(ReplicaError::Storage)?;
-        let dir = self
-            .service
-            .read_durable(|store| store.dir().to_path_buf())
-            .ok_or_else(not_durable)?;
+        let (dir, _) = self.service.store_position().ok_or_else(not_durable)?;
         match std::fs::remove_dir_all(&dir) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -158,11 +156,12 @@ impl ReplicaSink for ServiceSink {
         }
         let store = Store::create_continuing(&dir, engine, self.cfg, seq, epoch)
             .map_err(ReplicaError::Storage)?;
-        if self.service.replace_durable_store(store) {
-            Ok(())
-        } else {
-            Err(not_durable())
-        }
+        self.service
+            .quiesced(|current| {
+                *current = store;
+                self.service.wire(current);
+            })
+            .ok_or_else(not_durable)
     }
 
     fn apply_record(&mut self, seq: u64, payload: &[u8]) -> Result<(), ReplicaError> {
@@ -170,7 +169,7 @@ impl ReplicaSink for ServiceSink {
             .map_err(|e| ReplicaError::Protocol(format!("record {seq} does not decode: {e}")))?;
         let result = self
             .service
-            .with_durable_store(|store| {
+            .quiesced(|store| {
                 let receipt = store.apply(decoded.update).map_err(ReplicaError::Storage)?;
                 if receipt.auto_compacted {
                     return Err(ReplicaError::Protocol(format!(
@@ -208,12 +207,12 @@ pub struct FollowerRuntime {
     pub handle: JoinHandle<()>,
 }
 
-/// Puts `service` in the follower role and starts tailing
+/// Puts `service`'s process in the follower role and starts tailing
 /// `primary_addr` (a replication-log listener, not the HTTP port) on a
-/// background thread. The service's update routes answer `409` until
-/// `POST /promote`; an unreachable primary is retried with bounded
-/// backoff forever, visible in `/healthz` and `/stats` rather than
-/// fatal.
+/// background thread. Update routes (of every collection behind the
+/// same front) answer `409` until `POST /promote`; an unreachable
+/// primary is retried with bounded backoff forever, visible in
+/// `/healthz` and `/stats` rather than fatal.
 pub fn start_follower(
     service: Arc<SearchService>,
     primary_addr: String,
@@ -225,7 +224,9 @@ pub fn start_follower(
     // Sampled replication applies land in the same trace ring as HTTP
     // requests, so `/debug/traces` on a follower covers both.
     shared.set_tracer(Arc::clone(service.tracer()));
-    service.set_role_follower(primary_addr.clone(), Arc::clone(&shared));
+    service
+        .front()
+        .set_role_follower(primary_addr.clone(), Arc::clone(&shared));
     let connector = TcpConnector {
         addr: primary_addr,
         connect_timeout: Duration::from_secs(5),

@@ -1,0 +1,569 @@
+//! The read routes: `/search`, `/search/batch`, `/discover` — spec
+//! decode, engine execution under the shared lock, stats/metrics/trace
+//! bookkeeping, and response rendering.
+
+use std::sync::atomic::Ordering;
+use std::sync::PoisonError;
+use std::time::{Duration, Instant};
+
+use silkmoth_core::{PassStats, QuerySpec};
+use silkmoth_telemetry::trace::{self, AttrValue, SpanId, TraceCollector};
+
+use super::{array_field, error_response, parse_body, string_sets, Answer, SearchService};
+use crate::front::RequestInfo;
+use crate::http::Response;
+use crate::json::{obj, Json};
+use crate::queryspec::{explanation_json, spec_from_json};
+use crate::shard::ShardedQueryOutput;
+
+impl SearchService {
+    /// The whole-request deadline for a search arriving now, when
+    /// `--search-timeout-ms` is configured.
+    fn request_deadline(&self, start: Instant) -> Option<Instant> {
+        self.search_timeout.map(|t| start + t)
+    }
+
+    /// The `504` once the whole-request budget is exhausted: the
+    /// response must be that, not partial results.
+    fn check_deadline(&self, start: Instant) -> Result<(), Response> {
+        match self.search_timeout {
+            Some(t) if start.elapsed() >= t => Err(error_response(
+                504,
+                "search deadline exceeded (--search-timeout-ms)",
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    pub(super) fn search(&self, body: &[u8], info: &mut RequestInfo) -> Answer {
+        let spec = spec_from_json(&parse_body(body)?).map_err(|msg| error_response(400, &msg))?;
+        info.note_spec(&spec);
+        let start = Instant::now();
+        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
+        let out = self
+            .engine()
+            .execute_until(&spec, self.request_deadline(start));
+        let executed = start.elapsed();
+        self.searches.fetch_add(1, Ordering::Relaxed);
+        self.accumulate(&out.shard_stats);
+        self.metrics.observe_phases(&out.merged_timing());
+        self.metrics.observe_funnel(&out.merged_stats());
+        if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
+            record_query_spans(trace, &out, at, executed, self.metrics.collection());
+        }
+        info.shards = Some(out.shard_timings.len());
+        info.timed_out = out.timed_out;
+        self.check_deadline(start)?;
+        Ok(Response::json(
+            200,
+            query_output_json(&spec, &out).to_string(),
+        ))
+    }
+
+    pub(super) fn search_batch(&self, body: &[u8], info: &mut RequestInfo) -> Answer {
+        let doc = parse_body(body)?;
+        let mut specs = Vec::new();
+        for (i, q) in array_field(&doc, "queries", "query spec objects")?
+            .iter()
+            .enumerate()
+        {
+            let spec = spec_from_json(q)
+                .map_err(|msg| error_response(400, &format!("queries[{i}]: {msg}")))?;
+            info.note_spec(&spec);
+            specs.push(spec);
+        }
+        let start = Instant::now();
+        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
+        let outs = self
+            .engine()
+            .execute_batch_until(&specs, self.request_deadline(start));
+        self.searches
+            .fetch_add(specs.len() as u64, Ordering::Relaxed);
+        for out in &outs {
+            self.accumulate(&out.shard_stats);
+            self.metrics.observe_phases(&out.merged_timing());
+            self.metrics.observe_funnel(&out.merged_stats());
+            info.timed_out |= out.timed_out;
+            // The batch executes as one engine call, so per-query wall
+            // windows are not observable here; each query span borrows
+            // the batch's start and its own worst-shard phase sum.
+            if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
+                record_query_spans(
+                    trace,
+                    out,
+                    at,
+                    out.merged_timing().total(),
+                    self.metrics.collection(),
+                );
+            }
+        }
+        info.shards = outs.first().map(|out| out.shard_timings.len());
+        self.check_deadline(start)?;
+        let outputs: Vec<Json> = specs
+            .iter()
+            .zip(&outs)
+            .map(|(spec, out)| query_output_json(spec, out))
+            .collect();
+        Ok(Response::json(
+            200,
+            obj(vec![("outputs", Json::Arr(outputs))]).to_string(),
+        ))
+    }
+
+    pub(super) fn discover(&self, body: &[u8], info: &mut RequestInfo) -> Answer {
+        let references = string_sets(&parse_body(body)?, "references")?;
+        let start = Instant::now();
+        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
+        let out = self.engine().discover(&references);
+        let executed = start.elapsed();
+        self.discoveries.fetch_add(1, Ordering::Relaxed);
+        self.accumulate(&out.shard_stats);
+        self.metrics.observe_funnel(&out.merged_stats());
+        if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
+            let stats = out.merged_stats();
+            let span = trace.add_span(trace::ROOT, "discover", at, executed);
+            funnel_attrs(trace, span, &stats);
+        }
+        info.shards = Some(out.shard_stats.len());
+        let pairs: Vec<Json> = out
+            .pairs
+            .iter()
+            .map(|p| {
+                obj(vec![
+                    ("r", Json::Num(f64::from(p.r))),
+                    ("s", Json::Num(f64::from(p.s))),
+                    ("score", Json::Num(p.score)),
+                ])
+            })
+            .collect();
+        Ok(Response::json(
+            200,
+            obj(vec![
+                ("pairs", Json::Arr(pairs)),
+                ("stats", Json::Obj(stats_json_pairs(&out.merged_stats()))),
+            ])
+            .to_string(),
+        ))
+    }
+
+    fn accumulate(&self, per_shard: &[PassStats]) {
+        for (mutex, stats) in self.shard_stats.iter().zip(per_shard) {
+            mutex
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .merge(stats);
+        }
+    }
+}
+
+/// Renders one executed spec's output: `results`, the `timed_out`
+/// flag, and — governed by the spec's `stats` / `explain` flags — the
+/// merged pass counters and per-hit explanations.
+fn query_output_json(spec: &QuerySpec, out: &ShardedQueryOutput) -> Json {
+    let results: Vec<Json> = out
+        .hits
+        .iter()
+        .map(|&(set, score)| {
+            obj(vec![
+                ("set", Json::Num(f64::from(set))),
+                ("score", Json::Num(score)),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
+        ("results", Json::Arr(results)),
+        ("timed_out", Json::Bool(out.timed_out)),
+    ];
+    if spec.want_stats() {
+        fields.push(("stats", Json::Obj(stats_json_pairs(&out.merged_stats()))));
+    }
+    if spec.want_explain() {
+        let explain: Vec<Json> = out
+            .explanations
+            .iter()
+            .map(|(set, expl)| explanation_json(*set, expl))
+            .collect();
+        fields.push(("explain", Json::Arr(explain)));
+    }
+    if spec.want_timing() {
+        // Microsecond integers: per-phase worst shard (element-wise
+        // max across shards — phases overlap in wall time, so summing
+        // per-shard durations would overstate).
+        let t = out.merged_timing();
+        let us = |d: Duration| d.as_micros() as f64;
+        // total is the sum of the three REPORTED integers, not a
+        // separately truncated Duration sum — the invariant
+        // total_us == stage_us + verify_us + explain_us must hold
+        // exactly for whoever diffs the log against the page.
+        fields.push((
+            "timing",
+            obj(vec![
+                ("stage_us", Json::Num(us(t.stage))),
+                ("verify_us", Json::Num(us(t.verify))),
+                ("explain_us", Json::Num(us(t.explain))),
+                (
+                    "total_us",
+                    Json::Num(us(t.stage) + us(t.verify) + us(t.explain)),
+                ),
+            ]),
+        ));
+    }
+    obj(fields)
+}
+
+/// Attaches the paper's filter-funnel counters as span attributes —
+/// the per-request twin of the `silkmoth_query_filter_survivors_total`
+/// metric family.
+fn funnel_attrs(trace: &mut TraceCollector, span: SpanId, stats: &PassStats) {
+    trace.attr_u64(span, "candidates", stats.candidates as u64);
+    trace.attr_u64(span, "after_check", stats.after_check as u64);
+    trace.attr_u64(span, "after_nn", stats.after_nn as u64);
+    trace.attr_u64(span, "verified", stats.verified as u64);
+    trace.attr_u64(span, "results", stats.results as u64);
+    trace.attr_u64(span, "sim_evals", stats.sim_evals);
+    trace.attr_u64(span, "signature_cost", stats.signature_cost);
+}
+
+/// Places one executed query on the request's trace: a `query` span
+/// carrying the merged filter-funnel attributes, a `shard` child per
+/// shard, and `stage`/`verify`(/`explain`) grandchildren from that
+/// shard's [`PhaseTiming`]. Phase starts are reconstructed
+/// sequentially — stage → verify → explain is the engine's actual
+/// execution order inside one shard.
+fn record_query_spans(
+    trace: &mut TraceCollector,
+    out: &ShardedQueryOutput,
+    start_us: u64,
+    dur: Duration,
+    collection: Option<&str>,
+) {
+    let stats = out.merged_stats();
+    let query = trace.add_span(trace::ROOT, "query", start_us, dur);
+    funnel_attrs(trace, query, &stats);
+    if let Some(name) = collection {
+        trace.attr(query, "collection", AttrValue::Str(name.to_owned()));
+    }
+    trace.attr(query, "timed_out", AttrValue::Bool(out.timed_out));
+    for (id, (timing, stats)) in out.shard_timings.iter().zip(&out.shard_stats).enumerate() {
+        let shard = trace.add_span(query, "shard", start_us, timing.total());
+        trace.attr_u64(shard, "shard", id as u64);
+        trace.attr_u64(shard, "candidates", stats.candidates as u64);
+        trace.attr_u64(shard, "verified", stats.verified as u64);
+        let verify_at = start_us + timing.stage.as_micros() as u64;
+        trace.add_span(shard, "stage", start_us, timing.stage);
+        trace.add_span(shard, "verify", verify_at, timing.verify);
+        if !timing.explain.is_zero() {
+            let explain_at = verify_at + timing.verify.as_micros() as u64;
+            trace.add_span(shard, "explain", explain_at, timing.explain);
+        }
+    }
+}
+
+/// [`PassStats`] as ordered JSON object fields.
+pub(super) fn stats_json_pairs(stats: &PassStats) -> Vec<(String, Json)> {
+    let num = |v: f64| Json::Num(v);
+    vec![
+        ("candidates".into(), num(stats.candidates as f64)),
+        ("after_check".into(), num(stats.after_check as f64)),
+        ("after_nn".into(), num(stats.after_nn as f64)),
+        ("verified".into(), num(stats.verified as f64)),
+        ("results".into(), num(stats.results as f64)),
+        ("sim_evals".into(), num(stats.sim_evals as f64)),
+        ("reduced_pairs".into(), num(stats.reduced_pairs as f64)),
+        ("signature_cost".into(), num(stats.signature_cost as f64)),
+        ("degenerate".into(), num(f64::from(stats.degenerate))),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::super::testutil::*;
+    use super::*;
+    use crate::shard::ShardedEngine;
+
+    #[test]
+    fn phase_timings_fit_inside_the_route_histogram() {
+        // With one shard the three phases are disjoint slices of the
+        // query's wall time, and the route histogram brackets the whole
+        // request — so summed phase seconds can never exceed summed
+        // /search seconds. (Multi-shard timings are per-phase maxima
+        // across overlapping shards, where this inequality is not
+        // guaranteed; hence the 1-shard service.)
+        let s = SearchService::new(ShardedEngine::build(&corpus(), engine_cfg(), 1).unwrap());
+        for _ in 0..5 {
+            let (status, _) = post(&s, "/search", r#"{"reference": ["w0 w1 shared0"], "k": 5}"#);
+            assert_eq!(status, 200);
+        }
+        let page = s.metrics().render();
+        let families = silkmoth_telemetry::expo::parse_text(&page).unwrap();
+        let sum_of = |family: &str, sample: &str| -> f64 {
+            families
+                .iter()
+                .find(|f| f.name == family)
+                .unwrap_or_else(|| panic!("{family} missing"))
+                .samples
+                .iter()
+                .filter(|s| s.name == sample)
+                .map(|s| s.value)
+                .sum()
+        };
+        let phases = sum_of(
+            "silkmoth_query_phase_duration_seconds",
+            "silkmoth_query_phase_duration_seconds_sum",
+        );
+        let route = sum_of(
+            "silkmoth_http_request_duration_seconds",
+            "silkmoth_http_request_duration_seconds_sum",
+        );
+        assert!(phases > 0.0, "no phase time recorded:\n{page}");
+        assert!(
+            phases <= route,
+            "phase seconds {phases} exceed route seconds {route}:\n{page}"
+        );
+    }
+
+    #[test]
+    fn timing_section_appears_only_when_asked() {
+        let s = service();
+        let (status, doc) = post(&s, "/search", r#"{"reference": ["w0 w1 shared0"]}"#);
+        assert_eq!(status, 200);
+        assert!(doc.get("timing").is_none());
+        let (status, doc) = post(
+            &s,
+            "/search",
+            r#"{"reference": ["w0 w1 shared0"], "timing": true}"#,
+        );
+        assert_eq!(status, 200, "{doc}");
+        let timing = doc.get("timing").expect("timing section");
+        let total = timing.get("total_us").and_then(Json::as_usize).unwrap();
+        let parts: usize = ["stage_us", "verify_us", "explain_us"]
+            .iter()
+            .map(|f| timing.get(f).and_then(Json::as_usize).unwrap())
+            .sum();
+        assert_eq!(total, parts);
+    }
+
+    #[test]
+    fn search_roundtrip_and_stats_accumulate() {
+        let s = service();
+        let (status, doc) = post(
+            &s,
+            "/search",
+            r#"{"reference": ["w0 w1 shared0", "w3 w4 shared0"], "k": 5, "floor": 0.2}"#,
+        );
+        assert_eq!(status, 200, "{doc}");
+        let results = doc.get("results").and_then(Json::as_array).unwrap();
+        assert!(!results.is_empty());
+        // Scores are sorted descending under k.
+        let scores: Vec<f64> = results
+            .iter()
+            .map(|r| r.get("score").and_then(Json::as_f64).unwrap())
+            .collect();
+        assert!(scores.windows(2).all(|w| w[0] >= w[1]));
+        // /stats saw the pass.
+        let (_, stats) = get(&s, "/stats");
+        assert_eq!(
+            stats
+                .get("requests")
+                .and_then(|r| r.get("search"))
+                .and_then(Json::as_usize),
+            Some(1)
+        );
+        let merged = stats.get("merged").unwrap();
+        assert!(merged.get("candidates").and_then(Json::as_usize).unwrap() > 0);
+        assert_eq!(
+            stats.get("shards").and_then(Json::as_array).map(<[_]>::len),
+            Some(3)
+        );
+        // Ephemeral services report no storage section.
+        assert!(stats.get("storage").is_none());
+        assert_eq!(stats.get("slots").and_then(Json::as_usize), Some(20));
+    }
+
+    #[test]
+    fn discover_roundtrip() {
+        let s = service();
+        let (status, doc) = post(
+            &s,
+            "/discover",
+            r#"{"references": [["w0 w1 shared0", "w3 w4 shared0"], ["nothing matches this"]]}"#,
+        );
+        assert_eq!(status, 200, "{doc}");
+        let pairs = doc.get("pairs").and_then(Json::as_array).unwrap();
+        assert!(pairs
+            .iter()
+            .all(|p| p.get("r").is_some() && p.get("s").is_some() && p.get("score").is_some()));
+    }
+
+    #[test]
+    fn bad_requests_get_400() {
+        let s = service();
+        for (path, body) in [
+            ("/search", "not json"),
+            ("/search", "[1,2,3]"),
+            ("/search", r#"{"reference": []}"#),
+            ("/search", r#"{"reference": [42]}"#),
+            ("/search", r#"{"reference": ["a"], "k": -1}"#),
+            ("/search", r#"{"reference": ["a"], "k": 1.5}"#),
+            ("/search", r#"{"reference": ["a"], "floor": "x"}"#),
+            ("/search", r#"{"reference": ["a"], "floor": 1.5}"#),
+            ("/discover", r#"{"references": []}"#),
+            ("/discover", r#"{"references": [[]]}"#),
+            ("/discover", r#"{"references": [["a"], [3]]}"#),
+        ] {
+            let (status, doc) = post(&s, path, body);
+            assert_eq!(status, 400, "{path} {body} → {doc}");
+            assert!(doc.get("error").is_some(), "{path} {body}");
+        }
+    }
+
+    #[test]
+    fn search_reports_timed_out_and_batch_matches_one_by_one() {
+        let s = service();
+        // One-by-one answers…
+        let bodies = [
+            r#"{"reference": ["w0 w1 shared0"], "k": 4, "floor": 0.1}"#,
+            r#"{"reference": ["w2 w3 shared1", "w4 w0 shared2"], "floor": 0.0, "k": 3}"#,
+            r#"{"reference": ["nothing matches this"]}"#,
+        ];
+        let singles: Vec<Json> = bodies
+            .iter()
+            .map(|b| {
+                let (status, doc) = post(&s, "/search", b);
+                assert_eq!(status, 200, "{doc}");
+                assert_eq!(doc.get("timed_out"), Some(&Json::Bool(false)));
+                doc.get("results").unwrap().clone()
+            })
+            .collect();
+        // …must equal the batch answers for the same specs.
+        let batch_body = format!(r#"{{"queries": [{}]}}"#, bodies.join(","));
+        let (status, doc) = post(&s, "/search/batch", &batch_body);
+        assert_eq!(status, 200, "{doc}");
+        let outputs = doc.get("outputs").and_then(Json::as_array).unwrap();
+        assert_eq!(outputs.len(), singles.len());
+        for (out, single) in outputs.iter().zip(&singles) {
+            assert_eq!(out.get("results"), Some(single));
+            assert_eq!(out.get("timed_out"), Some(&Json::Bool(false)));
+        }
+        // The batch counted one search per query.
+        let (_, stats) = get(&s, "/stats");
+        assert_eq!(
+            stats
+                .get("requests")
+                .and_then(|r| r.get("search"))
+                .and_then(Json::as_usize),
+            Some(2 * bodies.len())
+        );
+    }
+
+    #[test]
+    fn spec_flags_control_the_response_shape() {
+        let s = service();
+        // stats off: no stats object in the response.
+        let (status, doc) = post(
+            &s,
+            "/search",
+            r#"{"reference": ["w0 w1 shared0"], "stats": false}"#,
+        );
+        assert_eq!(status, 200, "{doc}");
+        assert!(doc.get("stats").is_none());
+        assert!(doc.get("results").is_some());
+        // explain on: one explanation per hit, aligned.
+        let (status, doc) = post(
+            &s,
+            "/search",
+            r#"{"reference": ["w0 w1 shared0"], "k": 3, "floor": 0.0, "explain": true}"#,
+        );
+        assert_eq!(status, 200, "{doc}");
+        let results = doc.get("results").and_then(Json::as_array).unwrap();
+        let explain = doc.get("explain").and_then(Json::as_array).unwrap();
+        assert_eq!(results.len(), explain.len());
+        assert!(!results.is_empty());
+        for (r, e) in results.iter().zip(explain) {
+            assert_eq!(r.get("set"), e.get("set"));
+            assert_eq!(e.get("related"), Some(&Json::Bool(true)));
+        }
+    }
+
+    #[test]
+    fn unsupported_spec_version_and_bad_batch_bodies_are_400s() {
+        let s = service();
+        let (status, doc) = post(&s, "/search", r#"{"v": 2, "reference": ["a"]}"#);
+        assert_eq!(status, 400);
+        assert!(doc
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("version 2"));
+        for body in [
+            "not json",
+            r#"{}"#,
+            r#"{"queries": []}"#,
+            r#"{"queries": "x"}"#,
+            r#"{"queries": [{"reference": []}]}"#,
+            r#"{"queries": [{"reference": ["a"]}, {"reference": ["b"], "floor": 7}]}"#,
+        ] {
+            let (status, doc) = post(&s, "/search/batch", body);
+            assert_eq!(status, 400, "{body} → {doc}");
+        }
+        // The error names the offending batch entry.
+        let (_, doc) = post(
+            &s,
+            "/search/batch",
+            r#"{"queries": [{"reference": ["a"]}, {"reference": ["b"], "floor": 7}]}"#,
+        );
+        assert!(doc
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .starts_with("queries[1]"));
+    }
+
+    #[test]
+    fn per_query_deadline_answers_200_with_timed_out() {
+        let s = service();
+        // A zero budget expires before any verification: still a 200,
+        // with well-formed (empty-prefix) results and the flag set.
+        let (status, doc) = post(
+            &s,
+            "/search",
+            r#"{"reference": ["w0 w1 shared0"], "floor": 0.0, "deadline_ms": 0}"#,
+        );
+        assert_eq!(status, 200, "{doc}");
+        assert_eq!(doc.get("timed_out"), Some(&Json::Bool(true)));
+        assert!(doc.get("results").and_then(Json::as_array).is_some());
+    }
+
+    #[test]
+    fn whole_request_timeout_is_a_504() {
+        let s = SearchService::new(ShardedEngine::build(&corpus(), engine_cfg(), 3).unwrap())
+            .with_search_timeout(Duration::ZERO);
+        let (status, doc) = post(&s, "/search", r#"{"reference": ["w0 w1 shared0"]}"#);
+        assert_eq!(status, 504, "{doc}");
+        assert!(doc
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("--search-timeout-ms"));
+        let (status, _) = post(
+            &s,
+            "/search/batch",
+            r#"{"queries": [{"reference": ["w0 w1 shared0"]}]}"#,
+        );
+        assert_eq!(status, 504);
+        // A generous budget answers normally.
+        let s = SearchService::new(ShardedEngine::build(&corpus(), engine_cfg(), 3).unwrap())
+            .with_search_timeout(Duration::from_secs(60));
+        let (status, doc) = post(&s, "/search", r#"{"reference": ["w0 w1 shared0"]}"#);
+        assert_eq!(status, 200, "{doc}");
+        assert_eq!(doc.get("timed_out"), Some(&Json::Bool(false)));
+    }
+
+    #[test]
+    fn search_batch_rejects_other_methods() {
+        let s = service();
+        assert_eq!(get(&s, "/search/batch").0, 405);
+    }
+}

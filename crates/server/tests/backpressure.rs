@@ -95,6 +95,12 @@ fn rejected_updates_carry_retry_after_on_the_wire() {
         let service = Arc::clone(&service);
         std::thread::spawn(move || service.handle(&append_request()).status)
     };
+    // Let that append get inside the handler before the first probe is
+    // even sent, or a probe can take the slot and it is the in-process
+    // append that gets the 503.
+    while service.metrics().inflight().get() == 0 {
+        std::thread::yield_now();
+    }
 
     // Probe over TCP until the rejection arrives (the first probe can
     // race the blocked thread's admission and get admitted itself — in

@@ -5,7 +5,9 @@
 //!    **byte-identical** to the legacy single-collection server (ids,
 //!    tie order, score bits of every response body; `/metrics`
 //!    families modulo the catalog's own gauges) across shard counts
-//!    {1, 2, 7}. The catalog is a router, not a reinterpretation.
+//!    {1, 2, 7}. The catalog is a router, not a reinterpretation —
+//!    and `/<route>` *is* `/collections/default/<route>`: same body,
+//!    same header names, for every route in the script.
 //! 2. A scoped route (`/collections/<name>/search`, …) must answer
 //!    byte-identically to the unscoped route on a legacy server
 //!    holding the same sets — scoping changes *which* collection
@@ -144,6 +146,10 @@ fn script(rng: &mut StdRng) -> Vec<(String, String, String)> {
     reqs
 }
 
+fn header_names(resp: &Response) -> Vec<&'static str> {
+    resp.headers.iter().map(|(name, _)| *name).collect()
+}
+
 /// The `# TYPE` family names on a metrics page, sorted.
 fn metric_families(page: &str) -> Vec<String> {
     let mut families: Vec<String> = page
@@ -165,10 +171,27 @@ fn one_collection_catalog_is_byte_identical_to_legacy_across_shards() {
         let catalog = catalog_over(SearchService::new(
             ShardedEngine::build(&base, engine_cfg(), shards).unwrap(),
         ));
+        // A twin catalog replays the script scoped to `default`.
+        let scoped = catalog_over(SearchService::new(
+            ShardedEngine::build(&base, engine_cfg(), shards).unwrap(),
+        ));
         for (method, path, body) in script(rng) {
             let want: Response = legacy.handle(&request(&method, &path, &body));
             let got: Response = catalog.handle(&request(&method, &path, &body));
             assert_eq!(got.status, want.status, "{method} {path} ({shards} shards)");
+            let twin = scoped.handle(&request(
+                &method,
+                &format!("/collections/default{path}"),
+                &body,
+            ));
+            assert_eq!(
+                (twin.status, &twin.body, header_names(&twin)),
+                (got.status, &got.body, header_names(&got)),
+                "/collections/default{path} must be byte-identical to {path} ({shards} shards)\n\
+                 unscoped: {}\nscoped:   {}",
+                String::from_utf8_lossy(&got.body),
+                String::from_utf8_lossy(&twin.body),
+            );
             if path == "/stats" || path == "/healthz" {
                 // The one sanctioned difference: the catalog appends a
                 // `collections` section — as a pure suffix, so the

@@ -10,20 +10,27 @@
 //! The failover leg promotes a caught-up follower, writes to it, and
 //! attaches an observer follower to *its* log: the observer must
 //! replicate the post-promotion writes byte-identically.
+//!
+//! The last test holds one batch between its WAL commit and its engine
+//! apply and asks for a bootstrap snapshot meanwhile — the race that
+//! used to make the first test fail about one run in a hundred under
+//! load (a snapshot stamped with a sequence number its state had not
+//! reached, so the follower skipped that record for good).
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use silkmoth_core::{EngineConfig, RelatednessMetric, Update};
-use silkmoth_replica::ReplicaServer;
+use silkmoth_core::{CompactionPolicy, EngineConfig, RelatednessMetric, Update};
+use silkmoth_replica::{ReplicaServer, ReplicationSource};
 use silkmoth_server::{
     follower_store_config, serve_log, start_follower, FollowerConfig, Json, Request, SearchService,
     ServiceSource, ShardSpec, ShardedEngine, StreamerConfig,
 };
 use silkmoth_storage::{
-    snapshot_bytes, EngineState, SnapshotMeta, Store, StoreConfig, StoreEngine,
+    parse_snapshot, snapshot_bytes, EngineState, RetentionHook, SnapshotMeta, Store, StoreConfig,
+    StoreEngine,
 };
 use silkmoth_text::SimilarityFunction;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn cfg() -> EngineConfig {
@@ -375,4 +382,70 @@ fn promoted_follower_accepts_writes_that_an_observer_replicates() {
     for dir in [&p_dir, &f_dir, &o_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn bootstrap_snapshot_is_never_cut_between_a_batchs_commit_and_its_apply() {
+    let dir = temp_dir("cut");
+    // Seal a WAL segment on every commit: sealing asks the retention
+    // hook for its floor from inside `commit_batch` — after the append
+    // advanced the store's sequence number, before the engine applies.
+    // Parking the hook holds the batch exactly there.
+    let store_cfg = StoreConfig {
+        sync: false,
+        policy: CompactionPolicy::DISABLED.segment_at_wal_bytes(1),
+    };
+    let engine = ShardedEngine::build(&corpus(), cfg(), 2).unwrap();
+    let primary = Arc::new(SearchService::durable(
+        Store::create(&dir, engine, store_cfg).unwrap(),
+    ));
+    let (parked_tx, parked_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let park_once = Mutex::new(Some((parked_tx, release_rx)));
+    primary.set_wal_retention(RetentionHook::new(move || {
+        if let Some((parked, release)) = park_once.lock().unwrap().take() {
+            parked.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        u64::MAX
+    }));
+
+    let writer = {
+        let primary = Arc::clone(&primary);
+        std::thread::spawn(move || post(&primary, "/sets", r#"{"sets": [["cut marker"]]}"#).0)
+    };
+    parked_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the append reaches its commit point");
+
+    // Record 1 is committed and not applied. A follower bootstraps now.
+    let (cut_tx, cut_rx) = mpsc::channel();
+    let streamer = {
+        let source = ServiceSource::new(Arc::clone(&primary));
+        std::thread::spawn(move || cut_tx.send(source.snapshot()).unwrap())
+    };
+    assert!(
+        cut_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the cut must wait for the batch in flight"
+    );
+    release_tx.send(()).unwrap();
+    assert_eq!(writer.join().unwrap(), 200);
+    let (bytes, seq, _epoch) = cut_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the cut completes once the batch has applied")
+        .unwrap();
+    streamer.join().unwrap();
+
+    // `(seq, state)` is one consistent pair: stamped 1, it holds
+    // record 1's set.
+    let (meta, state) = parse_snapshot(&bytes, "bootstrap cut").unwrap();
+    assert_eq!((seq, meta.update_seq), (1, 1));
+    assert!(
+        snapshot_bytes(SnapshotMeta::default(), &state) == engine_bytes(&primary),
+        "a snapshot stamped seq {seq} must hold the state after {seq} updates, \
+         but it holds {} live sets of the primary's {}",
+        state.live.len(),
+        primary.engine().len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

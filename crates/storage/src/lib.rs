@@ -20,9 +20,6 @@
 //!                         sequence the segment starts at), then
 //!                         length-prefixed, CRC-checked records (one
 //!                         encoded Update each)
-//!   wal-<seq>.log         the same log in the legacy (version 1)
-//!                         single-file form — still recovered, no
-//!                         longer written
 //! ```
 //!
 //! Every acknowledged update is **WAL-logged and fsync'd before the
@@ -60,8 +57,8 @@
 //!
 //! ## Format versioning
 //!
-//! Both file headers carry a format version (snapshot: 2, WAL: 2 —
-//! version 1 single-file logs are still read). The rule: any change to
+//! Both file headers carry a format version (snapshot: 2, WAL: 2).
+//! The rule: any change to
 //! the byte layout bumps the version, and readers reject versions they
 //! don't know ([`StorageError::Corrupt`]) rather than guessing — an
 //! old binary never misreads a new store.
@@ -93,9 +90,7 @@ pub use store::{
     ApplyReceipt, CommitHook, CommittedBatch, MaintenanceReport, RecoveryReport, RetentionHook,
     Store, StoreConfig, StoreEvent, StoreStatus, TelemetryHook, WalDiscard,
 };
-pub use wal::{
-    list_wal_segments, read_wal, read_wal_payloads, wal_file_path, wal_segment_path, WalSegmentInfo,
-};
+pub use wal::{list_wal_segments, read_wal, read_wal_payloads, wal_segment_path, WalSegmentInfo};
 
 use std::sync::Arc;
 

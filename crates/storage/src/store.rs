@@ -13,7 +13,7 @@
 //! commit point would make the caller retry a durable update).
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -23,10 +23,7 @@ use silkmoth_core::wire::encode_update;
 use silkmoth_core::{CompactionPolicy, Update, UpdateOutcome};
 
 use crate::snapshot::{load_snapshot, snapshot_bytes, SnapshotMeta};
-use crate::wal::{
-    list_wal_segments, read_wal, wal_file_path, wal_segment_path, WalReplay, WalWriter,
-    WAL_HEADER_V1_LEN,
-};
+use crate::wal::{list_wal_segments, read_wal, wal_segment_path, WalReplay, WalWriter};
 use crate::{StorageError, StoreEngine};
 
 /// Store configuration.
@@ -334,7 +331,7 @@ fn list_generations(dir: &Path) -> Result<Vec<u64>, StorageError> {
 }
 
 /// The snapshot generation a store file belongs to, parsed from its
-/// name (`snapshot-<g>.smc`, legacy `wal-<g>.log`, `wal-<g>-<n>.log`).
+/// name (`snapshot-<g>.smc`, `wal-<g>-<n>.log`).
 fn file_generation(name: &str) -> Option<u64> {
     if let Some(body) = name
         .strip_prefix("snapshot-")
@@ -346,8 +343,7 @@ fn file_generation(name: &str) -> Option<u64> {
         .strip_prefix("wal-")
         .and_then(|s| s.strip_suffix(".log"))
     {
-        let gen = body.split_once('-').map(|(g, _)| g).unwrap_or(body);
-        return gen.parse().ok();
+        return body.split_once('-')?.0.parse().ok();
     }
     None
 }
@@ -363,15 +359,6 @@ fn sync_dir(dir: &Path) -> Result<(), StorageError> {
     }
     #[cfg(not(unix))]
     let _ = dir;
-    Ok(())
-}
-
-/// Truncates a file to `len` and fsyncs it.
-fn truncate_file(path: &Path, len: u64) -> Result<(), StorageError> {
-    let err = || StorageError::io(format!("truncating {}", path.display()));
-    let f = OpenOptions::new().write(true).open(path).map_err(err())?;
-    f.set_len(len).map_err(err())?;
-    f.sync_all().map_err(err())?;
     Ok(())
 }
 
@@ -450,12 +437,10 @@ impl<E: StoreEngine> Store<E> {
     /// *Semantic* damage — a record that replays divergently, a torn
     /// tail in a **sealed** segment, a segment whose base sequence
     /// doesn't continue the log (a missing or reordered file), a
-    /// configuration that rejects the data — is a hard error, because
-    /// serving anyway would silently diverge or drop committed records.
-    ///
-    /// Legacy single-file (version 1) generations recover transparently:
-    /// the old log is replayed first, its torn tail truncated in place,
-    /// and a fresh version-2 segment is opened after it for new records.
+    /// configuration that rejects the data, a WAL of another format
+    /// version (a version-1 `wal-<g>.log` included) — is a hard error,
+    /// because serving anyway would silently diverge or drop committed
+    /// records.
     pub fn open(
         dir: impl Into<PathBuf>,
         spec: &E::Spec,
@@ -490,19 +475,13 @@ impl<E: StoreEngine> Store<E> {
             };
             let mut engine = E::restore(spec, state)?;
 
-            // The generation's log catalog, in replay order: the legacy
-            // single-file log (if the store predates segmentation),
-            // then every segment by index.
-            let legacy = wal_file_path(&dir, seq);
-            let mut catalog: Vec<(PathBuf, Option<u32>)> = Vec::new();
-            if legacy.exists() {
-                catalog.push((legacy, None));
-            }
-            for info in list_wal_segments(&dir)? {
-                if info.generation == seq {
-                    catalog.push((info.path, Some(info.segment)));
-                }
-            }
+            // The generation's log catalog, in replay order: every
+            // segment by index.
+            let catalog: Vec<(PathBuf, u32)> = list_wal_segments(&dir)?
+                .into_iter()
+                .filter(|info| info.generation == seq)
+                .map(|info| (info.path, info.segment))
+                .collect();
 
             // Decode and CRC-check every file in parallel; the chunks
             // keep result order aligned with catalog order.
@@ -531,7 +510,7 @@ impl<E: StoreEngine> Store<E> {
             let mut entries = Vec::new();
             let mut expected = meta.update_seq;
             let mut discarded = None;
-            let mut active: Option<(PathBuf, Option<u32>, u64, u64)> = None;
+            let mut active: Option<(PathBuf, u32, u64, u64)> = None;
             let files = catalog.len();
             for (i, ((path, name_seg), slot)) in catalog.into_iter().zip(replays).enumerate() {
                 let replay = slot.expect("every catalog file was decoded")?;
@@ -548,27 +527,25 @@ impl<E: StoreEngine> Store<E> {
                     }
                     discarded = Some(d);
                 }
-                if let Some(want) = name_seg {
-                    if let Some(got) = replay.segment {
-                        if got != want {
-                            return Err(StorageError::Corrupt {
-                                file: path.display().to_string(),
-                                detail: format!(
-                                    "segment header index {got} disagrees with file name ({want})"
-                                ),
-                            });
-                        }
+                if let Some(got) = replay.segment {
+                    if got != name_seg {
+                        return Err(StorageError::Corrupt {
+                            file: path.display().to_string(),
+                            detail: format!(
+                                "segment header index {got} disagrees with file name ({name_seg})"
+                            ),
+                        });
                     }
-                    if let Some(base) = replay.base_seq {
-                        if base != expected {
-                            return Err(StorageError::Corrupt {
-                                file: path.display().to_string(),
-                                detail: format!(
-                                    "segment base {base} does not continue the log at {expected} \
-                                     (missing or reordered segments)"
-                                ),
-                            });
-                        }
+                }
+                if let Some(base) = replay.base_seq {
+                    if base != expected {
+                        return Err(StorageError::Corrupt {
+                            file: path.display().to_string(),
+                            detail: format!(
+                                "segment base {base} does not continue the log at {expected} \
+                                 (missing or reordered segments)"
+                            ),
+                        });
                     }
                 }
                 let records = replay.entries.len() as u64;
@@ -597,9 +574,7 @@ impl<E: StoreEngine> Store<E> {
                 }
             }
 
-            // Set up the active writer, converting a legacy log by
-            // truncating its tail in place and opening segment 0 with
-            // the right base after it.
+            // Set up the active writer.
             let update_seq = meta.update_seq + replayed;
             let (wal, segment_index) = match active {
                 None => {
@@ -616,20 +591,7 @@ impl<E: StoreEngine> Store<E> {
                     sync_dir(&dir)?;
                     (w, 0)
                 }
-                Some((path, None, valid_len, _)) => {
-                    if valid_len < WAL_HEADER_V1_LEN {
-                        // The legacy log was discarded whole (torn
-                        // creation): nothing committed in it to keep.
-                        fs::remove_file(&path)
-                            .map_err(StorageError::io(format!("removing {}", path.display())))?;
-                    } else {
-                        truncate_file(&path, valid_len)?;
-                    }
-                    let w = WalWriter::create(&wal_segment_path(&dir, seq, 0), seq, 0, update_seq)?;
-                    sync_dir(&dir)?;
-                    (w, 0)
-                }
-                Some((path, Some(idx), valid_len, records)) => {
+                Some((path, idx, valid_len, records)) => {
                     let base = update_seq - records;
                     let w = WalWriter::reopen(&path, seq, idx, base, valid_len)?;
                     (w, idx)
@@ -1047,9 +1009,9 @@ impl<E: StoreEngine> Store<E> {
         let _ = sync_dir(&self.dir);
     }
 
-    /// Best-effort removal of stale files: snapshots and legacy
-    /// single-file WALs of generations older than `keep` (plus stray
-    /// tempfiles) unconditionally, and older-generation WAL **segments**
+    /// Best-effort removal of stale files: snapshots of generations
+    /// older than `keep` (plus stray tempfiles) unconditionally, and
+    /// older-generation WAL **segments**
     /// only once no replication cursor still needs their records (a
     /// segment's records end where the next one begins; see
     /// [`RetentionHook`]). Current-generation segments are never
@@ -1089,15 +1051,7 @@ impl<E: StoreEngine> Store<E> {
                 .and_then(|s| s.strip_suffix(".smc"))
                 .and_then(|s| s.parse::<u64>().ok())
                 .is_some_and(|seq| seq < keep);
-            // Only the legacy single-file form parses here — segment
-            // names ("<gen>-<n>") fail the u64 parse and are handled
-            // above with retention.
-            let stale_legacy_wal = name
-                .strip_prefix("wal-")
-                .and_then(|s| s.strip_suffix(".log"))
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|seq| seq < keep);
-            if stale_snapshot || stale_legacy_wal || name.ends_with(".tmp") {
+            if stale_snapshot || name.ends_with(".tmp") {
                 let _ = fs::remove_file(entry.path());
             }
         }

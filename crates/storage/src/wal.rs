@@ -27,10 +27,11 @@
 //! basis for parallel recovery and for retaining sealed segments past
 //! snapshot rotation while a replication cursor still needs them.
 //!
-//! Version 1 (the pre-segment format, one `wal-<seq>.log` per
-//! generation with a 16-byte header and no `segment`/`base` fields) is
-//! still read for recovery and replication; writers only produce
-//! version 2. Unknown versions are rejected by name, never guessed at.
+//! Any other version is rejected by name, never guessed at — including
+//! version 1 (the pre-segment format, one `wal-<seq>.log` per
+//! generation), which no deployed store ever held: skipping such a
+//! file would silently drop committed records, so finding one is hard
+//! corruption.
 //!
 //! A record is **committed** once its bytes are on disk (the store
 //! `fsync`s before acknowledging), so recovery treats a structurally
@@ -66,9 +67,6 @@ use crate::StorageError;
 
 pub(crate) const WAL_MAGIC: &[u8; 4] = b"SMWL";
 pub(crate) const WAL_VERSION: u32 = 2;
-/// Header length of the legacy (version 1) single-file format.
-pub(crate) const WAL_HEADER_V1_LEN: u64 = 16;
-/// Header length of the segmented (version 2) format.
 pub(crate) const WAL_HEADER_LEN: u64 = 28;
 
 /// How long one committed [`WalWriter::append_many`] spent in the
@@ -77,12 +75,6 @@ pub(crate) const WAL_HEADER_LEN: u64 = 28;
 pub(crate) struct AppendTiming {
     pub write: Duration,
     pub sync: Duration,
-}
-
-/// The legacy (version 1) WAL file of generation `seq` inside a store
-/// directory — kept for reading stores written before segmentation.
-pub fn wal_file_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{seq}.log"))
 }
 
 /// Segment `segment` of generation `seq`'s WAL — the path contract
@@ -107,10 +99,11 @@ pub struct WalSegmentInfo {
     pub base_seq: Option<u64>,
 }
 
-/// Every version-2 WAL segment present in `dir`, sorted by
+/// Every WAL segment present in `dir`, sorted by
 /// `(generation, segment)` — which is also ascending base-sequence
-/// order for intact headers. Legacy version-1 files are not listed
-/// (they carry no base sequence and are never retained past rotation).
+/// order for intact headers. A file named like a version-1
+/// single-file log (`wal-<g>.log`) is a hard [`StorageError::Corrupt`]:
+/// it may hold committed records this build cannot replay.
 pub fn list_wal_segments(dir: &Path) -> Result<Vec<WalSegmentInfo>, StorageError> {
     let mut segments = Vec::new();
     let entries =
@@ -126,7 +119,10 @@ pub fn list_wal_segments(dir: &Path) -> Result<Vec<WalSegmentInfo>, StorageError
             continue;
         };
         let Some((gen, seg)) = body.split_once('-') else {
-            continue; // legacy single-file name
+            if body.parse::<u64>().is_ok() {
+                return Err(unsupported_version(&entry.path(), 1));
+            }
+            continue;
         };
         let (Ok(generation), Ok(segment)) = (gen.parse::<u64>(), seg.parse::<u32>()) else {
             continue;
@@ -152,23 +148,31 @@ fn read_segment_base(path: &Path, generation: u64, segment: u32) -> Option<u64> 
     let mut f = File::open(path).ok()?;
     f.read_exact(&mut header).ok()?;
     let parsed = parse_header(&header).ok()?;
-    (parsed.generation == generation && parsed.segment == segment)
-        .then_some(parsed.base_seq)
-        .flatten()
+    (parsed.generation == generation && parsed.segment == segment).then_some(parsed.base_seq)
 }
 
-/// A structurally valid WAL header, either version.
+/// A structurally valid WAL header.
 struct ParsedHeader {
     generation: u64,
     segment: u32,
-    /// `None` for version 1 (the legacy format has no base field).
-    base_seq: Option<u64>,
-    header_len: u64,
+    base_seq: u64,
+}
+
+/// The hard error for a WAL of any version but [`WAL_VERSION`]:
+/// discarding a file that may hold another format's committed records
+/// would lose data.
+fn unsupported_version(path: &Path, version: u32) -> StorageError {
+    StorageError::Corrupt {
+        file: path.display().to_string(),
+        detail: format!(
+            "unsupported WAL format version {version} (this build reads version {WAL_VERSION})"
+        ),
+    }
 }
 
 enum HeaderIssue {
-    /// Too short to hold its version's header — the torn-creation
-    /// window when the file holds nothing else.
+    /// Too short to hold the header — the torn-creation window when
+    /// the file holds nothing else.
     Short,
     /// Wrong magic bytes.
     BadMagic,
@@ -177,36 +181,26 @@ enum HeaderIssue {
 }
 
 fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, HeaderIssue> {
-    if bytes.len() < WAL_HEADER_V1_LEN as usize {
+    // The version is judged as soon as it is readable: another
+    // format's header may be shorter than ours (version 1's was 16
+    // bytes) and must not pass for a torn creation.
+    if bytes.len() >= 8 && &bytes[..4] == WAL_MAGIC {
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version != WAL_VERSION {
+            return Err(HeaderIssue::UnknownVersion(version));
+        }
+    }
+    if bytes.len() < WAL_HEADER_LEN as usize {
         return Err(HeaderIssue::Short);
     }
     if &bytes[..4] != WAL_MAGIC {
         return Err(HeaderIssue::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    match version {
-        1 => Ok(ParsedHeader {
-            generation,
-            segment: 0,
-            base_seq: None,
-            header_len: WAL_HEADER_V1_LEN,
-        }),
-        2 => {
-            if bytes.len() < WAL_HEADER_LEN as usize {
-                return Err(HeaderIssue::Short);
-            }
-            Ok(ParsedHeader {
-                generation,
-                segment: u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")),
-                base_seq: Some(u64::from_le_bytes(
-                    bytes[20..28].try_into().expect("8 bytes"),
-                )),
-                header_len: WAL_HEADER_LEN,
-            })
-        }
-        v => Err(HeaderIssue::UnknownVersion(v)),
-    }
+    Ok(ParsedHeader {
+        generation: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
+        segment: u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")),
+        base_seq: u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")),
+    })
 }
 
 fn encode_header(seq: u64, segment: u32, base_seq: u64) -> Vec<u8> {
@@ -230,14 +224,16 @@ pub struct WalReplay {
     pub valid_len: u64,
     /// The discarded torn tail, when the file did not end cleanly.
     pub discarded: Option<WalDiscard>,
-    /// The header's base sequence (`None` for a legacy version-1 file).
+    /// The header's base sequence (`None` when the file was discarded
+    /// whole).
     pub base_seq: Option<u64>,
-    /// The header's segment index (`None` for a legacy version-1 file).
+    /// The header's segment index (`None` when the file was discarded
+    /// whole).
     pub segment: Option<u32>,
 }
 
-/// Reads and validates one WAL file (either format version) against
-/// its expected generation `seq`. See the module docs for the
+/// Reads and validates one WAL segment file against its expected
+/// generation `seq`. See the module docs for the
 /// tail-handling policy: a short or corrupt header on a file with
 /// **no** records is the torn-creation crash window and is discarded
 /// whole (empty replay, `valid_len == 0`); a corrupt header on a file
@@ -267,30 +263,21 @@ pub fn read_wal(path: &Path, seq: u64) -> Result<WalReplay, StorageError> {
     let header = match parse_header(&bytes) {
         Ok(header) => header,
         // A file too short for its header cannot hold records: the
-        // torn-creation window, discarded whole. (A version-2 header
-        // torn between 16 and 28 bytes lands here too — records are
-        // only ever appended after the full header is fsync'd.)
+        // torn-creation window, discarded whole (records are only ever
+        // appended after the full header is fsync'd).
         Err(HeaderIssue::Short) => return Ok(discard_all("short header".into())),
         Err(HeaderIssue::BadMagic) => {
-            // Anything longer than the larger header must hold records
-            // (or the tail of some other format's records) — never a
-            // torn creation of either version.
+            // Anything longer than the header must hold records (or
+            // the tail of some other format's records) — never a torn
+            // creation.
             if bytes.len() > WAL_HEADER_LEN as usize {
                 return Err(corrupt_header("bad magic".into()));
             }
             return Ok(discard_all("bad magic".into()));
         }
-        Err(HeaderIssue::UnknownVersion(v)) => {
-            // Unknown versions are a hard error, not a discard: silently
-            // dropping a future format's committed records would lose
-            // data.
-            return Err(StorageError::Corrupt {
-                file: path.display().to_string(),
-                detail: format!("unknown WAL format version {v}"),
-            });
-        }
+        Err(HeaderIssue::UnknownVersion(v)) => return Err(unsupported_version(path, v)),
     };
-    let has_records = bytes.len() > header.header_len as usize;
+    let has_records = bytes.len() > WAL_HEADER_LEN as usize;
     if header.generation != seq {
         let detail = format!(
             "header seq {} does not match snapshot seq {seq}",
@@ -303,7 +290,7 @@ pub fn read_wal(path: &Path, seq: u64) -> Result<WalReplay, StorageError> {
     }
 
     let mut entries = Vec::new();
-    let mut pos = header.header_len as usize;
+    let mut pos = WAL_HEADER_LEN as usize;
     let mut discarded = None;
     while pos < bytes.len() {
         let tail = |reason: String| WalDiscard {
@@ -337,13 +324,13 @@ pub fn read_wal(path: &Path, seq: u64) -> Result<WalReplay, StorageError> {
         entries,
         valid_len: pos as u64,
         discarded,
-        base_seq: header.base_seq,
-        segment: (header.header_len == WAL_HEADER_LEN).then_some(header.segment),
+        base_seq: Some(header.base_seq),
+        segment: Some(header.segment),
     })
 }
 
-/// Reads raw committed record payloads from one WAL file (either
-/// format version) for replication shipping: skips the first `skip`
+/// Reads raw committed record payloads from one WAL segment file for
+/// replication shipping: skips the first `skip`
 /// records, then returns up to `limit` payloads (each one encoded
 /// `Update`, exactly the bytes the store framed), validating the
 /// header and every record CRC on the way.
@@ -376,9 +363,7 @@ pub fn read_wal_payloads(
         Err(HeaderIssue::Short | HeaderIssue::BadMagic) => {
             return Err(corrupt("bad or short WAL header".into()))
         }
-        Err(HeaderIssue::UnknownVersion(v)) => {
-            return Err(corrupt(format!("unknown WAL format version {v}")))
-        }
+        Err(HeaderIssue::UnknownVersion(v)) => return Err(unsupported_version(path, v)),
     };
     if header.generation != seq {
         return Err(corrupt(format!(
@@ -388,7 +373,7 @@ pub fn read_wal_payloads(
     }
     let mut out = Vec::new();
     let mut index = 0u64;
-    let mut pos = header.header_len as usize;
+    let mut pos = WAL_HEADER_LEN as usize;
     while out.len() < limit && pos < bytes.len() {
         if bytes.len() - pos < 8 {
             break; // torn frame prefix — beyond the committed range
@@ -430,8 +415,8 @@ pub(crate) struct WalWriter {
 }
 
 impl WalWriter {
-    /// Creates a fresh version-2 WAL segment containing only the
-    /// header, synced to disk.
+    /// Creates a fresh WAL segment containing only the header, synced
+    /// to disk.
     pub(crate) fn create(
         path: &Path,
         seq: u64,
@@ -459,7 +444,7 @@ impl WalWriter {
         })
     }
 
-    /// Reopens an existing version-2 segment for appending, first
+    /// Reopens an existing segment for appending, first
     /// truncating it to `valid_len` (or recreating the header when the
     /// whole file was discarded) so a torn tail can never precede new
     /// records.

@@ -416,55 +416,51 @@ fn sealed_segment_header_corruption_is_a_named_error() {
 }
 
 #[test]
-fn legacy_v1_single_file_wal_still_recovers() {
-    // A store written before segmentation: one `wal-<gen>.log` with the
-    // 16-byte version-1 header. Recovery must replay it fully, and new
-    // records after the open must land in a version-2 segment that a
-    // second recovery stitches onto the legacy log.
+fn v1_wal_is_rejected_by_name() {
+    // No deployed store ever held a version-1 WAL (one `wal-<gen>.log`
+    // with a 16-byte header), so this build does not read one — and
+    // must say so instead of skipping it: a skipped log is silently
+    // dropped committed records. Both shapes a v1 log can take in a
+    // store directory are a hard `Corrupt` naming the version.
     let master = temp_dir("v1-master");
     let wal = record_wal(&master);
-    let replica = temp_dir("v1-replica");
-    std::fs::create_dir_all(&replica).unwrap();
-    std::fs::copy(
-        master.join("snapshot-0.smc"),
-        replica.join("snapshot-0.smc"),
-    )
-    .unwrap();
-    // Re-head the recorded records with a version-1 header.
     let mut v1 = Vec::new();
     v1.extend_from_slice(b"SMWL");
     v1.extend_from_slice(&1u32.to_le_bytes());
     v1.extend_from_slice(&0u64.to_le_bytes());
+    let header_only = v1.clone();
     v1.extend_from_slice(&wal[28..]);
-    std::fs::write(replica.join("wal-0.log"), &v1).unwrap();
 
-    let n = updates().len() as u64;
-    let (mut store, report) =
-        Store::<Engine>::open(&replica, &cfg(), StoreConfig::default()).unwrap();
-    assert_eq!(report.wal_replayed, n, "every v1 record replays");
-    let mirrors = prefix_mirrors(&base_sets(), &updates());
-    assert_eq!(store.engine().capture(), mirrors[n as usize]);
-
-    store
-        .apply(Update::Append(vec![vec!["post-upgrade".into()]]))
+    for (file, bytes, what) in [
+        ("wal-0.log", &v1, "a v1 single-file log"),
+        (
+            "wal-0-0.log",
+            &v1,
+            "a v1 header on a segment holding records",
+        ),
+        ("wal-0-0.log", &header_only, "a header-only v1 segment"),
+    ] {
+        let replica = temp_dir("v1-replica");
+        std::fs::create_dir_all(&replica).unwrap();
+        std::fs::copy(
+            master.join("snapshot-0.smc"),
+            replica.join("snapshot-0.smc"),
+        )
         .unwrap();
-    drop(store);
-    let (store, report) = Store::<Engine>::open(&replica, &cfg(), StoreConfig::default()).unwrap();
-    assert_eq!(
-        report.wal_replayed,
-        n + 1,
-        "the v1 log and its v2 continuation stitch into one history"
-    );
-    let mut mirror = fresh_engine(&base_sets());
-    for u in updates() {
-        mirror.apply(u).unwrap();
+        std::fs::write(replica.join(file), bytes).unwrap();
+        let err = Store::<Engine>::open(&replica, &cfg(), StoreConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt { detail, .. }
+                if detail.contains("WAL format version 1")),
+            "{what}: {err}"
+        );
+        assert!(
+            replica.join(file).exists(),
+            "{what}: the rejected log must be left in place"
+        );
+        let _ = std::fs::remove_dir_all(&replica);
     }
-    mirror
-        .apply(Update::Append(vec![vec!["post-upgrade".into()]]))
-        .unwrap();
-    assert_eq!(store.engine().capture(), mirror.capture());
     let _ = std::fs::remove_dir_all(&master);
-    let _ = std::fs::remove_dir_all(&replica);
 }
 
 #[test]

@@ -14,11 +14,19 @@
 # signatures, prefixed with the file path and sorted. That is enough to
 # catch additions, removals, renames, and signature changes of anything
 # exported from the workspace crates.
+#
+# Beside the snapshot it keeps a size budget (scripts/size_budget.txt):
+# the number of public items, and the workspace's product lines — the
+# lines before the first `#[cfg(test)]` of every crates/*/src/**/*.rs
+# (the benchmark suite package excepted) and src/**/*.rs. `--check`
+# fails when either number is above the recorded one, so growth, like
+# API drift, has to be committed deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SNAPSHOT=scripts/api_surface.txt
+BUDGET=scripts/size_budget.txt
 
 generate() {
     # src/ (the facade crate + CLI) and crates/*/src; vendor/ is
@@ -31,6 +39,21 @@ generate() {
                 | sed -e 's/^[[:space:]]*//' -e 's/[[:space:]]*$//' -e "s|^|$f: |" \
                 || true
         done
+}
+
+product_lines() {
+    find src crates -name '*.rs' \( -path 'crates/*/src/*' -o -path 'src/*' \) \
+        -not -path 'crates/bench/src/bin/suite/*' -print0 \
+        | xargs -0 awk 'FNR == 1 { counting = 1 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+            counting { n++ }
+            END { print n + 0 }'
+}
+
+# budget <public items> — the two tracked numbers, one per line.
+budget() {
+    echo "public_items $1"
+    echo "product_lines $(product_lines)"
 }
 
 case "${1:-}" in
@@ -46,10 +69,25 @@ case "${1:-}" in
         exit 1
     fi
     echo "API surface matches $SNAPSHOT ($(wc -l <"$SNAPSHOT") public items)."
+    status=0
+    while read -r name now; do
+        recorded=$(awk -v name="$name" '$1 == name { print $2 }' "$BUDGET")
+        if [ -z "$recorded" ] || [ "$now" -gt "$recorded" ]; then
+            echo "error: $name rose to $now (budget in $BUDGET: ${recorded:-none})." >&2
+            echo "If the growth is deliberate, run ./scripts/api_surface.sh and" >&2
+            echo "commit the regenerated budget with your change." >&2
+            status=1
+        else
+            echo "$name $now within the budget of $recorded."
+        fi
+    done < <(budget "$(wc -l <"$tmp")")
+    exit "$status"
     ;;
 "")
     generate >"$SNAPSHOT"
-    echo "Wrote $SNAPSHOT ($(wc -l <"$SNAPSHOT") public items)."
+    budget "$(wc -l <"$SNAPSHOT")" >"$BUDGET"
+    echo "Wrote $SNAPSHOT ($(wc -l <"$SNAPSHOT") public items) and $BUDGET:"
+    cat "$BUDGET"
     ;;
 *)
     echo "usage: $0 [--check]" >&2
