@@ -1,8 +1,11 @@
-//! Two-pass collection construction and external-set encoding.
+//! Collection construction — interning, then the two token passes over
+//! the distinct elements — incremental append, and external-set encoding.
 
-use crate::{Collection, Element, SetRecord, TokenDict};
+use crate::element::{ByText, NO_ID};
+use crate::{Collection, ElemId, Element, SetRecord, TokenDict};
 use silkmoth_text::{qchunk_positions, qgrams, whitespace_tokens, TokenId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How element strings are turned into tokens (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,48 +41,80 @@ pub(crate) fn build_collection<S: AsRef<str>>(
     raw: &[Vec<S>],
     tokenization: Tokenization,
 ) -> Collection {
-    // Pass 1: posting counts (each element counts a token once).
+    // Intern: a distinct text takes the next element id at its first
+    // occurrence, and only distinct texts are tokenised below.
+    let mut ids: HashMap<&str, ElemId> = HashMap::new();
+    // (text, occurrences) by element id.
+    let mut distinct: Vec<(&str, u32)> = Vec::new();
+    let mut occurrence_ids: Vec<ElemId> = Vec::with_capacity(raw.iter().map(Vec::len).sum());
+    for text in raw.iter().flatten() {
+        let text = text.as_ref();
+        let id = *ids.entry(text).or_insert_with(|| {
+            distinct.push((text, 0));
+            (distinct.len() - 1) as ElemId
+        });
+        distinct[id as usize].1 += 1;
+        occurrence_ids.push(id);
+    }
+    drop(ids);
+
+    // Pass 1: posting counts. Every occurrence of an element is one
+    // posting of each of its distinct tokens.
     let mut counts: HashMap<Box<str>, u32> = HashMap::new();
     let mut scratch: Vec<String> = Vec::new();
-    for set in raw {
-        for elem in set {
-            scratch.clear();
-            scratch.extend(tokenization.raw_tokens(elem.as_ref()));
-            scratch.sort_unstable();
-            scratch.dedup();
-            for t in &scratch {
-                if let Some(c) = counts.get_mut(t.as_str()) {
-                    *c += 1;
-                } else {
-                    counts.insert(t.clone().into_boxed_str(), 1);
-                }
+    for &(text, occurrences) in &distinct {
+        distinct_raw_tokens(text, tokenization, &mut scratch);
+        for t in &scratch {
+            if let Some(c) = counts.get_mut(t.as_str()) {
+                *c += occurrences;
+            } else {
+                counts.insert(t.clone().into_boxed_str(), occurrences);
             }
         }
     }
     let dict = TokenDict::from_counts(counts);
 
-    // Pass 2: encode every element against the dictionary.
+    // Pass 2: encode every distinct element against the dictionary.
+    let elems: Vec<Arc<Element>> = distinct
+        .iter()
+        .enumerate()
+        .map(|(id, (text, _))| {
+            Arc::new(encode_element(text, tokenization, id as ElemId, |t| {
+                dict.id(t).expect("token seen in pass 1")
+            }))
+        })
+        .collect();
+
+    let mut ids = occurrence_ids.iter();
     let sets: Vec<SetRecord> = raw
         .iter()
         .map(|set| SetRecord {
-            elements: set
-                .iter()
-                .map(|e| {
-                    encode_element(e.as_ref(), tokenization, |t| {
-                        dict.id(t).expect("token seen in pass 1")
-                    })
-                })
+            elements: ids
+                .by_ref()
+                .take(set.len())
+                .map(|&id| Arc::clone(&elems[id as usize]))
                 .collect(),
         })
         .collect();
 
-    Collection::from_parts(sets, dict, tokenization)
+    let elems = elems.into_iter().map(ByText).collect();
+    Collection::from_parts(sets, dict, elems, tokenization)
 }
 
-/// Incremental append (see [`Collection::append_sets`]): interns each
-/// new element's distinct tokens into the existing dictionary (bumping
-/// posting counts, assigning fresh trailing ids to unseen tokens), then
-/// encodes the element exactly as the two-pass build would.
+/// Fills `out` with the distinct raw tokens of one element, sorted.
+fn distinct_raw_tokens(text: &str, tokenization: Tokenization, out: &mut Vec<String>) {
+    out.clear();
+    out.extend(tokenization.raw_tokens(text));
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// Incremental append (see [`Collection::append_sets`]): an element
+/// whose text the dictionary holds is shared, counting one more posting
+/// for each of its tokens; an unseen text has its distinct tokens
+/// interned into the token dictionary (bumping posting counts, assigning
+/// fresh trailing ids to unseen tokens) and is then encoded exactly as
+/// the two-pass build would, under the next element id.
 pub(crate) fn append_sets<S: AsRef<str>>(
     collection: &mut Collection,
     raw: &[Vec<S>],
@@ -91,17 +126,24 @@ pub(crate) fn append_sets<S: AsRef<str>>(
         let mut elements = Vec::with_capacity(set.len());
         for elem in set {
             let text = elem.as_ref();
-            distinct.clear();
-            distinct.extend(tokenization.raw_tokens(text));
-            distinct.sort_unstable();
-            distinct.dedup();
+            if let Some(ByText(known)) = collection.elems.get(text) {
+                for &t in known.tokens.iter() {
+                    collection.dict.count_posting(t);
+                }
+                elements.push(Arc::clone(known));
+                continue;
+            }
+            distinct_raw_tokens(text, tokenization, &mut distinct);
             for t in &distinct {
                 collection.dict.intern_posting(t);
             }
             let dict = &collection.dict;
-            elements.push(encode_element(text, tokenization, |t| {
+            let id = collection.elems.len() as ElemId;
+            let encoded = Arc::new(encode_element(text, tokenization, id, |t| {
                 dict.id(t).expect("token interned above")
             }));
+            collection.elems.insert(ByText(Arc::clone(&encoded)));
+            elements.push(encoded);
         }
         collection.max_set_len = collection.max_set_len.max(elements.len());
         collection.sets.push(SetRecord {
@@ -113,10 +155,12 @@ pub(crate) fn append_sets<S: AsRef<str>>(
     start..collection.sets.len() as crate::SetIdx
 }
 
-/// Encodes one element, resolving token strings to ids via `resolve`.
+/// Encodes one element under dictionary id `id`, resolving token strings
+/// to ids via `resolve`.
 fn encode_element(
     text: &str,
     tokenization: Tokenization,
+    id: ElemId,
     mut resolve: impl FnMut(&str) -> TokenId,
 ) -> Element {
     match tokenization {
@@ -133,6 +177,7 @@ fn encode_element(
                 chunks: Box::new([]),
                 chars: Box::new([]),
                 char_len: text.chars().count() as u32,
+                id,
             }
         }
         Tokenization::QGram { q } => {
@@ -152,6 +197,7 @@ fn encode_element(
                 chunks: chunks.into(),
                 chars: text.chars().collect(),
                 char_len: char_len as u32,
+                id,
             }
         }
     }
@@ -167,21 +213,20 @@ pub(crate) fn encode_external_set<S: AsRef<str>>(
     let mut fresh: HashMap<String, TokenId> = HashMap::new();
     let base = collection.dict().len() as TokenId;
     let tokenization = collection.tokenization();
-    let elems: Vec<Element> = elements
-        .iter()
-        .map(|e| {
-            encode_element(e.as_ref(), tokenization, |t| {
-                if let Some(id) = collection.dict().id(t) {
-                    id
-                } else {
-                    let next = base + fresh.len() as TokenId;
-                    *fresh.entry(t.to_owned()).or_insert(next)
-                }
-            })
-        })
-        .collect();
     SetRecord {
-        elements: elems.into(),
+        elements: elements
+            .iter()
+            .map(|e| {
+                Arc::new(encode_element(e.as_ref(), tokenization, NO_ID, |t| {
+                    if let Some(id) = collection.dict().id(t) {
+                        id
+                    } else {
+                        let next = base + fresh.len() as TokenId;
+                        *fresh.entry(t.to_owned()).or_insert(next)
+                    }
+                }))
+            })
+            .collect(),
     }
 }
 
@@ -291,6 +336,36 @@ mod tests {
     }
 
     #[test]
+    fn append_shares_stored_elements_and_counts_their_postings() {
+        let mut c = Collection::build(&[vec!["a b", "c"], vec!["a b"]], Tokenization::Whitespace);
+        assert_eq!(c.elems.len(), 2);
+        assert!(Arc::ptr_eq(&c.set(0).elements[0], &c.set(1).elements[0]));
+        c.remove_sets(&[1]).unwrap();
+        c.append_sets(&[vec!["c", "a b", "a b", "d"]]);
+        // One new text; the known ones are the stored elements, also
+        // the one a removed set holds.
+        assert_eq!(c.elems.len(), 3);
+        let appended = c.set(2);
+        assert!(Arc::ptr_eq(&appended.elements[0], &c.set(0).elements[1]));
+        assert!(Arc::ptr_eq(&appended.elements[1], &c.set(1).elements[0]));
+        assert!(Arc::ptr_eq(&appended.elements[1], &appended.elements[2]));
+        assert_eq!(appended.elements[3].id(), Some(2));
+        // Frequencies count occurrences, shared or not: they are the
+        // lengths of the posting lists.
+        let index = crate::InvertedIndex::build(&c);
+        for (token, postings) in [("a", 4), ("b", 4), ("c", 2), ("d", 1)] {
+            let id = c.dict().id(token).unwrap();
+            assert_eq!(c.dict().frequency(id), postings, "{token}");
+            assert_eq!(index.cost(id), postings as usize, "{token}");
+        }
+        // An external encoding touches neither dictionary.
+        let r = c.encode_set(&["a b", "zz"]);
+        assert_eq!(r.elements[0], c.set(0).elements[0]);
+        assert_eq!((r.elements[0].id(), r.elements[1].id()), (None, None));
+        assert_eq!((c.elems.len(), c.dict().len()), (3, 4));
+    }
+
+    #[test]
     fn remove_tombstones_and_compact_rebuilds() {
         let raw = vec![vec!["a b"], vec!["c d"], vec!["e f"], vec!["a f"]];
         let mut c = Collection::build(&raw, Tokenization::Whitespace);
@@ -305,10 +380,14 @@ mod tests {
         );
         assert!(c.is_live(0));
 
+        // The removed sets' elements stay in the dictionary until then.
+        assert_eq!(c.elems.len(), 4);
         let remap = c.compact();
         assert_eq!(remap, vec![Some(0), None, Some(1), None]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.live_len(), 2);
+        assert_eq!(c.elems.len(), 2);
+        assert_eq!(c.set(1).elements[0].id(), Some(1));
         // Compaction is exactly a fresh build over the live raw texts.
         let fresh = Collection::build(&[vec!["a b"], vec!["e f"]], Tokenization::Whitespace);
         assert_eq!(c.dict().len(), fresh.dict().len());

@@ -67,6 +67,12 @@ impl TokenDict {
         self.freq.get(id as usize).copied().unwrap_or(0)
     }
 
+    /// Counts one more posting of a token already in the dictionary (an
+    /// appended occurrence of a stored element).
+    pub(crate) fn count_posting(&mut self, id: TokenId) {
+        self.freq[id as usize] += 1;
+    }
+
     /// Interns `token` for an incremental append, counting one more
     /// posting: an existing token keeps its id (frequency bumped), a new
     /// token is appended with the next free id.

@@ -1,10 +1,27 @@
-//! Elements and set records.
+//! Elements, set records, and the entries of the element dictionary that
+//! stores each distinct element once.
 
 use silkmoth_text::TokenId;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// Dense id of one distinct element text in a
+/// [`Collection`](crate::Collection)'s element dictionary, assigned from
+/// 0 in first-occurrence order.
+pub type ElemId = u32;
+
+/// The id of an element that is in no dictionary.
+pub(crate) const NO_ID: ElemId = ElemId::MAX;
 
 /// One element of a set: its raw text plus the interned token view used by
 /// the index, signatures, and similarity evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A collection encodes each distinct text once and its sets share the
+/// result (`Arc<Element>`); [`id`](Self::id) names it there. Equality
+/// compares what the element *is* — text and encoding — and ignores the
+/// id, so an externally encoded element equals its stored twin.
+#[derive(Debug, Clone)]
 pub struct Element {
     /// Original element text (used by edit-similarity verification).
     pub text: Box<str>,
@@ -21,9 +38,32 @@ pub struct Element {
     pub chars: Box<[char]>,
     /// Character length of `text` (the `|r|` of §7's formulas).
     pub char_len: u32,
+    /// Dictionary id, [`NO_ID`] for an element encoded outside it.
+    pub(crate) id: ElemId,
 }
 
+impl PartialEq for Element {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+            && self.tokens == other.tokens
+            && self.chunks == other.chunks
+            && self.chars == other.chars
+            && self.char_len == other.char_len
+    }
+}
+
+impl Eq for Element {}
+
 impl Element {
+    /// The element's id in its collection's dictionary; `None` for an
+    /// element of an externally encoded set
+    /// ([`Collection::encode_set`](crate::Collection::encode_set)), which
+    /// is in no dictionary.
+    #[inline]
+    pub fn id(&self) -> Option<ElemId> {
+        (self.id != NO_ID).then_some(self.id)
+    }
+
     /// The element "size" `|r|` used in signature-scheme formulas:
     /// distinct-token count for Jaccard (§4.2), character length for edit
     /// similarity (§7.1).
@@ -59,8 +99,9 @@ impl Element {
 /// results can be reported against the original data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetRecord {
-    /// The elements of the set.
-    pub elements: Box<[Element]>,
+    /// The elements of the set, one handle per occurrence; equal texts
+    /// in one collection share one [`Element`].
+    pub elements: Box<[Arc<Element>]>,
 }
 
 impl SetRecord {
@@ -90,6 +131,33 @@ impl SetRecord {
     }
 }
 
+/// An entry of a collection's element dictionary, a
+/// `HashSet<ByText>`: a stored element hashed and compared by its text
+/// alone, so that a `&str` finds it and the element's own text is the
+/// only copy kept. An entry's id is its insertion rank.
+#[derive(Debug, Clone)]
+pub(crate) struct ByText(pub(crate) Arc<Element>);
+
+impl Borrow<str> for ByText {
+    fn borrow(&self) -> &str {
+        &self.0.text
+    }
+}
+
+impl Hash for ByText {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.text.hash(state);
+    }
+}
+
+impl PartialEq for ByText {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.text == other.0.text
+    }
+}
+
+impl Eq for ByText {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +169,7 @@ mod tests {
             chunks: Box::new([]),
             chars: Box::new([]),
             char_len: 0,
+            id: NO_ID,
         }
     }
 
@@ -110,6 +179,38 @@ mod tests {
         e.char_len = 10;
         assert_eq!(e.size(false), 3);
         assert_eq!(e.size(true), 10);
+    }
+
+    #[test]
+    fn equality_ignores_the_dictionary_id() {
+        let external = elem(&[1, 2]);
+        let stored = Element {
+            id: 7,
+            ..external.clone()
+        };
+        assert_eq!((external.id(), stored.id()), (None, Some(7)));
+        assert_eq!(external, stored);
+        assert_ne!(external, elem(&[1, 3]));
+    }
+
+    #[test]
+    fn dictionary_finds_an_element_by_its_text_alone() {
+        let dict: std::collections::HashSet<ByText> = ["a b", "", "a  b"]
+            .into_iter()
+            .enumerate()
+            .map(|(id, text)| {
+                ByText(Arc::new(Element {
+                    text: text.into(),
+                    id: id as ElemId,
+                    ..elem(&[])
+                }))
+            })
+            .collect();
+        assert_eq!(dict.len(), 3);
+        assert_eq!(dict.get("").unwrap().0.id(), Some(1));
+        // Identity is the exact text: nothing is normalised.
+        assert_eq!(dict.get("a  b").unwrap().0.id(), Some(2));
+        assert!(!dict.contains("b a"));
     }
 
     #[test]
@@ -123,7 +224,9 @@ mod tests {
     #[test]
     fn all_tokens_dedupes_across_elements() {
         let r = SetRecord {
-            elements: vec![elem(&[1, 3]), elem(&[2, 3]), elem(&[1, 4])].into(),
+            elements: [elem(&[1, 3]), elem(&[2, 3]), elem(&[1, 4])]
+                .map(Arc::new)
+                .into(),
         };
         assert_eq!(r.all_tokens(), vec![1, 2, 3, 4]);
     }

@@ -86,8 +86,9 @@ impl InvertedIndex {
     pub fn postings_in_set(&self, t: TokenId, s: SetIdx) -> &[Posting] {
         let list = self.list(t);
         let lo = list.partition_point(|p| p.set < s);
-        let hi = list.partition_point(|p| p.set <= s);
-        &list[lo..hi]
+        // A set's run is as short as the set: walk it.
+        let run = list[lo..].iter().take_while(|p| p.set == s).count();
+        &list[lo..lo + run]
     }
 
     /// Number of token lists (= dictionary size at build time).
@@ -145,6 +146,25 @@ mod tests {
         assert!(in1.is_empty());
         let in2 = i.postings_in_set(b, 2);
         assert_eq!(in2, &[Posting { set: 2, elem: 0 }]);
+    }
+
+    #[test]
+    fn postings_in_set_finds_a_run_at_the_end_of_a_long_list() {
+        // "x" is in every element: one long list whose last run belongs
+        // to the last set.
+        let mut raw: Vec<Vec<String>> = (0..500).map(|i| vec![format!("x u{i}")]).collect();
+        raw.push(vec!["x a".into(), "x b".into(), "c".into(), "x d".into()]);
+        let c = Collection::build(&raw, Tokenization::Whitespace);
+        let i = InvertedIndex::build(&c);
+        let x = c.dict().id("x").unwrap();
+        assert_eq!(i.cost(x), 503);
+        let last = i.postings_in_set(x, 500);
+        let elems: Vec<ElemIdx> = last.iter().map(|p| p.elem).collect();
+        assert_eq!(elems, vec![0, 1, 3]);
+        assert!(last.iter().all(|p| p.set == 500));
+        assert_eq!(i.postings_in_set(x, 499), &[Posting { set: 499, elem: 0 }]);
+        assert_eq!(i.postings_in_set(x, 0), &[Posting { set: 0, elem: 0 }]);
+        assert!(i.postings_in_set(x, 501).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # silkmoth-collection
 //!
-//! Set collections, the frequency-ordered token dictionary, and the
-//! inverted index for the SilkMoth related-set discovery system (§3 of the
-//! paper).
+//! Set collections, the element dictionary, the frequency-ordered token
+//! dictionary, and the inverted index for the SilkMoth related-set
+//! discovery system (§3 of the paper).
 //!
 //! A [`Collection`] is built from raw data — each *set* is a list of
 //! *element* strings — under a chosen [`Tokenization`]:
@@ -16,6 +16,18 @@
 //! Token ids are assigned in **decreasing order of global frequency**
 //! (ties broken lexicographically), matching the paper's Table 2
 //! convention where `t1` is the most frequent token.
+//!
+//! Real corpora repeat their elements — a column's cell values, a title's
+//! words — so the collection keeps an **element dictionary**: each
+//! distinct element text is tokenised, encoded and stored once, as one
+//! [`Element`] under a dense [`ElemId`], and a [`SetRecord`] holds one
+//! shared handle (`Arc<Element>`) per occurrence. Two elements are the
+//! same entry exactly when their texts are equal byte for byte; nothing
+//! is normalised. Frequencies and postings still count *occurrences*, so
+//! the token ids, the index and every answer are what storing each
+//! occurrence apart would give; what a reader of the sets gains is the
+//! id, by which work done for one occurrence of an element is known to
+//! hold for every other.
 //!
 //! The [`InvertedIndex`] maps each token to the deduplicated, sorted list
 //! of `(set, element)` pairs containing it (§3, footnote 4); per-set
@@ -32,11 +44,13 @@ mod stats;
 
 pub use builder::Tokenization;
 pub use dict::TokenDict;
-pub use element::{Element, SetRecord};
+pub use element::{ElemId, Element, SetRecord};
 pub use index::{InvertedIndex, Posting};
 pub use stats::CollectionStats;
 
+use element::ByText;
 use silkmoth_text::TokenId;
+use std::collections::HashSet;
 
 /// Index of a set inside a [`Collection`].
 pub type SetIdx = u32;
@@ -62,14 +76,20 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
-/// A corpus of sets sharing one token dictionary.
+/// A corpus of sets sharing one token dictionary and one element
+/// dictionary.
+///
+/// Each distinct element text is stored once (see the crate docs) and the
+/// sets share it; [`Element::id`] of a stored element is its dense id
+/// there. Identity is exact text equality.
 ///
 /// ## Incremental updates
 ///
 /// A collection is mutable after the initial build:
 /// [`append_sets`](Self::append_sets) encodes new sets against the
-/// existing dictionary (growing it in place — new tokens get fresh ids
-/// past the end, so established ids never move), and
+/// existing dictionaries (growing them in place — new tokens and new
+/// element texts get fresh ids past the end, so established ids never
+/// move, and a text already stored is shared, not encoded again), and
 /// [`remove_sets`](Self::remove_sets) **tombstones** sets in place: the
 /// slot and its id survive, but the set is no longer
 /// [`is_live`](Self::is_live) and every search layer skips it at
@@ -78,15 +98,21 @@ impl std::error::Error for UpdateError {}
 ///
 /// Tombstoning and dictionary growth trade index freshness for O(1)
 /// removal and append-only index maintenance: dead sets keep their
-/// postings and the dictionary keeps its (now possibly stale)
-/// frequency order. Neither affects *correctness* — frequencies and
-/// posting-list costs only steer signature selection, and candidates
-/// are liveness-filtered — but a heavily-mutated collection prunes
-/// less effectively until [`compact`](Self::compact) rewrites it.
+/// postings, the token dictionary keeps its (now possibly stale)
+/// frequency order, and the element dictionary keeps elements that only
+/// removed sets held (so a later append of the same text finds them).
+/// None of it affects *correctness* — frequencies and posting-list costs
+/// only steer signature selection, candidates are liveness-filtered, and
+/// an orphaned element is merely unused — but a heavily-mutated
+/// collection prunes less effectively and holds more than it needs until
+/// [`compact`](Self::compact) rewrites it.
 #[derive(Debug, Clone)]
 pub struct Collection {
     sets: Vec<SetRecord>,
     dict: TokenDict,
+    /// The element dictionary: every distinct element text encoded so
+    /// far, findable by that text.
+    elems: HashSet<ByText>,
     tokenization: Tokenization,
     /// Liveness per slot; `false` marks a tombstoned set.
     live: Vec<bool>,
@@ -99,10 +125,11 @@ pub struct Collection {
 impl Collection {
     /// Builds a collection from raw sets of element strings.
     ///
-    /// Two passes: the first counts global token frequencies (one count per
-    /// *element occurrence*, i.e. per future posting), the second assigns
-    /// ids in decreasing frequency order and encodes every element as a
-    /// sorted, deduplicated token-id slice.
+    /// Element texts are interned first, and the two passes run over the
+    /// distinct ones: the first counts global token frequencies (one
+    /// count per *element occurrence*, i.e. per future posting), the
+    /// second assigns ids in decreasing frequency order and encodes every
+    /// distinct element as a sorted, deduplicated token-id slice.
     pub fn build<S: AsRef<str>>(raw: &[Vec<S>], tokenization: Tokenization) -> Self {
         builder::build_collection(raw, tokenization)
     }
@@ -148,11 +175,13 @@ impl Collection {
             .map(|(i, _)| i as SetIdx)
     }
 
-    /// Appends new sets, encoding them against the existing dictionary:
-    /// known tokens keep their ids, unknown tokens are interned with
-    /// fresh ids past the current end (never reshuffling established
-    /// ids), and per-token posting counts grow accordingly. Returns the
-    /// ids assigned to the new sets, in input order.
+    /// Appends new sets, encoding them against the existing
+    /// dictionaries: an element text already stored is shared (only
+    /// unseen texts are tokenised), known tokens keep their ids, unknown
+    /// tokens are interned with fresh ids past the current end (never
+    /// reshuffling established ids), and per-token posting counts grow
+    /// by one per appended occurrence. Returns the ids assigned to the
+    /// new sets, in input order.
     ///
     /// The dictionary's decreasing-frequency id order — a signature-cost
     /// heuristic, not a correctness requirement — degrades as appends
@@ -181,9 +210,11 @@ impl Collection {
 
     /// Rewrites the collection from its live sets only: tombstoned slots
     /// are dropped, remaining sets are renumbered densely (preserving
-    /// relative order), and the dictionary is rebuilt in fresh
-    /// decreasing-frequency order. Returns the slot remapping, `old id →
-    /// new id` (`None` for dropped slots).
+    /// relative order), the token dictionary is rebuilt in fresh
+    /// decreasing-frequency order, and the element dictionary is rebuilt
+    /// from the live sets alone, which drops the elements only removed
+    /// sets held and renumbers the rest. Returns the slot remapping,
+    /// `old id → new id` (`None` for dropped slots).
     ///
     /// Equivalent to `Collection::build` over the live raw texts — the
     /// compacted collection is byte-for-byte what a from-scratch build
@@ -232,6 +263,10 @@ impl Collection {
     /// `dict.len()`; such tokens have empty inverted lists, which the
     /// signature generator exploits (a signature token with an empty list
     /// costs nothing and admits no candidates).
+    ///
+    /// Neither dictionary is touched: the encoded elements are the
+    /// record's own, equal to stored elements of the same text but with
+    /// no [`Element::id`].
     pub fn encode_set<S: AsRef<str>>(&self, elements: &[S]) -> SetRecord {
         builder::encode_external_set(self, elements)
     }
@@ -244,6 +279,7 @@ impl Collection {
     pub(crate) fn from_parts(
         sets: Vec<SetRecord>,
         dict: TokenDict,
+        elems: HashSet<ByText>,
         tokenization: Tokenization,
     ) -> Self {
         let live_count = sets.len();
@@ -253,6 +289,7 @@ impl Collection {
             max_set_len: sets.iter().map(SetRecord::len).max().unwrap_or(0),
             sets,
             dict,
+            elems,
             tokenization,
         }
     }

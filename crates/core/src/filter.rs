@@ -11,6 +11,7 @@
 //! the others. A floor-only pass keeps the threshold at δ; a top-k pass
 //! raises it to the k-th best verified score.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -73,7 +74,11 @@ pub struct PassStats {
     /// Verified pairs related at the pass's δ (the floor; under top-k
     /// some of them are outranked and not returned).
     pub results: usize,
-    /// φ evaluations across filters and verification.
+    /// φ evaluations performed across filters and verification.
+    /// Identical elements are evaluated once per reference element and
+    /// pass in candidate selection (the element-id memo of
+    /// [`Searcher`]), so this is below the number of (reference element,
+    /// posting) pairs looked at wherever the corpus repeats its elements.
     pub sim_evals: u64,
     /// Identical pairs removed by reduction-based verification.
     pub reduced_pairs: u64,
@@ -98,31 +103,138 @@ impl PassStats {
     }
 }
 
-/// Reusable search-pass executor with scratch buffers. One `Searcher` per
-/// thread; `run` may be called any number of times.
+/// Reusable search-pass executor. One `Searcher` per thread; `run` may be
+/// called any number of times.
+///
+/// ## Scratch
+///
+/// A pass keeps three maps keyed by ids — the candidate slot per set id,
+/// the visited mark per element position of one candidate set, and the
+/// **φ memo** per [`ElemId`](silkmoth_collection::ElemId): within one
+/// reference element of one pass, φ against a stored element is evaluated
+/// at its first posting and read back at every other posting of the same
+/// element, bit for bit. The memo moves on at every reference element of
+/// every pass, so nothing in it outlives the reference element it was
+/// computed for.
+///
+/// Each map is **sized by what one use touches, not by the collection**:
+/// an open-addressed table whose cells carry a version stamp, emptied by
+/// moving to the next version, of which a use takes only the prefix its
+/// own ids need — a bound known beforehand: the postings of the signature
+/// tokens, the postings of one reference element, the elements of the
+/// largest set. A request that touches sixty elements works in a few
+/// cache lines, whatever the collection holds or the thread has served.
+///
+/// The maps are **borrowed from the thread**: `new` takes the thread's
+/// scratch (an empty one when another live `Searcher` on the thread has
+/// it) and `Drop` gives it back, so a warm thread allocates for a query
+/// only what grows with that query. The version counters travel with the
+/// cells — a stamp written for one collection or searcher can never equal
+/// a version handed out later — and when a counter reaches `u32::MAX` its
+/// map's stamps are cleared before it starts again at 1 (stamp 0 is never
+/// current), so reuse stays correct across wrap-around.
 pub struct Searcher<'a> {
     collection: &'a Collection,
     index: &'a InvertedIndex,
     cfg: EngineConfig,
     phi: Phi,
     kind: SigKind,
-    // Scratch: candidate slots per set id (stamp-versioned).
-    cand_stamp: Vec<u32>,
-    cand_slot: Vec<u32>,
-    version: u32,
-    // Scratch: per-element visited stamps for NNSearch (sized to the
-    // largest set in the collection).
-    elem_stamp: Vec<u32>,
-    elem_version: u32,
-    // Scratch: postings of one reference element, for dedup.
+    scratch: Scratch,
+}
+
+/// The id-keyed maps of a pass (see [`Searcher`]'s scratch contract).
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Candidate slot per set id, for one pass.
+    cand: Stamped<u32>,
+    /// Elements of one candidate set already visited by one `nn_search`.
+    visited: Stamped<()>,
+    /// φα(rᵢ, element) per element id, for one reference element of one
+    /// pass.
+    memo: Stamped<f64>,
+    /// Postings of one reference element, for dedup.
     postings: Vec<(SetIdx, u32)>,
+}
+
+thread_local! {
+    /// The scratch the next [`Searcher`] made on this thread borrows;
+    /// empty while one has it, or before the first.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// A map from ids to `T` for one use at a time: [`begin`](Self::begin)
+/// empties it in O(1) and sizes it by the ids that use will touch, not by
+/// how many ids there are.
+#[derive(Debug, Default)]
+struct Stamped<T> {
+    /// Open-addressed `(stamp, id, value)` cells; a cell is taken where
+    /// its stamp equals `version`. Stamp 0 is never current.
+    cells: Vec<(u32, u32, T)>,
+    version: u32,
+    /// The cells in use are `0..=mask`, a power of two of them.
+    mask: usize,
+}
+
+impl<T: Copy + Default> Stamped<T> {
+    /// Starts an empty map that will be given at most `ids` distinct ids.
+    /// It takes the shortest prefix of the cells that keeps them a third
+    /// free, so that a small pass after a large one still works in a few
+    /// cache lines, and a probe always ends at a free cell.
+    fn begin(&mut self, ids: usize) {
+        let want = (ids + ids / 2 + 1).next_power_of_two();
+        if self.cells.len() < want {
+            self.cells.resize(want, (0, 0, T::default()));
+        }
+        self.mask = want - 1;
+        if self.version == u32::MAX {
+            // Every version has been handed out once: a stamp left from
+            // the first round would match the second's.
+            self.cells.iter_mut().for_each(|cell| cell.0 = 0);
+            self.version = 0;
+        }
+        self.version += 1;
+    }
+
+    /// The cell that holds `id`, or the free one where it belongs.
+    #[inline]
+    fn probe(&self, id: u32) -> usize {
+        let mut at = (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
+        loop {
+            let (stamp, held, _) = self.cells[at];
+            if stamp != self.version || held == id {
+                return at;
+            }
+            at = (at + 1) & self.mask;
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: u32) -> Option<T> {
+        let (stamp, _, value) = self.cells[self.probe(id)];
+        (stamp == self.version).then_some(value)
+    }
+
+    #[inline]
+    fn set(&mut self, id: u32, value: T) {
+        let at = self.probe(id);
+        self.cells[at] = (self.version, id, value);
+    }
+}
+
+impl Drop for Searcher<'_> {
+    fn drop(&mut self) {
+        // Not `with`: a searcher dropped while the thread's locals are
+        // being destroyed just frees its scratch.
+        let _ = SCRATCH.try_with(|slot| slot.set(std::mem::take(&mut self.scratch)));
+    }
 }
 
 /// Sentinel for "no computed similarity" in the best-φα cache.
 const NONE_SIM: f64 = -1.0;
 
 impl<'a> Searcher<'a> {
-    /// Creates a searcher bound to a collection, its index, and a config.
+    /// Creates a searcher bound to a collection, its index, and a config,
+    /// on the calling thread's scratch.
     pub fn new(collection: &'a Collection, index: &'a InvertedIndex, cfg: EngineConfig) -> Self {
         Self {
             collection,
@@ -130,12 +242,7 @@ impl<'a> Searcher<'a> {
             cfg,
             phi: Phi::new(cfg.similarity, cfg.alpha),
             kind: SigKind::of(cfg.similarity),
-            cand_stamp: vec![0; collection.len()],
-            cand_slot: vec![0; collection.len()],
-            version: 0,
-            elem_stamp: vec![0; collection.max_set_len()],
-            elem_version: 0,
-            postings: Vec::new(),
+            scratch: SCRATCH.take(),
         }
     }
 
@@ -224,7 +331,10 @@ impl<'a> Searcher<'a> {
 
         // ---- Candidate selection (+ similarity computation for the check
         // filter's cache) -------------------------------------------------
-        self.version += 1;
+        // A candidate comes from a posting of a signature token.
+        self.scratch
+            .cand
+            .begin(self.collection.len().min(stats.signature_cost as usize));
         let mut cand_sets: Vec<SetIdx> = Vec::new();
         // best φα per (candidate, reference element), flattened.
         let mut best: Vec<f64> = Vec::new();
@@ -252,24 +362,31 @@ impl<'a> Searcher<'a> {
                 }
                 // Gather and dedupe the postings of this element's
                 // signature tokens.
-                self.postings.clear();
+                let Scratch {
+                    cand,
+                    memo,
+                    postings,
+                    ..
+                } = &mut self.scratch;
+                postings.clear();
                 for &t in &sig_elem.tokens {
                     for p in self.index.list(t) {
-                        self.postings.push((p.set, p.elem));
+                        postings.push((p.set, p.elem));
                     }
                 }
-                self.postings.sort_unstable();
-                self.postings.dedup();
-                for k in 0..self.postings.len() {
-                    let (sid, eid) = self.postings[k];
+                postings.sort_unstable();
+                postings.dedup();
+                // φα(rᵢ, ·) per distinct stored element, for this i only.
+                memo.begin(postings.len());
+                for &(sid, eid) in postings.iter() {
                     if !restriction.admits(sid) {
                         continue;
                     }
                     // Locate or admit the candidate slot. Tombstoned sets
                     // keep their postings in the index but are never
                     // admitted as candidates.
-                    let slot = if self.cand_stamp[sid as usize] == self.version {
-                        self.cand_slot[sid as usize] as usize
+                    let slot = if let Some(slot) = cand.get(sid) {
+                        slot as usize
                     } else {
                         if !self.collection.is_live(sid) {
                             continue;
@@ -283,16 +400,20 @@ impl<'a> Searcher<'a> {
                             continue;
                         }
                         let slot = cand_sets.len();
-                        self.cand_stamp[sid as usize] = self.version;
-                        self.cand_slot[sid as usize] = slot as u32;
+                        cand.set(sid, slot as u32);
                         cand_sets.push(sid);
                         best.resize(best.len() + n, NONE_SIM);
                         slot
                     };
                     if compute_sims {
                         let s_elem = &self.collection.set(sid).elements[eid as usize];
-                        let sim = self.phi.eval(&r.elements[i], s_elem);
-                        stats.sim_evals += 1;
+                        let id = s_elem.id().expect("stored elements are in the dictionary");
+                        let sim = memo.get(id).unwrap_or_else(|| {
+                            let sim = self.phi.eval(&r.elements[i], s_elem);
+                            stats.sim_evals += 1;
+                            memo.set(id, sim);
+                            sim
+                        });
                         let cell = &mut best[slot * n + i];
                         if sim > *cell {
                             *cell = sim;
@@ -448,18 +569,18 @@ impl<'a> Searcher<'a> {
             let has_empty = s_set.elements.iter().any(|e| e.tokens.is_empty());
             return if has_empty { 1.0 } else { 0.0 };
         }
-        self.elem_version += 1;
+        let visited = &mut self.scratch.visited;
+        visited.begin(self.collection.max_set_len());
         let mut best = 0.0f64;
         let mut seen = 0usize;
         for &t in r_elem.tokens.iter() {
             for p in self.index.postings_in_set(t, sid) {
-                let e = p.elem as usize;
-                if self.elem_stamp[e] == self.elem_version {
+                if visited.get(p.elem).is_some() {
                     continue;
                 }
-                self.elem_stamp[e] = self.elem_version;
+                visited.set(p.elem, ());
                 seen += 1;
-                let sim = self.phi.eval(r_elem, &s_set.elements[e]);
+                let sim = self.phi.eval(r_elem, &s_set.elements[p.elem as usize]);
                 stats.sim_evals += 1;
                 if sim > best {
                     best = sim;
@@ -571,6 +692,9 @@ fn unmatched_upper_bounds(signature: &Signature, alpha: f64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::config::{RelatednessMetric, SignatureScheme};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use silkmoth_collection::paper_example::table2;
     use silkmoth_text::SimilarityFunction;
 
@@ -765,6 +889,212 @@ mod tests {
         let first = searcher.run(&r, Restriction::default()).0;
         for _ in 0..5 {
             assert_eq!(searcher.run(&r, Restriction::default()).0, first);
+        }
+    }
+
+    /// A corpus that repeats its elements: every element is one of
+    /// `distinct` texts, so the same element turns up twice in a set and
+    /// in most sets.
+    fn repeated_corpus(rng: &mut StdRng, edit: bool, distinct: usize) -> Vec<Vec<String>> {
+        let pool: Vec<String> = (0..distinct)
+            .map(|_| {
+                if edit {
+                    (0..rng.random_range(2..=7usize))
+                        .map(|_| char::from(b'a' + rng.random_range(0..4u8)))
+                        .collect()
+                } else {
+                    (0..rng.random_range(1..=4usize))
+                        .map(|_| format!("t{}", rng.random_range(0..9u32)))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                }
+            })
+            .collect();
+        (0..rng.random_range(6..=24usize))
+            .map(|_| {
+                (0..rng.random_range(1..=6usize))
+                    .map(|_| pool[rng.random_range(0..pool.len())].clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn random_config(rng: &mut StdRng, edit: bool) -> EngineConfig {
+        let schemes = [
+            SignatureScheme::Unweighted,
+            SignatureScheme::Weighted,
+            SignatureScheme::CombinedUnweighted,
+            SignatureScheme::Skyline,
+            SignatureScheme::Dichotomy,
+        ];
+        EngineConfig {
+            metric: [
+                RelatednessMetric::Similarity,
+                RelatednessMetric::Containment,
+            ][rng.random_range(0..2usize)],
+            similarity: if edit {
+                SimilarityFunction::Eds { q: 2 }
+            } else {
+                SimilarityFunction::Jaccard
+            },
+            delta: [0.2, 0.5, 0.8][rng.random_range(0..3usize)],
+            alpha: if edit {
+                0.7
+            } else {
+                [0.0, 0.4][rng.random_range(0..2usize)]
+            },
+            scheme: schemes[rng.random_range(0..schemes.len())],
+            filter: FilterKind::CheckAndNearestNeighbor,
+            reduction: false,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // What the memo may never change: the `best` matrix of a staged
+        // pass holds, bit for bit, the maximum of φ evaluated at every
+        // posting of the reference element's signature tokens — while φ
+        // was evaluated once per distinct element, not once per posting.
+        #[test]
+        fn memoised_stage_is_bit_equal_to_phi_per_posting(seed in any::<u64>()) {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let edit = rng.random::<bool>();
+            let raw = repeated_corpus(rng, edit, 7);
+            let cfg = random_config(rng, edit);
+            let mut c = Collection::build(&raw[..raw.len() / 2], cfg.tokenization());
+            c.append_sets(&raw[raw.len() / 2..]);
+            c.remove_sets(&[rng.random_range(0..raw.len()) as SetIdx]).unwrap();
+            let index = InvertedIndex::build(&c);
+            let r = c.encode_set(&raw[rng.random_range(0..raw.len())]);
+            let n = r.len();
+
+            let mut searcher = Searcher::new(&c, &index, cfg);
+            let pass = searcher.stage(&r, Restriction::default());
+            let params = SigParams {
+                theta: cfg.delta * n as f64,
+                alpha: cfg.alpha,
+                kind: SigKind::of(cfg.similarity),
+            };
+            let signature = generate(&r, cfg.scheme, params, &index);
+            prop_assume!(!signature.degenerate);
+
+            let candidate = |sid: SetIdx| {
+                c.is_live(sid) && size_check(cfg.metric, cfg.delta, n, c.set(sid).len())
+            };
+            let (mut postings, mut distinct) = (0u64, 0u64);
+            for (i, sig_elem) in signature.elems.iter().enumerate() {
+                let mut seen: Vec<(SetIdx, u32)> = sig_elem
+                    .tokens
+                    .iter()
+                    .flat_map(|&t| index.list(t))
+                    .filter(|p| candidate(p.set))
+                    .map(|p| (p.set, p.elem))
+                    .collect();
+                seen.sort_unstable();
+                seen.dedup();
+                postings += seen.len() as u64;
+                let mut ids: Vec<_> = seen
+                    .iter()
+                    .map(|&(sid, eid)| c.set(sid).elements[eid as usize].id())
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                distinct += ids.len() as u64;
+                for cand in pass.queue.iter() {
+                    let want = seen
+                        .iter()
+                        .filter(|&&(sid, _)| sid == cand.sid)
+                        .map(|&(sid, eid)| {
+                            searcher.phi.eval(&r.elements[i], &c.set(sid).elements[eid as usize])
+                        })
+                        .fold(NONE_SIM, f64::max);
+                    let got = pass.best[cand.slot as usize * n + i];
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "set {} element {}", cand.sid, i);
+                }
+            }
+            prop_assert_eq!(pass.stats.sim_evals, distinct);
+            prop_assert!(distinct <= postings);
+        }
+    }
+
+    #[test]
+    fn stamped_map_holds_what_one_use_set_and_nothing_older() {
+        let mut map = Stamped::<u32>::default();
+        map.begin(1000);
+        for id in (0..3000).step_by(3) {
+            map.set(id, id + 7);
+        }
+        map.set(30, 1);
+        for id in 0..3000 {
+            let want = (id % 3 == 0).then_some(if id == 30 { 1 } else { id + 7 });
+            assert_eq!(map.get(id), want, "{id}");
+        }
+        // A small use after a large one takes a short prefix of the
+        // cells and sees nothing the large one left there.
+        map.begin(4);
+        assert!(map.mask < 8 && map.cells.len() > 1000);
+        let ids = [0, 3, 2997, u32::MAX];
+        for id in ids {
+            assert_eq!(map.get(id), None, "{id}");
+            map.set(id, !id);
+        }
+        for id in ids {
+            assert_eq!(map.get(id), Some(!id), "{id}");
+        }
+        assert_eq!(map.get(6), None);
+    }
+
+    impl<T> Stamped<T> {
+        /// Puts the counter two steps before its end and makes every
+        /// stamp one of the first versions of the round after it.
+        fn age_to_the_wrap(&mut self) {
+            for (i, cell) in self.cells.iter_mut().enumerate() {
+                cell.0 = 1 + (i % 3) as u32;
+            }
+            self.version = u32::MAX - 1;
+        }
+    }
+
+    #[test]
+    fn reused_scratch_is_correct_across_version_wrap_around() {
+        let rng = &mut StdRng::seed_from_u64(0x5eed);
+        let raw = repeated_corpus(rng, false, 9);
+        let cfg = config(
+            RelatednessMetric::Containment,
+            0.3,
+            0.0,
+            SignatureScheme::Weighted,
+            FilterKind::CheckAndNearestNeighbor,
+        );
+        let c = Collection::build(&raw, cfg.tokenization());
+        let index = InvertedIndex::build(&c);
+        let refs: Vec<SetRecord> = raw.iter().map(|set| c.encode_set(set)).collect();
+        let run_all = || -> Vec<(Vec<(SetIdx, f64)>, PassStats)> {
+            refs.iter()
+                .map(|r| Searcher::new(&c, &index, cfg).run(r, Restriction::default()))
+                .collect()
+        };
+        // A thread of its own starts from an empty scratch.
+        let want = std::thread::scope(|scope| scope.spawn(run_all).join().unwrap());
+        assert!(want.iter().any(|(results, _)| results.len() > 1));
+        // Grow this thread's tables, then age them: the passes below run
+        // through `u32::MAX` into the second round, whose versions every
+        // stamp would match had the wrap not cleared them.
+        assert_eq!(run_all(), want);
+        let mut scratch = SCRATCH.take();
+        scratch.cand.age_to_the_wrap();
+        scratch.visited.age_to_the_wrap();
+        scratch.memo.age_to_the_wrap();
+        SCRATCH.set(scratch);
+        assert_eq!(run_all(), want);
+        let scratch = SCRATCH.take();
+        for version in [
+            scratch.cand.version,
+            scratch.visited.version,
+            scratch.memo.version,
+        ] {
+            assert!(version < u32::MAX - 1, "the counter wrapped: {version}");
         }
     }
 

@@ -100,7 +100,7 @@ mod tests {
     use super::*;
     use silkmoth_collection::{Collection, Tokenization};
 
-    fn elements(texts: &[&str], t: Tokenization) -> Vec<Element> {
+    fn elements(texts: &[&str], t: Tokenization) -> Vec<std::sync::Arc<Element>> {
         let raw = vec![texts.to_vec()];
         let c = Collection::build(&raw, t);
         c.set(0).elements.to_vec()

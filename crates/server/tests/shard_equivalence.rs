@@ -1,7 +1,10 @@
 //! Shard-correctness acceptance test: `ShardedEngine` output —
 //! search, top-k, and discovery — is **byte-identical** to a single
-//! unsharded engine on a ≥250-set datagen workload, for shard counts
-//! {1, 2, 7} and both relatedness metrics.
+//! unsharded engine on ≥250-set datagen workloads, for shard counts
+//! {1, 2, 7} and both relatedness metrics. One workload hardly repeats
+//! an element; the other repeats each about twenty times, within sets
+//! and across shards, which is where every shard's element dictionary
+//! and φ memo differ from the single engine's.
 
 use silkmoth_collection::{Collection, SetIdx};
 use silkmoth_core::{Engine, EngineConfig, RelatednessMetric};
@@ -10,11 +13,21 @@ use silkmoth_text::SimilarityFunction;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
-fn corpus() -> Vec<Vec<String>> {
-    silkmoth_datagen::webtable_schemas(&silkmoth_datagen::SchemaConfig {
+fn corpora() -> [(&'static str, Vec<Vec<String>>); 2] {
+    let schemas = silkmoth_datagen::webtable_schemas(&silkmoth_datagen::SchemaConfig {
         num_sets: 250,
         ..Default::default()
-    })
+    });
+    let columns = silkmoth_datagen::webtable_columns(&silkmoth_datagen::ColumnsConfig {
+        num_sets: 250,
+        num_pools: 3,
+        pool_size: 40,
+        values_per_set: (6, 14),
+        ..Default::default()
+    });
+    let stats = Collection::build(&columns, silkmoth_collection::Tokenization::Whitespace).stats();
+    assert!(stats.num_elements > 10 * stats.distinct_elements, "{stats}");
+    [("schemas", schemas), ("repeated columns", columns)]
 }
 
 fn cfg(metric: RelatednessMetric, delta: f64) -> EngineConfig {
@@ -49,44 +62,45 @@ fn assert_results_identical(
 
 #[test]
 fn sharded_search_identical_to_single_engine() {
-    let raw = corpus();
-    assert!(raw.len() >= 250);
-    for metric in [
-        RelatednessMetric::Similarity,
-        RelatednessMetric::Containment,
-    ] {
-        let cfg = cfg(metric, 0.5);
-        let single = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
-            assert_eq!(sharded.shard_count(), shards);
-            for (i, reference) in references(&raw).iter().enumerate().step_by(7) {
-                let encoded = single.collection().encode_set(reference);
-                // Plain search: ascending-id order.
-                let want = single.query(&encoded).run().unwrap().results;
-                let got = sharded.search(reference, None, None).unwrap().results;
-                assert_results_identical(
-                    &got,
-                    &want,
-                    &format_args!("{metric:?} shards={shards} ref={i} plain"),
-                );
-                // Top-k with a floor: global rank order.
-                let want = single
-                    .query(&encoded)
-                    .top_k(5)
-                    .floor(0.3)
-                    .run()
-                    .unwrap()
-                    .results;
-                let got = sharded
-                    .search(reference, Some(5), Some(0.3))
-                    .unwrap()
-                    .results;
-                assert_results_identical(
-                    &got,
-                    &want,
-                    &format_args!("{metric:?} shards={shards} ref={i} top-k"),
-                );
+    for (name, raw) in corpora() {
+        assert!(raw.len() >= 250);
+        for metric in [
+            RelatednessMetric::Similarity,
+            RelatednessMetric::Containment,
+        ] {
+            let cfg = cfg(metric, 0.5);
+            let single = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+            for shards in SHARD_COUNTS {
+                let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
+                assert_eq!(sharded.shard_count(), shards);
+                for (i, reference) in references(&raw).iter().enumerate().step_by(7) {
+                    let encoded = single.collection().encode_set(reference);
+                    // Plain search: ascending-id order.
+                    let want = single.query(&encoded).run().unwrap().results;
+                    let got = sharded.search(reference, None, None).unwrap().results;
+                    assert_results_identical(
+                        &got,
+                        &want,
+                        &format_args!("{name} {metric:?} shards={shards} ref={i} plain"),
+                    );
+                    // Top-k with a floor: global rank order.
+                    let want = single
+                        .query(&encoded)
+                        .top_k(5)
+                        .floor(0.3)
+                        .run()
+                        .unwrap()
+                        .results;
+                    let got = sharded
+                        .search(reference, Some(5), Some(0.3))
+                        .unwrap()
+                        .results;
+                    assert_results_identical(
+                        &got,
+                        &want,
+                        &format_args!("{name} {metric:?} shards={shards} ref={i} top-k"),
+                    );
+                }
             }
         }
     }
@@ -94,40 +108,38 @@ fn sharded_search_identical_to_single_engine() {
 
 #[test]
 fn sharded_discover_identical_to_single_engine() {
-    let raw = corpus();
-    let refs = references(&raw);
-    assert!(refs.len() >= 60);
-    for metric in [
-        RelatednessMetric::Similarity,
-        RelatednessMetric::Containment,
-    ] {
-        let cfg = cfg(metric, 0.5);
-        let single = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
-        let encoded: Vec<_> = refs
-            .iter()
-            .map(|set| single.collection().encode_set(set))
-            .collect();
-        let want = single.discover(&encoded);
-        assert!(!want.pairs.is_empty(), "workload must produce pairs");
-        for shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
-            let got = sharded.discover(&refs);
-            assert_eq!(
-                got.pairs.len(),
-                want.pairs.len(),
-                "{metric:?} shards={shards}"
-            );
-            for (a, b) in got.pairs.iter().zip(&want.pairs) {
-                assert_eq!((a.r, a.s), (b.r, b.s), "{metric:?} shards={shards}");
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "score for ({}, {}) must be bit-identical ({metric:?} shards={shards})",
-                    a.r,
-                    a.s
-                );
+    for (name, raw) in corpora() {
+        let refs = references(&raw);
+        assert!(refs.len() >= 60);
+        for metric in [
+            RelatednessMetric::Similarity,
+            RelatednessMetric::Containment,
+        ] {
+            let cfg = cfg(metric, 0.5);
+            let single = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+            let encoded: Vec<_> = refs
+                .iter()
+                .map(|set| single.collection().encode_set(set))
+                .collect();
+            let want = single.discover(&encoded);
+            assert!(!want.pairs.is_empty(), "workload must produce pairs");
+            for shards in SHARD_COUNTS {
+                let context = format!("{name} {metric:?} shards={shards}");
+                let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
+                let got = sharded.discover(&refs);
+                assert_eq!(got.pairs.len(), want.pairs.len(), "{context}");
+                for (a, b) in got.pairs.iter().zip(&want.pairs) {
+                    assert_eq!((a.r, a.s), (b.r, b.s), "{context}");
+                    assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "score for ({}, {}) must be bit-identical ({context})",
+                        a.r,
+                        a.s
+                    );
+                }
+                assert_eq!(got.shard_stats.len(), shards);
             }
-            assert_eq!(got.shard_stats.len(), shards);
         }
     }
 }

@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# Compares the working tree with a parent commit on one workload of the
+# benchmark suite, the way the ROADMAP asks two commits to be compared on
+# a small shared box: alternating pairs of full runs, medians with
+# quartiles, and a win count — never one run against one run.
+#
+#   ./scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10]
+#   ./scripts/bench_pairs.sh HEAD~1 topk-candidates
+#
+# The parent is exported (`git archive`) into a directory of its own and
+# the change is the working tree in place; each side builds the suite and
+# `silkmoth` into a fresh target directory, so neither reuses the other's
+# or an earlier build's artefacts, and each runs from its own root,
+# because the suite builds and drives the `silkmoth` of the directory it
+# is started in. Pair i runs both sides with `--seed i` (the seed only
+# orders the fixed data) for the contract's `run_seconds`; odd pairs run
+# the parent first, even pairs the change.
+#
+# Prints, per end-to-end metric of BENCHMARK.json, both medians with
+# their quartiles, the ratio of the medians (change / parent) and how many
+# pairs the change won (ties count for neither side). The suite's rule
+# for a gain: the change wins at least nine pairs in ten and the medians
+# differ by more than the parent's own quartile distance. Every run's
+# result line is kept under target/bench_pairs/<workload>/.
+#
+# Run nothing else meanwhile: the suite pins itself and its server to one
+# CPU, and this box has two.
+
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    sed -n '2,/^$/s/^# \{0,1\}//p' "$0" >&2
+    exit 2
+fi
+ref=$1
+workload=$2
+pairs=${3:-10}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+commit=$(git rev-parse --verify "$ref^{commit}")
+seconds=$(jq -r .run_seconds BENCHMARK.json)
+manifest=crates/bench/src/bin/suite/Cargo.toml
+
+work=$root/target/bench_pairs/$workload
+rm -rf "$work"
+mkdir -p "$work/parent"
+git archive "$commit" | tar -x -C "$work/parent"
+
+# side_root <side> — the directory a side is built in and run from.
+side_root() {
+    if [ "$1" = parent ]; then echo "$work/parent"; else echo "$root"; fi
+}
+
+for side in parent change; do
+    echo "# building $side ($(side_root "$side"))" >&2
+    (cd "$(side_root "$side")" &&
+        CARGO_TARGET_DIR=$work/$side-target \
+            cargo build --release --offline --quiet --manifest-path "$manifest")
+done
+
+# run <side> <seed> — one full run; its result line goes to <side>.jsonl.
+run() {
+    (cd "$(side_root "$1")" &&
+        CARGO_TARGET_DIR=$work/$1-target "$work/$1-target/release/suite" \
+            --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) \
+        >"$work/$1.$2.log"
+    tail -n 1 "$work/$1.$2.log" >>"$work/$1.jsonl"
+}
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        echo "# pair $i/$pairs: $side" >&2
+        run "$side" "$i"
+    done
+done
+
+echo "$workload: $pairs pairs of $seconds s runs, parent $(git rev-parse --short "$commit") vs the working tree"
+jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.jsonl" \
+    --slurpfile contract BENCHMARK.json '
+    def quantile(f): sort as $s | (f * (($s | length) - 1)) as $pos | ($pos | floor) as $lo
+        | $s[$lo] + ($pos - $lo) * (($s[$lo + 1] // $s[$lo]) - $s[$lo]);
+    def summary: "\(quantile(0.5)) [\(quantile(0.25)) \(quantile(0.75))]";
+    (["metric", "unit", "parent median [q1 q3]", "change median [q1 q3]", "change/parent", "wins"] | @tsv),
+    ($contract[0].end_to_end[] | . as $m
+        | [$parent[].metrics[$m.name].value] as $p
+        | [$change[].metrics[$m.name].value] as $c
+        | [range(0; $p | length) | select(if $m.better == "higher" then $c[.] > $p[.] else $c[.] < $p[.] end)] as $won
+        | [$m.name, $m.unit, ($p | summary), ($c | summary),
+           (($c | quantile(0.5)) / ($p | quantile(0.5))), "\($won | length)/\($p | length)"]
+        | @tsv),
+    "failed operations: parent \([$parent[].failed] | add), change \([$change[].failed] | add); " +
+    "answers correct: parent \([$parent[].correct] | all), change \([$change[].correct] | all)"
+' | awk -F'\t' '
+    function short(s,    out, n, parts, i) {
+        n = split(s, parts, " ")
+        out = ""
+        for (i = 1; i <= n; i++) {
+            word = parts[i]; lead = ""; trail = ""
+            if (substr(word, 1, 1) == "[") { lead = "["; word = substr(word, 2) }
+            if (substr(word, length(word)) == "]") { trail = "]"; word = substr(word, 1, length(word) - 1) }
+            if (word ~ /^-?[0-9.]+(e-?[0-9]+)?$/) word = sprintf("%.5g", word)
+            out = out (i > 1 ? " " : "") lead word trail
+        }
+        return out
+    }
+    NF < 6 { print; next }
+    { printf "%-26s %-6s %-30s %-30s %-14s %s\n", $1, $2, short($3), short($4), short($5), $6 }'

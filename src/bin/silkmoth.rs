@@ -435,6 +435,14 @@ fn read_required_input(cli: &Cli) -> Vec<Vec<String>> {
     raw
 }
 
+/// The serving engine over the `--input` sets. The parsed input is
+/// dropped on return: the engine holds its own encoding of the texts,
+/// and a durable store is about to capture a second copy of them.
+fn build_engine_from_input(cli: &Cli, cfg: EngineConfig) -> ShardedEngine {
+    let raw = read_required_input(cli);
+    ShardedEngine::build(&raw, cfg, cli.shards).unwrap_or_else(|e| fail(&e.to_string()))
+}
+
 /// `silkmoth serve`: ephemeral, or durable when `--data-dir` is given —
 /// a populated data dir is recovered (snapshot + WAL replay; `--input`
 /// is not needed), an empty one is initialized from `--input`.
@@ -537,9 +545,7 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
                             "{dir} holds no store yet; pass --input to initialize it"
                         ));
                     }
-                    let raw = read_required_input(cli);
-                    let engine = ShardedEngine::build(&raw, cfg, cli.shards)
-                        .unwrap_or_else(|e| fail(&e.to_string()));
+                    let engine = build_engine_from_input(cli, cfg);
                     let store = Store::create(dir, engine, store_cfg)
                         .unwrap_or_else(|e| fail(&e.to_string()));
                     eprintln!("# initialized durable store in {dir}");
@@ -548,12 +554,7 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
                 Err(e) => fail(&e.to_string()),
             }
         }
-        None => {
-            let raw = read_required_input(cli);
-            let engine = ShardedEngine::build(&raw, cfg, cli.shards)
-                .unwrap_or_else(|e| fail(&e.to_string()));
-            SearchService::new(engine).with_policy(policy)
-        }
+        None => SearchService::new(build_engine_from_input(cli, cfg)).with_policy(policy),
     };
     let service = match cli.max_inflight_updates {
         Some(n) => service.with_max_inflight_updates(n),

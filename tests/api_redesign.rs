@@ -170,6 +170,60 @@ fn query_iter_drained_equals_run() {
     }
 }
 
+/// Search passes borrow their id-indexed scratch from the thread. Two
+/// iterators alive at once on one thread, over collections of different
+/// sizes, must each work on tables of their own: stepping them in turns
+/// gives each exactly the answers it gives alone.
+#[test]
+fn interleaved_query_iters_over_two_collections_keep_their_own_answers() {
+    let columns = silkmoth::datagen::webtable_columns(&silkmoth::ColumnsConfig {
+        num_sets: 300,
+        num_pools: 3,
+        pool_size: 40,
+        ..Default::default()
+    });
+    let big = Engine::builder(Collection::build(&columns, Tokenization::Whitespace))
+        .metric(RelatednessMetric::Containment)
+        .phi(SimilarityFunction::Jaccard)
+        .delta(0.3)
+        .build()
+        .unwrap();
+    let small = schema_engine(60, RelatednessMetric::Similarity, 0.3);
+    for (big_rid, small_rid) in [(0u32, 0u32), (17, 31), (299, 59)] {
+        let rb = big.collection().set(big_rid).clone();
+        let rs = small.collection().set(small_rid).clone();
+        let alone_big: Vec<(u32, f64)> = big.query(&rb).iter().unwrap().collect();
+        let alone_small: Vec<(u32, f64)> = small.query(&rs).iter().unwrap().collect();
+        assert!(alone_big.len() > 1 && !alone_small.is_empty());
+
+        // The small pass is staged while the big one holds the thread's
+        // scratch, and the other way round.
+        for big_first in [true, false] {
+            let (mut ib, mut is);
+            if big_first {
+                ib = big.query(&rb).iter().unwrap();
+                is = small.query(&rs).iter().unwrap();
+            } else {
+                is = small.query(&rs).iter().unwrap();
+                ib = big.query(&rb).iter().unwrap();
+            }
+            let (mut got_big, mut got_small) = (Vec::new(), Vec::new());
+            loop {
+                let (b, s) = (ib.next(), is.next());
+                got_big.extend(b);
+                got_small.extend(s);
+                if b.is_none() && s.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(got_big, alone_big, "big_first={big_first}");
+            assert_eq!(got_small, alone_small, "big_first={big_first}");
+            assert_eq!(ib.stats(), big.query(&rb).run().unwrap().stats);
+            assert_eq!(is.stats(), small.query(&rs).run().unwrap().stats);
+        }
+    }
+}
+
 #[test]
 fn query_iter_early_termination_skips_verification_work() {
     let engine = schema_engine(200, RelatednessMetric::Similarity, 0.4);

@@ -4,6 +4,10 @@
 //! signature-scheme × reduction combination — including on collections
 //! mutated through the incremental-update layer.
 //!
+//! Corpora that repeat their elements have a leg of their own: the
+//! element dictionary and the per-pass φ memo work on those, and brute
+//! force has neither.
+//!
 //! The ordered top-k pass has two legs of its own here: a property that
 //! the size-aware `need` never prunes a related pair, and a corpus built
 //! for **ties at the k-th boundary** — sets that score the same while
@@ -182,6 +186,59 @@ proptest! {
         engine.apply(Update::Remove(doomed)).unwrap();
         prop_assume!(engine.collection().live_len() > 0);
         assert_engine_matches_brute(engine.collection(), engine.config(), rng);
+    }
+
+    // Corpora that repeat their elements: every element is one of a
+    // handful of texts, so the same one turns up twice in a set, across
+    // sets, in an append (beside texts the collection has never seen),
+    // in a removed set and after a compaction. The collection stores
+    // such an element once and candidate selection evaluates φ against
+    // it once per reference element; brute force does neither.
+    #[test]
+    fn engine_matches_brute_on_repeated_elements_through_updates(seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let edit = rng.random::<bool>();
+        let (similarity, alpha, element): (_, _, &dyn Fn(&mut StdRng) -> String) = if edit {
+            (SimilarityFunction::Eds { q: 2 }, 0.7, &string_element)
+        } else {
+            (SimilarityFunction::Jaccard, [0.0, 0.4][rng.random_range(0..2usize)], &word_element)
+        };
+        let mut pool: Vec<String> = (0..5).map(|_| element(rng)).collect();
+        let draw = |rng: &mut StdRng, pool: &[String]| -> Vec<Vec<String>> {
+            (0..rng.random_range(5..=10usize))
+                .map(|_| {
+                    (0..rng.random_range(1..=5usize))
+                        .map(|_| pool[rng.random_range(0..pool.len())].clone())
+                        .collect()
+                })
+                .collect()
+        };
+        let cfg = EngineConfig::full(
+            METRICS[rng.random_range(0..2usize)],
+            similarity,
+            [0.3, 0.6][rng.random_range(0..2usize)],
+            alpha,
+        );
+        let mut engine =
+            Engine::new(Collection::build(&draw(rng, &pool), cfg.tokenization()), cfg).unwrap();
+        assert_engine_matches_brute(engine.collection(), &cfg, rng);
+
+        pool.extend([element(rng), element(rng)]);
+        engine.apply(Update::Append(draw(rng, &pool))).unwrap();
+        assert_engine_matches_brute(engine.collection(), &cfg, rng);
+
+        let total = engine.collection().len() as u32;
+        let doomed: Vec<u32> = (1..total).filter(|_| rng.random::<bool>()).collect();
+        engine.apply(Update::Remove(doomed)).unwrap();
+        assert_engine_matches_brute(engine.collection(), &cfg, rng);
+        // A removed set's elements stay in the dictionary: appending
+        // their texts again must find them in a usable state.
+        engine.apply(Update::Append(draw(rng, &pool))).unwrap();
+        assert_engine_matches_brute(engine.collection(), &cfg, rng);
+
+        engine.apply(Update::Compact).unwrap();
+        assert_engine_matches_brute(engine.collection(), &cfg, rng);
+        prop_assert!(engine.collection().stats().distinct_elements <= pool.len());
     }
 
     // The filters prune against the matching score a pair *needs* —

@@ -117,4 +117,67 @@ proptest! {
             }
         }
     }
+    // The element dictionary is invisible in what gets encoded: after a
+    // build, and after a build followed by an append, every stored
+    // element is what `encode_set` makes of its text on its own (token
+    // ids, chunks, chars), and a token's frequency is the number of
+    // occurrences that hold it — on a corpus of six texts, where nearly
+    // every occurrence is a repeat. What the dictionary adds is
+    // visible too: equal texts share one stored element and one id.
+    #[test]
+    fn prop_dictionary_encodes_like_every_occurrence_on_its_own(
+        corpus in proptest::collection::vec(
+            proptest::collection::vec("[ab]( [ab]){0,1}", 1..5), 2..9),
+        split in 0usize..9,
+        qgram in any::<bool>(),
+    ) {
+        let tok = if qgram { Tokenization::QGram { q: 2 } } else { Tokenization::Whitespace };
+        let split = split.min(corpus.len());
+        let built = Collection::build(&corpus, tok);
+        let mut appended = Collection::build(&corpus[..split], tok);
+        appended.append_sets(&corpus[split..]);
+        // Texts only a removed set held stay stored and are found again.
+        let mut reappended = Collection::build(&corpus[..1], tok);
+        reappended.remove_sets(&[0]).unwrap();
+        reappended.append_sets(&corpus);
+
+        for (c, first) in [(&built, 0), (&appended, 0), (&reappended, 1)] {
+            let mut frequency = vec![0u32; c.dict().len()];
+            let mut id_of_text = std::collections::HashMap::new();
+            for (sid, raw_set) in corpus.iter().enumerate() {
+                let stored = c.set((first + sid) as u32);
+                prop_assert_eq!(&c.encode_set(raw_set), stored);
+                for (text, e) in raw_set.iter().zip(stored.elements.iter()) {
+                    let alone = &c.encode_set(std::slice::from_ref(text)).elements[0];
+                    prop_assert_eq!(alone, e);
+                    prop_assert_eq!(alone.id(), None);
+                    for &t in alone.tokens.iter() {
+                        frequency[t as usize] += 1;
+                    }
+                    let id = e.id().expect("stored elements have ids");
+                    let (known_id, known) = *id_of_text.entry(text).or_insert((id, e));
+                    prop_assert_eq!(known_id, id);
+                    prop_assert!(std::sync::Arc::ptr_eq(known, e));
+                }
+            }
+            if first == 1 {
+                // The removed slot's occurrences still count (stale until
+                // a compact, like its postings).
+                for e in c.set(0).elements.iter() {
+                    for &t in e.tokens.iter() {
+                        frequency[t as usize] += 1;
+                    }
+                }
+            }
+            // Distinct texts, distinct ids, dense from 0.
+            let ids: std::collections::BTreeSet<u32> =
+                id_of_text.values().map(|&(id, _)| id).collect();
+            prop_assert!(ids.into_iter().eq(0..id_of_text.len() as u32));
+            let index = InvertedIndex::build(c);
+            for t in 0..c.dict().len() as u32 {
+                prop_assert_eq!(c.dict().frequency(t), frequency[t as usize]);
+                prop_assert_eq!(index.cost(t), frequency[t as usize] as usize);
+            }
+        }
+    }
 }

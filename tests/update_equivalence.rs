@@ -56,9 +56,28 @@ fn gen_element(rng: &mut StdRng) -> String {
         .join(" ")
 }
 
-fn gen_set(rng: &mut StdRng) -> Vec<String> {
+/// An element of a corpus that repeats its elements: one of seven
+/// texts, so the same element is in most sets, often twice in one, in
+/// what is appended, in what is removed and in what a compaction keeps.
+fn repeated_element(rng: &mut StdRng) -> String {
+    const POOL: [&str; 7] = [
+        "w0 shared0",
+        "w0 shared0 w1",
+        "w1",
+        "shared1 shared2",
+        "w2 w3 shared0",
+        "w0",
+        "shared0 shared1 w4 w5",
+    ];
+    POOL[rng.random_range(0..POOL.len())].to_owned()
+}
+
+/// How a run of the harness draws its elements.
+type ElementGen = fn(&mut StdRng) -> String;
+
+fn gen_set(rng: &mut StdRng, element: ElementGen) -> Vec<String> {
     let n = rng.random_range(1..=4usize);
-    (0..n).map(|_| gen_element(rng)).collect()
+    (0..n).map(|_| element(rng)).collect()
 }
 
 /// The harness state: one incremental engine per flavor plus the model
@@ -77,10 +96,10 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(rng: &mut StdRng) -> Self {
+    fn new(rng: &mut StdRng, element: ElementGen) -> Self {
         let cfg = cfg(rng);
         let n = rng.random_range(8..=16usize);
-        let base: Vec<Vec<String>> = (0..n).map(|_| gen_set(rng)).collect();
+        let base: Vec<Vec<String>> = (0..n).map(|_| gen_set(rng, element)).collect();
         let sharded = SHARD_COUNTS
             .iter()
             .map(|&s| ShardedEngine::build(&base, cfg, s).expect("valid config"))
@@ -277,62 +296,77 @@ impl Harness {
     }
 }
 
-// The tentpole property: random interleavings of appends, removals,
-// compactions, and queries — every query byte-identical to a fresh
-// rebuild, across shard counts {1, 2, 7} and the unsharded
-// `Engine::apply` path.
+/// One random interleaving of appends, removals, compactions and
+/// queries over elements drawn by `element` — every query byte-identical
+/// to a fresh rebuild, across shard counts {1, 2, 7} and the unsharded
+/// `Engine::apply` path.
+fn check_update_sequence(seed: u64, element: ElementGen) {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let mut h = Harness::new(rng, element);
+    for _ in 0..12 {
+        match rng.random_range(0..100u32) {
+            0..=29 => {
+                let n = rng.random_range(1..=3usize);
+                h.append((0..n).map(|_| gen_set(rng, element)).collect());
+            }
+            30..=49 => {
+                let live = h.live_gids();
+                if live.is_empty() {
+                    continue;
+                }
+                let n = rng.random_range(1..=3usize).min(live.len());
+                let mut gids: Vec<SetIdx> = (0..n)
+                    .map(|_| live[rng.random_range(0..live.len())])
+                    .collect();
+                // Duplicates are legal (idempotent removal).
+                if rng.random::<bool>() {
+                    gids.dedup();
+                }
+                h.remove(gids);
+            }
+            50..=59 => h.compact(),
+            _ => {
+                let elems = match h.live_gids().as_slice() {
+                    // Query a live set's own elements half the time…
+                    live if !live.is_empty() && rng.random::<bool>() => {
+                        let g = live[rng.random_range(0..live.len())];
+                        h.slots[g as usize].clone().unwrap()
+                    }
+                    // …or a fresh random reference.
+                    _ => gen_set(rng, element),
+                };
+                let k = [None, Some(1), Some(3)][rng.random_range(0..3usize)];
+                let floor = [None, Some(0.0), Some(0.3)][rng.random_range(0..3usize)];
+                h.check_query(&elems, k, floor);
+            }
+        }
+        h.check_counts();
+    }
+    // Always finish with a full sweep: plain search, ranked search,
+    // and batched discovery.
+    let elems = gen_set(rng, element);
+    h.check_query(&elems, None, None);
+    h.check_query(&elems, Some(5), Some(0.0));
+    h.check_discover(&[gen_set(rng, element), gen_set(rng, element)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    // The tentpole property.
     #[test]
     fn any_update_sequence_is_equivalent_to_a_rebuild(seed in any::<u64>()) {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let mut h = Harness::new(rng);
-        for _ in 0..12 {
-            match rng.random_range(0..100u32) {
-                0..=29 => {
-                    let n = rng.random_range(1..=3usize);
-                    h.append((0..n).map(|_| gen_set(rng)).collect());
-                }
-                30..=49 => {
-                    let live = h.live_gids();
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let n = rng.random_range(1..=3usize).min(live.len());
-                    let mut gids: Vec<SetIdx> = (0..n)
-                        .map(|_| live[rng.random_range(0..live.len())])
-                        .collect();
-                    // Duplicates are legal (idempotent removal).
-                    if rng.random::<bool>() {
-                        gids.dedup();
-                    }
-                    h.remove(gids);
-                }
-                50..=59 => h.compact(),
-                _ => {
-                    let elems = match h.live_gids().as_slice() {
-                        // Query a live set's own elements half the time…
-                        live if !live.is_empty() && rng.random::<bool>() => {
-                            let g = live[rng.random_range(0..live.len())];
-                            h.slots[g as usize].clone().unwrap()
-                        }
-                        // …or a fresh random reference.
-                        _ => gen_set(rng),
-                    };
-                    let k = [None, Some(1), Some(3)][rng.random_range(0..3usize)];
-                    let floor = [None, Some(0.0), Some(0.3)][rng.random_range(0..3usize)];
-                    h.check_query(&elems, k, floor);
-                }
-            }
-            h.check_counts();
-        }
-        // Always finish with a full sweep: plain search, ranked search,
-        // and batched discovery.
-        let elems = gen_set(rng);
-        h.check_query(&elems, None, None);
-        h.check_query(&elems, Some(5), Some(0.0));
-        h.check_discover(&[gen_set(rng), gen_set(rng)]);
+        check_update_sequence(seed, gen_element);
+    }
+
+    // The same over a corpus that repeats its elements, where an update
+    // meets the element dictionary: an append shares what is stored, a
+    // removal orphans it, a compaction drops and renumbers it.
+    #[test]
+    fn any_update_sequence_over_repeated_elements_is_equivalent_to_a_rebuild(
+        seed in any::<u64>(),
+    ) {
+        check_update_sequence(seed, repeated_element);
     }
 }
 
