@@ -97,7 +97,6 @@ pub(crate) fn build_collection<S: AsRef<str>>(
         })
         .collect();
 
-    let elems = elems.into_iter().map(ByText).collect();
     Collection::from_parts(sets, dict, elems, tokenization)
 }
 
@@ -138,11 +137,11 @@ pub(crate) fn append_sets<S: AsRef<str>>(
                 collection.dict.intern_posting(t);
             }
             let dict = &collection.dict;
-            let id = collection.elems.len() as ElemId;
+            let id = collection.by_id.len() as ElemId;
             let encoded = Arc::new(encode_element(text, tokenization, id, |t| {
                 dict.id(t).expect("token interned above")
             }));
-            collection.elems.insert(ByText(Arc::clone(&encoded)));
+            collection.store(Arc::clone(&encoded));
             elements.push(encoded);
         }
         collection.max_set_len = collection.max_set_len.max(elements.len());

@@ -1,30 +1,35 @@
 //! The inverted index `I` (§3).
 
-use crate::{Collection, ElemIdx, SetIdx};
+use crate::{Collection, ElemId, SetIdx};
 use silkmoth_text::TokenId;
 
-/// One entry of an inverted list: "this token occurs in element `elem` of
-/// set `set`". Lists are sorted by `(set, elem)` and deduplicated (an
-/// element lists a token once even if the token appears in it repeatedly —
-/// footnote 4).
+/// One entry of an inverted list: "this token occurs in an element of set
+/// `set`, and that element is dictionary entry `id`". There is one
+/// posting per element *position*: a set that holds the same text twice
+/// posts it twice, next to each other, so `|I[t]|` still counts
+/// occurrences. Lists are sorted by `(set, id)`, and an element lists a
+/// token once even if the token appears in it repeatedly (footnote 4).
+///
+/// The id is resolved by [`Collection::element`]; what a reader computed
+/// for one posting of an id holds for every other posting of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Posting {
     /// Containing set.
     pub set: SetIdx,
-    /// Element within the set.
-    pub elem: ElemIdx,
+    /// The element, by its id in the collection's element dictionary.
+    pub id: ElemId,
 }
 
 /// Inverted index over a [`Collection`]: for each token `t`, `I[t]` is the
-/// sorted list of `(set, element)` postings containing `t`.
+/// sorted list of `(set, element id)` postings containing `t`.
 ///
 /// The index supports **append-only incremental maintenance**
 /// ([`append_sets`](Self::append_sets)): new sets always carry ids past
 /// every indexed set, so their postings extend each list's sorted tail
 /// in place. Tombstoned sets keep their postings — the search layer
 /// filters candidates by liveness — and a
-/// [`Collection::compact`](crate::Collection::compact) is paired with a
-/// full rebuild.
+/// [`Collection::compact`](crate::Collection::compact), which renumbers
+/// sets and elements, is paired with a full rebuild.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     lists: Vec<Vec<Posting>>,
@@ -34,9 +39,8 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// Builds the index in one pass over the collection.
     ///
-    /// Element token slices are already sorted and deduplicated, and sets
-    /// are visited in id order, so each list comes out sorted without a
-    /// final sort.
+    /// Sets are visited in id order and the elements of a set in element
+    /// id order, so each list comes out sorted without a final sort.
     pub fn build(collection: &Collection) -> Self {
         let mut index = Self {
             lists: vec![Vec::new(); collection.dict().len()],
@@ -54,15 +58,19 @@ impl InvertedIndex {
     pub fn append_sets(&mut self, collection: &Collection, from: SetIdx) {
         // The appended sets may have grown the dictionary.
         self.lists.resize(collection.dict().len(), Vec::new());
+        // One set's elements as (id, tokens), read off the elements in
+        // one straight pass before the sort compares any.
+        let mut by_id: Vec<(ElemId, &[TokenId])> = Vec::new();
         for (sid, set) in collection.sets().iter().enumerate().skip(from as usize) {
-            for (eid, elem) in set.elements.iter().enumerate() {
-                for &t in elem.tokens.iter() {
-                    self.lists[t as usize].push(Posting {
-                        set: sid as SetIdx,
-                        elem: eid as ElemIdx,
-                    });
-                    self.total_postings += 1;
+            by_id.clear();
+            by_id.extend(set.elements.iter().map(|e| (e.id, &*e.tokens)));
+            by_id.sort_unstable_by_key(|&(id, _)| id);
+            let set = sid as SetIdx;
+            for &(id, tokens) in &by_id {
+                for &t in tokens {
+                    self.lists[t as usize].push(Posting { set, id });
                 }
+                self.total_postings += tokens.len();
             }
         }
     }
@@ -81,8 +89,8 @@ impl InvertedIndex {
     }
 
     /// The contiguous postings of set `s` inside `I[t]`, located by binary
-    /// search (footnote 7). Used by `NNSearch` to enumerate the elements of
-    /// one candidate set containing `t`.
+    /// search (footnote 7), in element id order. Used by `NNSearch` to
+    /// enumerate the elements of one candidate set containing `t`.
     pub fn postings_in_set(&self, t: TokenId, s: SetIdx) -> &[Posting] {
         let list = self.list(t);
         let lo = list.partition_point(|p| p.set < s);
@@ -91,7 +99,9 @@ impl InvertedIndex {
         &list[lo..lo + run]
     }
 
-    /// Number of token lists (= dictionary size at build time).
+    /// Number of token lists: the dictionary size when the index was
+    /// built or last appended to (appends that bring new tokens add
+    /// lists).
     pub fn num_tokens(&self) -> usize {
         self.lists.len()
     }
@@ -117,13 +127,15 @@ mod tests {
     #[test]
     fn lists_sorted_and_complete() {
         let (c, i) = index();
-        // b appears in 3 elements: (0,0), (0,1), (2,0).
+        // b appears in 3 elements, the texts interned first, second and
+        // fifth: (0,0), (0,1), (2,4).
         let b = c.dict().id("b").unwrap();
         let list = i.list(b);
         assert_eq!(list.len(), 3);
         assert!(list.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(list[0], Posting { set: 0, elem: 0 });
-        assert_eq!(list[2], Posting { set: 2, elem: 0 });
+        assert_eq!(list[0], Posting { set: 0, id: 0 });
+        assert_eq!(list[2], Posting { set: 2, id: 4 });
+        assert_eq!(&*c.element(4).text, "b d");
     }
 
     #[test]
@@ -145,7 +157,7 @@ mod tests {
         let in1 = i.postings_in_set(b, 1);
         assert!(in1.is_empty());
         let in2 = i.postings_in_set(b, 2);
-        assert_eq!(in2, &[Posting { set: 2, elem: 0 }]);
+        assert_eq!(in2, &[Posting { set: 2, id: 4 }]);
     }
 
     #[test]
@@ -159,11 +171,11 @@ mod tests {
         let x = c.dict().id("x").unwrap();
         assert_eq!(i.cost(x), 503);
         let last = i.postings_in_set(x, 500);
-        let elems: Vec<ElemIdx> = last.iter().map(|p| p.elem).collect();
-        assert_eq!(elems, vec![0, 1, 3]);
+        let ids: Vec<ElemId> = last.iter().map(|p| p.id).collect();
+        assert_eq!(ids, vec![500, 501, 503]);
         assert!(last.iter().all(|p| p.set == 500));
-        assert_eq!(i.postings_in_set(x, 499), &[Posting { set: 499, elem: 0 }]);
-        assert_eq!(i.postings_in_set(x, 0), &[Posting { set: 0, elem: 0 }]);
+        assert_eq!(i.postings_in_set(x, 499), &[Posting { set: 499, id: 499 }]);
+        assert_eq!(i.postings_in_set(x, 0), &[Posting { set: 0, id: 0 }]);
         assert!(i.postings_in_set(x, 501).is_empty());
     }
 
@@ -181,6 +193,19 @@ mod tests {
         let c = Collection::build(&raw, Tokenization::Whitespace);
         let i = InvertedIndex::build(&c);
         assert_eq!(i.cost(c.dict().id("x").unwrap()), 1);
+    }
+
+    #[test]
+    fn a_repeated_text_keeps_one_posting_per_position_in_id_order() {
+        // Set 1 holds "b a" twice around a text interned before it.
+        let raw = vec![vec!["a"], vec!["b a", "a", "b a"]];
+        let c = Collection::build(&raw, Tokenization::Whitespace);
+        let i = InvertedIndex::build(&c);
+        let a = c.dict().id("a").unwrap();
+        let ids: Vec<(SetIdx, ElemId)> = i.list(a).iter().map(|p| (p.set, p.id)).collect();
+        assert_eq!(ids, vec![(0, 0), (1, 0), (1, 1), (1, 1)]);
+        assert_eq!(i.cost(a), c.dict().frequency(a) as usize);
+        assert_eq!(i.postings_in_set(a, 1).len(), 3);
     }
 
     #[test]

@@ -29,10 +29,13 @@
 //! id, by which work done for one occurrence of an element is known to
 //! hold for every other.
 //!
-//! The [`InvertedIndex`] maps each token to the deduplicated, sorted list
-//! of `(set, element)` pairs containing it (§3, footnote 4); per-set
-//! sublists are located by binary search (footnote 7), which is what the
-//! nearest-neighbor filter's `NNSearch` relies on.
+//! The [`InvertedIndex`] maps each token to the sorted list of
+//! `(set, element id)` postings containing it, one per element position
+//! (§3, footnote 4); per-set sublists are located by binary search
+//! (footnote 7), which is what the nearest-neighbor filter's `NNSearch`
+//! relies on. A posting names its element by dictionary id, and
+//! [`Collection::element`] resolves the id, so a reader of the index
+//! learns which element a posting is without visiting the set.
 
 mod builder;
 pub mod codec;
@@ -51,11 +54,10 @@ pub use stats::CollectionStats;
 use element::ByText;
 use silkmoth_text::TokenId;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Index of a set inside a [`Collection`].
 pub type SetIdx = u32;
-/// Index of an element inside a set.
-pub type ElemIdx = u32;
 
 /// Errors from the incremental-update API ([`Collection::remove_sets`]
 /// and the engine layers built on it).
@@ -81,7 +83,8 @@ impl std::error::Error for UpdateError {}
 ///
 /// Each distinct element text is stored once (see the crate docs) and the
 /// sets share it; [`Element::id`] of a stored element is its dense id
-/// there. Identity is exact text equality.
+/// there, and [`element`](Self::element) is the way back from the id.
+/// Identity is exact text equality.
 ///
 /// ## Incremental updates
 ///
@@ -113,6 +116,9 @@ pub struct Collection {
     /// The element dictionary: every distinct element text encoded so
     /// far, findable by that text.
     elems: HashSet<ByText>,
+    /// The same elements by id: `by_id[id]` is the one whose
+    /// [`Element::id`] is `id`.
+    by_id: Vec<Arc<Element>>,
     tokenization: Tokenization,
     /// Liveness per slot; `false` marks a tombstoned set.
     live: Vec<bool>,
@@ -246,6 +252,15 @@ impl Collection {
         &self.sets[id as usize]
     }
 
+    /// The stored element with dictionary id `id` — what a
+    /// [`Posting`] names. Ids are dense: every id below the number of
+    /// distinct texts encoded so far resolves, also one that only
+    /// removed sets hold.
+    #[inline]
+    pub fn element(&self, id: ElemId) -> &Element {
+        &self.by_id[id as usize]
+    }
+
     /// The shared token dictionary.
     pub fn dict(&self) -> &TokenDict {
         &self.dict
@@ -279,19 +294,32 @@ impl Collection {
     pub(crate) fn from_parts(
         sets: Vec<SetRecord>,
         dict: TokenDict,
-        elems: HashSet<ByText>,
+        by_id: Vec<Arc<Element>>,
         tokenization: Tokenization,
     ) -> Self {
         let live_count = sets.len();
-        Self {
+        let mut collection = Self {
+            elems: HashSet::with_capacity(by_id.len()),
+            by_id: Vec::with_capacity(by_id.len()),
             live: vec![true; live_count],
             live_count,
             max_set_len: sets.iter().map(SetRecord::len).max().unwrap_or(0),
             sets,
             dict,
-            elems,
             tokenization,
+        };
+        for element in by_id {
+            collection.store(element);
         }
+        collection
+    }
+
+    /// Enters a newly encoded element, whose id is the next one, into
+    /// the element dictionary, by text and by id.
+    pub(crate) fn store(&mut self, element: Arc<Element>) {
+        debug_assert_eq!(element.id as usize, self.by_id.len());
+        self.elems.insert(ByText(Arc::clone(&element)));
+        self.by_id.push(element);
     }
 }
 

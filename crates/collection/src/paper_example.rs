@@ -88,7 +88,10 @@ mod tests {
         let (c, _) = table2();
         let idx = InvertedIndex::build(&c);
         let list = idx.list(tid(8));
-        let got: Vec<(u32, u32)> = list.iter().map(|p| (p.set, p.elem)).collect();
-        assert_eq!(got, vec![(1, 0), (2, 0), (3, 0)]);
+        let sets: Vec<u32> = list.iter().map(|p| p.set).collect();
+        assert_eq!(sets, vec![1, 2, 3]);
+        for p in list {
+            assert_eq!(c.element(p.id), &*c.set(p.set).elements[0]);
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! The pass is staged and ordered. [`Searcher::stage`] selects the
 //! candidates, runs the check filter over all of them and queues the
 //! survivors by an upper bound on their relatedness that costs no φ
-//! evaluation. [`Searcher::step`] then takes them best bound first
+//! evaluation (those whose bound cannot reach even the floor are counted
+//! and left out). [`Searcher::step`] then takes them best bound first
 //! against a threshold the caller may raise between steps: it ends the
 //! pass at the first candidate whose bound cannot reach the threshold
 //! (none behind it can either) and runs the nearest-neighbor filter on
@@ -19,7 +20,7 @@ use crate::config::{EngineConfig, FilterKind, FILTER_EPS};
 use crate::phi::Phi;
 use crate::signature::{generate, SigKind, SigParams, Signature};
 use crate::verify::{need, relatedness, size_check, verify_pair, VerifyCost};
-use silkmoth_collection::{Collection, Element, InvertedIndex, SetIdx, SetRecord};
+use silkmoth_collection::{Collection, ElemId, Element, InvertedIndex, SetIdx, SetRecord};
 
 /// Which candidate sets a pass may consider (self-join symmetry/self
 /// exclusions).
@@ -75,10 +76,12 @@ pub struct PassStats {
     /// some of them are outranked and not returned).
     pub results: usize,
     /// φ evaluations performed across filters and verification.
-    /// Identical elements are evaluated once per reference element and
-    /// pass in candidate selection (the element-id memo of
-    /// [`Searcher`]), so this is below the number of (reference element,
-    /// posting) pairs looked at wherever the corpus repeats its elements.
+    /// Candidate selection and the nearest-neighbor filter share one φ
+    /// table per pass (see [`Searcher`]) and evaluate a (reference
+    /// element, stored element) pair once between them, however many
+    /// postings and candidate sets it turns up in, so their part of this
+    /// is the number of distinct pairs they met; verification still
+    /// evaluates its own.
     pub sim_evals: u64,
     /// Identical pairs removed by reduction-based verification.
     pub reduced_pairs: u64,
@@ -109,21 +112,30 @@ impl PassStats {
 /// ## Scratch
 ///
 /// A pass keeps three maps keyed by ids — the candidate slot per set id,
-/// the visited mark per element position of one candidate set, and the
-/// **φ memo** per [`ElemId`](silkmoth_collection::ElemId): within one
-/// reference element of one pass, φ against a stored element is evaluated
-/// at its first posting and read back at every other posting of the same
-/// element, bit for bit. The memo moves on at every reference element of
-/// every pass, so nothing in it outlives the reference element it was
+/// the visited mark per element id of one candidate set, and the
+/// **φ table** per (reference element, [`ElemId`]): φ between a reference
+/// element and a stored element is evaluated the first time the pass
+/// meets the pair, in candidate selection or in a nearest-neighbor
+/// search, and read back, bit for bit, wherever either meets it again —
+/// at another posting, in another candidate set. A posting names its
+/// element id, so a hit touches neither a set nor an element. The table
+/// lives for one pass: nothing in it outlives the reference it was
 /// computed for.
 ///
 /// Each map is **sized by what one use touches, not by the collection**:
 /// an open-addressed table whose cells carry a version stamp, emptied by
 /// moving to the next version, of which a use takes only the prefix its
-/// own ids need — a bound known beforehand: the postings of the signature
-/// tokens, the postings of one reference element, the elements of the
-/// largest set. A request that touches sixty elements works in a few
-/// cache lines, whatever the collection holds or the thread has served.
+/// own keys need. For the first two that is a bound known beforehand —
+/// the postings of the signature tokens, the elements of the largest
+/// set. The φ table is begun for the same postings, which bound the
+/// pairs candidate selection can meet, or for a few thousand pairs where
+/// there are more postings than that, and doubles its prefix whenever
+/// the pass meets more pairs than it has room for — inside capacity
+/// set aside, untouched, for all those postings before the pass
+/// allocates anything, so that the table a thread keeps does not move
+/// to a new place among the buffers a pass frees when it ends. A
+/// request that touches sixty elements works in a few cache lines,
+/// whatever the collection holds or the thread has served.
 ///
 /// The maps are **borrowed from the thread**: `new` takes the thread's
 /// scratch (an empty one when another live `Searcher` on the thread has
@@ -147,13 +159,48 @@ pub struct Searcher<'a> {
 struct Scratch {
     /// Candidate slot per set id, for one pass.
     cand: Stamped<u32>,
-    /// Elements of one candidate set already visited by one `nn_search`.
+    /// Element ids of one candidate set already visited by one
+    /// `nn_search`.
     visited: Stamped<()>,
-    /// φα(rᵢ, element) per element id, for one reference element of one
-    /// pass.
-    memo: Stamped<f64>,
-    /// Postings of one reference element, for dedup.
-    postings: Vec<(SetIdx, u32)>,
+    /// φα(rᵢ, element) per [`phi_key`], for one pass.
+    phis: Stamped<f64>,
+}
+
+/// The most (reference element, element) pairs a pass's φ table is begun
+/// for — 200 kB of cells, which a core's own cache holds beside the rest
+/// of a pass. The postings of the signature tokens bound what candidate
+/// selection can meet, but where the corpus repeats its elements, or the
+/// tokens are q-grams, the pairs are a small share of them; a pass that
+/// does meet more grows the table.
+const PHI_TABLE_START: usize = 4096;
+
+/// The φ table's key for reference element `i` and a stored element.
+#[inline]
+fn phi_key(i: usize, id: ElemId) -> u64 {
+    (i as u64) << 32 | u64::from(id)
+}
+
+impl Stamped<f64> {
+    /// φα(rᵢ, stored element `id`) from the pass's φ table: read back, or
+    /// evaluated, counted and kept the first time the pass meets the
+    /// pair.
+    #[inline]
+    fn phi(
+        &mut self,
+        phi: &Phi,
+        collection: &Collection,
+        (i, r_elem): (usize, &Element),
+        id: ElemId,
+        stats: &mut PassStats,
+    ) -> f64 {
+        let key = phi_key(i, id);
+        self.get(key).unwrap_or_else(|| {
+            let sim = phi.eval(r_elem, collection.element(id));
+            stats.sim_evals += 1;
+            self.set(key, sim);
+            sim
+        })
+    }
 }
 
 thread_local! {
@@ -162,30 +209,34 @@ thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
-/// A map from ids to `T` for one use at a time: [`begin`](Self::begin)
-/// empties it in O(1) and sizes it by the ids that use will touch, not by
-/// how many ids there are.
+/// A map from keys to `T` for one use at a time: [`begin`](Self::begin)
+/// empties it in O(1) and sizes it by the keys that use expects, not by
+/// how many keys there are; a use that sets more than it expected grows
+/// it.
 #[derive(Debug, Default)]
 struct Stamped<T> {
-    /// Open-addressed `(stamp, id, value)` cells; a cell is taken where
+    /// Open-addressed `(stamp, key, value)` cells; a cell is taken where
     /// its stamp equals `version`. Stamp 0 is never current.
-    cells: Vec<(u32, u32, T)>,
+    cells: Vec<(u32, u64, T)>,
     version: u32,
     /// The cells in use are `0..=mask`, a power of two of them.
     mask: usize,
+    /// Keys set by the current use.
+    len: usize,
 }
 
 impl<T: Copy + Default> Stamped<T> {
-    /// Starts an empty map that will be given at most `ids` distinct ids.
-    /// It takes the shortest prefix of the cells that keeps them a third
+    /// Starts an empty map expected to be given `keys` distinct keys. It
+    /// takes the shortest prefix of the cells that keeps them a third
     /// free, so that a small pass after a large one still works in a few
     /// cache lines, and a probe always ends at a free cell.
-    fn begin(&mut self, ids: usize) {
-        let want = (ids + ids / 2 + 1).next_power_of_two();
+    fn begin(&mut self, keys: usize) {
+        let want = Self::cells_for(keys);
         if self.cells.len() < want {
             self.cells.resize(want, (0, 0, T::default()));
         }
         self.mask = want - 1;
+        self.len = 0;
         if self.version == u32::MAX {
             // Every version has been handed out once: a stamp left from
             // the first round would match the second's.
@@ -195,13 +246,28 @@ impl<T: Copy + Default> Stamped<T> {
         self.version += 1;
     }
 
-    /// The cell that holds `id`, or the free one where it belongs.
+    /// The cells that keep a third free around `keys` keys.
+    fn cells_for(keys: usize) -> usize {
+        (keys + keys / 2 + 1).next_power_of_two()
+    }
+
+    /// Sets capacity aside for a use that may come to hold `keys` keys.
+    /// Nothing is written to it: memory is taken when a use grows into
+    /// it, and growing up to there leaves the cells where they are. Room
+    /// that is not to be had is done without; the cells then move as
+    /// they grow.
+    fn reserve(&mut self, keys: usize) {
+        let more = Self::cells_for(keys).saturating_sub(self.cells.len());
+        let _ = self.cells.try_reserve(more);
+    }
+
+    /// The cell that holds `key`, or the free one where it belongs.
     #[inline]
-    fn probe(&self, id: u32) -> usize {
-        let mut at = (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
+    fn probe(&self, key: u64) -> usize {
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
         loop {
             let (stamp, held, _) = self.cells[at];
-            if stamp != self.version || held == id {
+            if stamp != self.version || held == key {
                 return at;
             }
             at = (at + 1) & self.mask;
@@ -209,15 +275,37 @@ impl<T: Copy + Default> Stamped<T> {
     }
 
     #[inline]
-    fn get(&self, id: u32) -> Option<T> {
-        let (stamp, _, value) = self.cells[self.probe(id)];
+    fn get(&self, key: u64) -> Option<T> {
+        let (stamp, _, value) = self.cells[self.probe(key)];
         (stamp == self.version).then_some(value)
     }
 
     #[inline]
-    fn set(&mut self, id: u32, value: T) {
-        let at = self.probe(id);
-        self.cells[at] = (self.version, id, value);
+    fn set(&mut self, key: u64, value: T) {
+        let mut at = self.probe(key);
+        if self.cells[at].0 != self.version {
+            // A new key: it may not take the last of the free third.
+            if self.len >= (self.mask + 1) * 2 / 3 {
+                self.grow();
+                at = self.probe(key);
+            }
+            self.len += 1;
+        }
+        self.cells[at] = (self.version, key, value);
+    }
+
+    /// Moves what the current use holds to a prefix twice as long.
+    #[cold]
+    fn grow(&mut self) {
+        let held: Vec<(u64, T)> = self.cells[..=self.mask]
+            .iter()
+            .filter(|cell| cell.0 == self.version)
+            .map(|&(_, key, value)| (key, value))
+            .collect();
+        self.begin(self.mask + 1);
+        for (key, value) in held {
+            self.set(key, value);
+        }
     }
 }
 
@@ -329,16 +417,40 @@ impl<'a> Searcher<'a> {
         stats.signature_cost = signature.cost(self.index) as u64;
         stats.degenerate = u32::from(signature.degenerate);
 
-        // ---- Candidate selection (+ similarity computation for the check
-        // filter's cache) -------------------------------------------------
+        // Check-filter thresholds (Algorithm 1, §6.5 extension). Pass
+        // condition: φα(ri, s) ≥ min(α, raw_bound_i) for some computed pair
+        // (α = 0 degenerates to φ ≥ raw_bound_i). Pruning on failure is
+        // sound only when Σ bounds < θ (always true for weighted-style
+        // schemes; `check_prunable` is false otherwise and the filter only
+        // primes the NN reuse cache).
+        let check_thr: Vec<f64> = signature
+            .elems
+            .iter()
+            .map(|se| {
+                if self.cfg.alpha > 0.0 {
+                    self.cfg.alpha.min(se.raw_bound)
+                } else {
+                    se.raw_bound
+                }
+            })
+            .collect();
+        let compute_sims = self.cfg.filter >= FilterKind::Check;
+        let check_prunable = compute_sims && !signature.degenerate && signature.check_prunable;
+
+        // ---- Candidate selection, with the similarities the check filter
+        // decides on ------------------------------------------------------
         // A candidate comes from a posting of a signature token.
-        self.scratch
-            .cand
-            .begin(self.collection.len().min(stats.signature_cost as usize));
+        let Scratch { cand, phis, .. } = &mut self.scratch;
+        cand.begin(self.collection.len().min(stats.signature_cost as usize));
+        phis.reserve(stats.signature_cost as usize);
+        phis.begin((stats.signature_cost as usize).min(PHI_TABLE_START));
         let mut cand_sets: Vec<SetIdx> = Vec::new();
         // best φα per (candidate, reference element), flattened.
         let mut best: Vec<f64> = Vec::new();
-        let compute_sims = self.cfg.filter >= FilterKind::Check;
+        // Per candidate: some similarity written to its row reached its
+        // check threshold. A cell is the maximum of what was written to
+        // it, so this is the check filter's verdict on the finished row.
+        let mut passed: Vec<bool> = Vec::new();
 
         if signature.degenerate {
             for sid in 0..self.collection.len() as SetIdx {
@@ -357,35 +469,20 @@ impl<'a> Searcher<'a> {
             best.resize(cand_sets.len() * n, NONE_SIM);
         } else {
             for (i, sig_elem) in signature.elems.iter().enumerate() {
-                if sig_elem.tokens.is_empty() {
-                    continue;
-                }
-                // Gather and dedupe the postings of this element's
-                // signature tokens.
-                let Scratch {
-                    cand,
-                    memo,
-                    postings,
-                    ..
-                } = &mut self.scratch;
-                postings.clear();
-                for &t in &sig_elem.tokens {
-                    for p in self.index.list(t) {
-                        postings.push((p.set, p.elem));
-                    }
-                }
-                postings.sort_unstable();
-                postings.dedup();
-                // φα(rᵢ, ·) per distinct stored element, for this i only.
-                memo.begin(postings.len());
-                for &(sid, eid) in postings.iter() {
+                let r_elem = &r.elements[i];
+                let reaches = check_thr[i] - 1e-12;
+                // The lists are walked where they lie. A `(set, id)` that
+                // several of them hold costs a table hit each time, and
+                // `max` does not mind the repeat.
+                for p in sig_elem.tokens.iter().flat_map(|&t| self.index.list(t)) {
+                    let sid = p.set;
                     if !restriction.admits(sid) {
                         continue;
                     }
                     // Locate or admit the candidate slot. Tombstoned sets
                     // keep their postings in the index but are never
                     // admitted as candidates.
-                    let slot = if let Some(slot) = cand.get(sid) {
+                    let slot = if let Some(slot) = cand.get(u64::from(sid)) {
                         slot as usize
                     } else {
                         if !self.collection.is_live(sid) {
@@ -400,48 +497,26 @@ impl<'a> Searcher<'a> {
                             continue;
                         }
                         let slot = cand_sets.len();
-                        cand.set(sid, slot as u32);
+                        cand.set(u64::from(sid), slot as u32);
                         cand_sets.push(sid);
                         best.resize(best.len() + n, NONE_SIM);
+                        passed.push(false);
                         slot
                     };
                     if compute_sims {
-                        let s_elem = &self.collection.set(sid).elements[eid as usize];
-                        let id = s_elem.id().expect("stored elements are in the dictionary");
-                        let sim = memo.get(id).unwrap_or_else(|| {
-                            let sim = self.phi.eval(&r.elements[i], s_elem);
-                            stats.sim_evals += 1;
-                            memo.set(id, sim);
-                            sim
-                        });
+                        let sim =
+                            phis.phi(&self.phi, self.collection, (i, r_elem), p.id, &mut stats);
                         let cell = &mut best[slot * n + i];
                         if sim > *cell {
                             *cell = sim;
                         }
+                        passed[slot] |= sim >= reaches;
                     }
                 }
             }
         }
         stats.candidates = cand_sets.len();
 
-        // Check-filter thresholds (Algorithm 1, §6.5 extension). Pass
-        // condition: φα(ri, s) ≥ min(α, raw_bound_i) for some computed pair
-        // (α = 0 degenerates to φ ≥ raw_bound_i). Pruning on failure is
-        // sound only when Σ bounds < θ (always true for weighted-style
-        // schemes; `check_prunable` is false otherwise and the filter only
-        // primes the NN reuse cache).
-        let check_thr: Vec<f64> = signature
-            .elems
-            .iter()
-            .map(|se| {
-                if self.cfg.alpha > 0.0 {
-                    self.cfg.alpha.min(se.raw_bound)
-                } else {
-                    se.raw_bound
-                }
-            })
-            .collect();
-        let check_prunable = compute_sims && !signature.degenerate && signature.check_prunable;
         let ub = unmatched_upper_bounds(&signature, self.cfg.alpha);
         // The per-element bounds are the nearest-neighbor filter's; with
         // it off (the §8.3 ablations, where `best` may not even be
@@ -452,26 +527,27 @@ impl<'a> Searcher<'a> {
         // ---- Check filter (Algorithm 1), then the cheap bound ------------
         let mut queue = Vec::new();
         for (slot, &sid) in cand_sets.iter().enumerate() {
-            let row = &best[slot * n..(slot + 1) * n];
-            if check_prunable
-                && !row
-                    .iter()
-                    .zip(&check_thr)
-                    .any(|(&b, &thr)| b >= thr - 1e-12)
-            {
+            if check_prunable && !passed[slot] {
                 continue;
             }
             stats.after_check += 1;
             // est_i = max(best computed φα, bound on uncomputed elements):
             // no φ evaluation, and the sum the NN filter starts from.
             let cheap = if nn_filter {
-                row.iter()
+                best[slot * n..(slot + 1) * n]
+                    .iter()
                     .zip(&ub)
                     .fold(0.0, |sum, (&b, &u)| sum + b.max(u))
             } else {
                 n as f64
             };
             let s_len = self.collection.set(sid).len();
+            // A survivor that the stop rule would end the pass at even at
+            // the floor — and no threshold is below the floor — is never
+            // examined: it is counted, not queued.
+            if cheap < need(self.cfg.metric, self.cfg.delta, n, s_len) - FILTER_EPS {
+                continue;
+            }
             queue.push(Bounded {
                 relatedness: relatedness(self.cfg.metric, cheap, n, s_len),
                 cheap,
@@ -530,7 +606,6 @@ impl<'a> Searcher<'a> {
         cand: &Bounded,
         need: f64,
     ) -> bool {
-        let s_set = self.collection.set(cand.sid);
         let row = cand.slot as usize * pass.n;
         let mut total = cand.cheap;
         for (i, r_elem) in r.elements.iter().enumerate() {
@@ -542,9 +617,7 @@ impl<'a> Searcher<'a> {
             if b >= ub || ub == 0.0 {
                 continue;
             }
-            let nn = self
-                .nn_search(r_elem, cand.sid, s_set, &mut pass.stats)
-                .min(ub);
+            let nn = self.nn_search(i, r_elem, cand.sid, &mut pass.stats).min(ub);
             total += nn - ub;
             if total < need - FILTER_EPS {
                 return false;
@@ -553,38 +626,42 @@ impl<'a> Searcher<'a> {
         true
     }
 
-    /// `NNSearch(r, S, I)` (§5.2): upper bound on `max_{s∈S} φα(r, s)` via
-    /// the inverted index, exact except in the edit-similarity regime where
-    /// elements sharing no q-gram can still clear α (then the §7.1 chunk
-    /// bound is folded in).
-    fn nn_search(
-        &mut self,
-        r_elem: &Element,
-        sid: SetIdx,
-        s_set: &SetRecord,
-        stats: &mut PassStats,
-    ) -> f64 {
+    /// `NNSearch(rᵢ, S, I)` (§5.2): upper bound on `max_{s∈S} φα(rᵢ, s)`
+    /// via the inverted index, exact except in the edit-similarity regime
+    /// where elements sharing no q-gram can still clear α (then the §7.1
+    /// chunk bound is folded in). The elements of `S` come from the
+    /// postings, by id, and their similarities from the pass's φ table,
+    /// evaluated here only where the pass has not met the pair before.
+    fn nn_search(&mut self, i: usize, r_elem: &Element, sid: SetIdx, stats: &mut PassStats) -> f64 {
+        let s_set = self.collection.set(sid);
         if r_elem.tokens.is_empty() {
             // An empty element matches exactly the empty elements of S.
             let has_empty = s_set.elements.iter().any(|e| e.tokens.is_empty());
             return if has_empty { 1.0 } else { 0.0 };
         }
-        let visited = &mut self.scratch.visited;
+        let Scratch { visited, phis, .. } = &mut self.scratch;
         visited.begin(self.collection.max_set_len());
         let mut best = 0.0f64;
+        // Element positions of S met so far.
         let mut seen = 0usize;
         for &t in r_elem.tokens.iter() {
+            // The id whose postings in this list are being counted: a
+            // text S holds twice is two postings, next to each other, in
+            // every list that has it.
+            let mut counting = None;
             for p in self.index.postings_in_set(t, sid) {
-                if visited.get(p.elem).is_some() {
-                    continue;
+                if counting != Some(p.id) {
+                    if visited.get(u64::from(p.id)).is_some() {
+                        continue;
+                    }
+                    visited.set(u64::from(p.id), ());
+                    counting = Some(p.id);
+                    let sim = phis.phi(&self.phi, self.collection, (i, r_elem), p.id, stats);
+                    if sim > best {
+                        best = sim;
+                    }
                 }
-                visited.set(p.elem, ());
                 seen += 1;
-                let sim = self.phi.eval(r_elem, &s_set.elements[p.elem as usize]);
-                stats.sim_evals += 1;
-                if sim > best {
-                    best = sim;
-                }
             }
         }
         if seen < s_set.len() {
@@ -655,7 +732,8 @@ pub(crate) struct StagedPass {
     ub: Vec<f64>,
     /// |R|.
     n: usize,
-    /// Check-filter survivors not yet examined, best bound on top.
+    /// Check-filter survivors whose bound reaches the floor and that are
+    /// not yet examined, best bound on top.
     queue: BinaryHeap<Bounded>,
     /// Stats so far: selection and check-filter counters are final,
     /// `after_nn`/`sim_evals` grow as candidates are examined.
@@ -663,7 +741,8 @@ pub(crate) struct StagedPass {
 }
 
 impl StagedPass {
-    /// Check-filter survivors not yet examined.
+    /// Check-filter survivors still examinable: queued and not yet
+    /// examined.
     pub(crate) fn remaining(&self) -> usize {
         self.queue.len()
     }
@@ -696,6 +775,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use silkmoth_collection::paper_example::table2;
+    use silkmoth_collection::Posting;
     use silkmoth_text::SimilarityFunction;
 
     fn config(
@@ -920,13 +1000,26 @@ mod tests {
     }
 
     fn random_config(rng: &mut StdRng, edit: bool) -> EngineConfig {
+        // The unweighted schemes last: under Eds q=2 they need α > 2/3,
+        // and only below it does an element sharing no q-gram with a
+        // reference element still bound the nearest neighbor.
         let schemes = [
-            SignatureScheme::Unweighted,
             SignatureScheme::Weighted,
-            SignatureScheme::CombinedUnweighted,
             SignatureScheme::Skyline,
             SignatureScheme::Dichotomy,
+            SignatureScheme::Unweighted,
+            SignatureScheme::CombinedUnweighted,
         ];
+        let alpha = if edit {
+            [0.3, 0.5, 0.7][rng.random_range(0..3usize)]
+        } else {
+            [0.0, 0.4][rng.random_range(0..2usize)]
+        };
+        let eligible = if edit && alpha < 0.7 {
+            3
+        } else {
+            schemes.len()
+        };
         EngineConfig {
             metric: [
                 RelatednessMetric::Similarity,
@@ -938,24 +1031,52 @@ mod tests {
                 SimilarityFunction::Jaccard
             },
             delta: [0.2, 0.5, 0.8][rng.random_range(0..3usize)],
-            alpha: if edit {
-                0.7
-            } else {
-                [0.0, 0.4][rng.random_range(0..2usize)]
-            },
-            scheme: schemes[rng.random_range(0..schemes.len())],
+            alpha,
+            scheme: schemes[rng.random_range(0..eligible)],
             filter: FilterKind::CheckAndNearestNeighbor,
             reduction: false,
         }
     }
 
+    /// `nn_search` with nothing remembered: φ straight from the elements
+    /// of the set, position by position. Also notes the pairs it touched.
+    fn nn_reference(
+        phi: &Phi,
+        i: usize,
+        r_elem: &Element,
+        s_set: &SetRecord,
+        touched: &mut Vec<(usize, ElemId)>,
+    ) -> f64 {
+        if r_elem.tokens.is_empty() {
+            let has_empty = s_set.elements.iter().any(|e| e.tokens.is_empty());
+            return if has_empty { 1.0 } else { 0.0 };
+        }
+        let mut best = 0.0f64;
+        let mut all_share = true;
+        for s_elem in s_set.elements.iter() {
+            if r_elem.tokens.iter().any(|&t| s_elem.contains_token(t)) {
+                touched.push((i, s_elem.id().unwrap()));
+                best = best.max(phi.eval(r_elem, s_elem));
+            } else {
+                all_share = false;
+            }
+        }
+        if !all_share {
+            best = best.max(phi.no_shared_token_bound(r_elem));
+        }
+        best
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        // What the memo may never change: the `best` matrix of a staged
-        // pass holds, bit for bit, the maximum of φ evaluated at every
-        // posting of the reference element's signature tokens — while φ
-        // was evaluated once per distinct element, not once per posting.
+        // What the φ table may never change. The `best` matrix of a
+        // staged pass holds, bit for bit, the maximum of φ evaluated at
+        // every posting of the reference element's signature tokens; the
+        // nearest-neighbor filter then admits and prunes exactly the
+        // candidates a search that remembers nothing would — while φ was
+        // evaluated once per (reference element, element id) the pass
+        // met, not once per posting.
         #[test]
         fn memoised_stage_is_bit_equal_to_phi_per_posting(seed in any::<u64>()) {
             let rng = &mut StdRng::seed_from_u64(seed);
@@ -970,7 +1091,7 @@ mod tests {
             let n = r.len();
 
             let mut searcher = Searcher::new(&c, &index, cfg);
-            let pass = searcher.stage(&r, Restriction::default());
+            let mut pass = searcher.stage(&r, Restriction::default());
             let params = SigParams {
                 theta: cfg.delta * n as f64,
                 alpha: cfg.alpha,
@@ -978,44 +1099,114 @@ mod tests {
             };
             let signature = generate(&r, cfg.scheme, params, &index);
             prop_assume!(!signature.degenerate);
+            let phi = *searcher.phi();
 
             let candidate = |sid: SetIdx| {
                 c.is_live(sid) && size_check(cfg.metric, cfg.delta, n, c.set(sid).len())
             };
-            let (mut postings, mut distinct) = (0u64, 0u64);
+            let mut postings = 0usize;
+            // Every (reference element, element id) the pass has met.
+            let mut touched: Vec<(usize, ElemId)> = Vec::new();
             for (i, sig_elem) in signature.elems.iter().enumerate() {
-                let mut seen: Vec<(SetIdx, u32)> = sig_elem
+                let mut seen: Vec<Posting> = sig_elem
                     .tokens
                     .iter()
                     .flat_map(|&t| index.list(t))
                     .filter(|p| candidate(p.set))
-                    .map(|p| (p.set, p.elem))
+                    .copied()
                     .collect();
                 seen.sort_unstable();
                 seen.dedup();
-                postings += seen.len() as u64;
-                let mut ids: Vec<_> = seen
-                    .iter()
-                    .map(|&(sid, eid)| c.set(sid).elements[eid as usize].id())
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                distinct += ids.len() as u64;
+                postings += seen.len();
+                touched.extend(seen.iter().map(|p| (i, p.id)));
                 for cand in pass.queue.iter() {
                     let want = seen
                         .iter()
-                        .filter(|&&(sid, _)| sid == cand.sid)
-                        .map(|&(sid, eid)| {
-                            searcher.phi.eval(&r.elements[i], &c.set(sid).elements[eid as usize])
-                        })
+                        .filter(|p| p.set == cand.sid)
+                        .map(|p| phi.eval(&r.elements[i], c.element(p.id)))
                         .fold(NONE_SIM, f64::max);
                     let got = pass.best[cand.slot as usize * n + i];
                     prop_assert_eq!(got.to_bits(), want.to_bits(), "set {} element {}", cand.sid, i);
                 }
             }
-            prop_assert_eq!(pass.stats.sim_evals, distinct);
-            prop_assert!(distinct <= postings);
+            touched.sort_unstable();
+            touched.dedup();
+            prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
+            prop_assert!(touched.len() <= postings);
+
+            // The queue in the order it will be popped, each candidate
+            // with the verdict of a nearest-neighbor filter that
+            // evaluates φ itself.
+            let mut queued: Vec<&Bounded> = pass.queue.iter().collect();
+            queued.sort_unstable_by(|a, b| b.cmp(a));
+            let want: Vec<(SetIdx, bool)> = queued
+                .iter()
+                .map(|cand| {
+                    let s_set = c.set(cand.sid);
+                    let need = need(cfg.metric, cfg.delta, n, s_set.len());
+                    let mut total = cand.cheap;
+                    for (i, r_elem) in r.elements.iter().enumerate() {
+                        let (b, ub) = (pass.best[cand.slot as usize * n + i], pass.ub[i]);
+                        if b >= ub || ub == 0.0 {
+                            continue;
+                        }
+                        let nn = nn_reference(&phi, i, r_elem, s_set, &mut touched);
+                        total += nn.min(ub) - ub;
+                        if total < need - FILTER_EPS {
+                            return (cand.sid, false);
+                        }
+                    }
+                    (cand.sid, true)
+                })
+                .collect();
+            for &(sid, admitted) in &want {
+                match searcher.step(&r, &mut pass, cfg.delta) {
+                    Step::Survivor(got) => prop_assert!(admitted && got == sid, "set {}", sid),
+                    Step::Pruned => prop_assert!(!admitted, "set {}", sid),
+                    Step::Done => prop_assert!(false, "the pass ended before set {}", sid),
+                }
+            }
+            prop_assert!(matches!(searcher.step(&r, &mut pass, cfg.delta), Step::Done));
+            prop_assert_eq!(pass.stats.after_nn, want.iter().filter(|w| w.1).count());
+            // One evaluation per pair met, whichever filter met it first.
+            touched.sort_unstable();
+            touched.dedup();
+            prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
         }
+    }
+
+    #[test]
+    fn a_pass_evaluates_phi_at_most_once_per_reference_element_and_element_id() {
+        // Forty sets over five texts: every text is in most sets, twice
+        // in some, so a pass looks at far more postings than there are
+        // distinct elements.
+        let rng = &mut StdRng::seed_from_u64(0x0ddba11);
+        let texts = ["a b c", "a b d", "a c e", "b c f", "a g"];
+        let raw: Vec<Vec<&str>> = (0..40)
+            .map(|_| (0..6).map(|_| texts[rng.random_range(0..5usize)]).collect())
+            .collect();
+        let cfg = config(
+            RelatednessMetric::Containment,
+            0.6,
+            0.0,
+            SignatureScheme::Weighted,
+            FilterKind::CheckAndNearestNeighbor,
+        );
+        let c = Collection::build(&raw, cfg.tokenization());
+        let index = InvertedIndex::build(&c);
+        let r = c.encode_set(&["a b c", "a b x", "c e", "b c f"]);
+        let (survivors, stats) =
+            Searcher::new(&c, &index, cfg).survivors(&r, Restriction::default());
+        assert!(survivors.len() > 10 && stats.candidates == 40);
+        assert!(stats.sim_evals > 0);
+        assert!(
+            stats.sim_evals <= (r.len() * texts.len()) as u64,
+            "{} evaluations for {} reference elements and {} stored ones",
+            stats.sim_evals,
+            r.len(),
+            texts.len()
+        );
+        assert!(stats.sim_evals < stats.signature_cost);
     }
 
     #[test]
@@ -1023,24 +1214,24 @@ mod tests {
         let mut map = Stamped::<u32>::default();
         map.begin(1000);
         for id in (0..3000).step_by(3) {
-            map.set(id, id + 7);
+            map.set(id, id as u32 + 7);
         }
         map.set(30, 1);
         for id in 0..3000 {
-            let want = (id % 3 == 0).then_some(if id == 30 { 1 } else { id + 7 });
+            let want = (id % 3 == 0).then_some(if id == 30 { 1 } else { id as u32 + 7 });
             assert_eq!(map.get(id), want, "{id}");
         }
         // A small use after a large one takes a short prefix of the
         // cells and sees nothing the large one left there.
         map.begin(4);
         assert!(map.mask < 8 && map.cells.len() > 1000);
-        let ids = [0, 3, 2997, u32::MAX];
-        for id in ids {
-            assert_eq!(map.get(id), None, "{id}");
-            map.set(id, !id);
+        let keys = [0, 3, 2997, u64::MAX];
+        for key in keys {
+            assert_eq!(map.get(key), None, "{key}");
+            map.set(key, !key as u32);
         }
-        for id in ids {
-            assert_eq!(map.get(id), Some(!id), "{id}");
+        for key in keys {
+            assert_eq!(map.get(key), Some(!key as u32), "{key}");
         }
         assert_eq!(map.get(6), None);
     }
@@ -1054,6 +1245,44 @@ mod tests {
             }
             self.version = u32::MAX - 1;
         }
+    }
+
+    #[test]
+    fn stamped_map_grows_under_a_use_that_sets_more_than_it_expected() {
+        let mut map = Stamped::<f64>::default();
+        // Room set aside for what the uses below come to hold: they grow
+        // into it, and the cells never move.
+        map.reserve(5000);
+        assert!(map.cells.is_empty() && map.cells.capacity() >= 8192);
+        let cells = map.cells.as_ptr();
+        for expected in [0, 1, 5, 100] {
+            if expected == 5 {
+                // The counter ends while the map is on its way to a
+                // longer prefix.
+                map.age_to_the_wrap();
+            }
+            map.begin(expected);
+            let keys = || (0..5000u64).map(|k| phi_key((k % 7) as usize, (k * k) as ElemId));
+            for (n, key) in keys().enumerate() {
+                assert_eq!(map.get(key), None, "{key}");
+                map.set(key, n as f64);
+                // Setting a key again is not one more key.
+                map.set(key, n as f64 + 0.5);
+                assert_eq!(map.len, n + 1);
+                assert!(map.len <= map.mask * 2 / 3 + 1);
+            }
+            for (n, key) in keys().enumerate() {
+                assert_eq!(map.get(key), Some(n as f64 + 0.5), "{key}");
+            }
+            // It grew by doubling the prefix, not past what it holds.
+            assert_eq!(map.mask + 1, 8192);
+            assert_eq!(map.cells.as_ptr(), cells);
+        }
+        assert!(map.version < 100, "the counter wrapped: {}", map.version);
+        // The next use is as small as it says it is.
+        map.begin(3);
+        assert!(map.mask < 8);
+        assert_eq!(map.get(phi_key(0, 0)), None);
     }
 
     #[test]
@@ -1085,14 +1314,14 @@ mod tests {
         let mut scratch = SCRATCH.take();
         scratch.cand.age_to_the_wrap();
         scratch.visited.age_to_the_wrap();
-        scratch.memo.age_to_the_wrap();
+        scratch.phis.age_to_the_wrap();
         SCRATCH.set(scratch);
         assert_eq!(run_all(), want);
         let scratch = SCRATCH.take();
         for version in [
             scratch.cand.version,
             scratch.visited.version,
-            scratch.memo.version,
+            scratch.phis.version,
         ] {
             assert!(version < u32::MAX - 1, "the counter wrapped: {version}");
         }

@@ -250,8 +250,10 @@ impl<'e, 'r> QueryIter<'e, 'r> {
         stats
     }
 
-    /// How many check-filter survivors have not been examined yet (0
-    /// once the pass has stopped).
+    /// How many check-filter survivors are still examinable: queued, not
+    /// examined yet, and with a bound that reaches the floor — a survivor
+    /// whose bound is below it would only end the pass, so it is counted
+    /// in `after_check` and never queued. 0 once the pass has stopped.
     pub fn remaining_candidates(&self) -> usize {
         self.pass.remaining()
     }
@@ -330,6 +332,8 @@ impl Iterator for QueryIter<'_, '_> {
         self.next_at(self.cfg.delta)
     }
 
+    /// At most one result per candidate still examinable (see
+    /// [`remaining_candidates`](Self::remaining_candidates)).
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, Some(self.remaining_candidates()))
     }

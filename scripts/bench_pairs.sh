@@ -23,6 +23,14 @@
 # differ by more than the parent's own quartile distance. Every run's
 # result line is kept under target/bench_pairs/<workload>/.
 #
+# After the pairs, one traced run per side (`--trace 1 --seed 1`) and the
+# funnel side by side: the op-list hash and answer digest, the signature
+# cost, the candidates after each filter, the pairs verified and found,
+# the φ evaluations and the index size, each marked `=` or `≠`. These are
+# counts the program makes, and they repeat exactly: a change that claims
+# the same answers from the same funnel shows `=` on every row but the
+# ones it says it moves.
+#
 # Run nothing else meanwhile: the suite pins itself and its server to one
 # CPU, and this box has two.
 
@@ -59,12 +67,16 @@ for side in parent change; do
             cargo build --release --offline --quiet --manifest-path "$manifest")
 done
 
-# run <side> <seed> — one full run; its result line goes to <side>.jsonl.
-run() {
+# suite <side> <seed> <trace> — one full run of a side, from its root.
+suite() {
     (cd "$(side_root "$1")" &&
         CARGO_TARGET_DIR=$work/$1-target "$work/$1-target/release/suite" \
-            --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) \
-        >"$work/$1.$2.log"
+            --workload "$workload" --seed "$2" --seconds "$seconds" --trace "$3")
+}
+
+# run <side> <seed> — one untraced run; its result line goes to <side>.jsonl.
+run() {
+    suite "$1" "$2" 0 >"$work/$1.$2.log"
     tail -n 1 "$work/$1.$2.log" >>"$work/$1.jsonl"
 }
 
@@ -107,3 +119,25 @@ jq -rn --slurpfile parent "$work/parent.jsonl" --slurpfile change "$work/change.
     }
     NF < 6 { print; next }
     { printf "%-26s %-6s %-30s %-30s %-14s %s\n", $1, $2, short($3), short($4), short($5), $6 }'
+
+for side in parent change; do
+    echo "# funnel: $side" >&2
+    suite "$side" 1 1 >"$work/$side.trace.log"
+done
+
+# funnel_rows <side> — `name<TAB>value` per funnel row of a traced run.
+funnel_rows() {
+    sed -n 's/.*: op list \([0-9a-f]*\), answer digest \([0-9a-f]*\),.*/op list\t\1\nanswer digest\t\2/p' \
+        "$work/$1.trace.log"
+    tail -n 1 "$work/$1.trace.log" | jq -r '.metrics as $m
+        | ("core.signature.cost core.filter.candidates core.filter.after_check core.filter.after_nn " +
+           "core.verify.verified core.verify.results core.sim_evals collection.postings collection.tokens"
+           | split(" ")[]) as $name
+        | "\($name)\t\($m[$name].value)"'
+}
+
+echo
+echo "funnel, one --trace 1 --seed 1 run per side (counts per query; = equal, ≠ moved):"
+paste <(funnel_rows parent) <(funnel_rows change) | awk -F'\t' '
+    BEGIN { printf "%-26s %-20s %-20s\n", "count", "parent", "change" }
+    { printf "%-26s %-20s %-20s %s\n", $1, $2, $4, ($2 == $4 ? "=" : "≠") }'

@@ -5,12 +5,16 @@
 //! touches and borrowed from the thread, so once a thread has served one
 //! query, the bytes the next one allocates depend on what it touches —
 //! its reference, its candidates — and not on how many sets the
-//! collection holds. A counting global allocator measures that; it is why
-//! this test is a binary of its own.
+//! collection holds. That goes for the φ table too, which is begun for
+//! the postings of the signature tokens and grows when the
+//! nearest-neighbor searches meet more pairs than that: the query here
+//! makes it grow. A counting global allocator measures all of it; it is
+//! why this test is a binary of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use silkmoth::core::{Restriction, Searcher};
 use silkmoth::{
     Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
 };
@@ -57,12 +61,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// The elements of set `i`: every two of them share a token, no two
+/// sets do.
+fn set(i: usize) -> Vec<String> {
+    ["a b c", "a d e", "b d f", "c e f", "a f g", "b e g"]
+        .iter()
+        .map(|e| e.split(' ').map(|t| format!("{t}{i} ")).collect())
+        .collect()
+}
+
 /// `sets` sets that share no token with each other, so that a reference
 /// drawn from set 0 has set 0 as its only candidate whatever `sets` is.
 fn engine(sets: usize) -> Engine {
-    let raw: Vec<Vec<String>> = (0..sets)
-        .map(|i| vec![format!("a{i} b{i}"), format!("c{i} d{i}"), format!("e{i}")])
-        .collect();
+    let raw: Vec<Vec<String>> = (0..sets).map(set).collect();
     let cfg = EngineConfig::full(
         RelatednessMetric::Similarity,
         SimilarityFunction::Jaccard,
@@ -74,10 +85,22 @@ fn engine(sets: usize) -> Engine {
 
 /// Bytes allocated by one query on a thread that has already served it.
 fn warm_query_bytes(engine: &Engine) -> usize {
-    let spec = QuerySpec::new(vec!["a0 b0".into(), "c0 d0".into(), "e0 x".into()]);
+    let mut reference = set(0);
+    reference[5].push('x');
+    let spec = QuerySpec::new(reference);
     let want = engine.execute(&spec);
     assert_eq!(want.hits.len(), 1, "set 0 and nothing else");
     assert_eq!(want.stats.candidates, 1);
+    // The filters alone meet more (reference element, element) pairs
+    // than twice the postings the φ table was begun for: it has grown.
+    let r = engine.collection().encode_set(spec.reference());
+    let filters = Searcher::new(engine.collection(), engine.index(), *engine.config())
+        .survivors(&r, Restriction::default())
+        .1;
+    assert!(
+        filters.sim_evals > 2 * filters.signature_cost + 2,
+        "{filters:?}"
+    );
     engine.execute(&spec);
     BYTES.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);

@@ -4,9 +4,13 @@
 //! signature-scheme × reduction combination — including on collections
 //! mutated through the incremental-update layer.
 //!
-//! Corpora that repeat their elements have a leg of their own: the
-//! element dictionary and the per-pass φ memo work on those, and brute
-//! force has neither.
+//! Corpora that repeat their elements have two legs of their own: the
+//! element dictionary, the postings that name its entries and the
+//! per-pass φ table work on those, and brute force has none of them. The
+//! second leg repeats a text *inside* a set and runs Eds with α below
+//! `q/(q+1)`, where an element sharing no q-gram with a reference element
+//! still bounds its nearest neighbor — the case that counts a set's
+//! elements by the multiplicity of their postings.
 //!
 //! The ordered top-k pass has two legs of its own here: a property that
 //! the size-aware `need` never prunes a related pair, and a corpus built
@@ -276,6 +280,99 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Sets that hold the same text more than once, over a pool small
+    // enough that every text is in most sets. A posting names the text's
+    // dictionary entry, so the nearest-neighbor search sees such a set's
+    // repeats as one id with a multiplicity; under Eds with α below
+    // q/(q+1) it must still know whether *every* position of the set
+    // shares a q-gram with the reference element, because one that does
+    // not bounds the neighbor from above zero. Every weighted-family
+    // scheme (the unweighted ones need α above that line), both metrics,
+    // shard counts {1, 2, 7}, fresh, after Remove + Append, and the
+    // engine again after Compact.
+    #[test]
+    fn engine_matches_brute_where_sets_repeat_a_text(seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let edit = rng.random::<bool>();
+        let (similarity, alpha, element): (_, _, &dyn Fn(&mut StdRng) -> String) = if edit {
+            (SimilarityFunction::Eds { q: 2 }, [0.3, 0.5][rng.random_range(0..2usize)], &string_element)
+        } else {
+            (SimilarityFunction::Jaccard, [0.0, 0.4][rng.random_range(0..2usize)], &word_element)
+        };
+        let pool: Vec<String> = (0..4).map(|_| element(rng)).collect();
+        let draw = |rng: &mut StdRng| -> Vec<Vec<String>> {
+            (0..rng.random_range(6..=10usize))
+                .map(|_| {
+                    let mut set: Vec<String> = (0..rng.random_range(1..=3usize))
+                        .map(|_| pool[rng.random_range(0..pool.len())].clone())
+                        .collect();
+                    // One of them once more, not next to itself.
+                    set.push(set[0].clone());
+                    set
+                })
+                .collect()
+        };
+        let cfg = EngineConfig {
+            metric: METRICS[rng.random_range(0..2usize)],
+            similarity,
+            delta: [0.3, 0.6][rng.random_range(0..2usize)],
+            alpha,
+            scheme: [
+                SignatureScheme::Weighted,
+                SignatureScheme::Skyline,
+                SignatureScheme::Dichotomy,
+            ][rng.random_range(0..3usize)],
+            filter: FilterKind::CheckAndNearestNeighbor,
+            reduction: rng.random::<bool>(),
+        };
+        let raw = draw(rng);
+        let mut engine = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+        let mut sharded: Vec<ShardedEngine> = [1, 2, 7]
+            .iter()
+            .map(|&shards| ShardedEngine::build(&raw, cfg, shards).unwrap())
+            .collect();
+        let reference = raw[rng.random_range(0..raw.len())].clone();
+        let check = |engine: &Engine, sharded: &[ShardedEngine], rng: &mut StdRng, label: &str| {
+            assert_engine_matches_brute(engine.collection(), &cfg, rng);
+            for floor in [0.0, 0.3] {
+                let all = brute_at(engine, &reference, floor);
+                for k in [None, Some(2)] {
+                    let mut want = all.clone();
+                    let mut spec = QuerySpec::new(reference.clone()).with_floor(floor).unwrap();
+                    if let Some(k) = k {
+                        rank_top_k(&mut want, k);
+                        spec = spec.with_top_k(k);
+                    }
+                    let label = format!("{label} {cfg:?} floor={floor} k={k:?}");
+                    assert_hits_identical(&engine.execute(&spec).hits, &want, &label);
+                    for s in sharded {
+                        let label = format!("{label} shards={}", s.shards().len());
+                        assert_hits_identical(&s.execute(&spec).hits, &want, &label);
+                    }
+                }
+            }
+        };
+        check(&engine, &sharded, rng, "fresh");
+
+        let doomed: Vec<u32> = (1..raw.len() as u32).filter(|_| rng.random::<bool>()).collect();
+        for update in [Update::Remove(doomed), Update::Append(draw(rng))] {
+            for s in &mut sharded {
+                s.apply(update.clone()).unwrap();
+            }
+            engine.apply(update).unwrap();
+        }
+        check(&engine, &sharded, rng, "post-update");
+
+        // Compaction renumbers the engine's sets (and its elements) and
+        // leaves the sharded engines' global ids alone.
+        engine.apply(Update::Compact).unwrap();
+        check(&engine, &[], rng, "compacted");
     }
 }
 

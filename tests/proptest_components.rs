@@ -180,4 +180,60 @@ proptest! {
             }
         }
     }
+
+    // What a posting says, on a corpus of six texts where sets hold a
+    // text twice and share texts with each other: every list is sorted
+    // by `(set, element id)` with one posting per element position, so
+    // `|I[t]|` is the dictionary's frequency; a posting's id resolves to
+    // an element of that set which contains the token, as often as the
+    // set holds it; an index built in one go and one built over a prefix
+    // and then appended to agree list for list; and `postings_in_set` is
+    // the list filtered by set.
+    #[test]
+    fn prop_postings_name_the_elements_of_their_sets(
+        corpus in proptest::collection::vec(
+            proptest::collection::vec("[ab]( [ab]){0,1}", 1..5), 2..9),
+        split in 0usize..9,
+        qgram in any::<bool>(),
+    ) {
+        let tok = if qgram { Tokenization::QGram { q: 2 } } else { Tokenization::Whitespace };
+        let split = split.min(corpus.len());
+        let mut c = Collection::build(&corpus[..split], tok);
+        let mut index = InvertedIndex::build(&c);
+        c.append_sets(&corpus[split..]);
+        index.append_sets(&c, split as u32);
+        let rebuilt = InvertedIndex::build(&c);
+        prop_assert_eq!(index.num_tokens(), c.dict().len());
+        prop_assert_eq!(index.num_tokens(), rebuilt.num_tokens());
+        prop_assert_eq!(index.total_postings(), rebuilt.total_postings());
+
+        let mut total = 0;
+        for t in 0..index.num_tokens() as u32 {
+            let list = index.list(t);
+            prop_assert_eq!(list, rebuilt.list(t), "token {}", t);
+            prop_assert!(list.windows(2).all(|w| w[0] <= w[1]), "token {} sorted", t);
+            prop_assert_eq!(list.len(), c.dict().frequency(t) as usize);
+            total += list.len();
+            for sid in 0..c.len() as u32 {
+                let run = index.postings_in_set(t, sid);
+                let filtered: Vec<_> = list.iter().filter(|p| p.set == sid).copied().collect();
+                prop_assert_eq!(run, &filtered[..], "token {} set {}", t, sid);
+                // The run is the set's elements that contain the token,
+                // position for position.
+                let mut holders: Vec<u32> = c
+                    .set(sid)
+                    .elements
+                    .iter()
+                    .filter(|e| e.contains_token(t))
+                    .map(|e| e.id().unwrap())
+                    .collect();
+                holders.sort_unstable();
+                prop_assert_eq!(run.iter().map(|p| p.id).collect::<Vec<_>>(), holders);
+                for p in run {
+                    prop_assert!(c.element(p.id).contains_token(t));
+                }
+            }
+        }
+        prop_assert_eq!(index.total_postings(), total);
+    }
 }

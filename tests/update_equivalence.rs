@@ -42,6 +42,18 @@ fn cfg(rng: &mut StdRng) -> EngineConfig {
     EngineConfig::full(metric, SimilarityFunction::Jaccard, delta, alpha)
 }
 
+/// Eds over 2-grams with α > 0 on both sides of `q/(q+1)`: below it an
+/// element that shares no q-gram with a reference element can still be
+/// its nearest neighbor.
+fn edit_cfg(rng: &mut StdRng) -> EngineConfig {
+    let alpha = [0.3, 0.5, 0.7][rng.random_range(0..3usize)];
+    EngineConfig {
+        similarity: SimilarityFunction::Eds { q: 2 },
+        alpha,
+        ..cfg(rng)
+    }
+}
+
 fn gen_element(rng: &mut StdRng) -> String {
     let n = rng.random_range(1..=4usize);
     (0..n)
@@ -72,6 +84,24 @@ fn repeated_element(rng: &mut StdRng) -> String {
     POOL[rng.random_range(0..POOL.len())].to_owned()
 }
 
+/// An element of a corpus whose sets repeat a text *inside* themselves:
+/// one of four, so a set of three or four elements nearly always holds
+/// one twice, and every text is in most sets. The second half are strings
+/// for the edit-similarity leg, two of them sharing no 2-gram.
+fn doubled_element(rng: &mut StdRng, edit: bool) -> String {
+    const POOL: [&str; 8] = [
+        "w0 shared0",
+        "w0 w1",
+        "shared0",
+        "w1 shared0 w2",
+        "abab",
+        "abba",
+        "baab",
+        "cb",
+    ];
+    POOL[usize::from(edit) * 4 + rng.random_range(0..4usize)].to_owned()
+}
+
 /// How a run of the harness draws its elements.
 type ElementGen = fn(&mut StdRng) -> String;
 
@@ -96,7 +126,7 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(rng: &mut StdRng, element: ElementGen) -> Self {
+    fn new(rng: &mut StdRng, element: ElementGen, cfg: fn(&mut StdRng) -> EngineConfig) -> Self {
         let cfg = cfg(rng);
         let n = rng.random_range(8..=16usize);
         let base: Vec<Vec<String>> = (0..n).map(|_| gen_set(rng, element)).collect();
@@ -297,12 +327,12 @@ impl Harness {
 }
 
 /// One random interleaving of appends, removals, compactions and
-/// queries over elements drawn by `element` — every query byte-identical
-/// to a fresh rebuild, across shard counts {1, 2, 7} and the unsharded
-/// `Engine::apply` path.
-fn check_update_sequence(seed: u64, element: ElementGen) {
+/// queries over elements drawn by `element`, under a configuration drawn
+/// by `cfg` — every query byte-identical to a fresh rebuild, across shard
+/// counts {1, 2, 7} and the unsharded `Engine::apply` path.
+fn check_update_sequence(seed: u64, element: ElementGen, cfg: fn(&mut StdRng) -> EngineConfig) {
     let rng = &mut StdRng::seed_from_u64(seed);
-    let mut h = Harness::new(rng, element);
+    let mut h = Harness::new(rng, element, cfg);
     for _ in 0..12 {
         match rng.random_range(0..100u32) {
             0..=29 => {
@@ -342,12 +372,23 @@ fn check_update_sequence(seed: u64, element: ElementGen) {
         }
         h.check_counts();
     }
-    // Always finish with a full sweep: plain search, ranked search,
-    // and batched discovery.
-    let elems = gen_set(rng, element);
-    h.check_query(&elems, None, None);
-    h.check_query(&elems, Some(5), Some(0.0));
-    h.check_discover(&[gen_set(rng, element), gen_set(rng, element)]);
+    // Always finish with a full sweep — plain search, ranked search, and
+    // batched discovery — as the interleaving left things, and again
+    // after one Remove + Append + Compact, whatever it happened to draw.
+    for last in [false, true] {
+        if last {
+            if let Some(&gid) = h.live_gids().first() {
+                h.remove(vec![gid]);
+            }
+            h.append(vec![gen_set(rng, element), gen_set(rng, element)]);
+            h.compact();
+            h.check_counts();
+        }
+        let elems = gen_set(rng, element);
+        h.check_query(&elems, None, None);
+        h.check_query(&elems, Some(5), Some(0.0));
+        h.check_discover(&[gen_set(rng, element), gen_set(rng, element)]);
+    }
 }
 
 proptest! {
@@ -356,7 +397,7 @@ proptest! {
     // The tentpole property.
     #[test]
     fn any_update_sequence_is_equivalent_to_a_rebuild(seed in any::<u64>()) {
-        check_update_sequence(seed, gen_element);
+        check_update_sequence(seed, gen_element, cfg);
     }
 
     // The same over a corpus that repeats its elements, where an update
@@ -366,7 +407,19 @@ proptest! {
     fn any_update_sequence_over_repeated_elements_is_equivalent_to_a_rebuild(
         seed in any::<u64>(),
     ) {
-        check_update_sequence(seed, repeated_element);
+        check_update_sequence(seed, repeated_element, cfg);
+    }
+
+    // And over sets that hold a text twice, whose postings name one
+    // element id with a multiplicity — under Jaccard, and under Eds with
+    // α > 0, where the nearest-neighbor search has to know whether every
+    // position of a set shares a q-gram with the reference element.
+    #[test]
+    fn any_update_sequence_over_sets_that_repeat_a_text_is_equivalent_to_a_rebuild(
+        seed in any::<u64>(),
+    ) {
+        check_update_sequence(seed, |rng| doubled_element(rng, false), cfg);
+        check_update_sequence(seed, |rng| doubled_element(rng, true), edit_cfg);
     }
 }
 
