@@ -9,8 +9,11 @@
 //! against a threshold the caller may raise between steps: it ends the
 //! pass at the first candidate whose bound cannot reach the threshold
 //! (none behind it can either) and runs the nearest-neighbor filter on
-//! the others. A floor-only pass keeps the threshold at δ; a top-k pass
-//! raises it to the k-th best verified score.
+//! the others. [`Searcher::verify`] takes a survivor against the same
+//! threshold: an upper bound from the stored set's side first — an element
+//! of `S` is matched at most once too — and the maximum matching only for
+//! a pair that bound cannot refute. A floor-only pass keeps the threshold
+//! at δ; a top-k pass raises it to the k-th best verified score.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -19,8 +22,9 @@ use std::collections::BinaryHeap;
 use crate::config::{EngineConfig, FilterKind, FILTER_EPS};
 use crate::phi::Phi;
 use crate::signature::{generate, SigKind, SigParams, Signature};
-use crate::verify::{need, relatedness, size_check, verify_pair, VerifyCost};
+use crate::verify::{matching_score_over, need, related_at, relatedness, size_check};
 use silkmoth_collection::{Collection, ElemId, Element, InvertedIndex, SetIdx, SetRecord};
+use silkmoth_matching::Edge;
 
 /// Which candidate sets a pass may consider (self-join symmetry/self
 /// exclusions).
@@ -59,9 +63,9 @@ impl Restriction {
 /// and `sim_evals` count the candidates **examined before the pass
 /// stopped**. A floor-only pass stops where no remaining bound reaches δ,
 /// so it examines every candidate that could be related; a top-k pass
-/// stops as soon as no remaining bound reaches its k-th best score, so
-/// for the same reference and floor these four are at most — and usually
-/// far below — the floor-only counts.
+/// stops as soon as no remaining bound reaches its k-th best score, and
+/// verifies against that score, so for the same reference and floor these
+/// four are at most — and usually far below — the floor-only counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Candidates admitted from the inverted index (post size check).
@@ -70,18 +74,23 @@ pub struct PassStats {
     pub after_check: usize,
     /// Examined candidates surviving the nearest-neighbor filter.
     pub after_nn: usize,
-    /// Pairs verified with maximum matching.
+    /// Pairs handed to verification: refuted by the column bound, or
+    /// solved by maximum matching.
     pub verified: usize,
-    /// Verified pairs related at the pass's δ (the floor; under top-k
-    /// some of them are outranked and not returned).
+    /// Verified pairs that reached the threshold they were verified
+    /// against. For a floor-only pass that is the pass's δ, and this is
+    /// the number of results. A top-k pass verifies against its k-th best
+    /// score once it holds `k` results: a pair that is related at the
+    /// floor and already outranked is not counted (and, as a rule, not
+    /// solved), one that ties the k-th score is, whichever of the two the
+    /// answer keeps.
     pub results: usize,
-    /// φ evaluations performed across filters and verification.
-    /// Candidate selection and the nearest-neighbor filter share one φ
-    /// table per pass (see [`Searcher`]) and evaluate a (reference
-    /// element, stored element) pair once between them, however many
-    /// postings and candidate sets it turns up in, so their part of this
-    /// is the number of distinct pairs they met; verification still
-    /// evaluates its own.
+    /// φ evaluations performed across filters and verification. The pass
+    /// keeps one φ table (see [`Searcher`]) and evaluates a (reference
+    /// element, stored element) pair once, whoever meets it first —
+    /// candidate selection, a nearest-neighbor search or verification —
+    /// and however many postings and candidate sets it turns up in: this
+    /// is the number of distinct pairs the pass met.
     pub sim_evals: u64,
     /// Identical pairs removed by reduction-based verification.
     pub reduced_pairs: u64,
@@ -111,16 +120,22 @@ impl PassStats {
 ///
 /// ## Scratch
 ///
-/// A pass keeps three maps keyed by ids — the candidate slot per set id,
-/// the visited mark per element id of one candidate set, and the
-/// **φ table** per (reference element, [`ElemId`]): φ between a reference
-/// element and a stored element is evaluated the first time the pass
-/// meets the pair, in candidate selection or in a nearest-neighbor
-/// search, and read back, bit for bit, wherever either meets it again —
-/// at another posting, in another candidate set. A posting names its
-/// element id, so a hit touches neither a set nor an element. The table
-/// lives for one pass: nothing in it outlives the reference it was
-/// computed for.
+/// A pass keeps four maps keyed by ids — the candidate slot per set id,
+/// the visited mark per element id of one candidate set, the **φ table**
+/// per (reference element, [`ElemId`]) and the **column summary** per
+/// [`ElemId`]. φ between a reference element and a stored element is
+/// evaluated the first time the pass meets the pair — in candidate
+/// selection, in a nearest-neighbor search or in verification — and read
+/// back, bit for bit, wherever any of them meets it again: at another
+/// posting, in another candidate set. A posting names its element id, so
+/// a hit touches neither a set nor an element. Verification meets a
+/// stored element a column at a time, every reference element against
+/// it, and keeps the largest similarity it found as the element's
+/// summary: what the element can add to a matching with this reference,
+/// in whichever set it turns up next. Of the cells it had to evaluate it
+/// keeps the positive ones; a cell of a summarised column that is not in
+/// the table is 0. Both live for one pass: nothing in them outlives the
+/// reference it was computed for.
 ///
 /// Each map is **sized by what one use touches, not by the collection**:
 /// an open-addressed table whose cells carry a version stamp, emptied by
@@ -133,11 +148,14 @@ impl PassStats {
 /// the pass meets more pairs than it has room for — inside capacity
 /// set aside, untouched, for all those postings before the pass
 /// allocates anything, so that the table a thread keeps does not move
-/// to a new place among the buffers a pass frees when it ends. A
-/// request that touches sixty elements works in a few cache lines,
-/// whatever the collection holds or the thread has served.
+/// to a new place among the buffers a pass frees when it ends. The
+/// column summaries start at a few hundred elements and double the same
+/// way, inside capacity set aside once. A request that touches sixty
+/// elements works in a few cache lines, whatever the collection holds
+/// or the thread has served.
 ///
-/// The maps are **borrowed from the thread**: `new` takes the thread's
+/// The maps, and the edge list a verified pair is solved from, are
+/// **borrowed from the thread**: `new` takes the thread's
 /// scratch (an empty one when another live `Searcher` on the thread has
 /// it) and `Drop` gives it back, so a warm thread allocates for a query
 /// only what grows with that query. The version counters travel with the
@@ -154,7 +172,9 @@ pub struct Searcher<'a> {
     scratch: Scratch,
 }
 
-/// The id-keyed maps of a pass (see [`Searcher`]'s scratch contract).
+/// What a pass keeps between its steps (see [`Searcher`]'s scratch
+/// contract): the id-keyed maps, and the buffer a verified pair's
+/// positive cells are solved from.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Candidate slot per set id, for one pass.
@@ -162,8 +182,28 @@ struct Scratch {
     /// Element ids of one candidate set already visited by one
     /// `nn_search`.
     visited: Stamped<()>,
-    /// φα(rᵢ, element) per [`phi_key`], for one pass.
-    phis: Stamped<f64>,
+    /// φα between the reference's elements and stored ones, for one pass.
+    phis: PhiMemo,
+    /// The positive cells of the pair being solved.
+    edges: Vec<Edge>,
+}
+
+/// What a pass remembers of φα between the reference's elements and the
+/// stored ones: single cells as the filters meet them, whole columns as
+/// verification does.
+///
+/// A stored element with a **column summary** has been compared with
+/// every reference element: the cells of its column that are not in
+/// `cells` are exactly 0. (Under α most of a column is; keeping the zeros
+/// as cells would grow the table by |R| × the elements verification
+/// walks, in the middle of a pass.)
+#[derive(Debug, Default)]
+struct PhiMemo {
+    /// φα(rᵢ, element) per [`phi_key`].
+    cells: Stamped<f64>,
+    /// maxᵢ φα(rᵢ, element) per [`ElemId`]: the most the element can add
+    /// to a matching with this reference, whatever set it is met in.
+    cols: Stamped<f64>,
 }
 
 /// The most (reference element, element) pairs a pass's φ table is begun
@@ -174,16 +214,25 @@ struct Scratch {
 /// does meet more grows the table.
 const PHI_TABLE_START: usize = 4096;
 
+/// The stored elements a pass's column summaries are begun for — 12 kB of
+/// cells. Verification meets the elements of the sets it is handed, most
+/// of them in set after set; a pass that is handed hundreds of sets
+/// doubles the map a few times.
+const COLUMNS_START: usize = 256;
+
+/// The stored elements the column summaries have capacity set aside for,
+/// once per thread, so that those doublings happen in place.
+const COLUMNS_RESERVED: usize = 16 * COLUMNS_START;
+
 /// The φ table's key for reference element `i` and a stored element.
 #[inline]
 fn phi_key(i: usize, id: ElemId) -> u64 {
     (i as u64) << 32 | u64::from(id)
 }
 
-impl Stamped<f64> {
-    /// φα(rᵢ, stored element `id`) from the pass's φ table: read back, or
-    /// evaluated, counted and kept the first time the pass meets the
-    /// pair.
+impl PhiMemo {
+    /// φα(rᵢ, stored element `id`): read back, or evaluated, counted and
+    /// kept the first time the pass meets the pair.
     #[inline]
     fn phi(
         &mut self,
@@ -194,12 +243,55 @@ impl Stamped<f64> {
         stats: &mut PassStats,
     ) -> f64 {
         let key = phi_key(i, id);
-        self.get(key).unwrap_or_else(|| {
-            let sim = phi.eval(r_elem, collection.element(id));
-            stats.sim_evals += 1;
-            self.set(key, sim);
-            sim
-        })
+        if let Some(sim) = self.cells.get(key) {
+            return sim;
+        }
+        if self.cols.get(u64::from(id)).is_some() {
+            return 0.0;
+        }
+        let sim = phi.eval(r_elem, collection.element(id));
+        stats.sim_evals += 1;
+        self.cells.set(key, sim);
+        sim
+    }
+
+    /// φα(rᵢ, stored element `id`) where the element has its column
+    /// summary.
+    #[inline]
+    fn summarised(&self, i: usize, id: ElemId) -> f64 {
+        debug_assert!(self.cols.get(u64::from(id)).is_some());
+        self.cells.get(phi_key(i, id)).unwrap_or(0.0)
+    }
+
+    /// maxᵢ φα(rᵢ, `s_elem`) for a stored element: read back, or taken
+    /// over the element's column the first time verification meets it —
+    /// cells the filters left in the table are read, the others evaluated
+    /// and counted, and of those only the positive ones kept.
+    fn column_max(
+        &mut self,
+        phi: &Phi,
+        r: &SetRecord,
+        (id, s_elem): (ElemId, &Element),
+        stats: &mut PassStats,
+    ) -> f64 {
+        if let Some(max) = self.cols.get(u64::from(id)) {
+            return max;
+        }
+        let mut max = 0.0f64;
+        for (i, r_elem) in r.elements.iter().enumerate() {
+            let key = phi_key(i, id);
+            let sim = self.cells.get(key).unwrap_or_else(|| {
+                let sim = phi.eval(r_elem, s_elem);
+                stats.sim_evals += 1;
+                if sim > 0.0 {
+                    self.cells.set(key, sim);
+                }
+                sim
+            });
+            max = max.max(sim);
+        }
+        self.cols.set(u64::from(id), max);
+        max
     }
 }
 
@@ -346,28 +438,22 @@ impl<'a> Searcher<'a> {
         r: &SetRecord,
         restriction: Restriction,
     ) -> (Vec<(SetIdx, f64)>, PassStats) {
-        let (survivors, mut stats) = self.survivors(r, restriction);
-
-        // ---- Verification (§5.4) -----------------------------------------
+        let delta = self.cfg.delta;
+        let mut pass = self.stage(r, restriction);
         let mut results: Vec<(SetIdx, f64)> = Vec::new();
-        let mut vcost = VerifyCost::default();
-        for &sid in &survivors {
-            stats.verified += 1;
-            if let Some(score) = verify_pair(
-                r,
-                self.collection.set(sid),
-                &self.cfg,
-                &self.phi,
-                &mut vcost,
-            ) {
-                results.push((sid, score));
+        loop {
+            match self.step(r, &mut pass, delta) {
+                Step::Done => break,
+                Step::Pruned => {}
+                Step::Survivor(sid) => {
+                    if let Some(score) = self.verify(r, &mut pass, sid, delta) {
+                        results.push((sid, score));
+                    }
+                }
             }
         }
-        stats.sim_evals += vcost.sim_evals;
-        stats.reduced_pairs += vcost.reduced_pairs;
-        stats.results = results.len();
         results.sort_unstable_by_key(|&(sid, _)| sid);
-        (results, stats)
+        (results, pass.stats)
     }
 
     /// The pre-verification stages of a pass — candidate selection, check
@@ -442,8 +528,14 @@ impl<'a> Searcher<'a> {
         // A candidate comes from a posting of a signature token.
         let Scratch { cand, phis, .. } = &mut self.scratch;
         cand.begin(self.collection.len().min(stats.signature_cost as usize));
-        phis.reserve(stats.signature_cost as usize);
-        phis.begin((stats.signature_cost as usize).min(PHI_TABLE_START));
+        // The column summaries first: a block allocated behind the φ
+        // table would keep it from growing where it lies, and a table
+        // that moves is copied, capacity and all.
+        phis.cols.reserve(COLUMNS_RESERVED);
+        phis.cols.begin(COLUMNS_START);
+        phis.cells.reserve(stats.signature_cost as usize);
+        phis.cells
+            .begin((stats.signature_cost as usize).min(PHI_TABLE_START));
         let mut cand_sets: Vec<SetIdx> = Vec::new();
         // best φα per (candidate, reference element), flattened.
         let mut best: Vec<f64> = Vec::new();
@@ -672,6 +764,56 @@ impl<'a> Searcher<'a> {
         }
         best
     }
+
+    /// Verifies stored set `sid` against `threshold` — the pass's δ, or
+    /// the k-th best score of a top-k pass — and returns its relatedness
+    /// when it reaches it. `r` and `pass` are those of the pass in
+    /// progress: the cells are read from its φ table.
+    ///
+    /// **Column bound**: a stored element is matched at most once, so the
+    /// matching score is at most Σⱼ maxᵢ φα(rᵢ, sⱼ). The sum starts at
+    /// `|S|` and comes down column by column; the moment it is below
+    /// [`need`]`(threshold, |R|, |S|)` by more than `FILTER_EPS` the pair
+    /// has lost, and neither the rest of its columns nor its matching is
+    /// looked at. Strictly, like [`step`](Self::step)'s stop rule: a pair
+    /// that can still *equal* the threshold is solved, and a tie at the
+    /// k-th score resolves by id. The bound never changes a score — a pair
+    /// that survives it is solved over the same cells by the same solver
+    /// as [`verify_pair`](crate::verify_pair).
+    pub(crate) fn verify(
+        &mut self,
+        r: &SetRecord,
+        pass: &mut StagedPass,
+        sid: SetIdx,
+        threshold: f64,
+    ) -> Option<f64> {
+        let stats = &mut pass.stats;
+        stats.verified += 1;
+        let s = self.collection.set(sid);
+        let Scratch { phis, edges, .. } = &mut self.scratch;
+        let stored = |j: usize| s.elements[j].id().expect("a stored element has an id");
+        let need = need(self.cfg.metric, threshold, r.len(), s.len()) - FILTER_EPS;
+        let mut bound = s.len() as f64;
+        for (j, s_elem) in s.elements.iter().enumerate() {
+            bound += phis.column_max(&self.phi, r, (stored(j), s_elem), stats) - 1.0;
+            if bound < need {
+                return None;
+            }
+        }
+        // Every column has its summary by now: the cells are all known.
+        let m = matching_score_over(
+            r,
+            s,
+            &self.phi,
+            self.cfg.reduction_applicable(),
+            edges,
+            &mut stats.reduced_pairs,
+            |i, j| phis.summarised(i, stored(j)),
+        );
+        let score = related_at(self.cfg.metric, threshold, m, r.len(), s.len())?;
+        stats.results += 1;
+        Some(score)
+    }
 }
 
 /// What [`Searcher::step`] found out about one candidate.
@@ -770,7 +912,8 @@ fn unmatched_upper_bounds(signature: &Signature, alpha: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RelatednessMetric, SignatureScheme};
+    use crate::config::{RelatednessMetric, SignatureScheme, VERIFY_EPS};
+    use crate::verify::{matching_score, VerifyCost};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -999,7 +1142,8 @@ mod tests {
             .collect()
     }
 
-    fn random_config(rng: &mut StdRng, edit: bool) -> EngineConfig {
+    /// A configuration with α drawn from `alphas`.
+    fn random_config(rng: &mut StdRng, edit: bool, alphas: &[f64]) -> EngineConfig {
         // The unweighted schemes last: under Eds q=2 they need α > 2/3,
         // and only below it does an element sharing no q-gram with a
         // reference element still bound the nearest neighbor.
@@ -1010,11 +1154,7 @@ mod tests {
             SignatureScheme::Unweighted,
             SignatureScheme::CombinedUnweighted,
         ];
-        let alpha = if edit {
-            [0.3, 0.5, 0.7][rng.random_range(0..3usize)]
-        } else {
-            [0.0, 0.4][rng.random_range(0..2usize)]
-        };
+        let alpha = alphas[rng.random_range(0..alphas.len())];
         let eligible = if edit && alpha < 0.7 {
             3
         } else {
@@ -1082,7 +1222,8 @@ mod tests {
             let rng = &mut StdRng::seed_from_u64(seed);
             let edit = rng.random::<bool>();
             let raw = repeated_corpus(rng, edit, 7);
-            let cfg = random_config(rng, edit);
+            let alphas: &[f64] = if edit { &[0.3, 0.5, 0.7] } else { &[0.0, 0.4] };
+            let cfg = random_config(rng, edit, alphas);
             let mut c = Collection::build(&raw[..raw.len() / 2], cfg.tokenization());
             c.append_sets(&raw[raw.len() / 2..]);
             c.remove_sets(&[rng.random_range(0..raw.len()) as SetIdx]).unwrap();
@@ -1173,6 +1314,87 @@ mod tests {
             touched.dedup();
             prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
         }
+
+        // What the column bound may never change. Verified against a
+        // threshold, a stored set comes back exactly when `verify_pair`'s
+        // relatedness reaches it, with that relatedness bit for bit —
+        // at the floor, at the set's own score (a tie at the k-th best),
+        // one float above it, and at 1 — while the pass, filters and
+        // verification taking turns at its table, evaluates φ once per
+        // (reference element, element id) and never again.
+        #[test]
+        fn bounded_verification_is_verify_pair_at_the_threshold(seed in any::<u64>()) {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let edit = rng.random::<bool>();
+            let raw = repeated_corpus(rng, edit, 7);
+            let mut cfg = random_config(rng, edit, &[0.0, 0.4, 0.8]);
+            cfg.reduction = rng.random::<bool>();
+            // At the smallest δ the weighted schemes have no valid
+            // signature: a degenerate pass.
+            cfg.delta = [f64::MIN_POSITIVE, 0.2, 0.5, 0.8][rng.random_range(0..4usize)];
+            // Fresh; appended to and removed from; compacted after that.
+            let state = rng.random_range(0..3usize);
+            let built = if state == 0 { raw.len() } else { raw.len() / 2 };
+            let mut c = Collection::build(&raw[..built], cfg.tokenization());
+            c.append_sets(&raw[built..]);
+            if state > 0 {
+                c.remove_sets(&[rng.random_range(0..raw.len()) as SetIdx]).unwrap();
+            }
+            if state == 2 {
+                c.compact();
+            }
+            let index = InvertedIndex::build(&c);
+            let r = c.encode_set(&raw[rng.random_range(0..raw.len())]);
+
+            let mut searcher = Searcher::new(&c, &index, cfg);
+            let mut pass = searcher.stage(&r, Restriction::default());
+            let phi = *searcher.phi();
+            let exact = |sid: SetIdx| {
+                let s = c.set(sid);
+                let reduce = cfg.reduction_applicable();
+                let m = matching_score(&r, s, &phi, reduce, &mut VerifyCost::default());
+                relatedness(cfg.metric, m, r.len(), s.len())
+            };
+            let mut verified = 0;
+            let mut check = |searcher: &mut Searcher, pass: &mut StagedPass, sid, threshold| {
+                let rel = exact(sid);
+                let want = (rel >= threshold - VERIFY_EPS).then_some(rel);
+                let got = searcher.verify(&r, pass, sid, threshold);
+                verified += 1;
+                prop_assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "set {} at {}: {:?}, not {:?}", sid, threshold, got, want
+                );
+                prop_assert_eq!(pass.stats.verified, verified);
+            };
+            loop {
+                match searcher.step(&r, &mut pass, cfg.delta) {
+                    Step::Done => break,
+                    Step::Pruned => {}
+                    Step::Survivor(sid) => {
+                        let rel = exact(sid);
+                        let above = f64::from_bits(rel.to_bits() + 1);
+                        for threshold in [1.0, cfg.delta, rel, above] {
+                            check(&mut searcher, &mut pass, sid, threshold);
+                        }
+                    }
+                }
+            }
+            // A set verified at its own score is never lost, so every one
+            // of its columns is walked: after all of them, each reference
+            // element has met each stored element of a live set — in
+            // candidate selection, a nearest-neighbor search or a column
+            // — and an evaluation more than that is one made twice.
+            let mut ids: Vec<ElemId> = Vec::new();
+            for sid in c.live_ids() {
+                check(&mut searcher, &mut pass, sid, exact(sid));
+                ids.extend(c.set(sid).elements.iter().map(|e| e.id().unwrap()));
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(pass.stats.sim_evals, (r.len() * ids.len()) as u64);
+        }
     }
 
     #[test]
@@ -1207,6 +1429,44 @@ mod tests {
             texts.len()
         );
         assert!(stats.sim_evals < stats.signature_cost);
+    }
+
+    #[test]
+    fn a_lost_pair_is_dropped_at_the_column_that_loses_it() {
+        // Three reference elements against a set whose second element no
+        // reference element resembles: at a threshold of 0.9 the pair
+        // needs 2.84 of a possible 3, and two columns in it has lost.
+        let raw = vec![vec!["a b", "x y", "c d"], vec!["a b", "c d", "e f"]];
+        let cfg = config(
+            RelatednessMetric::Similarity,
+            0.3,
+            0.0,
+            SignatureScheme::Weighted,
+            FilterKind::CheckAndNearestNeighbor,
+        );
+        let c = Collection::build(&raw, cfg.tokenization());
+        let index = InvertedIndex::build(&c);
+        let r = c.encode_set(&["a b", "c d", "e f"]);
+        let mut searcher = Searcher::new(&c, &index, cfg);
+        let mut pass = searcher.stage(&r, Restriction::default());
+        let staged = pass.stats.sim_evals;
+        assert_eq!(searcher.verify(&r, &mut pass, 0, 0.9), None);
+        // "a b" was met in candidate selection, by one reference element
+        // at least; "c d" was never looked at.
+        let columns = pass.stats.sim_evals - staged;
+        assert!((3..6).contains(&columns), "{columns} evaluations");
+        assert_eq!((pass.stats.verified, pass.stats.results), (1, 0));
+        // At the floor the same set is solved, over cells that are all
+        // known by the time its last column has been walked.
+        let walked = pass.stats.sim_evals;
+        let score = searcher.verify(&r, &mut pass, 0, 0.3).unwrap();
+        assert_eq!(score, 2.0 / 4.0);
+        assert!(pass.stats.sim_evals - walked <= 3);
+        assert_eq!(searcher.verify(&r, &mut pass, 1, 0.9), Some(1.0));
+        let all = pass.stats.sim_evals;
+        assert_eq!(searcher.verify(&r, &mut pass, 0, 0.3), Some(score));
+        assert_eq!(pass.stats.sim_evals, all, "nothing is evaluated twice");
+        assert_eq!((pass.stats.verified, pass.stats.results), (4, 3));
     }
 
     #[test]
@@ -1314,14 +1574,16 @@ mod tests {
         let mut scratch = SCRATCH.take();
         scratch.cand.age_to_the_wrap();
         scratch.visited.age_to_the_wrap();
-        scratch.phis.age_to_the_wrap();
+        scratch.phis.cells.age_to_the_wrap();
+        scratch.phis.cols.age_to_the_wrap();
         SCRATCH.set(scratch);
         assert_eq!(run_all(), want);
         let scratch = SCRATCH.take();
         for version in [
             scratch.cand.version,
             scratch.visited.version,
-            scratch.phis.version,
+            scratch.phis.cells.version,
+            scratch.phis.cols.version,
         ] {
             assert!(version < u32::MAX - 1, "the counter wrapped: {version}");
         }

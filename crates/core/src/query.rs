@@ -14,7 +14,6 @@ use crate::engine::{Engine, SearchOutput};
 use crate::filter::{PassStats, Searcher, StagedPass, Step};
 use crate::rank::TopK;
 use crate::spec::QuerySpec;
-use crate::verify::{verify_pair, VerifyCost};
 use silkmoth_collection::{SetIdx, SetRecord};
 
 /// A parameterized RELATED SET SEARCH, created by [`Engine::query`].
@@ -174,7 +173,9 @@ impl<'e, 'r> Query<'e, 'r> {
 /// so far: a bound strictly below the threshold ends the pass, because
 /// every bound still queued is lower; otherwise the candidate goes
 /// through the nearest-neighbor filter against the same threshold and,
-/// if it survives, maximum-matching verification.
+/// if it survives, verification against it
+/// ([`Searcher::verify`](crate::Searcher): the column bound, then the
+/// maximum matching for a pair the bound cannot refute).
 ///
 /// As an [`Iterator`] the threshold stays at the floor and every related
 /// set is yielded, the nearest-neighbor searches and verification of
@@ -182,14 +183,10 @@ impl<'e, 'r> Query<'e, 'r> {
 /// checked cooperatively before every candidate; on expiry the iterator
 /// stops yielding and [`timed_out`](Self::timed_out) reports it.
 pub struct QueryIter<'e, 'r> {
-    engine: &'e Engine,
     r: &'r SetRecord,
     cfg: crate::config::EngineConfig,
     searcher: Searcher<'e>,
     pass: StagedPass,
-    verified: usize,
-    results: usize,
-    vcost: VerifyCost,
     /// Absolute expiry instant, when the query carries a budget.
     deadline: Option<Instant>,
     timed_out: bool,
@@ -221,14 +218,10 @@ impl<'e, 'r> QueryIter<'e, 'r> {
         let mut searcher = Searcher::new(engine.collection(), engine.index(), cfg);
         let pass = searcher.stage(r, crate::filter::Restriction::default());
         QueryIter {
-            engine,
             r,
             cfg,
             searcher,
             pass,
-            verified: 0,
-            results: 0,
-            vcost: VerifyCost::default(),
             deadline,
             timed_out: false,
         }
@@ -238,16 +231,12 @@ impl<'e, 'r> QueryIter<'e, 'r> {
     /// `signature_cost` are final, while `after_nn`, `verified`,
     /// `results` and `sim_evals` grow as candidates are examined. After
     /// exhaustion this equals the stats [`Query::run`] reports for the
-    /// same query without `top_k`; a top-k pass stops earlier, so its
-    /// counters cover only the candidates examined before the stop (see
-    /// [`PassStats`]).
+    /// same query without `top_k`; a top-k pass stops earlier and
+    /// verifies against its k-th best score, so its counters cover only
+    /// the candidates examined before the stop, and its `results` only
+    /// the pairs that reached the score they had to (see [`PassStats`]).
     pub fn stats(&self) -> PassStats {
-        let mut stats = self.pass.stats;
-        stats.verified += self.verified;
-        stats.results += self.results;
-        stats.sim_evals += self.vcost.sim_evals;
-        stats.reduced_pairs += self.vcost.reduced_pairs;
-        stats
+        self.pass.stats
     }
 
     /// How many check-filter survivors are still examinable: queued, not
@@ -275,8 +264,10 @@ impl<'e, 'r> QueryIter<'e, 'r> {
     }
 
     /// Examines candidates against the threshold `delta` until one
-    /// verifies as related at the floor, and returns it; `None` when the
-    /// pass is over or out of time.
+    /// verifies as reaching it, and returns it; `None` when the pass is
+    /// over or out of time. A pair below `delta` cannot rank — `delta`
+    /// is the floor, or the k-th best score already held — so it is
+    /// dropped here, unsolved where the column bound refutes it.
     fn next_at(&mut self, delta: f64) -> Option<(SetIdx, f64)> {
         // One candidate — its nearest-neighbor searches and its O(n³)
         // verification — is the unit of work; check the budget before
@@ -285,15 +276,7 @@ impl<'e, 'r> QueryIter<'e, 'r> {
             let Step::Survivor(sid) = self.searcher.step(self.r, &mut self.pass, delta) else {
                 continue;
             };
-            self.verified += 1;
-            if let Some(score) = verify_pair(
-                self.r,
-                self.engine.collection().set(sid),
-                &self.cfg,
-                self.searcher.phi(),
-                &mut self.vcost,
-            ) {
-                self.results += 1;
+            if let Some(score) = self.searcher.verify(self.r, &mut self.pass, sid, delta) {
                 return Some((sid, score));
             }
         }
@@ -528,6 +511,13 @@ mod tests {
             assert_eq!(top.stats.after_check, full.stats.after_check);
             assert!(top.stats.verified < full.stats.verified, "k={k}");
             assert!(top.stats.sim_evals < full.stats.sim_evals, "k={k}");
+            // `results`: every pair that reached the threshold it was
+            // verified against — the k returned did, and so did those a
+            // better pair displaced later; a pair verified against a k-th
+            // best score it did not reach is none, related or not.
+            assert!(top.stats.results >= k, "k={k}");
+            assert!(top.stats.results <= top.stats.verified, "k={k}");
+            assert!(top.stats.results < full.stats.results, "k={k}");
         }
         // k = 0 examines nothing at all.
         let none = engine.query(&r).floor(0.2).top_k(0).run().unwrap();

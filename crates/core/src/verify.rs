@@ -19,6 +19,9 @@ pub struct VerifyCost {
 
 /// Computes the maximum matching score `|R ∩̃_φα S|` (§2.1), applying the
 /// triangle-inequality reduction (§5.3) when the configuration allows it.
+/// Every cell of the weight matrix is a fresh [`Phi::eval`]; a search pass
+/// takes them from its φ table instead (`matching_score_over`, the same
+/// fill and the same solvers).
 pub fn matching_score(
     r: &SetRecord,
     s: &SetRecord,
@@ -26,45 +29,77 @@ pub fn matching_score(
     use_reduction: bool,
     cost: &mut VerifyCost,
 ) -> f64 {
+    let (sim_evals, reduced_pairs) = (&mut cost.sim_evals, &mut cost.reduced_pairs);
+    let evaluated = |i: usize, j: usize| {
+        *sim_evals += 1;
+        phi.eval(&r.elements[i], &s.elements[j])
+    };
+    let edges = &mut Vec::new();
+    matching_score_over(r, s, phi, use_reduction, edges, reduced_pairs, evaluated)
+}
+
+/// [`matching_score`] over any source of cells: `cell(i, j)` is
+/// `φα(rᵢ, sⱼ)`, asked for once per cell of the matrix that is solved —
+/// the whole of it, or what the reduction leaves. With α > 0 most cells
+/// are exactly zero (clamped) and zero edges never improve a non-negative
+/// matching, so the positive ones go to `edges` (cleared first; the
+/// caller's buffer) and are solved alone: same score, smaller Hungarian
+/// instance.
+pub(crate) fn matching_score_over(
+    r: &SetRecord,
+    s: &SetRecord,
+    phi: &Phi,
+    use_reduction: bool,
+    edges: &mut Vec<Edge>,
+    reduced_pairs: &mut u64,
+    mut cell: impl FnMut(usize, usize) -> f64,
+) -> f64 {
     if r.is_empty() || s.is_empty() {
         return 0.0;
     }
-    if use_reduction {
+    let reduction = use_reduction.then(|| {
         let r_keys: Vec<_> = r.elements.iter().map(|e| phi.identity_key(e)).collect();
         let s_keys: Vec<_> = s.elements.iter().map(|e| phi.identity_key(e)).collect();
-        let red = reduce_identical(&r_keys, &s_keys);
-        cost.reduced_pairs += red.identical_pairs as u64;
-        let w = WeightMatrix::from_fn(red.rest_r.len(), red.rest_s.len(), |i, j| {
-            phi.eval(&r.elements[red.rest_r[i]], &s.elements[red.rest_s[j]])
-        });
-        cost.sim_evals += (red.rest_r.len() * red.rest_s.len()) as u64;
-        red.identical_pairs as f64 + max_weight_assignment(&w).score
-    } else if phi.alpha() > 0.0 {
-        // With α-clamping most weights are exactly zero; zero edges never
-        // improve a non-negative matching, so solve over the positive
-        // edges only (silkmoth_matching::sparse — same score, smaller
-        // Hungarian instance).
-        let mut edges = Vec::new();
-        for (i, re) in r.elements.iter().enumerate() {
-            for (j, se) in s.elements.iter().enumerate() {
-                let v = phi.eval(re, se);
-                if v > 0.0 {
-                    edges.push(Edge {
-                        row: i,
-                        col: j,
-                        weight: v,
-                    });
-                }
+        reduce_identical(&r_keys, &s_keys)
+    });
+    let (rows, cols) = reduction.as_ref().map_or((r.len(), s.len()), |red| {
+        (red.rest_r.len(), red.rest_s.len())
+    });
+    let sparse = phi.alpha() > 0.0;
+    let mut dense = if sparse {
+        WeightMatrix::zeros(0, 0)
+    } else {
+        WeightMatrix::zeros(rows, cols)
+    };
+    edges.clear();
+    for j in 0..cols {
+        for i in 0..rows {
+            let weight = match &reduction {
+                Some(red) => cell(red.rest_r[i], red.rest_s[j]),
+                None => cell(i, j),
+            };
+            if !sparse {
+                dense.set(i, j, weight);
+            } else if weight > 0.0 {
+                edges.push(Edge {
+                    row: i,
+                    col: j,
+                    weight,
+                });
             }
         }
-        cost.sim_evals += (r.len() * s.len()) as u64;
-        sparse_max_matching(&edges)
+    }
+    let score = if sparse {
+        sparse_max_matching(edges)
     } else {
-        let w = WeightMatrix::from_fn(r.len(), s.len(), |i, j| {
-            phi.eval(&r.elements[i], &s.elements[j])
-        });
-        cost.sim_evals += (r.len() * s.len()) as u64;
-        max_weight_assignment(&w).score
+        max_weight_assignment(&dense).score
+    };
+    match reduction {
+        Some(red) => {
+            *reduced_pairs += red.identical_pairs as u64;
+            red.identical_pairs as f64 + score
+        }
+        None => score,
     }
 }
 
@@ -118,7 +153,14 @@ pub(crate) fn need(metric: RelatednessMetric, delta: f64, r_len: usize, s_len: u
 }
 
 /// Fully verifies one pair: matching score → relatedness → threshold.
-/// Returns the relatedness score when the pair is related.
+/// Returns the relatedness score when the pair is related at `cfg.delta`.
+///
+/// This is verification with no pass behind it — the brute-force baseline,
+/// a replay: every cell is a fresh [`Phi::eval`] and the matching is always
+/// solved. A search pass verifies through its
+/// [`Searcher`](crate::Searcher), which takes the cells from the pass's φ
+/// table and solves only the pairs that can still reach the threshold in
+/// force; both are `matching_score_over` followed by `related_at`.
 pub fn verify_pair(
     r: &SetRecord,
     s: &SetRecord,
@@ -127,8 +169,20 @@ pub fn verify_pair(
     cost: &mut VerifyCost,
 ) -> Option<f64> {
     let m = matching_score(r, s, phi, cfg.reduction_applicable(), cost);
-    let rel = relatedness(cfg.metric, m, r.len(), s.len());
-    (rel >= cfg.delta - VERIFY_EPS).then_some(rel)
+    related_at(cfg.metric, cfg.delta, m, r.len(), s.len())
+}
+
+/// The relatedness a matching score `m` amounts to, when it reaches
+/// `threshold`.
+pub(crate) fn related_at(
+    metric: RelatednessMetric,
+    threshold: f64,
+    m: f64,
+    r_len: usize,
+    s_len: usize,
+) -> Option<f64> {
+    let rel = relatedness(metric, m, r_len, s_len);
+    (rel >= threshold - VERIFY_EPS).then_some(rel)
 }
 
 /// The candidate-time size check (footnote 6, plus the containment

@@ -386,6 +386,38 @@ mod tests {
             prop_assert!((sum - a.score).abs() < 1e-9);
         }
 
+        // An element is matched at most once, on either side: the row
+        // maxima and the column maxima each sum to an upper bound on the
+        // matching — what the nearest-neighbor filter and verification's
+        // early exit prune by. Rectangular and zero-heavy, like an
+        // α-clamped weight matrix.
+        #[test]
+        fn prop_row_and_column_maxima_bound_the_matching(
+            rows in 1usize..6,
+            cols in 1usize..6,
+            seed in proptest::collection::vec(0u32..1000, 36),
+            zero_cut in 0u32..950,
+        ) {
+            let w = WeightMatrix::from_fn(rows, cols, |i, j| {
+                let v = seed[i * 6 + j];
+                if v < zero_cut { 0.0 } else { v as f64 / 1000.0 }
+            });
+            let by_rows: f64 = (0..rows)
+                .map(|i| (0..cols).map(|j| w.get(i, j)).fold(0.0, f64::max))
+                .sum();
+            let by_cols: f64 = (0..cols)
+                .map(|j| (0..rows).map(|i| w.get(i, j)).fold(0.0, f64::max))
+                .sum();
+            let score = max_weight_assignment(&w).score;
+            let exact = exhaustive_max_matching(&w);
+            // Sums of the same weights in another order: float noise, far
+            // inside the slack the engine prunes with.
+            for bound in [by_rows, by_cols] {
+                prop_assert!(bound >= score - 1e-12, "bound={} score={}", bound, score);
+                prop_assert!(bound >= exact - 1e-12, "bound={} exact={}", bound, exact);
+            }
+        }
+
         #[test]
         fn prop_transpose_invariant(
             rows in 1usize..6,

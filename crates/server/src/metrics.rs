@@ -186,7 +186,7 @@ impl ServiceMetrics {
         let survivors = |stage: &'static str| {
             registry.counter(
                 "silkmoth_query_filter_survivors_total",
-                "Sets surviving each SilkMoth filter stage, summed over queries",
+                "Sets surviving each SilkMoth filter stage, summed over queries (results: verified pairs that reached the threshold they were verified against)",
                 &with_collection(&[("stage", stage)], collection),
             )
         };
@@ -199,7 +199,7 @@ impl ServiceMetrics {
         ];
         let sim_evals = registry.counter(
             "silkmoth_query_sim_evals_total",
-            "Element-pair similarity evaluations across all queries",
+            "Element-pair similarity evaluations performed across all queries (one per distinct pair a pass meets)",
             &with_collection(&[], collection),
         );
         let signature_cost = registry.histogram(
@@ -328,8 +328,10 @@ impl ServiceMetrics {
 
     /// Records one query's filter funnel from its merged [`PassStats`]:
     /// how many sets survived each stage of the signature → check → NN
-    /// → verification pipeline, plus the similarity-evaluation count
-    /// and the signature cost distribution.
+    /// → verification pipeline (`results`: the verified pairs that
+    /// reached the threshold they were verified against — under `top_k`
+    /// the rising k-th best score, not the floor), plus the
+    /// similarity-evaluation count and the signature cost distribution.
     pub fn observe_funnel(&self, stats: &PassStats) {
         let stages = [
             stats.candidates as u64,

@@ -122,7 +122,6 @@ fn banded_rows<'a>(
         if lo > hi {
             return None;
         }
-        cur[lo.saturating_sub(1)] = BIG;
         if lo == 0 {
             cur[0] = row;
         } else {

@@ -388,6 +388,28 @@ mod tests {
         }
     }
 
+    /// Known deviation, recorded and not fixed (ROADMAP open item 9):
+    /// `max_ld = ⌊(1−α)/(1+α)·(|x|+|y|)⌋` is derived in floats, and where
+    /// the product should be a whole number k it can come out a hair under
+    /// it and floor to k − 1 — α = 0.8 at |x|+|y| = 9k, α = 0.9 at 19k —
+    /// so a pair whose Eds is *exactly* α scores 0 where the clamp keeps
+    /// α. The engine and `brute` share this evaluator, so no differential
+    /// harness sees it; fixing it changes answers (the benchmark's
+    /// `answer_digest` on `topk-verify`, α = 0.8), which is a change of
+    /// its own.
+    #[test]
+    #[ignore = "records a known deviation at Eds = α exactly; see ROADMAP open item 9"]
+    fn edit_sim_alpha_keeps_a_pair_whose_eds_is_exactly_alpha() {
+        for (a, b, alpha) in [("abcd", "abcde", 0.8), ("abcdefghi", "abcdefghij", 0.9)] {
+            let ac: Vec<char> = a.chars().collect();
+            let bc: Vec<char> = b.chars().collect();
+            // One insertion: Eds = 1 − 2/(|x|+|y|+1), which is α.
+            assert_eq!(clamp_alpha(eds(a, b), alpha), alpha, "{a} {b}");
+            let fast = edit_sim_alpha(SimilarityFunction::Eds { q: 3 }, &ac, &bc, alpha);
+            assert_eq!(fast, alpha, "{a} {b} α={alpha}");
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_jaccard_range_and_symmetry(

@@ -29,7 +29,15 @@
 # the φ evaluations and the index size, each marked `=` or `≠`. These are
 # counts the program makes, and they repeat exactly: a change that claims
 # the same answers from the same funnel shows `=` on every row but the
-# ones it says it moves.
+# ones it says it moves. Across PR 22 (verification bounded by the
+# threshold in force) those are `core.sim_evals` (down: verification reads
+# the pass's φ table and stops at the column bound) and
+# `core.verify.results` (redefined: verified pairs that reached the
+# threshold they were verified against), and in the traced runs' logs
+# `core.verify.useful_ratio` and `core.engine.verify_us` with them;
+# `bench.trace_accounted_ratio` rises further above 1 there, because the
+# suite's frozen replay still solves every floor survivor without the
+# bound.
 #
 # Run nothing else meanwhile: the suite pins itself and its server to one
 # CPU, and this box has two.

@@ -8,27 +8,56 @@
 //! collection holds. That goes for the φ table too, which is begun for
 //! the postings of the signature tokens and grows when the
 //! nearest-neighbor searches meet more pairs than that: the query here
-//! makes it grow. A counting global allocator measures all of it; it is
-//! why this test is a binary of its own.
+//! makes it grow. And a verified pair that loses allocates nothing at
+//! all: the column summaries that refute it are a fourth map of the same
+//! kind, and only a pair that survives them has a matrix built and solved.
+//! A counting global allocator measures all of it; it is why this test is
+//! a binary of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use silkmoth::core::{Restriction, Searcher};
 use silkmoth::{
     Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
 };
 
-/// The system allocator, counting the bytes asked of it while `COUNTING`.
+/// The system allocator, counting the calls that ask it for memory, and
+/// the bytes they ask for, while `COUNTING`.
 struct Counting;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 fn count(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         BYTES.fetch_add(bytes, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// The counters are the process's: a test holds this while it reads them.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Runs `spec` on a thread that has already served it, under the
+/// counters, which are zeroed first.
+fn execute_counted(engine: &Engine, spec: &QuerySpec) -> silkmoth::QueryOutput {
+    engine.execute(spec);
+    engine.execute(spec);
+    BYTES.store(0, Ordering::Relaxed);
+    CALLS.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let got = engine.execute(spec);
+    COUNTING.store(false, Ordering::Relaxed);
+    got
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -101,17 +130,50 @@ fn warm_query_bytes(engine: &Engine) -> usize {
         filters.sim_evals > 2 * filters.signature_cost + 2,
         "{filters:?}"
     );
-    engine.execute(&spec);
-    BYTES.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let got = engine.execute(&spec);
-    COUNTING.store(false, Ordering::Relaxed);
+    let got = execute_counted(engine, &spec);
     assert_eq!(got.hits, want.hits);
     BYTES.load(Ordering::Relaxed)
 }
 
+/// Allocator calls of one warm floor-only query that verifies `losers`
+/// pairs, all of which lose.
+///
+/// Every reference element has `"a b c d"` for its nearest neighbor in
+/// every stored set (Jaccard 4/5 each: a row-side sum of 2.4, above the 2.0
+/// that δ = 0.5 needs of a 3-and-3 pair), so the nearest-neighbor filter
+/// hands every set to verification — where that one element can be matched
+/// once, and the other two resemble nothing: a column-side sum of 0.8.
+fn losing_pairs_calls(losers: usize) -> usize {
+    let raw: Vec<Vec<String>> = (0..losers)
+        .map(|i| vec!["a b c d".into(), format!("p{i} q{i}"), format!("u{i} v{i}")])
+        .collect();
+    let cfg = EngineConfig::full(
+        RelatednessMetric::Similarity,
+        SimilarityFunction::Jaccard,
+        0.5,
+        0.0,
+    );
+    let engine = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+    let spec = QuerySpec::new(vec![
+        "a b c d x1".into(),
+        "a b c d x2".into(),
+        "a b c d x3".into(),
+    ]);
+    let got = execute_counted(&engine, &spec);
+    assert!(got.hits.is_empty());
+    let stats = got.stats;
+    assert_eq!(
+        (stats.after_nn, stats.verified),
+        (losers, losers),
+        "{stats:?}"
+    );
+    assert_eq!(stats.results, 0);
+    CALLS.load(Ordering::Relaxed)
+}
+
 #[test]
 fn a_warm_query_allocates_nothing_proportional_to_the_collection() {
+    let _alone = alone();
     let small = warm_query_bytes(&engine(1_000));
     let big = warm_query_bytes(&engine(20_000));
     assert!(small > 0, "the allocator counts");
@@ -120,5 +182,20 @@ fn a_warm_query_allocates_nothing_proportional_to_the_collection() {
     assert!(
         big <= small + small / 8,
         "one warm query allocated {small} B over 1 000 sets and {big} B over 20 000"
+    );
+}
+
+#[test]
+fn a_warm_pass_allocates_nothing_per_verified_pair_that_loses() {
+    let _alone = alone();
+    let few = losing_pairs_calls(8);
+    let many = losing_pairs_calls(256);
+    assert!(few > 0, "the allocator counts");
+    // Thirty-two times the candidates double the pass's per-candidate
+    // vectors five times each. A matrix, an edge list or a solver's
+    // arrays per losing pair would be some thousand calls here.
+    assert!(
+        many <= few + 40,
+        "one warm query made {few} allocator calls over 8 losing pairs and {many} over 256"
     );
 }

@@ -411,16 +411,26 @@ const TIE_REFERENCE: [&str; 3] = ["a b c d", "a b c e", "p q r s"];
 /// * `Loose`: `"a b c d"` and filler. Matching score 1 as well — the one
 ///   element can be matched once — but *two* reference elements have it
 ///   as their nearest neighbor, so its bound is well above its score.
+/// * `Halves`: `"a b c d"` and `"p q r s"`, each under four tokens of
+///   filler, so each is half a reference element (Jaccard 4/8) — and
+///   filler. Matching score ½ + ½ = 1 again, reached by two columns of
+///   the weight matrix, and the column maxima sum to exactly that: the
+///   bound verification checks before it solves anything *equals* what
+///   the set needs to tie (in floats `need` even comes out one ulp above
+///   it under SET-SIMILARITY).
 /// * `Far`: filler only.
 ///
-/// `Tight` and `Loose` tie on score while the ordered pass meets every
-/// `Loose` set first. With `Tight` sets on the lower ids, a top-k cut
-/// inside that tie group is right only if the pass goes on examining
-/// candidates whose bound merely *equals* its k-th score.
+/// `Tight`, `Halves` and `Loose` tie on score while the ordered pass
+/// meets every `Loose` set first, then every `Halves`. With `Tight` and
+/// `Halves` sets on the lower ids, a top-k cut inside that tie group is
+/// right only if the pass goes on examining candidates whose bound merely
+/// *equals* its k-th score — and goes on solving the ones whose column
+/// bound merely equals what that score needs.
 #[derive(Clone, Copy)]
 enum TieKind {
     Exact,
     Tight,
+    Halves,
     Loose,
     Far,
 }
@@ -430,6 +440,11 @@ fn tie_set(kind: TieKind, i: usize) -> Vec<String> {
     match kind {
         TieKind::Exact => TIE_REFERENCE.iter().map(|e| e.to_string()).collect(),
         TieKind::Tight => vec!["p q r s".into(), filler(0), filler(1)],
+        TieKind::Halves => vec![
+            format!("a b c d {}", filler(0)),
+            filler(1),
+            format!("p q r s {}", filler(2)),
+        ],
         TieKind::Loose => vec![filler(0), "a b c d".into(), filler(1)],
         TieKind::Far => vec![filler(0), filler(1), filler(2)],
     }
@@ -449,7 +464,24 @@ fn assert_topk_matches_brute(engine: &Engine, sharded: &[ShardedEngine], label: 
             // k = 1, cuts inside and exactly at the end of each tie
             // group, one past the result count, and far past it.
             let n = all.len();
-            for k in [0, 1, 2, 9, 10, 11, 13, 17, 20, 25, n - 1, n, n + 1, 1000] {
+            for k in [
+                0,
+                1,
+                2,
+                9,
+                10,
+                11,
+                13,
+                17,
+                20,
+                25,
+                30,
+                35,
+                n - 1,
+                n,
+                n + 1,
+                1000,
+            ] {
                 let mut want = all.clone();
                 rank_top_k(&mut want, k);
                 let spec = QuerySpec::new(reference.to_vec())
@@ -469,10 +501,11 @@ fn assert_topk_matches_brute(engine: &Engine, sharded: &[ShardedEngine], label: 
 
 #[test]
 fn topk_ties_at_the_kth_boundary_match_brute_across_shards_and_updates() {
-    use TieKind::{Exact, Far, Loose, Tight};
-    // Tight on the low ids of every stretch, Loose on the high ones.
-    let kinds = [Tight, Exact, Far, Loose];
-    let raw: Vec<Vec<String>> = (0..40).map(|i| tie_set(kinds[i % 4], i)).collect();
+    use TieKind::{Exact, Far, Halves, Loose, Tight};
+    // Tight and Halves on the low ids of every stretch, Loose on the
+    // high ones.
+    let kinds = [Tight, Halves, Exact, Far, Loose];
+    let raw: Vec<Vec<String>> = (0..50).map(|i| tie_set(kinds[i % 5], i)).collect();
     for metric in METRICS {
         for alpha in [0.0, 0.5] {
             let cfg = EngineConfig::full(metric, SimilarityFunction::Jaccard, 0.7, alpha);
@@ -485,16 +518,18 @@ fn topk_ties_at_the_kth_boundary_match_brute_across_shards_and_updates() {
             assert_topk_matches_brute(&engine, &sharded, &format!("{label} fresh"));
 
             // Post-update: the lowest id of each tie group goes, and new
-            // members arrive on the highest ids — Loose before Tight, so
-            // the new stretch ties the other way round. No compaction:
-            // the engine's ids stay the sharded engines' global ids.
+            // members arrive on the highest ids — Loose before Halves and
+            // Tight, so the new stretch ties the other way round. No
+            // compaction: the engine's ids stay the sharded engines'
+            // global ids.
             let updates = [
-                Update::Remove(vec![0, 1, 3]),
+                Update::Remove(vec![0, 1, 2, 4]),
                 Update::Append(vec![
-                    tie_set(Loose, 40),
-                    tie_set(Exact, 41),
-                    tie_set(Tight, 42),
-                    tie_set(Tight, 43),
+                    tie_set(Loose, 50),
+                    tie_set(Exact, 51),
+                    tie_set(Halves, 52),
+                    tie_set(Tight, 53),
+                    tie_set(Tight, 54),
                 ]),
             ];
             for update in updates {
