@@ -1,13 +1,14 @@
 //! Shared workload definitions for the SilkMoth benchmark harness.
 //!
 //! The three applications of §8.1 (Table 3), with laptop-scale defaults
-//! and paper-scale options. Both the `figures` binary (which regenerates
-//! every table and figure as text) and the criterion benches build their
-//! corpora and configurations through this module so the numbers are
-//! comparable.
+//! and paper-scale options. The `figures` binary (which regenerates
+//! every table and figure as text) builds its corpora and
+//! configurations through this module.
 
-use silkmoth_collection::{Collection, SetRecord, Tokenization};
-use silkmoth_core::{Engine, EngineConfig, FilterKind, RelatednessMetric, SignatureScheme};
+use silkmoth_collection::{Collection, Tokenization};
+use silkmoth_core::{
+    Engine, EngineConfig, FilterKind, QuerySpec, RelatednessMetric, SignatureScheme,
+};
 use silkmoth_datagen::{
     dblp_titles, pick_references, webtable_columns, webtable_schemas, ColumnsConfig, DblpConfig,
     SchemaConfig,
@@ -199,13 +200,15 @@ impl Workload {
             let mut total = 0usize;
             let mut stats = silkmoth_core::PassStats::default();
             for &rid in &self.reference_ids {
-                let out = engine.search(self.collection.set(rid as u32));
-                total += out.results.len();
+                let set = self.collection.set(rid as u32);
+                let texts = set.elements.iter().map(|e| e.text.to_string()).collect();
+                let out = engine.execute(&QuerySpec::new(texts));
+                total += out.hits.len();
                 stats.merge(&out.stats);
             }
             (total, stats)
         } else {
-            let out = engine.discover_self();
+            let out = engine.discover_self_parallel(1);
             (out.pairs.len(), out.stats)
         };
         RunOutcome {
@@ -213,14 +216,6 @@ impl Workload {
             seconds: t0.elapsed().as_secs_f64(),
             stats,
         }
-    }
-
-    /// Reference sets as records (for custom loops).
-    pub fn references(&self) -> Vec<&SetRecord> {
-        self.reference_ids
-            .iter()
-            .map(|&rid| self.collection.set(rid as u32))
-            .collect()
     }
 }
 

@@ -46,8 +46,8 @@ pub fn discover(
 }
 
 /// Self-join discovery with the same pair conventions as
-/// [`Engine::discover_self`](crate::Engine::discover_self): unordered
-/// `r < s` pairs for SET-SIMILARITY, ordered `r ≠ s` pairs for
+/// [`Engine::discover_self_parallel`](crate::Engine::discover_self_parallel):
+/// unordered `r < s` pairs for SET-SIMILARITY, ordered `r ≠ s` pairs for
 /// SET-CONTAINMENT.
 pub fn discover_self(collection: &Collection, cfg: &EngineConfig) -> Vec<RelatedPair> {
     let phi = Phi::new(cfg.similarity, cfg.alpha);
@@ -79,7 +79,7 @@ pub fn discover_self(collection: &Collection, cfg: &EngineConfig) -> Vec<Related
 mod tests {
     use super::*;
     use crate::config::{FilterKind, SignatureScheme};
-    use crate::Engine;
+    use crate::{Engine, QuerySpec};
     use silkmoth_collection::paper_example::table2;
     use silkmoth_text::SimilarityFunction;
 
@@ -93,7 +93,8 @@ mod tests {
             for delta in [0.3, 0.5, 0.7, 0.9] {
                 let cfg = EngineConfig::full(metric, SimilarityFunction::Jaccard, delta, 0.0);
                 let engine = Engine::new(c.clone(), cfg).unwrap();
-                let fast = engine.search(&r).results;
+                let texts = r.elements.iter().map(|e| e.text.to_string()).collect();
+                let fast = engine.execute(&QuerySpec::new(texts)).hits;
                 let slow = search(&r, &c, &cfg);
                 assert_eq!(fast.len(), slow.len(), "{metric:?} δ={delta}");
                 for (a, b) in fast.iter().zip(&slow) {
@@ -122,7 +123,7 @@ mod tests {
                     reduction: true,
                 };
                 let engine = Engine::new(c.clone(), cfg).unwrap();
-                let fast = engine.discover_self().pairs;
+                let fast = engine.discover_self_parallel(1).pairs;
                 let slow = discover_self(&c, &cfg);
                 let f: Vec<(u32, u32)> = fast.iter().map(|p| (p.r, p.s)).collect();
                 let s: Vec<(u32, u32)> = slow.iter().map(|p| (p.r, p.s)).collect();

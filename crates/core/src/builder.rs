@@ -29,7 +29,7 @@ use silkmoth_text::SimilarityFunction;
 ///     .scheme(SignatureScheme::Dichotomy)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(engine.discover_self().pairs.len(), 1);
+/// assert_eq!(engine.discover_self_parallel(1).pairs.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {

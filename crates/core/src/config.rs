@@ -173,8 +173,9 @@ pub enum ConfigError {
     AlphaOutOfRange(f64),
     /// q-gram length must be ≥ 1.
     ZeroQ,
-    /// A per-query floor (see [`Query::floor`](crate::Query::floor)) must
-    /// lie in [0, 1]; it is never silently clamped.
+    /// A per-query floor (see
+    /// [`QuerySpec::with_floor`](crate::QuerySpec::with_floor)) must lie
+    /// in [0, 1]; it is never silently clamped.
     FloorOutOfRange(f64),
     /// The unweighted scheme with edit similarity requires
     /// `α > q/(q+1)` for its validity argument (§7.2, footnote 11).

@@ -8,29 +8,20 @@ use crate::builder::EngineBuilder;
 use crate::config::{ConfigError, EngineConfig, RelatednessMetric};
 use crate::explain::explain_pair;
 use crate::filter::{PassStats, Restriction, Searcher};
-use crate::query::{Query, QueryIter};
+use crate::query::QueryIter;
 use crate::spec::{PhaseTiming, QueryOutput, QuerySpec};
-use silkmoth_collection::{Collection, InvertedIndex, SetIdx, SetRecord, UpdateError};
+use silkmoth_collection::{Collection, InvertedIndex, SetIdx, UpdateError};
 
 /// One related pair found by discovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelatedPair {
-    /// Reference-side index (into the reference list or the collection).
+    /// Reference-side index (into the collection, or a list of
+    /// references).
     pub r: u32,
     /// Collection-side set index.
     pub s: SetIdx,
     /// Relatedness score (≥ δ).
     pub score: f64,
-}
-
-/// Output of a search pass: related sets plus instrumentation.
-#[derive(Debug, Clone)]
-pub struct SearchOutput {
-    /// Related sets with relatedness scores (ascending id, unless ranked
-    /// by [`Query::top_k`](crate::Query::top_k)).
-    pub results: Vec<(SetIdx, f64)>,
-    /// Pass counters.
-    pub stats: PassStats,
 }
 
 /// Output of a discovery run.
@@ -81,11 +72,14 @@ pub struct UpdateOutcome {
 /// existing `Arc<Collection>` (shared, no copy), and builds the inverted
 /// index once (§3); every subsequent search pass reuses it.
 ///
-/// Prefer [`Engine::builder`] for fluent construction and
-/// [`Engine::query`] for parameterized searches:
+/// Prefer [`Engine::builder`] for fluent construction. A search is a
+/// [`QuerySpec`] handed to [`execute`](Engine::execute); discovery is
+/// [`discover_self_parallel`](Engine::discover_self_parallel) for the
+/// self-join, and [`execute_batch`](Engine::execute_batch) over one spec
+/// per reference otherwise:
 ///
 /// ```
-/// use silkmoth_core::{Engine, RelatednessMetric};
+/// use silkmoth_core::{Engine, QuerySpec, RelatednessMetric};
 /// use silkmoth_collection::{Collection, Tokenization};
 /// use silkmoth_text::SimilarityFunction;
 ///
@@ -100,9 +94,9 @@ pub struct UpdateOutcome {
 ///     .delta(0.5)
 ///     .build()
 ///     .unwrap();
-/// let r = engine.collection().encode_set(&["77 Massachusetts Avenue Boston MA"]);
-/// let out = engine.query(&r).run().unwrap();
-/// assert_eq!(out.results[0].0, 0);
+/// let spec = QuerySpec::new(vec!["77 Massachusetts Avenue Boston MA".to_string()]);
+/// let out = engine.execute(&spec);
+/// assert_eq!(out.hits[0].0, 0);
 /// ```
 #[derive(Debug)]
 pub struct Engine {
@@ -218,25 +212,15 @@ impl Engine {
         }
     }
 
-    /// Starts a [`Query`] for reference `r`: a parameterized search that
-    /// can be ranked ([`top_k`](Query::top_k)), re-floored
-    /// ([`floor`](Query::floor)), run in one shot ([`run`](Query::run)),
-    /// or streamed ([`iter`](Query::iter)).
-    ///
-    /// Encode external references with [`Collection::encode_set`].
-    pub fn query<'e, 'r>(&'e self, r: &'r SetRecord) -> Query<'e, 'r> {
-        Query::new(self, r)
-    }
-
     /// Executes one [`QuerySpec`] — the owned, serializable query
-    /// description every layer of the stack shares. The reference is
-    /// encoded against this engine's dictionary, the pass runs through
-    /// the same ordered filter/verify loop as [`Query::iter`]
-    /// ([`QueryIter`] describes it; with `top_k` it stops as soon as no
-    /// unexamined candidate can still rank), and the output is
-    /// **byte-identical** (ids, tie order, bit-equal scores) to the
-    /// equivalent fluent-builder query and to ranking
-    /// [`brute::search`](crate::brute::search).
+    /// description every layer of the stack shares, and the one way a
+    /// search enters the engine. The reference is encoded against this
+    /// engine's dictionary and one ordered filter/verify pass runs over
+    /// its candidates, best relatedness bound first: to the floor (the
+    /// engine's δ, or the spec's), or — with `top_k` — until no
+    /// unexamined candidate can still rank. The output is
+    /// **byte-identical** (ids, tie order, bit-equal scores) to ranking
+    /// [`brute::search`](crate::brute::search) at the same floor.
     ///
     /// Infallible: a [`QuerySpec`] is validated at construction, so
     /// there is nothing left to reject here.
@@ -250,19 +234,6 @@ impl Engine {
     /// truncated output flagged [`QueryOutput::timed_out`].
     pub fn execute_until(&self, spec: &QuerySpec, cap: Option<Instant>) -> QueryOutput {
         let r = self.collection.encode_set(spec.reference());
-        self.execute_encoded(spec, &r, cap)
-    }
-
-    /// The shared execution core: runs a validated spec over an
-    /// already-encoded reference. [`Query::run`] lowers to this with its
-    /// borrowed record, [`execute`](Self::execute) after encoding the
-    /// spec's raw strings — one code path, so the two can never drift.
-    pub(crate) fn execute_encoded(
-        &self,
-        spec: &QuerySpec,
-        r: &SetRecord,
-        cap: Option<Instant>,
-    ) -> QueryOutput {
         // The budget clock starts here and covers the whole execution,
         // explanations included.
         let deadline = spec.deadline_at(cap);
@@ -271,22 +242,19 @@ impl Engine {
         // else — the result path (hits, stats, explanations) is the same
         // code with or without anyone consuming `timing`.
         let t0 = Instant::now();
-        let mut iter = QueryIter::stage(self, r, spec, deadline);
+        let cfg = spec.effective_cfg(&self.cfg);
+        let mut searcher = Searcher::new(&self.collection, &self.index, cfg);
+        let mut pass = QueryIter::stage(&mut searcher, &r, Restriction::default(), deadline);
         let staged_at = Instant::now();
         let hits = match spec.top_k() {
-            Some(k) => iter.top_k(k),
-            None => {
-                let mut hits: Vec<(SetIdx, f64)> = iter.by_ref().collect();
-                hits.sort_unstable_by_key(|&(sid, _)| sid);
-                hits
-            }
+            Some(k) => pass.top_k(k),
+            None => pass.related(),
         };
         let verified_at = Instant::now();
-        let stats = iter.stats();
-        let mut timed_out = iter.timed_out();
+        let stats = pass.stats();
+        let mut timed_out = pass.timed_out();
         let mut explanations = Vec::new();
         if spec.want_explain() {
-            let cfg = spec.effective_cfg(self.config());
             explanations.reserve(hits.len());
             for &(sid, _) in &hits {
                 // Explaining re-derives the filter pipeline plus an
@@ -299,7 +267,7 @@ impl Engine {
                 }
                 explanations.push((
                     sid,
-                    explain_pair(r, self.collection.set(sid), &cfg, &self.index),
+                    explain_pair(&r, self.collection.set(sid), &cfg, &self.index),
                 ));
             }
         }
@@ -319,107 +287,71 @@ impl Engine {
 
     /// Executes a batch of specs across `threads` workers (0 = available
     /// parallelism) via the same scoped-thread fan-out as
-    /// [`discover_parallel`](Self::discover_parallel), returning one
-    /// [`QueryOutput`] per spec in input order. Each spec's deadline
+    /// [`discover_self_parallel`](Self::discover_self_parallel), returning
+    /// one [`QueryOutput`] per spec in input order. Each spec's deadline
     /// budget starts when *its* execution starts on a worker.
+    ///
+    /// RELATED SET DISCOVERY (Problem 1) over external references is this
+    /// call with one spec per reference: reference `i`'s related sets
+    /// are output `i`'s hits, and its counters are output `i`'s stats.
     pub fn execute_batch(&self, specs: &[QuerySpec], threads: usize) -> Vec<QueryOutput> {
-        self.execute_batch_until(specs, threads, None)
-    }
-
-    /// [`execute_batch`](Self::execute_batch) with a shared absolute
-    /// deadline `cap` bounding the whole batch (each query additionally
-    /// honors its own budget).
-    pub fn execute_batch_until(
-        &self,
-        specs: &[QuerySpec],
-        threads: usize,
-        cap: Option<Instant>,
-    ) -> Vec<QueryOutput> {
         // A whole query is worth a thread: parallelize down to one spec
-        // per worker (as the pre-QuerySpec CLI search path did), unlike
-        // discovery's cheap per-pass unit.
+        // per worker, unlike the self-join's cheap per-pass unit.
         let workers = resolve_threads(threads).min(specs.len());
         fan_out_ranges(specs.len(), workers, |range| {
-            range
-                .map(|i| self.execute_until(&specs[i], cap))
-                .collect::<Vec<_>>()
+            range.map(|i| self.execute(&specs[i])).collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
         .collect()
     }
 
-    /// RELATED SET SEARCH (Problem 2): all sets related to reference `r`
-    /// at the engine's δ. Equivalent to `self.query(r).run()` (which
-    /// cannot fail without query-level overrides).
-    pub fn search(&self, r: &SetRecord) -> SearchOutput {
-        let mut searcher = Searcher::new(&self.collection, &self.index, self.cfg);
-        let (results, stats) = searcher.run(r, Restriction::default());
-        SearchOutput { results, stats }
-    }
-
-    /// RELATED SET DISCOVERY (Problem 1) for references encoded against
-    /// this collection's dictionary: one search pass per reference.
-    pub fn discover(&self, refs: &[SetRecord]) -> DiscoveryOutput {
-        self.discover_parallel(refs, 1)
-    }
-
-    /// Parallel [`discover`](Self::discover) across `threads` workers
-    /// (0 = available parallelism), each with its own reusable
-    /// [`Searcher`]. Output — pairs, scores, and merged [`PassStats`] —
-    /// is identical to the serial version.
-    pub fn discover_parallel(&self, refs: &[SetRecord], threads: usize) -> DiscoveryOutput {
-        self.fan_out(refs.len(), threads, |searcher, rid| {
-            searcher.run(&refs[rid as usize], Restriction::default())
-        })
-    }
-
-    /// Self-join discovery (`R = S`, the §8.1 string/schema matching
-    /// setup).
+    /// RELATED SET DISCOVERY (Problem 1) as a self-join (`R = S`, the §8.1
+    /// string/schema matching setup), across `threads` workers
+    /// (0 = available parallelism; 1 runs on the calling thread).
     ///
     /// For the symmetric SET-SIMILARITY metric, each unordered pair is
     /// reported once with `r < s` (any related pair is guaranteed to be
     /// found from both sides, so each pass can restrict candidates to
     /// larger ids). For SET-CONTAINMENT the metric is asymmetric and all
     /// ordered pairs `r ≠ s` are reported.
-    pub fn discover_self(&self) -> DiscoveryOutput {
-        self.discover_self_parallel(1)
-    }
-
-    /// Parallel [`discover_self`](Self::discover_self) across `threads`
-    /// workers (0 = available parallelism). Output is identical to the
-    /// serial version.
-    pub fn discover_self_parallel(&self, threads: usize) -> DiscoveryOutput {
-        self.fan_out(self.collection.len(), threads, |searcher, rid| {
-            self.self_pass(searcher, rid)
-        })
-    }
-
-    /// Shared fan-out for both discovery flavors: runs `pass` for every
-    /// reference id in `0..total`, serially or chunked across scoped
-    /// worker threads that each reuse one [`Searcher`]. Pairs come back
+    ///
+    /// Each live set is the reference of one pass — the pass
+    /// [`execute`](Self::execute) runs, at the engine's δ — and each
+    /// worker keeps one [`Searcher`] across its passes. Pairs come back
     /// sorted by `(r, s)` and stats merged, so the thread count never
     /// changes the output.
-    fn fan_out<F>(&self, total: usize, threads: usize, pass: F) -> DiscoveryOutput
-    where
-        F: Fn(&mut Searcher<'_>, SetIdx) -> (Vec<(SetIdx, f64)>, PassStats) + Sync,
-    {
+    pub fn discover_self_parallel(&self, threads: usize) -> DiscoveryOutput {
         // One search pass is cheap; only spawn when every worker gets at
         // least two of them.
         let threads = resolve_threads(threads);
+        let total = self.collection.len();
         let workers = if total < 2 * threads { 1 } else { threads };
         let outputs = fan_out_ranges(total, workers, |range| {
             let mut searcher = Searcher::new(&self.collection, &self.index, self.cfg);
             let mut pairs = Vec::new();
             let mut stats = PassStats::default();
-            for rid in range {
-                let (results, ps) = pass(&mut searcher, rid as SetIdx);
-                stats.merge(&ps);
-                pairs.extend(results.into_iter().map(|(s, score)| RelatedPair {
-                    r: rid as SetIdx,
-                    s,
-                    score,
-                }));
+            for rid in range.map(|rid| rid as SetIdx) {
+                // Tombstoned sets participate on neither side of a
+                // self-join.
+                if !self.collection.is_live(rid) {
+                    continue;
+                }
+                let restriction = match self.cfg.metric {
+                    RelatednessMetric::Similarity => Restriction {
+                        min_exclusive: Some(rid),
+                        skip: None,
+                    },
+                    RelatednessMetric::Containment => Restriction {
+                        min_exclusive: None,
+                        skip: Some(rid),
+                    },
+                };
+                let r = self.collection.set(rid);
+                let mut pass = QueryIter::stage(&mut searcher, r, restriction, None);
+                let related = pass.related().into_iter();
+                pairs.extend(related.map(|(s, score)| RelatedPair { r: rid, s, score }));
+                stats.merge(&pass.stats());
             }
             (pairs, stats)
         });
@@ -431,28 +363,6 @@ impl Engine {
         }
         pairs.sort_unstable_by(|a, b| a.r.cmp(&b.r).then(a.s.cmp(&b.s)));
         DiscoveryOutput { pairs, stats }
-    }
-
-    pub(crate) fn self_pass(
-        &self,
-        searcher: &mut Searcher<'_>,
-        rid: SetIdx,
-    ) -> (Vec<(SetIdx, f64)>, PassStats) {
-        // Tombstoned sets participate on neither side of a self-join.
-        if !self.collection.is_live(rid) {
-            return (Vec::new(), PassStats::default());
-        }
-        let restriction = match self.cfg.metric {
-            RelatednessMetric::Similarity => Restriction {
-                min_exclusive: Some(rid),
-                skip: None,
-            },
-            RelatednessMetric::Containment => Restriction {
-                min_exclusive: None,
-                skip: Some(rid),
-            },
-        };
-        searcher.run(self.collection.set(rid), restriction)
     }
 }
 
@@ -507,11 +417,21 @@ mod tests {
     use super::*;
     use crate::config::{FilterKind, SignatureScheme};
     use silkmoth_collection::paper_example::table2;
-    use silkmoth_collection::Tokenization;
+    use silkmoth_collection::{SetRecord, Tokenization};
     use silkmoth_text::SimilarityFunction;
 
     fn jaccard_cfg(metric: RelatednessMetric, delta: f64) -> EngineConfig {
         EngineConfig::full(metric, SimilarityFunction::Jaccard, delta, 0.0)
+    }
+
+    /// The spec for `r`'s element texts.
+    fn spec(r: &SetRecord) -> QuerySpec {
+        QuerySpec::new(r.elements.iter().map(|e| e.text.to_string()).collect())
+    }
+
+    /// The sets related to `r` at the engine's δ, in ascending id order.
+    fn related(engine: &Engine, r: &SetRecord) -> Vec<(SetIdx, f64)> {
+        engine.execute(&spec(r)).hits
     }
 
     #[test]
@@ -534,19 +454,19 @@ mod tests {
         // And the engine can be used from another thread after the local
         // handle is gone.
         drop(shared);
-        let out = std::thread::spawn(move || engine.search(&r))
+        let hits = std::thread::spawn(move || related(&engine, &r))
             .join()
             .unwrap();
-        assert_eq!(out.results[0].0, 3);
+        assert_eq!(hits[0].0, 3);
     }
 
     #[test]
     fn search_example2() {
         let (c, r) = table2();
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
-        let out = engine.search(&r);
-        assert_eq!(out.results.len(), 1);
-        assert_eq!(out.results[0].0, 3);
+        let hits = related(&engine, &r);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].0, 3);
     }
 
     #[test]
@@ -573,7 +493,7 @@ mod tests {
         ];
         let c = silkmoth_collection::Collection::build(&raw, Tokenization::Whitespace);
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Similarity, 0.9)).unwrap();
-        let out = engine.discover_self();
+        let out = engine.discover_self_parallel(1);
         assert_eq!(out.pairs.len(), 1);
         assert_eq!((out.pairs[0].r, out.pairs[0].s), (0, 1));
         assert!((out.pairs[0].score - 1.0).abs() < 1e-9);
@@ -585,7 +505,7 @@ mod tests {
         let raw = vec![vec!["a b", "c d"], vec!["a b", "c d", "e f", "g h"]];
         let c = silkmoth_collection::Collection::build(&raw, Tokenization::Whitespace);
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.9)).unwrap();
-        let out = engine.discover_self();
+        let out = engine.discover_self_parallel(1);
         assert_eq!(out.pairs.len(), 1);
         assert_eq!((out.pairs[0].r, out.pairs[0].s), (0, 1));
     }
@@ -606,7 +526,7 @@ mod tests {
             RelatednessMetric::Containment,
         ] {
             let engine = Engine::new(c.clone(), jaccard_cfg(metric, 0.6)).unwrap();
-            let serial = engine.discover_self();
+            let serial = engine.discover_self_parallel(1);
             let parallel = engine.discover_self_parallel(4);
             assert_eq!(serial.pairs.len(), parallel.pairs.len());
             for (a, b) in serial.pairs.iter().zip(&parallel.pairs) {
@@ -621,15 +541,16 @@ mod tests {
     fn discover_external_references() {
         let (c, r) = table2();
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
-        let refs = vec![r.clone(), engine.collection().encode_set(&["zz qq"])];
-        let out = engine.discover(&refs);
-        assert_eq!(out.pairs.len(), 1);
-        assert_eq!(out.pairs[0].r, 0);
-        assert_eq!(out.pairs[0].s, 3);
+        let specs = [spec(&r), QuerySpec::new(vec!["zz qq".into()])];
+        let out = engine.execute_batch(&specs, 1);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].hits.len(), 1);
+        assert_eq!(out[0].hits[0].0, 3);
+        assert!(out[1].hits.is_empty());
     }
 
     #[test]
-    fn discover_parallel_matches_serial_on_external_refs() {
+    fn execute_batch_matches_serial_on_external_refs() {
         let raw: Vec<Vec<String>> = (0..30)
             .map(|i| {
                 (0..3)
@@ -639,19 +560,22 @@ mod tests {
             .collect();
         let c = silkmoth_collection::Collection::build(&raw, Tokenization::Whitespace);
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Similarity, 0.5)).unwrap();
-        let refs: Vec<_> = (0..20)
+        let specs: Vec<QuerySpec> = (0..20)
             .map(|i| {
-                engine.collection().encode_set(&[
-                    format!("w{} shared{}", i % 7, i % 4).as_str(),
-                    format!("w{} w{}", (i + 1) % 5, (i + 2) % 7).as_str(),
+                QuerySpec::new(vec![
+                    format!("w{} shared{}", i % 7, i % 4),
+                    format!("w{} w{}", (i + 1) % 5, (i + 2) % 7),
                 ])
             })
             .collect();
-        let serial = engine.discover(&refs);
+        let serial = engine.execute_batch(&specs, 1);
         for threads in [2, 3, 8] {
-            let parallel = engine.discover_parallel(&refs, threads);
-            assert_eq!(serial.pairs, parallel.pairs, "threads={threads}");
-            assert_eq!(serial.stats, parallel.stats, "threads={threads}");
+            let parallel = engine.execute_batch(&specs, threads);
+            assert_eq!(parallel.len(), serial.len(), "threads={threads}");
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!(a.hits, b.hits, "threads={threads}");
+                assert_eq!(a.stats, b.stats, "threads={threads}");
+            }
         }
     }
 
@@ -672,10 +596,10 @@ mod tests {
             .unwrap();
         assert_eq!(out.appended, vec![2, 3]);
         let r = engine.collection().set(0).clone();
-        let results = engine.search(&r).results;
+        let results = related(&engine, &r);
         assert_eq!(results.iter().map(|&(s, _)| s).collect::<Vec<_>>(), [0, 2]);
         // Self-discovery sees the appended duplicate too.
-        let pairs = engine.discover_self().pairs;
+        let pairs = engine.discover_self_parallel(1).pairs;
         assert_eq!(pairs.len(), 1);
         assert_eq!((pairs[0].r, pairs[0].s), (0, 2));
     }
@@ -690,10 +614,10 @@ mod tests {
         )
         .unwrap();
         let r = engine.collection().set(0).clone();
-        assert_eq!(engine.search(&r).results.len(), 5);
+        assert_eq!(related(&engine, &r).len(), 5);
 
         assert_eq!(engine.apply(Update::Remove(vec![1, 3])).unwrap().removed, 2);
-        let ids: Vec<_> = engine.search(&r).results.iter().map(|&(s, _)| s).collect();
+        let ids: Vec<_> = related(&engine, &r).iter().map(|&(s, _)| s).collect();
         assert_eq!(ids, [0, 2, 4], "tombstoned sets never match");
         assert!(matches!(
             engine.apply(Update::Remove(vec![17])),
@@ -703,7 +627,7 @@ mod tests {
         let remap = engine.apply(Update::Compact).unwrap().remap.unwrap();
         assert_eq!(remap, vec![Some(0), None, Some(1), None, Some(2)]);
         assert_eq!(engine.collection().len(), 3);
-        let ids: Vec<_> = engine.search(&r).results.iter().map(|&(s, _)| s).collect();
+        let ids: Vec<_> = related(&engine, &r).iter().map(|&(s, _)| s).collect();
         assert_eq!(ids, [0, 1, 2], "compaction renumbers densely");
     }
 
@@ -721,42 +645,37 @@ mod tests {
         assert_eq!(shared.live_len(), 4);
         assert!(!Arc::ptr_eq(engine.collection_arc(), &shared));
         // …while the engine's own search reflects the removal.
-        assert!(engine.search(&r).results.is_empty());
+        assert!(related(&engine, &r).is_empty());
     }
 
     #[test]
-    fn execute_is_byte_identical_to_the_fluent_builder() {
+    fn execute_is_byte_identical_to_ranked_brute_search() {
         let (c, r) = table2();
-        let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
-        let texts: Vec<String> = r.elements.iter().map(|e| e.text.to_string()).collect();
+        let cfg = jaccard_cfg(RelatednessMetric::Containment, 0.7);
+        let engine = Engine::new(c, cfg).unwrap();
         for (k, floor) in [
             (None, None),
             (Some(2), None),
             (None, Some(0.0)),
             (Some(3), Some(0.2)),
         ] {
-            let mut spec = crate::QuerySpec::new(texts.clone());
-            let mut query = engine.query(&r);
-            if let Some(k) = k {
-                spec = spec.with_top_k(k);
-                query = query.top_k(k);
-            }
+            let mut spec = spec(&r);
+            let mut at = cfg;
             if let Some(f) = floor {
                 spec = spec.with_floor(f).unwrap();
-                query = query.floor(f);
+                at.delta = f.max(f64::MIN_POSITIVE);
+            }
+            let mut want = crate::brute::search(&r, engine.collection(), &at);
+            if let Some(k) = k {
+                spec = spec.with_top_k(k);
+                crate::rank::rank_top_k(&mut want, k);
             }
             let out = engine.execute(&spec);
-            let legacy = query.run().unwrap();
-            assert_eq!(
-                out.hits.len(),
-                legacy.results.len(),
-                "k={k:?} floor={floor:?}"
-            );
-            for (a, b) in out.hits.iter().zip(&legacy.results) {
+            assert_eq!(out.hits.len(), want.len(), "k={k:?} floor={floor:?}");
+            for (a, b) in out.hits.iter().zip(&want) {
                 assert_eq!(a.0, b.0);
                 assert_eq!(a.1.to_bits(), b.1.to_bits());
             }
-            assert_eq!(out.stats, legacy.stats);
             assert!(!out.timed_out);
             assert!(out.explanations.is_empty());
         }
@@ -773,11 +692,11 @@ mod tests {
             .collect();
         let c = silkmoth_collection::Collection::build(&raw, Tokenization::Whitespace);
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Similarity, 0.5)).unwrap();
-        let specs: Vec<crate::QuerySpec> = raw
+        let specs: Vec<QuerySpec> = raw
             .iter()
             .step_by(3)
             .map(|set| {
-                crate::QuerySpec::new(set.clone())
+                QuerySpec::new(set.clone())
                     .with_top_k(4)
                     .with_floor(0.2)
                     .unwrap()
@@ -802,8 +721,7 @@ mod tests {
     fn execute_with_explain_attaches_one_explanation_per_hit() {
         let (c, r) = table2();
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
-        let texts: Vec<String> = r.elements.iter().map(|e| e.text.to_string()).collect();
-        let spec = crate::QuerySpec::new(texts)
+        let spec = spec(&r)
             .with_floor(0.0)
             .unwrap()
             .with_top_k(2)
@@ -834,9 +752,9 @@ mod tests {
                 cfg,
             )
             .unwrap();
-            let out = engine.execute(&crate::QuerySpec::new(Vec::new()));
+            let out = engine.execute(&QuerySpec::new(Vec::new()));
             assert!(out.hits.is_empty(), "{metric:?}: δ=0.5 admits nothing");
-            let all = engine.execute(&crate::QuerySpec::new(Vec::new()).with_floor(0.0).unwrap());
+            let all = engine.execute(&QuerySpec::new(Vec::new()).with_floor(0.0).unwrap());
             assert_eq!(all.hits.len(), raw.len(), "{metric:?}");
             assert!(all.hits.iter().all(|&(_, score)| score == 0.0));
         }
@@ -846,8 +764,7 @@ mod tests {
     fn execute_with_zero_deadline_is_truncated_and_flagged() {
         let (c, r) = table2();
         let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
-        let texts: Vec<String> = r.elements.iter().map(|e| e.text.to_string()).collect();
-        let spec = crate::QuerySpec::new(texts)
+        let spec = spec(&r)
             .with_floor(0.0)
             .unwrap()
             .with_deadline(std::time::Duration::ZERO);
@@ -892,7 +809,7 @@ mod tests {
                 };
                 let engine = Engine::new(c.clone(), cfg).unwrap();
                 let pairs: Vec<(u32, u32)> = engine
-                    .discover_self()
+                    .discover_self_parallel(1)
                     .pairs
                     .iter()
                     .map(|p| (p.r, p.s))

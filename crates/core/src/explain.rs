@@ -199,7 +199,7 @@ impl std::fmt::Display for PairExplanation {
 mod tests {
     use super::*;
     use crate::config::{FilterKind, RelatednessMetric, SignatureScheme};
-    use crate::{brute, Engine};
+    use crate::{brute, Engine, QuerySpec};
     use silkmoth_collection::paper_example::table2;
     use silkmoth_text::SimilarityFunction;
 
@@ -247,7 +247,9 @@ mod tests {
             for alpha in [0.0, 0.4, 0.7] {
                 let conf = cfg(delta, alpha);
                 let engine = Engine::new(c.clone(), conf).unwrap();
-                let engine_hits: Vec<u32> = engine.search(&r).results.iter().map(|x| x.0).collect();
+                let spec = QuerySpec::new(r.elements.iter().map(|e| e.text.to_string()).collect());
+                let engine_hits: Vec<u32> =
+                    engine.execute(&spec).hits.iter().map(|x| x.0).collect();
                 let brute_hits: Vec<u32> =
                     brute::search(&r, &c, &conf).iter().map(|x| x.0).collect();
                 for sid in 0..c.len() as u32 {

@@ -115,8 +115,8 @@ impl PassStats {
     }
 }
 
-/// Reusable search-pass executor. One `Searcher` per thread; `run` may be
-/// called any number of times.
+/// Reusable search-pass executor. One `Searcher` per thread; it may stage
+/// any number of passes, one after another.
 ///
 /// ## Scratch
 ///
@@ -431,37 +431,17 @@ impl<'a> Searcher<'a> {
         &self.phi
     }
 
-    /// Runs one full search pass for reference `r`, returning the related
-    /// sets (ascending id) with their relatedness scores.
-    pub fn run(
-        &mut self,
-        r: &SetRecord,
-        restriction: Restriction,
-    ) -> (Vec<(SetIdx, f64)>, PassStats) {
-        let delta = self.cfg.delta;
-        let mut pass = self.stage(r, restriction);
-        let mut results: Vec<(SetIdx, f64)> = Vec::new();
-        loop {
-            match self.step(r, &mut pass, delta) {
-                Step::Done => break,
-                Step::Pruned => {}
-                Step::Survivor(sid) => {
-                    if let Some(score) = self.verify(r, &mut pass, sid, delta) {
-                        results.push((sid, score));
-                    }
-                }
-            }
-        }
-        results.sort_unstable_by_key(|&(sid, _)| sid);
-        (results, pass.stats)
+    /// The relatedness threshold passes are staged at: the configured δ.
+    pub(crate) fn delta(&self) -> f64 {
+        self.cfg.delta
     }
 
     /// The pre-verification stages of a pass — candidate selection, check
     /// filter, nearest-neighbor filter — at the configured δ, returning
     /// the surviving set ids (best relatedness bound first) and the stats
     /// so far. These stages are index-bound; the `O(n³)` maximum-matching
-    /// work happens only when survivors are verified, which streaming
-    /// callers ([`Query::iter`](crate::Query::iter)) do lazily.
+    /// work happens only when survivors are verified, which the engine's
+    /// pass does one survivor at a time.
     pub fn survivors(
         &mut self,
         r: &SetRecord,
@@ -913,6 +893,7 @@ fn unmatched_upper_bounds(signature: &Signature, alpha: f64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::config::{RelatednessMetric, SignatureScheme, VERIFY_EPS};
+    use crate::query::QueryIter;
     use crate::verify::{matching_score, VerifyCost};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -939,11 +920,22 @@ mod tests {
         }
     }
 
+    /// One pass of `searcher` over `r`, drained at its δ: the related
+    /// sets in ascending id order, and the pass's stats.
+    fn pass(
+        searcher: &mut Searcher,
+        r: &SetRecord,
+        restriction: Restriction,
+    ) -> (Vec<(SetIdx, f64)>, PassStats) {
+        let mut pass = QueryIter::stage(searcher, r, restriction, None);
+        (pass.related(), pass.stats())
+    }
+
     fn run(cfg: EngineConfig) -> (Vec<(SetIdx, f64)>, PassStats) {
         let (c, r) = table2();
         let index = silkmoth_collection::InvertedIndex::build(&c);
         let mut searcher = Searcher::new(&c, &index, cfg);
-        searcher.run(&r, Restriction::default())
+        pass(&mut searcher, &r, Restriction::default())
     }
 
     #[test]
@@ -1079,7 +1071,8 @@ mod tests {
         let (c, r) = table2();
         let index = silkmoth_collection::InvertedIndex::build(&c);
         let mut searcher = Searcher::new(&c, &index, cfg);
-        let (results, _) = searcher.run(
+        let (results, _) = pass(
+            &mut searcher,
             &r,
             Restriction {
                 min_exclusive: Some(3),
@@ -1087,7 +1080,8 @@ mod tests {
             },
         );
         assert!(results.is_empty());
-        let (results, _) = searcher.run(
+        let (results, _) = pass(
+            &mut searcher,
             &r,
             Restriction {
                 min_exclusive: None,
@@ -1109,9 +1103,9 @@ mod tests {
         let (c, r) = table2();
         let index = silkmoth_collection::InvertedIndex::build(&c);
         let mut searcher = Searcher::new(&c, &index, cfg);
-        let first = searcher.run(&r, Restriction::default()).0;
+        let first = pass(&mut searcher, &r, Restriction::default()).0;
         for _ in 0..5 {
-            assert_eq!(searcher.run(&r, Restriction::default()).0, first);
+            assert_eq!(pass(&mut searcher, &r, Restriction::default()).0, first);
         }
     }
 
@@ -1561,7 +1555,13 @@ mod tests {
         let refs: Vec<SetRecord> = raw.iter().map(|set| c.encode_set(set)).collect();
         let run_all = || -> Vec<(Vec<(SetIdx, f64)>, PassStats)> {
             refs.iter()
-                .map(|r| Searcher::new(&c, &index, cfg).run(r, Restriction::default()))
+                .map(|r| {
+                    pass(
+                        &mut Searcher::new(&c, &index, cfg),
+                        r,
+                        Restriction::default(),
+                    )
+                })
                 .collect()
         };
         // A thread of its own starts from an empty scratch.
@@ -1610,7 +1610,7 @@ mod tests {
             FilterKind::None,
         );
         let mut searcher = Searcher::new(&c, &index, cfg);
-        let (_, stats) = searcher.run(&r, Restriction::default());
+        let (_, stats) = pass(&mut searcher, &r, Restriction::default());
         assert_eq!(stats.candidates, 1, "the singleton set must be size-pruned");
     }
 }

@@ -37,10 +37,12 @@
 //! ## Quick start
 //!
 //! The engine owns its collection behind an `Arc` — no lifetimes, and it
-//! is `Send + Sync`, so it slots directly into server state:
+//! is `Send + Sync`, so it slots directly into server state. A search is
+//! a [`QuerySpec`] handed to [`Engine::execute`]; the self-join is
+//! [`Engine::discover_self_parallel`]:
 //!
 //! ```
-//! use silkmoth_core::{Engine, RelatednessMetric};
+//! use silkmoth_core::{Engine, QuerySpec, RelatednessMetric};
 //! use silkmoth_collection::{Collection, Tokenization};
 //! use silkmoth_text::SimilarityFunction;
 //!
@@ -57,13 +59,16 @@
 //!     .alpha(0.0)  // similarity threshold α
 //!     .build()
 //!     .unwrap();
-//! let related = engine.discover_self();
+//! let related = engine.discover_self_parallel(1);
 //! assert_eq!(related.pairs.len(), 1);
 //!
-//! // Parameterized per-query searches, including streaming:
-//! let r = engine.collection().set(0).clone();
-//! let top = engine.query(&r).floor(0.2).top_k(1).run().unwrap();
-//! assert_eq!(top.results.len(), 1);
+//! // Per-query knobs — a floor replacing δ, top-k ranking, a deadline:
+//! let spec = QuerySpec::new(corpus[0].iter().map(|e| e.to_string()).collect())
+//!     .with_floor(0.2)
+//!     .unwrap()
+//!     .with_top_k(1);
+//! let top = engine.execute(&spec);
+//! assert_eq!(top.hits.len(), 1);
 //! ```
 
 pub mod brute;
@@ -87,13 +92,12 @@ pub use config::{
     ConfigError, EngineConfig, FilterKind, RelatednessMetric, SignatureScheme, FILTER_EPS,
     VERIFY_EPS,
 };
-pub use engine::{DiscoveryOutput, Engine, RelatedPair, SearchOutput, Update, UpdateOutcome};
+pub use engine::{DiscoveryOutput, Engine, RelatedPair, Update, UpdateOutcome};
 pub use explain::{explain_pair, ElementExplanation, PairExplanation};
 pub use filter::{PassStats, Restriction, Searcher};
 pub use optimal::optimal_signature;
 pub use phi::{IdentityKey, Phi};
 pub use policy::CompactionPolicy;
-pub use query::{Query, QueryIter};
 pub use signature::{generate as generate_signature, SigElem, SigKind, SigParams, Signature};
 pub use silkmoth_collection::UpdateError;
 pub use spec::{PhaseTiming, QueryOutput, QuerySpec};

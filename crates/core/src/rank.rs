@@ -1,7 +1,7 @@
-//! Deterministic result ranking and merging, shared by
-//! [`Query::top_k`](crate::Query::top_k) and scatter-gather layers
-//! (e.g. a sharded engine) that must reproduce single-engine output
-//! exactly.
+//! Deterministic result ranking and merging, shared by the engine's
+//! top-k pass ([`QuerySpec::with_top_k`](crate::QuerySpec::with_top_k))
+//! and scatter-gather layers (e.g. a sharded engine) that must reproduce
+//! single-engine output exactly.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -92,8 +92,8 @@ impl TopK {
 
 /// Merges per-partition result lists into one list with single-engine
 /// ordering: with `k`, the global top-k under [`rank_top_k`]'s order;
-/// without, all results in ascending set-id order (the plain
-/// [`Query::run`](crate::Query::run) order).
+/// without, all results in ascending set-id order (the order of
+/// [`Engine::execute`](crate::Engine::execute) without `top_k`).
 ///
 /// Ids must already be in one global id space and each id must appear in
 /// at most one partition. Because ranking is a total order over the

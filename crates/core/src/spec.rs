@@ -1,11 +1,10 @@
 //! [`QuerySpec`]: the one owned, serializable description of a related
 //! set search, executed identically by every layer of the stack.
 //!
-//! Before this type existed the same search could be phrased four ways —
-//! the borrowed [`Query`](crate::Query) builder, raw parameters on the
-//! sharded engine, ad-hoc JSON fields, and CLI flags — each with its own
-//! validation. A `QuerySpec` is the single artifact they all compile
-//! down to:
+//! It is the one way a search enters the engine:
+//! [`Engine::execute`](crate::Engine::execute) and its batch and
+//! deadline forms take a spec, and so do the sharded engine, the HTTP
+//! routes (JSON) and the CLI (flags), which build one and nothing else:
 //!
 //! * **Owned and lifetime-free**: the reference is raw element strings,
 //!   so a spec can be stored, sent over a socket, or queued. Encoding
@@ -77,8 +76,8 @@ impl QuerySpec {
     /// Override the relatedness threshold for this query. **This is the
     /// single place a floor is validated** — `floor` must lie in
     /// `[0, 1]` or the spec is refused with
-    /// [`ConfigError::FloorOutOfRange`]; every entry point (fluent
-    /// builder, wire decode, JSON decode, CLI) routes through here.
+    /// [`ConfigError::FloorOutOfRange`]; every entry point (wire decode,
+    /// JSON decode, CLI) routes through here.
     pub fn with_floor(mut self, floor: f64) -> Result<Self, ConfigError> {
         if !(0.0..=1.0).contains(&floor) {
             return Err(ConfigError::FloorOutOfRange(floor));

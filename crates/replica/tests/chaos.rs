@@ -13,7 +13,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use silkmoth_collection::Collection;
-use silkmoth_core::{CompactionPolicy, Engine, EngineConfig, RelatednessMetric, Update};
+use silkmoth_core::{CompactionPolicy, Engine, EngineConfig, QuerySpec, RelatednessMetric, Update};
 use silkmoth_replica::{
     run_follower, serve_log, sim_duplex, stream_updates, write_frame, Connector, FaultPlan,
     FollowerConfig, FollowerShared, Frame, ReplicaSink, SimStream, StoreSink, StoreSource,
@@ -71,10 +71,10 @@ fn nosync() -> StoreConfig {
 
 /// Search output as comparable (id, score bits) pairs.
 fn search_bits(engine: &Engine, elems: &[&str]) -> Vec<(u32, u64)> {
-    let r = engine.collection().encode_set(elems);
+    let spec = QuerySpec::new(elems.iter().map(|e| e.to_string()).collect());
     engine
-        .search(&r)
-        .results
+        .execute(&spec)
+        .hits
         .into_iter()
         .map(|(sid, score)| (sid, score.to_bits()))
         .collect()

@@ -90,7 +90,7 @@ impl StoreEngine for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silkmoth_core::RelatednessMetric;
+    use silkmoth_core::{QuerySpec, RelatednessMetric};
     use silkmoth_text::SimilarityFunction;
 
     fn cfg() -> EngineConfig {
@@ -129,8 +129,9 @@ mod tests {
             assert_eq!(back.len(), engine.len());
             assert_eq!(back.slot_count(), engine.slot_count());
             for probe in [&raw[0], &raw[12]] {
-                let want = engine.search(probe, None, None).unwrap().results;
-                let got = back.search(probe, None, None).unwrap().results;
+                let spec = QuerySpec::new(probe.clone());
+                let want = engine.execute(&spec).hits;
+                let got = back.execute(&spec).hits;
                 assert_eq!(got.len(), want.len());
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!(a.0, b.0, "{from_shards}→{to_shards}");

@@ -9,7 +9,7 @@
 //! The layers, bottom up:
 //!
 //! * [`shard`] — [`ShardedEngine`]: the collection hash-partitioned
-//!   across N engines, scatter-gather search/discovery with output
+//!   across N engines, scatter-gather query execution with output
 //!   **provably identical** to one unsharded engine (global ids, global
 //!   top-k rank, bit-identical scores — see the module docs for why);
 //! * [`http`] — an HTTP/1.1 server on [`std::net::TcpListener`] with a
@@ -26,7 +26,7 @@
 //! ## Example
 //!
 //! ```
-//! use silkmoth_core::{EngineConfig, RelatednessMetric};
+//! use silkmoth_core::{EngineConfig, QuerySpec, RelatednessMetric};
 //! use silkmoth_text::SimilarityFunction;
 //! use silkmoth_server::{serve, ShardedEngine};
 //!
@@ -43,8 +43,12 @@
 //! let engine = ShardedEngine::build(&raw, cfg, 2).unwrap();
 //!
 //! // Scatter-gather directly…
-//! let out = engine.search(&["77 Mass Ave Boston MA"], Some(1), Some(0.2)).unwrap();
-//! assert_eq!(out.results.len(), 1);
+//! let spec = QuerySpec::new(vec!["77 Mass Ave Boston MA".to_string()])
+//!     .with_top_k(1)
+//!     .with_floor(0.2)
+//!     .unwrap();
+//! let out = engine.execute(&spec);
+//! assert_eq!(out.hits.len(), 1);
 //!
 //! // …or over HTTP: bind an ephemeral port, then shut down gracefully.
 //! let server = serve(engine, "127.0.0.1:0", 2).unwrap();
@@ -77,6 +81,4 @@ pub use replication::{
     FollowerRuntime, ReplicaServer, ServiceSink, ServiceSource, StreamerConfig,
 };
 pub use service::{serve, serve_service, EngineGuard, SearchService};
-pub use shard::{
-    merge_stats, ShardedDiscoveryOutput, ShardedEngine, ShardedQueryOutput, ShardedSearchOutput,
-};
+pub use shard::{merge_stats, ShardedEngine, ShardedQueryOutput};

@@ -43,7 +43,8 @@
 //! to what one unsharded engine would report, and stable across every
 //! update including compaction. `DELETE /sets` is idempotent per id
 //! but rejects ids that were never assigned (404). Errors come back as
-//! `{"error": "…"}` with a 4xx status.
+//! `{"error": "…"}` with a 4xx status, or `504` when a read route
+//! outlives the whole-request budget (see *Deadlines*).
 //!
 //! ## Durability
 //!
@@ -84,8 +85,8 @@
 //! `"timed_out": true` and the results proven so far. A server-level
 //! [`with_search_timeout`](SearchService::with_search_timeout)
 //! (`serve --search-timeout-ms`) additionally bounds the **whole
-//! request** (a batch counts as one request); exhausting it answers
-//! `504` instead.
+//! request** on every read route (a batch or a discovery counts as one
+//! request); exhausting it answers `504` instead.
 //!
 //! ## Concurrency and backpressure
 //!
@@ -217,8 +218,8 @@ pub struct SearchService {
     /// text would exceed n bytes (catalog `max_bytes` quota). The live
     /// total is only computed when this bound is set.
     pub(crate) max_bytes: Option<u64>,
-    /// Whole-request wall-clock budget for `/search` and
-    /// `/search/batch`: execution is capped cooperatively at this
+    /// Whole-request wall-clock budget for `/search`, `/search/batch`
+    /// and `/discover`: execution is capped cooperatively at this
     /// deadline and an expired request answers `504`.
     search_timeout: Option<Duration>,
     inflight_updates: AtomicUsize,
@@ -329,8 +330,8 @@ impl SearchService {
         self
     }
 
-    /// Bounds how long one `/search` or `/search/batch` request may
-    /// run. The deadline is enforced cooperatively inside the engine's
+    /// Bounds how long one `/search`, `/search/batch` or `/discover`
+    /// request may run. The deadline is enforced cooperatively inside the engine's
     /// ordered filter/verify loop (capped together with any per-query
     /// `deadline_ms` the spec carries); a request that exhausts the
     /// whole budget answers `504` instead of partial results — a

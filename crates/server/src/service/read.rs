@@ -110,37 +110,47 @@ impl SearchService {
         ))
     }
 
+    /// RELATED SET DISCOVERY over external references: one spec per
+    /// reference at the engine's δ, executed as one batch. Reference
+    /// `r`'s hits are its pairs, already in `(r, s)` order.
     pub(super) fn discover(&self, body: &[u8], info: &mut RequestInfo) -> Answer {
-        let references = string_sets(&parse_body(body)?, "references")?;
+        let specs: Vec<QuerySpec> = string_sets(&parse_body(body)?, "references")?
+            .into_iter()
+            .map(QuerySpec::new)
+            .collect();
         let start = Instant::now();
         let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
-        let out = self.engine().discover(&references);
+        let outs = self
+            .engine()
+            .execute_batch_until(&specs, self.request_deadline(start));
         let executed = start.elapsed();
         self.discoveries.fetch_add(1, Ordering::Relaxed);
-        self.accumulate(&out.shard_stats);
-        self.metrics.observe_funnel(&out.merged_stats());
+        let mut stats = PassStats::default();
+        let mut pairs = Vec::new();
+        for (r, out) in outs.iter().enumerate() {
+            self.accumulate(&out.shard_stats);
+            stats.merge(&out.merged_stats());
+            info.timed_out |= out.timed_out;
+            pairs.extend(out.hits.iter().map(|&(s, score)| {
+                obj(vec![
+                    ("r", Json::Num(r as f64)),
+                    ("s", Json::Num(f64::from(s))),
+                    ("score", Json::Num(score)),
+                ])
+            }));
+        }
+        self.metrics.observe_funnel(&stats);
         if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
-            let stats = out.merged_stats();
             let span = trace.add_span(trace::ROOT, "discover", at, executed);
             funnel_attrs(trace, span, &stats);
         }
-        info.shards = Some(out.shard_stats.len());
-        let pairs: Vec<Json> = out
-            .pairs
-            .iter()
-            .map(|p| {
-                obj(vec![
-                    ("r", Json::Num(f64::from(p.r))),
-                    ("s", Json::Num(f64::from(p.s))),
-                    ("score", Json::Num(p.score)),
-                ])
-            })
-            .collect();
+        info.shards = outs.first().map(|out| out.shard_stats.len());
+        self.check_deadline(start)?;
         Ok(Response::json(
             200,
             obj(vec![
                 ("pairs", Json::Arr(pairs)),
-                ("stats", Json::Obj(stats_json_pairs(&out.merged_stats()))),
+                ("stats", Json::Obj(stats_json_pairs(&stats))),
             ])
             .to_string(),
         ))
@@ -397,6 +407,71 @@ mod tests {
             .all(|p| p.get("r").is_some() && p.get("s").is_some() && p.get("score").is_some()));
     }
 
+    /// `POST /discover` is the per-reference `/search`es flattened:
+    /// reference `r`'s results are the pairs that name `r`, in the same
+    /// order and with the same scores, and the stats are the searches'
+    /// sum — on every shard count, fresh and after Remove + Append +
+    /// Compact.
+    #[test]
+    fn discover_equals_the_flattened_per_reference_searches() {
+        let references: Vec<Vec<String>> = corpus()
+            .into_iter()
+            .step_by(3)
+            .chain([vec!["nothing matches this".to_owned()]])
+            .collect();
+        let texts = |set: &[String]| Json::Arr(set.iter().cloned().map(Json::Str).collect());
+        let discover = obj(vec![(
+            "references",
+            Json::Arr(references.iter().map(|set| texts(set)).collect()),
+        )])
+        .to_string();
+        for shards in [1, 2, 7] {
+            let s = SearchService::new(engine(shards));
+            for state in ["fresh", "updated"] {
+                if state == "updated" {
+                    let (status, _) = send(&s, "DELETE", "/sets", r#"{"ids": [1, 4, 9]}"#);
+                    assert_eq!(status, 200);
+                    let appended = r#"{"sets": [["w0 w1 shared0", "w3 w4 shared0"], ["w2 w2"]]}"#;
+                    assert_eq!(post(&s, "/sets", appended).0, 200);
+                    assert_eq!(post(&s, "/compact", "").0, 200);
+                }
+                let mut want_pairs = Vec::new();
+                let mut want_stats: Vec<(String, f64)> = Vec::new();
+                for (r, set) in references.iter().enumerate() {
+                    let body = obj(vec![("reference", texts(set))]).to_string();
+                    let (status, doc) = post(&s, "/search", &body);
+                    assert_eq!(status, 200, "{doc}");
+                    for hit in doc.get("results").and_then(Json::as_array).unwrap() {
+                        want_pairs.push(obj(vec![
+                            ("r", Json::Num(r as f64)),
+                            ("s", hit.get("set").unwrap().clone()),
+                            ("score", hit.get("score").unwrap().clone()),
+                        ]));
+                    }
+                    let Some(Json::Obj(stats)) = doc.get("stats") else {
+                        panic!("no stats in {doc}");
+                    };
+                    want_stats.resize(stats.len(), (String::new(), 0.0));
+                    for ((name, sum), (field, v)) in want_stats.iter_mut().zip(stats) {
+                        name.clone_from(field);
+                        *sum += v.as_f64().unwrap();
+                    }
+                }
+                let (status, doc) = post(&s, "/discover", &discover);
+                let context = format!("shards={shards} {state}");
+                assert_eq!(status, 200, "{context}: {doc}");
+                let pairs = doc.get("pairs").and_then(Json::as_array).unwrap();
+                assert!(!pairs.is_empty(), "{context}");
+                assert_eq!(pairs, &want_pairs[..], "{context}");
+                let want_stats: Vec<(String, Json)> = want_stats
+                    .into_iter()
+                    .map(|(name, sum)| (name, Json::Num(sum)))
+                    .collect();
+                assert_eq!(doc.get("stats"), Some(&Json::Obj(want_stats)), "{context}");
+            }
+        }
+    }
+
     #[test]
     fn bad_requests_get_400() {
         let s = service();
@@ -553,12 +628,28 @@ mod tests {
             r#"{"queries": [{"reference": ["w0 w1 shared0"]}]}"#,
         );
         assert_eq!(status, 504);
+        // Discovery holds the read lock for one pass per reference, and
+        // answers to the same budget.
+        let discover = r#"{"references": [["w0 w1 shared0"], ["w3 w4 shared0"]]}"#;
+        let (status, doc) = post(&s, "/discover", discover);
+        assert_eq!(status, 504, "{doc}");
+        assert!(doc
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("--search-timeout-ms"));
+        // Malformed references are still named 400s, not timeouts.
+        let (status, _) = post(&s, "/discover", r#"{"references": [[]]}"#);
+        assert_eq!(status, 400);
         // A generous budget answers normally.
         let s = SearchService::new(ShardedEngine::build(&corpus(), engine_cfg(), 3).unwrap())
             .with_search_timeout(Duration::from_secs(60));
         let (status, doc) = post(&s, "/search", r#"{"reference": ["w0 w1 shared0"]}"#);
         assert_eq!(status, 200, "{doc}");
         assert_eq!(doc.get("timed_out"), Some(&Json::Bool(false)));
+        let (status, doc) = post(&s, "/discover", discover);
+        assert_eq!(status, 200, "{doc}");
+        assert!(doc.get("pairs").and_then(Json::as_array).is_some());
     }
 
     #[test]

@@ -23,11 +23,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use silkmoth_collection::{Collection, SetIdx, SetRecord, UpdateError};
+use silkmoth_collection::{Collection, SetIdx, UpdateError};
 use silkmoth_core::rank::merge_partitioned;
 use silkmoth_core::{
     ConfigError, Engine, EngineConfig, PairExplanation, PassStats, PhaseTiming, QueryOutput,
-    QuerySpec, RelatedPair, Update, UpdateOutcome,
+    QuerySpec, Update, UpdateOutcome,
 };
 
 /// A collection hash-partitioned across N [`Engine`] shards, answering
@@ -58,16 +58,6 @@ pub struct ShardedEngine {
     live: usize,
     /// Next global id to assign; ids are never reused.
     next_gid: SetIdx,
-}
-
-/// Scatter-gather search output: results carry **global** set ids, and
-/// per-shard pass stats ride along for observability.
-#[derive(Debug, Clone)]
-pub struct ShardedSearchOutput {
-    /// Related sets `(global id, score)` in single-engine order.
-    pub results: Vec<(SetIdx, f64)>,
-    /// One [`PassStats`] per shard, indexed by shard id.
-    pub shard_stats: Vec<PassStats>,
 }
 
 /// Scatter-gather [`QuerySpec`] execution output: the engine-level
@@ -110,16 +100,6 @@ impl ShardedQueryOutput {
     }
 }
 
-/// Scatter-gather discovery output with global set ids on the
-/// collection side.
-#[derive(Debug, Clone)]
-pub struct ShardedDiscoveryOutput {
-    /// All related pairs, sorted by `(r, s)` with `s` global.
-    pub pairs: Vec<RelatedPair>,
-    /// One [`PassStats`] per shard, indexed by shard id.
-    pub shard_stats: Vec<PassStats>,
-}
-
 /// What [`ShardedEngine::capture`] hands back for a snapshot: the live
 /// `(gid, element texts)` pairs (ascending), the tombstoned gids
 /// (ascending), and the next gid to assign.
@@ -132,20 +112,6 @@ pub fn merge_stats(shard_stats: &[PassStats]) -> PassStats {
         total.merge(s);
     }
     total
-}
-
-impl ShardedSearchOutput {
-    /// All shards' stats merged.
-    pub fn merged_stats(&self) -> PassStats {
-        merge_stats(&self.shard_stats)
-    }
-}
-
-impl ShardedDiscoveryOutput {
-    /// All shards' stats merged.
-    pub fn merged_stats(&self) -> PassStats {
-        merge_stats(&self.shard_stats)
-    }
 }
 
 /// FNV-1a over the set id's little-endian bytes — the partition function.
@@ -478,30 +444,6 @@ impl ShardedEngine {
         &self.shards
     }
 
-    /// RELATED SET SEARCH across all shards for a reference given as raw
-    /// element strings, with the `k`/`floor` knobs. A convenience
-    /// wrapper that builds the equivalent [`QuerySpec`] (where the floor
-    /// is validated) and [`execute`](Self::execute)s it.
-    pub fn search<S: AsRef<str> + Sync>(
-        &self,
-        elements: &[S],
-        k: Option<usize>,
-        floor: Option<f64>,
-    ) -> Result<ShardedSearchOutput, ConfigError> {
-        let mut spec = QuerySpec::new(elements.iter().map(|e| e.as_ref().to_owned()).collect());
-        if let Some(k) = k {
-            spec = spec.with_top_k(k);
-        }
-        if let Some(f) = floor {
-            spec = spec.with_floor(f)?;
-        }
-        let out = self.execute(&spec);
-        Ok(ShardedSearchOutput {
-            results: out.hits,
-            shard_stats: out.shard_stats,
-        })
-    }
-
     /// Executes one [`QuerySpec`] by scatter-gather: every shard runs
     /// [`Engine::execute`] (encoding the spec's reference against its
     /// own dictionary), and the gather merges to single-engine order
@@ -516,9 +458,7 @@ impl ShardedEngine {
     /// earlier of `cap` and the spec's own budget; a timeout on any
     /// shard flags the merged output.
     pub fn execute_until(&self, spec: &QuerySpec, cap: Option<Instant>) -> ShardedQueryOutput {
-        let per_shard = self
-            .scatter(|engine| Ok(engine.execute_until(spec, cap)))
-            .expect("spec execution is infallible");
+        let per_shard = self.scatter(|engine| engine.execute_until(spec, cap));
         self.gather_query(spec, per_shard)
     }
 
@@ -527,6 +467,10 @@ impl ShardedEngine {
     /// queries), and each spec's outputs are gathered exactly like
     /// [`execute`](Self::execute) — batch answers are identical to the
     /// same specs executed one by one.
+    ///
+    /// RELATED SET DISCOVERY over external references is this call with
+    /// one spec per reference: reference `i`'s related sets, by global
+    /// id, are output `i`'s hits.
     pub fn execute_batch(&self, specs: &[QuerySpec]) -> Vec<ShardedQueryOutput> {
         self.execute_batch_until(specs, None)
     }
@@ -538,14 +482,12 @@ impl ShardedEngine {
         specs: &[QuerySpec],
         cap: Option<Instant>,
     ) -> Vec<ShardedQueryOutput> {
-        let per_shard = self
-            .scatter(|engine| {
-                Ok(specs
-                    .iter()
-                    .map(|spec| engine.execute_until(spec, cap))
-                    .collect::<Vec<_>>())
-            })
-            .expect("spec execution is infallible");
+        let per_shard = self.scatter(|engine| {
+            specs
+                .iter()
+                .map(|spec| engine.execute_until(spec, cap))
+                .collect::<Vec<_>>()
+        });
         let mut columns: Vec<std::vec::IntoIter<QueryOutput>> =
             per_shard.into_iter().map(Vec::into_iter).collect();
         specs
@@ -604,45 +546,15 @@ impl ShardedEngine {
         }
     }
 
-    /// RELATED SET DISCOVERY across all shards for references given as
-    /// raw element-string sets: one search pass per (reference, shard),
-    /// gathered into globally-sorted pairs.
-    pub fn discover<S: AsRef<str> + Sync>(&self, refs: &[Vec<S>]) -> ShardedDiscoveryOutput {
-        let per_shard = self
-            .scatter(|engine| {
-                let encoded: Vec<SetRecord> = refs
-                    .iter()
-                    .map(|set| {
-                        let strs: Vec<&str> = set.iter().map(AsRef::as_ref).collect();
-                        engine.collection().encode_set(&strs)
-                    })
-                    .collect();
-                Ok(engine.discover(&encoded))
-            })
-            .expect("discovery passes cannot fail");
-        let mut shard_stats = Vec::with_capacity(self.shards.len());
-        let mut pairs: Vec<RelatedPair> = Vec::new();
-        for (shard, out) in per_shard.into_iter().enumerate() {
-            shard_stats.push(out.stats);
-            pairs.extend(out.pairs.into_iter().map(|p| RelatedPair {
-                r: p.r,
-                s: self.global_ids[shard][p.s as usize],
-                score: p.score,
-            }));
-        }
-        pairs.sort_unstable_by(|a, b| a.r.cmp(&b.r).then(a.s.cmp(&b.s)));
-        ShardedDiscoveryOutput { pairs, shard_stats }
-    }
-
     /// Runs `pass` once per shard — on scoped threads when there is more
     /// than one shard — and gathers the outputs in shard order.
-    fn scatter<T, F>(&self, pass: F) -> Result<Vec<T>, ConfigError>
+    fn scatter<T, F>(&self, pass: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(&Engine) -> Result<T, ConfigError> + Sync,
+        F: Fn(&Engine) -> T + Sync,
     {
         if self.shards.len() == 1 {
-            return Ok(vec![pass(&self.shards[0])?]);
+            return vec![pass(&self.shards[0])];
         }
         let mut outputs = Vec::with_capacity(self.shards.len());
         std::thread::scope(|scope| {
@@ -655,7 +567,7 @@ impl ShardedEngine {
                 outputs.push(h.join().expect("shard worker panicked"));
             }
         });
-        outputs.into_iter().collect()
+        outputs
     }
 
     /// Maps one shard's local result ids to global ids.
@@ -686,6 +598,23 @@ mod tests {
             delta,
             0.0,
         )
+    }
+
+    /// The sharded answer to `reference` with the `k` / `floor` knobs.
+    fn hits(
+        engine: &ShardedEngine,
+        reference: &[String],
+        k: Option<usize>,
+        floor: Option<f64>,
+    ) -> Vec<(SetIdx, f64)> {
+        let mut spec = QuerySpec::new(reference.to_vec());
+        if let Some(k) = k {
+            spec = spec.with_top_k(k);
+        }
+        if let Some(f) = floor {
+            spec = spec.with_floor(f).unwrap();
+        }
+        engine.execute(&spec).hits
     }
 
     fn corpus(n: usize) -> Vec<Vec<String>> {
@@ -722,8 +651,8 @@ mod tests {
         // 3 sets over 7 shards: most shards are empty, searches still work.
         let raw = corpus(3);
         let sharded = ShardedEngine::build(&raw, cfg(0.5), 7).unwrap();
-        let out = sharded.search(&raw[0], None, None).unwrap();
-        assert!(out.results.iter().any(|&(gid, _)| gid == 0));
+        let out = sharded.execute(&QuerySpec::new(raw[0].clone()));
+        assert!(out.hits.iter().any(|&(gid, _)| gid == 0));
         assert_eq!(out.shard_stats.len(), 7);
     }
 
@@ -733,16 +662,6 @@ mod tests {
         assert!(matches!(
             ShardedEngine::build(&raw, cfg(0.0), 2),
             Err(ConfigError::DeltaOutOfRange(_))
-        ));
-    }
-
-    #[test]
-    fn invalid_floor_propagates() {
-        let raw = corpus(8);
-        let sharded = ShardedEngine::build(&raw, cfg(0.6), 2).unwrap();
-        assert!(matches!(
-            sharded.search(&raw[0], None, Some(1.5)),
-            Err(ConfigError::FloorOutOfRange(_))
         ));
     }
 
@@ -762,8 +681,8 @@ mod tests {
         assert_eq!(grown.shard_sizes(), fresh.shard_sizes());
         assert_eq!(grown.global_ids, fresh.global_ids);
         for rid in [0usize, 12, 29] {
-            let want = fresh.search(&raw[rid], None, None).unwrap().results;
-            let got = grown.search(&raw[rid], None, None).unwrap().results;
+            let want = hits(&fresh, &raw[rid], None, None);
+            let got = hits(&grown, &raw[rid], None, None);
             assert_eq!(got.len(), want.len(), "rid={rid}");
             for (a, b) in got.iter().zip(&want) {
                 assert_eq!(a.0, b.0, "rid={rid}");
@@ -781,11 +700,8 @@ mod tests {
         assert_eq!(sharded.len(), 18);
         assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), 18);
         // Removed sets disappear from results.
-        let hits = sharded
-            .search(&raw[4], Some(30), Some(0.0))
-            .unwrap()
-            .results;
-        assert!(hits.iter().all(|&(gid, _)| gid != 4 && gid != 9));
+        let found = hits(&sharded, &raw[4], Some(30), Some(0.0));
+        assert!(found.iter().all(|&(gid, _)| gid != 4 && gid != 9));
         // An unknown gid fails by name without touching anything.
         assert_eq!(
             sharded.apply(Update::Remove(vec![0, 99])),
@@ -799,11 +715,11 @@ mod tests {
         let raw = corpus(24);
         let mut sharded = ShardedEngine::build(&raw, cfg(0.5), 7).unwrap();
         sharded.apply(Update::Remove(vec![2, 3, 11, 17])).unwrap();
-        let before = sharded.search(&raw[5], None, None).unwrap().results;
+        let before = hits(&sharded, &raw[5], None, None);
         let out = sharded.apply(Update::Compact).unwrap();
         assert_eq!(out.remap, None, "global ids never renumber");
         assert_eq!(sharded.len(), 20);
-        let after = sharded.search(&raw[5], None, None).unwrap().results;
+        let after = hits(&sharded, &raw[5], None, None);
         assert_eq!(before.len(), after.len());
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a.0, b.0);
@@ -895,9 +811,8 @@ mod tests {
         let single = Engine::new(Collection::build(&raw, tokenization), cfg(0.5)).unwrap();
         let sharded = ShardedEngine::build(&raw, cfg(0.5), 4).unwrap();
         for rid in [0usize, 17, 42] {
-            let r = single.collection().set(rid as SetIdx).clone();
-            let want = single.query(&r).run().unwrap().results;
-            let got = sharded.search(&raw[rid], None, None).unwrap().results;
+            let want = single.execute(&QuerySpec::new(raw[rid].clone())).hits;
+            let got = hits(&sharded, &raw[rid], None, None);
             assert_eq!(got.len(), want.len(), "rid={rid}");
             for (a, b) in got.iter().zip(&want) {
                 assert_eq!(a.0, b.0, "rid={rid}");

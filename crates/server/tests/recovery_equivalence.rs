@@ -27,7 +27,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silkmoth_collection::{Collection, SetIdx};
-use silkmoth_core::{CompactionPolicy, Engine, EngineConfig, RelatednessMetric, Update};
+use silkmoth_core::{
+    brute, CompactionPolicy, Engine, EngineConfig, QuerySpec, RelatednessMetric, Update,
+};
 use silkmoth_server::{ShardSpec, ShardedEngine};
 use silkmoth_storage::{load_snapshot, Store, StoreConfig, StoreEngine};
 use silkmoth_text::SimilarityFunction;
@@ -341,18 +343,16 @@ impl Harness {
     /// `update_equivalence.rs` already pins to fresh rebuilds).
     fn check_query(&self, elems: &[String], k: Option<usize>, floor: Option<f64>) {
         let (fresh, gids) = self.fresh();
-        let r = fresh.collection().encode_set(elems);
-        let mut query = fresh.query(&r);
+        let mut spec = QuerySpec::new(elems.to_vec());
         if let Some(k) = k {
-            query = query.top_k(k);
+            spec = spec.with_top_k(k);
         }
         if let Some(f) = floor {
-            query = query.floor(f);
+            spec = spec.with_floor(f).unwrap();
         }
-        let want: Vec<(SetIdx, u64)> = query
-            .run()
-            .unwrap()
-            .results
+        let want: Vec<(SetIdx, u64)> = fresh
+            .execute(&spec)
+            .hits
             .into_iter()
             .map(|(fid, score)| (gids[fid as usize], score.to_bits()))
             .collect();
@@ -360,9 +360,8 @@ impl Harness {
         for flavor in &self.sharded {
             let engine = flavor.store.as_ref().expect("store is open").engine();
             let got: Vec<(SetIdx, u64)> = engine
-                .search(elems, k, floor)
-                .unwrap()
-                .results
+                .execute(&spec)
+                .hits
                 .into_iter()
                 .map(|(gid, score)| (gid, score.to_bits()))
                 .collect();
@@ -380,18 +379,9 @@ impl Harness {
             .as_ref()
             .expect("store is open")
             .engine();
-        let r_inc = engine.collection().encode_set(elems);
-        let mut query = engine.query(&r_inc);
-        if let Some(k) = k {
-            query = query.top_k(k);
-        }
-        if let Some(f) = floor {
-            query = query.floor(f);
-        }
-        let got: Vec<(SetIdx, u64)> = query
-            .run()
-            .unwrap()
-            .results
+        let got: Vec<(SetIdx, u64)> = engine
+            .execute(&spec)
+            .hits
             .into_iter()
             .map(|(iid, score)| (gid_of[&iid], score.to_bits()))
             .collect();
@@ -401,26 +391,30 @@ impl Harness {
         );
     }
 
-    /// Batched discovery across the sharded flavors vs the rebuild.
+    /// Batched discovery — one spec per reference — across the sharded
+    /// flavors vs brute force over the rebuild.
     fn check_discover(&self, refs: &[Vec<String>]) {
         let (fresh, gids) = self.fresh();
         let encoded: Vec<_> = refs
             .iter()
             .map(|set| fresh.collection().encode_set(set))
             .collect();
-        let want: Vec<(u32, SetIdx, u64)> = fresh
-            .discover(&encoded)
-            .pairs
-            .into_iter()
-            .map(|p| (p.r, gids[p.s as usize], p.score.to_bits()))
-            .collect();
+        let want: Vec<(u32, SetIdx, u64)> =
+            brute::discover(&encoded, fresh.collection(), &self.cfg)
+                .into_iter()
+                .map(|p| (p.r, gids[p.s as usize], p.score.to_bits()))
+                .collect();
+        let specs: Vec<QuerySpec> = refs.iter().cloned().map(QuerySpec::new).collect();
         for flavor in &self.sharded {
             let engine = flavor.store.as_ref().expect("store is open").engine();
             let got: Vec<(u32, SetIdx, u64)> = engine
-                .discover(refs)
-                .pairs
+                .execute_batch(&specs)
                 .into_iter()
-                .map(|p| (p.r, p.s, p.score.to_bits()))
+                .enumerate()
+                .flat_map(|(r, out)| {
+                    let hits = out.hits.into_iter();
+                    hits.map(move |(gid, score)| (r as u32, gid, score.to_bits()))
+                })
                 .collect();
             assert_eq!(
                 got, want,

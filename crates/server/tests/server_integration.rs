@@ -3,8 +3,9 @@
 //! real TCP (keep-alive connections), verifies the responses against
 //! direct engine output, and checks graceful shutdown releases the port.
 
-use silkmoth_core::{EngineConfig, RelatednessMetric};
-use silkmoth_server::json::Json;
+use silkmoth_collection::Collection;
+use silkmoth_core::{brute, EngineConfig, QuerySpec, RelatednessMetric};
+use silkmoth_server::json::{obj, Json};
 use silkmoth_server::{read_simple_response, serve, ShardedEngine};
 use silkmoth_text::SimilarityFunction;
 use std::io::{BufReader, Write};
@@ -13,18 +14,24 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 const SHARDS: usize = 3;
 const CLIENTS: usize = 8;
 
-fn engine() -> ShardedEngine {
-    let raw = silkmoth_datagen::webtable_schemas(&silkmoth_datagen::SchemaConfig {
+fn corpus() -> Vec<Vec<String>> {
+    silkmoth_datagen::webtable_schemas(&silkmoth_datagen::SchemaConfig {
         num_sets: 80,
         ..Default::default()
-    });
-    let cfg = EngineConfig::full(
+    })
+}
+
+fn cfg() -> EngineConfig {
+    EngineConfig::full(
         RelatednessMetric::Similarity,
         SimilarityFunction::Jaccard,
         0.5,
         0.0,
-    );
-    ShardedEngine::build(&raw, cfg, SHARDS).unwrap()
+    )
+}
+
+fn engine() -> ShardedEngine {
+    ShardedEngine::build(&corpus(), cfg(), SHARDS).unwrap()
 }
 
 /// Sends one request on an open connection and reads the full response.
@@ -60,7 +67,11 @@ fn concurrent_requests_over_tcp_with_graceful_shutdown() {
     let engine = engine();
     let reference = vec!["id int".to_owned(), "name varchar".to_owned()];
     // Ground truth from the engine before it moves into the server.
-    let expected = engine.search(&reference, Some(5), Some(0.2)).unwrap();
+    let spec = QuerySpec::new(reference.clone())
+        .with_top_k(5)
+        .with_floor(0.2)
+        .unwrap();
+    let expected = engine.execute(&spec).hits;
     let sets = engine.len();
 
     let server = serve(engine, "127.0.0.1:0", 4).unwrap();
@@ -91,8 +102,8 @@ fn concurrent_requests_over_tcp_with_graceful_shutdown() {
                         roundtrip(&mut stream, &mut reader, "POST", "/search", search_body);
                     assert_eq!(status, 200, "{found}");
                     let results = found.get("results").and_then(Json::as_array).unwrap();
-                    assert_eq!(results.len(), expected.results.len());
-                    for (json, &(set, score)) in results.iter().zip(&expected.results) {
+                    assert_eq!(results.len(), expected.len());
+                    for (json, &(set, score)) in results.iter().zip(expected) {
                         assert_eq!(json.get("set").and_then(Json::as_usize), Some(set as usize));
                         let got = json.get("score").and_then(Json::as_f64).unwrap();
                         assert!((got - score).abs() < 1e-12);
@@ -164,21 +175,37 @@ fn malformed_and_unknown_requests_over_tcp() {
 }
 
 #[test]
-fn discover_over_tcp_matches_engine() {
-    let engine = engine();
-    let refs: Vec<Vec<String>> = vec![
-        vec!["id int".into(), "name varchar".into()],
-        vec!["zz unmatched".into()],
+fn discover_over_tcp_matches_brute_force() {
+    let raw = corpus();
+    let refs = [
+        vec!["id int".to_owned(), "name varchar".to_owned()],
+        raw[7].clone(),
+        vec!["zz unmatched".to_owned()],
     ];
-    let expected = engine.discover(&refs);
-    let server = serve(engine, "127.0.0.1:0", 2).unwrap();
+    // Exhaustive verification over the unsharded collection: global ids
+    // are corpus positions.
+    let collection = Collection::build(&raw, cfg().tokenization());
+    let encoded: Vec<_> = refs.iter().map(|set| collection.encode_set(set)).collect();
+    let expected = brute::discover(&encoded, &collection, &cfg());
+    assert!(expected.iter().any(|p| p.r == 1 && p.s == 7));
+    let server = serve(engine(), "127.0.0.1:0", 2).unwrap();
     let (mut stream, mut reader) = connect(server.addr());
-    let body = r#"{"references": [["id int", "name varchar"], ["zz unmatched"]]}"#;
-    let (status, doc) = roundtrip(&mut stream, &mut reader, "POST", "/discover", body);
+    let texts = |set: &Vec<String>| Json::Arr(set.iter().cloned().map(Json::Str).collect());
+    let body = obj(vec![(
+        "references",
+        Json::Arr(refs.iter().map(texts).collect()),
+    )]);
+    let (status, doc) = roundtrip(
+        &mut stream,
+        &mut reader,
+        "POST",
+        "/discover",
+        &body.to_string(),
+    );
     assert_eq!(status, 200, "{doc}");
     let pairs = doc.get("pairs").and_then(Json::as_array).unwrap();
-    assert_eq!(pairs.len(), expected.pairs.len());
-    for (json, pair) in pairs.iter().zip(&expected.pairs) {
+    assert_eq!(pairs.len(), expected.len());
+    for (json, pair) in pairs.iter().zip(&expected) {
         assert_eq!(
             json.get("r").and_then(Json::as_usize),
             Some(pair.r as usize)
@@ -187,6 +214,8 @@ fn discover_over_tcp_matches_engine() {
             json.get("s").and_then(Json::as_usize),
             Some(pair.s as usize)
         );
+        let score = json.get("score").and_then(Json::as_f64).unwrap();
+        assert_eq!(score.to_bits(), pair.score.to_bits());
     }
     drop((stream, reader));
     server.shutdown();

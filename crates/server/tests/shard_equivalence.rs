@@ -7,7 +7,7 @@
 //! and φ memo differ from the single engine's.
 
 use silkmoth_collection::{Collection, SetIdx};
-use silkmoth_core::{Engine, EngineConfig, RelatednessMetric};
+use silkmoth_core::{Engine, EngineConfig, QuerySpec, RelatednessMetric};
 use silkmoth_server::ShardedEngine;
 use silkmoth_text::SimilarityFunction;
 
@@ -43,6 +43,17 @@ fn references(raw: &[Vec<String>]) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// Per-reference hits flattened to `(reference, set, score)` pairs, in
+/// `(r, s)` order.
+fn pairs<'o>(
+    per_reference: impl Iterator<Item = &'o [(SetIdx, f64)]>,
+) -> Vec<(usize, SetIdx, f64)> {
+    per_reference
+        .enumerate()
+        .flat_map(|(r, hits)| hits.iter().map(move |&(s, score)| (r, s, score)))
+        .collect()
+}
+
 fn assert_results_identical(
     got: &[(SetIdx, f64)],
     want: &[(SetIdx, f64)],
@@ -74,27 +85,19 @@ fn sharded_search_identical_to_single_engine() {
                 let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
                 assert_eq!(sharded.shard_count(), shards);
                 for (i, reference) in references(&raw).iter().enumerate().step_by(7) {
-                    let encoded = single.collection().encode_set(reference);
                     // Plain search: ascending-id order.
-                    let want = single.query(&encoded).run().unwrap().results;
-                    let got = sharded.search(reference, None, None).unwrap().results;
+                    let spec = QuerySpec::new(reference.clone());
+                    let want = single.execute(&spec).hits;
+                    let got = sharded.execute(&spec).hits;
                     assert_results_identical(
                         &got,
                         &want,
                         &format_args!("{name} {metric:?} shards={shards} ref={i} plain"),
                     );
                     // Top-k with a floor: global rank order.
-                    let want = single
-                        .query(&encoded)
-                        .top_k(5)
-                        .floor(0.3)
-                        .run()
-                        .unwrap()
-                        .results;
-                    let got = sharded
-                        .search(reference, Some(5), Some(0.3))
-                        .unwrap()
-                        .results;
+                    let spec = spec.with_top_k(5).with_floor(0.3).unwrap();
+                    let want = single.execute(&spec).hits;
+                    let got = sharded.execute(&spec).hits;
                     assert_results_identical(
                         &got,
                         &want,
@@ -117,28 +120,27 @@ fn sharded_discover_identical_to_single_engine() {
         ] {
             let cfg = cfg(metric, 0.5);
             let single = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
-            let encoded: Vec<_> = refs
-                .iter()
-                .map(|set| single.collection().encode_set(set))
-                .collect();
-            let want = single.discover(&encoded);
-            assert!(!want.pairs.is_empty(), "workload must produce pairs");
+            // Discovery over external references: one spec per reference.
+            let specs: Vec<QuerySpec> = refs.iter().cloned().map(QuerySpec::new).collect();
+            let want = pairs(single.execute_batch(&specs, 1).iter().map(|o| &o.hits[..]));
+            assert!(!want.is_empty(), "workload must produce pairs");
             for shards in SHARD_COUNTS {
                 let context = format!("{name} {metric:?} shards={shards}");
                 let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
-                let got = sharded.discover(&refs);
-                assert_eq!(got.pairs.len(), want.pairs.len(), "{context}");
-                for (a, b) in got.pairs.iter().zip(&want.pairs) {
-                    assert_eq!((a.r, a.s), (b.r, b.s), "{context}");
+                let outs = sharded.execute_batch(&specs);
+                let got = pairs(outs.iter().map(|o| &o.hits[..]));
+                assert_eq!(got.len(), want.len(), "{context}");
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!((a.0, a.1), (b.0, b.1), "{context}");
                     assert_eq!(
-                        a.score.to_bits(),
-                        b.score.to_bits(),
+                        a.2.to_bits(),
+                        b.2.to_bits(),
                         "score for ({}, {}) must be bit-identical ({context})",
-                        a.r,
-                        a.s
+                        a.0,
+                        a.1
                     );
                 }
-                assert_eq!(got.shard_stats.len(), shards);
+                assert!(outs.iter().all(|o| o.shard_stats.len() == shards));
             }
         }
     }
@@ -160,22 +162,13 @@ fn sharded_topk_tie_break_matches_single_engine() {
         .collect();
     let cfg = cfg(RelatednessMetric::Similarity, 0.5);
     let single = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
-    let reference = raw[0].clone();
-    let encoded = single.collection().encode_set(&reference);
+    let reference = QuerySpec::new(raw[0].clone()).with_floor(0.4).unwrap();
     for shards in SHARD_COUNTS {
         let sharded = ShardedEngine::build(&raw, cfg, shards).unwrap();
         for k in [1, 3, 7, 19, 21, 100] {
-            let want = single
-                .query(&encoded)
-                .top_k(k)
-                .floor(0.4)
-                .run()
-                .unwrap()
-                .results;
-            let got = sharded
-                .search(&reference, Some(k), Some(0.4))
-                .unwrap()
-                .results;
+            let spec = reference.clone().with_top_k(k);
+            let want = single.execute(&spec).hits;
+            let got = sharded.execute(&spec).hits;
             assert_eq!(got, want, "shards={shards} k={k}");
         }
     }

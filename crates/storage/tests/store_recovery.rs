@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use silkmoth_collection::Collection;
 use silkmoth_core::{
-    CompactionPolicy, Engine, EngineConfig, RelatednessMetric, Update, UpdateError,
+    CompactionPolicy, Engine, EngineConfig, QuerySpec, RelatednessMetric, Update, UpdateError,
 };
 use silkmoth_storage::{load_snapshot, StorageError, Store, StoreConfig, StoreEngine};
 use silkmoth_text::SimilarityFunction;
@@ -51,10 +51,10 @@ fn temp_dir(name: &str) -> PathBuf {
 
 /// Search output as comparable (id, score bits) pairs.
 fn search_bits(engine: &Engine, elems: &[&str]) -> Vec<(u32, u64)> {
-    let r = engine.collection().encode_set(elems);
+    let spec = QuerySpec::new(elems.iter().map(|e| e.to_string()).collect());
     engine
-        .search(&r)
-        .results
+        .execute(&spec)
+        .hits
         .into_iter()
         .map(|(sid, score)| (sid, score.to_bits()))
         .collect()

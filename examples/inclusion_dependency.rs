@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example inclusion_dependency`
 
-use silkmoth::{Collection, Engine, RelatednessMetric, SimilarityFunction, Tokenization};
+use silkmoth::{
+    Collection, Engine, QuerySpec, RelatednessMetric, SimilarityFunction, Tokenization,
+};
 
 fn main() {
     let corpus = silkmoth::datagen::webtable_columns(&silkmoth::ColumnsConfig {
@@ -28,22 +30,24 @@ fn main() {
     let collection = engine.collection();
 
     // 50 random reference columns with enough distinct values (§8.1 uses
-    // 1000 out of 500K; scaled down proportionally). The whole reference
-    // batch fans out across all cores; output is identical to serial.
+    // 1000 out of 500K; scaled down proportionally), one spec each. The
+    // whole batch fans out across all cores; output is identical to
+    // serial.
     let ref_ids = silkmoth::datagen::pick_references(&corpus, 50, 4, 17);
-    let refs: Vec<_> = ref_ids
+    let specs: Vec<QuerySpec> = ref_ids
         .iter()
-        .map(|&rid| collection.set(rid as u32).clone())
+        .map(|&rid| QuerySpec::new(corpus[rid].clone()))
         .collect();
     let t0 = std::time::Instant::now();
-    let out = engine.discover_parallel(&refs, 0);
+    let outputs = engine.execute_batch(&specs, 0);
     let mut total_hits = 0usize;
     let mut example: Option<(usize, u32, f64)> = None;
-    for p in &out.pairs {
-        let rid = ref_ids[p.r as usize];
-        if p.s as usize != rid {
-            total_hits += 1;
-            example.get_or_insert((rid, p.s, p.score));
+    for (&rid, out) in ref_ids.iter().zip(&outputs) {
+        for &(sid, score) in &out.hits {
+            if sid as usize != rid {
+                total_hits += 1;
+                example.get_or_insert((rid, sid, score));
+            }
         }
     }
     let elapsed = t0.elapsed();

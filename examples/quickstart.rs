@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use silkmoth::{Collection, Engine, RelatednessMetric, SimilarityFunction, Tokenization};
+use silkmoth::{
+    Collection, Engine, QuerySpec, RelatednessMetric, SimilarityFunction, Tokenization,
+};
 
 fn main() {
     // Table 1: two related datasets.
@@ -39,9 +41,11 @@ fn main() {
         .expect("valid configuration");
     let collection = engine.collection();
 
-    // Search: which columns approximately contain Location?
-    let reference = collection.encode_set(&location);
-    let out = engine.query(&reference).run().expect("no query overrides");
+    // Search: which columns approximately contain Location? The query
+    // is a spec over the reference's raw strings; the engine encodes it
+    // against its own dictionary.
+    let spec = QuerySpec::new(location.iter().map(|e| e.to_string()).collect());
+    let out = engine.execute(&spec);
 
     println!("reference column (Location):");
     for e in &location {
@@ -53,7 +57,7 @@ fn main() {
         engine.config().delta,
         engine.config().alpha
     );
-    for &(sid, score) in &out.results {
+    for &(sid, score) in &out.hits {
         println!("  set {sid} — containment score {score:.3}");
         for e in collection.set(sid).elements.iter() {
             println!("    {}", e.text);
@@ -64,5 +68,5 @@ fn main() {
         "pass stats: {} candidates → {} after check filter → {} after NN filter → {} verified",
         out.stats.candidates, out.stats.after_check, out.stats.after_nn, out.stats.verified
     );
-    assert_eq!(out.results.len(), 1, "only the Address column is related");
+    assert_eq!(out.hits.len(), 1, "only the Address column is related");
 }

@@ -32,11 +32,16 @@
 //! The engine owns its collection behind an `Arc` (pass a `Collection`
 //! to move it in, or an `Arc<Collection>` to share it), has no lifetime
 //! parameters, and is `Send + Sync` — it drops straight into server
-//! state. Configuration goes through the fluent builder, and per-query
-//! knobs (`top_k`, `floor`, streaming) through [`Engine::query`]:
+//! state. Configuration goes through the fluent builder; a search is a
+//! [`QuerySpec`] — the owned, serializable artifact the engine, the
+//! sharded engine, the HTTP routes and the CLI all execute identically —
+//! handed to [`Engine::execute`], with its per-query knobs (`top_k`,
+//! `floor`, a deadline):
 //!
 //! ```
-//! use silkmoth::{Collection, Engine, RelatednessMetric, SimilarityFunction, Tokenization};
+//! use silkmoth::{
+//!     Collection, Engine, QuerySpec, RelatednessMetric, SimilarityFunction, Tokenization,
+//! };
 //!
 //! let corpus = vec![
 //!     vec!["77 Mass Ave Boston MA", "5th St 02115 Seattle WA", "77 5th St Chicago IL"],
@@ -57,28 +62,27 @@
 //!     .unwrap();
 //!
 //! // Is the Location column (set 0) approximately contained in Address (set 1)?
-//! let r = engine.collection().set(0).clone();
-//! let out = engine.query(&r).run().unwrap();
-//! assert!(out.results.iter().any(|&(sid, _)| sid == 1));
+//! let location: Vec<String> = corpus[0].iter().map(|e| e.to_string()).collect();
+//! let out = engine.execute(&QuerySpec::new(location.clone()));
+//! assert!(out.hits.iter().any(|&(sid, _)| sid == 1));
 //!
-//! // Stream results as they verify, stopping at the first hit:
-//! let first = engine.query(&r).iter().unwrap().next();
-//! assert!(first.is_some());
-//!
-//! // Batched discovery over external references fans out across threads
-//! // with output identical to the serial run:
-//! let refs = vec![engine.collection().encode_set(&["77 Mass Ave Boston MA"])];
-//! let pairs = engine.discover_parallel(&refs, 0).pairs;
-//! assert_eq!(pairs, engine.discover(&refs).pairs);
-//!
-//! // The same search as an owned, serializable QuerySpec — the artifact
-//! // the engine, the sharded engine, the HTTP routes, and the CLI all
-//! // execute identically (with optional top-k, floor, and deadline):
-//! use silkmoth::QuerySpec;
-//! let spec = QuerySpec::new(vec!["77 Mass Ave Boston MA".to_string()]).with_top_k(1);
+//! // The best match only, under a floor of its own, within a budget:
+//! let spec = QuerySpec::new(location)
+//!     .with_top_k(1)
+//!     .with_floor(0.2)
+//!     .unwrap()
+//!     .with_deadline(std::time::Duration::from_secs(1));
 //! let top = engine.execute(&spec);
 //! assert_eq!(top.hits.len(), 1);
 //! assert!(!top.timed_out);
+//!
+//! // Discovery over external references is a batch of specs, one per
+//! // reference, fanned out across threads with output identical to the
+//! // serial run; the self-join is `discover_self_parallel`:
+//! let specs = vec![QuerySpec::new(vec!["77 Mass Ave Boston MA".to_string()])];
+//! let batch = engine.execute_batch(&specs, 0);
+//! assert_eq!(batch[0].hits, engine.execute_batch(&specs, 1)[0].hits);
+//! assert_eq!(engine.discover_self_parallel(0).pairs.len(), 1);
 //! ```
 
 pub use silkmoth_collection as collection;
@@ -94,13 +98,11 @@ pub use silkmoth_collection::{
 };
 pub use silkmoth_core::{
     brute, CompactionPolicy, ConfigError, DiscoveryOutput, Engine, EngineBuilder, EngineConfig,
-    FilterKind, PassStats, Query, QueryIter, QueryOutput, QuerySpec, RelatedPair,
-    RelatednessMetric, SearchOutput, SignatureScheme, Update, UpdateOutcome,
+    FilterKind, PassStats, QueryOutput, QuerySpec, RelatedPair, RelatednessMetric, SignatureScheme,
+    Update, UpdateOutcome,
 };
 pub use silkmoth_datagen::{ColumnsConfig, DblpConfig, SchemaConfig};
 pub use silkmoth_matching::{max_weight_assignment, WeightMatrix};
-pub use silkmoth_server::{
-    ShardSpec, ShardedDiscoveryOutput, ShardedEngine, ShardedQueryOutput, ShardedSearchOutput,
-};
+pub use silkmoth_server::{ShardSpec, ShardedEngine, ShardedQueryOutput};
 pub use silkmoth_storage::{StorageError, Store, StoreConfig, StoreEngine};
 pub use silkmoth_text::SimilarityFunction;

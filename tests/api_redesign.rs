@@ -1,12 +1,12 @@
 //! Integration tests for the owned, shareable engine API: builder
-//! validation, the fluent query layer (top-k, floor, streaming), and
+//! validation, the per-query knobs of a `QuerySpec` (top-k, floor), and
 //! parallel batched discovery over external references.
 
 use std::sync::Arc;
 
 use silkmoth::{
-    Collection, ConfigError, Engine, RelatednessMetric, SignatureScheme, SimilarityFunction,
-    Tokenization,
+    Collection, ConfigError, Engine, PassStats, QuerySpec, RelatednessMetric, SignatureScheme,
+    SimilarityFunction, Tokenization,
 };
 
 /// A schema-matching workload with planted related clusters.
@@ -15,6 +15,12 @@ fn schema_corpus(n: usize) -> Vec<Vec<String>> {
         num_sets: n,
         ..Default::default()
     })
+}
+
+/// The spec for stored set `rid`'s element texts.
+fn spec_of(engine: &Engine, rid: u32) -> QuerySpec {
+    let set = engine.collection().set(rid);
+    QuerySpec::new(set.elements.iter().map(|e| e.text.to_string()).collect())
 }
 
 fn schema_engine(n: usize, metric: RelatednessMetric, delta: f64) -> Engine {
@@ -43,7 +49,7 @@ fn engine_shared_behind_arc_serves_concurrent_queries() {
     let rids = [0u32, 13, 47];
     let want: Vec<_> = rids
         .iter()
-        .map(|&rid| engine.search(engine.collection().set(rid)).results)
+        .map(|&rid| engine.execute(&spec_of(&engine, rid)).hits)
         .collect();
     // The same engine, queried concurrently from worker threads — the
     // server-handler shape the old borrowed Engine<'a> could not express.
@@ -51,10 +57,7 @@ fn engine_shared_behind_arc_serves_concurrent_queries() {
         .iter()
         .map(|&rid| {
             let engine = Arc::clone(&engine);
-            std::thread::spawn(move || {
-                let r = engine.collection().set(rid).clone();
-                engine.query(&r).run().unwrap().results
-            })
+            std::thread::spawn(move || engine.execute(&spec_of(&engine, rid)).hits)
         })
         .collect();
     for (h, want) in handles.into_iter().zip(want) {
@@ -101,27 +104,28 @@ fn builder_rejects_invalid_configurations() {
 #[test]
 fn query_floor_is_validated_not_clamped() {
     let engine = schema_engine(40, RelatednessMetric::Similarity, 0.7);
-    let r = engine.collection().set(0).clone();
     for bad in [-0.5, 1.0001, f64::NAN, f64::NEG_INFINITY] {
-        match engine.query(&r).floor(bad).run() {
+        match spec_of(&engine, 0).with_floor(bad) {
             Err(ConfigError::FloorOutOfRange(v)) => {
                 assert!(v.is_nan() || v == bad)
             }
             other => panic!("floor {bad} should be rejected, got {other:?}"),
         }
     }
-    // Boundary values are legal.
-    assert!(engine.query(&r).floor(0.0).run().is_ok());
-    assert!(engine.query(&r).floor(1.0).run().is_ok());
+    // Boundary values are legal, and execute: floor 0 relates every set.
+    let all = engine.execute(&spec_of(&engine, 0).with_floor(0.0).unwrap());
+    assert_eq!(all.hits.len(), engine.collection().len());
+    let exact = engine.execute(&spec_of(&engine, 0).with_floor(1.0).unwrap());
+    assert!(exact.hits.iter().any(|&(sid, _)| sid == 0));
 }
 
 #[test]
 fn query_topk_ranks_and_breaks_ties_deterministically() {
     let engine = schema_engine(150, RelatednessMetric::Similarity, 0.9);
     for rid in [0u32, 9, 77] {
-        let r = engine.collection().set(rid).clone();
-        let all = engine.query(&r).floor(0.25).run().unwrap().results;
-        let got = engine.query(&r).floor(0.25).top_k(5).run().unwrap().results;
+        let spec = spec_of(&engine, rid).with_floor(0.25).unwrap();
+        let all = engine.execute(&spec).hits;
+        let got = engine.execute(&spec.with_top_k(5)).hits;
         // Documented order: score descending, ties by ascending set id.
         let mut want = all.clone();
         want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
@@ -129,132 +133,28 @@ fn query_topk_ranks_and_breaks_ties_deterministically() {
         assert_eq!(got, want, "rid={rid}");
     }
     // k = 0 yields nothing; huge k yields everything.
-    let r = engine.collection().set(0).clone();
-    assert!(engine
-        .query(&r)
-        .floor(0.3)
-        .top_k(0)
-        .run()
-        .unwrap()
-        .results
-        .is_empty());
-    let all = engine.query(&r).floor(0.3).run().unwrap().results.len();
-    assert_eq!(
-        engine
-            .query(&r)
-            .floor(0.3)
-            .top_k(usize::MAX)
-            .run()
-            .unwrap()
-            .results
-            .len(),
-        all
-    );
-}
-
-#[test]
-fn query_iter_drained_equals_run() {
-    let engine = schema_engine(200, RelatednessMetric::Similarity, 0.5);
-    for rid in [0u32, 31, 150] {
-        let r = engine.collection().set(rid).clone();
-        let run = engine.query(&r).run().unwrap();
-        let mut iter = engine.query(&r).iter().unwrap();
-        let mut streamed: Vec<(u32, f64)> = iter.by_ref().collect();
-        streamed.sort_unstable_by_key(|&(sid, _)| sid);
-        assert_eq!(streamed.len(), run.results.len(), "rid={rid}");
-        for (a, b) in streamed.iter().zip(&run.results) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "scores bit-identical");
-        }
-        assert_eq!(iter.stats(), run.stats, "rid={rid}");
-    }
-}
-
-/// Search passes borrow their id-indexed scratch from the thread. Two
-/// iterators alive at once on one thread, over collections of different
-/// sizes, must each work on tables of their own: stepping them in turns
-/// gives each exactly the answers it gives alone.
-#[test]
-fn interleaved_query_iters_over_two_collections_keep_their_own_answers() {
-    let columns = silkmoth::datagen::webtable_columns(&silkmoth::ColumnsConfig {
-        num_sets: 300,
-        num_pools: 3,
-        pool_size: 40,
-        ..Default::default()
-    });
-    let big = Engine::builder(Collection::build(&columns, Tokenization::Whitespace))
-        .metric(RelatednessMetric::Containment)
-        .phi(SimilarityFunction::Jaccard)
-        .delta(0.3)
-        .build()
-        .unwrap();
-    let small = schema_engine(60, RelatednessMetric::Similarity, 0.3);
-    for (big_rid, small_rid) in [(0u32, 0u32), (17, 31), (299, 59)] {
-        let rb = big.collection().set(big_rid).clone();
-        let rs = small.collection().set(small_rid).clone();
-        let alone_big: Vec<(u32, f64)> = big.query(&rb).iter().unwrap().collect();
-        let alone_small: Vec<(u32, f64)> = small.query(&rs).iter().unwrap().collect();
-        assert!(alone_big.len() > 1 && !alone_small.is_empty());
-
-        // The small pass is staged while the big one holds the thread's
-        // scratch, and the other way round.
-        for big_first in [true, false] {
-            let (mut ib, mut is);
-            if big_first {
-                ib = big.query(&rb).iter().unwrap();
-                is = small.query(&rs).iter().unwrap();
-            } else {
-                is = small.query(&rs).iter().unwrap();
-                ib = big.query(&rb).iter().unwrap();
-            }
-            let (mut got_big, mut got_small) = (Vec::new(), Vec::new());
-            loop {
-                let (b, s) = (ib.next(), is.next());
-                got_big.extend(b);
-                got_small.extend(s);
-                if b.is_none() && s.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(got_big, alone_big, "big_first={big_first}");
-            assert_eq!(got_small, alone_small, "big_first={big_first}");
-            assert_eq!(ib.stats(), big.query(&rb).run().unwrap().stats);
-            assert_eq!(is.stats(), small.query(&rs).run().unwrap().stats);
-        }
-    }
-}
-
-#[test]
-fn query_iter_early_termination_skips_verification_work() {
-    let engine = schema_engine(200, RelatednessMetric::Similarity, 0.4);
-    // Find a reference with several results so stopping early matters.
-    let rid = (0..200u32)
-        .find(|&rid| engine.search(engine.collection().set(rid)).results.len() >= 3)
-        .expect("some reference has ≥3 related sets");
-    let r = engine.collection().set(rid).clone();
-    let full = engine.query(&r).run().unwrap();
-    let mut iter = engine.query(&r).iter().unwrap();
-    let first = iter.next().expect("at least one result");
-    assert!(full.results.contains(&first));
-    // Early termination: strictly fewer pairs verified than the full run.
-    assert!(
-        iter.stats().verified < full.stats.verified,
-        "stopping early must save verification work ({} vs {})",
-        iter.stats().verified,
-        full.stats.verified
-    );
+    let spec = spec_of(&engine, 0).with_floor(0.3).unwrap();
+    assert!(engine.execute(&spec.clone().with_top_k(0)).hits.is_empty());
+    let all = engine.execute(&spec).hits.len();
+    assert_eq!(engine.execute(&spec.with_top_k(usize::MAX)).hits.len(), all);
 }
 
 /// The acceptance-criteria test: parallel batched discovery over
-/// external references on a ≥200-set datagen workload is byte-identical
-/// to serial — pairs, scores, and merged `PassStats`.
+/// external references — one spec per reference — on a ≥200-set datagen
+/// workload is byte-identical to serial: pairs, scores, and merged
+/// `PassStats`.
 #[test]
 fn discover_parallel_external_refs_identical_to_serial() {
     let corpus = schema_corpus(250);
     let collection = Arc::new(Collection::build(&corpus, Tokenization::Whitespace));
-    // External references: re-encoded perturbations of corpus sets (every
-    // other attribute of every fourth schema), so some match and some
-    // don't.
+    // External references: perturbations of corpus sets (every other
+    // attribute of every fourth schema), so some match and some don't.
+    let specs: Vec<QuerySpec> = corpus
+        .iter()
+        .step_by(4)
+        .map(|set| QuerySpec::new(set.iter().step_by(2).cloned().collect()))
+        .collect();
+    assert!(specs.len() >= 60);
     for metric in [
         RelatednessMetric::Similarity,
         RelatednessMetric::Containment,
@@ -265,38 +165,25 @@ fn discover_parallel_external_refs_identical_to_serial() {
             .delta(0.5)
             .build()
             .unwrap();
-        let refs: Vec<_> = corpus
-            .iter()
-            .step_by(4)
-            .map(|set| {
-                let strs: Vec<&str> = set.iter().step_by(2).map(String::as_str).collect();
-                engine.collection().encode_set(&strs)
-            })
-            .collect();
-        assert!(refs.len() >= 60);
-        let serial = engine.discover(&refs);
-        assert!(!serial.pairs.is_empty(), "workload must produce pairs");
-        for threads in [2, 3, 4, 8] {
-            let parallel = engine.discover_parallel(&refs, threads);
-            assert_eq!(
-                serial.pairs.len(),
-                parallel.pairs.len(),
-                "{metric:?} threads={threads}"
-            );
-            for (a, b) in serial.pairs.iter().zip(&parallel.pairs) {
-                assert_eq!((a.r, a.s), (b.r, b.s), "{metric:?} threads={threads}");
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "scores bit-identical: {metric:?} threads={threads}"
-                );
+        // (reference, set, score bits) in (r, s) order, and the stats
+        // of all the passes merged.
+        let discover = |threads: usize| {
+            let mut pairs = Vec::new();
+            let mut stats = PassStats::default();
+            for (r, out) in engine.execute_batch(&specs, threads).iter().enumerate() {
+                pairs.extend(out.hits.iter().map(|&(s, score)| (r, s, score.to_bits())));
+                stats.merge(&out.stats);
             }
-            assert_eq!(serial.stats, parallel.stats, "{metric:?} threads={threads}");
-        }
+            (pairs, stats)
+        };
+        let serial = discover(1);
+        assert!(!serial.0.is_empty(), "workload must produce pairs");
         // threads = 0 (auto) is also identical.
-        let auto = engine.discover_parallel(&refs, 0);
-        assert_eq!(serial.pairs.len(), auto.pairs.len());
-        assert_eq!(serial.stats, auto.stats);
+        for threads in [2, 3, 4, 8, 0] {
+            let parallel = discover(threads);
+            assert_eq!(parallel.0, serial.0, "{metric:?} threads={threads}");
+            assert_eq!(parallel.1, serial.1, "{metric:?} threads={threads}");
+        }
     }
 }
 
@@ -310,6 +197,6 @@ fn engine_outlives_its_builder_scope() {
         Engine::builder(collection).delta(0.6).build().unwrap()
     }
     let engine = make();
-    let out = engine.discover_self();
+    let out = engine.discover_self_parallel(1);
     assert_eq!(out.stats.results, out.pairs.len());
 }

@@ -94,7 +94,8 @@ fn assert_engine_matches_brute(collection: &Collection, cfg: &EngineConfig, rng:
     ];
 
     for r in &refs {
-        let fast = engine.search(r).results;
+        let texts = r.elements.iter().map(|e| e.text.to_string()).collect();
+        let fast = engine.execute(&QuerySpec::new(texts)).hits;
         let slow = brute::search(r, collection, cfg);
         assert_eq!(fast.len(), slow.len(), "{label}: result count");
         for (a, b) in fast.iter().zip(&slow) {
@@ -103,7 +104,7 @@ fn assert_engine_matches_brute(collection: &Collection, cfg: &EngineConfig, rng:
         }
     }
 
-    let fast = engine.discover_self().pairs;
+    let fast = engine.discover_self_parallel(1).pairs;
     let slow = brute::discover_self(collection, cfg);
     assert_eq!(fast.len(), slow.len(), "{label}: pair count");
     for (a, b) in fast.iter().zip(&slow) {

@@ -9,13 +9,13 @@
 use std::sync::Arc;
 
 use silkmoth::{
-    brute, Collection, Engine, EngineConfig, FilterKind, RelatednessMetric, SignatureScheme,
-    SimilarityFunction, Tokenization,
+    brute, Collection, Engine, EngineConfig, FilterKind, QuerySpec, RelatednessMetric,
+    SignatureScheme, SimilarityFunction, Tokenization,
 };
 
 fn assert_equivalent(collection: &Arc<Collection>, cfg: EngineConfig, label: &str) {
     let engine = Engine::new(Arc::clone(collection), cfg).expect("engine construction");
-    let fast = engine.discover_self();
+    let fast = engine.discover_self_parallel(1);
     let slow = brute::discover_self(collection, &cfg);
     let f: Vec<(u32, u32)> = fast.pairs.iter().map(|p| (p.r, p.s)).collect();
     let s: Vec<(u32, u32)> = slow.iter().map(|p| (p.r, p.s)).collect();
@@ -214,9 +214,9 @@ fn search_mode_matches_brute() {
     let engine = Engine::new(collection.clone(), cfg).unwrap();
     for &rid in &refs {
         let r = collection.set(rid as u32);
-        let fast = engine.search(r);
+        let fast = engine.execute(&QuerySpec::new(corpus[rid].clone()));
         let slow = brute::search(r, &collection, &cfg);
-        let f: Vec<u32> = fast.results.iter().map(|x| x.0).collect();
+        let f: Vec<u32> = fast.hits.iter().map(|x| x.0).collect();
         let s: Vec<u32> = slow.iter().map(|x| x.0).collect();
         assert_eq!(f, s, "reference {rid}");
     }

@@ -5,8 +5,17 @@
 use std::sync::Arc;
 
 use silkmoth::{
-    Collection, Engine, EngineConfig, RelatednessMetric, SimilarityFunction, Tokenization,
+    Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SetRecord, SimilarityFunction,
+    Tokenization,
 };
+
+/// The top-`k` query for `r`'s element texts at `floor`.
+fn top_k_spec(r: &SetRecord, k: usize, floor: f64) -> QuerySpec {
+    QuerySpec::new(r.elements.iter().map(|e| e.text.to_string()).collect())
+        .with_top_k(k)
+        .with_floor(floor)
+        .unwrap()
+}
 
 fn schema_collection(n: usize) -> Arc<Collection> {
     let corpus = silkmoth::datagen::webtable_schemas(&silkmoth::SchemaConfig {
@@ -29,20 +38,20 @@ fn topk_matches_ranked_brute_force() {
     let floor = 0.3;
     for rid in [0u32, 7, 33] {
         let r = collection.set(rid);
-        let got = engine.query(r).top_k(5).floor(floor).run().unwrap();
+        let got = engine.execute(&top_k_spec(r, 5, floor)).hits;
         // Brute-force ranking at the same floor.
         let mut cfg_floor = cfg;
         cfg_floor.delta = floor;
         let mut want = silkmoth::brute::search(r, &collection, &cfg_floor);
         want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         want.truncate(5);
-        assert_eq!(got.results.len(), want.len(), "rid={rid}");
-        for (g, w) in got.results.iter().zip(&want) {
+        assert_eq!(got.len(), want.len(), "rid={rid}");
+        for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.0, w.0, "rid={rid}");
             assert!((g.1 - w.1).abs() < 1e-9);
         }
         // Scores are non-increasing.
-        assert!(got.results.windows(2).all(|w| w[0].1 >= w[1].1 - 1e-12));
+        assert!(got.windows(2).all(|w| w[0].1 >= w[1].1 - 1e-12));
     }
 }
 
@@ -57,19 +66,12 @@ fn topk_zero_k_and_huge_k() {
     );
     let engine = Engine::new(collection.clone(), cfg).unwrap();
     let r = collection.set(0);
-    assert!(engine
-        .query(r)
-        .top_k(0)
-        .floor(0.3)
-        .run()
-        .unwrap()
-        .results
-        .is_empty());
-    let all = engine.query(r).top_k(usize::MAX).floor(0.3).run().unwrap();
+    assert!(engine.execute(&top_k_spec(r, 0, 0.3)).hits.is_empty());
+    let all = engine.execute(&top_k_spec(r, usize::MAX, 0.3));
     let mut cfg_floor = cfg;
     cfg_floor.delta = 0.3;
     assert_eq!(
-        all.results.len(),
+        all.hits.len(),
         silkmoth::brute::search(r, &collection, &cfg_floor).len()
     );
 }
@@ -87,8 +89,10 @@ fn codec_roundtrip_preserves_discovery_results() {
     );
     let a = Engine::new(collection.clone(), cfg)
         .unwrap()
-        .discover_self();
-    let b = Engine::new(restored, cfg).unwrap().discover_self();
+        .discover_self_parallel(1);
+    let b = Engine::new(restored, cfg)
+        .unwrap()
+        .discover_self_parallel(1);
     assert_eq!(a.pairs.len(), b.pairs.len());
     for (x, y) in a.pairs.iter().zip(&b.pairs) {
         assert_eq!((x.r, x.s), (y.r, y.s));
@@ -188,16 +192,16 @@ fn dice_cosine_end_to_end() {
     );
     let jac = Engine::new(collection.clone(), cfg)
         .unwrap()
-        .discover_self();
+        .discover_self_parallel(1);
     cfg.similarity = SimilarityFunction::Dice;
     cfg.reduction = false;
     let dice = Engine::new(collection.clone(), cfg)
         .unwrap()
-        .discover_self();
+        .discover_self_parallel(1);
     assert!(dice.pairs.len() >= jac.pairs.len());
     cfg.similarity = SimilarityFunction::Cosine;
     let cos = Engine::new(collection.clone(), cfg)
         .unwrap()
-        .discover_self();
+        .discover_self_parallel(1);
     assert!(cos.pairs.len() >= jac.pairs.len());
 }

@@ -6,8 +6,8 @@ use silkmoth::core::{explain_pair, generate_signature, SigKind, SigParams};
 use std::sync::Arc;
 
 use silkmoth::{
-    Collection, Engine, EngineConfig, FilterKind, InvertedIndex, RelatednessMetric,
-    SignatureScheme, SimilarityFunction, Tokenization,
+    Collection, Engine, EngineConfig, FilterKind, InvertedIndex, QueryOutput, QuerySpec,
+    RelatednessMetric, SetRecord, SignatureScheme, SimilarityFunction, Tokenization,
 };
 
 fn table2() -> (Collection, silkmoth::SetRecord) {
@@ -16,6 +16,13 @@ fn table2() -> (Collection, silkmoth::SetRecord) {
 
 fn tid(i: usize) -> u32 {
     silkmoth::collection::paper_example::tid(i)
+}
+
+/// RELATED SET SEARCH from `r` at the engine's δ.
+fn search_from(engine: &Engine, r: &SetRecord) -> QueryOutput {
+    engine.execute(&QuerySpec::new(
+        r.elements.iter().map(|e| e.text.to_string()).collect(),
+    ))
 }
 
 /// Example 1: containment and similarity of Table 1's Address/Location
@@ -48,9 +55,9 @@ fn example1_table1_alignment() {
     );
     let engine = Engine::new(collection.clone(), cfg).unwrap();
     let r = collection.encode_set(&location);
-    let out = engine.search(&r);
-    assert_eq!(out.results.len(), 1);
-    let contain = out.results[0].1;
+    let out = search_from(&engine, &r);
+    assert_eq!(out.hits.len(), 1);
+    let contain = out.hits[0].1;
     // Under our tokenization: (3/7 + 1/4 + 3/7) / 3 ≈ 0.369.
     assert!((contain - (3.0 / 7.0 + 0.25 + 3.0 / 7.0) / 3.0).abs() < 1e-9);
 
@@ -61,10 +68,10 @@ fn example1_table1_alignment() {
         ..cfg
     };
     let engine = Engine::new(collection.clone(), cfg_sim).unwrap();
-    let out = engine.search(&r);
-    assert_eq!(out.results.len(), 1);
+    let out = search_from(&engine, &r);
+    assert_eq!(out.hits.len(), 1);
     let m = 3.0 / 7.0 + 0.25 + 3.0 / 7.0;
-    assert!((out.results[0].1 - m / (3.0 + 4.0 - m)).abs() < 1e-9);
+    assert!((out.hits[0].1 - m / (3.0 + 4.0 - m)).abs() < 1e-9);
 }
 
 /// Example 2: contain(R, S4) ≈ 0.743 > 0.7 via alignments
@@ -79,11 +86,11 @@ fn example2_search_returns_only_s4() {
         0.0,
     );
     let engine = Engine::new(c.clone(), cfg).unwrap();
-    let out = engine.search(&r);
-    assert_eq!(out.results.len(), 1);
-    assert_eq!(out.results[0].0, 3);
+    let out = search_from(&engine, &r);
+    assert_eq!(out.hits.len(), 1);
+    assert_eq!(out.hits[0].0, 3);
     let expected = (0.8 + 1.0 + 3.0 / 7.0) / 3.0;
-    assert!((out.results[0].1 - expected).abs() < 1e-9);
+    assert!((out.hits[0].1 - expected).abs() < 1e-9);
 }
 
 /// Example 3: with the Example 6 weighted signature the initial candidates
@@ -101,10 +108,10 @@ fn example3_candidate_funnel() {
         reduction: false,
     };
     let engine = Engine::new(c.clone(), cfg).unwrap();
-    let out = engine.search(&r);
+    let out = search_from(&engine, &r);
     assert_eq!(out.stats.candidates, 3, "S2, S3, S4");
     assert_eq!(out.stats.verified, 3);
-    assert_eq!(out.results.len(), 1);
+    assert_eq!(out.hits.len(), 1);
 }
 
 /// Examples 4–6: R^T spans t1..t12; the Example 6 signature
@@ -285,8 +292,8 @@ fn all_schemes_agree_on_running_example() {
                 reduction: alpha == 0.0,
             };
             let engine = Engine::new(c.clone(), cfg).unwrap();
-            let out = engine.search(&r);
-            let ids: Vec<u32> = out.results.iter().map(|x| x.0).collect();
+            let out = search_from(&engine, &r);
+            let ids: Vec<u32> = out.hits.iter().map(|x| x.0).collect();
             // Jac(r3, s43) = 3/7 ≈ 0.43 is clamped to zero once α exceeds
             // it, dropping contain(R, S4) to 1.8/3 = 0.6 < δ.
             let expected: Vec<u32> = if alpha <= 3.0 / 7.0 { vec![3] } else { vec![] };

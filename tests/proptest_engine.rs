@@ -70,7 +70,7 @@ proptest! {
             reduction,
         };
         let engine = Engine::new(collection.clone(), cfg).unwrap();
-        let fast = engine.discover_self();
+        let fast = engine.discover_self_parallel(1);
         let slow = brute::discover_self(&collection, &cfg);
         let f: Vec<(u32, u32)> = fast.pairs.iter().map(|p| (p.r, p.s)).collect();
         let s: Vec<(u32, u32)> = slow.iter().map(|p| (p.r, p.s)).collect();
@@ -109,7 +109,7 @@ proptest! {
             reduction: true,
         };
         let engine = Engine::new(collection.clone(), cfg).unwrap();
-        let fast = engine.discover_self();
+        let fast = engine.discover_self_parallel(1);
         let slow = brute::discover_self(&collection, &cfg);
         let f: Vec<(u32, u32)> = fast.pairs.iter().map(|p| (p.r, p.s)).collect();
         let s: Vec<(u32, u32)> = slow.iter().map(|p| (p.r, p.s)).collect();

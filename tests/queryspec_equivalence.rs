@@ -2,17 +2,16 @@
 //!
 //! One [`QuerySpec`] must drive every execution layer identically:
 //!
-//! * **Spec path ≡ legacy builder path**: `engine.execute(&spec)` is
-//!   byte-identical (ids, tie order, bit-equal scores, equal stats) to
-//!   `engine.query(&r).top_k(k).floor(f).run()` — on fresh collections
-//!   and after incremental updates — and `ShardedEngine::execute`
-//!   reproduces it for shard counts {1, 2, 7}.
+//! * **Spec path ≡ brute force**: `engine.execute(&spec)` is
+//!   byte-identical (ids, tie order, bit-equal scores) to ranking
+//!   `brute::search` at the spec's floor and cutting it at its `k` — on
+//!   fresh collections and after incremental updates — and
+//!   `ShardedEngine::execute` reproduces it for shard counts {1, 2, 7}.
 //! * **Encodings are total and validated**: the `core::wire` binary
 //!   form and the server JSON form round-trip every spec; truncated or
 //!   garbage payloads are named errors, never panics; an out-of-range
-//!   floor is refused identically from the fluent builder, the spec
-//!   constructor, JSON, the binary wire, and the CLI (the single
-//!   validation point).
+//!   floor is refused identically from the spec constructor, JSON, the
+//!   binary wire, and the CLI (the single validation point).
 //! * **Deadlines truncate, never corrupt**: under an adversarially slow
 //!   corpus a deadline-bearing query returns a well-formed subset
 //!   flagged `timed_out` instead of scanning to the floor.
@@ -22,11 +21,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
+use silkmoth::core::rank::rank_top_k;
 use silkmoth::server::queryspec::{spec_from_json, spec_to_json};
 use silkmoth::server::Json;
 use silkmoth::{
-    Collection, ConfigError, Engine, EngineConfig, QuerySpec, RelatednessMetric, ShardedEngine,
-    SimilarityFunction, Update,
+    brute, Collection, ConfigError, Engine, EngineConfig, QuerySpec, RelatednessMetric,
+    ShardedEngine, SimilarityFunction, Update,
 };
 use silkmoth_core::wire::{decode_query_spec, encode_query_spec, WireError};
 
@@ -85,23 +85,26 @@ fn assert_hits_identical(got: &[(u32, f64)], want: &[(u32, f64)], ctx: &str) {
     }
 }
 
-/// One full cross-layer equivalence check: the spec against the legacy
-/// fluent-builder path on the unsharded engine, and against every
-/// sharded flavor. Gids equal raw input ids here (no compaction), so
-/// the outputs are directly comparable.
+/// One full cross-layer equivalence check: the spec on the unsharded
+/// engine against ranked brute force at the spec's floor, and every
+/// sharded flavor against the engine. Gids equal raw input ids here (no
+/// compaction), so the outputs are directly comparable.
 fn check_spec(engine: &Engine, sharded: &[ShardedEngine], spec: &QuerySpec) {
     let r = engine.collection().encode_set(spec.reference());
-    let mut legacy = engine.query(&r);
-    if let Some(k) = spec.top_k() {
-        legacy = legacy.top_k(k);
-    }
+    let mut at = *engine.config();
     if let Some(f) = spec.floor() {
-        legacy = legacy.floor(f);
+        at.delta = f.max(f64::MIN_POSITIVE);
     }
-    let want = legacy.run().expect("spec floors are valid");
+    let mut want = brute::search(&r, engine.collection(), &at);
+    if let Some(k) = spec.top_k() {
+        rank_top_k(&mut want, k);
+    }
     let got = engine.execute(spec);
-    assert_hits_identical(&got.hits, &want.results, "engine.execute vs builder");
-    assert_eq!(got.stats, want.stats, "engine.execute vs builder stats");
+    assert_hits_identical(&got.hits, &want, "engine.execute vs ranked brute::search");
+    if spec.top_k().is_none() {
+        // At the floor, every verified pair that reached it is a hit.
+        assert_eq!(got.stats.results, got.hits.len(), "engine.execute stats");
+    }
     assert!(!got.timed_out);
     if spec.want_explain() {
         assert_eq!(got.explanations.len(), got.hits.len());
@@ -124,10 +127,11 @@ fn check_spec(engine: &Engine, sharded: &[ShardedEngine], spec: &QuerySpec) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // The tentpole property: one spec, five executors, identical bytes
-    // — fresh and after incremental updates.
+    // The tentpole property: one spec, the engine and three sharded
+    // executors, the bytes brute force ranks — fresh and after
+    // incremental updates.
     #[test]
-    fn spec_path_is_byte_identical_to_the_builder_path(seed in any::<u64>()) {
+    fn spec_path_is_byte_identical_to_ranked_brute_force(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let config = cfg(rng);
         let n = rng.random_range(15..45usize);
@@ -274,20 +278,11 @@ proptest! {
 
 /// The floor check lives in exactly one place — [`QuerySpec::with_floor`]
 /// — so an out-of-range floor must fail with the *same* error from the
-/// fluent builder, the spec constructor, the JSON decoder, and the
-/// binary wire decoder. (The CLI entry point is covered by
+/// spec constructor, the JSON decoder, and the binary wire decoder. (The
+/// CLI entry point is covered by
 /// `cli_floor_fails_like_every_other_entry_point` below.)
 #[test]
 fn floor_rejection_is_identical_across_entry_points() {
-    let raw = vec![vec!["a b c".to_owned()], vec!["d e".to_owned()]];
-    let config = EngineConfig::full(
-        RelatednessMetric::Similarity,
-        SimilarityFunction::Jaccard,
-        0.5,
-        0.0,
-    );
-    let engine = Engine::new(Collection::build(&raw, config.tokenization()), config).unwrap();
-    let r = engine.collection().encode_set(&["a b c"]);
     for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
         // 1. Spec constructor: the canonical error.
         let want = QuerySpec::new(vec!["a b c".into()])
@@ -295,25 +290,14 @@ fn floor_rejection_is_identical_across_entry_points() {
             .unwrap_err();
         assert!(matches!(want, ConfigError::FloorOutOfRange(_)), "{bad}");
 
-        // 2. Fluent builder (run and iter).
-        let from_run = engine.query(&r).floor(bad).run().unwrap_err();
-        assert_eq!(from_run.to_string(), want.to_string(), "{bad}");
-        let from_iter = engine.query(&r).floor(bad).iter().unwrap_err();
-        assert_eq!(from_iter.to_string(), want.to_string(), "{bad}");
-
-        // 3. Sharded raw-parameter search.
-        let sharded = ShardedEngine::build(&raw, config, 2).unwrap();
-        let from_sharded = sharded.search(&["a b c"], None, Some(bad)).unwrap_err();
-        assert_eq!(from_sharded.to_string(), want.to_string(), "{bad}");
-
-        // 4. JSON decoder (finite floors only — JSON has no NaN/inf).
+        // 2. JSON decoder (finite floors only — JSON has no NaN/inf).
         if bad.is_finite() {
             let body = format!(r#"{{"reference": ["a b c"], "floor": {bad}}}"#);
             let err = spec_from_json(&Json::parse(&body).unwrap()).unwrap_err();
             assert_eq!(err, want.to_string(), "{bad}");
         }
 
-        // 5. Binary wire decoder: a hand-crafted payload with the bad
+        // 3. Binary wire decoder: a hand-crafted payload with the bad
         // floor bits must be refused with the same inner error.
         let good = QuerySpec::new(vec!["a b c".into()])
             .with_floor(0.5)

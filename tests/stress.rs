@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use silkmoth::{
-    Collection, Engine, EngineConfig, FilterKind, RelatednessMetric, SignatureScheme,
+    Collection, Engine, EngineConfig, FilterKind, QuerySpec, RelatednessMetric, SignatureScheme,
     SimilarityFunction, Tokenization,
 };
 
@@ -24,8 +24,8 @@ fn discovery_is_deterministic_across_runs_and_threads() {
         0.8,
     );
     let engine = Engine::new(collection.clone(), cfg).unwrap();
-    let serial1 = engine.discover_self();
-    let serial2 = engine.discover_self();
+    let serial1 = engine.discover_self_parallel(1);
+    let serial2 = engine.discover_self_parallel(1);
     assert_eq!(serial1.pairs.len(), serial2.pairs.len());
     for (a, b) in serial1.pairs.iter().zip(&serial2.pairs) {
         assert_eq!((a.r, a.s), (b.r, b.s));
@@ -45,7 +45,8 @@ fn discovery_is_deterministic_across_runs_and_threads() {
 #[test]
 fn search_and_discovery_agree() {
     // Every pair reported by self-discovery must also be reported by a
-    // direct search from its reference side, and vice versa.
+    // direct search from its reference side — one spec per set, run as a
+    // batch — and vice versa.
     let corpus = silkmoth::datagen::webtable_schemas(&silkmoth::SchemaConfig {
         num_sets: 250,
         ..Default::default()
@@ -58,10 +59,11 @@ fn search_and_discovery_agree() {
         0.25,
     );
     let engine = Engine::new(collection.clone(), cfg).unwrap();
-    let discovery = engine.discover_self();
+    let discovery = engine.discover_self_parallel(1);
+    let specs: Vec<QuerySpec> = corpus.iter().cloned().map(QuerySpec::new).collect();
     let mut from_search = Vec::new();
-    for rid in 0..collection.len() as u32 {
-        for (sid, score) in engine.search(collection.set(rid)).results {
+    for (rid, out) in (0u32..).zip(engine.execute_batch(&specs, 0)) {
+        for (sid, score) in out.hits {
             if sid != rid {
                 from_search.push((rid, sid, score));
             }
@@ -86,7 +88,7 @@ fn funnel_counts_are_sane_at_scale() {
         0.5,
     );
     let engine = Engine::new(collection.clone(), cfg).unwrap();
-    let out = engine.discover_self();
+    let out = engine.discover_self_parallel(1);
     let st = out.stats;
     assert!(st.candidates >= st.after_check);
     assert!(st.after_check >= st.after_nn);
@@ -124,7 +126,7 @@ fn degenerate_edit_configuration_still_exact() {
         reduction: false,
     };
     let engine = Engine::new(collection.clone(), cfg).unwrap();
-    let fast = engine.discover_self();
+    let fast = engine.discover_self_parallel(1);
     assert!(fast.stats.degenerate > 0, "expected degenerate passes");
     let slow = silkmoth::brute::discover_self(&collection, &cfg);
     let f: Vec<(u32, u32)> = fast.pairs.iter().map(|p| (p.r, p.s)).collect();
@@ -148,12 +150,12 @@ fn reduction_fires_and_preserves_results_at_scale() {
     );
     let with = Engine::new(collection.clone(), base)
         .unwrap()
-        .discover_self();
+        .discover_self_parallel(1);
     let mut cfg2 = base;
     cfg2.reduction = false;
     let without = Engine::new(collection.clone(), cfg2)
         .unwrap()
-        .discover_self();
+        .discover_self_parallel(1);
     assert!(with.stats.reduced_pairs > 0, "reduction should fire");
     assert_eq!(with.pairs.len(), without.pairs.len());
     for (a, b) in with.pairs.iter().zip(&without.pairs) {

@@ -25,8 +25,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silkmoth::server::{Json, Request, SearchService};
 use silkmoth::{
-    Collection, Engine, EngineConfig, RelatednessMetric, SetIdx, ShardedEngine, SimilarityFunction,
-    Update,
+    brute, Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SetIdx, ShardedEngine,
+    SimilarityFunction, Update,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -108,6 +108,22 @@ type ElementGen = fn(&mut StdRng) -> String;
 fn gen_set(rng: &mut StdRng, element: ElementGen) -> Vec<String> {
     let n = rng.random_range(1..=4usize);
     (0..n).map(|_| element(rng)).collect()
+}
+
+/// Per-reference hits as `(reference, gid, score bits)` triples, in
+/// `(r, s)` order; `gid` maps an engine's id into the stable gid space.
+fn triples(
+    per_reference: impl IntoIterator<Item = Vec<(SetIdx, f64)>>,
+    gid: impl Fn(SetIdx) -> SetIdx,
+) -> Vec<(u32, SetIdx, u64)> {
+    let mut out = Vec::new();
+    for (r, hits) in (0u32..).zip(per_reference) {
+        out.extend(
+            hits.into_iter()
+                .map(|(id, score)| (r, gid(id), score.to_bits())),
+        );
+    }
+    out
 }
 
 /// The harness state: one incremental engine per flavor plus the model
@@ -209,28 +225,25 @@ impl Harness {
     /// output byte-identical to the fresh rebuild.
     fn check_query(&self, elems: &[String], k: Option<usize>, floor: Option<f64>) {
         let (fresh, gids) = self.fresh();
-        let r = fresh.collection().encode_set(elems);
-        let mut query = fresh.query(&r);
+        let mut spec = QuerySpec::new(elems.to_vec());
         if let Some(k) = k {
-            query = query.top_k(k);
+            spec = spec.with_top_k(k);
         }
         if let Some(f) = floor {
-            query = query.floor(f);
+            spec = spec.with_floor(f).unwrap();
         }
         // Fresh results in the stable gid space.
-        let want: Vec<(SetIdx, u64)> = query
-            .run()
-            .unwrap()
-            .results
+        let want: Vec<(SetIdx, u64)> = fresh
+            .execute(&spec)
+            .hits
             .into_iter()
             .map(|(fid, score)| (gids[fid as usize], score.to_bits()))
             .collect();
 
         for engine in &self.sharded {
             let got: Vec<(SetIdx, u64)> = engine
-                .search(elems, k, floor)
-                .unwrap()
-                .results
+                .execute(&spec)
+                .hits
                 .into_iter()
                 .map(|(gid, score)| (gid, score.to_bits()))
                 .collect();
@@ -246,18 +259,10 @@ impl Harness {
         // compacted) ids; map them back to gids. The inc→gid map is
         // order-preserving, so tie order survives the translation.
         let gid_of: HashMap<SetIdx, SetIdx> = self.inc_ids.iter().map(|(&g, &i)| (i, g)).collect();
-        let r_inc = self.inc.collection().encode_set(elems);
-        let mut query = self.inc.query(&r_inc);
-        if let Some(k) = k {
-            query = query.top_k(k);
-        }
-        if let Some(f) = floor {
-            query = query.floor(f);
-        }
-        let got: Vec<(SetIdx, u64)> = query
-            .run()
-            .unwrap()
-            .results
+        let got: Vec<(SetIdx, u64)> = self
+            .inc
+            .execute(&spec)
+            .hits
             .into_iter()
             .map(|(iid, score)| (gid_of[&iid], score.to_bits()))
             .collect();
@@ -267,26 +272,23 @@ impl Harness {
         );
     }
 
-    /// Batched discovery across all flavors vs the fresh rebuild.
+    /// Batched discovery — one spec per reference — across all flavors
+    /// vs brute force over the fresh rebuild.
     fn check_discover(&self, refs: &[Vec<String>]) {
         let (fresh, gids) = self.fresh();
         let encoded: Vec<_> = refs
             .iter()
             .map(|set| fresh.collection().encode_set(set))
             .collect();
-        let want: Vec<(u32, SetIdx, u64)> = fresh
-            .discover(&encoded)
-            .pairs
-            .into_iter()
-            .map(|p| (p.r, gids[p.s as usize], p.score.to_bits()))
-            .collect();
-        for engine in &self.sharded {
-            let got: Vec<(u32, SetIdx, u64)> = engine
-                .discover(refs)
-                .pairs
+        let want: Vec<(u32, SetIdx, u64)> =
+            brute::discover(&encoded, fresh.collection(), &self.cfg)
                 .into_iter()
-                .map(|p| (p.r, p.s, p.score.to_bits()))
+                .map(|p| (p.r, gids[p.s as usize], p.score.to_bits()))
                 .collect();
+        let specs: Vec<QuerySpec> = refs.iter().cloned().map(QuerySpec::new).collect();
+        for engine in &self.sharded {
+            let outs = engine.execute_batch(&specs);
+            let got = triples(outs.into_iter().map(|out| out.hits), |gid| gid);
             assert_eq!(
                 got,
                 want,
@@ -297,17 +299,8 @@ impl Harness {
 
         // The unsharded Engine::apply path too (ids mapped back to gids).
         let gid_of: HashMap<SetIdx, SetIdx> = self.inc_ids.iter().map(|(&g, &i)| (i, g)).collect();
-        let encoded_inc: Vec<_> = refs
-            .iter()
-            .map(|set| self.inc.collection().encode_set(set))
-            .collect();
-        let got: Vec<(u32, SetIdx, u64)> = self
-            .inc
-            .discover(&encoded_inc)
-            .pairs
-            .into_iter()
-            .map(|p| (p.r, gid_of[&p.s], p.score.to_bits()))
-            .collect();
+        let outs = self.inc.execute_batch(&specs, 1);
+        let got = triples(outs.into_iter().map(|out| out.hits), |iid| gid_of[&iid]);
         assert_eq!(got, want, "Engine::apply discover vs fresh rebuild");
     }
 
