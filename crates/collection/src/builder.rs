@@ -44,26 +44,42 @@ pub(crate) fn build_collection<S: AsRef<str>>(
     // Intern: a distinct text takes the next element id at its first
     // occurrence, and only distinct texts are tokenised below.
     let mut ids: HashMap<&str, ElemId> = HashMap::new();
-    // (text, occurrences) by element id.
-    let mut distinct: Vec<(&str, u32)> = Vec::new();
-    let mut occurrence_ids: Vec<ElemId> = Vec::with_capacity(raw.iter().map(Vec::len).sum());
-    for text in raw.iter().flatten() {
-        let text = text.as_ref();
-        let id = *ids.entry(text).or_insert_with(|| {
-            distinct.push((text, 0));
-            (distinct.len() - 1) as ElemId
-        });
-        distinct[id as usize].1 += 1;
-        occurrence_ids.push(id);
-    }
+    let mut distinct: Vec<&str> = Vec::new();
+    let sets: Vec<Vec<ElemId>> = raw
+        .iter()
+        .map(|set| {
+            set.iter()
+                .map(|text| {
+                    let text = text.as_ref();
+                    *ids.entry(text).or_insert_with(|| {
+                        distinct.push(text);
+                        (distinct.len() - 1) as ElemId
+                    })
+                })
+                .collect()
+        })
+        .collect();
     drop(ids);
+    build_interned(&distinct, &sets, tokenization)
+}
+
+/// The build over interned input (see [`Collection::build_interned`]).
+pub(crate) fn build_interned<S: AsRef<str>, V: AsRef<[ElemId]>>(
+    texts: &[S],
+    sets: &[V],
+    tokenization: Tokenization,
+) -> Collection {
+    let mut occurrences = vec![0u32; texts.len()];
+    for &id in sets.iter().flat_map(AsRef::as_ref) {
+        occurrences[id as usize] += 1;
+    }
 
     // Pass 1: posting counts. Every occurrence of an element is one
     // posting of each of its distinct tokens.
     let mut counts: HashMap<Box<str>, u32> = HashMap::new();
     let mut scratch: Vec<String> = Vec::new();
-    for &(text, occurrences) in &distinct {
-        distinct_raw_tokens(text, tokenization, &mut scratch);
+    for (text, &occurrences) in texts.iter().zip(&occurrences) {
+        distinct_raw_tokens(text.as_ref(), tokenization, &mut scratch);
         for t in &scratch {
             if let Some(c) = counts.get_mut(t.as_str()) {
                 *c += occurrences;
@@ -75,23 +91,25 @@ pub(crate) fn build_collection<S: AsRef<str>>(
     let dict = TokenDict::from_counts(counts);
 
     // Pass 2: encode every distinct element against the dictionary.
-    let elems: Vec<Arc<Element>> = distinct
+    let elems: Vec<Arc<Element>> = texts
         .iter()
         .enumerate()
-        .map(|(id, (text, _))| {
-            Arc::new(encode_element(text, tokenization, id as ElemId, |t| {
-                dict.id(t).expect("token seen in pass 1")
-            }))
+        .map(|(id, text)| {
+            Arc::new(encode_element(
+                text.as_ref(),
+                tokenization,
+                id as ElemId,
+                |t| dict.id(t).expect("token seen in pass 1"),
+            ))
         })
         .collect();
 
-    let mut ids = occurrence_ids.iter();
-    let sets: Vec<SetRecord> = raw
+    let sets: Vec<SetRecord> = sets
         .iter()
         .map(|set| SetRecord {
-            elements: ids
-                .by_ref()
-                .take(set.len())
+            elements: set
+                .as_ref()
+                .iter()
                 .map(|&id| Arc::clone(&elems[id as usize]))
                 .collect(),
         })

@@ -140,6 +140,19 @@ impl Collection {
         builder::build_collection(raw, tokenization)
     }
 
+    /// [`build`](Self::build) over input already interned — `texts[id]`
+    /// is element `id`, and sets list their elements by id — so no text
+    /// is hashed. For distinct texts in first-occurrence order (what
+    /// [`codec::intern`] gives) it is exactly `build` over the sets
+    /// spelled out. Panics on an id not below `texts.len()`.
+    pub fn build_interned<S: AsRef<str>, V: AsRef<[ElemId]>>(
+        texts: &[S],
+        sets: &[V],
+        tokenization: Tokenization,
+    ) -> Self {
+        builder::build_interned(texts, sets, tokenization)
+    }
+
     /// Number of set *slots* (live and tombstoned). Slot ids are stable:
     /// removal never shifts them, so this is also the exclusive upper
     /// bound on valid [`SetIdx`] values.
@@ -226,19 +239,19 @@ impl Collection {
     /// compacted collection is byte-for-byte what a from-scratch build
     /// would produce.
     pub fn compact(&mut self) -> Vec<Option<SetIdx>> {
-        let mut remap = Vec::with_capacity(self.sets.len());
         let mut next = 0 as SetIdx;
-        let mut raw: Vec<Vec<&str>> = Vec::with_capacity(self.live_count);
-        for (i, set) in self.sets.iter().enumerate() {
-            if self.live[i] {
-                remap.push(Some(next));
-                next += 1;
-                raw.push(set.elements.iter().map(|e| e.text.as_ref()).collect());
-            } else {
-                remap.push(None);
-            }
-        }
-        *self = builder::build_collection(&raw, self.tokenization);
+        let remap = self
+            .live
+            .iter()
+            .map(|&live| {
+                live.then(|| {
+                    next += 1;
+                    next - 1
+                })
+            })
+            .collect();
+        let (texts, sets) = codec::intern(&[self], self.live_ids().map(|id| (0, id)));
+        *self = builder::build_interned(&texts, &sets, self.tokenization);
         remap
     }
 

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use silkmoth_collection::codec::{decode, encode, CodecError};
+use silkmoth_collection::codec::{decode, decode_interned, encode, CodecError};
 use silkmoth_collection::{paper_example, Collection, Tokenization};
 
 /// Golden round-trip on the paper's Table 2 example: the header bytes
@@ -18,11 +18,24 @@ fn golden_roundtrip_paper_example() {
     let (c, _) = paper_example::table2();
     let bytes = encode(&c);
 
-    // Pinned header: magic, whitespace tag, q = 0, n_sets = 4.
-    assert_eq!(&bytes[..4], b"SMC1");
+    // Pinned header: magic, whitespace tag, q = 0, n_texts = 12, then
+    // the first text; the sets follow the texts.
+    assert_eq!(&bytes[..4], b"SMC2");
     assert_eq!(bytes[4], 0, "whitespace tokenization tag");
     assert_eq!(&bytes[5..9], &[0, 0, 0, 0], "q is zero for whitespace");
-    assert_eq!(&bytes[9..17], &4u64.to_le_bytes(), "Table 2 has 4 sets");
+    assert_eq!(&bytes[9..17], &12u64.to_le_bytes(), "Table 2 has 12 texts");
+    assert_eq!(&bytes[17..21], &14u32.to_le_bytes());
+    assert_eq!(&bytes[21..35], b"t2 t3 t5 t6 t7");
+    let sets = sets_offset(&bytes);
+    assert_eq!(
+        &bytes[sets..sets + 8],
+        &4u64.to_le_bytes(),
+        "Table 2 has 4 sets"
+    );
+    assert_eq!(
+        &bytes[sets + 8..sets + 24],
+        &[3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0]
+    );
 
     let back = decode(&bytes).unwrap();
     assert_eq!(back.len(), c.len());
@@ -33,6 +46,12 @@ fn golden_roundtrip_paper_example() {
     }
     // Encoding the decoded collection is a byte-level fixpoint.
     assert_eq!(encode(&back), bytes);
+}
+
+/// Where `n_sets` sits: past the header and every text.
+fn sets_offset(bytes: &[u8]) -> usize {
+    let (texts, _, _) = decode_interned(bytes).unwrap();
+    17 + texts.iter().map(|t| 4 + t.len()).sum::<usize>()
 }
 
 /// Every truncation of a valid corpus is `Err(Truncated)` or
@@ -50,33 +69,47 @@ fn every_truncation_is_an_error() {
     assert!(decode(&bytes).is_ok(), "the untruncated corpus decodes");
 }
 
-/// A corrupted header declaring astronomically many sets (or elements,
-/// or absurd string lengths) must fail fast via bounds checks — the
-/// capacity hints are clamped by the buffer size, so this cannot
-/// trigger a giant allocation before the `Truncated` error.
+/// A corrupted header declaring astronomically many texts or sets (or
+/// elements, or absurd string lengths) must fail fast: every declared
+/// count is checked against the bytes left before anything is
+/// allocated for it, so this cannot trigger a giant allocation before
+/// the `Truncated` error.
 #[test]
 fn absurd_declared_lengths_fail_without_allocating() {
     let (c, _) = paper_example::table2();
     let good = encode(&c);
+    let sets = sets_offset(&good);
 
-    // n_sets = u64::MAX.
-    let mut b = good.to_vec();
-    b[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(decode(&b).unwrap_err(), CodecError::Truncated);
+    // n_texts = 2^32 and u64::MAX.
+    for absurd in [1u64 << 32, u64::MAX] {
+        let mut b = good.to_vec();
+        b[9..17].copy_from_slice(&absurd.to_le_bytes());
+        assert_eq!(decode(&b).unwrap_err(), CodecError::Truncated);
+    }
 
-    // First set's n_elems = u32::MAX.
+    // First text's byte length = u32::MAX.
     let mut b = good.to_vec();
     b[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(decode(&b).unwrap_err(), CodecError::Truncated);
 
-    // First element's byte length = u32::MAX.
+    // n_sets = u64::MAX.
     let mut b = good.to_vec();
-    b[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+    b[sets..sets + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(decode(&b).unwrap_err(), CodecError::Truncated);
+
+    // First set's n_elems = u32::MAX.
+    let mut b = good.to_vec();
+    b[sets + 8..sets + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(decode(&b).unwrap_err(), CodecError::Truncated);
+
+    // A text index past the 12 texts.
+    let mut b = good.to_vec();
+    b[sets + 12..sets + 16].copy_from_slice(&12u32.to_le_bytes());
+    assert_eq!(decode(&b).unwrap_err(), CodecError::BadIndex(12));
 
     // A minimal hostile document: valid header, huge count, no payload.
     let mut tiny = Vec::new();
-    tiny.extend_from_slice(b"SMC1");
+    tiny.extend_from_slice(b"SMC2");
     tiny.push(0);
     tiny.extend_from_slice(&0u32.to_le_bytes());
     tiny.extend_from_slice(&u64::MAX.to_le_bytes());
@@ -109,8 +142,8 @@ fn hostile_q_values_rejected() {
 fn non_utf8_element_bytes_rejected() {
     let c = Collection::build(&[vec!["abc"]], Tokenization::Whitespace);
     let mut b = encode(&c).to_vec();
-    let start = b.len() - 3; // the 3 bytes of "abc"
-    b[start] = 0xff;
+    assert_eq!(&b[21..24], b"abc");
+    b[21] = 0xff;
     assert_eq!(decode(&b).unwrap_err(), CodecError::BadUtf8);
 }
 
@@ -197,7 +230,7 @@ proptest! {
         let _ = decode(&buf);
         // Same with a valid magic stapled on, to reach the deeper paths.
         if buf.len() >= 4 {
-            buf[..4].copy_from_slice(b"SMC1");
+            buf[..4].copy_from_slice(b"SMC2");
             let _ = decode(&buf);
         }
     }

@@ -170,7 +170,7 @@ fn collection_dir(data_dir: &Path, name: &str) -> PathBuf {
 
 /// An empty sharded engine (what a freshly created collection serves).
 fn empty_engine(cfg: EngineConfig, shards: usize) -> Result<ShardedEngine, ConfigError> {
-    ShardedEngine::restore(Vec::new(), &[], 0, cfg, shards)
+    ShardedEngine::build(&Vec::<Vec<String>>::new(), cfg, shards)
 }
 
 /// Builds the core of the registered collection `spec` as a tenant of

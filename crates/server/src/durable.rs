@@ -41,24 +41,11 @@ impl StoreEngine for ShardedEngine {
                 need,
             }));
         }
-        ShardedEngine::restore(
-            state.live,
-            &state.dead,
-            state.next_id,
-            spec.cfg,
-            spec.shards,
-        )
-        .map_err(StorageError::Config)
+        ShardedEngine::from_state(&state, spec.cfg, spec.shards).map_err(StorageError::Config)
     }
 
     fn capture(&self) -> EngineState {
-        let (live, dead, next_id) = self.capture();
-        EngineState {
-            live,
-            dead,
-            next_id,
-            tokenization: self.config().tokenization(),
-        }
+        self.to_state()
     }
 
     fn check_update(&self, update: &Update) -> Result<(), UpdateError> {

@@ -23,12 +23,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use silkmoth_collection::{Collection, SetIdx, UpdateError};
+use silkmoth_collection::{codec, Collection, ElemId, SetIdx, UpdateError};
 use silkmoth_core::rank::merge_partitioned;
 use silkmoth_core::{
     ConfigError, Engine, EngineConfig, PairExplanation, PassStats, PhaseTiming, QueryOutput,
     QuerySpec, Update, UpdateOutcome,
 };
+use silkmoth_storage::EngineState;
 
 /// A collection hash-partitioned across N [`Engine`] shards, answering
 /// searches by scatter-gather with output identical to one unsharded
@@ -99,11 +100,6 @@ impl ShardedQueryOutput {
         total
     }
 }
-
-/// What [`ShardedEngine::capture`] hands back for a snapshot: the live
-/// `(gid, element texts)` pairs (ascending), the tombstoned gids
-/// (ascending), and the next gid to assign.
-pub type CapturedState = (Vec<(SetIdx, Vec<String>)>, Vec<SetIdx>, SetIdx);
 
 /// Merges per-shard stats into one (summing counters).
 pub fn merge_stats(shard_stats: &[PassStats]) -> PassStats {
@@ -185,61 +181,61 @@ impl ShardedEngine {
         })
     }
 
-    /// Rebuilds a sharded engine from recovered durable state: the live
-    /// sets with their stable **global** ids, the gids of tombstoned
-    /// (not yet compacted) slots, and the next gid to assign — the
-    /// [`EngineState`](silkmoth_storage::EngineState) a
-    /// `silkmoth-storage` snapshot holds.
+    /// Rebuilds a sharded engine from recovered durable state — the
+    /// [`EngineState`] a `silkmoth-storage` snapshot holds, validated.
     ///
-    /// Both id lists must be ascending; their merge recreates each
-    /// shard's local slot order (which is always ascending-gid, for a
-    /// built *or* incrementally-grown engine). Tombstoned slots, whose
-    /// contents are gone for good, become empty placeholder sets —
-    /// no tokens, no postings, re-tombstoned before the shard engine is
-    /// built — so idempotent re-removal and per-shard compaction replay
-    /// exactly as they did on the live engine. Search output is
-    /// unaffected by the missing dead-set tokens: scores depend only on
-    /// token-equality classes (the PR 3 equivalence argument).
-    pub fn restore(
-        live: Vec<(SetIdx, Vec<String>)>,
-        dead: &[SetIdx],
-        next_gid: SetIdx,
+    /// Slots in ascending gid order recreate each shard's local slot
+    /// order (always ascending-gid, for a built *or* incrementally-grown
+    /// engine), and each shard numbers the texts in the order they first
+    /// occur in its slots — the element ids its own build would assign —
+    /// so its collection is built from indices, hashing no text per
+    /// occurrence. Tombstoned slots, whose contents are gone for good,
+    /// become empty placeholder sets — no tokens, no postings,
+    /// re-tombstoned before the shard engine is built — so idempotent
+    /// re-removal and per-shard compaction replay exactly as they did on
+    /// the live engine. Search output is unaffected by the missing
+    /// dead-set tokens: scores depend only on token-equality classes.
+    pub(crate) fn from_state(
+        state: &EngineState,
         cfg: EngineConfig,
         shards: usize,
     ) -> Result<Self, ConfigError> {
+        const UNSEEN: ElemId = ElemId::MAX;
         cfg.validate()?;
         let n = shards.max(1);
-        let live_count = live.len();
-        let mut parts: Vec<Vec<Vec<String>>> = vec![Vec::new(); n];
+        let mut slots: Vec<(SetIdx, Option<&Vec<u32>>)> = state
+            .live
+            .iter()
+            .map(|(gid, set)| (*gid, Some(set)))
+            .collect();
+        slots.extend(state.dead.iter().map(|&gid| (gid, None)));
+        slots.sort_unstable_by_key(|&(gid, _)| gid);
+        // Per shard: its texts, its slots' elements by their ids, and its
+        // tombstoned slots; `local[t * n + shard]` is text t's id there.
+        type Part<'a> = (Vec<&'a str>, Vec<Vec<ElemId>>, Vec<SetIdx>);
+        let mut parts: Vec<Part> = vec![Default::default(); n];
+        let mut local = vec![UNSEEN; state.texts.len() * n];
         let mut global_ids: Vec<Vec<SetIdx>> = vec![Vec::new(); n];
-        let mut dead_locals: Vec<Vec<SetIdx>> = vec![Vec::new(); n];
-        // Merge the two ascending id streams back into slot order.
-        let mut live = live.into_iter().peekable();
-        let mut dead = dead.iter().copied().peekable();
-        loop {
-            let take_dead = match (live.peek(), dead.peek()) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(&(lg, _)), Some(&dg)) => dg < lg,
-            };
-            let (gid, set) = if take_dead {
-                (dead.next().expect("peeked"), Vec::new())
-            } else {
-                live.next().expect("peeked")
-            };
+        for (gid, set) in slots {
             let shard = shard_of(gid, n);
-            if take_dead {
-                dead_locals[shard].push(global_ids[shard].len() as SetIdx);
+            let (texts, sets, dead) = &mut parts[shard];
+            if set.is_none() {
+                dead.push(sets.len() as SetIdx);
             }
-            parts[shard].push(set);
+            let mut id_of = |t: &u32| {
+                let id = &mut local[*t as usize * n + shard];
+                if *id == UNSEEN {
+                    *id = texts.len() as ElemId;
+                    texts.push(&state.texts[*t as usize]);
+                }
+                *id
+            };
+            sets.push(set.into_iter().flatten().map(&mut id_of).collect());
             global_ids[shard].push(gid);
         }
         let tokenization = cfg.tokenization();
-        let work: Vec<(Vec<Vec<String>>, Vec<SetIdx>)> =
-            parts.into_iter().zip(dead_locals).collect();
-        let shards = build_shards_parallel(work, |(part, dead)| {
-            let mut collection = Collection::build(&part, tokenization);
+        let shards = build_shards_parallel(parts, |(texts, sets, dead)| {
+            let mut collection = Collection::build_interned(&texts, &sets, tokenization);
             collection
                 .remove_sets(&dead)
                 .expect("dead locals index the slots just built");
@@ -249,37 +245,42 @@ impl ShardedEngine {
             shards,
             global_ids,
             cfg,
-            live: live_count,
-            next_gid,
+            live: state.live.len(),
+            next_gid: state.next_id,
         })
     }
 
-    /// The inverse of [`restore`](Self::restore): the live sets' raw
-    /// element texts keyed by global id (ascending), the tombstoned
-    /// gids (ascending), and the next gid.
-    pub fn capture(&self) -> CapturedState {
-        let mut live = Vec::with_capacity(self.live);
+    /// The inverse of [`from_state`](Self::from_state): the live sets
+    /// keyed by global id (ascending) and dictionary-coded across the
+    /// shards, the tombstoned gids (ascending), and the next gid. The
+    /// state is the same for any shard count.
+    pub(crate) fn to_state(&self) -> EngineState {
+        let mut live: Vec<(SetIdx, usize, SetIdx)> = Vec::with_capacity(self.live);
         let mut dead = Vec::new();
         for (shard, engine) in self.shards.iter().enumerate() {
             let collection = engine.collection();
-            for local in 0..collection.len() {
-                let gid = self.global_ids[shard][local];
+            for (local, &gid) in self.global_ids[shard].iter().enumerate() {
                 if collection.is_live(local as SetIdx) {
-                    let texts = collection
-                        .set(local as SetIdx)
-                        .elements
-                        .iter()
-                        .map(|e| e.text.to_string())
-                        .collect();
-                    live.push((gid, texts));
+                    live.push((gid, shard, local as SetIdx));
                 } else {
                     dead.push(gid);
                 }
             }
         }
-        live.sort_unstable_by_key(|&(gid, _)| gid);
+        live.sort_unstable_by_key(|&(gid, ..)| gid);
         dead.sort_unstable();
-        (live, dead, self.next_gid)
+        let collections: Vec<&Collection> = self.shards.iter().map(Engine::collection).collect();
+        let (texts, sets) = codec::intern(
+            &collections,
+            live.iter().map(|&(_, shard, local)| (shard, local)),
+        );
+        EngineState {
+            texts: texts.into_iter().map(str::to_owned).collect(),
+            live: live.iter().map(|&(gid, ..)| gid).zip(sets).collect(),
+            dead,
+            next_id: self.next_gid,
+            tokenization: self.cfg.tokenization(),
+        }
     }
 
     /// True when `gid` currently addresses a slot (live or tombstoned);

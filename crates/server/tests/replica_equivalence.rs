@@ -129,6 +129,7 @@ fn primary_service(dir: &Path, shards: usize) -> Arc<SearchService> {
 /// ever holds must come through the replication stream.
 fn empty_follower_service(dir: &Path, shards: usize) -> Arc<SearchService> {
     let state = EngineState {
+        texts: Vec::new(),
         live: Vec::new(),
         dead: Vec::new(),
         next_id: 0,

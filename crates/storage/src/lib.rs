@@ -14,7 +14,8 @@
 //! ```text
 //! <data-dir>/
 //!   snapshot-<seq>.smc    checkpoint: header + the live sets in the
-//!                         silkmoth-collection codec format + CRC-32
+//!                         silkmoth-collection codec's dictionary-coded
+//!                         format (each distinct text once) + CRC-32
 //!   wal-<seq>-<n>.log     segment <n> of the updates committed after
 //!                         snapshot <seq>: header (with the global
 //!                         sequence the segment starts at), then
@@ -57,7 +58,7 @@
 //!
 //! ## Format versioning
 //!
-//! Both file headers carry a format version (snapshot: 2, WAL: 2).
+//! Both file headers carry a format version (snapshot: 3, WAL: 2).
 //! The rule: any change to
 //! the byte layout bumps the version, and readers reject versions they
 //! don't know ([`StorageError::Corrupt`]) rather than guessing — an
@@ -65,9 +66,9 @@
 //!
 //! ## Replication hooks
 //!
-//! Snapshot version 2 gives every committed update a global, monotonic
-//! sequence number ([`StoreStatus::update_seq`], snapshot base +
-//! position in the WAL) and records a failover
+//! Every committed update has a global, monotonic sequence number
+//! ([`StoreStatus::update_seq`], snapshot base + position in the WAL),
+//! and every snapshot records a failover
 //! [`epoch`](StoreStatus::epoch). `silkmoth-replica` ships the WAL to
 //! followers through three narrow extensions here: a commit-point
 //! observer ([`Store::set_commit_hook`]), a raw committed-record
@@ -94,7 +95,7 @@ pub use wal::{list_wal_segments, read_wal, read_wal_payloads, wal_segment_path, 
 
 use std::sync::Arc;
 
-use silkmoth_collection::{codec::CodecError, Collection, SetIdx, Tokenization, UpdateError};
+use silkmoth_collection::{codec, Collection, SetIdx, Tokenization, UpdateError};
 use silkmoth_core::{ConfigError, Engine, EngineConfig, Update, UpdateOutcome};
 
 /// Errors from the persistence layer. Everything that can go wrong on
@@ -110,7 +111,7 @@ pub enum StorageError {
         source: std::io::Error,
     },
     /// A file failed structural validation (magic, version, CRC,
-    /// declared lengths).
+    /// declared counts and lengths, the snapshot payload's coding).
     Corrupt {
         /// The offending file.
         file: String,
@@ -133,8 +134,6 @@ pub enum StorageError {
         /// The store directory.
         dir: String,
     },
-    /// The snapshot payload failed to decode.
-    Codec(CodecError),
     /// The engine rejected the recovered state (e.g. the store's
     /// tokenization does not match the serving configuration).
     Config(ConfigError),
@@ -169,7 +168,6 @@ impl std::fmt::Display for StorageError {
             Self::AlreadyInitialized { dir } => {
                 write!(f, "{dir} already holds a store")
             }
-            Self::Codec(e) => write!(f, "snapshot payload: {e}"),
             Self::Config(e) => write!(f, "recovered state rejected: {e}"),
             Self::Update(e) => write!(f, "update rejected: {e}"),
             Self::ReplayDivergence { record, detail } => {
@@ -184,7 +182,6 @@ impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io { source, .. } => Some(source),
-            Self::Codec(e) => Some(e),
             Self::Config(e) => Some(e),
             Self::Update(e) => Some(e),
             _ => None,
@@ -199,10 +196,14 @@ impl StorageError {
     }
 }
 
-/// A serializable description of an engine's collection state: the live
-/// sets with their ids, the ids of tombstoned (not yet compacted)
-/// slots, and the next id to assign. What a snapshot stores and what
-/// [`StoreEngine::restore`] rebuilds from.
+/// A serializable description of an engine's collection state: the
+/// live sets by id, the ids of tombstoned (not yet compacted) slots,
+/// and the next id to assign — what a snapshot stores and what
+/// [`StoreEngine::restore`] rebuilds from. It is dictionary-coded, each
+/// distinct text once ([`codec::intern`]), and canonical: the texts are
+/// numbered in the order they first occur over the live sets by
+/// ascending id, so a state depends only on the live content, never on
+/// how an engine splits it.
 ///
 /// Dead ids matter for replay fidelity: removal is idempotent and
 /// compaction renumbering depends on the liveness pattern, so a
@@ -210,8 +211,11 @@ impl StorageError {
 /// their contents are gone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineState {
-    /// `(id, element texts)` for every live set, ascending by id.
-    pub live: Vec<(SetIdx, Vec<String>)>,
+    /// The distinct element texts of the live sets.
+    pub texts: Vec<String>,
+    /// `(id, elements as indices into texts)` for every live set,
+    /// ascending by id.
+    pub live: Vec<(SetIdx, Vec<u32>)>,
     /// Ids of tombstoned slots, ascending.
     pub dead: Vec<SetIdx>,
     /// The next id the engine would assign to an appended set.
@@ -222,7 +226,10 @@ pub struct EngineState {
 
 impl EngineState {
     /// Structural validation: both id lists strictly ascending,
-    /// mutually disjoint, and below `next_id`.
+    /// mutually disjoint, and below `next_id`; every text index below
+    /// the text count, every text used, and the texts numbered in
+    /// first-occurrence order. (That the texts are distinct is not
+    /// checked, which would hash every text.)
     pub fn validate(&self) -> Result<(), StorageError> {
         let bad = |detail: String| Err(StorageError::BadState(detail));
         if let Some(w) = self.live.windows(2).find(|w| w[0].0 >= w[1].0) {
@@ -232,11 +239,24 @@ impl EngineState {
             return bad(format!("dead id {} out of order", w[1]));
         }
         let mut dead = self.dead.iter().peekable();
-        for &(id, _) in &self.live {
-            while dead.next_if(|&&d| d < id).is_some() {}
-            if dead.peek() == Some(&&id) {
+        let mut seen = 0;
+        for (id, set) in &self.live {
+            while dead.next_if(|&d| d < id).is_some() {}
+            if dead.peek() == Some(&id) {
                 return bad(format!("id {id} is both live and dead"));
             }
+            for &t in set {
+                if t as usize >= self.texts.len() {
+                    return bad(format!("set {id} names text {t} of {}", self.texts.len()));
+                }
+                if t > seen {
+                    return bad(format!("set {id} names text {t} before text {seen}"));
+                }
+                seen += u32::from(t == seen);
+            }
+        }
+        if (seen as usize) < self.texts.len() {
+            return bad(format!("text {seen} is in no live set"));
         }
         if let Some(&id) = self
             .live
@@ -316,11 +336,13 @@ impl StoreEngine for Engine {
         // below, so they can never match a query. Search output is
         // unaffected by the missing dead-set tokens: scores depend only
         // on token-equality classes (the PR 3 equivalence argument).
-        let mut raw: Vec<Vec<String>> = vec![Vec::new(); state.next_id as usize];
-        for (id, set) in state.live {
-            raw[id as usize] = set;
+        // The texts first occur in slot order, so their indices are the
+        // element ids the collection's own build would assign.
+        let mut slots: Vec<&[u32]> = vec![&[]; state.next_id as usize];
+        for (id, set) in &state.live {
+            slots[*id as usize] = set;
         }
-        let mut collection = Collection::build(&raw, state.tokenization);
+        let mut collection = Collection::build_interned(&state.texts, &slots, state.tokenization);
         collection
             .remove_sets(&state.dead)
             .expect("validated dead ids are in range");
@@ -329,24 +351,14 @@ impl StoreEngine for Engine {
 
     fn capture(&self) -> EngineState {
         let collection = self.collection();
-        let mut live = Vec::with_capacity(collection.live_len());
-        let mut dead = Vec::new();
-        for id in 0..collection.len() as SetIdx {
-            if collection.is_live(id) {
-                let texts = collection
-                    .set(id)
-                    .elements
-                    .iter()
-                    .map(|e| e.text.to_string())
-                    .collect();
-                live.push((id, texts));
-            } else {
-                dead.push(id);
-            }
-        }
+        let ids: Vec<SetIdx> = collection.live_ids().collect();
+        let (texts, sets) = codec::intern(&[collection], ids.iter().map(|&id| (0, id)));
         EngineState {
-            live,
-            dead,
+            texts: texts.into_iter().map(str::to_owned).collect(),
+            live: ids.into_iter().zip(sets).collect(),
+            dead: (0..collection.len() as SetIdx)
+                .filter(|&id| !collection.is_live(id))
+                .collect(),
             next_id: collection.len() as SetIdx,
             tokenization: collection.tokenization(),
         }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic      "SMSS"                         4 bytes
-//! version    u32 (currently 2)              4 bytes
+//! version    u32 (currently 3)              4 bytes
 //! seq        u64 — generation number        8 bytes
 //! update_seq u64 — committed updates total  8 bytes
 //! epoch      u64 — failover epoch           8 bytes
@@ -15,27 +15,25 @@
 //! live ids u32 × n_live (ascending)
 //! dead ids u32 × n_dead (ascending)
 //! payload_len u64
-//! payload  silkmoth_collection::codec::encode_sets of the live sets'
-//!          element texts, in live-id order (carries the tokenization)
+//! payload  silkmoth_collection::codec::encode_interned of the live
+//!          sets: each distinct text once, then the sets in live-id
+//!          order as u32 text indices (carries the tokenization)
 //! crc32    u32 over every preceding byte
 //! ```
 //!
-//! The payload reuses the collection codec wholesale, so a snapshot's
-//! data section is exactly the `.smc` corpus format the CLI and bench
-//! harness already read and write; the wrapper adds what durability
-//! needs on top: the id bookkeeping (dead slots, next id) and an
-//! end-to-end CRC.
+//! A text is written, checksummed and decoded once however many sets
+//! hold it, and [`StoreEngine::restore`](crate::StoreEngine::restore)
+//! builds each collection from the indices. The texts are numbered
+//! canonically (see [`EngineState`]), so the bytes depend only on the
+//! live content, never on the shard count.
 //!
-//! Version 2 added `update_seq` (the store's total committed-update
-//! count at checkpoint time, the base every WAL record's global
+//! Version 2 added `update_seq` (the base every WAL record's global
 //! sequence number counts from) and `epoch` (bumped on follower
 //! promotion so a replication cursor from a diverged history is never
-//! silently resumed). Version-1 files are rejected by name like any
-//! other unknown version — the workspace has no deployed v1 stores to
-//! migrate.
+//! silently resumed); version 3 replaced one text per occurrence with
+//! the dictionary coding. Older files are rejected by name like any
+//! other unknown version — there are no deployed stores to migrate.
 
-use std::fs::File;
-use std::io::Read;
 use std::path::Path;
 
 use silkmoth_collection::codec;
@@ -45,7 +43,7 @@ use crate::crc32::crc32;
 use crate::{EngineState, StorageError};
 
 const SNAP_MAGIC: &[u8; 4] = b"SMSS";
-const SNAP_VERSION: u32 = 2;
+const SNAP_VERSION: u32 = 3;
 /// Fixed-size header: magic, version, seq, update_seq, epoch, next_id,
 /// n_live, n_dead.
 const SNAP_HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4;
@@ -66,8 +64,8 @@ pub struct SnapshotMeta {
 
 /// Serializes one snapshot generation to bytes.
 pub fn snapshot_bytes(meta: SnapshotMeta, state: &EngineState) -> Vec<u8> {
-    let sets: Vec<&Vec<String>> = state.live.iter().map(|(_, set)| set).collect();
-    let payload = codec::encode_sets(&sets, state.tokenization);
+    let sets: Vec<&[u32]> = state.live.iter().map(|(_, set)| &set[..]).collect();
+    let payload = codec::encode_interned(&state.texts, &sets, state.tokenization);
     let mut out = Vec::with_capacity(
         SNAP_HEADER_LEN + 12 + 4 * (state.live.len() + state.dead.len()) + payload.len(),
     );
@@ -116,46 +114,35 @@ pub fn parse_snapshot(
         )));
     }
     let body = &bytes[..bytes.len() - 4];
-    let want_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != want_crc {
+    let le32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let le64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    if crc32(body) != le32(body.len()) {
         return Err(corrupt("CRC mismatch".into()));
     }
     let meta = SnapshotMeta {
-        seq: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        update_seq: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-        epoch: u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")),
+        seq: le64(8),
+        update_seq: le64(16),
+        epoch: le64(24),
     };
-    let next_id = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes"));
-    let n_live = u32::from_le_bytes(bytes[36..40].try_into().expect("4 bytes")) as usize;
-    let n_dead = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes")) as usize;
+    let (n_live, n_dead) = (le32(36) as usize, le32(40) as usize);
     let ids_end = SNAP_HEADER_LEN
         .checked_add(4 * (n_live + n_dead))
         .ok_or_else(|| corrupt("id counts overflow".into()))?;
     if body.len() < ids_end + 8 {
         return Err(corrupt("declared id lists past end of file".into()));
     }
-    let read_ids = |from: usize, n: usize| -> Vec<SetIdx> {
-        (0..n)
-            .map(|i| {
-                u32::from_le_bytes(
-                    body[from + 4 * i..from + 4 * i + 4]
-                        .try_into()
-                        .expect("4 bytes"),
-                )
-            })
-            .collect()
-    };
+    let read_ids =
+        |from: usize, n: usize| -> Vec<SetIdx> { (0..n).map(|i| le32(from + 4 * i)).collect() };
     let live_ids = read_ids(SNAP_HEADER_LEN, n_live);
     let dead = read_ids(SNAP_HEADER_LEN + 4 * n_live, n_dead);
-    let payload_len =
-        u64::from_le_bytes(body[ids_end..ids_end + 8].try_into().expect("8 bytes")) as usize;
-    if body.len() != ids_end + 8 + payload_len {
+    let payload_len = le64(ids_end);
+    if (body.len() - ids_end - 8) as u64 != payload_len {
         return Err(corrupt(format!(
             "payload length {payload_len} does not match file size"
         )));
     }
-    let (sets, tokenization) =
-        codec::decode_sets(&body[ids_end + 8..]).map_err(StorageError::Codec)?;
+    let (texts, sets, tokenization) = codec::decode_interned(&body[ids_end + 8..])
+        .map_err(|e| corrupt(format!("payload: {e}")))?;
     if sets.len() != n_live {
         return Err(corrupt(format!(
             "payload holds {} sets but header declares {n_live}",
@@ -163,9 +150,10 @@ pub fn parse_snapshot(
         )));
     }
     let state = EngineState {
+        texts,
         live: live_ids.into_iter().zip(sets).collect(),
         dead,
-        next_id,
+        next_id: le32(32),
         tokenization,
     };
     state.validate()?;
@@ -174,10 +162,8 @@ pub fn parse_snapshot(
 
 /// Reads and validates one snapshot file.
 pub fn load_snapshot(path: &Path) -> Result<(SnapshotMeta, EngineState), StorageError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StorageError::io(format!("reading {}", path.display())))?;
+    let bytes =
+        std::fs::read(path).map_err(StorageError::io(format!("reading {}", path.display())))?;
     parse_snapshot(&bytes, &path.display().to_string())
 }
 
@@ -188,15 +174,20 @@ mod tests {
 
     fn state() -> EngineState {
         EngineState {
-            live: vec![
-                (0, vec!["a b".into(), "c".into()]),
-                (2, vec!["d e f".into()]),
-                (5, vec![]),
-            ],
+            texts: vec!["a b".into(), "c".into(), "d e f".into()],
+            live: vec![(0, vec![0, 1, 0]), (2, vec![2, 1]), (5, vec![])],
             dead: vec![1, 3, 4],
             next_id: 6,
             tokenization: Tokenization::Whitespace,
         }
+    }
+
+    /// Rewrites the trailing CRC so a deliberate edit reaches the
+    /// checks behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
     }
 
     fn meta() -> SnapshotMeta {
@@ -249,6 +240,41 @@ mod tests {
         // Version is checked before the CRC so the message names the
         // real problem, not a checksum mismatch.
         assert!(err.to_string().contains("version 9"), "{err}");
+        // The per-occurrence layout this one replaced, likewise.
+        bytes[4] = 2;
+        let err = parse_snapshot(&bytes, "test").unwrap_err();
+        assert!(err.to_string().contains("version 2"), "{err}");
+    }
+
+    #[test]
+    fn absurd_text_count_is_corrupt_before_any_allocation() {
+        let mut bytes = snapshot_bytes(meta(), &state());
+        // The payload's n_texts, past its magic, tag and q.
+        let at = SNAP_HEADER_LEN + 4 * 6 + 8 + 9;
+        assert_eq!(bytes[at..at + 8], 3u64.to_le_bytes());
+        for absurd in [1u64 << 32, u64::MAX] {
+            bytes[at..at + 8].copy_from_slice(&absurd.to_le_bytes());
+            reseal(&mut bytes);
+            let err = parse_snapshot(&bytes, "test").unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_text_coding_is_bad_state() {
+        let rejects = |s: EngineState, want: &str| match s.validate() {
+            Err(StorageError::BadState(detail)) => assert!(detail.contains(want), "{detail}"),
+            other => panic!("{want}: {other:?}"),
+        };
+        let mut s = state();
+        s.live[1].1[0] = 3;
+        rejects(s, "names text 3 of 3");
+        let mut s = state();
+        s.texts.push("orphan".into());
+        rejects(s, "text 3 is in no live set");
+        let mut s = state();
+        s.live[0].1 = vec![1, 0, 1];
+        rejects(s, "names text 1 before text 0");
     }
 
     #[test]

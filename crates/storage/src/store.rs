@@ -464,10 +464,7 @@ impl<E: StoreEngine> Store<E> {
                 Ok((meta, state)) if meta.seq == seq => (meta, state),
                 // A snapshot whose header seq disagrees with its file
                 // name is as untrustworthy as a bad CRC: skip it.
-                Ok(_)
-                | Err(StorageError::Corrupt { .. })
-                | Err(StorageError::Codec(_))
-                | Err(StorageError::BadState(_)) => {
+                Ok(_) | Err(StorageError::Corrupt { .. }) | Err(StorageError::BadState(_)) => {
                     skipped_gens.push(seq);
                     continue;
                 }

@@ -23,17 +23,22 @@
 # differ by more than the parent's own quartile distance. Every run's
 # result line is kept under target/bench_pairs/<workload>/.
 #
-# After the pairs, one traced run per side (`--trace 1 --seed 1`) and the
-# funnel side by side: the op-list hash and answer digest, the signature
-# cost, the candidates after each filter, the pairs verified and found,
-# the φ evaluations and the index size, each marked `=` or `≠`. These are
-# counts the program makes, and they repeat exactly: a change that claims
-# the same answers from the same funnel shows `=` on every row but the
-# ones it says it moves. Across PR 22 (verification bounded by the
-# threshold in force) those are `core.sim_evals` (down: verification reads
-# the pass's φ table and stops at the column bound) and
-# `core.verify.results` (redefined: verified pairs that reached the
-# threshold they were verified against), and in the traced runs' logs
+# After the pairs, one traced run per side (`--trace 1 --seed 1`) and its
+# counts side by side, each marked `=` or `≠`: the read funnel — the
+# op-list hash and answer digest, the signature cost, the candidates
+# after each filter, the pairs verified and found, the φ evaluations and
+# the index size — and beside it the write path — the snapshot's bytes
+# on disk, the snapshots the run took, the WAL bytes per update and the
+# records recovery replayed. These are counts the program makes, and
+# they repeat exactly: a change that claims the same answers from the
+# same funnel shows `=` on every row but the ones it says it moves. A
+# storage change shows its rows on the write path: across the
+# dictionary-coded snapshot (format v3) only `storage.snapshot.bytes`
+# moves, down. Across verification bounded by the threshold in force
+# they were `core.sim_evals` (down: verification reads the pass's φ
+# table and stops at the column bound) and `core.verify.results`
+# (redefined: verified pairs that reached the threshold they were
+# verified against), and in the traced runs' logs
 # `core.verify.useful_ratio` and `core.engine.verify_us` with them;
 # `bench.trace_accounted_ratio` rises further above 1 there, because the
 # suite's frozen replay still solves every floor survivor without the
@@ -133,19 +138,21 @@ for side in parent change; do
     suite "$side" 1 1 >"$work/$side.trace.log"
 done
 
-# funnel_rows <side> — `name<TAB>value` per funnel row of a traced run.
+# funnel_rows <side> — `name<TAB>value` per read-funnel and write-path
+# row of a traced run.
 funnel_rows() {
     sed -n 's/.*: op list \([0-9a-f]*\), answer digest \([0-9a-f]*\),.*/op list\t\1\nanswer digest\t\2/p' \
         "$work/$1.trace.log"
     tail -n 1 "$work/$1.trace.log" | jq -r '.metrics as $m
         | ("core.signature.cost core.filter.candidates core.filter.after_check core.filter.after_nn " +
-           "core.verify.verified core.verify.results core.sim_evals collection.postings collection.tokens"
+           "core.verify.verified core.verify.results core.sim_evals collection.postings collection.tokens " +
+           "storage.snapshot.bytes storage.snapshot.count storage.wal.bytes_per_update storage.open.replayed_records"
            | split(" ")[]) as $name
         | "\($name)\t\($m[$name].value)"'
 }
 
 echo
-echo "funnel, one --trace 1 --seed 1 run per side (counts per query; = equal, ≠ moved):"
+echo "funnel and write path, one --trace 1 --seed 1 run per side (funnel counts per query; = equal, ≠ moved):"
 paste <(funnel_rows parent) <(funnel_rows change) | awk -F'\t' '
     BEGIN { printf "%-26s %-20s %-20s\n", "count", "parent", "change" }
     { printf "%-26s %-20s %-20s %s\n", $1, $2, $4, ($2 == $4 ? "=" : "≠") }'

@@ -25,11 +25,10 @@
 //! silkmoth update   --input lake.sets --append new.sets --remove 3,17 --output lake.sets
 //! ```
 
-use silkmoth::storage::EngineState;
 use silkmoth::{
     Collection, CompactionPolicy, Engine, EngineConfig, FilterKind, QuerySpec, RelatednessMetric,
     ShardSpec, ShardedEngine, SignatureScheme, SimilarityFunction, StorageError, Store,
-    StoreConfig, StoreEngine, Tokenization,
+    StoreConfig, Tokenization,
 };
 use silkmoth_server::{
     dir_needs_fresh_store, follower_store_config, serve_catalog, serve_log, start_follower,
@@ -437,7 +436,8 @@ fn read_required_input(cli: &Cli) -> Vec<Vec<String>> {
 
 /// The serving engine over the `--input` sets. The parsed input is
 /// dropped on return: the engine holds its own encoding of the texts,
-/// and a durable store is about to capture a second copy of them.
+/// one per distinct text, and that is what a durable store's first
+/// snapshot copies from.
 fn build_engine_from_input(cli: &Cli, cfg: EngineConfig) -> ShardedEngine {
     let raw = read_required_input(cli);
     ShardedEngine::build(&raw, cfg, cli.shards).unwrap_or_else(|e| fail(&e.to_string()))
@@ -526,13 +526,7 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
                     // A follower needs no --input: create an empty
                     // store; the first handshake (cursor 0) bootstraps
                     // a full snapshot from the primary.
-                    let state = EngineState {
-                        live: Vec::new(),
-                        dead: Vec::new(),
-                        next_id: 0,
-                        tokenization: cfg.tokenization(),
-                    };
-                    let engine = <ShardedEngine as StoreEngine>::restore(&spec, state)
+                    let engine = ShardedEngine::build(&Vec::<Vec<String>>::new(), cfg, cli.shards)
                         .unwrap_or_else(|e| fail(&e.to_string()));
                     let store = Store::create(dir, engine, store_cfg)
                         .unwrap_or_else(|e| fail(&e.to_string()));
