@@ -10,8 +10,9 @@
 //! Absolute times will differ from the paper (different hardware, synthetic
 //! data, smaller default scale); the *shapes* — which configuration wins,
 //! by roughly what factor, and how curves move with θ and α — are the
-//! reproduction target. EXPERIMENTS.md records a full paper-vs-measured
-//! comparison.
+//! reproduction target. The full paper-vs-measured comparison these
+//! figures should feed — a generated `EXPERIMENTS.md` — is not written
+//! yet; ROADMAP.md item 3 specifies it.
 
 use silkmoth_bench::{noopt_config, opt_config, Application, Workload, THETAS};
 use silkmoth_core::{FilterKind, SignatureScheme};

@@ -2,20 +2,14 @@
 //! `silkmoth-storage`'s write-ahead log — and of [`QuerySpec`]s, the
 //! owned query description every execution layer shares.
 //!
-//! One encoded update is self-delimiting and carries, for
-//! [`Update::Compact`] on engines that renumber ids, the id remap the
-//! live engine produced — recovery replays the compaction and *verifies*
-//! it reproduced the recorded remap, turning any nondeterminism into a
-//! named error instead of a silently divergent engine.
-//!
-//! Layout (all integers little-endian):
+//! One encoded update is self-delimiting. Layout (all integers
+//! little-endian):
 //!
 //! ```text
 //! tag      u8: 1 = Append, 2 = Remove, 3 = Compact
 //! Append:  n_sets u32, per set: n_elems u32, per elem: len u32 + UTF-8
 //! Remove:  n u32, then n set ids (u32)
-//! Compact: has_remap u8; when 1: n u32, then n entries (u32;
-//!          u32::MAX encodes a dropped slot)
+//! Compact: flags u8, always 0 (a Compact record is the two bytes [3, 0])
 //! ```
 //!
 //! Framing (length prefix, checksum) is the caller's job; decoding
@@ -47,10 +41,6 @@ use std::time::Duration;
 use crate::config::ConfigError;
 use crate::engine::Update;
 use crate::spec::QuerySpec;
-use silkmoth_collection::SetIdx;
-
-/// Sentinel for a dropped slot in an encoded compaction remap.
-const REMAP_NONE: u32 = u32::MAX;
 
 /// Version byte leading every encoded [`QuerySpec`]; bump on any
 /// byte-layout change (readers reject unknown versions by name).
@@ -70,9 +60,9 @@ pub enum WireError {
     /// An encoded [`QuerySpec`] declares a format version this reader
     /// does not understand.
     BadVersion(u8),
-    /// An encoded [`QuerySpec`] sets flag bits this reader does not
-    /// define — corruption, or a payload from a future writer that
-    /// failed to bump the version.
+    /// An encoded [`QuerySpec`] or [`Update::Compact`] sets flag bits
+    /// this reader does not define — corruption, or a payload from a
+    /// future writer that failed to bump the version.
     BadFlags(u8),
     /// The decoded bytes parse but do not form a valid [`QuerySpec`]
     /// (e.g. an out-of-range floor, rejected by the spec's validated
@@ -92,7 +82,7 @@ impl std::fmt::Display for WireError {
                 "unsupported query spec wire version {v} (this reader speaks \
                  {QUERY_SPEC_WIRE_VERSION})"
             ),
-            Self::BadFlags(b) => write!(f, "undefined query spec flag bits {b:#010b}"),
+            Self::BadFlags(b) => write!(f, "undefined flag bits {b:#010b}"),
             Self::InvalidSpec(e) => write!(f, "decoded query spec is invalid: {e}"),
         }
     }
@@ -100,22 +90,8 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// One decoded WAL payload: the update plus, for compactions, the remap
-/// the original engine reported (see [`encode_update`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedUpdate {
-    /// The update to replay.
-    pub update: Update,
-    /// For [`Update::Compact`]: the recorded `old id → new id` remap
-    /// (`None` entries are dropped slots), when the engine produced one.
-    pub remap: Option<Vec<Option<SetIdx>>>,
-}
-
-/// Appends the encoding of `update` to `out`. For [`Update::Compact`],
-/// `remap` is the renumbering the engine will deterministically produce
-/// (engines with stable ids pass `None`); it is ignored for the other
-/// update kinds, whose ids are stable by construction.
-pub fn encode_update(update: &Update, remap: Option<&[Option<SetIdx>]>, out: &mut Vec<u8>) {
+/// Appends the encoding of `update` to `out`.
+pub fn encode_update(update: &Update, out: &mut Vec<u8>) {
     match update {
         Update::Append(sets) => {
             out.push(1);
@@ -135,27 +111,15 @@ pub fn encode_update(update: &Update, remap: Option<&[Option<SetIdx>]>, out: &mu
                 put_u32(out, id);
             }
         }
-        Update::Compact => {
-            out.push(3);
-            match remap {
-                None => out.push(0),
-                Some(entries) => {
-                    out.push(1);
-                    put_u32(out, entries.len() as u32);
-                    for entry in entries {
-                        put_u32(out, entry.unwrap_or(REMAP_NONE));
-                    }
-                }
-            }
-        }
+        Update::Compact => out.extend_from_slice(&[3, 0]),
     }
 }
 
 /// Decodes exactly one update from `buf` (the full slice must be
 /// consumed — trailing bytes are an error, see the module docs).
-pub fn decode_update(buf: &[u8]) -> Result<DecodedUpdate, WireError> {
+pub fn decode_update(buf: &[u8]) -> Result<Update, WireError> {
     let mut r = Reader { buf, pos: 0 };
-    let decoded = match r.u8()? {
+    let update = match r.u8()? {
         1 => {
             let n_sets = r.u32()? as usize;
             // Capacity hints are clamped by what the buffer could hold
@@ -176,10 +140,7 @@ pub fn decode_update(buf: &[u8]) -> Result<DecodedUpdate, WireError> {
                 }
                 sets.push(set);
             }
-            DecodedUpdate {
-                update: Update::Append(sets),
-                remap: None,
-            }
+            Update::Append(sets)
         }
         2 => {
             let n = r.u32()? as usize;
@@ -187,35 +148,18 @@ pub fn decode_update(buf: &[u8]) -> Result<DecodedUpdate, WireError> {
             for _ in 0..n {
                 ids.push(r.u32()?);
             }
-            DecodedUpdate {
-                update: Update::Remove(ids),
-                remap: None,
-            }
+            Update::Remove(ids)
         }
-        3 => {
-            let remap = match r.u8()? {
-                0 => None,
-                _ => {
-                    let n = r.u32()? as usize;
-                    let mut entries = Vec::with_capacity(n.min(r.remaining() / 4));
-                    for _ in 0..n {
-                        let v = r.u32()?;
-                        entries.push((v != REMAP_NONE).then_some(v));
-                    }
-                    Some(entries)
-                }
-            };
-            DecodedUpdate {
-                update: Update::Compact,
-                remap,
-            }
-        }
+        3 => match r.u8()? {
+            0 => Update::Compact,
+            flags => return Err(WireError::BadFlags(flags)),
+        },
         t => return Err(WireError::BadTag(t)),
     };
     if r.remaining() != 0 {
         return Err(WireError::TrailingBytes(r.remaining()));
     }
-    Ok(decoded)
+    Ok(update)
 }
 
 /// Flag bits of the encoded [`QuerySpec`] (see the module docs).
@@ -363,9 +307,9 @@ impl Reader<'_> {
 mod tests {
     use super::*;
 
-    fn roundtrip(update: &Update, remap: Option<&[Option<SetIdx>]>) -> DecodedUpdate {
+    fn roundtrip(update: &Update) -> Update {
         let mut buf = Vec::new();
-        encode_update(update, remap, &mut buf);
+        encode_update(update, &mut buf);
         decode_update(&buf).expect("round-trip")
     }
 
@@ -375,45 +319,40 @@ mod tests {
             vec!["héllo wörld".into(), "".into()],
             vec!["a b c".into()],
         ]);
-        let d = roundtrip(&u, None);
-        assert_eq!(d.update, u);
-        assert_eq!(d.remap, None);
+        assert_eq!(roundtrip(&u), u);
     }
 
     #[test]
     fn remove_roundtrips() {
         let u = Update::Remove(vec![0, 7, 7, u32::MAX - 1]);
-        assert_eq!(roundtrip(&u, None).update, u);
+        assert_eq!(roundtrip(&u), u);
     }
 
+    /// The Compact record is pinned byte for byte: every one a store
+    /// has ever written is `[3, 0]`, so the WAL and replication formats
+    /// need no version bump. A payload that sets the flag byte — the
+    /// old `[3, 1, n, …]` layout that listed a renumbering — is refused
+    /// by name.
     #[test]
-    fn compact_roundtrips_with_and_without_remap() {
-        let d = roundtrip(&Update::Compact, None);
-        assert_eq!(d.update, Update::Compact);
-        assert_eq!(d.remap, None);
+    fn compact_is_exactly_two_bytes_and_any_flag_is_refused() {
+        let mut buf = Vec::new();
+        encode_update(&Update::Compact, &mut buf);
+        assert_eq!(buf, [3, 0]);
+        assert_eq!(decode_update(&buf), Ok(Update::Compact));
 
-        let remap = vec![Some(0), None, Some(1), None];
-        let d = roundtrip(&Update::Compact, Some(&remap));
-        assert_eq!(d.update, Update::Compact);
-        assert_eq!(d.remap, Some(remap));
-    }
-
-    #[test]
-    fn remap_is_ignored_for_stable_id_updates() {
-        let remap = vec![Some(0)];
-        let u = Update::Remove(vec![1]);
-        let mut with = Vec::new();
-        encode_update(&u, Some(&remap), &mut with);
-        let mut without = Vec::new();
-        encode_update(&u, None, &mut without);
-        assert_eq!(with, without);
+        // n = 3, then slot 0 → 0, slot 1 dropped, slot 2 → 1.
+        let mut legacy = vec![3, 1];
+        for entry in [3u32, 0, u32::MAX, 1] {
+            legacy.extend_from_slice(&entry.to_le_bytes());
+        }
+        assert_eq!(decode_update(&legacy), Err(WireError::BadFlags(1)));
     }
 
     #[test]
     fn every_truncation_is_an_error_never_a_panic() {
         let u = Update::Append(vec![vec!["some words".into()], vec!["more".into()]]);
         let mut buf = Vec::new();
-        encode_update(&u, None, &mut buf);
+        encode_update(&u, &mut buf);
         for cut in 0..buf.len() {
             assert!(decode_update(&buf[..cut]).is_err(), "cut at {cut}");
         }
@@ -423,7 +362,7 @@ mod tests {
     fn bad_tag_and_trailing_bytes_rejected() {
         assert_eq!(decode_update(&[9]).unwrap_err(), WireError::BadTag(9));
         let mut buf = Vec::new();
-        encode_update(&Update::Compact, None, &mut buf);
+        encode_update(&Update::Compact, &mut buf);
         buf.push(0);
         assert_eq!(
             decode_update(&buf).unwrap_err(),
@@ -434,7 +373,7 @@ mod tests {
     #[test]
     fn bad_utf8_rejected() {
         let mut buf = Vec::new();
-        encode_update(&Update::Append(vec![vec!["ab".into()]]), None, &mut buf);
+        encode_update(&Update::Append(vec![vec!["ab".into()]]), &mut buf);
         let len = buf.len();
         buf[len - 1] = 0xFF; // clobber the second element byte
         assert_eq!(decode_update(&buf).unwrap_err(), WireError::BadUtf8);

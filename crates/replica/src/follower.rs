@@ -7,8 +7,6 @@
 
 use crate::proto::{read_frame, write_handshake, Frame, Handshake};
 use crate::ReplicaError;
-use silkmoth_core::wire::decode_update;
-use silkmoth_storage::{parse_snapshot, Store, StoreConfig, StoreEngine};
 use silkmoth_telemetry::trace::{self, TraceCollector, Tracer};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -95,120 +93,6 @@ pub trait ReplicaSink: Send {
     /// `applied_seq() + 1`; the driver has already skipped duplicates
     /// and rejected gaps).
     fn apply_record(&mut self, seq: u64, payload: &[u8]) -> Result<(), ReplicaError>;
-}
-
-/// A [`ReplicaSink`] over a local [`Store`]: records replay through the
-/// store's own commit path (WAL-logged, durably), so the follower's
-/// on-disk state is itself crash-recoverable, and a restart resumes
-/// from the recovered cursor.
-///
-/// The store must be configured with compaction disabled
-/// ([`StoreConfig`]'s policy = never): compactions arrive as replicated
-/// records, and a locally triggered one would fork the id history. A
-/// sink whose store auto-compacts fails the session with a named
-/// protocol error rather than diverge silently.
-pub struct StoreSink<E: StoreEngine> {
-    store: Store<E>,
-    spec: E::Spec,
-    cfg: StoreConfig,
-}
-
-impl<E: StoreEngine> StoreSink<E> {
-    /// Wraps an open follower store. `spec` and `cfg` are what
-    /// bootstrap uses to rebuild the store after installing a
-    /// snapshot.
-    pub fn new(store: Store<E>, spec: E::Spec, cfg: StoreConfig) -> Self {
-        Self { store, spec, cfg }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Store<E> {
-        &self.store
-    }
-
-    /// Consumes the sink, returning the store (for promotion: stop the
-    /// follower, take the store back, bump its epoch, serve writes).
-    pub fn into_store(self) -> Store<E> {
-        self.store
-    }
-}
-
-impl<E: StoreEngine> ReplicaSink for StoreSink<E>
-where
-    E::Spec: Send,
-{
-    fn epoch(&self) -> u64 {
-        self.store.status().epoch
-    }
-
-    fn applied_seq(&self) -> u64 {
-        self.store.status().update_seq
-    }
-
-    fn install_snapshot(
-        &mut self,
-        snapshot: &[u8],
-        seq: u64,
-        epoch: u64,
-    ) -> Result<(), ReplicaError> {
-        let (meta, state) = parse_snapshot(snapshot, "replication bootstrap snapshot")
-            .map_err(ReplicaError::Storage)?;
-        if meta.update_seq != seq || meta.epoch != epoch {
-            return Err(ReplicaError::Protocol(format!(
-                "snapshot frame says (seq {seq}, epoch {epoch}) but its payload says (seq {}, epoch {})",
-                meta.update_seq, meta.epoch
-            )));
-        }
-        let engine = E::restore(&self.spec, state).map_err(ReplicaError::Storage)?;
-        let dir = self.store.dir().to_path_buf();
-        // Wipe the old on-disk state before re-creating. The old
-        // store's open file handles stay valid until it is dropped.
-        match std::fs::remove_dir_all(&dir) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(ReplicaError::Io {
-                    context: format!("wipe follower dir {} for bootstrap", dir.display()),
-                    source: e,
-                })
-            }
-        }
-        self.store = Store::create_continuing(&dir, engine, self.cfg, seq, epoch)
-            .map_err(ReplicaError::Storage)?;
-        Ok(())
-    }
-
-    fn apply_record(&mut self, seq: u64, payload: &[u8]) -> Result<(), ReplicaError> {
-        let decoded = decode_update(payload)
-            .map_err(|e| ReplicaError::Protocol(format!("record {seq} does not decode: {e}")))?;
-        let receipt = self
-            .store
-            .apply(decoded.update)
-            .map_err(ReplicaError::Storage)?;
-        if receipt.auto_compacted {
-            return Err(ReplicaError::Protocol(format!(
-                "follower store compacted on its own at record {seq}; follower compaction \
-                 policy must be disabled (compactions are replicated, not local decisions)"
-            )));
-        }
-        // Compactions carry the primary's id remap; the follower's
-        // engine recomputed its own. A mismatch is divergence at this
-        // exact record — fail loudly instead of drifting.
-        if let (Some(theirs), Some(ours)) = (&decoded.remap, &receipt.outcome.remap) {
-            if theirs != ours {
-                return Err(ReplicaError::Protocol(format!(
-                    "record {seq}: compaction remap diverged from the primary's"
-                )));
-            }
-        }
-        let now = self.store.status().update_seq;
-        if now != seq {
-            return Err(ReplicaError::Protocol(format!(
-                "applying record {seq} left the store at seq {now}"
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// Lifecycle of a follower loop, as surfaced in status.

@@ -39,13 +39,20 @@
 //! # Modules
 //!
 //! - `proto`: the framing itself — encode/decode, CRC, length caps.
-//! - `source`: primary side — [`ReplicationSource`] over a store,
-//!   [`stream_updates`] for one follower connection, [`serve_log`] for
-//!   the TCP accept loop, and [`CommitSignal`] to wake streamers at the
-//!   store's commit point.
+//! - `source`: primary side — the [`ReplicationSource`] trait,
+//!   [`store_records_after`] to serve a cursor from a store's retained
+//!   WAL, [`stream_updates`] for one follower connection, [`serve_log`]
+//!   for the TCP accept loop, and [`CommitSignal`] to wake streamers at
+//!   the store's commit point.
 //! - `follower`: follower side — [`run_follower`] drives connect /
 //!   handshake / replay with bounded backoff, applying through a
 //!   [`ReplicaSink`]; [`FollowerShared`] exposes live status and stop.
+//!
+//! The source and sink the server runs over its durable store are
+//! `silkmoth-server`'s `ServiceSource` and `ServiceSink`; this crate
+//! holds no second implementation of either, so its chaos harness
+//! (`replica_chaos.rs`) lives in that crate and drives the real pair
+//! over the [`sim_duplex`] fault transport.
 //! - `sim`: a deterministic in-process duplex transport with seeded
 //!   faults (delays, cuts mid-record, byte flips) for chaos tests.
 //! - `telemetry`: [`FollowerMetrics`] — replication lag / connect /
@@ -60,7 +67,7 @@ mod telemetry;
 
 pub use follower::{
     run_follower, Connector, FollowerConfig, FollowerShared, FollowerState, FollowerStatus,
-    ReplicaSink, StoreSink, TcpConnector,
+    ReplicaSink, TcpConnector,
 };
 pub use proto::{
     read_frame, read_handshake, write_frame, write_handshake, Frame, Handshake, PROTOCOL_VERSION,
@@ -68,7 +75,7 @@ pub use proto::{
 pub use sim::{sim_duplex, FaultPlan, SimStream};
 pub use source::{
     serve_log, store_records_after, stream_updates, CommitSignal, CursorHandle, CursorTracker,
-    ReplicaServer, ReplicationSource, StoreSource, StreamerConfig,
+    ReplicaServer, ReplicationSource, StreamerConfig,
 };
 pub use telemetry::FollowerMetrics;
 

@@ -1,26 +1,26 @@
-//! Primary side of replication: adapt a [`Store`] into a
-//! [`ReplicationSource`], stream it to one follower with
-//! [`stream_updates`], and accept followers over TCP with
-//! [`serve_log`].
+//! Primary side of replication: read a store's retained WAL for a
+//! [`ReplicationSource`] ([`store_records_after`]), stream the source to
+//! one follower with [`stream_updates`], and accept followers over TCP
+//! with [`serve_log`].
 
 use crate::proto::{read_handshake, write_frame, Frame};
 use crate::ReplicaError;
 use silkmoth_storage::{
-    list_wal_segments, read_wal_payloads, snapshot_bytes, CommitHook, SnapshotMeta, StorageError,
-    Store, StoreEngine, StoreStatus,
+    list_wal_segments, read_wal_payloads, CommitHook, StorageError, StoreStatus,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Wakes replication streamers at the store's commit point. Install
 /// its [`hook`](CommitSignal::hook) with
-/// [`Store::set_commit_hook`]; streamers block in
+/// [`Store::set_commit_hook`](silkmoth_storage::Store::set_commit_hook);
+/// streamers block in
 /// [`wait_beyond`](CommitSignal::wait_beyond) instead of polling.
 #[derive(Debug, Default)]
 pub struct CommitSignal {
@@ -47,13 +47,6 @@ impl CommitSignal {
     /// The highest committed sequence seen so far.
     pub fn current(&self) -> u64 {
         *self.seq.lock().expect("commit signal poisoned")
-    }
-
-    /// Seeds the signal with a store's current committed count (call
-    /// once before serving, so a signal attached to a non-empty store
-    /// doesn't start at 0).
-    pub fn seed(&self, seq: u64) {
-        self.notify(seq);
     }
 
     /// Overwrites the counter unconditionally and wakes waiters — for
@@ -226,86 +219,6 @@ pub fn store_records_after(
         }));
     }
     Ok(Some(out))
-}
-
-/// A [`ReplicationSource`] over a shared [`Store`]. Construction via
-/// [`install`](StoreSource::install) wires the store's commit hook to
-/// an internal [`CommitSignal`], so streamers learn about commits the
-/// moment the WAL append returns.
-#[derive(Debug)]
-pub struct StoreSource<E: StoreEngine> {
-    store: Arc<RwLock<Store<E>>>,
-    signal: Arc<CommitSignal>,
-}
-
-impl<E: StoreEngine> Clone for StoreSource<E> {
-    fn clone(&self) -> Self {
-        Self {
-            store: Arc::clone(&self.store),
-            signal: Arc::clone(&self.signal),
-        }
-    }
-}
-
-impl<E: StoreEngine + Sync> StoreSource<E> {
-    /// Wraps `store`, installing a commit hook on it. Replaces any
-    /// previously installed hook.
-    pub fn install(store: Arc<RwLock<Store<E>>>) -> Self {
-        let signal = Arc::new(CommitSignal::new());
-        {
-            let mut guard = store.write().expect("store lock poisoned");
-            signal.seed(guard.status().update_seq);
-            guard.set_commit_hook(signal.hook());
-        }
-        Self { store, signal }
-    }
-
-    /// The commit signal streamers block on.
-    pub fn signal(&self) -> &Arc<CommitSignal> {
-        &self.signal
-    }
-}
-
-impl<E: StoreEngine + Sync> ReplicationSource for StoreSource<E> {
-    fn epoch(&self) -> u64 {
-        self.store
-            .read()
-            .expect("store lock poisoned")
-            .status()
-            .epoch
-    }
-
-    fn committed_seq(&self) -> u64 {
-        self.signal.current()
-    }
-
-    fn wait_beyond(&self, seen: u64, timeout: Duration) -> u64 {
-        self.signal.wait_beyond(seen, timeout)
-    }
-
-    fn records_after(
-        &self,
-        applied: u64,
-        limit: usize,
-    ) -> Result<Option<Vec<Vec<u8>>>, ReplicaError> {
-        let (dir, status) = {
-            let guard = self.store.read().expect("store lock poisoned");
-            (guard.dir().to_path_buf(), guard.status())
-        };
-        store_records_after(&dir, &status, applied, limit)
-    }
-
-    fn snapshot(&self) -> Result<(Vec<u8>, u64, u64), ReplicaError> {
-        let guard = self.store.read().expect("store lock poisoned");
-        let status = guard.status();
-        let meta = SnapshotMeta {
-            seq: status.snapshot_seq,
-            update_seq: status.update_seq,
-            epoch: status.epoch,
-        };
-        let bytes = snapshot_bytes(meta, &guard.engine().capture());
-        Ok((bytes, status.update_seq, status.epoch))
-    }
 }
 
 /// The registry of live follower cursors on a primary, feeding the

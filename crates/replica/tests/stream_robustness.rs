@@ -1,5 +1,5 @@
 //! Exhaustive robustness fuzz of the replication stream framing,
-//! mirroring the storage crate's `wal_robustness.rs`: every proper
+//! mirroring the server crate's `wal_robustness.rs`: every proper
 //! prefix (torn stream) and every single-byte flip of a representative
 //! handshake and frame stream must produce a *named* error and never a
 //! panic — and a flip must never smuggle a divergent frame past the

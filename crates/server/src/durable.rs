@@ -4,12 +4,11 @@
 //! WAL-logged before it is acknowledged, recovery via snapshot +
 //! replay (`silkmoth serve --data-dir`).
 //!
-//! The sharded engine is the easy case for durable recovery: global
-//! ids are **stable across every update including compaction** (PR 3),
-//! so snapshots store gids verbatim, `planned_remap` is always `None`,
-//! and replay never renumbers.
+//! Global ids are **stable across every update including compaction**,
+//! so snapshots store gids verbatim, a compaction WAL record is the bare
+//! update, and replay never renumbers.
 
-use silkmoth_collection::{SetIdx, UpdateError};
+use silkmoth_collection::UpdateError;
 use silkmoth_core::{ConfigError, EngineConfig, Update, UpdateOutcome};
 use silkmoth_storage::{EngineState, StorageError, StoreEngine};
 
@@ -59,10 +58,6 @@ impl StoreEngine for ShardedEngine {
 
     fn apply_update(&mut self, update: Update) -> Result<UpdateOutcome, UpdateError> {
         self.apply(update)
-    }
-
-    fn planned_remap(&self) -> Option<Vec<Option<SetIdx>>> {
-        None // global ids never renumber
     }
 
     fn live_len(&self) -> usize {

@@ -165,24 +165,17 @@ impl ReplicaSink for ServiceSink {
     }
 
     fn apply_record(&mut self, seq: u64, payload: &[u8]) -> Result<(), ReplicaError> {
-        let decoded = decode_update(payload)
+        let update = decode_update(payload)
             .map_err(|e| ReplicaError::Protocol(format!("record {seq} does not decode: {e}")))?;
         let result = self
             .service
             .quiesced(|store| {
-                let receipt = store.apply(decoded.update).map_err(ReplicaError::Storage)?;
+                let receipt = store.apply(update).map_err(ReplicaError::Storage)?;
                 if receipt.auto_compacted {
                     return Err(ReplicaError::Protocol(format!(
                         "follower store compacted on its own at record {seq}; the follower \
                          compaction policy must be disabled"
                     )));
-                }
-                if let (Some(theirs), Some(ours)) = (&decoded.remap, &receipt.outcome.remap) {
-                    if theirs != ours {
-                        return Err(ReplicaError::Protocol(format!(
-                            "record {seq}: compaction remap diverged from the primary's"
-                        )));
-                    }
                 }
                 let now = store.status().update_seq;
                 if now != seq {

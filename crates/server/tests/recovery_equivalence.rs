@@ -7,20 +7,15 @@
 //! ids, same tie order, bit-for-bit equal scores — to an in-memory
 //! engine that applied the same committed updates, and hence to an
 //! engine freshly built from the surviving sets. Checked
-//! simultaneously for:
-//!
-//! * `Store<ShardedEngine>` at shard counts {1, 2, 7} (stable global
-//!   ids), and
-//! * `Store<Engine>` (the unsharded path, whose ids renumber across
-//!   `Update::Compact` exactly as the WAL-recorded remap says).
+//! simultaneously for `Store<ShardedEngine>` at shard counts {1, 2, 7}
+//! (stable global ids).
 //!
 //! The WAL replay step is proven load-bearing at every crash: whenever
 //! the WAL holds records, a snapshot-only restore (replay skipped) must
 //! **differ** from the in-memory mirror — so deleting the replay logic
-//! fails this harness, and `silkmoth-storage`'s `wal_robustness.rs`
-//! pins the CRC check the same way.
+//! fails this harness, and `wal_robustness.rs` pins the CRC check the
+//! same way.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
@@ -81,23 +76,12 @@ struct ShardedFlavor {
     mirror: ShardedEngine,
 }
 
-/// The durable unsharded flavor (ids renumber across compaction).
-struct UnshardedFlavor {
-    dir: PathBuf,
-    cfg: EngineConfig,
-    store: Option<Store<Engine>>,
-    mirror: Engine,
-}
-
 struct Harness {
     cfg: EngineConfig,
     /// gid → live raw set (`None` = removed); gids are the sharded
     /// engines' stable global ids.
     slots: Vec<Option<Vec<String>>>,
     sharded: Vec<ShardedFlavor>,
-    unsharded: UnshardedFlavor,
-    /// gid → the unsharded engine's current id for that set.
-    inc_ids: HashMap<SetIdx, SetIdx>,
 }
 
 /// Stores run with a disabled policy here: the harness forces explicit
@@ -134,21 +118,10 @@ impl Harness {
                 }
             })
             .collect();
-        let dir = temp_dir(seed, "unsharded");
-        let _ = std::fs::remove_dir_all(&dir);
-        let build = || Engine::new(Collection::build(&base, cfg.tokenization()), cfg).unwrap();
-        let unsharded = UnshardedFlavor {
-            dir: dir.clone(),
-            cfg,
-            store: Some(Store::create(&dir, build(), store_cfg()).expect("create store")),
-            mirror: build(),
-        };
         Self {
             cfg,
-            inc_ids: (0..n as SetIdx).map(|i| (i, i)).collect(),
             slots: base.into_iter().map(Some).collect(),
             sharded,
-            unsharded,
         }
     }
 
@@ -156,7 +129,6 @@ impl Harness {
         for flavor in &self.sharded {
             let _ = std::fs::remove_dir_all(&flavor.dir);
         }
-        let _ = std::fs::remove_dir_all(&self.unsharded.dir);
     }
 
     fn live_gids(&self) -> Vec<SetIdx> {
@@ -165,72 +137,29 @@ impl Harness {
             .collect()
     }
 
-    fn apply_everywhere(&mut self, update: &Update, inc_update: &Update) {
+    fn apply_everywhere(&mut self, update: &Update) {
         for flavor in &mut self.sharded {
             let store = flavor.store.as_mut().expect("store is open");
             let got = store.apply(update.clone()).expect("durable apply").outcome;
             let want = flavor.mirror.apply(update.clone()).expect("mirror apply");
             assert_eq!(got, want, "store and mirror outcomes agree");
         }
-        let store = self.unsharded.store.as_mut().expect("store is open");
-        let got = store
-            .apply(inc_update.clone())
-            .expect("durable apply")
-            .outcome;
-        let want = self
-            .unsharded
-            .mirror
-            .apply(inc_update.clone())
-            .expect("mirror apply");
-        assert_eq!(got, want, "unsharded store and mirror outcomes agree");
     }
 
     fn append(&mut self, sets: Vec<Vec<String>>) {
-        let update = Update::Append(sets.clone());
-        self.apply_everywhere(&update, &update);
-        // Track the unsharded ids from the mirror's own numbering: the
-        // appended sets took the trailing slots.
-        let first_inc = self.unsharded.mirror.collection().len() - sets.len();
-        for (i, _) in sets.iter().enumerate() {
-            let gid = (self.slots.len() + i) as SetIdx;
-            self.inc_ids.insert(gid, (first_inc + i) as SetIdx);
-        }
+        self.apply_everywhere(&Update::Append(sets.clone()));
         self.slots.extend(sets.into_iter().map(Some));
     }
 
     fn remove(&mut self, gids: Vec<SetIdx>) {
-        let inc: Vec<SetIdx> = gids.iter().map(|g| self.inc_ids[g]).collect();
-        self.apply_everywhere(&Update::Remove(gids.clone()), &Update::Remove(inc));
+        self.apply_everywhere(&Update::Remove(gids.clone()));
         for g in gids {
             self.slots[g as usize] = None;
         }
     }
 
     fn compact(&mut self) {
-        // Capture the unsharded remap through the mirror outcome.
-        for flavor in &mut self.sharded {
-            let store = flavor.store.as_mut().expect("store is open");
-            store.apply(Update::Compact).expect("durable compact");
-            flavor
-                .mirror
-                .apply(Update::Compact)
-                .expect("mirror compact");
-        }
-        let store = self.unsharded.store.as_mut().expect("store is open");
-        let got = store.apply(Update::Compact).expect("durable compact");
-        let remap = self
-            .unsharded
-            .mirror
-            .apply(Update::Compact)
-            .expect("mirror compact")
-            .remap
-            .expect("compact returns a remap");
-        assert_eq!(got.outcome.remap.as_deref(), Some(remap.as_slice()));
-        self.inc_ids = self
-            .inc_ids
-            .iter()
-            .filter_map(|(&g, &i)| remap[i as usize].map(|ni| (g, ni)))
-            .collect();
+        self.apply_everywhere(&Update::Compact);
     }
 
     fn force_snapshot(&mut self) {
@@ -242,12 +171,6 @@ impl Harness {
                 .snapshot()
                 .expect("snapshot");
         }
-        self.unsharded
-            .store
-            .as_mut()
-            .expect("store is open")
-            .snapshot()
-            .expect("snapshot");
     }
 
     /// The crash: drop every store (while the process keeps its
@@ -292,37 +215,6 @@ impl Harness {
             );
             flavor.store = Some(store);
         }
-
-        let store = self.unsharded.store.take().expect("store is open");
-        let wal_records = store.status().wal_records;
-        let snapshot_seq = store.status().snapshot_seq;
-        drop(store);
-        if expect_replay_matters {
-            let (_, snap_state) = load_snapshot(
-                &self
-                    .unsharded
-                    .dir
-                    .join(format!("snapshot-{snapshot_seq}.smc")),
-            )
-            .expect("snapshot loads");
-            let snapshot_only =
-                Engine::restore(&self.unsharded.cfg, snap_state).expect("snapshot restores");
-            assert_ne!(
-                snapshot_only.capture(),
-                self.unsharded.mirror.capture(),
-                "unsharded replay must be load-bearing"
-            );
-        }
-        let (store, report) =
-            Store::<Engine>::open(&self.unsharded.dir, &self.unsharded.cfg, store_cfg())
-                .expect("recovery");
-        assert_eq!(report.wal_replayed, wal_records);
-        assert_eq!(
-            store.engine().capture(),
-            self.unsharded.mirror.capture(),
-            "recovered unsharded state == in-memory state"
-        );
-        self.unsharded.store = Some(store);
     }
 
     /// The fresh-build comparator: an engine over exactly the live raw
@@ -371,24 +263,6 @@ impl Harness {
                 flavor.spec.shards
             );
         }
-
-        let gid_of: HashMap<SetIdx, SetIdx> = self.inc_ids.iter().map(|(&g, &i)| (i, g)).collect();
-        let engine = self
-            .unsharded
-            .store
-            .as_ref()
-            .expect("store is open")
-            .engine();
-        let got: Vec<(SetIdx, u64)> = engine
-            .execute(&spec)
-            .hits
-            .into_iter()
-            .map(|(iid, score)| (gid_of[&iid], score.to_bits()))
-            .collect();
-        assert_eq!(
-            got, want,
-            "durable Store<Engine> vs fresh rebuild, k={k:?} floor={floor:?}"
-        );
     }
 
     /// Batched discovery — one spec per reference — across the sharded
@@ -431,7 +305,7 @@ proptest! {
     // The acceptance property: random op interleavings with crashes —
     // every recovered engine byte-identical to the in-memory engine
     // that applied the same committed updates, across shard counts
-    // {1, 2, 7} and the unsharded Store<Engine> path.
+    // {1, 2, 7}.
     #[test]
     fn any_crash_recovery_is_byte_identical_to_the_surviving_engine(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);

@@ -10,15 +10,14 @@
 //! from-text build of the same slots field by field: element ids, token
 //! ids and frequencies, element encodings, liveness, and every posting
 //! of the inverted index. The captured state, and so the snapshot
-//! bytes, must not depend on the shard count, nor differ for the
-//! unsharded engine holding the same sets under the same ids, and a
-//! restored engine must capture back to the state it came from.
+//! bytes, must not depend on the shard count, and a restored engine
+//! must capture back to the state it came from.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silkmoth_collection::{Collection, InvertedIndex, SetIdx};
-use silkmoth_core::{Engine, EngineConfig, RelatednessMetric, Update};
+use silkmoth_core::{EngineConfig, RelatednessMetric, Update};
 use silkmoth_server::{ShardSpec, ShardedEngine};
 use silkmoth_storage::{snapshot_bytes, EngineState, SnapshotMeta, StoreEngine};
 use silkmoth_text::SimilarityFunction;
@@ -133,13 +132,11 @@ fn check(rng: &mut StdRng) {
         .iter()
         .map(|&n| ShardedEngine::build(&base, cfg, n).unwrap())
         .collect();
-    let mut unsharded = Engine::new(Collection::build(&base, cfg.tokenization()), cfg).unwrap();
     for (stage, updates) in stages {
         for update in updates {
             for engine in &mut engines {
                 engine.apply(update.clone()).unwrap();
             }
-            unsharded.apply(update).unwrap();
         }
         let states: Vec<EngineState> = engines.iter().map(StoreEngine::capture).collect();
         let bytes = snapshot_bytes(SnapshotMeta::default(), &states[0]);
@@ -164,19 +161,6 @@ fn check(rng: &mut StdRng) {
                 "{what}: recaptured"
             );
         }
-        // Before a compaction renumbers the unsharded engine, its ids are
-        // the global ids, and its state is the same bytes.
-        let state = unsharded.capture();
-        if stage != "compacted" {
-            assert_eq!(
-                snapshot_bytes(SnapshotMeta::default(), &state),
-                bytes,
-                "{stage}: unsharded"
-            );
-        }
-        let restored = Engine::restore(&cfg, state).unwrap();
-        let c = restored.collection();
-        assert_same_collection(c, &rebuilt(c), &format!("{stage}: unsharded"));
     }
 }
 

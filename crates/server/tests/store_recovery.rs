@@ -1,21 +1,22 @@
-//! Store lifecycle tests over the unsharded [`Engine`]: create → apply
-//! → crash (drop) → open must recover an engine **byte-identical** to
-//! the in-memory engine that executed the same committed updates, and
-//! the generation rotation / auto-policy machinery must behave.
+//! Store lifecycle tests over the [`ShardedEngine`] the server runs:
+//! create → apply → crash (drop) → open must recover an engine
+//! **byte-identical** to the in-memory engine that executed the same
+//! committed updates, and the generation rotation / auto-policy
+//! machinery must behave.
 //!
-//! (The full random-interleaving differential harness — including
-//! shard counts {1, 2, 7} — lives in
-//! `crates/server/tests/recovery_equivalence.rs`; this file pins the
-//! storage semantics themselves.)
+//! (The full random-interleaving differential harness — at shard
+//! counts {1, 2, 7} — lives in `recovery_equivalence.rs`; this file
+//! pins the storage semantics themselves.)
 
 use std::path::PathBuf;
 
-use silkmoth_collection::Collection;
-use silkmoth_core::{
-    CompactionPolicy, Engine, EngineConfig, QuerySpec, RelatednessMetric, Update, UpdateError,
-};
+use silkmoth_collection::UpdateError;
+use silkmoth_core::{CompactionPolicy, EngineConfig, QuerySpec, RelatednessMetric, Update};
+use silkmoth_server::{ShardSpec, ShardedEngine};
 use silkmoth_storage::{load_snapshot, StorageError, Store, StoreConfig, StoreEngine};
 use silkmoth_text::SimilarityFunction;
+
+const SHARDS: usize = 3;
 
 fn cfg() -> EngineConfig {
     EngineConfig::full(
@@ -36,8 +37,15 @@ fn base_sets() -> Vec<Vec<String>> {
         .collect()
 }
 
-fn fresh_engine(raw: &[Vec<String>]) -> Engine {
-    Engine::new(Collection::build(raw, cfg().tokenization()), cfg()).unwrap()
+fn spec() -> ShardSpec {
+    ShardSpec {
+        cfg: cfg(),
+        shards: SHARDS,
+    }
+}
+
+fn fresh_engine(raw: &[Vec<String>]) -> ShardedEngine {
+    ShardedEngine::build(raw, cfg(), SHARDS).unwrap()
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -50,7 +58,7 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// Search output as comparable (id, score bits) pairs.
-fn search_bits(engine: &Engine, elems: &[&str]) -> Vec<(u32, u64)> {
+fn search_bits(engine: &ShardedEngine, elems: &[&str]) -> Vec<(u32, u64)> {
     let spec = QuerySpec::new(elems.iter().map(|e| e.to_string()).collect());
     engine
         .execute(&spec)
@@ -62,7 +70,7 @@ fn search_bits(engine: &Engine, elems: &[&str]) -> Vec<(u32, u64)> {
 
 /// Asserts two engines agree byte-for-byte on state and on a few
 /// searches.
-fn assert_engines_identical(got: &Engine, want: &Engine, what: &str) {
+fn assert_engines_identical(got: &ShardedEngine, want: &ShardedEngine, what: &str) {
     assert_eq!(got.capture(), want.capture(), "{what}: collection state");
     for probe in [
         vec!["w0 w1 shared0", "w2 w0 shared2"],
@@ -104,7 +112,8 @@ fn crash_recovery_replays_the_wal() {
     assert!(store.status().last_fsync_ok);
     drop(store); // crash: no snapshot was ever taken after creation
 
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), StoreConfig::default()).unwrap();
+    let (store, report) =
+        Store::<ShardedEngine>::open(&dir, &spec(), StoreConfig::default()).unwrap();
     assert_eq!(report.snapshot_seq, 0);
     assert_eq!(report.wal_replayed, updates.len() as u64);
     assert_eq!(report.wal_discarded, None);
@@ -115,7 +124,7 @@ fn crash_recovery_replays_the_wal() {
     // state — i.e. the replay step is load-bearing in this test.
     let (meta, snap_state) = load_snapshot(&dir.join("snapshot-0.smc")).unwrap();
     assert_eq!(meta.seq, 0);
-    let snapshot_only = Engine::restore(&cfg(), snap_state).unwrap();
+    let snapshot_only = ShardedEngine::restore(&spec(), snap_state).unwrap();
     assert_ne!(snapshot_only.capture(), mirror.capture());
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -151,7 +160,8 @@ fn snapshot_rotates_generations_atomically() {
         .apply(Update::Append(vec![vec!["gamma delta".into()]]))
         .unwrap();
     drop(store);
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), StoreConfig::default()).unwrap();
+    let (store, report) =
+        Store::<ShardedEngine>::open(&dir, &spec(), StoreConfig::default()).unwrap();
     assert_eq!(report.snapshot_seq, 1);
     assert_eq!(report.wal_replayed, 1);
     assert_engines_identical(store.engine(), &mirror, "post-rotation recovery");
@@ -175,7 +185,7 @@ fn policy_drives_auto_compaction_and_auto_snapshot() {
     let receipt = store.apply(Update::Remove(vec![0, 5])).unwrap();
     assert!(receipt.auto_compacted);
     assert_eq!(receipt.auto_snapshot, None, "2 records < threshold 4");
-    assert_eq!(store.engine().slot_len(), 6, "compacted away the dead");
+    assert_eq!(store.engine().slot_count(), 6, "compacted away the dead");
     assert_eq!(store.status().wal_records, 2, "remove + compact logged");
 
     // Two more updates reach the WAL threshold: auto-snapshot fires and
@@ -203,7 +213,7 @@ fn policy_drives_auto_compaction_and_auto_snapshot() {
         .apply(Update::Append(vec![vec!["and another".into()]]))
         .unwrap();
     drop(store);
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), store_cfg).unwrap();
+    let (store, report) = Store::<ShardedEngine>::open(&dir, &spec(), store_cfg).unwrap();
     assert_eq!(report.snapshot_seq, 1);
     assert_eq!(report.wal_replayed, 0, "snapshot already holds it all");
     assert_engines_identical(store.engine(), &mirror, "auto-policy recovery");
@@ -221,15 +231,14 @@ fn rejected_updates_are_never_logged() {
         "{err}"
     );
     assert_eq!(store.status().wal_records, 0, "nothing was logged");
-    assert!(
-        store.engine().collection().is_live(2),
-        "nothing was applied"
-    );
+    assert!(store.engine().has_gid(2), "nothing was applied");
+    assert_eq!(store.engine().len(), 8, "nothing was applied");
     drop(store);
     // …so recovery has nothing to trip over.
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), StoreConfig::default()).unwrap();
+    let (store, report) =
+        Store::<ShardedEngine>::open(&dir, &spec(), StoreConfig::default()).unwrap();
     assert_eq!(report.wal_replayed, 0);
-    assert_eq!(store.engine().live_len(), 8);
+    assert_eq!(store.engine().len(), 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -247,11 +256,11 @@ fn create_refuses_existing_store_and_open_refuses_empty_dir() {
 
     let empty = temp_dir("guards-empty");
     std::fs::create_dir_all(&empty).unwrap();
-    let err = Store::<Engine>::open(&empty, &cfg(), StoreConfig::default()).unwrap_err();
+    let err = Store::<ShardedEngine>::open(&empty, &spec(), StoreConfig::default()).unwrap_err();
     assert!(matches!(err, StorageError::NotInitialized { .. }), "{err}");
     // A directory that does not exist at all reads the same way.
     let missing = temp_dir("guards-missing");
-    let err = Store::<Engine>::open(&missing, &cfg(), StoreConfig::default()).unwrap_err();
+    let err = Store::<ShardedEngine>::open(&missing, &spec(), StoreConfig::default()).unwrap_err();
     assert!(matches!(err, StorageError::NotInitialized { .. }), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -267,13 +276,16 @@ fn mismatched_serving_config_is_a_named_error() {
     // The store holds whitespace-tokenized data; opening it for edit
     // similarity (q-gram tokenization) must fail by name, not serve
     // garbage.
-    let edit_cfg = EngineConfig::full(
-        RelatednessMetric::Similarity,
-        SimilarityFunction::Eds { q: 2 },
-        0.5,
-        0.0,
-    );
-    let err = Store::<Engine>::open(&dir, &edit_cfg, StoreConfig::default()).unwrap_err();
+    let edit_spec = ShardSpec {
+        cfg: EngineConfig::full(
+            RelatednessMetric::Similarity,
+            SimilarityFunction::Eds { q: 2 },
+            0.5,
+            0.0,
+        ),
+        shards: SHARDS,
+    };
+    let err = Store::<ShardedEngine>::open(&dir, &edit_spec, StoreConfig::default()).unwrap_err();
     assert!(matches!(err, StorageError::Config(_)), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -299,7 +311,7 @@ fn unsynced_stores_still_recover_what_reached_disk() {
     // crash here), so recovery still sees both records — sync=false
     // only weakens the guarantee under a real kill/power-cut.
     drop(store);
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), store_cfg).unwrap();
+    let (store, report) = Store::<ShardedEngine>::open(&dir, &spec(), store_cfg).unwrap();
     assert_eq!(report.wal_replayed, 2);
     assert_engines_identical(store.engine(), &mirror, "unsynced recovery");
     let _ = std::fs::remove_dir_all(&dir);
@@ -340,7 +352,8 @@ fn update_seq_and_epoch_survive_rotation_and_recovery() {
         .unwrap();
 
     drop(store); // crash
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), StoreConfig::default()).unwrap();
+    let (store, report) =
+        Store::<ShardedEngine>::open(&dir, &spec(), StoreConfig::default()).unwrap();
     assert_eq!(report.wal_replayed, 1);
     assert_eq!(store.status().update_seq, 4, "snapshot base + replayed");
     assert_eq!(store.status().epoch, 1, "epoch recovered from snapshot");
@@ -384,12 +397,12 @@ fn committed_update_acks_despite_failed_maintenance() {
     // double-applied by the failed maintenance, and because the caller
     // got an Ok there is no reason for it to retry.
     assert_eq!(store.status().update_seq, 1);
-    assert_eq!(store.engine().live_len(), 9);
+    assert_eq!(store.engine().len(), 9);
     drop(store); // crash
     std::fs::remove_dir_all(dir.join("wal-1-0.log")).unwrap();
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), store_cfg).unwrap();
+    let (store, report) = Store::<ShardedEngine>::open(&dir, &spec(), store_cfg).unwrap();
     assert_eq!(report.wal_replayed, 1);
-    assert_eq!(store.engine().live_len(), 9, "exactly one copy recovered");
+    assert_eq!(store.engine().len(), 9, "exactly one copy recovered");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -410,16 +423,18 @@ fn corrupt_newer_generation_is_quarantined_once() {
     std::fs::write(dir.join("snapshot-3.smc"), b"not a snapshot at all").unwrap();
     std::fs::write(dir.join("wal-3-0.log"), b"torn").unwrap();
 
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), StoreConfig::default()).unwrap();
+    let (store, report) =
+        Store::<ShardedEngine>::open(&dir, &spec(), StoreConfig::default()).unwrap();
     assert_eq!(report.snapshot_seq, 0, "fell back to the good generation");
     assert_eq!(report.snapshots_skipped, 1);
-    assert_eq!(store.engine().live_len(), 9);
+    assert_eq!(store.engine().len(), 9);
     assert!(!dir.join("snapshot-3.smc").exists(), "quarantined");
     assert!(dir.join("snapshot-3.smc.corrupt").exists());
     assert!(dir.join("wal-3-0.log.corrupt").exists());
     drop(store);
 
-    let (_store, report) = Store::<Engine>::open(&dir, &cfg(), StoreConfig::default()).unwrap();
+    let (_store, report) =
+        Store::<ShardedEngine>::open(&dir, &spec(), StoreConfig::default()).unwrap();
     assert_eq!(
         report.snapshots_skipped, 0,
         "the quarantine made the second open clean"
@@ -503,7 +518,7 @@ fn sealed_segments_recover_identically() {
     assert!(dir.join("wal-0-1.log").exists());
     drop(store); // crash with records spread over several segments
 
-    let (store, report) = Store::<Engine>::open(&dir, &cfg(), store_cfg).unwrap();
+    let (store, report) = Store::<ShardedEngine>::open(&dir, &spec(), store_cfg).unwrap();
     assert_eq!(report.wal_replayed, updates.len() as u64);
     assert_eq!(report.wal_discarded, None);
     assert_engines_identical(store.engine(), &mirror, "multi-segment recovery");
@@ -531,8 +546,7 @@ fn wal_payloads_read_back_raw_and_bounded() {
     let window = silkmoth_storage::read_wal_payloads(&path, gen, 1, 2).unwrap();
     assert_eq!(window, all[1..3].to_vec());
     for (i, payload) in all.iter().enumerate() {
-        let decoded = silkmoth_core::wire::decode_update(payload).unwrap();
-        match decoded.update {
+        match silkmoth_core::wire::decode_update(payload).unwrap() {
             Update::Append(sets) => assert_eq!(sets, vec![vec![format!("record {i}")]]),
             other => panic!("unexpected update {other:?}"),
         }

@@ -1,8 +1,9 @@
-//! WAL robustness: recovery from a damaged log must yield a **named**
-//! [`StorageError`] or a **consistent earlier state** (the engine after
-//! some prefix of the committed updates) — never a panic and never a
-//! silently wrong engine. Mirrors `codec_hardening.rs`: every-prefix
-//! truncation plus seeded random byte-flip fuzz.
+//! WAL robustness of the store the server runs (`Store<ShardedEngine>`):
+//! recovery from a damaged log must yield a **named** [`StorageError`]
+//! or a **consistent earlier state** (the engine after some prefix of
+//! the committed updates) — never a panic and never a silently wrong
+//! engine. Mirrors `codec_hardening.rs`: every-prefix truncation plus
+//! seeded random byte-flip fuzz.
 //!
 //! The consistency oracle is exact: for a recovery that reports `k`
 //! records replayed, the recovered engine's [`capture`]d state must
@@ -17,10 +18,12 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use silkmoth_collection::Collection;
-use silkmoth_core::{CompactionPolicy, Engine, EngineConfig, RelatednessMetric, Update};
-use silkmoth_storage::{EngineState, StorageError, Store, StoreConfig, StoreEngine};
+use silkmoth_core::{CompactionPolicy, EngineConfig, RelatednessMetric, Update};
+use silkmoth_server::{ShardSpec, ShardedEngine};
+use silkmoth_storage::{crc32, EngineState, StorageError, Store, StoreConfig, StoreEngine};
 use silkmoth_text::SimilarityFunction;
+
+const SHARDS: usize = 3;
 
 fn cfg() -> EngineConfig {
     EngineConfig::full(
@@ -48,8 +51,15 @@ fn updates() -> Vec<Update> {
     ]
 }
 
-fn fresh_engine(raw: &[Vec<String>]) -> Engine {
-    Engine::new(Collection::build(raw, cfg().tokenization()), cfg()).unwrap()
+fn spec() -> ShardSpec {
+    ShardSpec {
+        cfg: cfg(),
+        shards: SHARDS,
+    }
+}
+
+fn fresh_engine(raw: &[Vec<String>]) -> ShardedEngine {
+    ShardedEngine::build(raw, cfg(), SHARDS).unwrap()
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -121,7 +131,7 @@ fn open_damaged(master: &Path, replica: &Path, wal: &[u8], what: &str) -> Option
     )
     .unwrap();
     std::fs::write(replica.join("wal-0-0.log"), wal).unwrap();
-    match Store::<Engine>::open(replica, &cfg(), StoreConfig::default()) {
+    match Store::<ShardedEngine>::open(replica, &spec(), StoreConfig::default()) {
         Ok((store, report)) => {
             let mirrors = prefix_mirrors(&base_sets(), &updates());
             let k = report.wal_replayed as usize;
@@ -251,7 +261,8 @@ fn corrupt_header_on_a_wal_with_records_is_a_hard_error_not_a_silent_discard() {
         )
         .unwrap();
         std::fs::write(replica.join("wal-0-0.log"), &damaged).unwrap();
-        let err = Store::<Engine>::open(&replica, &cfg(), StoreConfig::default()).unwrap_err();
+        let err =
+            Store::<ShardedEngine>::open(&replica, &spec(), StoreConfig::default()).unwrap_err();
         assert!(
             matches!(err, StorageError::Corrupt { .. }),
             "flipped {what}: {err}"
@@ -286,7 +297,7 @@ fn open_segmented(
     for (name, bytes) in segs {
         std::fs::write(replica.join(name), bytes).unwrap();
     }
-    match Store::<Engine>::open(replica, &cfg(), StoreConfig::default()) {
+    match Store::<ShardedEngine>::open(replica, &spec(), StoreConfig::default()) {
         Ok((store, report)) => {
             let mirrors = prefix_mirrors(&base_sets(), &updates());
             let k = report.wal_replayed as usize;
@@ -448,7 +459,8 @@ fn v1_wal_is_rejected_by_name() {
         )
         .unwrap();
         std::fs::write(replica.join(file), bytes).unwrap();
-        let err = Store::<Engine>::open(&replica, &cfg(), StoreConfig::default()).unwrap_err();
+        let err =
+            Store::<ShardedEngine>::open(&replica, &spec(), StoreConfig::default()).unwrap_err();
         assert!(
             matches!(&err, StorageError::Corrupt { detail, .. }
                 if detail.contains("WAL format version 1")),
@@ -475,13 +487,65 @@ fn corrupt_snapshot_is_a_named_error_not_a_panic() {
         let pos = rng.random_range(0..damaged.len());
         damaged[pos] ^= 1 << rng.random_range(0..8u32);
         std::fs::write(&snap_path, &damaged).unwrap();
-        let err = Store::<Engine>::open(&master, &cfg(), StoreConfig::default()).unwrap_err();
+        let err =
+            Store::<ShardedEngine>::open(&master, &spec(), StoreConfig::default()).unwrap_err();
         assert!(
             matches!(err, StorageError::NoValidSnapshot { .. }),
             "single corrupt generation: {err}"
         );
     }
     std::fs::write(&snap_path, &snap).unwrap();
-    assert!(Store::<Engine>::open(&master, &cfg(), StoreConfig::default()).is_ok());
+    assert!(Store::<ShardedEngine>::open(&master, &spec(), StoreConfig::default()).is_ok());
     let _ = std::fs::remove_dir_all(&master);
+}
+
+/// The served engine never renumbers, so every Compact record a store
+/// has written is the two bytes `[3, 0]` — the evidence that the WAL
+/// format owes no version bump. A record in the older `[3, 1, n, …]`
+/// layout (a compaction remap), framed with a valid CRC, is not a torn
+/// tail but a record this build does not define: recovery must refuse
+/// it by name, naming the file.
+#[test]
+fn a_compact_record_carrying_a_remap_is_corrupt_by_name() {
+    let master = temp_dir("remap-master");
+    let wal = record_wal(&master);
+    let mut rewritten = wal[..28].to_vec();
+    let mut compacts = 0;
+    let mut pos = 28;
+    while pos < wal.len() {
+        let len = u32::from_le_bytes(wal[pos..pos + 4].try_into().unwrap()) as usize;
+        let mut payload = wal[pos + 8..pos + 8 + len].to_vec();
+        if payload == [3, 0] {
+            compacts += 1;
+            // n = 3, then slot 0 → 0, slot 1 dropped, slot 2 → 1.
+            payload = vec![3, 1];
+            for entry in [3u32, 0, u32::MAX, 1] {
+                payload.extend_from_slice(&entry.to_le_bytes());
+            }
+        }
+        rewritten.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        rewritten.extend_from_slice(&crc32(&payload).to_le_bytes());
+        rewritten.extend_from_slice(&payload);
+        pos += 8 + len;
+    }
+    assert_eq!(compacts, 1, "the script's one Compact is the bytes [3, 0]");
+
+    let replica = temp_dir("remap-replica");
+    std::fs::create_dir_all(&replica).unwrap();
+    std::fs::copy(
+        master.join("snapshot-0.smc"),
+        replica.join("snapshot-0.smc"),
+    )
+    .unwrap();
+    std::fs::write(replica.join("wal-0-0.log"), &rewritten).unwrap();
+    let err = Store::<ShardedEngine>::open(&replica, &spec(), StoreConfig::default()).unwrap_err();
+    match &err {
+        StorageError::Corrupt { file, detail } => {
+            assert!(file.ends_with("wal-0-0.log"), "{err}");
+            assert!(detail.contains("undefined flag bits"), "{err}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&master);
+    let _ = std::fs::remove_dir_all(&replica);
 }

@@ -50,11 +50,13 @@
 //! applied the same committed updates (and hence, by the PR 3
 //! equivalence theorem, to a fresh build over the surviving sets).
 //! Snapshots record tombstoned slot ids alongside the live sets, so
-//! idempotent re-removal and compaction renumbering replay exactly;
-//! compaction WAL records carry the id remap the live engine produced,
-//! and replay *verifies* it ([`StorageError::ReplayDivergence`]).
-//! `tests/` in this crate and `recovery_equivalence.rs` in
-//! `silkmoth-server` enforce this differentially, crash included.
+//! idempotent re-removal and compaction replay exactly; ids are stable
+//! across compaction, so a compaction WAL record is the bare update. A
+//! committed record the engine rejects on replay is
+//! [`StorageError::ReplayDivergence`]. `silkmoth-server`'s
+//! `store_recovery.rs`, `wal_robustness.rs` and
+//! `recovery_equivalence.rs` enforce this differentially on the engine
+//! the server runs, crash included.
 //!
 //! ## Format versioning
 //!
@@ -75,10 +77,10 @@
 //! reader ([`read_wal_payloads`]), and snapshot parsing from bytes
 //! ([`parse_snapshot`]) for follower bootstrap.
 //!
-//! The store is generic over [`StoreEngine`] — implemented here for the
-//! unsharded [`Engine`] and in
-//! `silkmoth-server` for its `ShardedEngine`, whose stable global ids
-//! snapshot/restore without renumbering.
+//! The store is generic over [`StoreEngine`], which keeps this crate
+//! from depending on the server: `silkmoth-server` implements it for
+//! its `ShardedEngine`, whose stable global ids snapshot and restore
+//! without renumbering.
 
 mod crc32;
 mod snapshot;
@@ -93,10 +95,8 @@ pub use store::{
 };
 pub use wal::{list_wal_segments, read_wal, read_wal_payloads, wal_segment_path, WalSegmentInfo};
 
-use std::sync::Arc;
-
-use silkmoth_collection::{codec, Collection, SetIdx, Tokenization, UpdateError};
-use silkmoth_core::{ConfigError, Engine, EngineConfig, Update, UpdateOutcome};
+use silkmoth_collection::{SetIdx, Tokenization, UpdateError};
+use silkmoth_core::{ConfigError, Update, UpdateOutcome};
 
 /// Errors from the persistence layer. Everything that can go wrong on
 /// disk — corruption, torn files, replay mismatches — is a named
@@ -141,9 +141,9 @@ pub enum StorageError {
     /// (e.g. removing a set id that was never assigned). The store is
     /// unchanged.
     Update(UpdateError),
-    /// WAL replay produced a different outcome than the live engine
-    /// recorded — the store refuses to serve a silently divergent
-    /// engine.
+    /// The engine rejected a committed WAL record, on replay or on its
+    /// apply after the commit — the store refuses to serve a silently
+    /// divergent engine.
     ReplayDivergence {
         /// Zero-based record index in the WAL.
         record: u64,
@@ -200,15 +200,15 @@ impl StorageError {
 /// live sets by id, the ids of tombstoned (not yet compacted) slots,
 /// and the next id to assign — what a snapshot stores and what
 /// [`StoreEngine::restore`] rebuilds from. It is dictionary-coded, each
-/// distinct text once ([`codec::intern`]), and canonical: the texts are
-/// numbered in the order they first occur over the live sets by
-/// ascending id, so a state depends only on the live content, never on
-/// how an engine splits it.
+/// distinct text once ([`silkmoth_collection::codec::intern`]), and
+/// canonical: the texts are numbered in the order they first occur over
+/// the live sets by ascending id, so a state depends only on the live
+/// content, never on how an engine splits it.
 ///
 /// Dead ids matter for replay fidelity: removal is idempotent and
-/// compaction renumbering depends on the liveness pattern, so a
-/// restored engine must know *which* slots were tombstoned even though
-/// their contents are gone.
+/// compaction drops exactly the tombstoned slots, so a restored engine
+/// must know *which* slots were tombstoned even though their contents
+/// are gone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineState {
     /// The distinct element texts of the live sets.
@@ -301,11 +301,6 @@ pub trait StoreEngine: Sized + Send {
     /// Applies one update (the engine's own `apply`).
     fn apply_update(&mut self, update: Update) -> Result<UpdateOutcome, UpdateError>;
 
-    /// The id remap the next [`Update::Compact`] will produce, `None`
-    /// for engines whose ids are stable across compaction. Logged with
-    /// the WAL record and verified on replay.
-    fn planned_remap(&self) -> Option<Vec<Option<SetIdx>>>;
-
     /// Live (non-tombstoned) sets.
     fn live_len(&self) -> usize;
 
@@ -313,97 +308,4 @@ pub trait StoreEngine: Sized + Send {
     /// [`live_len`](Self::live_len), the input to
     /// [`CompactionPolicy`](silkmoth_core::CompactionPolicy).
     fn slot_len(&self) -> usize;
-}
-
-/// The unsharded engine persists directly: ids are its collection slot
-/// ids (renumbered by compaction exactly as the recorded remap says).
-impl StoreEngine for Engine {
-    type Spec = EngineConfig;
-
-    fn restore(spec: &Self::Spec, state: EngineState) -> Result<Self, StorageError> {
-        state.validate()?;
-        if state.live.len() + state.dead.len() != state.next_id as usize {
-            return Err(StorageError::BadState(format!(
-                "{} live + {} dead sets do not fill {} slots",
-                state.live.len(),
-                state.dead.len(),
-                state.next_id
-            )));
-        }
-        // Rebuild all slots in id order; tombstoned slots (whose
-        // contents are gone for good) become empty placeholder sets —
-        // they contribute no tokens and no postings, and are re-removed
-        // below, so they can never match a query. Search output is
-        // unaffected by the missing dead-set tokens: scores depend only
-        // on token-equality classes (the PR 3 equivalence argument).
-        // The texts first occur in slot order, so their indices are the
-        // element ids the collection's own build would assign.
-        let mut slots: Vec<&[u32]> = vec![&[]; state.next_id as usize];
-        for (id, set) in &state.live {
-            slots[*id as usize] = set;
-        }
-        let mut collection = Collection::build_interned(&state.texts, &slots, state.tokenization);
-        collection
-            .remove_sets(&state.dead)
-            .expect("validated dead ids are in range");
-        Engine::new(collection, *spec).map_err(StorageError::Config)
-    }
-
-    fn capture(&self) -> EngineState {
-        let collection = self.collection();
-        let ids: Vec<SetIdx> = collection.live_ids().collect();
-        let (texts, sets) = codec::intern(&[collection], ids.iter().map(|&id| (0, id)));
-        EngineState {
-            texts: texts.into_iter().map(str::to_owned).collect(),
-            live: ids.into_iter().zip(sets).collect(),
-            dead: (0..collection.len() as SetIdx)
-                .filter(|&id| !collection.is_live(id))
-                .collect(),
-            next_id: collection.len() as SetIdx,
-            tokenization: collection.tokenization(),
-        }
-    }
-
-    fn check_update(&self, update: &Update) -> Result<(), UpdateError> {
-        if let Update::Remove(ids) = update {
-            let slots = self.collection().len() as SetIdx;
-            if let Some(&bad) = ids.iter().find(|&&id| id >= slots) {
-                return Err(UpdateError::NoSuchSet(bad));
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_update(&mut self, update: Update) -> Result<UpdateOutcome, UpdateError> {
-        self.apply(update)
-    }
-
-    fn planned_remap(&self) -> Option<Vec<Option<SetIdx>>> {
-        let collection = self.collection();
-        let mut next = 0 as SetIdx;
-        Some(
-            (0..collection.len() as SetIdx)
-                .map(|id| {
-                    collection.is_live(id).then(|| {
-                        let new = next;
-                        next += 1;
-                        new
-                    })
-                })
-                .collect(),
-        )
-    }
-
-    fn live_len(&self) -> usize {
-        self.collection().live_len()
-    }
-
-    fn slot_len(&self) -> usize {
-        self.collection().len()
-    }
-}
-
-#[allow(dead_code)]
-fn _engine_store_is_send(s: Store<Engine>) -> Arc<dyn Send> {
-    Arc::new(s)
 }

@@ -18,7 +18,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use silkmoth_collection::SetIdx;
 use silkmoth_core::wire::encode_update;
 use silkmoth_core::{CompactionPolicy, Update, UpdateOutcome};
 
@@ -114,30 +113,24 @@ pub struct MaintenanceReport {
 #[must_use = "a committed batch must be applied to the engine with apply_committed"]
 #[derive(Debug)]
 pub struct CommittedBatch {
-    entries: Vec<CommittedEntry>,
+    updates: Vec<Update>,
     first_seq: u64,
-}
-
-#[derive(Debug)]
-struct CommittedEntry {
-    update: Update,
-    planned_remap: Option<Vec<Option<SetIdx>>>,
 }
 
 impl CommittedBatch {
     /// Records in the batch.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.updates.len()
     }
 
     /// Always false — empty batches are rejected at commit.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.updates.is_empty()
     }
 
     /// Global sequence number of the batch's last record.
     pub fn last_seq(&self) -> u64 {
-        self.first_seq + self.entries.len() as u64 - 1
+        self.first_seq + self.updates.len() as u64 - 1
     }
 }
 
@@ -555,20 +548,13 @@ impl<E: StoreEngine> Store<E> {
 
             // Apply in sequence order.
             let replayed = entries.len() as u64;
-            for (i, entry) in entries.into_iter().enumerate() {
-                let recorded_remap = entry.remap;
-                let outcome = engine.apply_update(entry.update).map_err(|e| {
-                    StorageError::ReplayDivergence {
+            for (i, update) in entries.into_iter().enumerate() {
+                engine
+                    .apply_update(update)
+                    .map_err(|e| StorageError::ReplayDivergence {
                         record: i as u64,
                         detail: format!("engine rejected committed update: {e}"),
-                    }
-                })?;
-                if recorded_remap.is_some() && outcome.remap != recorded_remap {
-                    return Err(StorageError::ReplayDivergence {
-                        record: i as u64,
-                        detail: "compaction remap differs from the recorded one".into(),
-                    });
-                }
+                    })?;
             }
 
             // Set up the active writer.
@@ -731,9 +717,9 @@ impl<E: StoreEngine> Store<E> {
     /// * the engine must not mutate between this call and the matching
     ///   `apply_committed`, and batches must be applied in commit
     ///   order;
-    /// * [`Update::Compact`] must be committed **alone** (its remap is
-    ///   planned against the current engine and recorded in the WAL, so
-    ///   nothing may precede it in its own batch).
+    /// * [`Update::Compact`] must be committed **alone**: compaction
+    ///   drops tombstoned ids for good, so the updates behind it must be
+    ///   validated against the post-compaction engine, in a later batch.
     pub fn commit_batch(&self, updates: Vec<Update>) -> Result<CommittedBatch, StorageError> {
         if updates.is_empty() {
             return Err(StorageError::BadState("empty commit batch".into()));
@@ -743,22 +729,15 @@ impl<E: StoreEngine> Store<E> {
                 "Update::Compact must be committed in a batch of its own".into(),
             ));
         }
-        let mut entries = Vec::with_capacity(updates.len());
-        let mut payloads = Vec::with_capacity(updates.len());
-        for update in updates {
-            let planned_remap = match update {
-                Update::Compact => self.engine.planned_remap(),
-                _ => None,
-            };
-            let mut payload = Vec::new();
-            encode_update(&update, planned_remap.as_deref(), &mut payload);
-            payloads.push(payload);
-            entries.push(CommittedEntry {
-                update,
-                planned_remap,
-            });
-        }
-        let records = entries.len() as u64;
+        let payloads: Vec<Vec<u8>> = updates
+            .iter()
+            .map(|update| {
+                let mut payload = Vec::new();
+                encode_update(update, &mut payload);
+                payload
+            })
+            .collect();
+        let records = updates.len() as u64;
         let mut state = self.commit_state();
         let timing = match state.wal.append_many(&payloads, self.cfg.sync) {
             Ok(timing) => timing,
@@ -784,7 +763,7 @@ impl<E: StoreEngine> Store<E> {
         }
         drop(state);
         Ok(CommittedBatch {
-            entries,
+            updates,
             first_seq: last_seq - records + 1,
         })
     }
@@ -820,8 +799,8 @@ impl<E: StoreEngine> Store<E> {
 
     /// Mutates the engine with a batch committed by
     /// [`commit_batch`](Self::commit_batch), in WAL order, returning
-    /// one outcome per update. An engine rejection or remap divergence
-    /// here is unrecoverable — the WAL already holds the record — so
+    /// one outcome per update. An engine rejection here is
+    /// unrecoverable — the WAL already holds the record — so
     /// the store poisons its commit path (no further update can be
     /// acknowledged into a history recovery cannot reproduce) and
     /// returns a hard error.
@@ -830,11 +809,11 @@ impl<E: StoreEngine> Store<E> {
         batch: CommittedBatch,
     ) -> Result<Vec<UpdateOutcome>, StorageError> {
         let first_seq = batch.first_seq;
-        let mut outcomes = Vec::with_capacity(batch.entries.len());
-        for (i, entry) in batch.entries.into_iter().enumerate() {
+        let mut outcomes = Vec::with_capacity(batch.updates.len());
+        for (i, update) in batch.updates.into_iter().enumerate() {
             let record = first_seq + i as u64;
-            let outcome = match self.engine.apply_update(entry.update) {
-                Ok(outcome) => outcome,
+            match self.engine.apply_update(update) {
+                Ok(outcome) => outcomes.push(outcome),
                 Err(e) => {
                     self.poison_commits(format!("committed record {record} rejected: {e}"));
                     return Err(StorageError::ReplayDivergence {
@@ -842,17 +821,7 @@ impl<E: StoreEngine> Store<E> {
                         detail: format!("engine rejected committed update: {e}"),
                     });
                 }
-            };
-            if entry.planned_remap.is_some() && outcome.remap != entry.planned_remap {
-                // The engine renumbered differently than it predicted —
-                // a bug, and the WAL now holds the prediction.
-                self.poison_commits(format!("record {record} remap diverged from prediction"));
-                return Err(StorageError::ReplayDivergence {
-                    record,
-                    detail: "compaction remap differs from the logged prediction".into(),
-                });
             }
-            outcomes.push(outcome);
         }
         Ok(outcomes)
     }

@@ -15,8 +15,7 @@
 //! records…
 //!
 //! record := payload_len u32 | crc32(payload) u32 | payload
-//! payload: one encoded Update (silkmoth_core::wire), with the
-//!          compaction remap piggybacked for Compact records
+//! payload: one encoded Update (silkmoth_core::wire)
 //! ```
 //!
 //! A generation's log is the concatenation of its segments
@@ -59,7 +58,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use silkmoth_core::wire::{decode_update, DecodedUpdate};
+use silkmoth_core::wire::decode_update;
+use silkmoth_core::Update;
 
 use crate::crc32::crc32;
 use crate::store::WalDiscard;
@@ -219,7 +219,7 @@ fn encode_header(seq: u64, segment: u32, base_seq: u64) -> Vec<u8> {
 #[derive(Debug)]
 pub struct WalReplay {
     /// Every committed record, in append order.
-    pub entries: Vec<DecodedUpdate>,
+    pub entries: Vec<Update>,
     /// Byte length of the valid prefix (header + committed records).
     pub valid_len: u64,
     /// The discarded torn tail, when the file did not end cleanly.
