@@ -21,10 +21,11 @@ use std::collections::BinaryHeap;
 
 use crate::config::{EngineConfig, FilterKind, FILTER_EPS};
 use crate::phi::Phi;
-use crate::signature::{generate, SigKind, SigParams, Signature};
+use crate::signature::{generate, SigElem, SigKind, SigParams, Signature};
 use crate::verify::{matching_score_over, need, related_at, relatedness, size_check};
 use silkmoth_collection::{Collection, ElemId, Element, InvertedIndex, SetIdx, SetRecord};
 use silkmoth_matching::Edge;
+use silkmoth_text::TokenId;
 
 /// Which candidate sets a pass may consider (self-join symmetry/self
 /// exclusions).
@@ -137,22 +138,28 @@ impl PassStats {
 /// the table is 0. Both live for one pass: nothing in them outlives the
 /// reference it was computed for.
 ///
-/// Each map is **sized by what one use touches, not by the collection**:
-/// an open-addressed table whose cells carry a version stamp, emptied by
-/// moving to the next version, of which a use takes only the prefix its
-/// own keys need. For the first two that is a bound known beforehand —
-/// the postings of the signature tokens, the elements of the largest
-/// set. The φ table is begun for the same postings, which bound the
-/// pairs candidate selection can meet, or for a few thousand pairs where
-/// there are more postings than that, and doubles its prefix whenever
-/// the pass meets more pairs than it has room for — inside capacity
-/// set aside, untouched, for all those postings before the pass
+/// The slot map is **sized by the collection's set ids**: one `u64` per
+/// set id of the largest collection the thread has searched, a version
+/// stamp and a slot, read and written at the id itself — no hash, no
+/// probe. It is allocated zeroed, so its memory is resident only where
+/// passes have touched it, and it grows in place when appends add ids.
+///
+/// The element-keyed maps are each **sized by what one use touches, not
+/// by the collection**: an open-addressed table whose cells carry a
+/// version stamp, emptied by moving to the next version, of which a use
+/// takes only the prefix its own keys need. For the visited marks that
+/// is a bound known beforehand, the elements of the largest set. The φ
+/// table is begun for the postings of the signature tokens, which bound
+/// the pairs candidate selection can meet, or for a few thousand pairs
+/// where there are more postings than that, and doubles its prefix
+/// whenever the pass meets more pairs than it has room for — inside
+/// capacity set aside, untouched, for all those postings before the pass
 /// allocates anything, so that the table a thread keeps does not move
 /// to a new place among the buffers a pass frees when it ends. The
 /// column summaries start at a few hundred elements and double the same
 /// way, inside capacity set aside once. A request that touches sixty
-/// elements works in a few cache lines, whatever the collection holds
-/// or the thread has served.
+/// elements works in a few cache lines of these, whatever the collection
+/// holds or the thread has served.
 ///
 /// The maps, and the edge list a verified pair is solved from, are
 /// **borrowed from the thread**: `new` takes the thread's
@@ -178,9 +185,9 @@ pub struct Searcher<'a> {
 #[derive(Debug, Default)]
 struct Scratch {
     /// Candidate slot per set id, for one pass.
-    cand: Stamped<u32>,
+    slots: SlotMap,
     /// Element ids of one candidate set already visited by one
-    /// `nn_search`.
+    /// `nn_search` that searches every token.
     visited: Stamped<()>,
     /// φα between the reference's elements and stored ones, for one pass.
     phis: PhiMemo,
@@ -401,6 +408,110 @@ impl<T: Copy + Default> Stamped<T> {
     }
 }
 
+/// A candidate slot per set id, for one pass at a time: one `u64` per set
+/// id, the version stamp in the high half and the slot in the low one. A
+/// cell is taken where its stamp equals `version`; stamp 0 is never
+/// current, so zeroed memory is an empty map.
+#[derive(Debug, Default)]
+struct SlotMap {
+    cells: Vec<u64>,
+    version: u32,
+}
+
+impl SlotMap {
+    /// Starts an empty map over set ids `0..sets`.
+    fn begin(&mut self, sets: usize) {
+        if self.cells.is_empty() {
+            // From the allocator's zeroed pages: a page a pass never
+            // meets is never made resident.
+            self.cells = vec![0; sets];
+        } else if self.cells.len() < sets {
+            self.cells.resize(sets, 0);
+        }
+        if self.version == u32::MAX {
+            // As `Stamped::begin`: a stamp from the first round would
+            // match the second's.
+            self.cells.fill(0);
+            self.version = 0;
+        }
+        self.version += 1;
+    }
+
+    #[inline]
+    fn get(&self, sid: SetIdx) -> Option<u32> {
+        let cell = self.cells[sid as usize];
+        ((cell >> 32) as u32 == self.version).then_some(cell as u32)
+    }
+
+    #[inline]
+    fn set(&mut self, sid: SetIdx, slot: u32) {
+        self.cells[sid as usize] = u64::from(self.version) << 32 | u64::from(slot);
+    }
+}
+
+/// A candidate's **positive cells**: `max φα(rᵢ, s)` over the postings of
+/// rᵢ's signature tokens in the candidate set, for the `i` where that is
+/// above 0. The cells of all candidates share one arena, each candidate's
+/// linked in increasing `i` from its first.
+///
+/// A cell that is not kept reads as 0, whether the walk met it at 0 or
+/// never met it. The two are interchangeable: the cheap bound
+/// `Σᵢ max(bᵢ, ubᵢ)` has `ubᵢ ≥ 0`, so each term — and the sum, taken in
+/// the same order — has the same bits for a `bᵢ` of 0 as for one below
+/// any similarity; and the nearest-neighbor filter searches where
+/// `bᵢ < ubᵢ`, which for either is where `ubᵢ > 0`.
+#[derive(Debug, Clone, Copy)]
+struct RowCell {
+    sim: f64,
+    i: u32,
+    /// The candidate's next cell, or [`END`].
+    next: u32,
+}
+
+/// The end of a candidate's cells (and of a candidate without any).
+const END: u32 = u32::MAX;
+
+/// A candidate being admitted by the posting walk.
+#[derive(Debug)]
+struct Admitted {
+    sid: SetIdx,
+    /// Its first and last cell in the arena, or [`END`].
+    first: u32,
+    last: u32,
+    /// Some similarity it was given reached its check threshold: the
+    /// check filter's verdict on the finished row.
+    passed: bool,
+}
+
+impl Admitted {
+    /// Takes `sim > 0` at `i`, the reference element the walk is at: the
+    /// walk meets the elements in increasing order, so a cell for `i`
+    /// already given is the candidate's last, and keeps the maximum.
+    #[inline]
+    fn keep(&mut self, cells: &mut Vec<RowCell>, i: u32, sim: f64) {
+        let at = cells.len() as u32;
+        if let Some(last) = cells.get_mut(self.last as usize) {
+            if last.i == i {
+                last.sim = last.sim.max(sim);
+                return;
+            }
+            last.next = at;
+        } else {
+            self.first = at;
+        }
+        self.last = at;
+        cells.push(RowCell { sim, i, next: END });
+    }
+}
+
+/// The cells of the candidate whose first cell is `first`, in increasing
+/// `i`.
+fn cells_of(cells: &[RowCell], first: u32) -> impl Iterator<Item = &RowCell> {
+    std::iter::successors(cells.get(first as usize), |cell| {
+        cells.get(cell.next as usize)
+    })
+}
+
 impl Drop for Searcher<'_> {
     fn drop(&mut self) {
         // Not `with`: a searcher dropped while the thread's locals are
@@ -408,9 +519,6 @@ impl Drop for Searcher<'_> {
         let _ = SCRATCH.try_with(|slot| slot.set(std::mem::take(&mut self.scratch)));
     }
 }
-
-/// Sentinel for "no computed similarity" in the best-φα cache.
-const NONE_SIM: f64 = -1.0;
 
 impl<'a> Searcher<'a> {
     /// Creates a searcher bound to a collection, its index, and a config,
@@ -506,8 +614,8 @@ impl<'a> Searcher<'a> {
         // ---- Candidate selection, with the similarities the check filter
         // decides on ------------------------------------------------------
         // A candidate comes from a posting of a signature token.
-        let Scratch { cand, phis, .. } = &mut self.scratch;
-        cand.begin(self.collection.len().min(stats.signature_cost as usize));
+        let Scratch { slots, phis, .. } = &mut self.scratch;
+        slots.begin(self.collection.len());
         // The column summaries first: a block allocated behind the φ
         // table would keep it from growing where it lies, and a table
         // that moves is copied, capacity and all.
@@ -516,13 +624,14 @@ impl<'a> Searcher<'a> {
         phis.cells.reserve(stats.signature_cost as usize);
         phis.cells
             .begin((stats.signature_cost as usize).min(PHI_TABLE_START));
-        let mut cand_sets: Vec<SetIdx> = Vec::new();
-        // best φα per (candidate, reference element), flattened.
-        let mut best: Vec<f64> = Vec::new();
-        // Per candidate: some similarity written to its row reached its
-        // check threshold. A cell is the maximum of what was written to
-        // it, so this is the check filter's verdict on the finished row.
-        let mut passed: Vec<bool> = Vec::new();
+        let mut admitted: Vec<Admitted> = Vec::new();
+        let mut cells: Vec<RowCell> = Vec::new();
+        let admit = |sid| Admitted {
+            sid,
+            first: END,
+            last: END,
+            passed: false,
+        };
 
         if signature.degenerate {
             for sid in 0..self.collection.len() as SetIdx {
@@ -535,10 +644,9 @@ impl<'a> Searcher<'a> {
                         self.collection.set(sid).len(),
                     )
                 {
-                    cand_sets.push(sid);
+                    admitted.push(admit(sid));
                 }
             }
-            best.resize(cand_sets.len() * n, NONE_SIM);
         } else {
             for (i, sig_elem) in signature.elems.iter().enumerate() {
                 let r_elem = &r.elements[i];
@@ -554,7 +662,7 @@ impl<'a> Searcher<'a> {
                     // Locate or admit the candidate slot. Tombstoned sets
                     // keep their postings in the index but are never
                     // admitted as candidates.
-                    let slot = if let Some(slot) = cand.get(u64::from(sid)) {
+                    let slot = if let Some(slot) = slots.get(sid) {
                         slot as usize
                     } else {
                         if !self.collection.is_live(sid) {
@@ -568,51 +676,55 @@ impl<'a> Searcher<'a> {
                         ) {
                             continue;
                         }
-                        let slot = cand_sets.len();
-                        cand.set(u64::from(sid), slot as u32);
-                        cand_sets.push(sid);
-                        best.resize(best.len() + n, NONE_SIM);
-                        passed.push(false);
+                        let slot = admitted.len();
+                        slots.set(sid, slot as u32);
+                        admitted.push(admit(sid));
                         slot
                     };
                     if compute_sims {
                         let sim =
                             phis.phi(&self.phi, self.collection, (i, r_elem), p.id, &mut stats);
-                        let cell = &mut best[slot * n + i];
-                        if sim > *cell {
-                            *cell = sim;
+                        let cand = &mut admitted[slot];
+                        cand.passed |= sim >= reaches;
+                        if sim > 0.0 {
+                            cand.keep(&mut cells, i as u32, sim);
                         }
-                        passed[slot] |= sim >= reaches;
                     }
                 }
             }
         }
-        stats.candidates = cand_sets.len();
+        stats.candidates = admitted.len();
 
         let ub = unmatched_upper_bounds(&signature, self.cfg.alpha);
         // The per-element bounds are the nearest-neighbor filter's; with
-        // it off (the §8.3 ablations, where `best` may not even be
+        // it off (the §8.3 ablations, where no cell may even be
         // computed) all that is claimed is φ ≤ 1, so at a fixed δ every
         // check survivor reaches verification as before.
         let nn_filter = self.cfg.filter == FilterKind::CheckAndNearestNeighbor;
 
         // ---- Check filter (Algorithm 1), then the cheap bound ------------
         let mut queue = Vec::new();
-        for (slot, &sid) in cand_sets.iter().enumerate() {
-            if check_prunable && !passed[slot] {
+        // One survivor's row at a time: its cells laid over zeros, which
+        // the sum puts back.
+        let mut row = vec![0.0; n];
+        for cand in &admitted {
+            if check_prunable && !cand.passed {
                 continue;
             }
             stats.after_check += 1;
             // est_i = max(best computed φα, bound on uncomputed elements):
             // no φ evaluation, and the sum the NN filter starts from.
             let cheap = if nn_filter {
-                best[slot * n..(slot + 1) * n]
-                    .iter()
+                for cell in cells_of(&cells, cand.first) {
+                    row[cell.i as usize] = cell.sim;
+                }
+                row.iter_mut()
                     .zip(&ub)
-                    .fold(0.0, |sum, (&b, &u)| sum + b.max(u))
+                    .fold(0.0, |sum, (b, &u)| sum + std::mem::take(b).max(u))
             } else {
                 n as f64
             };
+            let sid = cand.sid;
             let s_len = self.collection.set(sid).len();
             // A survivor that the stop rule would end the pass at even at
             // the floor — and no threshold is below the floor — is never
@@ -624,13 +736,15 @@ impl<'a> Searcher<'a> {
                 relatedness: relatedness(self.cfg.metric, cheap, n, s_len),
                 cheap,
                 sid,
-                slot: slot as u32,
+                first: cand.first,
             });
         }
 
+        let walked = compute_sims && !signature.degenerate;
         StagedPass {
-            best,
+            cells,
             ub,
+            walked: if walked { signature.elems } else { Vec::new() },
             n,
             // O(len), and only what is popped pays the log.
             queue: BinaryHeap::from(queue),
@@ -678,10 +792,12 @@ impl<'a> Searcher<'a> {
         cand: &Bounded,
         need: f64,
     ) -> bool {
-        let row = cand.slot as usize * pass.n;
         let mut total = cand.cheap;
-        for (i, r_elem) in r.elements.iter().enumerate() {
-            let (b, ub) = (pass.best[row + i], pass.ub[i]);
+        let mut kept = cells_of(&pass.cells, cand.first).peekable();
+        for ((i, r_elem), &ub) in r.elements.iter().enumerate().zip(&pass.ub) {
+            let b = kept
+                .next_if(|cell| cell.i as usize == i)
+                .map_or(0.0, |cell| cell.sim);
             // The estimate is exact when the computed value dominates the
             // bound (computation reuse, §5.2) or the bound is 0 (saturated
             // / α-clamped elements: uncomputed elements contribute exactly
@@ -689,7 +805,10 @@ impl<'a> Searcher<'a> {
             if b >= ub || ub == 0.0 {
                 continue;
             }
-            let nn = self.nn_search(i, r_elem, cand.sid, &mut pass.stats).min(ub);
+            let walked = pass.walked.get(i).map(|se| (&se.tokens[..], b));
+            let nn = self
+                .nn_search(i, r_elem, cand.sid, walked, &mut pass.stats)
+                .min(ub);
             total += nn - ub;
             if total < need - FILTER_EPS {
                 return false;
@@ -704,34 +823,61 @@ impl<'a> Searcher<'a> {
     /// chunk bound is folded in). The elements of `S` come from the
     /// postings, by id, and their similarities from the pass's φ table,
     /// evaluated here only where the pass has not met the pair before.
-    fn nn_search(&mut self, i: usize, r_elem: &Element, sid: SetIdx, stats: &mut PassStats) -> f64 {
+    ///
+    /// `walked` is rᵢ's signature tokens and `bᵢ`, when the posting walk
+    /// took φ at every posting of them in `S`. Where an element sharing no
+    /// token with rᵢ scores exactly 0 (Jaccard; edit similarity whose
+    /// chunk bound α clamps), the nearest neighbor is then `bᵢ` or an
+    /// element reached through one of rᵢ's other tokens — §5.2's
+    /// computation reuse: only those tokens are searched, and no element
+    /// needs marking, since meeting one twice only takes a maximum again.
+    fn nn_search(
+        &mut self,
+        i: usize,
+        r_elem: &Element,
+        sid: SetIdx,
+        walked: Option<(&[TokenId], f64)>,
+        stats: &mut PassStats,
+    ) -> f64 {
         let s_set = self.collection.set(sid);
         if r_elem.tokens.is_empty() {
             // An empty element matches exactly the empty elements of S.
             let has_empty = s_set.elements.iter().any(|e| e.tokens.is_empty());
             return if has_empty { 1.0 } else { 0.0 };
         }
+        let unshared = self.phi.no_shared_token_bound(r_elem);
+        let walked = walked.filter(|_| unshared == 0.0);
+        let marking = walked.is_none();
         let Scratch { visited, phis, .. } = &mut self.scratch;
-        visited.begin(self.collection.max_set_len());
-        let mut best = 0.0f64;
+        if marking {
+            visited.begin(self.collection.max_set_len());
+        }
+        let (walked, mut best) = walked.unwrap_or((&[][..], 0.0));
+        let mut walked = walked.iter().peekable();
         // Element positions of S met so far.
         let mut seen = 0usize;
         for &t in r_elem.tokens.iter() {
+            // Both lists are sorted: step past the signature tokens below
+            // `t`, and over `t` if it is one.
+            while walked.next_if(|&&w| w < t).is_some() {}
+            if walked.next_if_eq(&&t).is_some() {
+                continue;
+            }
             // The id whose postings in this list are being counted: a
             // text S holds twice is two postings, next to each other, in
             // every list that has it.
             let mut counting = None;
             for p in self.index.postings_in_set(t, sid) {
                 if counting != Some(p.id) {
-                    if visited.get(u64::from(p.id)).is_some() {
-                        continue;
+                    if marking {
+                        if visited.get(u64::from(p.id)).is_some() {
+                            continue;
+                        }
+                        visited.set(u64::from(p.id), ());
                     }
-                    visited.set(u64::from(p.id), ());
                     counting = Some(p.id);
                     let sim = phis.phi(&self.phi, self.collection, (i, r_elem), p.id, stats);
-                    if sim > best {
-                        best = sim;
-                    }
+                    best = best.max(sim);
                 }
                 seen += 1;
             }
@@ -739,8 +885,9 @@ impl<'a> Searcher<'a> {
         if seen < s_set.len() {
             // Unvisited elements share no token with r; for Jaccard they
             // score 0, for edit similarity they are bounded by the q-chunk
-            // mismatch bound.
-            best = best.max(self.phi.no_shared_token_bound(r_elem));
+            // mismatch bound. (Where the walk is reused that bound is 0,
+            // and what was counted does not matter.)
+            best = best.max(unshared);
         }
         best
     }
@@ -814,8 +961,8 @@ struct Bounded {
     /// Σᵢ max(bestᵢ, ubᵢ), an upper bound on the matching score.
     cheap: f64,
     sid: SetIdx,
-    /// Row of the candidate in [`StagedPass::best`].
-    slot: u32,
+    /// The candidate's first cell in [`StagedPass::cells`], or [`END`].
+    first: u32,
 }
 
 impl PartialEq for Bounded {
@@ -842,16 +989,23 @@ impl Ord for Bounded {
 }
 
 /// [`Searcher::stage`]'s output, consumed one candidate at a time by
-/// [`Searcher::step`]: the queue of check-filter survivors, the
-/// per-(candidate, reference-element) similarity cache and bounds the
-/// nearest-neighbor filter reads, and the running [`PassStats`].
+/// [`Searcher::step`]: the queue of check-filter survivors, what the
+/// nearest-neighbor filter reads of the posting walk — the candidates'
+/// positive cells, the signature tokens they were taken over — and its
+/// bounds, and the running [`PassStats`].
 #[derive(Debug)]
 pub(crate) struct StagedPass {
-    /// Best computed φα per (candidate slot, reference element), flattened
-    /// row-major with stride `n`.
-    best: Vec<f64>,
+    /// Every candidate's positive cells (see [`RowCell`]): the walk's
+    /// maximum φα per (candidate, reference element) where it is above 0.
+    /// A queued candidate names its first.
+    cells: Vec<RowCell>,
     /// NN upper bound per reference element with no computed similarity.
     ub: Vec<f64>,
+    /// Per reference element, its signature tokens — moved out of the
+    /// signature — when the walk took φ at every one of their postings;
+    /// empty when it did not (a degenerate signature, or a filter below
+    /// `Check`).
+    walked: Vec<SigElem>,
     /// |R|.
     n: usize,
     /// Check-filter survivors whose bound reaches the floor and that are
@@ -1201,113 +1355,194 @@ mod tests {
         best
     }
 
+    /// The queued candidate's row as the pass keeps it: its cells over
+    /// zeros. Also checks that a candidate's cells are positive and come
+    /// in increasing `i`, the order the nearest-neighbor filter reads them
+    /// in.
+    fn kept_row(pass: &StagedPass, cand: &Bounded) -> Vec<f64> {
+        let mut row = vec![0.0; pass.n];
+        let mut below = None;
+        for cell in cells_of(&pass.cells, cand.first) {
+            assert!(cell.sim > 0.0 && below < Some(cell.i), "set {}", cand.sid);
+            below = Some(cell.i);
+            row[cell.i as usize] = cell.sim;
+        }
+        row
+    }
+
+    // What the φ table and the kept cells may never change. A staged
+    // pass keeps, bit for bit, the maximum of φ evaluated at every
+    // posting of the reference element's signature tokens — where that is
+    // above 0; the nearest-neighbor filter then admits and prunes exactly
+    // the candidates a search that remembers nothing would, whether it
+    // reuses what the walk found or searches every token — while φ was
+    // evaluated once per (reference element, element id) the pass met,
+    // not once per posting.
+    #[test]
+    fn memoised_stage_is_bit_equal_to_phi_per_posting() {
+        // Nearest-neighbor searches made after a walk where an element
+        // sharing no token scores 0 (the pass reuses the walk), after a
+        // walk where it need not (Eds with α below the chunk bound), and
+        // in passes with no walk (degenerate signatures).
+        let (mut reused, mut searched, mut unwalked) = (0, 0, 0);
+        proptest::run_cases(
+            "memoised_stage_is_bit_equal_to_phi_per_posting",
+            128,
+            |rng| {
+                let edit = rng.random::<bool>();
+                let raw = repeated_corpus(rng, edit, 7);
+                // Under Eds q=2 an element sharing no q-gram is bounded by
+                // 1/2 to 2/3: α = 0.7 clamps the bound to 0 for every
+                // element, 0.65 for those of odd length, 0.3 and 0.5 for
+                // none; and at those two a small δ has no valid signature.
+                let alphas: &[f64] = if edit {
+                    &[0.3, 0.5, 0.65, 0.7]
+                } else {
+                    &[0.0, 0.4]
+                };
+                let cfg = random_config(rng, edit, alphas);
+                let mut c = Collection::build(&raw[..raw.len() / 2], cfg.tokenization());
+                c.append_sets(&raw[raw.len() / 2..]);
+                c.remove_sets(&[rng.random_range(0..raw.len()) as SetIdx])
+                    .unwrap();
+                let index = InvertedIndex::build(&c);
+                let r = c.encode_set(&raw[rng.random_range(0..raw.len())]);
+                let n = r.len();
+
+                let mut searcher = Searcher::new(&c, &index, cfg);
+                let mut pass = searcher.stage(&r, Restriction::default());
+                let params = SigParams {
+                    theta: cfg.delta * n as f64,
+                    alpha: cfg.alpha,
+                    kind: SigKind::of(cfg.similarity),
+                };
+                let signature = generate(&r, cfg.scheme, params, &index);
+                let phi = *searcher.phi();
+
+                let candidate = |sid: SetIdx| {
+                    c.is_live(sid) && size_check(cfg.metric, cfg.delta, n, c.set(sid).len())
+                };
+                // The walk's postings per reference element: none when the
+                // signature is degenerate, because then there is no walk.
+                let walked: Vec<Vec<Posting>> = signature
+                    .elems
+                    .iter()
+                    .map(|sig_elem| {
+                        let mut seen: Vec<Posting> = sig_elem
+                            .tokens
+                            .iter()
+                            .flat_map(|&t| index.list(t))
+                            .filter(|p| !signature.degenerate && candidate(p.set))
+                            .copied()
+                            .collect();
+                        seen.sort_unstable();
+                        seen.dedup();
+                        seen
+                    })
+                    .collect();
+                // Every (reference element, element id) the pass has met.
+                let mut touched: Vec<(usize, ElemId)> = Vec::new();
+                for (i, seen) in walked.iter().enumerate() {
+                    touched.extend(seen.iter().map(|p| (i, p.id)));
+                }
+                let postings = touched.len();
+                touched.sort_unstable();
+                touched.dedup();
+                prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
+                prop_assert!(touched.len() <= postings);
+
+                // Each queued candidate's row: the maximum over no posting is
+                // −1 here, "never met", where the pass keeps no cell and reads
+                // 0. The two are interchangeable — every bound a row is
+                // compared with or summed beside is ≥ 0 (see `RowCell`) — so
+                // the row is compared as max(·, 0).
+                let mut rows: Vec<Vec<f64>> = Vec::new();
+                let mut queued: Vec<&Bounded> = pass.queue.iter().collect();
+                queued.sort_unstable_by(|a, b| b.cmp(a));
+                for cand in &queued {
+                    let want: Vec<f64> = walked
+                        .iter()
+                        .enumerate()
+                        .map(|(i, seen)| {
+                            seen.iter()
+                                .filter(|p| p.set == cand.sid)
+                                .map(|p| phi.eval(&r.elements[i], c.element(p.id)))
+                                .fold(-1.0, f64::max)
+                                .max(0.0)
+                        })
+                        .collect();
+                    let got = kept_row(&pass, cand);
+                    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                        prop_assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "set {} element {}",
+                            cand.sid,
+                            i
+                        );
+                    }
+                    rows.push(want);
+                }
+
+                // The queue in the order it will be popped, each candidate
+                // with the verdict of a nearest-neighbor filter that
+                // evaluates φ itself.
+                let want: Vec<(SetIdx, bool)> = queued
+                    .iter()
+                    .zip(&rows)
+                    .map(|(cand, row)| {
+                        let s_set = c.set(cand.sid);
+                        let need = need(cfg.metric, cfg.delta, n, s_set.len());
+                        let mut total = cand.cheap;
+                        for (i, r_elem) in r.elements.iter().enumerate() {
+                            let (b, ub) = (row[i], pass.ub[i]);
+                            if b >= ub || ub == 0.0 {
+                                continue;
+                            }
+                            if signature.degenerate {
+                                unwalked += 1;
+                            } else if phi.no_shared_token_bound(r_elem) == 0.0 {
+                                reused += 1;
+                            } else {
+                                searched += 1;
+                            }
+                            let nn = nn_reference(&phi, i, r_elem, s_set, &mut touched);
+                            total += nn.min(ub) - ub;
+                            if total < need - FILTER_EPS {
+                                return (cand.sid, false);
+                            }
+                        }
+                        (cand.sid, true)
+                    })
+                    .collect();
+                for &(sid, admitted) in &want {
+                    match searcher.step(&r, &mut pass, cfg.delta) {
+                        Step::Survivor(got) => prop_assert!(admitted && got == sid, "set {}", sid),
+                        Step::Pruned => prop_assert!(!admitted, "set {}", sid),
+                        Step::Done => prop_assert!(false, "the pass ended before set {}", sid),
+                    }
+                }
+                prop_assert!(matches!(
+                    searcher.step(&r, &mut pass, cfg.delta),
+                    Step::Done
+                ));
+                prop_assert_eq!(pass.stats.after_nn, want.iter().filter(|w| w.1).count());
+                // One evaluation per pair met, whichever filter met it first.
+                touched.sort_unstable();
+                touched.dedup();
+                prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
+                proptest::CaseResult::Ok
+            },
+        );
+        assert!(
+            reused > 0 && searched > 0 && unwalked > 0,
+            "nearest-neighbor searches: {reused} reusing the walk, {searched} after a walk \
+             searching every token, {unwalked} with no walk"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
-
-        // What the φ table may never change. The `best` matrix of a
-        // staged pass holds, bit for bit, the maximum of φ evaluated at
-        // every posting of the reference element's signature tokens; the
-        // nearest-neighbor filter then admits and prunes exactly the
-        // candidates a search that remembers nothing would — while φ was
-        // evaluated once per (reference element, element id) the pass
-        // met, not once per posting.
-        #[test]
-        fn memoised_stage_is_bit_equal_to_phi_per_posting(seed in any::<u64>()) {
-            let rng = &mut StdRng::seed_from_u64(seed);
-            let edit = rng.random::<bool>();
-            let raw = repeated_corpus(rng, edit, 7);
-            let alphas: &[f64] = if edit { &[0.3, 0.5, 0.7] } else { &[0.0, 0.4] };
-            let cfg = random_config(rng, edit, alphas);
-            let mut c = Collection::build(&raw[..raw.len() / 2], cfg.tokenization());
-            c.append_sets(&raw[raw.len() / 2..]);
-            c.remove_sets(&[rng.random_range(0..raw.len()) as SetIdx]).unwrap();
-            let index = InvertedIndex::build(&c);
-            let r = c.encode_set(&raw[rng.random_range(0..raw.len())]);
-            let n = r.len();
-
-            let mut searcher = Searcher::new(&c, &index, cfg);
-            let mut pass = searcher.stage(&r, Restriction::default());
-            let params = SigParams {
-                theta: cfg.delta * n as f64,
-                alpha: cfg.alpha,
-                kind: SigKind::of(cfg.similarity),
-            };
-            let signature = generate(&r, cfg.scheme, params, &index);
-            prop_assume!(!signature.degenerate);
-            let phi = *searcher.phi();
-
-            let candidate = |sid: SetIdx| {
-                c.is_live(sid) && size_check(cfg.metric, cfg.delta, n, c.set(sid).len())
-            };
-            let mut postings = 0usize;
-            // Every (reference element, element id) the pass has met.
-            let mut touched: Vec<(usize, ElemId)> = Vec::new();
-            for (i, sig_elem) in signature.elems.iter().enumerate() {
-                let mut seen: Vec<Posting> = sig_elem
-                    .tokens
-                    .iter()
-                    .flat_map(|&t| index.list(t))
-                    .filter(|p| candidate(p.set))
-                    .copied()
-                    .collect();
-                seen.sort_unstable();
-                seen.dedup();
-                postings += seen.len();
-                touched.extend(seen.iter().map(|p| (i, p.id)));
-                for cand in pass.queue.iter() {
-                    let want = seen
-                        .iter()
-                        .filter(|p| p.set == cand.sid)
-                        .map(|p| phi.eval(&r.elements[i], c.element(p.id)))
-                        .fold(NONE_SIM, f64::max);
-                    let got = pass.best[cand.slot as usize * n + i];
-                    prop_assert_eq!(got.to_bits(), want.to_bits(), "set {} element {}", cand.sid, i);
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
-            prop_assert!(touched.len() <= postings);
-
-            // The queue in the order it will be popped, each candidate
-            // with the verdict of a nearest-neighbor filter that
-            // evaluates φ itself.
-            let mut queued: Vec<&Bounded> = pass.queue.iter().collect();
-            queued.sort_unstable_by(|a, b| b.cmp(a));
-            let want: Vec<(SetIdx, bool)> = queued
-                .iter()
-                .map(|cand| {
-                    let s_set = c.set(cand.sid);
-                    let need = need(cfg.metric, cfg.delta, n, s_set.len());
-                    let mut total = cand.cheap;
-                    for (i, r_elem) in r.elements.iter().enumerate() {
-                        let (b, ub) = (pass.best[cand.slot as usize * n + i], pass.ub[i]);
-                        if b >= ub || ub == 0.0 {
-                            continue;
-                        }
-                        let nn = nn_reference(&phi, i, r_elem, s_set, &mut touched);
-                        total += nn.min(ub) - ub;
-                        if total < need - FILTER_EPS {
-                            return (cand.sid, false);
-                        }
-                    }
-                    (cand.sid, true)
-                })
-                .collect();
-            for &(sid, admitted) in &want {
-                match searcher.step(&r, &mut pass, cfg.delta) {
-                    Step::Survivor(got) => prop_assert!(admitted && got == sid, "set {}", sid),
-                    Step::Pruned => prop_assert!(!admitted, "set {}", sid),
-                    Step::Done => prop_assert!(false, "the pass ended before set {}", sid),
-                }
-            }
-            prop_assert!(matches!(searcher.step(&r, &mut pass, cfg.delta), Step::Done));
-            prop_assert_eq!(pass.stats.after_nn, want.iter().filter(|w| w.1).count());
-            // One evaluation per pair met, whichever filter met it first.
-            touched.sort_unstable();
-            touched.dedup();
-            prop_assert_eq!(pass.stats.sim_evals, touched.len() as u64);
-        }
 
         // What the column bound may never change. Verified against a
         // threshold, a stored set comes back exactly when `verify_pair`'s
@@ -1539,10 +1774,107 @@ mod tests {
         assert_eq!(map.get(phi_key(0, 0)), None);
     }
 
+    impl SlotMap {
+        /// As `Stamped::age_to_the_wrap`, keeping the slots.
+        fn age_to_the_wrap(&mut self) {
+            for (i, cell) in self.cells.iter_mut().enumerate() {
+                *cell = u64::from(1 + (i % 3) as u32) << 32 | (*cell & u64::from(u32::MAX));
+            }
+            self.version = u32::MAX - 1;
+        }
+    }
+
+    /// A collection, its index, a configuration and the references to
+    /// search it with: every set of the collection, encoded.
+    type Case = (Collection, InvertedIndex, EngineConfig, Vec<SetRecord>);
+
+    fn case(raw: &[Vec<String>], cfg: EngineConfig) -> Case {
+        case_over(Collection::build(raw, cfg.tokenization()), raw, cfg)
+    }
+
+    /// The case of a collection built some other way, searched with the
+    /// sets of `raw`.
+    fn case_over(c: Collection, raw: &[Vec<String>], cfg: EngineConfig) -> Case {
+        let index = InvertedIndex::build(&c);
+        let refs = raw.iter().map(|set| c.encode_set(set)).collect();
+        (c, index, cfg, refs)
+    }
+
+    /// Every reference of every case, one pass each on this thread.
+    fn run_cases_here(cases: &[Case]) -> Vec<(Vec<(SetIdx, f64)>, PassStats)> {
+        cases
+            .iter()
+            .flat_map(|(c, index, cfg, refs)| {
+                refs.iter().map(move |r| {
+                    pass(
+                        &mut Searcher::new(c, index, *cfg),
+                        r,
+                        Restriction::default(),
+                    )
+                })
+            })
+            .collect()
+    }
+
+    /// The same, on a thread of its own, which starts from an empty
+    /// scratch.
+    fn run_cases_fresh(cases: &[Case]) -> Vec<(Vec<(SetIdx, f64)>, PassStats)> {
+        std::thread::scope(|scope| scope.spawn(|| run_cases_here(cases)).join().unwrap())
+    }
+
     #[test]
     fn reused_scratch_is_correct_across_version_wrap_around() {
         let rng = &mut StdRng::seed_from_u64(0x5eed);
-        let raw = repeated_corpus(rng, false, 9);
+        let jaccard = config(
+            RelatednessMetric::Containment,
+            0.3,
+            0.0,
+            SignatureScheme::Weighted,
+            FilterKind::CheckAndNearestNeighbor,
+        );
+        // Under Eds q=2 an element sharing no q-gram may still score up
+        // to 2/3, above α: the nearest-neighbor filter then searches
+        // every token and marks what it visits. Under Jaccard it reuses
+        // the walk and marks nothing, so this case is the one that ages
+        // the visited marks through the wrap.
+        let eds = EngineConfig {
+            similarity: SimilarityFunction::Eds { q: 2 },
+            delta: 0.8,
+            alpha: 0.3,
+            ..jaccard
+        };
+        let cases = [
+            case(&repeated_corpus(rng, false, 9), jaccard),
+            case(&repeated_corpus(rng, true, 9), eds),
+        ];
+        let want = run_cases_fresh(&cases);
+        assert!(want.iter().any(|(results, _)| results.len() > 1));
+        // Grow this thread's tables, then age them: the passes below run
+        // through `u32::MAX` into the second round, whose versions every
+        // stamp would match had the wrap not cleared them.
+        assert_eq!(run_cases_here(&cases), want);
+        let mut scratch = SCRATCH.take();
+        scratch.slots.age_to_the_wrap();
+        scratch.visited.age_to_the_wrap();
+        scratch.phis.cells.age_to_the_wrap();
+        scratch.phis.cols.age_to_the_wrap();
+        SCRATCH.set(scratch);
+        assert_eq!(run_cases_here(&cases), want);
+        let scratch = SCRATCH.take();
+        // Every map was begun at least twice since it was aged.
+        for version in [
+            scratch.slots.version,
+            scratch.visited.version,
+            scratch.phis.cells.version,
+            scratch.phis.cols.version,
+        ] {
+            assert!(version < u32::MAX - 1, "the counter wrapped: {version}");
+        }
+    }
+
+    #[test]
+    fn the_slot_map_serves_collections_that_grow_and_shrink_like_a_fresh_one() {
+        let rng = &mut StdRng::seed_from_u64(0x5107);
         let cfg = config(
             RelatednessMetric::Containment,
             0.3,
@@ -1550,42 +1882,35 @@ mod tests {
             SignatureScheme::Weighted,
             FilterKind::CheckAndNearestNeighbor,
         );
-        let c = Collection::build(&raw, cfg.tokenization());
-        let index = InvertedIndex::build(&c);
-        let refs: Vec<SetRecord> = raw.iter().map(|set| c.encode_set(set)).collect();
-        let run_all = || -> Vec<(Vec<(SetIdx, f64)>, PassStats)> {
-            refs.iter()
-                .map(|r| {
-                    pass(
-                        &mut Searcher::new(&c, &index, cfg),
-                        r,
-                        Restriction::default(),
-                    )
-                })
-                .collect()
-        };
-        // A thread of its own starts from an empty scratch.
-        let want = std::thread::scope(|scope| scope.spawn(run_all).join().unwrap());
-        assert!(want.iter().any(|(results, _)| results.len() > 1));
-        // Grow this thread's tables, then age them: the passes below run
-        // through `u32::MAX` into the second round, whose versions every
-        // stamp would match had the wrap not cleared them.
-        assert_eq!(run_all(), want);
-        let mut scratch = SCRATCH.take();
-        scratch.cand.age_to_the_wrap();
-        scratch.visited.age_to_the_wrap();
-        scratch.phis.cells.age_to_the_wrap();
-        scratch.phis.cols.age_to_the_wrap();
-        SCRATCH.set(scratch);
-        assert_eq!(run_all(), want);
-        let scratch = SCRATCH.take();
-        for version in [
-            scratch.cand.version,
-            scratch.visited.version,
-            scratch.phis.cells.version,
-            scratch.phis.cols.version,
-        ] {
-            assert!(version < u32::MAX - 1, "the counter wrapped: {version}");
+        // Up to 24 sets, and at least 60.
+        let small = repeated_corpus(rng, false, 9);
+        let large: Vec<Vec<String>> = (0..10)
+            .flat_map(|_| repeated_corpus(rng, false, 9))
+            .collect();
+        // The small collection appended to past the large one's size,
+        // with a set removed; then compacted, which renumbers its sets.
+        let mut grown = Collection::build(&small, cfg.tokenization());
+        grown.append_sets(&large);
+        grown.append_sets(&small);
+        grown.remove_sets(&[1]).unwrap();
+        assert!(grown.len() > large.len());
+        let mut compacted = grown.clone();
+        compacted.compact();
+        let states = [
+            case(&small, cfg),
+            case(&large, cfg),
+            case_over(grown, &small, cfg),
+            case_over(compacted, &small, cfg),
+        ];
+        // One thread through all four, in order; each against a thread
+        // that has searched nothing before it.
+        for (at, state) in states.iter().enumerate() {
+            let want = run_cases_fresh(std::slice::from_ref(state));
+            assert!(want.iter().any(|(results, _)| results.len() > 1), "{at}");
+            assert_eq!(run_cases_here(std::slice::from_ref(state)), want, "{at}");
+            let scratch = SCRATCH.take();
+            assert!(scratch.slots.cells.len() >= state.0.len(), "{at}");
+            SCRATCH.set(scratch);
         }
     }
 

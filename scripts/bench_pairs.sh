@@ -44,6 +44,17 @@
 # suite's frozen replay still solves every floor survivor without the
 # bound.
 #
+# Below the funnel, where the time went in the same two traced runs:
+# `core.filter.us` (the posting walk, the check filter and the
+# nearest-neighbor filter of one query), `core.engine.stage_us` and
+# `core.engine.verify_us` (the engine's own two phases) and
+# `bench.rss_serving_peak_mb`, each side's value and their ratio (change
+# / parent). Timings do not repeat exactly, so these rows carry no `=` /
+# `≠`: a saving claimed for a layer shows as a ratio below 1 on its rows.
+# Across the candidate stage without a candidates × |R| matrix, whose
+# funnel rows are all `=`, the ones that move are `core.filter.us` and
+# `core.engine.stage_us`, down.
+#
 # Run nothing else meanwhile: the suite pins itself and its server to one
 # CPU, and this box has two.
 
@@ -156,3 +167,17 @@ echo "funnel and write path, one --trace 1 --seed 1 run per side (funnel counts 
 paste <(funnel_rows parent) <(funnel_rows change) | awk -F'\t' '
     BEGIN { printf "%-26s %-20s %-20s\n", "count", "parent", "change" }
     { printf "%-26s %-20s %-20s %s\n", $1, $2, $4, ($2 == $4 ? "=" : "≠") }'
+
+# timing_rows <side> — `name<TAB>value` per traced timing row.
+timing_rows() {
+    tail -n 1 "$work/$1.trace.log" | jq -r '.metrics as $m
+        | ("core.filter.us core.engine.stage_us core.engine.verify_us bench.rss_serving_peak_mb"
+           | split(" ")[]) as $name
+        | "\($name)\t\($m[$name].value)"'
+}
+
+echo
+echo "where the time went, the same traced runs (timings do not repeat exactly: change/parent, no = / ≠):"
+paste <(timing_rows parent) <(timing_rows change) | awk -F'\t' '
+    BEGIN { printf "%-26s %-20s %-20s %s\n", "trace", "parent", "change", "change/parent" }
+    { printf "%-26s %-20.6g %-20.6g %s\n", $1, $2, $4, ($2 > 0 ? sprintf("%.3f", $4 / $2) : "-") }'

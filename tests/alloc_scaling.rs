@@ -1,21 +1,26 @@
-//! A warm query allocates nothing proportional to the collection.
+//! A warm query allocates nothing proportional to the collection, and
+//! holds memory in proportion to the postings it walks.
 //!
 //! A search pass keeps maps keyed by set id and by element id (see
-//! `Searcher`'s scratch contract). They are sized by the ids a pass
-//! touches and borrowed from the thread, so once a thread has served one
-//! query, the bytes the next one allocates depend on what it touches —
-//! its reference, its candidates — and not on how many sets the
+//! `Searcher`'s scratch contract), borrowed from the thread. The slot map
+//! has a cell per set id, allocated once per thread; the element-keyed
+//! ones are sized by the ids a pass touches. So once a thread has served
+//! one query, the bytes the next one allocates depend on what it touches
+//! — its reference, its candidates — and not on how many sets the
 //! collection holds. That goes for the φ table too, which is begun for
 //! the postings of the signature tokens and grows when the
 //! nearest-neighbor searches meet more pairs than that: the query here
-//! makes it grow. And a verified pair that loses allocates nothing at
-//! all: the column summaries that refute it are a fourth map of the same
-//! kind, and only a pair that survives them has a matrix built and solved.
-//! A counting global allocator measures all of it; it is why this test is
-//! a binary of its own.
+//! makes it grow. A verified pair that loses allocates nothing at all:
+//! the column summaries that refute it are a fourth map of the same
+//! kind, and only a pair that survives them has a matrix built and
+//! solved. And what a pass holds of its candidates is what the walk gave
+//! them — a cell per (candidate, reference element) that scored above
+//! 0, at most one per posting — not a row of |R| cells each. A counting
+//! global allocator measures all of it; it is why this test is a binary
+//! of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use silkmoth::core::{Restriction, Searcher};
@@ -23,18 +28,35 @@ use silkmoth::{
     Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
 };
 
-/// The system allocator, counting the calls that ask it for memory, and
-/// the bytes they ask for, while `COUNTING`.
+/// The system allocator, counting the calls that ask it for memory, the
+/// bytes they ask for, and the most bytes held at once, while `COUNTING`.
 struct Counting;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed since counting began (below 0 when
+/// more was freed than allocated), and its highest value.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 
 fn count(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) {
         BYTES.fetch_add(bytes, Ordering::Relaxed);
         CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn hold(bytes: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        let live = LIVE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn free(bytes: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        LIVE.fetch_sub(bytes as isize, Ordering::Relaxed);
     }
 }
 
@@ -54,6 +76,8 @@ fn execute_counted(engine: &Engine, spec: &QuerySpec) -> silkmoth::QueryOutput {
     engine.execute(spec);
     BYTES.store(0, Ordering::Relaxed);
     CALLS.store(0, Ordering::Relaxed);
+    LIVE.store(0, Ordering::Relaxed);
+    PEAK.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
     let got = engine.execute(spec);
     COUNTING.store(false, Ordering::Relaxed);
@@ -65,23 +89,29 @@ fn execute_counted(engine: &Engine, spec: &QuerySpec) -> silkmoth::QueryOutput {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size.saturating_sub(layout.size()));
+        // Held as a block that moves: both while it is copied.
+        hold(new_size);
+        free(layout.size());
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free(layout.size());
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -197,5 +227,46 @@ fn a_warm_pass_allocates_nothing_per_verified_pair_that_loses() {
     assert!(
         many <= few + 40,
         "one warm query made {few} allocator calls over 8 losing pairs and {many} over 256"
+    );
+}
+
+#[test]
+fn a_pass_holds_bytes_by_postings_not_candidates_times_reference() {
+    let _alone = alone();
+    // Forty reference elements; 5 000 sets, each holding one of them
+    // beside two elements of its own, so that every set is a candidate
+    // with one positive cell of forty.
+    let reference: Vec<String> = (0..40).map(|k| format!("a{k} b{k} c{k}")).collect();
+    let raw: Vec<Vec<String>> = (0..5_000)
+        .map(|j| {
+            vec![
+                reference[j % 40].clone(),
+                format!("x{j} y{j}"),
+                format!("z{j}"),
+            ]
+        })
+        .collect();
+    let cfg = EngineConfig::full(
+        RelatednessMetric::Similarity,
+        SimilarityFunction::Jaccard,
+        0.05,
+        0.0,
+    );
+    let engine = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
+    let got = execute_counted(&engine, &QuerySpec::new(reference));
+    let stats = got.stats;
+    assert_eq!(stats.candidates, 5_000, "{stats:?}");
+    let postings = stats.signature_cost as usize;
+    let peak = PEAK.load(Ordering::Relaxed);
+    assert!(peak > 0, "the allocator counts");
+    // 14 375 postings here, so the bound is 920 kB. A row of |R| cells
+    // per candidate fails it: 5 000 × 40 × 8 B = 1.6 MB, in a matrix
+    // grown by doubling that holds 2 MB while the 1 MB before it is
+    // copied — a pass built that way held 4.0 MB at most, 17 times the
+    // postings × 16 B. The per-candidate vectors, the cells and the queue
+    // hold about 2.5 times them.
+    assert!(
+        peak as usize <= 4 * postings * 16,
+        "one warm query held {peak} B at most, for {postings} postings"
     );
 }
