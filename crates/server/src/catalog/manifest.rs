@@ -1,11 +1,6 @@
-//! # silkmoth-catalog
-//!
-//! The multi-tenant collection registry's **data layer**: collection
-//! names, per-tenant quota configuration, and the durable catalog
-//! manifest that lets a server recover every named collection after
-//! `kill -9`. The serving side (HTTP routes, per-collection engines)
-//! lives in `silkmoth-server`; this crate is dependency-free so the
-//! storage and telemetry layers can stay out of the picture.
+//! The catalog's **data layer**: collection names, per-tenant quota
+//! configuration, and the durable manifest that lets a server recover
+//! every named collection after `kill -9`.
 //!
 //! ## Names
 //!
@@ -22,35 +17,36 @@
 //! (`catalog.manifest`) listing every collection with its shard count
 //! and [`Quotas`]. Following the workspace's format-versioning rule it
 //! carries a magic + version byte (readers reject unknown versions by
-//! name) and a CRC-32 trailer, and [`Manifest::save`] writes it
-//! atomically — tempfile, fsync, rename, directory fsync — so a crash
-//! mid-update leaves either the old registry or the new one, never a
-//! torn file.
+//! name) and a CRC-32 trailer (the storage layer's [`crc32`]), and
+//! [`Manifest::save`] writes it atomically — tempfile, fsync, rename,
+//! directory fsync — so a crash mid-update leaves either the old
+//! registry or the new one, never a torn file.
 
+use silkmoth_storage::crc32;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
 /// The longest valid collection name.
-pub const NAME_MAX_LEN: usize = 64;
+pub(crate) const NAME_MAX_LEN: usize = 64;
 
 /// The collection unscoped routes serve; created implicitly, cannot be
 /// dropped.
-pub const DEFAULT_COLLECTION: &str = "default";
+pub(crate) const DEFAULT_COLLECTION: &str = "default";
 
 /// The manifest's file name inside the server's data directory.
-pub const MANIFEST_FILE: &str = "catalog.manifest";
+pub(crate) const MANIFEST_FILE: &str = "catalog.manifest";
 
 /// The current manifest encoding version (the byte after the magic).
-pub const MANIFEST_VERSION: u8 = 1;
+pub(crate) const MANIFEST_VERSION: u8 = 1;
 
 const MAGIC: &[u8; 4] = b"SMCT";
 
 /// Why a collection name was rejected. Rendered into the server's
 /// named `400` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NameError {
+pub(crate) enum NameError {
     /// The empty string.
     Empty,
     /// Longer than [`NAME_MAX_LEN`] bytes (the offending length).
@@ -83,7 +79,7 @@ impl std::error::Error for NameError {}
 /// become directory names, so everything that could escape or alias a
 /// path — separators, dots, empty, overlong — is rejected here, before
 /// any path is built from the name.
-pub fn validate_name(name: &str) -> Result<(), NameError> {
+pub(crate) fn validate_name(name: &str) -> Result<(), NameError> {
     if name.is_empty() {
         return Err(NameError::Empty);
     }
@@ -113,22 +109,15 @@ pub fn validate_name(name: &str) -> Result<(), NameError> {
 ///   exhaustion), capped together with any server-wide
 ///   `--search-timeout-ms`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Quotas {
+pub(crate) struct Quotas {
     /// At most this many update requests in flight at once.
-    pub max_inflight_updates: Option<u64>,
+    pub(crate) max_inflight_updates: Option<u64>,
     /// At most this many live sets.
-    pub max_sets: Option<u64>,
+    pub(crate) max_sets: Option<u64>,
     /// At most this many bytes of live element text.
-    pub max_bytes: Option<u64>,
+    pub(crate) max_bytes: Option<u64>,
     /// Cap every search in this collection to this wall-clock budget.
-    pub deadline_cap_ms: Option<u64>,
-}
-
-impl Quotas {
-    /// True when no field bounds anything.
-    pub fn is_unbounded(&self) -> bool {
-        *self == Self::default()
-    }
+    pub(crate) deadline_cap_ms: Option<u64>,
 }
 
 /// One registered collection: its name, how many engine shards it
@@ -138,14 +127,14 @@ impl Quotas {
 /// `EngineConfig`, exactly as the snapshot format leaves it to the
 /// CLI's `ShardSpec`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollectionSpec {
+pub(crate) struct CollectionSpec {
     /// The collection's name (validated).
-    pub name: String,
+    pub(crate) name: String,
     /// Engine shards for this collection (clamped to ≥ 1 by the
     /// engine).
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Per-tenant bounds.
-    pub quotas: Quotas,
+    pub(crate) quotas: Quotas,
 }
 
 /// Why a manifest failed to decode or load.
@@ -201,23 +190,18 @@ impl From<io::Error> for ManifestError {
 /// recover on restart, in name order. The `default` collection is
 /// listed like any other so the manifest is self-contained.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     collections: Vec<CollectionSpec>,
 }
 
 impl Manifest {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The registered collections, in name order.
-    pub fn collections(&self) -> &[CollectionSpec] {
+    pub(crate) fn collections(&self) -> &[CollectionSpec] {
         &self.collections
     }
 
     /// The spec registered under `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&CollectionSpec> {
+    pub(crate) fn get(&self, name: &str) -> Option<&CollectionSpec> {
         self.collections
             .binary_search_by(|c| c.name.as_str().cmp(name))
             .ok()
@@ -227,7 +211,7 @@ impl Manifest {
     /// Registers (or replaces) a collection. The name must already be
     /// validated; storing an invalid name would poison every future
     /// load.
-    pub fn upsert(&mut self, spec: CollectionSpec) -> Result<(), NameError> {
+    pub(crate) fn upsert(&mut self, spec: CollectionSpec) -> Result<(), NameError> {
         validate_name(&spec.name)?;
         match self
             .collections
@@ -240,7 +224,7 @@ impl Manifest {
     }
 
     /// Unregisters `name`; true when it was present.
-    pub fn remove(&mut self, name: &str) -> bool {
+    pub(crate) fn remove(&mut self, name: &str) -> bool {
         match self
             .collections
             .binary_search_by(|c| c.name.as_str().cmp(name))
@@ -255,7 +239,7 @@ impl Manifest {
 
     /// Encodes the registry: magic, version byte, entry count, the
     /// entries, CRC-32 trailer over everything before it.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.collections.len() * 48);
         out.extend_from_slice(MAGIC);
         out.push(MANIFEST_VERSION);
@@ -290,7 +274,7 @@ impl Manifest {
     /// CRC trailer. Every stored name is re-validated — a manifest is
     /// the one thing that could smuggle a bad name past the HTTP-layer
     /// check.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
         let corrupt = |why: &str| ManifestError::Corrupt(why.into());
         if bytes.len() < MAGIC.len() + 1 {
             return Err(ManifestError::BadMagic);
@@ -321,7 +305,7 @@ impl Manifest {
             Ok(head)
         };
         let count = u32::from_le_bytes(take(4, "entry count")?.try_into().expect("4 bytes"));
-        let mut manifest = Self::new();
+        let mut manifest = Self::default();
         for i in 0..count {
             let name_len =
                 u16::from_le_bytes(take(2, "name length")?.try_into().expect("2 bytes")) as usize;
@@ -369,7 +353,7 @@ impl Manifest {
 
     /// Loads the manifest at `path`; `Ok(None)` when no file exists
     /// (a legacy or fresh data directory).
-    pub fn load(path: &Path) -> Result<Option<Self>, ManifestError> {
+    pub(crate) fn load(path: &Path) -> Result<Option<Self>, ManifestError> {
         let bytes = match fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -382,7 +366,7 @@ impl Manifest {
     /// tempfile next to it, fsync, rename over the target, fsync the
     /// directory. A crash at any point leaves either the previous
     /// manifest or this one.
-    pub fn save(&self, path: &Path) -> Result<(), ManifestError> {
+    pub(crate) fn save(&self, path: &Path) -> Result<(), ManifestError> {
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
         let tmp = path.with_extension("manifest.tmp");
         {
@@ -401,21 +385,6 @@ impl Manifest {
         }
         Ok(())
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the same polynomial the
-/// storage crate's snapshot/WAL trailers use, computed bitwise; the
-/// manifest is far too small for a table to matter.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -453,7 +422,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_specs_and_quotas() {
-        let mut m = Manifest::new();
+        let mut m = Manifest::default();
         m.upsert(spec("default", 4, Quotas::default())).unwrap();
         m.upsert(spec(
             "tenant-a",
@@ -486,7 +455,7 @@ mod tests {
 
     #[test]
     fn upsert_keeps_name_order_and_replaces_in_place() {
-        let mut m = Manifest::new();
+        let mut m = Manifest::default();
         m.upsert(spec("b", 1, Quotas::default())).unwrap();
         m.upsert(spec("a", 2, Quotas::default())).unwrap();
         m.upsert(spec("c", 3, Quotas::default())).unwrap();
@@ -502,7 +471,7 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_rejected_by_name() {
-        let mut bytes = Manifest::new().encode();
+        let mut bytes = Manifest::default().encode();
         bytes[4] = 2; // bump the version byte
         let fixed = {
             // Re-seal the trailer so only the version is wrong.
@@ -523,7 +492,7 @@ mod tests {
 
     #[test]
     fn every_flipped_byte_is_caught() {
-        let mut m = Manifest::new();
+        let mut m = Manifest::default();
         m.upsert(spec(
             "tenant",
             3,
@@ -559,7 +528,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(MANIFEST_FILE);
         assert!(Manifest::load(&path).unwrap().is_none());
-        let mut m = Manifest::new();
+        let mut m = Manifest::default();
         m.upsert(spec("default", 4, Quotas::default())).unwrap();
         m.save(&path).unwrap();
         assert_eq!(Manifest::load(&path).unwrap(), Some(m.clone()));
@@ -581,8 +550,42 @@ mod tests {
 
     #[test]
     fn crc32_matches_the_reference_vector() {
-        // The classic IEEE check value.
+        // The classic IEEE check value: the trailer's polynomial and
+        // presentation (all-ones in, all-ones out).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Version-1 bytes as the first manifest encoder (a bitwise CRC-32
+    /// of its own) wrote them: a manifest already on disk must decode
+    /// unchanged, and encoding its contents must give its bytes back.
+    #[test]
+    fn version_1_bytes_are_pinned() {
+        #[rustfmt::skip]
+        const GOLDEN: [u8; 74] = [
+            b'S', b'M', b'C', b'T', 1, 2, 0, 0, 0,
+            7, 0, b'd', b'e', b'f', b'a', b'u', b'l', b't', 4, 0, 0, 0, 0,
+            8, 0, b't', b'e', b'n', b'a', b'n', b't', b'-', b'a', 7, 0, 0, 0, 0b1111,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            0x10, 0x27, 0, 0, 0, 0, 0, 0,
+            0, 0, 0x10, 0, 0, 0, 0, 0,
+            250, 0, 0, 0, 0, 0, 0, 0,
+            0xCA, 0x80, 0x76, 0x19,
+        ];
+        let mut m = Manifest::default();
+        m.upsert(spec("default", 4, Quotas::default())).unwrap();
+        m.upsert(spec(
+            "tenant-a",
+            7,
+            Quotas {
+                max_inflight_updates: Some(2),
+                max_sets: Some(10_000),
+                max_bytes: Some(1 << 20),
+                deadline_cap_ms: Some(250),
+            },
+        ))
+        .unwrap();
+        assert_eq!(m.encode(), GOLDEN);
+        assert_eq!(Manifest::decode(&GOLDEN).unwrap(), m);
     }
 }

@@ -40,14 +40,18 @@
 //! ## Durability
 //!
 //! With a data directory, the registry itself is durable: a versioned
-//! [`Manifest`] (`catalog.manifest`, atomic tempfile+rename updates)
-//! lists every collection, and each non-default collection's store
-//! lives under `collections/<name>/`. The default collection's store
-//! stays at the directory root — the exact legacy layout, so a
-//! pre-catalog data directory opens unchanged and a catalog directory
-//! still opens under a pre-catalog binary (which simply ignores the
-//! manifest and the subdirectory). [`CatalogService::open`] recovers
-//! every collection after `kill -9`.
+//! manifest (`catalog.manifest`, CRC-sealed, atomic tempfile+rename
+//! updates; the `manifest` submodule) lists every collection, and each
+//! non-default collection's store lives under `collections/<name>/`.
+//! The default collection's store stays at the directory root — the
+//! exact legacy layout, so a pre-catalog data directory opens unchanged
+//! and a catalog directory still opens under a pre-catalog binary
+//! (which simply ignores the manifest and the subdirectory).
+//! [`CatalogService::open`] recovers every collection after `kill -9`.
+
+mod manifest;
+
+pub use manifest::ManifestError;
 
 use std::collections::BTreeMap;
 use std::io;
@@ -56,9 +60,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
-use silkmoth_catalog::{
-    validate_name, CollectionSpec, Manifest, ManifestError, Quotas, DEFAULT_COLLECTION,
-    MANIFEST_FILE,
+use manifest::{
+    validate_name, CollectionSpec, Manifest, Quotas, DEFAULT_COLLECTION, MANIFEST_FILE,
 };
 use silkmoth_core::{CompactionPolicy, ConfigError, EngineConfig};
 use silkmoth_storage::{StorageError, Store, StoreConfig};
@@ -1015,8 +1018,7 @@ mod tests {
     /// `POST /promote` — under any scope — opens all of them.
     #[test]
     fn a_follower_is_read_only_for_every_collection_until_promoted() {
-        use crate::replication::{follower_store_config, start_follower};
-        use silkmoth_replica::FollowerConfig;
+        use crate::replication::{follower_store_config, start_follower, FollowerConfig};
 
         let dir =
             std::env::temp_dir().join(format!("silkmoth-catalog-svc-{}-role", std::process::id()));

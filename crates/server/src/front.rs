@@ -17,13 +17,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use silkmoth_core::QuerySpec;
-use silkmoth_replica::FollowerShared;
 use silkmoth_telemetry::trace::{self, TraceCollector, Tracer};
 
 use crate::http::Response;
 use crate::json::{obj, Json};
 use crate::metrics::ServiceMetrics;
 use crate::queryspec::spec_to_json;
+use crate::replication::FollowerShared;
 use crate::service::{error_response, Answer};
 
 /// How request log lines are rendered (`serve --log-format`).

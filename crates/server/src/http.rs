@@ -516,17 +516,7 @@ impl HttpServer {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of its blocking accept(). A wildcard
-        // bind address (0.0.0.0 / ::) is not connectable on every
-        // platform, so aim the dummy connection at loopback instead.
-        let mut target = self.addr;
-        if target.ip().is_unspecified() {
-            target.set_ip(match target.ip() {
-                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+        wake_acceptor(self.addr);
     }
 
     fn join_all(&mut self) {
@@ -537,6 +527,21 @@ impl HttpServer {
             let _ = worker.join();
         }
     }
+}
+
+/// Wakes an acceptor thread blocked in `accept()` on `addr` with a
+/// throwaway connection, so it can see its stop flag. A wildcard bind
+/// address (0.0.0.0 / ::) is not connectable on every platform, so the
+/// connection aims at loopback instead, and it gives up after a second.
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 impl Drop for HttpServer {

@@ -21,7 +21,12 @@
 //!   front (request ids, logs, traces, `GET /metrics` — the [`metrics`]
 //!   registry in the Prometheus text exposition format);
 //! * [`catalog`] — [`CatalogService`]: named collections, each a core
-//!   behind the default collection's front.
+//!   behind the default collection's front, recovered after a restart
+//!   from the versioned catalog manifest;
+//! * [`replication`] — WAL shipping from a durable primary to
+//!   followers: [`serve_log`] streams a core's update log over TCP,
+//!   [`start_follower`] tails one into a read-only core until
+//!   `POST /promote`.
 //!
 //! ## Example
 //!
@@ -77,8 +82,8 @@ pub use json::{Json, JsonError};
 pub use metrics::{canonical_route, ServiceMetrics};
 pub use queryspec::{spec_from_json, spec_to_json, QUERY_SPEC_JSON_VERSION};
 pub use replication::{
-    dir_needs_fresh_store, follower_store_config, serve_log, start_follower, FollowerConfig,
-    FollowerRuntime, ReplicaServer, ServiceSink, ServiceSource, StreamerConfig,
+    bootstrap_snapshot, dir_needs_fresh_store, follower_store_config, serve_log, start_follower,
+    FollowerConfig, FollowerRuntime, ReplicaServer, ServiceSink, StreamerConfig,
 };
 pub use service::{serve, serve_service, EngineGuard, SearchService};
 pub use shard::{merge_stats, ShardedEngine, ShardedQueryOutput};

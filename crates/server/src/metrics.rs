@@ -14,16 +14,17 @@
 //! * **storage** — WAL append/fsync latency and snapshot / compaction
 //!   counters, delivered through a [`TelemetryHook`] so the storage
 //!   crate itself stays dependency-free;
-//! * **replication** — the follower lag/connect/bootstrap families from
-//!   [`FollowerMetrics`], refreshed at scrape time, plus a follower
-//!   count gauge on the primary.
+//! * **replication** — the follower lag/connect/bootstrap families,
+//!   refreshed from the follower loop's [`FollowerStatus`] at scrape
+//!   time (so the loop itself stays metrics-free), plus a follower count
+//!   gauge on the primary.
 //!
 //! Route and status label sets are bounded: paths are canonicalised
 //! through [`canonical_route`] (unknown paths collapse to `"other"`),
 //! and statuses are the handful the service actually emits.
 
+use crate::replication::{FollowerState, FollowerStatus};
 use silkmoth_core::{PassStats, PhaseTiming};
-use silkmoth_replica::{FollowerMetrics, FollowerStatus};
 use silkmoth_storage::{StoreEvent, TelemetryHook};
 use silkmoth_telemetry::{Counter, Gauge, Histogram, MetricKind, Registry, LATENCY_BUCKETS};
 use std::sync::Arc;
@@ -102,7 +103,14 @@ pub struct ServiceMetrics {
     snapshots: Counter,
     auto_compactions: Counter,
     auto_snapshots: Counter,
-    follower: FollowerMetrics,
+    // A follower's replication state, polled from its status at scrape
+    // time.
+    replication_lag: Gauge,
+    applied_seq: Gauge,
+    primary_seq: Gauge,
+    streaming: Gauge,
+    connects: Counter,
+    bootstraps: Counter,
     followers: Gauge,
 }
 
@@ -247,7 +255,36 @@ impl ServiceMetrics {
             "Snapshots taken automatically by the WAL growth policy",
             &with_collection(&[], collection),
         );
-        let follower = FollowerMetrics::register(&registry);
+        let replication_lag = registry.gauge(
+            "silkmoth_replication_lag_records",
+            "Records the primary has committed that this follower has not yet applied",
+            &[],
+        );
+        let applied_seq = registry.gauge(
+            "silkmoth_replication_applied_seq",
+            "Updates this follower has applied locally",
+            &[],
+        );
+        let primary_seq = registry.gauge(
+            "silkmoth_replication_primary_seq",
+            "The primary's committed update count per its latest heartbeat",
+            &[],
+        );
+        let streaming = registry.gauge(
+            "silkmoth_replication_streaming",
+            "1 while the follower is connected and processing frames, else 0",
+            &[],
+        );
+        let connects = registry.counter(
+            "silkmoth_replication_connects_total",
+            "Successful connections this follower has made to the primary",
+            &[],
+        );
+        let bootstraps = registry.counter(
+            "silkmoth_replication_bootstraps_total",
+            "Snapshot bootstraps this follower has performed",
+            &[],
+        );
         let followers = registry.gauge(
             "silkmoth_replication_followers",
             "Follower connections currently streaming from this primary",
@@ -271,7 +308,12 @@ impl ServiceMetrics {
             snapshots,
             auto_compactions,
             auto_snapshots,
-            follower,
+            replication_lag,
+            applied_seq,
+            primary_seq,
+            streaming,
+            connects,
+            bootstraps,
             followers,
         }
     }
@@ -387,12 +429,21 @@ impl ServiceMetrics {
 
     /// Refreshes the replication families from a follower's status
     /// snapshot (called at scrape time on follower-role services).
-    pub fn record_follower(&self, status: &FollowerStatus) {
-        self.follower.record(status);
+    /// Monotonic totals (`connects`, `bootstraps`) go through
+    /// [`Counter::record_total`], so a scrape can never observe them
+    /// moving backwards even though they are polled, not incremented.
+    pub(crate) fn record_follower(&self, status: &FollowerStatus) {
+        self.replication_lag.set(status.lag() as i64);
+        self.applied_seq.set(status.applied_seq as i64);
+        self.primary_seq.set(status.primary_seq as i64);
+        self.streaming
+            .set(i64::from(status.state == FollowerState::Streaming));
+        self.connects.record_total(status.connects);
+        self.bootstraps.record_total(status.bootstraps);
     }
 
     /// Sets the primary-side follower connection count.
-    pub fn set_followers(&self, n: i64) {
+    pub(crate) fn set_followers(&self, n: i64) {
         self.followers.set(n);
     }
 
@@ -605,6 +656,54 @@ mod tests {
             "{page}"
         );
         assert!(page.contains("silkmoth_uptime_seconds 42"), "{page}");
+    }
+
+    fn follower_status(applied: u64, primary: u64, connects: u64) -> FollowerStatus {
+        FollowerStatus {
+            state: FollowerState::Streaming,
+            applied_seq: applied,
+            primary_seq: primary,
+            connects,
+            frames: 0,
+            skipped: 0,
+            bootstraps: 1,
+            last_error: None,
+        }
+    }
+
+    #[test]
+    fn record_reflects_the_status_snapshot() {
+        let metrics = ServiceMetrics::new();
+        metrics.record_follower(&follower_status(7, 10, 3));
+        let page = metrics.render();
+        assert!(
+            page.contains("silkmoth_replication_lag_records 3"),
+            "{page}"
+        );
+        assert!(
+            page.contains("silkmoth_replication_applied_seq 7"),
+            "{page}"
+        );
+        assert!(page.contains("silkmoth_replication_streaming 1"), "{page}");
+        assert!(
+            page.contains("silkmoth_replication_connects_total 3"),
+            "{page}"
+        );
+    }
+
+    #[test]
+    fn polled_counters_never_move_backwards() {
+        // A racing status read could deliver an older snapshot after a
+        // newer one; record_total's fetch_max keeps the exposed counter
+        // monotonic regardless of arrival order.
+        let metrics = ServiceMetrics::new();
+        metrics.record_follower(&follower_status(5, 5, 4));
+        metrics.record_follower(&follower_status(3, 5, 2)); // stale snapshot arrives late
+        let page = metrics.render();
+        assert!(
+            page.contains("silkmoth_replication_connects_total 4"),
+            "{page}"
+        );
     }
 
     #[test]

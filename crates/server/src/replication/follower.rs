@@ -1,12 +1,12 @@
 //! Follower side of replication: [`run_follower`] drives the
 //! connect → handshake → replay loop with bounded backoff, applying
-//! frames through a [`ReplicaSink`]. [`FollowerShared`] is the handle
+//! frames through a [`ServiceSink`]. [`FollowerShared`] is the handle
 //! the rest of the process holds: live status, and a stop switch that
 //! interrupts both backoff sleeps and blocking reads (via a connection
 //! "breaker" the connector registers).
 
-use crate::proto::{read_frame, write_handshake, Frame, Handshake};
-use crate::ReplicaError;
+use super::proto::{read_frame, write_handshake, Frame, Handshake};
+use super::{ReplicaError, ServiceSink};
 use silkmoth_telemetry::trace::{self, TraceCollector, Tracer};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -69,32 +69,6 @@ impl Connector for TcpConnector {
     }
 }
 
-/// Where replicated state lands. Implementations must make
-/// [`apply_record`](ReplicaSink::apply_record) advance
-/// [`applied_seq`](ReplicaSink::applied_seq) by exactly one — the
-/// driver relies on that for its idempotent-skip and gap checks.
-pub trait ReplicaSink: Send {
-    /// The failover epoch the sink's state was applied under.
-    fn epoch(&self) -> u64;
-
-    /// Total updates applied (the handshake cursor).
-    fn applied_seq(&self) -> u64;
-
-    /// Replaces all local state with `snapshot`, positioning the sink
-    /// at (`seq`, `epoch`).
-    fn install_snapshot(
-        &mut self,
-        snapshot: &[u8],
-        seq: u64,
-        epoch: u64,
-    ) -> Result<(), ReplicaError>;
-
-    /// Applies the record with sequence number `seq` (always
-    /// `applied_seq() + 1`; the driver has already skipped duplicates
-    /// and rejected gaps).
-    fn apply_record(&mut self, seq: u64, payload: &[u8]) -> Result<(), ReplicaError>;
-}
-
 /// Lifecycle of a follower loop, as surfaced in status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FollowerState {
@@ -110,7 +84,7 @@ pub enum FollowerState {
 
 impl FollowerState {
     /// The lowercase name used in HTTP status payloads.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Self::Connecting => "connecting",
             Self::Streaming => "streaming",
@@ -145,7 +119,7 @@ pub struct FollowerStatus {
 impl FollowerStatus {
     /// Records the primary has committed that this follower has not
     /// yet applied (by the latest heartbeat; 0 before the first).
-    pub fn lag(&self) -> u64 {
+    pub(crate) fn lag(&self) -> u64 {
         self.primary_seq.saturating_sub(self.applied_seq)
     }
 }
@@ -221,14 +195,14 @@ impl FollowerShared {
     }
 
     /// Whether stop has been requested.
-    pub fn stopped(&self) -> bool {
+    fn stopped(&self) -> bool {
         self.flags.lock().expect("follower flags poisoned").stop
     }
 
     /// Waits until the loop has exited (true) or `timeout` elapses
     /// (false). Call after [`stop`](Self::stop) when the caller needs
     /// the loop provably finished — e.g. before promoting.
-    pub fn wait_exited(&self, timeout: Duration) -> bool {
+    pub(crate) fn wait_exited(&self, timeout: Duration) -> bool {
         let flags = self.flags.lock().expect("follower flags poisoned");
         let (flags, _) = self
             .cond
@@ -258,7 +232,7 @@ impl FollowerShared {
     /// `/debug/traces` on a follower shows its replication applies next
     /// to its read traffic. The tracer's 1-in-N sampling applies;
     /// without a tracer installed applies are never traced.
-    pub fn set_tracer(&self, tracer: Arc<Tracer>) {
+    pub(crate) fn set_tracer(&self, tracer: Arc<Tracer>) {
         *self.tracer.lock().expect("follower tracer poisoned") = Some(tracer);
     }
 
@@ -318,12 +292,12 @@ impl Default for FollowerConfig {
 /// reconnect is idempotent); a gap above it aborts the session with a
 /// named error and reconnects. Returns the sink so the caller can take
 /// the replicated state back (promotion).
-pub fn run_follower<C: Connector, K: ReplicaSink>(
+pub fn run_follower<C: Connector>(
     mut connector: C,
-    mut sink: K,
+    sink: ServiceSink,
     shared: &Arc<FollowerShared>,
     cfg: &FollowerConfig,
-) -> K {
+) -> ServiceSink {
     let mut backoff = cfg.backoff_min;
     while !shared.stopped() {
         shared.update(|s| {
@@ -346,7 +320,7 @@ pub fn run_follower<C: Connector, K: ReplicaSink>(
             s.state = FollowerState::Streaming;
         });
         let frames_before = shared.status().frames;
-        match stream_session(&mut io, &mut sink, shared, cfg) {
+        match stream_session(&mut io, &sink, shared, cfg) {
             Ok(()) => break, // stop requested
             Err(e) => {
                 shared.note_error(e.to_string());
@@ -365,9 +339,9 @@ pub fn run_follower<C: Connector, K: ReplicaSink>(
     sink
 }
 
-fn stream_session<Io: Read + Write, K: ReplicaSink>(
+fn stream_session<Io: Read + Write>(
     io: &mut Io,
-    sink: &mut K,
+    sink: &ServiceSink,
     shared: &Arc<FollowerShared>,
     cfg: &FollowerConfig,
 ) -> Result<(), ReplicaError> {

@@ -1,16 +1,19 @@
-//! Primary side of replication: read a store's retained WAL for a
-//! [`ReplicationSource`] ([`store_records_after`]), stream the source to
-//! one follower with [`stream_updates`], and accept followers over TCP
-//! with [`serve_log`].
+//! Primary side of replication: [`stream_updates`] serves one follower
+//! connection from a durable service's retained WAL, [`serve_log`]
+//! accepts followers over TCP, and [`bootstrap_snapshot`] cuts the
+//! snapshot a follower whose cursor cannot be resumed starts from.
 
-use crate::proto::{read_handshake, write_frame, Frame};
-use crate::ReplicaError;
+use super::proto::{read_handshake, write_frame, Frame};
+use super::{not_durable, store_epoch, ReplicaError};
+use crate::http::wake_acceptor;
+use crate::service::SearchService;
 use silkmoth_storage::{
-    list_wal_segments, read_wal_payloads, CommitHook, StorageError, StoreStatus,
+    list_wal_segments, read_wal_payloads, snapshot_bytes, CommitHook, RetentionHook, SnapshotMeta,
+    StorageError, StoreEngine, StoreStatus,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -22,21 +25,17 @@ use std::time::Duration;
 /// [`Store::set_commit_hook`](silkmoth_storage::Store::set_commit_hook);
 /// streamers block in
 /// [`wait_beyond`](CommitSignal::wait_beyond) instead of polling.
+/// Starts at sequence 0.
 #[derive(Debug, Default)]
-pub struct CommitSignal {
+pub(crate) struct CommitSignal {
     seq: Mutex<u64>,
     cond: Condvar,
 }
 
 impl CommitSignal {
-    /// A signal starting at sequence 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records that `seq` updates are now committed and wakes waiters.
     /// Monotonic: stale notifications are ignored.
-    pub fn notify(&self, seq: u64) {
+    fn notify(&self, seq: u64) {
         let mut current = self.seq.lock().expect("commit signal poisoned");
         if seq > *current {
             *current = seq;
@@ -45,7 +44,7 @@ impl CommitSignal {
     }
 
     /// The highest committed sequence seen so far.
-    pub fn current(&self) -> u64 {
+    pub(crate) fn current(&self) -> u64 {
         *self.seq.lock().expect("commit signal poisoned")
     }
 
@@ -54,14 +53,14 @@ impl CommitSignal {
     /// bootstrap snapshot may move to a seq below a diverged cursor).
     /// The caller must ensure no commit hook can fire concurrently
     /// (hold the store's write lock across the replacement).
-    pub fn reset(&self, seq: u64) {
+    pub(crate) fn reset(&self, seq: u64) {
         *self.seq.lock().expect("commit signal poisoned") = seq;
         self.cond.notify_all();
     }
 
     /// Blocks until the committed count exceeds `seen` or `timeout`
     /// elapses; returns the count either way.
-    pub fn wait_beyond(&self, seen: u64, timeout: Duration) -> u64 {
+    pub(crate) fn wait_beyond(&self, seen: u64, timeout: Duration) -> u64 {
         let guard = self.seq.lock().expect("commit signal poisoned");
         let (guard, _) = self
             .cond
@@ -72,40 +71,10 @@ impl CommitSignal {
 
     /// A [`CommitHook`] that notifies this signal. The hook only takes
     /// a lock and notifies a condvar — safe at the commit point.
-    pub fn hook(self: &Arc<Self>) -> CommitHook {
+    pub(crate) fn hook(self: &Arc<Self>) -> CommitHook {
         let signal = Arc::clone(self);
         CommitHook::new(move |seq| signal.notify(seq))
     }
-}
-
-/// What a replication streamer needs from the primary: its position
-/// (epoch, committed count), a blocking wait for new commits, raw WAL
-/// records after a cursor, and a snapshot for bootstraps.
-pub trait ReplicationSource: Send + Sync {
-    /// The primary's failover epoch.
-    fn epoch(&self) -> u64;
-
-    /// Total updates committed.
-    fn committed_seq(&self) -> u64;
-
-    /// Blocks until the committed count exceeds `seen` or `timeout`
-    /// elapses; returns the current count.
-    fn wait_beyond(&self, seen: u64, timeout: Duration) -> u64;
-
-    /// Raw WAL payloads of records `applied + 1 ..= applied + limit`
-    /// (fewer if fewer are committed). `Ok(None)` means the cursor is
-    /// not servable from the retained WAL (it predates the current
-    /// generation, or lies in the future) — the caller bootstraps with
-    /// a snapshot instead.
-    fn records_after(
-        &self,
-        applied: u64,
-        limit: usize,
-    ) -> Result<Option<Vec<Vec<u8>>>, ReplicaError>;
-
-    /// A full snapshot in the storage snapshot-file format, plus the
-    /// `(update_seq, epoch)` it captures.
-    fn snapshot(&self) -> Result<(Vec<u8>, u64, u64), ReplicaError>;
 }
 
 /// One servable stretch of the retained log: a WAL file and the global
@@ -127,7 +96,7 @@ struct LogSpan {
 /// lock-free — committed WAL bytes are append-only, and a segment
 /// retired away mid-read surfaces as `Ok(None)`, i.e. "bootstrap
 /// instead").
-pub fn store_records_after(
+fn store_records_after(
     dir: &Path,
     status: &StoreStatus,
     applied: u64,
@@ -229,21 +198,16 @@ pub fn store_records_after(
 /// inside a retained segment streams records instead of being forced
 /// through a full snapshot bootstrap.
 #[derive(Debug, Default)]
-pub struct CursorTracker {
+struct CursorTracker {
     cursors: Mutex<HashMap<u64, u64>>,
     next_id: AtomicU64,
 }
 
 impl CursorTracker {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers a follower cursor at `applied` (use `u64::MAX` for a
     /// cursor that is bootstrapping and needs no retained records yet).
     /// The cursor deregisters when the returned handle drops.
-    pub fn register(self: &Arc<Self>, applied: u64) -> CursorHandle {
+    fn register(self: &Arc<Self>, applied: u64) -> CursorHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.cursors
             .lock()
@@ -258,7 +222,7 @@ impl CursorTracker {
     /// The lowest applied sequence across registered cursors — every
     /// record with a sequence above this is still needed by someone.
     /// `u64::MAX` when no cursor is outstanding.
-    pub fn floor(&self) -> u64 {
+    fn floor(&self) -> u64 {
         self.cursors
             .lock()
             .expect("cursor tracker poisoned")
@@ -267,22 +231,12 @@ impl CursorTracker {
             .min()
             .unwrap_or(u64::MAX)
     }
-
-    /// Registered cursors.
-    pub fn len(&self) -> usize {
-        self.cursors.lock().expect("cursor tracker poisoned").len()
-    }
-
-    /// True when no cursor is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// One registered cursor in a [`CursorTracker`]; advancing it raises
 /// the retention floor, dropping it deregisters.
 #[derive(Debug)]
-pub struct CursorHandle {
+struct CursorHandle {
     tracker: Arc<CursorTracker>,
     id: u64,
 }
@@ -290,7 +244,7 @@ pub struct CursorHandle {
 impl CursorHandle {
     /// Records that the follower behind this cursor has applied (or
     /// been shipped) everything up to `applied`.
-    pub fn advance(&self, applied: u64) {
+    fn advance(&self, applied: u64) {
         self.tracker
             .cursors
             .lock()
@@ -331,19 +285,50 @@ impl Default for StreamerConfig {
     }
 }
 
-/// Serves one follower connection: reads the handshake, then streams
-/// records (or a bootstrap snapshot when the cursor is unservable)
-/// until `stop` is set, the follower goes away, or the source's epoch
-/// changes under us (promotion elsewhere — the follower must re-handshake).
+/// The bootstrap cut: a full snapshot of `service`'s durable store in
+/// the storage snapshot-file format, plus the `(update_seq, epoch)` it
+/// captures. The cut is `(seq, state)` as one pair: taken quiesced, so
+/// the seq it is stamped with is one the engine has reached. Stamping a
+/// committed-but-unapplied seq would make the follower skip that record
+/// for good.
+pub fn bootstrap_snapshot(service: &SearchService) -> Result<(Vec<u8>, u64, u64), ReplicaError> {
+    let (status, state) = service
+        .quiesced(|store| (store.status(), StoreEngine::capture(store.engine())))
+        .ok_or_else(not_durable)?;
+    let meta = SnapshotMeta {
+        seq: status.snapshot_seq,
+        update_seq: status.update_seq,
+        epoch: status.epoch,
+    };
+    Ok((
+        snapshot_bytes(meta, &state),
+        status.update_seq,
+        status.epoch,
+    ))
+}
+
+/// Serves one follower connection from `service`'s durable store:
+/// reads the handshake, then streams records (or a bootstrap snapshot
+/// when the cursor is unservable) until `stop` is set, the follower
+/// goes away, or the store's epoch changes under us (promotion
+/// elsewhere — the follower must re-handshake).
 ///
 /// A malformed handshake is answered with a best-effort [`Frame::Error`]
 /// naming the problem before the error is returned.
-///
-/// When a `tracker` is given, the connection registers its cursor in
-/// it for the lifetime of the stream, so the primary's store retains
-/// the sealed WAL segments this follower still needs.
 pub fn stream_updates(
-    source: &dyn ReplicationSource,
+    service: &SearchService,
+    io: &mut (impl Read + Write),
+    stop: &AtomicBool,
+    cfg: &StreamerConfig,
+) -> Result<(), ReplicaError> {
+    stream_tracked(service, io, stop, cfg, None)
+}
+
+/// [`stream_updates`], registering the connection's cursor in `tracker`
+/// (when given) for the lifetime of the stream, so the primary's store
+/// retains the sealed WAL segments this follower still needs.
+fn stream_tracked(
+    service: &SearchService,
     io: &mut (impl Read + Write),
     stop: &AtomicBool,
     cfg: &StreamerConfig,
@@ -356,7 +341,7 @@ pub fn stream_updates(
             return Err(e);
         }
     };
-    let epoch = source.epoch();
+    let epoch = store_epoch(service);
     // A cursor minted under another epoch may index a diverged history,
     // and a cursor of 0 carries no shared-history evidence at all (the
     // primary's seq-0 state is its *initial build*, not necessarily
@@ -368,7 +353,8 @@ pub fn stream_updates(
         u64::MAX
     };
     let cursor = tracker.map(|t| t.register(applied));
-    let mut committed = source.committed_seq();
+    let signal = service.commit_signal();
+    let mut committed = signal.current();
     write_frame(
         io,
         &Frame::Heartbeat {
@@ -379,13 +365,13 @@ pub fn stream_updates(
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        if source.epoch() != epoch {
+        if store_epoch(service) != epoch {
             let msg = "primary epoch changed; reconnect to re-handshake".to_string();
             let _ = write_frame(io, &Frame::Error(msg.clone()));
             return Err(ReplicaError::Protocol(msg));
         }
         if applied == committed {
-            committed = source.wait_beyond(applied, cfg.heartbeat);
+            committed = signal.wait_beyond(applied, cfg.heartbeat);
             if applied >= committed {
                 write_frame(
                     io,
@@ -396,7 +382,8 @@ pub fn stream_updates(
             }
             continue;
         }
-        match source.records_after(applied, cfg.batch)? {
+        let (dir, status) = service.store_position().ok_or_else(not_durable)?;
+        match store_records_after(&dir, &status, applied, cfg.batch)? {
             Some(payloads) if !payloads.is_empty() => {
                 for payload in payloads {
                     if payload.len() as u64 > u64::from(cfg.max_frame_len) {
@@ -423,7 +410,7 @@ pub fn stream_updates(
             // away mid-read) or an empty batch from a raced rotation:
             // bootstrap.
             _ => {
-                let (snapshot, seq, snap_epoch) = source.snapshot()?;
+                let (snapshot, seq, snap_epoch) = bootstrap_snapshot(service)?;
                 write_frame(
                     io,
                     &Frame::Snapshot {
@@ -438,7 +425,7 @@ pub fn stream_updates(
                 }
             }
         }
-        committed = source.committed_seq();
+        committed = signal.current();
     }
 }
 
@@ -450,7 +437,6 @@ pub struct ReplicaServer {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     followers: Arc<AtomicUsize>,
-    cursors: Arc<CursorTracker>,
 }
 
 impl ReplicaServer {
@@ -464,25 +450,11 @@ impl ReplicaServer {
         self.followers.load(Ordering::Relaxed)
     }
 
-    /// The shared follower-count gauge, for surfacing in stats.
-    pub fn follower_gauge(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.followers)
-    }
-
-    /// The registry of this listener's follower cursors — wire its
-    /// [`floor`](CursorTracker::floor) into the store's
-    /// [`RetentionHook`](silkmoth_storage::RetentionHook) so sealed WAL
-    /// segments outlive snapshot rotation while a follower needs them.
-    pub fn cursor_tracker(&self) -> Arc<CursorTracker> {
-        Arc::clone(&self.cursors)
-    }
-
     /// Stops accepting and asks streamer threads to exit (they notice
     /// within one heartbeat interval).
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        wake_acceptor(self.addr);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -495,11 +467,14 @@ impl Drop for ReplicaServer {
     }
 }
 
-/// Binds `addr` and serves `source`'s update log to any follower that
+/// Binds `addr` and serves `service`'s update log to any follower that
 /// connects. Each connection gets its own thread running
-/// [`stream_updates`]; handshakes are given 10 s to arrive.
-pub fn serve_log<S: ReplicationSource + 'static>(
-    source: Arc<S>,
+/// [`stream_updates`]; handshakes are given 10 s to arrive. The
+/// listener's live follower count is reported on `service`'s `/stats`
+/// and `/metrics`, and the sealed WAL segments a connected follower
+/// still needs outlive snapshot rotation until its cursor moves on.
+pub fn serve_log(
+    service: Arc<SearchService>,
     addr: impl ToSocketAddrs,
     cfg: StreamerConfig,
 ) -> std::io::Result<ReplicaServer> {
@@ -507,18 +482,20 @@ pub fn serve_log<S: ReplicationSource + 'static>(
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let followers = Arc::new(AtomicUsize::new(0));
-    let cursors = Arc::new(CursorTracker::new());
+    let cursors = Arc::new(CursorTracker::default());
+    service.front().set_follower_gauge(Arc::clone(&followers));
+    let floor = Arc::clone(&cursors);
+    service.set_wal_retention(RetentionHook::new(move || floor.floor()));
     let accept = {
         let stop = Arc::clone(&stop);
         let followers = Arc::clone(&followers);
-        let cursors = Arc::clone(&cursors);
         std::thread::spawn(move || {
             for conn in listener.incoming() {
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
                 let Ok(mut conn) = conn else { continue };
-                let source = Arc::clone(&source);
+                let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
                 let followers = Arc::clone(&followers);
                 let cursors = Arc::clone(&cursors);
@@ -527,7 +504,7 @@ pub fn serve_log<S: ReplicationSource + 'static>(
                     let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
                     let _ = conn.set_write_timeout(Some(Duration::from_secs(30)));
                     followers.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream_updates(source.as_ref(), &mut conn, &stop, &cfg, Some(&cursors));
+                    let _ = stream_tracked(&service, &mut conn, &stop, &cfg, Some(&cursors));
                     followers.fetch_sub(1, Ordering::Relaxed);
                 });
             }
@@ -538,6 +515,28 @@ pub fn serve_log<S: ReplicationSource + 'static>(
         stop,
         accept: Some(accept),
         followers,
-        cursors,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::testutil::service;
+    use std::time::Instant;
+
+    /// A listener bound to the wildcard address (`--replicate-addr
+    /// 0.0.0.0:P`) still wakes its acceptor and shuts down promptly.
+    #[test]
+    fn a_wildcard_listener_shuts_down_within_two_seconds() {
+        let mut log =
+            serve_log(Arc::new(service()), "0.0.0.0:0", StreamerConfig::default()).unwrap();
+        assert!(log.local_addr().ip().is_unspecified());
+        let started = Instant::now();
+        log.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+    }
 }

@@ -134,7 +134,6 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use silkmoth_core::{CompactionPolicy, PassStats};
-use silkmoth_replica::CommitSignal;
 use silkmoth_storage::{Store, StoreEvent, TelemetryHook};
 use silkmoth_telemetry::trace::{self, AttrValue, Tracer};
 
@@ -142,6 +141,7 @@ use crate::front::{Front, LogFormat, RequestInfo};
 use crate::http::{self, HttpServer, Request, Response};
 use crate::json::{obj, Json};
 use crate::metrics::{canonical_route, ServiceMetrics};
+use crate::replication::CommitSignal;
 use crate::shard::ShardedEngine;
 use write::CommitQueue;
 
@@ -260,7 +260,7 @@ impl SearchService {
         let service = Self {
             backend: RwLock::new(backend),
             front: Arc::new(Front::new()),
-            commit_signal: Arc::new(CommitSignal::new()),
+            commit_signal: Arc::default(),
             commit_queue: CommitQueue::default(),
             retention_hook: Mutex::new(None),
             policy: CompactionPolicy::DISABLED,
@@ -406,12 +406,6 @@ impl SearchService {
     /// streamers block on).
     pub(crate) fn commit_signal(&self) -> &Arc<CommitSignal> {
         &self.commit_signal
-    }
-
-    /// Attaches the live follower-connection gauge of a replication
-    /// log listener, so `/stats` can report it.
-    pub fn set_follower_gauge(&self, gauge: Arc<AtomicUsize>) {
-        self.front.set_follower_gauge(gauge);
     }
 
     /// Routes one request through this service's own front. Pure

@@ -272,9 +272,8 @@ mod tests {
 
     #[test]
     fn follower_rejects_writes_until_promoted() {
-        use crate::replication::{follower_store_config, start_follower};
+        use crate::replication::{follower_store_config, start_follower, FollowerConfig};
         use crate::ShardSpec;
-        use silkmoth_replica::FollowerConfig;
 
         let dir =
             std::env::temp_dir().join(format!("silkmoth-service-follower-{}", std::process::id()));

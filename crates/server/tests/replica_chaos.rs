@@ -1,37 +1,41 @@
 //! Seeded chaos harness for replication between the two halves the
 //! server ships. A durable primary [`SearchService`] takes a random
 //! committed workload over its own routes (appends, removes,
-//! compactions, snapshot rotations) and is served to followers by
-//! [`ServiceSource`]; a follower service tails it through
+//! compactions, snapshot rotations) and streams it to followers with
+//! [`stream_updates`]; a follower service tails it through
 //! [`ServiceSink`] under [`run_follower`], over the deterministic
 //! fault-injecting transport from [`sim_duplex`] — connections refused,
 //! cut mid-record, bytes flipped in transit. The follower must converge
 //! to a state **byte-identical** to the primary (zero acked-write
 //! loss), surviving every disconnect by resuming from its cursor or
-//! re-bootstrapping from a snapshot, which `ServiceSource` cuts through
+//! re-bootstrapping from a snapshot, which the streamer cuts through
 //! the service's quiesced store accessor.
 //!
 //! Also pinned here, scripted rather than randomized: idempotent skip
 //! of re-sent records, forced bootstrap on an epoch change (failover),
-//! live tailing over real TCP ([`serve_log`]), and a resume from
-//! retained WAL segments that takes no bootstrap at all.
+//! live tailing over real TCP ([`serve_log`]), a resume from retained
+//! WAL segments that takes no bootstrap at all, and the same resume
+//! through a primary wired by [`serve_log`] alone.
+
+mod sim;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use silkmoth_core::{CompactionPolicy, EngineConfig, QuerySpec, RelatednessMetric};
-use silkmoth_replica::{
-    run_follower, serve_log, sim_duplex, stream_updates, write_frame, Connector, FaultPlan,
-    FollowerConfig, FollowerShared, Frame, ReplicaSink, ReplicationSource, SimStream,
-    StreamerConfig, TcpConnector,
-};
 use silkmoth_server::json::obj;
+use silkmoth_server::replication::{
+    run_follower, serve_log, stream_updates, write_frame, Connector, FollowerConfig,
+    FollowerShared, FollowerStatus, Frame, StreamerConfig, TcpConnector,
+};
 use silkmoth_server::{
-    follower_store_config, Json, Request, SearchService, ServiceSink, ServiceSource, ShardSpec,
-    ShardedEngine,
+    bootstrap_snapshot, follower_store_config, Json, Request, SearchService, ServiceSink,
+    ShardSpec, ShardedEngine,
 };
 use silkmoth_storage::{
-    snapshot_bytes, RetentionHook, SnapshotMeta, Store, StoreConfig, StoreEngine,
+    list_wal_segments, read_wal_payloads, snapshot_bytes, RetentionHook, SnapshotMeta, Store,
+    StoreConfig, StoreEngine,
 };
 use silkmoth_text::SimilarityFunction;
+use sim::{sim_duplex, FaultPlan, SimStream};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,14 +108,17 @@ fn follower_service(dir: &Path) -> (Arc<SearchService>, ServiceSink) {
 }
 
 /// Sends one request through the service's routes; it must succeed.
-fn send(service: &SearchService, method: &str, path: &str, body: &str) {
+fn send(service: &SearchService, method: &str, path: &str, body: &str) -> Json {
     let resp = service.handle(&Request::new(method, path, body.as_bytes().to_vec()));
-    assert_eq!(
-        resp.status,
-        200,
-        "{method} {path}: {}",
-        String::from_utf8_lossy(&resp.body)
-    );
+    let body = String::from_utf8_lossy(&resp.body);
+    assert_eq!(resp.status, 200, "{method} {path}: {body}");
+    Json::parse(&body).unwrap()
+}
+
+/// How many updates `service` has committed, as `/healthz` reports it.
+fn committed(service: &SearchService) -> u64 {
+    let health = send(service, "GET", "/healthz", "");
+    health.get("update_seq").and_then(Json::as_usize).unwrap() as u64
 }
 
 fn append(service: &SearchService, sets: &[Vec<String>]) {
@@ -207,15 +214,15 @@ fn random_update(rng: &mut StdRng, primary: &SearchService) {
 }
 
 /// A follower connector over the simulated transport; the primary side
-/// of every pipe runs a real [`stream_updates`] session over `source`
+/// of every pipe runs a real [`stream_updates`] session over `primary`
 /// in a thread of `streamers`. With an `rng`, each connect may be
 /// refused and each accepted connection gets a seeded fault plan on the
 /// primary→follower direction (cuts mid-record, byte flips). Without
 /// one, every connect succeeds and streams cleanly, so any bootstrap
-/// the follower takes is forced by the source, never by transport
+/// the follower takes is forced by the primary, never by transport
 /// damage.
 struct SimConnector {
-    source: Arc<ServiceSource>,
+    primary: Arc<SearchService>,
     rng: Option<StdRng>,
     streamers: Arc<Streamers>,
 }
@@ -238,9 +245,9 @@ impl Streamers {
 }
 
 impl SimConnector {
-    fn new(source: &Arc<ServiceSource>, rng: Option<StdRng>) -> Self {
+    fn new(primary: &Arc<SearchService>, rng: Option<StdRng>) -> Self {
         Self {
-            source: Arc::clone(source),
+            primary: Arc::clone(primary),
             rng,
             streamers: Arc::default(),
         }
@@ -271,11 +278,11 @@ impl Connector for SimConnector {
             primary_faults,
             Duration::from_millis(500),
         );
-        let source = Arc::clone(&self.source);
+        let primary = Arc::clone(&self.primary);
         let streamers = Arc::clone(&self.streamers);
         let session = thread::spawn(move || {
             let cfg = fast_streamer_cfg();
-            let _ = stream_updates(&*source, &mut primary_io, &streamers.stop, &cfg, None);
+            let _ = stream_updates(&primary, &mut primary_io, &streamers.stop, &cfg);
         });
         self.streamers.threads.lock().unwrap().push(session);
         Ok(follower_io)
@@ -298,7 +305,8 @@ fn fast_follower_cfg() -> FollowerConfig {
     }
 }
 
-/// A follower loop tailing over a [`SimConnector`] on its own thread.
+/// A follower loop tailing over a [`SimConnector`] (or real TCP) on its
+/// own thread.
 struct Tail {
     shared: Arc<FollowerShared>,
     follower: thread::JoinHandle<ServiceSink>,
@@ -307,8 +315,28 @@ struct Tail {
 
 impl Tail {
     fn start(connector: SimConnector, sink: ServiceSink) -> Self {
-        let shared = Arc::new(FollowerShared::new());
         let streamers = Arc::clone(&connector.streamers);
+        Self::spawn(connector, sink, Arc::new(FollowerShared::new()), streamers)
+    }
+
+    /// Tails the [`serve_log`] listener at `addr` over real TCP.
+    fn tcp(addr: &str, sink: ServiceSink) -> Self {
+        let shared = Arc::new(FollowerShared::new());
+        let connector = TcpConnector {
+            addr: addr.to_string(),
+            connect_timeout: Duration::from_secs(5),
+            read_timeout: Duration::from_secs(5),
+            shared: Some(Arc::clone(&shared)),
+        };
+        Self::spawn(connector, sink, shared, Arc::default())
+    }
+
+    fn spawn(
+        connector: impl Connector + 'static,
+        sink: ServiceSink,
+        shared: Arc<FollowerShared>,
+        streamers: Arc<Streamers>,
+    ) -> Self {
         let follower = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || run_follower(connector, sink, &shared, &fast_follower_cfg()))
@@ -320,25 +348,35 @@ impl Tail {
         }
     }
 
-    /// Waits until the follower has applied `target` records, then stops
-    /// the loop and joins the streamers behind it. Hands back the sink
-    /// and how many snapshot bootstraps the run took.
-    fn finish_at(self, target: u64, what: &str) -> (ServiceSink, u64) {
+    /// Waits until the follower's status satisfies `done`.
+    fn wait_until(&self, what: &str, done: impl Fn(&FollowerStatus) -> bool) {
         let deadline = Instant::now() + Duration::from_secs(60);
-        while self.shared.status().applied_seq != target {
+        while !done(&self.shared.status()) {
             assert!(
                 Instant::now() < deadline,
-                "{what}: follower stuck at {} of {target} (status {:?})",
-                self.shared.status().applied_seq,
+                "{what}: follower stuck (status {:?})",
                 self.shared.status()
             );
             thread::sleep(Duration::from_millis(2));
         }
+    }
+
+    /// Stops the loop and joins the streamers behind it. Hands back the
+    /// sink and how many snapshot bootstraps the run took.
+    fn stop(self) -> (ServiceSink, u64) {
         self.shared.stop();
         let sink = self.follower.join().unwrap();
         self.streamers.stop_and_join();
-        assert_eq!(sink.applied_seq(), target, "{what}: lost acked writes");
         (sink, self.shared.status().bootstraps)
+    }
+
+    /// Waits until the follower has applied `target` records, then
+    /// [`stop`](Self::stop)s it.
+    fn finish_at(self, target: u64, what: &str) -> (ServiceSink, u64) {
+        self.wait_until(what, |status| status.applied_seq == target);
+        let (sink, bootstraps) = self.stop();
+        assert_eq!(sink.applied_seq(), target, "{what}: lost acked writes");
+        (sink, bootstraps)
     }
 }
 
@@ -348,10 +386,9 @@ fn follower_converges_byte_identically_under_chaos() {
         let primary_dir = temp_dir(&format!("chaos-primary-{seed}"));
         let follower_dir = temp_dir(&format!("chaos-follower-{seed}"));
         let primary = primary_service(&primary_dir, nosync());
-        let source = Arc::new(ServiceSource::new(Arc::clone(&primary)));
         let (follower, sink) = follower_service(&follower_dir);
         let rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-        let tail = Tail::start(SimConnector::new(&source, Some(rng)), sink);
+        let tail = Tail::start(SimConnector::new(&primary, Some(rng)), sink);
 
         // Drive a random committed workload while the follower tails,
         // rotating the snapshot every 20 updates so a lagging
@@ -369,7 +406,7 @@ fn follower_converges_byte_identically_under_chaos() {
         }
         // Every update above was acknowledged, so every one must reach
         // the follower.
-        tail.finish_at(source.committed_seq(), &format!("seed {seed}"));
+        tail.finish_at(committed(&primary), &format!("seed {seed}"));
         assert_byte_identical(&follower, &primary, &format!("seed {seed} after chaos"));
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&follower_dir);
@@ -425,16 +462,16 @@ fn duplicate_records_are_skipped_idempotently() {
     let reference_dir = temp_dir("dup-reference");
 
     // Commit three updates on a reference primary and lift its WAL
-    // payloads and a bootstrap snapshot through its real source: the
-    // follower bootstraps from the full snapshot, then is sent records
-    // 1..=3 *again* — every one must be skipped.
+    // payloads and its bootstrap cut: the follower bootstraps from the
+    // full snapshot, then is sent records 1..=3 *again* — every one
+    // must be skipped.
     let reference = primary_service(&reference_dir, nosync());
     append(&reference, &[vec!["chaos marker 7".into()]]);
     append(&reference, &[vec!["w1 shared2".into()]]);
     remove(&reference, &[2]);
-    let source = ServiceSource::new(Arc::clone(&reference));
-    let (snapshot, snap_seq, snap_epoch) = source.snapshot().unwrap();
-    let payloads = source.records_after(0, 10).unwrap().unwrap();
+    let (snapshot, snap_seq, snap_epoch) = bootstrap_snapshot(&reference).unwrap();
+    let wal = &list_wal_segments(&reference_dir).unwrap()[0];
+    let payloads = read_wal_payloads(&wal.path, wal.generation, 0, 10).unwrap();
     assert_eq!(payloads.len(), 3);
 
     let mut frames = vec![Frame::Snapshot {
@@ -494,16 +531,14 @@ fn epoch_change_forces_rebootstrap() {
 
     // Catch a follower up; the transport's faults are fine, the loop
     // retries to convergence.
-    let source = Arc::new(ServiceSource::new(Arc::clone(&primary)));
     let (follower, sink) = follower_service(&follower_dir);
-    let connector = SimConnector::new(&source, Some(StdRng::seed_from_u64(0)));
+    let connector = SimConnector::new(&primary, Some(StdRng::seed_from_u64(0)));
     let (sink, _) = Tail::start(connector, sink).finish_at(5, "epoch 0");
     assert_eq!(sink.epoch(), 0);
 
     // Failover: the primary restarts from its data dir with its epoch
     // bumped (a store-level step no route exposes) and continues the
     // history. Its streamers are joined, so nothing else holds it.
-    drop(source);
     drop(Arc::into_inner(primary).expect("the primary has one owner left"));
     let (mut store, _) = Store::<ShardedEngine>::open(&primary_dir, &spec(), nosync()).unwrap();
     assert_eq!(store.bump_epoch().unwrap(), 1);
@@ -511,8 +546,7 @@ fn epoch_change_forces_rebootstrap() {
     append(&primary, &[vec!["post failover set".into()]]);
 
     // The follower's (epoch 0, seq 5) cursor must not be resumed.
-    let source = Arc::new(ServiceSource::new(Arc::clone(&primary)));
-    let connector = SimConnector::new(&source, Some(StdRng::seed_from_u64(0)));
+    let connector = SimConnector::new(&primary, Some(StdRng::seed_from_u64(0)));
     let (sink, bootstraps) = Tail::start(connector, sink).finish_at(6, "epoch 1");
     assert!(
         bootstraps >= 1,
@@ -532,8 +566,7 @@ fn tcp_serve_log_tails_live_commits() {
     let primary_dir = temp_dir("tcp-primary");
     let follower_dir = temp_dir("tcp-follower");
     let primary = primary_service(&primary_dir, nosync());
-    let source = Arc::new(ServiceSource::new(Arc::clone(&primary)));
-    let mut server = serve_log(source, "127.0.0.1:0", fast_streamer_cfg()).unwrap();
+    let mut server = serve_log(Arc::clone(&primary), "127.0.0.1:0", fast_streamer_cfg()).unwrap();
 
     let shared = Arc::new(FollowerShared::new());
     let connector = TcpConnector {
@@ -584,13 +617,12 @@ fn resume_inside_retained_segments_never_bootstraps() {
     let primary = primary_service(&primary_dir, store_cfg);
     // The floor a replication cursor parked at seq 3 would publish.
     primary.set_wal_retention(RetentionHook::new(|| 3));
-    let source = Arc::new(ServiceSource::new(Arc::clone(&primary)));
     for i in 0..3 {
         append(&primary, &[vec![format!("pre rotation {i}")]]);
     }
 
     let (follower, sink) = follower_service(&follower_dir);
-    let (sink, _) = Tail::start(SimConnector::new(&source, None), sink).finish_at(3, "first");
+    let (sink, _) = Tail::start(SimConnector::new(&primary, None), sink).finish_at(3, "first");
 
     // Records 4 and 5 land in sealed generation-0 segments, then a
     // rotation moves the primary on — the floor (3) must keep every
@@ -613,12 +645,73 @@ fn resume_inside_retained_segments_never_bootstraps() {
     );
 
     let (_, bootstraps) =
-        Tail::start(SimConnector::new(&source, None), sink).finish_at(7, "resume");
+        Tail::start(SimConnector::new(&primary, None), sink).finish_at(7, "resume");
     assert_eq!(
         bootstraps, 0,
         "a cursor inside retained segments resumes from records, never a snapshot"
     );
     assert_byte_identical(&follower, &primary, "after retained-segment resume");
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+/// [`serve_log`] on its own does what a caller used to wire by hand: it
+/// reports its followers on `/stats` and installs the WAL retention
+/// floor. A follower that left at seq 3 reconnects into a backlog larger
+/// than loopback socket buffers hold and stalls applying it, so the
+/// primary's cursor for it stays at 3 while a snapshot rotates the WAL
+/// and more appends land. The follower then disconnects, resumes from
+/// the retained records alone, and ends byte-identical. Without the
+/// floor the rotation retires the records it lacks and the resume takes
+/// a bootstrap.
+#[test]
+fn serve_log_alone_keeps_the_log_a_stalled_follower_resumes_from() {
+    let primary_dir = temp_dir("wired-primary");
+    let follower_dir = temp_dir("wired-follower");
+    let store_cfg = StoreConfig {
+        sync: false,
+        policy: CompactionPolicy::DISABLED,
+    };
+    let primary = primary_service(&primary_dir, store_cfg);
+    let mut log = serve_log(Arc::clone(&primary), "127.0.0.1:0", fast_streamer_cfg()).unwrap();
+    let addr = log.local_addr().to_string();
+    for i in 0..3 {
+        append(&primary, &[vec![format!("before the stall {i}")]]);
+    }
+    let (follower, sink) = follower_service(&follower_dir);
+    let tail = Tail::tcp(&addr, sink);
+    tail.wait_until("first", |status| status.applied_seq == 3);
+    let stats = send(&primary, "GET", "/stats", "");
+    let followers = stats.get("replication").and_then(|r| r.get("followers"));
+    assert_eq!(followers.and_then(Json::as_usize), Some(1), "{stats}");
+    let (sink, _) = tail.stop();
+
+    // Records 4..=6; the last two carry 6 MiB each.
+    append(&primary, &[vec!["stall marker".into()]]);
+    for big in ["y", "z"] {
+        append(&primary, &[vec![big.repeat(6 << 20)]]);
+    }
+    // With its engine read-locked the follower takes the heartbeat, then
+    // blocks applying record 4; the primary's streamer blocks writing
+    // the batch 4..=6, its cursor still at 3.
+    let frozen = follower.engine();
+    let tail = Tail::tcp(&addr, sink);
+    tail.wait_until("reconnect", |status| status.primary_seq == 6);
+    send(&primary, "POST", "/snapshot", "");
+    for i in 0..2 {
+        append(&primary, &[vec![format!("after the rotation {i}")]]);
+    }
+    tail.shared.stop();
+    drop(frozen);
+    let (sink, _) = tail.stop();
+
+    let (_, bootstraps) = Tail::tcp(&addr, sink).finish_at(8, "resume");
+    assert_eq!(
+        bootstraps, 0,
+        "the records the follower lacks outlive the rotation"
+    );
+    assert_byte_identical(&follower, &primary, "after the stalled follower resumed");
+    log.shutdown();
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
 }

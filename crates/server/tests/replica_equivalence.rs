@@ -19,10 +19,9 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use silkmoth_core::{CompactionPolicy, EngineConfig, RelatednessMetric, Update};
-use silkmoth_replica::{ReplicaServer, ReplicationSource};
 use silkmoth_server::{
-    follower_store_config, serve_log, start_follower, FollowerConfig, Json, Request, SearchService,
-    ServiceSource, ShardSpec, ShardedEngine, StreamerConfig,
+    bootstrap_snapshot, follower_store_config, serve_log, start_follower, FollowerConfig, Json,
+    ReplicaServer, Request, SearchService, ShardSpec, ShardedEngine, StreamerConfig,
 };
 use silkmoth_storage::{
     parse_snapshot, snapshot_bytes, EngineState, RetentionHook, SnapshotMeta, Store, StoreConfig,
@@ -141,12 +140,9 @@ fn empty_follower_service(dir: &Path, shards: usize) -> Arc<SearchService> {
 }
 
 /// Starts a replication log listener for `service` on an ephemeral
-/// port and wires its follower gauge into `/stats`.
+/// port.
 fn attach_log(service: &Arc<SearchService>) -> ReplicaServer {
-    let source = Arc::new(ServiceSource::new(Arc::clone(service)));
-    let log = serve_log(source, "127.0.0.1:0", fast_streamer()).unwrap();
-    service.set_follower_gauge(log.follower_gauge());
-    log
+    serve_log(Arc::clone(service), "127.0.0.1:0", fast_streamer()).unwrap()
 }
 
 fn update_seq(service: &SearchService) -> u64 {
@@ -422,8 +418,8 @@ fn bootstrap_snapshot_is_never_cut_between_a_batchs_commit_and_its_apply() {
     // Record 1 is committed and not applied. A follower bootstraps now.
     let (cut_tx, cut_rx) = mpsc::channel();
     let streamer = {
-        let source = ServiceSource::new(Arc::clone(&primary));
-        std::thread::spawn(move || cut_tx.send(source.snapshot()).unwrap())
+        let primary = Arc::clone(&primary);
+        std::thread::spawn(move || cut_tx.send(bootstrap_snapshot(&primary)).unwrap())
     };
     assert!(
         cut_rx.recv_timeout(Duration::from_millis(200)).is_err(),

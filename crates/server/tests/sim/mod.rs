@@ -1,13 +1,9 @@
-//! Deterministic in-process transport for chaos tests: a duplex pair
-//! of [`SimStream`]s backed by byte queues, with per-direction fault
-//! plans — delivery delays, a cut after N bytes (which truncates a
-//! write mid-record before closing), and byte flips at chosen stream
-//! offsets. All faults are parameters, so a seeded RNG in the test
-//! makes every run reproducible.
-//!
-//! Only tests construct these, but the module is public API: the chaos
-//! harnesses of dependent crates (the server's failover tests) drive
-//! the same transport.
+//! Deterministic in-process transport for the replication chaos
+//! harness: a duplex pair of [`SimStream`]s backed by byte queues, with
+//! per-direction fault plans — delivery delays, a cut after N bytes
+//! (which truncates a write mid-record before closing), and byte flips
+//! at chosen stream offsets. All faults are parameters, so a seeded RNG
+//! in the test makes every run reproducible.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};

@@ -71,10 +71,11 @@
 //! Every committed update has a global, monotonic sequence number
 //! ([`StoreStatus::update_seq`], snapshot base + position in the WAL),
 //! and every snapshot records a failover
-//! [`epoch`](StoreStatus::epoch). `silkmoth-replica` ships the WAL to
-//! followers through three narrow extensions here: a commit-point
-//! observer ([`Store::set_commit_hook`]), a raw committed-record
-//! reader ([`read_wal_payloads`]), and snapshot parsing from bytes
+//! [`epoch`](StoreStatus::epoch). The `replication` module of
+//! `silkmoth-server` ships the WAL to followers through three narrow
+//! extensions here: a commit-point observer
+//! ([`Store::set_commit_hook`]), a raw committed-record reader
+//! ([`read_wal_payloads`]), and snapshot parsing from bytes
 //! ([`parse_snapshot`]) for follower bootstrap.
 //!
 //! The store is generic over [`StoreEngine`], which keeps this crate

@@ -12,7 +12,9 @@
 # `silkmoth` into a fresh target directory, so neither reuses the other's
 # or an earlier build's artefacts, and each runs from its own root,
 # because the suite builds and drives the `silkmoth` of the directory it
-# is started in. Pair i runs both sides with `--seed i` (the seed only
+# is started in. Building in place may rewrite the suite's Cargo.lock
+# (cargo drops entries for crates the workspace no longer has); the
+# script saves it first and restores it on exit, however it exits. Pair i runs both sides with `--seed i` (the seed only
 # orders the fixed data) for the contract's `run_seconds`; odd pairs run
 # the parent first, even pairs the change.
 #
@@ -78,6 +80,12 @@ work=$root/target/bench_pairs/$workload
 rm -rf "$work"
 mkdir -p "$work/parent"
 git archive "$commit" | tar -x -C "$work/parent"
+
+# Building the change side in place lets cargo re-resolve the suite's
+# lockfile against the working tree's crates; put it back on exit.
+lock=$root/crates/bench/src/bin/suite/Cargo.lock
+cp "$lock" "$work/suite.Cargo.lock"
+trap 'cp "$work/suite.Cargo.lock" "$lock"' EXIT
 
 # side_root <side> — the directory a side is built in and run from.
 side_root() {

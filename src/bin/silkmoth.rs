@@ -32,8 +32,7 @@ use silkmoth::{
 };
 use silkmoth_server::{
     dir_needs_fresh_store, follower_store_config, serve_catalog, serve_log, start_follower,
-    CatalogConfig, CatalogService, FollowerConfig, LogFormat, SearchService, ServiceSource,
-    StreamerConfig,
+    CatalogConfig, CatalogService, FollowerConfig, LogFormat, SearchService, StreamerConfig,
 };
 use std::io::Read;
 use std::path::PathBuf;
@@ -591,16 +590,12 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
         )
     });
     let log_server = cli.replicate_addr.as_ref().map(|addr| {
-        let source = Arc::new(ServiceSource::new(Arc::clone(&service)));
-        let log = serve_log(source, addr.as_str(), StreamerConfig::default())
-            .unwrap_or_else(|e| fail(&format!("binding replication log {addr}: {e}")));
-        service.set_follower_gauge(log.follower_gauge());
-        // Sealed WAL segments a connected follower still needs are
-        // retained past snapshot rotation until its cursor moves on.
-        let cursors = log.cursor_tracker();
-        service.set_wal_retention(silkmoth::storage::RetentionHook::new(move || {
-            cursors.floor()
-        }));
+        let log = serve_log(
+            Arc::clone(&service),
+            addr.as_str(),
+            StreamerConfig::default(),
+        )
+        .unwrap_or_else(|e| fail(&format!("binding replication log {addr}: {e}")));
         eprintln!("# replication log listening on {}", log.local_addr());
         log
     });
