@@ -1,16 +1,20 @@
-//! Collection construction — interning, then the two token passes over
-//! the distinct elements — incremental append, and external-set encoding.
+//! Collection construction — interning, then one walk over the distinct
+//! elements' tokens — incremental append, and external-set encoding. All
+//! three read an element's tokens in the same walk, [`for_each_token`],
+//! hash each token once, and encode the element from the ids
+//! ([`encode_element`]).
 
 use crate::element::{ByText, NO_ID};
 use crate::{Collection, ElemId, Element, SetRecord, TokenDict};
-use silkmoth_text::{qchunk_positions, qgrams, whitespace_tokens, TokenId};
+use silkmoth_text::TokenId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How element strings are turned into tokens (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tokenization {
-    /// Whitespace-delimited words — used with Jaccard similarity.
+    /// Whitespace-delimited words (Unicode `White_Space`, runs
+    /// collapsed) — used with Jaccard similarity.
     Whitespace,
     /// Padded q-grams — used with edit similarity. Also records q-chunks.
     QGram {
@@ -24,15 +28,41 @@ impl Tokenization {
     pub fn is_edit(&self) -> bool {
         matches!(self, Self::QGram { .. })
     }
+}
 
-    /// Raw token strings of one element under this tokenization.
-    pub fn raw_tokens(&self, text: &str) -> Vec<String> {
-        match self {
-            Self::Whitespace => whitespace_tokens(text)
-                .into_iter()
-                .map(str::to_owned)
-                .collect(),
-            Self::QGram { q } => qgrams(text, *q),
+/// Sentinel padding the end of an element for q-gram extraction. `\u{1}`
+/// sorts below every printable character.
+const PAD: char = '\u{1}';
+
+/// Calls `token` on each token of `text`, in positional order: its words,
+/// or its q-grams.
+///
+/// The q-grams are those of `text` padded at the end with `q − 1`
+/// [`PAD`]s (§3, footnote 3), as slices of `padded`, which is overwritten
+/// with that padded text. An element of `L` characters thus has exactly
+/// `L` q-grams, one starting at each character, and its `⌈L/q⌉` q-chunks
+/// (§7.1) are the grams starting at `0, q, 2q, …`: every q-chunk is also
+/// a q-gram, which is what lets signature q-chunks be probed against a
+/// q-gram inverted index.
+fn for_each_token<'a>(
+    text: &'a str,
+    tokenization: Tokenization,
+    padded: &'a mut String,
+    mut token: impl FnMut(&'a str),
+) {
+    match tokenization {
+        Tokenization::Whitespace => text.split_whitespace().for_each(token),
+        Tokenization::QGram { q } => {
+            assert!(q >= 1, "q-gram length must be at least 1");
+            padded.clear();
+            padded.push_str(text);
+            padded.extend(std::iter::repeat_n(PAD, q - 1));
+            let padded: &'a str = padded;
+            let starts = padded.char_indices().map(|(at, _)| at);
+            let ends = starts.clone().chain([padded.len()]).skip(q);
+            for (start, end) in starts.zip(ends) {
+                token(&padded[start..end]);
+            }
         }
     }
 }
@@ -74,35 +104,47 @@ pub(crate) fn build_interned<S: AsRef<str>, V: AsRef<[ElemId]>>(
         occurrences[id as usize] += 1;
     }
 
-    // Pass 1: posting counts. Every occurrence of an element is one
-    // posting of each of its distinct tokens.
-    let mut counts: HashMap<Box<str>, u32> = HashMap::new();
-    let mut scratch: Vec<String> = Vec::new();
-    for (text, &occurrences) in texts.iter().zip(&occurrences) {
-        distinct_raw_tokens(text.as_ref(), tokenization, &mut scratch);
-        for t in &scratch {
-            if let Some(c) = counts.get_mut(t.as_str()) {
-                *c += occurrences;
-            } else {
-                counts.insert(t.clone().into_boxed_str(), occurrences);
+    // One walk over the distinct texts: each token is hashed once, into
+    // the dictionary under a provisional id, and element `e`'s ids are
+    // `ids[bounds[e]..bounds[e + 1]]`, in positional order. Every
+    // occurrence of an element is one posting of each of its distinct
+    // tokens; `counted[t]` is the last element that counted token `t`.
+    let mut dict = TokenDict::default();
+    let mut ids: Vec<TokenId> = Vec::new();
+    let mut bounds = Vec::with_capacity(texts.len() + 1);
+    bounds.push(0);
+    let mut counted: Vec<ElemId> = Vec::new();
+    let mut padded = String::new();
+    for (e, (text, &n)) in texts.iter().zip(&occurrences).enumerate() {
+        let start = ids.len();
+        for_each_token(text.as_ref(), tokenization, &mut padded, |t| {
+            ids.push(dict.id(t).unwrap_or_else(|| dict.push(t)));
+        });
+        counted.resize(dict.len(), NO_ID);
+        for &t in &ids[start..] {
+            if std::mem::replace(&mut counted[t as usize], e as ElemId) != e as ElemId {
+                dict.add_postings(t, n);
             }
         }
+        bounds.push(ids.len());
     }
-    let dict = TokenDict::from_counts(counts);
-
-    // Pass 2: encode every distinct element against the dictionary.
+    // Ids in decreasing frequency order; every element is encoded from
+    // its remapped ids.
+    let new = dict.rank();
+    for t in &mut ids {
+        *t = new[*t as usize];
+    }
     let elems: Vec<Arc<Element>> = texts
         .iter()
+        .zip(bounds.windows(2))
         .enumerate()
-        .map(|(id, text)| {
-            Arc::new(encode_element(
-                text.as_ref(),
-                tokenization,
-                id as ElemId,
-                |t| dict.id(t).expect("token seen in pass 1"),
-            ))
+        .map(|(e, (text, span))| {
+            let (text, own) = (text.as_ref(), &ids[span[0]..span[1]]);
+            Arc::new(encode_element(text, tokenization, e as ElemId, own))
         })
         .collect();
+    // Freed before the sets and the element dictionary are allocated.
+    drop(ids);
 
     let sets: Vec<SetRecord> = sets
         .iter()
@@ -118,49 +160,38 @@ pub(crate) fn build_interned<S: AsRef<str>, V: AsRef<[ElemId]>>(
     Collection::from_parts(sets, dict, elems, tokenization)
 }
 
-/// Fills `out` with the distinct raw tokens of one element, sorted.
-fn distinct_raw_tokens(text: &str, tokenization: Tokenization, out: &mut Vec<String>) {
-    out.clear();
-    out.extend(tokenization.raw_tokens(text));
-    out.sort_unstable();
-    out.dedup();
-}
-
 /// Incremental append (see [`Collection::append_sets`]): an element
-/// whose text the dictionary holds is shared, counting one more posting
-/// for each of its tokens; an unseen text has its distinct tokens
-/// interned into the token dictionary (bumping posting counts, assigning
-/// fresh trailing ids to unseen tokens) and is then encoded exactly as
-/// the two-pass build would, under the next element id.
+/// whose text the dictionary holds is shared; an unseen text is walked
+/// once, its tokens the dictionary lacks are entered under fresh trailing
+/// ids ([`intern_tokens`]), and it is encoded under the next element id.
+/// Either way each of the element's distinct tokens counts one more
+/// posting.
 pub(crate) fn append_sets<S: AsRef<str>>(
     collection: &mut Collection,
     raw: &[Vec<S>],
 ) -> std::ops::Range<crate::SetIdx> {
     let tokenization = collection.tokenization;
     let start = collection.sets.len() as crate::SetIdx;
-    let mut distinct: Vec<String> = Vec::new();
+    let (mut padded, mut ids) = (String::new(), Vec::new());
     for set in raw {
         let mut elements = Vec::with_capacity(set.len());
         for elem in set {
             let text = elem.as_ref();
-            if let Some(ByText(known)) = collection.elems.get(text) {
-                for &t in known.tokens.iter() {
-                    collection.dict.count_posting(t);
+            let element = match collection.elems.get(text) {
+                Some(ByText(known)) => Arc::clone(known),
+                None => {
+                    let dict = &mut collection.dict;
+                    intern_tokens(dict, text, tokenization, &mut padded, &mut ids);
+                    let id = collection.by_id.len() as ElemId;
+                    let encoded = Arc::new(encode_element(text, tokenization, id, &ids));
+                    collection.store(Arc::clone(&encoded));
+                    encoded
                 }
-                elements.push(Arc::clone(known));
-                continue;
+            };
+            for &t in element.tokens.iter() {
+                collection.dict.add_postings(t, 1);
             }
-            distinct_raw_tokens(text, tokenization, &mut distinct);
-            for t in &distinct {
-                collection.dict.intern_posting(t);
-            }
-            let dict = &collection.dict;
-            let id = collection.by_id.len() as ElemId;
-            let encoded = Arc::new(encode_element(text, tokenization, id, |t| {
-                dict.id(t).expect("token interned above")
-            }));
-            collection.store(Arc::clone(&encoded));
-            elements.push(encoded);
+            elements.push(element);
         }
         collection.max_set_len = collection.max_set_len.max(elements.len());
         collection.sets.push(SetRecord {
@@ -172,51 +203,61 @@ pub(crate) fn append_sets<S: AsRef<str>>(
     start..collection.sets.len() as crate::SetIdx
 }
 
-/// Encodes one element under dictionary id `id`, resolving token strings
-/// to ids via `resolve`.
-fn encode_element(
+/// Fills `ids` with the ids of `text`'s tokens in positional order. The
+/// tokens `dict` lacks are entered first, under the next free ids in
+/// lexicographic order of their strings.
+fn intern_tokens(
+    dict: &mut TokenDict,
     text: &str,
     tokenization: Tokenization,
-    id: ElemId,
-    mut resolve: impl FnMut(&str) -> TokenId,
-) -> Element {
-    match tokenization {
-        Tokenization::Whitespace => {
-            let mut tokens: Vec<TokenId> = whitespace_tokens(text)
-                .into_iter()
-                .map(&mut resolve)
-                .collect();
-            tokens.sort_unstable();
-            tokens.dedup();
-            Element {
-                text: text.into(),
-                tokens: tokens.into(),
-                chunks: Box::new([]),
-                chars: Box::new([]),
-                char_len: text.chars().count() as u32,
-                id,
-            }
-        }
-        Tokenization::QGram { q } => {
-            let grams = qgrams(text, q);
-            let ids: Vec<TokenId> = grams.iter().map(|g| resolve(g)).collect();
-            let char_len = text.chars().count();
-            let chunks: Vec<TokenId> = qchunk_positions(char_len, q)
-                .into_iter()
-                .map(|p| ids[p])
-                .collect();
-            let mut tokens = ids;
-            tokens.sort_unstable();
-            tokens.dedup();
-            Element {
-                text: text.into(),
-                tokens: tokens.into(),
-                chunks: chunks.into(),
-                chars: text.chars().collect(),
-                char_len: char_len as u32,
-                id,
-            }
-        }
+    padded: &mut String,
+    ids: &mut Vec<TokenId>,
+) {
+    ids.clear();
+    // `(position, token)` of every token the dictionary lacks.
+    let mut unseen: Vec<(usize, &str)> = Vec::new();
+    for_each_token(text, tokenization, padded, |t| {
+        let id = dict.id(t).unwrap_or_else(|| {
+            unseen.push((ids.len(), t));
+            TokenId::MAX // replaced below
+        });
+        ids.push(id);
+    });
+    if unseen.is_empty() {
+        return;
+    }
+    let mut fresh: Vec<&str> = unseen.iter().map(|&(_, t)| t).collect();
+    fresh.sort_unstable();
+    fresh.dedup();
+    let base = dict.len() as TokenId;
+    for t in &fresh {
+        dict.push(t);
+    }
+    for (at, t) in unseen {
+        ids[at] = base + fresh.binary_search(&t).expect("entered above") as TokenId;
+    }
+}
+
+/// Encodes one element under dictionary id `id` from the ids of its
+/// tokens in positional order (what [`for_each_token`] walks).
+fn encode_element(text: &str, tokenization: Tokenization, id: ElemId, ids: &[TokenId]) -> Element {
+    let mut tokens = ids.to_vec();
+    tokens.sort_unstable();
+    tokens.dedup();
+    let (chunks, chars) = match tokenization {
+        Tokenization::Whitespace => (Box::default(), Box::default()),
+        Tokenization::QGram { q } => (
+            ids.iter().step_by(q).copied().collect(),
+            text.chars().collect(),
+        ),
+    };
+    Element {
+        text: text.into(),
+        tokens: tokens.into(),
+        chunks,
+        chars,
+        char_len: text.chars().count() as u32,
+        id,
     }
 }
 
@@ -224,24 +265,29 @@ pub(crate) fn encode_external_set<S: AsRef<str>>(
     collection: &Collection,
     elements: &[S],
 ) -> SetRecord {
-    // Unknown tokens get fresh ids beyond the dictionary, consistent within
-    // this one reference set so repeated unknown tokens still match each
-    // other in Jaccard evaluation.
-    let mut fresh: HashMap<String, TokenId> = HashMap::new();
-    let base = collection.dict().len() as TokenId;
-    let tokenization = collection.tokenization();
+    // Unknown tokens get fresh ids beyond the dictionary, in the order
+    // they first occur and consistent within this one reference set, so
+    // repeated unknown tokens still match each other in Jaccard
+    // evaluation.
+    let mut fresh: HashMap<Box<str>, TokenId> = HashMap::new();
+    let base = collection.dict.len() as TokenId;
+    let tokenization = collection.tokenization;
+    let (mut padded, mut ids) = (String::new(), Vec::new());
     SetRecord {
         elements: elements
             .iter()
             .map(|e| {
-                Arc::new(encode_element(e.as_ref(), tokenization, NO_ID, |t| {
-                    if let Some(id) = collection.dict().id(t) {
-                        id
-                    } else {
+                let text = e.as_ref();
+                ids.clear();
+                for_each_token(text, tokenization, &mut padded, |t| {
+                    let known = collection.dict.id(t).or_else(|| fresh.get(t).copied());
+                    ids.push(known.unwrap_or_else(|| {
                         let next = base + fresh.len() as TokenId;
-                        *fresh.entry(t.to_owned()).or_insert(next)
-                    }
-                }))
+                        fresh.insert(t.into(), next);
+                        next
+                    }));
+                });
+                Arc::new(encode_element(text, tokenization, NO_ID, &ids))
             })
             .collect(),
     }
@@ -250,6 +296,54 @@ pub(crate) fn encode_external_set<S: AsRef<str>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tokens [`for_each_token`] walks.
+    fn tokens(text: &str, tokenization: Tokenization) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_token(text, tokenization, &mut String::new(), |t| {
+            out.push(t.to_owned())
+        });
+        out
+    }
+
+    fn grams(text: &str, q: usize) -> Vec<String> {
+        tokens(text, Tokenization::QGram { q })
+    }
+
+    #[test]
+    fn words_split_on_unicode_whitespace_runs() {
+        let words = |text| tokens(text, Tokenization::Whitespace);
+        assert_eq!(words("50 Vassar St MA"), ["50", "Vassar", "St", "MA"]);
+        assert_eq!(words("  a \t b\n"), ["a", "b"]);
+        assert_eq!(words("a\u{a0}b\u{3000}\u{3000}c"), ["a", "b", "c"]);
+        assert!(words("").is_empty());
+        assert!(words("   \t\n ").is_empty());
+    }
+
+    #[test]
+    fn qgrams_are_padded_and_one_per_char() {
+        // §3: the 4-grams of "50 Vassar St MA" are "50 V", "0 Va", …
+        let g = grams("50 Vassar St MA", 4);
+        assert_eq!(
+            (&g[..2], g.len()),
+            (&["50 V".into(), "0 Va".into()][..], 15)
+        );
+        assert_eq!(grams("abcd", 3), ["abc", "bcd", "cd\u{1}", "d\u{1}\u{1}"]);
+        assert_eq!(grams("héllo", 2)[..2], ["hé", "él"]);
+        for q in 1..=6 {
+            let g = grams("silkmoth", q);
+            assert_eq!(g.len(), 8);
+            assert!(g.iter().all(|g| g.chars().count() == q), "q={q}");
+        }
+        assert_eq!(grams("moth", 1), ["m", "o", "t", "h"]);
+        assert!(grams("", 3).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_q_panics() {
+        grams("abc", 0);
+    }
 
     #[test]
     fn whitespace_build_frequency_order() {

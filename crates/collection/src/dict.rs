@@ -3,9 +3,9 @@
 use silkmoth_text::TokenId;
 use std::collections::HashMap;
 
-/// Interns token strings to dense [`TokenId`]s assigned in **decreasing
-/// global frequency** (ties broken by lexicographic order), so `id 0` is
-/// the corpus's most frequent token — the paper's `t1`.
+/// Interns token strings to dense [`TokenId`]s. A build assigns them in
+/// **decreasing global frequency** (ties broken by lexicographic order),
+/// so `id 0` is the corpus's most frequent token — the paper's `t1`.
 ///
 /// Frequency here means the number of `(set, element)` postings a token
 /// would occupy in the inverted index, i.e. each element counts a token at
@@ -18,29 +18,6 @@ pub struct TokenDict {
 }
 
 impl TokenDict {
-    /// Builds the dictionary from `(token, posting_count)` pairs.
-    pub fn from_counts<I>(counts: I) -> Self
-    where
-        I: IntoIterator<Item = (Box<str>, u32)>,
-    {
-        let mut pairs: Vec<(Box<str>, u32)> = counts.into_iter().collect();
-        // Decreasing frequency, lexicographic tie-break (deterministic).
-        pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let mut by_token = HashMap::with_capacity(pairs.len());
-        let mut tokens = Vec::with_capacity(pairs.len());
-        let mut freq = Vec::with_capacity(pairs.len());
-        for (i, (tok, f)) in pairs.into_iter().enumerate() {
-            by_token.insert(tok.clone(), i as TokenId);
-            tokens.push(tok);
-            freq.push(f);
-        }
-        Self {
-            by_token,
-            tokens,
-            freq,
-        }
-    }
-
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
         self.tokens.len()
@@ -67,31 +44,53 @@ impl TokenDict {
         self.freq.get(id as usize).copied().unwrap_or(0)
     }
 
-    /// Counts one more posting of a token already in the dictionary (an
-    /// appended occurrence of a stored element).
-    pub(crate) fn count_posting(&mut self, id: TokenId) {
-        self.freq[id as usize] += 1;
-    }
-
-    /// Interns `token` for an incremental append, counting one more
-    /// posting: an existing token keeps its id (frequency bumped), a new
-    /// token is appended with the next free id.
-    ///
-    /// Appended ids are **not** re-sorted into the decreasing-frequency
-    /// order `from_counts` establishes — that order is a signature-cost
-    /// heuristic, never a correctness requirement, and
-    /// [`Collection::compact`](crate::Collection::compact) restores it.
-    pub(crate) fn intern_posting(&mut self, token: &str) -> TokenId {
-        if let Some(&id) = self.by_token.get(token) {
-            self.freq[id as usize] += 1;
-            return id;
-        }
+    /// Enters `token`, which the dictionary does not hold, under the
+    /// next free id, with no postings yet.
+    pub(crate) fn push(&mut self, token: &str) -> TokenId {
         let id = self.tokens.len() as TokenId;
         let boxed: Box<str> = token.into();
-        self.by_token.insert(boxed.clone(), id);
+        let held = self.by_token.insert(boxed.clone(), id);
+        debug_assert!(held.is_none(), "{token:?} entered twice");
         self.tokens.push(boxed);
-        self.freq.push(1);
+        self.freq.push(0);
         id
+    }
+
+    /// Counts `n` more postings of token `id`.
+    pub(crate) fn add_postings(&mut self, id: TokenId, n: u32) {
+        self.freq[id as usize] += n;
+    }
+
+    /// Renumbers every token in decreasing frequency, ties broken
+    /// lexicographically, and returns the new id of each old one
+    /// (`new[old]`). The map keeps its entries; only their ids change.
+    ///
+    /// Appends assign ids past the end and do **not** re-rank — that
+    /// order is a signature-cost heuristic, never a correctness
+    /// requirement, and [`Collection::compact`](crate::Collection::compact)
+    /// restores it.
+    pub(crate) fn rank(&mut self) -> Vec<TokenId> {
+        let mut order: Vec<TokenId> = (0..self.tokens.len() as TokenId).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            self.freq[b]
+                .cmp(&self.freq[a])
+                .then_with(|| self.tokens[a].cmp(&self.tokens[b]))
+        });
+        let mut new = vec![0; order.len()];
+        for (rank, &old) in order.iter().enumerate() {
+            new[old as usize] = rank as TokenId;
+        }
+        for id in self.by_token.values_mut() {
+            *id = new[*id as usize];
+        }
+        let mut tokens = std::mem::take(&mut self.tokens);
+        self.tokens = order
+            .iter()
+            .map(|&old| std::mem::take(&mut tokens[old as usize]))
+            .collect();
+        self.freq = order.iter().map(|&old| self.freq[old as usize]).collect();
+        new
     }
 }
 
@@ -99,12 +98,19 @@ impl TokenDict {
 mod tests {
     use super::*;
 
+    /// A ranked dictionary of `(token, postings)`, entered in that order.
+    fn ranked(counts: &[(&str, u32)]) -> TokenDict {
+        let mut d = TokenDict::default();
+        for &(token, n) in counts {
+            let id = d.push(token);
+            d.add_postings(id, n);
+        }
+        d.rank();
+        d
+    }
+
     fn dict() -> TokenDict {
-        TokenDict::from_counts(vec![
-            ("rare".into(), 1u32),
-            ("common".into(), 9),
-            ("mid".into(), 4),
-        ])
+        ranked(&[("rare", 1), ("common", 9), ("mid", 4)])
     }
 
     #[test]
@@ -134,15 +140,33 @@ mod tests {
 
     #[test]
     fn lexicographic_tie_break() {
-        let d = TokenDict::from_counts(vec![("b".into(), 5u32), ("a".into(), 5), ("c".into(), 5)]);
+        let d = ranked(&[("b", 5), ("a", 5), ("c", 5)]);
         assert_eq!(d.id("a"), Some(0));
         assert_eq!(d.id("b"), Some(1));
         assert_eq!(d.id("c"), Some(2));
     }
 
     #[test]
+    fn rank_returns_the_new_id_of_each_old_one() {
+        let mut d = TokenDict::default();
+        for (token, n) in [("x", 1), ("y", 3), ("z", 2)] {
+            let id = d.push(token);
+            d.add_postings(id, n);
+        }
+        assert_eq!(d.rank(), [2, 0, 1]);
+        assert_eq!(
+            (0..3)
+                .map(|t| (d.token(t), d.frequency(t)))
+                .collect::<Vec<_>>(),
+            [("y", 3), ("z", 2), ("x", 1)]
+        );
+        // Pushed after ranking: the next id, whatever its count.
+        assert_eq!(d.push("w"), 3);
+    }
+
+    #[test]
     fn empty_dict() {
-        let d = TokenDict::from_counts(Vec::<(Box<str>, u32)>::new());
+        let d = ranked(&[]);
         assert!(d.is_empty());
         assert_eq!(d.id("x"), None);
     }

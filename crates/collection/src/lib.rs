@@ -15,7 +15,12 @@
 //!
 //! Token ids are assigned in **decreasing order of global frequency**
 //! (ties broken lexicographically), matching the paper's Table 2
-//! convention where `t1` is the most frequent token.
+//! convention where `t1` is the most frequent token. A build reads every
+//! distinct text's tokens in one walk — each token a slice of the text
+//! (or of its padded copy, for q-grams), hashed once into the dictionary
+//! under a provisional id — then ranks the ids and encodes every element
+//! from its ranked ids. Appends and reference encoding read tokens in the
+//! same walk.
 //!
 //! Real corpora repeat their elements — a column's cell values, a title's
 //! words — so the collection keeps an **element dictionary**: each
@@ -131,11 +136,13 @@ pub struct Collection {
 impl Collection {
     /// Builds a collection from raw sets of element strings.
     ///
-    /// Element texts are interned first, and the two passes run over the
-    /// distinct ones: the first counts global token frequencies (one
-    /// count per *element occurrence*, i.e. per future posting), the
-    /// second assigns ids in decreasing frequency order and encodes every
-    /// distinct element as a sorted, deduplicated token-id slice.
+    /// Element texts are interned first, and one walk runs over the
+    /// distinct ones: it hashes each token once, into the dictionary, and
+    /// counts global token frequencies (one count per *element
+    /// occurrence*, i.e. per future posting). Ids are then assigned in
+    /// decreasing frequency order and every distinct element is encoded
+    /// from the ids the walk kept, as a sorted, deduplicated token-id
+    /// slice.
     pub fn build<S: AsRef<str>>(raw: &[Vec<S>], tokenization: Tokenization) -> Self {
         builder::build_collection(raw, tokenization)
     }

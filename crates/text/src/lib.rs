@@ -1,11 +1,12 @@
 //! # silkmoth-text
 //!
-//! Tokenizers and element-level similarity functions for the SilkMoth
-//! related-set discovery system (Deng, Kim, Madden, Stonebraker — VLDB 2017).
+//! Element-level similarity functions for the SilkMoth related-set
+//! discovery system (Deng, Kim, Madden, Stonebraker — VLDB 2017).
 //!
 //! SilkMoth models a *set* as a collection of *elements* (short strings) and
 //! each element as a bag of *tokens*. Two tokenizations are supported,
-//! matching the paper's §3:
+//! matching the paper's §3 (the collection builder implements both, as
+//! `silkmoth_collection::Tokenization`):
 //!
 //! * **whitespace words** — used with [Jaccard similarity](sim::jaccard_str);
 //! * **q-grams** — every `q`-length substring of the element (padded with
@@ -25,10 +26,8 @@
 
 pub mod lev;
 pub mod sim;
-pub mod tokenize;
 
 pub use sim::{clamp_alpha, eds, jaccard_sorted, jaccard_str, neds, SimilarityFunction};
-pub use tokenize::{qchunk_positions, qchunks, qgrams, whitespace_tokens, PAD};
 
 /// Identifier of an interned token. Ids are assigned by the collection
 /// builder in decreasing order of global frequency (the paper's Table 2

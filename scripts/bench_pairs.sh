@@ -46,16 +46,22 @@
 # suite's frozen replay still solves every floor survivor without the
 # bound.
 #
-# Below the funnel, where the time went in the same two traced runs:
-# `core.filter.us` (the posting walk, the check filter and the
+# Below the funnel, where the time went in the same two traced runs. The
+# read path: `core.filter.us` (the posting walk, the check filter and the
 # nearest-neighbor filter of one query), `core.engine.stage_us` and
-# `core.engine.verify_us` (the engine's own two phases) and
-# `bench.rss_serving_peak_mb`, each side's value and their ratio (change
-# / parent). Timings do not repeat exactly, so these rows carry no `=` /
-# `≠`: a saving claimed for a layer shows as a ratio below 1 on its rows.
-# Across the candidate stage without a candidates × |R| matrix, whose
-# funnel rows are all `=`, the ones that move are `core.filter.us` and
-# `core.engine.stage_us`, down.
+# `core.engine.verify_us` (the engine's own two phases). Building and
+# opening: `collection.build_s` (one collection built from the corpus's
+# texts), `server.shard.build_s` (the sharded engine the server builds),
+# `storage.open.s` (recovery: snapshot load, rebuild and WAL replay) and
+# `core.engine.apply_us` (one update applied to the engine). And
+# `bench.rss_serving_peak_mb`. Each row gives each side's value and their
+# ratio (change / parent). Timings do not repeat exactly, so these rows
+# carry no `=` / `≠`: a saving claimed for a layer shows as a ratio below
+# 1 on its rows. Across the candidate stage without a candidates × |R|
+# matrix, whose funnel rows are all `=`, the ones that move are
+# `core.filter.us` and `core.engine.stage_us`, down; across the one-walk
+# collection build, `collection.build_s`, `server.shard.build_s` and
+# `storage.open.s`, down.
 #
 # Run nothing else meanwhile: the suite pins itself and its server to one
 # CPU, and this box has two.
@@ -179,7 +185,8 @@ paste <(funnel_rows parent) <(funnel_rows change) | awk -F'\t' '
 # timing_rows <side> — `name<TAB>value` per traced timing row.
 timing_rows() {
     tail -n 1 "$work/$1.trace.log" | jq -r '.metrics as $m
-        | ("core.filter.us core.engine.stage_us core.engine.verify_us bench.rss_serving_peak_mb"
+        | ("core.filter.us core.engine.stage_us core.engine.verify_us collection.build_s " +
+           "server.shard.build_s storage.open.s core.engine.apply_us bench.rss_serving_peak_mb"
            | split(" ")[]) as $name
         | "\($name)\t\($m[$name].value)"'
 }

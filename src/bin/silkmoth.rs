@@ -361,8 +361,9 @@ fn parse_cli() -> Cli {
     cli
 }
 
-fn read_sets(path: &str, delimiter: char) -> Vec<Vec<String>> {
-    let text = if path == "-" {
+/// The whole text of `path` (`-` reads stdin).
+fn read_text(path: &str) -> String {
+    if path == "-" {
         let mut s = String::new();
         std::io::stdin()
             .read_to_string(&mut s)
@@ -370,10 +371,15 @@ fn read_sets(path: &str, delimiter: char) -> Vec<Vec<String>> {
         s
     } else {
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")))
-    };
+    }
+}
+
+/// The sets of a sets file's text, one per line (blank lines and `#`
+/// comments skipped), their elements slices of that text.
+fn parse_sets(text: &str, delimiter: char) -> Vec<Vec<&str>> {
     text.lines()
         .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-        .map(|l| l.split(delimiter).map(str::to_owned).collect())
+        .map(|l| l.split(delimiter).collect())
         .collect()
 }
 
@@ -381,7 +387,7 @@ fn read_sets(path: &str, delimiter: char) -> Vec<Vec<String>> {
 /// incremental-update layer, compacts, and writes the surviving sets.
 /// Every failure path is a named CLI error (missing files, bad ids) —
 /// never a panic.
-fn run_update(cli: &Cli, raw: &[Vec<String>], tokenization: Tokenization) {
+fn run_update(cli: &Cli, raw: &[Vec<&str>], tokenization: Tokenization) {
     if cli.append.is_none() && cli.remove.is_empty() {
         fail("update needs --append and/or --remove");
     }
@@ -392,8 +398,10 @@ fn run_update(cli: &Cli, raw: &[Vec<String>], tokenization: Tokenization) {
         Err(e) => fail(&format!("--remove: {e} (input has {} sets)", raw.len())),
     };
     if let Some(path) = &cli.append {
-        let new_sets = read_sets(path, cli.delimiter);
-        appended = collection.append_sets(&new_sets).len();
+        let text = read_text(path);
+        appended = collection
+            .append_sets(&parse_sets(&text, cli.delimiter))
+            .len();
     }
     collection.compact();
 
@@ -419,26 +427,33 @@ fn run_update(cli: &Cli, raw: &[Vec<String>], tokenization: Tokenization) {
     }
 }
 
-/// Reads the (required) `--input` sets file, failing with a named
-/// error when missing or empty.
-fn read_required_input(cli: &Cli) -> Vec<Vec<String>> {
+/// The text of the (required) `--input` sets file, failing with a named
+/// error when it is not given.
+fn read_input(cli: &Cli) -> String {
     let input = cli
         .input
-        .clone()
+        .as_deref()
         .unwrap_or_else(|| fail("--input is required"));
-    let raw = read_sets(&input, cli.delimiter);
+    read_text(input)
+}
+
+/// The sets of the `--input` text, failing with a named error when there
+/// are none.
+fn input_sets(text: &str, delimiter: char) -> Vec<Vec<&str>> {
+    let raw = parse_sets(text, delimiter);
     if raw.is_empty() {
         fail("input contains no sets");
     }
     raw
 }
 
-/// The serving engine over the `--input` sets. The parsed input is
-/// dropped on return: the engine holds its own encoding of the texts,
-/// one per distinct text, and that is what a durable store's first
-/// snapshot copies from.
+/// The serving engine over the `--input` sets. The file's text and the
+/// sets parsed from it are dropped on return: the engine holds its own
+/// encoding of the texts, one per distinct text, and that is what a
+/// durable store's first snapshot copies from.
 fn build_engine_from_input(cli: &Cli, cfg: EngineConfig) -> ShardedEngine {
-    let raw = read_required_input(cli);
+    let text = read_input(cli);
+    let raw = input_sets(&text, cli.delimiter);
     ShardedEngine::build(&raw, cfg, cli.shards).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
@@ -689,7 +704,8 @@ fn main() {
         return;
     }
 
-    let raw = read_required_input(&cli);
+    let text = read_input(&cli);
+    let raw = input_sets(&text, cli.delimiter);
     if cli.command == "update" {
         run_update(&cli, &raw, tokenization);
         return;
@@ -741,14 +757,14 @@ fn main() {
                 .reference
                 .clone()
                 .unwrap_or_else(|| fail("search needs --reference"));
-            let refs_raw = read_sets(&ref_path, cli.delimiter);
+            let refs_text = read_text(&ref_path);
             // Every reference search is one QuerySpec — the same owned
             // query description the engine, the sharded engine, and the
             // HTTP routes execute — batched across the worker threads.
-            let specs: Vec<QuerySpec> = refs_raw
+            let specs: Vec<QuerySpec> = parse_sets(&refs_text, cli.delimiter)
                 .into_iter()
                 .map(|set| {
-                    let mut spec = QuerySpec::new(set);
+                    let mut spec = QuerySpec::new(set.into_iter().map(str::to_owned).collect());
                     if let Some(k) = cli.top_k {
                         spec = spec.with_top_k(k);
                     }

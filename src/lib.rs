@@ -7,10 +7,11 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`text`] — tokenizers (whitespace, q-grams, q-chunks) and element
-//!   similarity functions (Jaccard, `Eds`, `NEds`, α-clamping);
-//! * [`collection`] — set collections, the frequency-ordered token
-//!   dictionary, and the inverted index;
+//! * [`text`] — element similarity functions (Jaccard, `Eds`, `NEds`,
+//!   α-clamping) and Levenshtein distance;
+//! * [`collection`] — tokenization (whitespace, q-grams, q-chunks), set
+//!   collections, the frequency-ordered token dictionary, and the
+//!   inverted index;
 //! * [`matching`] — maximum-weight bipartite matching (Hungarian) and the
 //!   triangle-inequality reduction;
 //! * [`core`] — signature schemes, the check and nearest-neighbor

@@ -1,5 +1,6 @@
 //! A warm query allocates nothing proportional to the collection, and
-//! holds memory in proportion to the postings it walks.
+//! holds memory in proportion to the postings it walks; a build allocates
+//! in proportion to distinct texts and distinct tokens.
 //!
 //! A search pass keeps maps keyed by set id and by element id (see
 //! `Searcher`'s scratch contract), borrowed from the thread. The slot map
@@ -18,6 +19,12 @@
 //! 0, at most one per posting — not a row of |R| cells each. A counting
 //! global allocator measures all of it; it is why this test is a binary
 //! of its own.
+//!
+//! A build reads each token of each distinct text once, as a slice of
+//! that text (or of one padded buffer, for q-grams), and allocates for a
+//! token only the first time it meets it: the dictionary's entry. So the
+//! allocator calls of a build follow the distinct texts and the distinct
+//! tokens, and longer texts over the same vocabulary cost none more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
@@ -26,6 +33,7 @@ use std::sync::{Mutex, MutexGuard};
 use silkmoth::core::{Restriction, Searcher};
 use silkmoth::{
     Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
+    Tokenization,
 };
 
 /// The system allocator, counting the calls that ask it for memory, the
@@ -69,19 +77,24 @@ fn alone() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs `spec` on a thread that has already served it, under the
-/// counters, which are zeroed first.
-fn execute_counted(engine: &Engine, spec: &QuerySpec) -> silkmoth::QueryOutput {
-    engine.execute(spec);
-    engine.execute(spec);
+/// Runs `f` under the counters, which are zeroed first.
+fn counted<T>(f: impl FnOnce() -> T) -> T {
     BYTES.store(0, Ordering::Relaxed);
     CALLS.store(0, Ordering::Relaxed);
     LIVE.store(0, Ordering::Relaxed);
     PEAK.store(0, Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
-    let got = engine.execute(spec);
+    let got = f();
     COUNTING.store(false, Ordering::Relaxed);
     got
+}
+
+/// Runs `spec` on a thread that has already served it, under the
+/// counters.
+fn execute_counted(engine: &Engine, spec: &QuerySpec) -> silkmoth::QueryOutput {
+    engine.execute(spec);
+    engine.execute(spec);
+    counted(|| engine.execute(spec))
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -199,6 +212,42 @@ fn losing_pairs_calls(losers: usize) -> usize {
     );
     assert_eq!(stats.results, 0);
     CALLS.load(Ordering::Relaxed)
+}
+
+/// Allocator calls of one build over 2 000 distinct texts of `words`
+/// words each, drawn from 50: the first two words tell the texts apart.
+fn build_calls(words: usize, tokenization: Tokenization) -> usize {
+    let raw: Vec<Vec<String>> = (0..2_000)
+        .map(|i| {
+            let word = |j| match j {
+                0 => i % 50,
+                1 => i / 50,
+                _ => (i + j) % 50,
+            };
+            let text: Vec<String> = (0..words).map(|j| format!("w{}", word(j))).collect();
+            vec![text.join(" ")]
+        })
+        .collect();
+    let built = counted(|| Collection::build(&raw, tokenization));
+    assert_eq!(built.len(), 2_000);
+    CALLS.load(Ordering::Relaxed)
+}
+
+#[test]
+fn a_build_allocates_by_distinct_texts_and_tokens_not_token_occurrences() {
+    let _alone = alone();
+    for tokenization in [Tokenization::Whitespace, Tokenization::QGram { q: 3 }] {
+        let short = build_calls(8, tokenization);
+        let long = build_calls(16, tokenization);
+        assert!(short > 0, "the allocator counts");
+        // Twice the tokens per text over the same vocabulary. A string
+        // per token would be 16 000 calls more for the words, and one
+        // more per added character for the q-grams.
+        assert!(
+            long <= short + short / 8,
+            "{tokenization:?}: a build made {short} allocator calls over 8 words a text and {long} over 16"
+        );
+    }
 }
 
 #[test]
