@@ -6,11 +6,11 @@ use std::time::Instant;
 
 use crate::builder::EngineBuilder;
 use crate::config::{ConfigError, EngineConfig, RelatednessMetric};
-use crate::explain::explain_pair;
+use crate::explain::{recorded, PairExplanation, Verdict};
 use crate::filter::{PassStats, Restriction, Searcher};
 use crate::query::QueryIter;
 use crate::spec::{PhaseTiming, QueryOutput, QuerySpec};
-use silkmoth_collection::{Collection, InvertedIndex, SetIdx, UpdateError};
+use silkmoth_collection::{Collection, InvertedIndex, SetIdx, SetRecord, UpdateError};
 
 /// One related pair found by discovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -237,14 +237,13 @@ impl Engine {
         // The budget clock starts here and covers the whole execution,
         // explanations included.
         let deadline = spec.deadline_at(cap);
-        let expired = || deadline.is_some_and(|d| Instant::now() >= d);
         // Phase timing brackets the phases with clock reads and nothing
         // else — the result path (hits, stats, explanations) is the same
         // code with or without anyone consuming `timing`.
         let t0 = Instant::now();
         let cfg = spec.effective_cfg(&self.cfg);
         let mut searcher = Searcher::new(&self.collection, &self.index, cfg);
-        let mut pass = QueryIter::stage(&mut searcher, &r, Restriction::default(), deadline);
+        let mut pass = QueryIter::stage(&mut searcher, &r, Restriction::default(), None, deadline);
         let staged_at = Instant::now();
         let hits = match spec.top_k() {
             Some(k) => pass.top_k(k),
@@ -254,21 +253,10 @@ impl Engine {
         let stats = pass.stats();
         let mut timed_out = pass.timed_out();
         let mut explanations = Vec::new();
-        if spec.want_explain() {
-            explanations.reserve(hits.len());
-            for &(sid, _) in &hits {
-                // Explaining re-derives the filter pipeline plus an
-                // O(n³) matching per hit, so it honors the same budget:
-                // on expiry the (hit-aligned) prefix computed so far is
-                // returned and the output is flagged.
-                if expired() {
-                    timed_out = true;
-                    break;
-                }
-                explanations.push((
-                    sid,
-                    explain_pair(&r, self.collection.set(sid), &cfg, &self.index),
-                ));
+        if spec.want_explain() && !hits.is_empty() {
+            match explain_hits(&mut searcher, &r, &hits, deadline) {
+                Some((explained, cut)) => (explanations, timed_out) = (explained, timed_out | cut),
+                None => timed_out = true,
             }
         }
         let timing = PhaseTiming {
@@ -348,7 +336,7 @@ impl Engine {
                     },
                 };
                 let r = self.collection.set(rid);
-                let mut pass = QueryIter::stage(&mut searcher, r, restriction, None);
+                let mut pass = QueryIter::stage(&mut searcher, r, restriction, None, None);
                 let related = pass.related().into_iter();
                 pairs.extend(related.map(|(s, score)| RelatedPair { r: rid, s, score }));
                 stats.merge(&pass.stats());
@@ -375,6 +363,31 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
+}
+
+/// Explains `hits` with one more pass at the searcher's floor, restricted
+/// to them, which records them all. It honors the same budget: `None`
+/// when `deadline` has passed before the pass could be staged (nothing is
+/// walked), otherwise the prefix of the hits it verified in time and
+/// whether the deadline cut it short.
+fn explain_hits(
+    searcher: &mut Searcher<'_>,
+    r: &SetRecord,
+    hits: &[(SetIdx, f64)],
+    deadline: Option<Instant>,
+) -> Option<(Vec<(SetIdx, PairExplanation)>, bool)> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return None;
+    }
+    let mut ids: Vec<SetIdx> = hits.iter().map(|&(sid, _)| sid).collect();
+    ids.sort_unstable();
+    let pass = QueryIter::stage(searcher, r, Restriction::default(), Some(&ids), deadline);
+    let (mut record, cut) = pass.into_record();
+    let explained = (hits.iter())
+        .map_while(|&(sid, _)| Some((sid, recorded(&mut record, sid)?.clone())))
+        .take_while(|(_, pair)| pair.verdict == Verdict::Related)
+        .collect();
+    Some((explained, cut))
 }
 
 /// The scoped-thread fan-out shared by parallel discovery and
@@ -416,6 +429,7 @@ where
 mod tests {
     use super::*;
     use crate::config::{FilterKind, SignatureScheme};
+    use crate::explain::explain_pair;
     use silkmoth_collection::paper_example::table2;
     use silkmoth_collection::{SetRecord, Tokenization};
     use silkmoth_text::SimilarityFunction;
@@ -717,23 +731,88 @@ mod tests {
         }
     }
 
+    /// Sets of two to five two-word elements over nine words that share
+    /// prefixes, so that pairs are near under Jaccard and Eds alike.
+    fn near_corpus(sets: usize) -> Vec<Vec<String>> {
+        let words = [
+            "alpha", "alpine", "alps", "beta", "betamax", "gamma", "gammon", "delta", "deltas",
+        ];
+        (0..sets)
+            .map(|i| {
+                (0..2 + i % 4)
+                    .map(|j| format!("{} {}", words[(i * 5 + j * 3) % 9], words[(i + j * 7) % 9]))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn execute_with_explain_attaches_one_explanation_per_hit() {
-        let (c, r) = table2();
-        let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
-        let spec = spec(&r)
-            .with_floor(0.0)
-            .unwrap()
-            .with_top_k(2)
-            .with_explain(true);
-        let out = engine.execute(&spec);
-        assert_eq!(out.hits.len(), 2);
-        assert_eq!(out.explanations.len(), 2);
-        for ((sid, score), (esid, expl)) in out.hits.iter().zip(&out.explanations) {
-            assert_eq!(sid, esid);
-            assert!(expl.related);
-            assert!((expl.relatedness - score).abs() < 1e-12);
+    fn every_hit_is_explained_with_its_score_bit_for_bit() {
+        let raw = near_corpus(36);
+        let eds = |metric, delta, alpha| {
+            EngineConfig::full(metric, SimilarityFunction::Eds { q: 3 }, delta, alpha)
+        };
+        let mut explained = 0;
+        for cfg in [
+            jaccard_cfg(RelatednessMetric::Similarity, 0.5),
+            eds(RelatednessMetric::Containment, 0.6, 0.0),
+            eds(RelatednessMetric::Similarity, 0.5, 0.8),
+        ] {
+            let c = silkmoth_collection::Collection::build(&raw[..30], cfg.tokenization());
+            let mut engine = Engine::new(c, cfg).unwrap();
+            // Fresh; removed from and appended to; compacted after that.
+            for state in 0..3 {
+                match state {
+                    1 => {
+                        engine.apply(Update::Remove(vec![2, 7])).unwrap();
+                        engine.apply(Update::Append(raw[30..].to_vec())).unwrap();
+                    }
+                    2 => {
+                        engine.apply(Update::Compact).unwrap();
+                    }
+                    _ => {}
+                }
+                let empty = Vec::new();
+                for reference in raw.iter().step_by(5).chain([&empty]) {
+                    for (k, floor) in [(None, None), (Some(3), Some(0.2)), (None, Some(0.0))] {
+                        let ctx = format!("{cfg:?} state {state} {reference:?} k={k:?}");
+                        let mut spec = QuerySpec::new(reference.clone()).with_explain(true);
+                        if let Some(k) = k {
+                            spec = spec.with_top_k(k);
+                        }
+                        if let Some(floor) = floor {
+                            spec = spec.with_floor(floor).unwrap();
+                        }
+                        let out = engine.execute(&spec);
+                        assert_eq!(out.explanations.len(), out.hits.len(), "{ctx}");
+                        for (&(sid, score), (esid, expl)) in out.hits.iter().zip(&out.explanations)
+                        {
+                            assert_eq!(sid, *esid, "{ctx}");
+                            assert_eq!(expl.verdict, Verdict::Related, "{ctx}");
+                            let rel = expl.relatedness.unwrap();
+                            assert_eq!(rel.to_bits(), score.to_bits(), "{ctx} set {sid}");
+                        }
+                        explained += out.hits.len();
+                        if reference.is_empty() && floor == Some(0.0) {
+                            // Every live set relates to nothing at score 0.
+                            assert_eq!(out.hits.len(), engine.collection().live_len(), "{ctx}");
+                        }
+                        if floor.is_none() {
+                            // At the engine's δ, one explained pair at a
+                            // time: the pass calls related exactly the hits.
+                            let r = engine.collection().encode_set(reference);
+                            for sid in engine.collection().live_ids() {
+                                let related =
+                                    explain_pair(&engine, &r, sid).verdict == Verdict::Related;
+                                let hit = out.hits.iter().any(|&(s, _)| s == sid);
+                                assert_eq!(related, hit, "{ctx} set {sid}");
+                            }
+                        }
+                    }
+                }
+            }
         }
+        assert!(explained > 300, "{explained} hits explained");
     }
 
     #[test]
@@ -779,6 +858,24 @@ mod tests {
         let out = engine.execute(&spec.with_explain(true));
         assert!(out.timed_out);
         assert!(out.explanations.is_empty());
+    }
+
+    #[test]
+    fn a_clock_that_runs_out_after_the_search_stages_no_explaining_pass() {
+        // The search pass found hits in time; by the time they would be
+        // explained the budget is gone, so no second posting walk starts.
+        let (c, r) = table2();
+        let engine = Engine::new(c, jaccard_cfg(RelatednessMetric::Containment, 0.7)).unwrap();
+        let hits = engine.execute(&spec(&r)).hits;
+        assert_eq!(hits.len(), 1);
+        let r = engine.collection().encode_set(spec(&r).reference());
+        let mut searcher = Searcher::new(engine.collection(), engine.index(), *engine.config());
+        let past = Some(Instant::now());
+        assert!(explain_hits(&mut searcher, &r, &hits, past).is_none());
+        let (explained, cut) = explain_hits(&mut searcher, &r, &hits, None).unwrap();
+        assert!(!cut);
+        assert_eq!(explained.len(), 1);
+        assert_eq!(explained[0].1.verdict, Verdict::Related);
     }
 
     #[test]

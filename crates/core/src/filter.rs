@@ -14,12 +14,15 @@
 //! of `S` is matched at most once too — and the maximum matching only for
 //! a pair that bound cannot refute. A floor-only pass keeps the threshold
 //! at δ; a top-k pass raises it to the k-th best verified score.
+//! A pass staged to explain some set ids is restricted to them, and
+//! writes down in a [`Record`] what each stage found of each.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::config::{EngineConfig, FilterKind, FILTER_EPS};
+use crate::explain::{new_record, recorded, Record, Verdict::*};
 use crate::phi::Phi;
 use crate::signature::{generate, SigElem, SigKind, SigParams, Signature};
 use crate::verify::{matching_score_over, need, related_at, relatedness, size_check};
@@ -555,7 +558,7 @@ impl<'a> Searcher<'a> {
         r: &SetRecord,
         restriction: Restriction,
     ) -> (Vec<SetIdx>, PassStats) {
-        let mut pass = self.stage(r, restriction);
+        let mut pass = self.stage(r, restriction, None);
         let mut survivors = Vec::new();
         loop {
             match self.step(r, &mut pass, self.cfg.delta) {
@@ -573,7 +576,14 @@ impl<'a> Searcher<'a> {
     /// them one [`step`](Self::step) at a time. Everything here is
     /// index-bound; a caller that stops early never pays for the
     /// nearest-neighbor searches or the verification of the rest.
-    pub(crate) fn stage(&mut self, r: &SetRecord, restriction: Restriction) -> StagedPass {
+    /// With `explain` (ascending set ids) only those sets are admitted,
+    /// and each is recorded as the pass meets it.
+    pub(crate) fn stage(
+        &mut self,
+        r: &SetRecord,
+        restriction: Restriction,
+        explain: Option<&[SetIdx]>,
+    ) -> StagedPass {
         let mut stats = PassStats::default();
         let theta = self.cfg.delta * r.len() as f64;
         let n = r.len();
@@ -590,6 +600,8 @@ impl<'a> Searcher<'a> {
         );
         stats.signature_cost = signature.cost(self.index) as u64;
         stats.degenerate = u32::from(signature.degenerate);
+        let ub = unmatched_upper_bounds(&signature, self.cfg.alpha);
+        let mut record = explain.map(|ids| new_record(ids, &signature, &ub, theta, self.index));
 
         // Check-filter thresholds (Algorithm 1, §6.5 extension). Pass
         // condition: φα(ri, s) ≥ min(α, raw_bound_i) for some computed pair
@@ -632,21 +644,27 @@ impl<'a> Searcher<'a> {
             last: END,
             passed: false,
         };
+        // Whether a set is admitted: the restriction, liveness (tombstoned
+        // sets keep their postings), the size check and `explain`.
+        let mut admissible = |sid: SetIdx| {
+            let pair = recorded(&mut record, sid);
+            if (pair.is_none() && explain.is_some())
+                || !restriction.admits(sid)
+                || !self.collection.is_live(sid)
+            {
+                return false;
+            }
+            let s_len = self.collection.set(sid).len();
+            let fits = size_check(self.cfg.metric, self.cfg.delta, n, s_len);
+            if let Some(pair) = pair {
+                pair.verdict = if fits { CheckFilter } else { SizeCheck };
+            }
+            fits
+        };
 
         if signature.degenerate {
-            for sid in 0..self.collection.len() as SetIdx {
-                if restriction.admits(sid)
-                    && self.collection.is_live(sid)
-                    && size_check(
-                        self.cfg.metric,
-                        self.cfg.delta,
-                        n,
-                        self.collection.set(sid).len(),
-                    )
-                {
-                    admitted.push(admit(sid));
-                }
-            }
+            let sets = 0..self.collection.len() as SetIdx;
+            admitted.extend(sets.filter(|&sid| admissible(sid)).map(admit));
         } else {
             for (i, sig_elem) in signature.elems.iter().enumerate() {
                 let r_elem = &r.elements[i];
@@ -656,24 +674,12 @@ impl<'a> Searcher<'a> {
                 // `max` does not mind the repeat.
                 for p in sig_elem.tokens.iter().flat_map(|&t| self.index.list(t)) {
                     let sid = p.set;
-                    if !restriction.admits(sid) {
-                        continue;
-                    }
-                    // Locate or admit the candidate slot. Tombstoned sets
-                    // keep their postings in the index but are never
-                    // admitted as candidates.
+                    // Locate or admit the candidate slot; a set that is
+                    // not admitted never holds one.
                     let slot = if let Some(slot) = slots.get(sid) {
                         slot as usize
                     } else {
-                        if !self.collection.is_live(sid) {
-                            continue;
-                        }
-                        if !size_check(
-                            self.cfg.metric,
-                            self.cfg.delta,
-                            n,
-                            self.collection.set(sid).len(),
-                        ) {
+                        if !admissible(sid) {
                             continue;
                         }
                         let slot = admitted.len();
@@ -695,7 +701,6 @@ impl<'a> Searcher<'a> {
         }
         stats.candidates = admitted.len();
 
-        let ub = unmatched_upper_bounds(&signature, self.cfg.alpha);
         // The per-element bounds are the nearest-neighbor filter's; with
         // it off (the §8.3 ablations, where no cell may even be
         // computed) all that is claimed is φ ≤ 1, so at a fixed δ every
@@ -708,6 +713,12 @@ impl<'a> Searcher<'a> {
         // the sum puts back.
         let mut row = vec![0.0; n];
         for cand in &admitted {
+            let mut pair = recorded(&mut record, cand.sid);
+            if let Some(pair) = pair.as_deref_mut() {
+                for cell in cells_of(&cells, cand.first) {
+                    pair.elements[cell.i as usize].best_shared_sim = cell.sim;
+                }
+            }
             if check_prunable && !cand.passed {
                 continue;
             }
@@ -729,7 +740,13 @@ impl<'a> Searcher<'a> {
             // A survivor that the stop rule would end the pass at even at
             // the floor — and no threshold is below the floor — is never
             // examined: it is counted, not queued.
-            if cheap < need(self.cfg.metric, self.cfg.delta, n, s_len) - FILTER_EPS {
+            let need = need(self.cfg.metric, self.cfg.delta, n, s_len);
+            let dropped = cheap < need - FILTER_EPS;
+            if let Some(pair) = pair {
+                (pair.need, pair.cheap_bound) = (Some(need), Some(cheap));
+                pair.verdict = if dropped { CheapBound } else { NnFilter };
+            }
+            if dropped {
                 continue;
             }
             queue.push(Bounded {
@@ -749,6 +766,7 @@ impl<'a> Searcher<'a> {
             // O(len), and only what is popped pays the log.
             queue: BinaryHeap::from(queue),
             stats,
+            record,
         }
     }
 
@@ -773,26 +791,24 @@ impl<'a> Searcher<'a> {
             return Step::Done;
         }
         if self.cfg.filter == FilterKind::CheckAndNearestNeighbor
-            && !self.nn_admits(r, pass, &cand, need)
+            && self.nn_bound(r, pass, &cand, need) < need - FILTER_EPS
         {
             return Step::Pruned;
         }
         pass.stats.after_nn += 1;
+        if let Some(pair) = recorded(&mut pass.record, cand.sid) {
+            pair.verdict = ColumnBound;
+        }
         Step::Survivor(cand.sid)
     }
 
     /// One candidate's nearest-neighbor refinement (§5.2, §6.5 extension):
     /// starting from its cheap bound, replaces each inexact per-element
     /// estimate by the nearest-neighbor similarity, giving up as soon as
-    /// the sum falls below `need`.
-    fn nn_admits(
-        &mut self,
-        r: &SetRecord,
-        pass: &mut StagedPass,
-        cand: &Bounded,
-        need: f64,
-    ) -> bool {
+    /// the sum falls below `need`. Returns the sum where it stopped.
+    fn nn_bound(&mut self, r: &SetRecord, pass: &mut StagedPass, cand: &Bounded, need: f64) -> f64 {
         let mut total = cand.cheap;
+        let mut pair = recorded(&mut pass.record, cand.sid);
         let mut kept = cells_of(&pass.cells, cand.first).peekable();
         for ((i, r_elem), &ub) in r.elements.iter().enumerate().zip(&pass.ub) {
             let b = kept
@@ -809,12 +825,18 @@ impl<'a> Searcher<'a> {
             let nn = self
                 .nn_search(i, r_elem, cand.sid, walked, &mut pass.stats)
                 .min(ub);
+            if let Some(pair) = pair.as_deref_mut() {
+                pair.elements[i].nearest_neighbor_sim = Some(nn);
+            }
             total += nn - ub;
             if total < need - FILTER_EPS {
-                return false;
+                break;
             }
         }
-        true
+        if let Some(pair) = pair {
+            pair.nn_upper_bound = Some(total);
+        }
+        total
     }
 
     /// `NNSearch(rᵢ, S, I)` (§5.2): upper bound on `max_{s∈S} φα(rᵢ, s)`
@@ -916,6 +938,7 @@ impl<'a> Searcher<'a> {
     ) -> Option<f64> {
         let stats = &mut pass.stats;
         stats.verified += 1;
+        let pair = recorded(&mut pass.record, sid);
         let s = self.collection.set(sid);
         let Scratch { phis, edges, .. } = &mut self.scratch;
         let stored = |j: usize| s.elements[j].id().expect("a stored element has an id");
@@ -924,6 +947,9 @@ impl<'a> Searcher<'a> {
         for (j, s_elem) in s.elements.iter().enumerate() {
             bound += phis.column_max(&self.phi, r, (stored(j), s_elem), stats) - 1.0;
             if bound < need {
+                if let Some(pair) = pair {
+                    pair.column_bound = Some(bound);
+                }
                 return None;
             }
         }
@@ -937,9 +963,14 @@ impl<'a> Searcher<'a> {
             &mut stats.reduced_pairs,
             |i, j| phis.summarised(i, stored(j)),
         );
-        let score = related_at(self.cfg.metric, threshold, m, r.len(), s.len())?;
-        stats.results += 1;
-        Some(score)
+        let score = related_at(self.cfg.metric, threshold, m, r.len(), s.len());
+        if let Some(pair) = pair {
+            pair.matching_score = Some(m);
+            pair.relatedness = Some(relatedness(self.cfg.metric, m, r.len(), s.len()));
+            pair.verdict = if score.is_some() { Related } else { Unrelated };
+        }
+        stats.results += usize::from(score.is_some());
+        score
     }
 }
 
@@ -1014,6 +1045,8 @@ pub(crate) struct StagedPass {
     /// Stats so far: selection and check-filter counters are final,
     /// `after_nn`/`sim_evals` grow as candidates are examined.
     pub(crate) stats: PassStats,
+    /// What a pass that explains has recorded so far.
+    pub(crate) record: Option<Record>,
 }
 
 impl StagedPass {
@@ -1081,7 +1114,7 @@ mod tests {
         r: &SetRecord,
         restriction: Restriction,
     ) -> (Vec<(SetIdx, f64)>, PassStats) {
-        let mut pass = QueryIter::stage(searcher, r, restriction, None);
+        let mut pass = QueryIter::stage(searcher, r, restriction, None, None);
         (pass.related(), pass.stats())
     }
 
@@ -1143,8 +1176,10 @@ mod tests {
     }
 
     #[test]
-    fn example9_nn_filter_drops_s3() {
-        // Example 9: the NN filter prunes S3; only S4 reaches verification.
+    fn example9_only_s4_reaches_verification() {
+        // Example 9 has the NN filter prune S3. Here S3's cheap bound
+        // (5/6 + 0.6 + 0.6 < 2.1) already keeps it out of the queue, so
+        // S4 is the one candidate the NN filter sees, and it passes.
         let cfg = config(
             RelatednessMetric::Containment,
             0.7,
@@ -1410,7 +1445,7 @@ mod tests {
                 let n = r.len();
 
                 let mut searcher = Searcher::new(&c, &index, cfg);
-                let mut pass = searcher.stage(&r, Restriction::default());
+                let mut pass = searcher.stage(&r, Restriction::default(), None);
                 let params = SigParams {
                     theta: cfg.delta * n as f64,
                     alpha: cfg.alpha,
@@ -1576,7 +1611,7 @@ mod tests {
             let r = c.encode_set(&raw[rng.random_range(0..raw.len())]);
 
             let mut searcher = Searcher::new(&c, &index, cfg);
-            let mut pass = searcher.stage(&r, Restriction::default());
+            let mut pass = searcher.stage(&r, Restriction::default(), None);
             let phi = *searcher.phi();
             let exact = |sid: SetIdx| {
                 let s = c.set(sid);
@@ -1677,7 +1712,7 @@ mod tests {
         let index = InvertedIndex::build(&c);
         let r = c.encode_set(&["a b", "c d", "e f"]);
         let mut searcher = Searcher::new(&c, &index, cfg);
-        let mut pass = searcher.stage(&r, Restriction::default());
+        let mut pass = searcher.stage(&r, Restriction::default(), None);
         let staged = pass.stats.sim_evals;
         assert_eq!(searcher.verify(&r, &mut pass, 0, 0.9), None);
         // "a b" was met in candidate selection, by one reference element

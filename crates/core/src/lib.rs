@@ -75,7 +75,7 @@ pub mod brute;
 mod builder;
 mod config;
 mod engine;
-pub mod explain;
+mod explain;
 mod filter;
 mod optimal;
 mod phi;
@@ -93,7 +93,7 @@ pub use config::{
     VERIFY_EPS,
 };
 pub use engine::{DiscoveryOutput, Engine, RelatedPair, Update, UpdateOutcome};
-pub use explain::{explain_pair, ElementExplanation, PairExplanation};
+pub use explain::{explain_pair, ElementExplanation, PairExplanation, Verdict};
 pub use filter::{PassStats, Restriction, Searcher};
 pub use optimal::optimal_signature;
 pub use phi::{IdentityKey, Phi};

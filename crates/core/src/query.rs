@@ -4,6 +4,7 @@
 
 use std::time::Instant;
 
+use crate::explain::Record;
 use crate::filter::{PassStats, Restriction, Searcher, StagedPass, Step};
 use crate::rank::TopK;
 use silkmoth_collection::{SetIdx, SetRecord};
@@ -44,8 +45,10 @@ pub(crate) struct QueryIter<'p, 'a> {
 
 impl<'p, 'a> QueryIter<'p, 'a> {
     /// Stages the pass of `searcher`'s configuration over an
-    /// already-encoded reference, among the sets `restriction` admits,
-    /// expiring at the absolute `deadline` (compute it with
+    /// already-encoded reference, among the sets `restriction` admits —
+    /// and, with `explain` (ascending set ids), only those, recording
+    /// each (see [`into_record`](Self::into_record)) — expiring at the
+    /// absolute `deadline` (compute it with
     /// [`QuerySpec::deadline_at`](crate::QuerySpec) *before* staging, so
     /// the budget covers staging, filtering, verification — and, in
     /// [`Engine::execute`](crate::Engine::execute), explanations).
@@ -53,9 +56,10 @@ impl<'p, 'a> QueryIter<'p, 'a> {
         searcher: &'p mut Searcher<'a>,
         r: &'p SetRecord,
         restriction: Restriction,
+        explain: Option<&[SetIdx]>,
         deadline: Option<Instant>,
     ) -> Self {
-        let pass = searcher.stage(r, restriction);
+        let pass = searcher.stage(r, restriction, explain);
         QueryIter {
             searcher,
             r,
@@ -63,6 +67,14 @@ impl<'p, 'a> QueryIter<'p, 'a> {
             deadline,
             timed_out: false,
         }
+    }
+
+    /// Drains the pass at its floor: what it recorded, when it was staged
+    /// to explain, and whether the deadline cut it short — a pair it had
+    /// not finished with then shows how far it got.
+    pub(crate) fn into_record(mut self) -> (Option<Record>, bool) {
+        self.by_ref().for_each(drop);
+        (self.pass.record, self.timed_out)
     }
 
     /// Pass counters as of now: `candidates`, `after_check` and
@@ -230,7 +242,7 @@ mod tests {
         spec: &QuerySpec,
     ) -> (Vec<(SetIdx, f64)>, PassStats) {
         let mut searcher = searcher(engine, spec);
-        let mut iter = QueryIter::stage(&mut searcher, r, Restriction::default(), None);
+        let mut iter = QueryIter::stage(&mut searcher, r, Restriction::default(), None, None);
         let mut hits: Vec<(SetIdx, f64)> = iter.by_ref().collect();
         hits.sort_unstable_by_key(|&(sid, _)| sid);
         assert!(!iter.timed_out());
@@ -283,7 +295,7 @@ mod tests {
             let spec = spec(&r, Some(floor));
             let out = engine.execute(&spec);
             let mut searcher = searcher(&engine, &spec);
-            let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None);
+            let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None, None);
             if floor == 0.0 {
                 // Floor 0 admits every set.
                 assert_eq!(iter.remaining_candidates(), engine.collection().len());
@@ -314,7 +326,7 @@ mod tests {
         let spec = spec(&r, Some(0.0));
         let full = engine.execute(&spec);
         let mut searcher = searcher(&engine, &spec);
-        let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None);
+        let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None, None);
         iter.next().expect("floor 0 always yields");
         let partial = iter.stats();
         assert_eq!((partial.after_nn, partial.verified), (1, 1));
@@ -364,7 +376,7 @@ mod tests {
         let full = engine.execute(&spec);
         assert!(full.hits.len() > 1, "need >1 result for this test");
         let mut searcher = searcher(&engine, &spec);
-        let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None);
+        let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None, None);
         let first = iter.next().unwrap();
         // Only part of the verification work has happened.
         assert!(iter.stats().verified < full.stats.verified);
@@ -380,7 +392,7 @@ mod tests {
         let spec = spec(&r, Some(0.0));
         let mut searcher = searcher(&engine, &spec);
         let now = Some(Instant::now());
-        let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), now);
+        let mut iter = QueryIter::stage(&mut searcher, &r, Restriction::default(), None, now);
         assert!(iter.next().is_none());
         assert!(iter.timed_out());
         // The stats still describe exactly the work done (nothing
@@ -427,7 +439,7 @@ mod tests {
             .unwrap();
         let alone = |engine: &Engine, r: &SetRecord| -> (Vec<(SetIdx, f64)>, PassStats) {
             let mut searcher = searcher(engine, &spec(r, None));
-            let mut iter = QueryIter::stage(&mut searcher, r, Restriction::default(), None);
+            let mut iter = QueryIter::stage(&mut searcher, r, Restriction::default(), None, None);
             (iter.by_ref().collect(), iter.stats())
         };
         for (big_rid, small_rid) in [(0u32, 0u32), (17, 31), (299, 59)] {
@@ -444,14 +456,14 @@ mod tests {
                 let (mut ib, mut is);
                 if big_first {
                     sb = searcher(&big, &spec(&rb, None));
-                    ib = QueryIter::stage(&mut sb, &rb, Restriction::default(), None);
+                    ib = QueryIter::stage(&mut sb, &rb, Restriction::default(), None, None);
                     ss = searcher(&small, &spec(&rs, None));
-                    is = QueryIter::stage(&mut ss, &rs, Restriction::default(), None);
+                    is = QueryIter::stage(&mut ss, &rs, Restriction::default(), None, None);
                 } else {
                     ss = searcher(&small, &spec(&rs, None));
-                    is = QueryIter::stage(&mut ss, &rs, Restriction::default(), None);
+                    is = QueryIter::stage(&mut ss, &rs, Restriction::default(), None, None);
                     sb = searcher(&big, &spec(&rb, None));
-                    ib = QueryIter::stage(&mut sb, &rb, Restriction::default(), None);
+                    ib = QueryIter::stage(&mut sb, &rb, Restriction::default(), None, None);
                 }
                 let (mut got_big, mut got_small) = (Vec::new(), Vec::new());
                 loop {

@@ -105,9 +105,9 @@ impl QuerySpec {
         self
     }
 
-    /// Whether to attach a [`PairExplanation`] per hit (default false).
-    /// Explanations re-derive the full filter pipeline per pair — useful
-    /// for debugging thresholds, too expensive for the hot path.
+    /// Whether to attach a [`PairExplanation`] per hit (default false):
+    /// what one more pass at the floor, restricted to the hits, records
+    /// of each. Useful for debugging thresholds; it repeats the search.
     pub fn with_explain(mut self, want: bool) -> Self {
         self.want_explain = want;
         self
@@ -196,8 +196,8 @@ impl QuerySpec {
 /// * `verify` — the examination of the ordered candidates: the stop
 ///   rule, the nearest-neighbor filter and exact maximum-matching
 ///   verification, including ranking.
-/// * `explain` — per-hit explanation derivation (zero unless the spec
-///   asked for explanations).
+/// * `explain` — the pass that records the hits' explanations (zero
+///   unless the spec asked for them).
 ///
 /// Sharded execution reports the **element-wise maximum** across
 /// shards — "the worst shard per phase" — because per-shard durations
@@ -212,7 +212,7 @@ pub struct PhaseTiming {
     pub stage: Duration,
     /// Nearest-neighbor filtering + exact verification + ranking.
     pub verify: Duration,
-    /// Per-hit explanation derivation (zero without `want_explain`).
+    /// The explaining pass (zero without `want_explain`).
     pub explain: Duration,
 }
 
@@ -247,9 +247,9 @@ pub struct QueryOutput {
     pub timed_out: bool,
     /// Per-hit diagnostics, aligned with `hits`, when
     /// [`QuerySpec::want_explain`] was set (empty otherwise).
-    /// Explaining costs an `O(n³)` matching per hit and honors the same
-    /// deadline as the search: on expiry this holds the prefix computed
-    /// in time and `timed_out` is set.
+    /// Explaining runs one more pass, under the same deadline as the
+    /// search: on expiry this holds the prefix of the hits that pass
+    /// verified in time, and `timed_out` is set.
     pub explanations: Vec<(SetIdx, PairExplanation)>,
     /// Per-phase wall-clock timing (always measured, like `stats`;
     /// [`QuerySpec::want_timing`] only governs whether serialization

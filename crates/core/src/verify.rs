@@ -108,10 +108,9 @@ pub(crate) fn matching_score_over(
 /// * `Similarity`: `m / (|R| + |S| − m)`; two empty sets are defined as
 ///   fully related (score 1).
 /// * `Containment`: `m / |R|`; an empty `R` scores 0. The definitional
-///   precondition `|R| ≤ |S|` is *not* enforced here — the engine applies
-///   the necessary size check `|S| ≥ δ|R|` instead, so partially-smaller
-///   `S` are judged on their matching score alone (documented deviation;
-///   see DESIGN.md §4).
+///   precondition `|R| ≤ |S|` is *not* enforced: an `S` smaller than `R`
+///   is judged on its matching score alone. Since `m ≤ |S|`, it can reach
+///   δ only when `|S| ≥ δ|R|`, which is the engine's size check.
 pub fn relatedness(metric: RelatednessMetric, m: f64, r_len: usize, s_len: usize) -> f64 {
     match metric {
         RelatednessMetric::Similarity => {
@@ -135,9 +134,9 @@ pub fn relatedness(metric: RelatednessMetric, m: f64, r_len: usize, s_len: usize
 
 /// The smallest matching score with which an `|R| = r_len`, `|S| = s_len`
 /// pair can still reach relatedness `delta` — [`relatedness`] solved for
-/// `m`. The nearest-neighbor filter, the ordered pass's stop rule and
-/// [`explain_pair`](crate::explain::explain_pair) all prune against this
-/// one value.
+/// `m`. The cheap bound, the ordered pass's stop rule, the
+/// nearest-neighbor filter and the column bound all prune against this
+/// one value, and an explanation reports the one the pass compared with.
 ///
 /// * `Similarity`: `m/(|R|+|S|−m) ≥ δ ⇔ m ≥ δ(|R|+|S|)/(1+δ)`, which is
 ///   at least `δ|R|` whenever `|S| ≥ δ|R|` (the [`size_check`]).

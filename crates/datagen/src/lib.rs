@@ -9,7 +9,7 @@
 //! frequencies, matching set/element/token size distributions, and planted
 //! clusters of truly related sets — because those three properties are
 //! what drive signature selectivity, filter effectiveness, and
-//! verification cost. See DESIGN.md §5 for the substitution rationale.
+//! verification cost.
 //!
 //! Three application presets:
 //!

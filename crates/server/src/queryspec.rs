@@ -25,7 +25,7 @@
 //! threshold the engine would refuse. Deadlines carry millisecond
 //! granularity here (the binary form carries microseconds).
 
-use silkmoth_core::{PairExplanation, QuerySpec};
+use silkmoth_core::{PairExplanation, QuerySpec, Verdict};
 use std::time::Duration;
 
 use crate::json::{obj, Json};
@@ -130,21 +130,25 @@ pub fn spec_to_json(spec: &QuerySpec) -> Json {
     obj(fields)
 }
 
-/// Renders one per-hit [`PairExplanation`] as a compact JSON object
-/// (the filter-pipeline verdicts and scores; per-element detail stays
-/// in-process).
+/// Renders one per-hit [`PairExplanation`] as a compact JSON object: the
+/// stages the pass took the pair past (all of them, for a hit), its
+/// scores, and as `nn_upper_bound` the tightest bound it held before
+/// verification (the nearest-neighbor filter's, else the cheap bound).
 pub fn explanation_json(set: u32, expl: &PairExplanation) -> Json {
+    let num = |value: Option<f64>| value.map_or(Json::Null, Json::Num);
+    let passed = |stage| Json::Bool(expl.verdict > stage);
+    let bound = expl.nn_upper_bound.or(expl.cheap_bound);
     obj(vec![
         ("set", Json::Num(f64::from(set))),
-        ("related", Json::Bool(expl.related)),
-        ("relatedness", Json::Num(expl.relatedness)),
-        ("matching_score", Json::Num(expl.matching_score)),
+        ("related", Json::Bool(expl.verdict == Verdict::Related)),
+        ("relatedness", num(expl.relatedness)),
+        ("matching_score", num(expl.matching_score)),
         ("theta", Json::Num(expl.theta)),
-        ("need", Json::Num(expl.need)),
-        ("candidate", Json::Bool(expl.is_candidate)),
-        ("check_filter", Json::Bool(expl.passes_check_filter)),
-        ("nn_filter", Json::Bool(expl.passes_nn_filter)),
-        ("nn_upper_bound", Json::Num(expl.nn_upper_bound)),
+        ("need", num(expl.need)),
+        ("candidate", passed(Verdict::SizeCheck)),
+        ("check_filter", passed(Verdict::CheckFilter)),
+        ("nn_filter", passed(Verdict::NnFilter)),
+        ("nn_upper_bound", num(bound)),
         (
             "degenerate_signature",
             Json::Bool(expl.degenerate_signature),

@@ -589,7 +589,7 @@ fn _assert_send_sync(e: ShardedEngine) -> Arc<dyn Send + Sync> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silkmoth_core::RelatednessMetric;
+    use silkmoth_core::{RelatednessMetric, Verdict};
     use silkmoth_text::SimilarityFunction;
 
     fn cfg(delta: f64) -> EngineConfig {
@@ -788,21 +788,62 @@ mod tests {
     }
 
     #[test]
-    fn execute_explanations_survive_the_global_merge() {
-        let raw = corpus(24);
-        let sharded = ShardedEngine::build(&raw, cfg(0.5), 3).unwrap();
-        let spec = QuerySpec::new(raw[0].clone())
-            .with_floor(0.0)
-            .unwrap()
-            .with_top_k(4)
-            .with_explain(true);
-        let out = sharded.execute(&spec);
-        assert_eq!(out.hits.len(), 4);
-        assert_eq!(out.explanations.len(), 4);
-        for ((gid, score), (egid, expl)) in out.hits.iter().zip(&out.explanations) {
-            assert_eq!(gid, egid, "explanations aligned with hits");
-            assert!((expl.relatedness - score).abs() < 1e-12);
+    fn execute_explanations_survive_the_global_merge_bit_for_bit() {
+        let raw = corpus(30);
+        let eds = |metric, delta, alpha| {
+            EngineConfig::full(metric, SimilarityFunction::Eds { q: 3 }, delta, alpha)
+        };
+        let mut explained = 0;
+        for cfg in [
+            cfg(0.5),
+            eds(RelatednessMetric::Containment, 0.6, 0.0),
+            eds(RelatednessMetric::Similarity, 0.5, 0.8),
+        ] {
+            for shards in [1, 2, 7] {
+                let mut sharded = ShardedEngine::build(&raw[..24], cfg, shards).unwrap();
+                // Fresh; removed from and appended to; compacted after that.
+                for state in 0..3 {
+                    match state {
+                        1 => {
+                            sharded.apply(Update::Remove(vec![3, 8])).unwrap();
+                            sharded.apply(Update::Append(raw[24..].to_vec())).unwrap();
+                        }
+                        2 => {
+                            sharded.apply(Update::Compact).unwrap();
+                        }
+                        _ => {}
+                    }
+                    let empty = Vec::new();
+                    for reference in [&raw[0], &raw[13], &raw[27], &empty] {
+                        for (k, floor) in [(None, None), (Some(4), Some(0.0)), (None, Some(0.0))] {
+                            let ctx = format!("{cfg:?} shards={shards} state {state} k={k:?}");
+                            let mut spec = QuerySpec::new(reference.clone()).with_explain(true);
+                            if let Some(k) = k {
+                                spec = spec.with_top_k(k);
+                            }
+                            if let Some(floor) = floor {
+                                spec = spec.with_floor(floor).unwrap();
+                            }
+                            let out = sharded.execute(&spec);
+                            assert_eq!(out.explanations.len(), out.hits.len(), "{ctx}");
+                            for ((gid, score), (egid, expl)) in
+                                out.hits.iter().zip(&out.explanations)
+                            {
+                                assert_eq!(gid, egid, "{ctx}: explanations aligned with hits");
+                                assert_eq!(expl.verdict, Verdict::Related, "{ctx}");
+                                let rel = expl.relatedness.unwrap();
+                                assert_eq!(rel.to_bits(), score.to_bits(), "{ctx} set {gid}");
+                            }
+                            if reference.is_empty() && k.is_none() && floor == Some(0.0) {
+                                assert_eq!(out.hits.len(), sharded.len(), "{ctx}");
+                            }
+                            explained += out.hits.len();
+                        }
+                    }
+                }
+            }
         }
+        assert!(explained > 500, "{explained} hits explained");
     }
 
     #[test]

@@ -50,16 +50,27 @@ fn main() {
     .expect("send");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("receive");
-    let json = response.split("\r\n\r\n").nth(1).expect("body");
+    let (head, json) = response.split_once("\r\n\r\n").expect("head and body");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     let doc = Json::parse(json).expect("valid JSON");
     println!("response: {doc}");
-    for result in doc.get("results").and_then(Json::as_array).unwrap_or(&[]) {
-        println!(
-            "  related set {} with score {:.3}",
-            result.get("set").and_then(Json::as_usize).unwrap_or(0),
-            result.get("score").and_then(Json::as_f64).unwrap_or(0.0),
-        );
+    let mut found = Vec::new();
+    for result in doc
+        .get("results")
+        .and_then(Json::as_array)
+        .expect("results")
+    {
+        let set = result.get("set").and_then(Json::as_usize).expect("set");
+        let score = result.get("score").and_then(Json::as_f64).expect("score");
+        println!("  related set {set} with score {score:.3}");
+        found.push((set, score));
     }
+    // The reference is two of set 0's three rows (containment 1); set 1
+    // aligns (3/7 + 1/4) / 2 of it; set 2 shares nothing.
+    assert_eq!(found.len(), 2, "{doc}");
+    assert_eq!(found[0], (0, 1.0));
+    assert_eq!(found[1].0, 1);
+    assert!((found[1].1 - (3.0 / 7.0 + 0.25) / 2.0).abs() < 1e-9);
 
     server.shutdown();
     println!("server drained and stopped");

@@ -2,7 +2,7 @@
 //! end-to-end against the public API. Each test cites the example it
 //! reproduces.
 
-use silkmoth::core::{explain_pair, generate_signature, SigKind, SigParams};
+use silkmoth::core::{explain_pair, generate_signature, SigKind, SigParams, Verdict};
 use std::sync::Arc;
 
 use silkmoth::{
@@ -170,13 +170,19 @@ fn example7_greedy_costs() {
     }
 }
 
-/// Examples 8 & 9: the check filter rejects S2; the NN filter rejects S3
-/// with the early-termination estimate 5/6 + 0.6 + 0.125 < 2.1 — our
-/// explain API exposes exactly those intermediate quantities.
+/// Examples 8 & 9, as the pass runs them. Example 8: the check filter
+/// rejects S2 (Jac(r1, s21) = 0.6 < 0.8, Jac(r2, s23) = 0.25 < 0.6).
+/// Example 9 has the NN filter reject S3 with the early-termination
+/// estimate 5/6 + 0.125 + 0.6 < 2.1, after searching r2's nearest
+/// neighbor. The pass departs there: §5.2's computation reuse hands it
+/// r1's exact 5/6 from the posting walk, and with the signature's bounds
+/// for r2 and r3 its cheap bound 5/6 + 0.6 + 0.6 ≈ 2.033 is already below
+/// need 2.1, so S3 is dropped before any nearest-neighbor search. S4 is
+/// the one candidate the NN filter examines: it refines r3's bound 0.6 to
+/// Jac(r3, s43) = 3/7, and S4 is related at 0.8 + 1 + 3/7.
 #[test]
 fn examples8_and_9_filter_internals() {
     let (c, r) = table2();
-    let index = InvertedIndex::build(&c);
     let cfg = EngineConfig {
         metric: RelatednessMetric::Containment,
         similarity: SimilarityFunction::Jaccard,
@@ -186,21 +192,34 @@ fn examples8_and_9_filter_internals() {
         filter: FilterKind::CheckAndNearestNeighbor,
         reduction: false,
     };
-    // S2 (Example 8): Jac(r1, s21) = 0.6 < 0.8 and Jac(r2, s23) = 0.25 < 0.6.
-    let s2 = explain_pair(&r, c.set(1), &cfg, &index);
-    assert!(s2.is_candidate && !s2.passes_check_filter);
-    assert!(s2.elements[0].best_shared_sim.unwrap() < 0.8);
+    let engine = Engine::new(c, cfg).unwrap();
+    let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
 
-    // S3 (Example 9): NN of r1 is s31 at 5/6; r2's true NN similarity is
-    // 0.125; r3 is bounded by 0.6.
-    let s3 = explain_pair(&r, c.set(2), &cfg, &index);
-    assert!(s3.passes_check_filter && !s3.passes_nn_filter);
-    assert!((s3.elements[0].nearest_neighbor_sim - 5.0 / 6.0).abs() < 1e-9);
-    assert!((s3.elements[1].nearest_neighbor_sim - 0.125).abs() < 1e-9);
+    // S1 holds no signature token.
+    assert_eq!(explain_pair(&engine, &r, 0).verdict, Verdict::NotCandidate);
 
-    // S4 passes everything.
-    let s4 = explain_pair(&r, c.set(3), &cfg, &index);
-    assert!(s4.passes_nn_filter && s4.related);
+    let s2 = explain_pair(&engine, &r, 1);
+    assert_eq!(s2.verdict, Verdict::CheckFilter, "{s2:?}");
+    assert!(close(s2.elements[0].best_shared_sim, 0.6));
+    assert!(close(s2.elements[1].best_shared_sim, 0.25));
+
+    let s3 = explain_pair(&engine, &r, 2);
+    assert_eq!(s3.verdict, Verdict::CheapBound, "{s3:?}");
+    assert!(close(s3.elements[0].best_shared_sim, 5.0 / 6.0));
+    assert!(close(s3.cheap_bound.unwrap(), 5.0 / 6.0 + 0.6 + 0.6));
+    assert!(close(s3.need.unwrap(), 2.1));
+    assert_eq!(s3.nn_upper_bound, None);
+
+    let s4 = explain_pair(&engine, &r, 3);
+    assert_eq!(s4.verdict, Verdict::Related, "{s4:?}");
+    assert_eq!(s4.elements[0].nearest_neighbor_sim, None);
+    assert_eq!(s4.elements[1].nearest_neighbor_sim, None);
+    assert!(close(
+        s4.elements[2].nearest_neighbor_sim.unwrap(),
+        3.0 / 7.0
+    ));
+    assert!(close(s4.nn_upper_bound.unwrap(), 0.8 + 1.0 + 3.0 / 7.0));
+    assert!(close(s4.matching_score.unwrap(), 0.8 + 1.0 + 3.0 / 7.0));
 }
 
 /// Example 10: with α = 0.7, M^T = {t6, t8, t9, t10, t11, t12} is a

@@ -29,6 +29,7 @@ use silkmoth::{
     ShardedEngine, SimilarityFunction, Update,
 };
 use silkmoth_core::wire::{decode_query_spec, encode_query_spec, WireError};
+use silkmoth_core::Verdict;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -110,8 +111,8 @@ fn check_spec(engine: &Engine, sharded: &[ShardedEngine], spec: &QuerySpec) {
         assert_eq!(got.explanations.len(), got.hits.len());
         for ((sid, score), (esid, expl)) in got.hits.iter().zip(&got.explanations) {
             assert_eq!(sid, esid);
-            assert!(expl.related);
-            assert!((expl.relatedness - score).abs() < 1e-9);
+            assert_eq!(expl.verdict, Verdict::Related);
+            assert_eq!(expl.relatedness.map(f64::to_bits), Some(score.to_bits()));
         }
     } else {
         assert!(got.explanations.is_empty());
