@@ -87,10 +87,11 @@ pub struct CatalogConfig {
     /// thresholds, tokenization — a snapshot doesn't store it, so one
     /// process serves one configuration).
     pub engine_cfg: EngineConfig,
-    /// Store configuration (sync, compaction policy) for durable
-    /// collection stores.
+    /// Store configuration (sync, compaction policy) for collection
+    /// stores.
     pub store_cfg: StoreConfig,
-    /// Compaction policy for ephemeral collections.
+    /// Compaction policy for in-memory collections, which take
+    /// `store_cfg` with this policy in place of its own.
     pub ephemeral_policy: CompactionPolicy,
     /// Shard count for new collections that don't ask for their own.
     pub default_shards: usize,
@@ -191,7 +192,13 @@ fn build_tenant(
     let shards = (spec.shards as usize).max(1);
     let engine = || empty_engine(config.engine_cfg, shards);
     let service = match &config.data_dir {
-        None => SearchService::new(engine()?).with_policy(config.ephemeral_policy),
+        None => SearchService::durable(Store::in_memory(
+            engine()?,
+            StoreConfig {
+                policy: config.ephemeral_policy,
+                ..config.store_cfg
+            },
+        )),
         Some(data_dir) => {
             let dir = collection_dir(data_dir, &spec.name);
             let shard_spec = ShardSpec {

@@ -142,7 +142,7 @@ fn not_durable() -> ReplicaError {
     ReplicaError::Protocol("service is not durable; replication needs --data-dir".to_string())
 }
 
-/// The failover epoch of `service`'s store (0 on an ephemeral service).
+/// The failover epoch of `service`'s store (0 on an in-memory store).
 fn store_epoch(service: &SearchService) -> u64 {
     service
         .store_position()
@@ -205,12 +205,11 @@ impl ServiceSink {
         }
         let store = Store::create_continuing(&dir, engine, self.cfg, seq, epoch)
             .map_err(ReplicaError::Storage)?;
-        self.service
-            .quiesced(|current| {
-                *current = store;
-                self.service.wire(current);
-            })
-            .ok_or_else(not_durable)
+        self.service.quiesced(|current| {
+            *current = store;
+            self.service.wire(current);
+        });
+        Ok(())
     }
 
     /// Applies the record with sequence number `seq`, which advances
@@ -219,26 +218,22 @@ impl ServiceSink {
     fn apply_record(&self, seq: u64, payload: &[u8]) -> Result<(), ReplicaError> {
         let update = decode_update(payload)
             .map_err(|e| ReplicaError::Protocol(format!("record {seq} does not decode: {e}")))?;
-        let result = self
-            .service
-            .quiesced(|store| {
-                let receipt = store.apply(update).map_err(ReplicaError::Storage)?;
-                if receipt.auto_compacted {
-                    return Err(ReplicaError::Protocol(format!(
-                        "follower store compacted on its own at record {seq}; the follower \
-                         compaction policy must be disabled"
-                    )));
-                }
-                let now = store.status().update_seq;
-                if now != seq {
-                    return Err(ReplicaError::Protocol(format!(
-                        "applying record {seq} left the store at seq {now}"
-                    )));
-                }
-                Ok(())
-            })
-            .ok_or_else(not_durable)?;
-        result
+        self.service.quiesced(|store| {
+            let receipt = store.apply(update).map_err(ReplicaError::Storage)?;
+            if receipt.auto_compacted {
+                return Err(ReplicaError::Protocol(format!(
+                    "follower store compacted on its own at record {seq}; the follower \
+                     compaction policy must be disabled"
+                )));
+            }
+            let now = store.status().update_seq;
+            if now != seq {
+                return Err(ReplicaError::Protocol(format!(
+                    "applying record {seq} left the store at seq {now}"
+                )));
+            }
+            Ok(())
+        })
     }
 }
 

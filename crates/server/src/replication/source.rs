@@ -285,16 +285,15 @@ impl Default for StreamerConfig {
     }
 }
 
-/// The bootstrap cut: a full snapshot of `service`'s durable store in
+/// The bootstrap cut: a full snapshot of `service`'s store in
 /// the storage snapshot-file format, plus the `(update_seq, epoch)` it
 /// captures. The cut is `(seq, state)` as one pair: taken quiesced, so
 /// the seq it is stamped with is one the engine has reached. Stamping a
 /// committed-but-unapplied seq would make the follower skip that record
 /// for good.
 pub fn bootstrap_snapshot(service: &SearchService) -> Result<(Vec<u8>, u64, u64), ReplicaError> {
-    let (status, state) = service
-        .quiesced(|store| (store.status(), StoreEngine::capture(store.engine())))
-        .ok_or_else(not_durable)?;
+    let (status, state) =
+        service.quiesced(|store| (store.status(), StoreEngine::capture(store.engine())));
     let meta = SnapshotMeta {
         seq: status.snapshot_seq,
         update_seq: status.update_seq,

@@ -1,5 +1,6 @@
-//! One collection's core: the routes over a [`ShardedEngine`] —
-//! ephemeral, or durable behind a `silkmoth-storage` [`Store`].
+//! One collection's core: the routes over a [`ShardedEngine`] owned by
+//! a `silkmoth-storage` [`Store`] — on disk behind a WAL, or
+//! [in memory](Store::in_memory). Both take the same write path.
 //!
 //! ## One front, N cores
 //!
@@ -27,9 +28,9 @@
 //! | `POST /sets`     | `{"sets": [[elem, …], …]}`                       | `{"appended": [id, …], "sets": n}` |
 //! | `DELETE /sets`   | `{"ids": [id, …]}`                               | `{"removed": n, "sets": n}` |
 //! | `POST /compact`  | —                                                | `{"sets": n}` |
-//! | `POST /snapshot` | —                                                | `{"snapshot_seq": n}` (durable mode; 409 otherwise) |
-//! | `GET /stats`     | —                                                | request counters, per-shard and merged [`PassStats`], and (durable) the storage generation |
-//! | `GET /healthz`   | —                                                | `{"status": "ok", "durable": b, "role": "primary"\|"follower", "version", "uptime_secs", "update_seq", …}` |
+//! | `POST /snapshot` | —                                                | `{"snapshot_seq": n}` (a store on disk; 409 in memory) |
+//! | `GET /stats`     | —                                                | request counters, per-shard and merged [`PassStats`], and (on disk) the storage generation |
+//! | `GET /healthz`   | —                                                | `{"status": "ok", "durable": b, "role": "primary"\|"follower", "version", "uptime_secs", "update_seq", …}` — `update_seq` is the store's commit sequence, policy compactions included |
 //! | `POST /promote`  | —                                                | `{"role": "primary", "epoch", "update_seq"}` — follower failover (409 when already primary) |
 //! | `GET /metrics`   | —                                                | the [`metrics`](crate::metrics) registry in the Prometheus text exposition format |
 //! | `GET /debug/traces` | optional `?route=`, `?min_ms=`, `?id=` filters | `{"version": 1, "traces": […]}` — the captured-trace ring, newest-last |
@@ -48,20 +49,26 @@
 //!
 //! ## Durability
 //!
-//! In durable mode every update route is **WAL-logged and fsync'd
-//! before it is acknowledged** — a 200 means the mutation survives
-//! `kill -9`. Concurrent updates **group-commit**: they queue in front
+//! Every update takes one path: admission, group commit, apply,
+//! maintain. Concurrent updates **group-commit**: they queue in front
 //! of the store, and whichever request thread claims leadership
-//! drains the queue and commits the whole batch with one buffered WAL
-//! write and one fsync ([`Store::commit_batch`]), then applies it to
-//! the engine in WAL order under the write lock — so N concurrent
-//! writers pay ~1 fsync, not N. The WAL append itself runs under the
-//! *shared* engine lock: searches keep executing through the fsync.
-//! `POST /snapshot` forces a checkpoint + WAL rotation, and the
-//! store's [`CompactionPolicy`] may compact/checkpoint automatically
-//! after any update. A storage failure (disk full, fsync error) is a
-//! 500 and the update is *not* acknowledged — with one deliberate
-//! exception: when the update itself committed durably but the
+//! drains the queue and commits the whole batch
+//! ([`Store::commit_batch`]), then applies it to the engine in commit
+//! order under the write lock. The store's
+//! [`CompactionPolicy`](silkmoth_core::CompactionPolicy) may then
+//! compact automatically, committed like any other update.
+//!
+//! With a data directory every update route is **WAL-logged and
+//! fsync'd before it is acknowledged** — a 200 means the mutation
+//! survives `kill -9` — and a batch costs one buffered WAL write and one
+//! fsync, so N concurrent writers pay ~1 fsync, not N. The WAL append
+//! itself runs under the *shared* engine lock: searches keep executing
+//! through the fsync. `POST /snapshot` forces a checkpoint + WAL
+//! rotation, and the policy may also checkpoint automatically. An
+//! in-memory store commits by numbering the batch and answers
+//! `POST /snapshot` with a 409. A storage failure (disk full, fsync
+//! error) is a 500 and the update is *not* acknowledged — with one
+//! deliberate exception: when the update itself committed but the
 //! *post-commit* policy maintenance (auto-compaction / auto-snapshot)
 //! failed, the route still answers 200 with `"degraded": true` and
 //! logs the maintenance error, because a 500 would invite a retry of
@@ -116,8 +123,8 @@
 //! `trace` field, and a sampled request
 //! ([`with_trace_sample`](SearchService::with_trace_sample), 1-in-N) or
 //! any request at/over the slow-query threshold records a hierarchical
-//! span tree — http → query → shard → stage/verify, plus WAL
-//! write/fsync and group-commit spans in durable mode — with the
+//! span tree — http → query → shard → stage/verify, plus group-commit
+//! spans, and WAL write/fsync spans on a store on disk — with the
 //! paper's filter-funnel survivor counts as span attributes (and a
 //! catalog tenant's name), into a bounded in-memory ring served at
 //! `GET /debug/traces`.
@@ -133,8 +140,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
-use silkmoth_core::{CompactionPolicy, PassStats};
-use silkmoth_storage::{Store, StoreEvent, TelemetryHook};
+use silkmoth_core::PassStats;
+use silkmoth_storage::{Store, StoreConfig, StoreEvent, TelemetryHook};
 use silkmoth_telemetry::trace::{self, AttrValue, Tracer};
 
 use crate::front::{Front, LogFormat, RequestInfo};
@@ -147,34 +154,11 @@ use write::CommitQueue;
 
 pub(crate) use status::{page, Fields};
 
-/// What the service serves: a bare engine, or an engine owned by a
-/// durable store that WAL-logs every update.
-//
-// One Backend exists per service, so the size gap between the
-// variants (the Store carries WAL + policy + hooks inline) costs
-// nothing; boxing the durable side would only add a pointer chase to
-// every update.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Backend {
-    Ephemeral(ShardedEngine),
-    Durable(Store<ShardedEngine>),
-}
-
-impl Backend {
-    fn engine(&self) -> &ShardedEngine {
-        match self {
-            Self::Ephemeral(engine) => engine,
-            Self::Durable(store) => store.engine(),
-        }
-    }
-}
-
 /// Read access to the served engine (returned by
 /// [`SearchService::engine`]); dereferences to [`ShardedEngine`] and
 /// holds the service's read lock while alive.
 #[derive(Debug)]
-pub struct EngineGuard<'a>(RwLockReadGuard<'a, Backend>);
+pub struct EngineGuard<'a>(RwLockReadGuard<'a, Store<ShardedEngine>>);
 
 impl Deref for EngineGuard<'_> {
     type Target = ShardedEngine;
@@ -184,29 +168,24 @@ impl Deref for EngineGuard<'_> {
     }
 }
 
-/// One collection's core: the engine (plus its store, in durable mode),
-/// its write path and quotas, and cumulative counters for `GET /stats`.
+/// One collection's core: the store that owns its engine, its write
+/// path and quotas, and cumulative counters for `GET /stats`.
 /// Everything per-process lives in the front it holds.
 #[derive(Debug)]
 pub struct SearchService {
-    backend: RwLock<Backend>,
+    store: RwLock<Store<ShardedEngine>>,
     /// Request identity, logging, tracing, uptime and the replication
     /// role: private to a standalone service, the default collection's
     /// for every core a catalog builds.
     front: Arc<Front>,
-    /// Notified at the durable store's commit point; what replication
-    /// streamers block on instead of polling. Idle on ephemeral
-    /// services.
+    /// Notified at the store's commit point; what replication streamers
+    /// block on instead of polling.
     commit_signal: Arc<CommitSignal>,
-    /// Group-commit queue for durable updates (idle on ephemeral
-    /// services).
+    /// Group-commit queue in front of the store.
     commit_queue: CommitQueue,
-    /// The WAL retention floor installed on the durable store, kept
+    /// The WAL retention floor installed on the store, kept
     /// here so a bootstrap store replacement re-installs it.
     retention_hook: Mutex<Option<silkmoth_storage::RetentionHook>>,
-    /// Ephemeral-mode auto-compaction (durable mode: the policy lives
-    /// in the store's `StoreConfig` so auto-actions are WAL-logged).
-    policy: CompactionPolicy,
     /// `Some(n)`: at most n updates admitted concurrently (holding or
     /// waiting for the write lock); the rest get 503.
     max_inflight_updates: Option<usize>,
@@ -226,9 +205,6 @@ pub struct SearchService {
     searches: AtomicU64,
     discoveries: AtomicU64,
     updates: AtomicU64,
-    /// Ephemeral-mode policy compactions (durable mode reports the
-    /// store's own counter).
-    auto_compactions: AtomicU64,
     /// Cumulative pass stats per shard, merged in after every request.
     shard_stats: Vec<Mutex<PassStats>>,
     /// This collection's recording handles on the `/metrics` registry.
@@ -240,30 +216,28 @@ pub struct SearchService {
 }
 
 impl SearchService {
-    /// Wraps an engine in fresh ephemeral (in-memory only) service
-    /// state.
+    /// Serves `engine` from an in-memory [`Store`] with no compaction
+    /// policy: the write path of a durable service, with no WAL behind
+    /// it. [`durable`](Self::durable) over [`Store::in_memory`] takes a
+    /// policy.
     pub fn new(engine: ShardedEngine) -> Self {
-        Self::with_backend(Backend::Ephemeral(engine))
+        Self::durable(Store::in_memory(engine, StoreConfig::default()))
     }
 
-    /// Wraps a durable store: every update route WAL-logs before
-    /// acknowledging, `POST /snapshot` checkpoints, and the store's
-    /// own policy drives auto-compaction/auto-snapshots.
+    /// Serves `store`. Every update route commits through it before
+    /// acknowledging — WAL-logged when the store has a directory — and
+    /// the store's own policy drives auto-compaction (and, on disk,
+    /// auto-snapshots); `POST /snapshot` checkpoints a store on disk.
     pub fn durable(store: Store<ShardedEngine>) -> Self {
-        Self::with_backend(Backend::Durable(store))
-    }
-
-    fn with_backend(backend: Backend) -> Self {
-        let shard_stats = (0..backend.engine().shard_count())
+        let shard_stats = (0..store.engine().shard_count())
             .map(|_| Mutex::new(PassStats::default()))
             .collect();
         let service = Self {
-            backend: RwLock::new(backend),
+            store: RwLock::new(store),
             front: Arc::new(Front::new()),
             commit_signal: Arc::default(),
             commit_queue: CommitQueue::default(),
             retention_hook: Mutex::new(None),
-            policy: CompactionPolicy::DISABLED,
             max_inflight_updates: None,
             max_sets: None,
             max_bytes: None,
@@ -272,7 +246,6 @@ impl SearchService {
             searches: AtomicU64::new(0),
             discoveries: AtomicU64::new(0),
             updates: AtomicU64::new(0),
-            auto_compactions: AtomicU64::new(0),
             shard_stats,
             metrics: ServiceMetrics::new(),
         };
@@ -297,15 +270,6 @@ impl SearchService {
         {
             store.set_retention_hook(hook.clone());
         }
-    }
-
-    /// Auto-compaction policy for the **ephemeral** backend (checked
-    /// after every update). In durable mode set the policy in the
-    /// store's `StoreConfig` instead, so policy actions are WAL-logged
-    /// like any other update; a policy set here is then ignored.
-    pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Bounds how many update requests may be in flight (applying, or
@@ -399,11 +363,11 @@ impl SearchService {
     /// Read access to the engine being served (shared with in-flight
     /// searches; blocks while an update holds the write lock).
     pub fn engine(&self) -> EngineGuard<'_> {
-        EngineGuard(self.backend.read().expect("engine lock poisoned"))
+        EngineGuard(self.store.read().expect("engine lock poisoned"))
     }
 
-    /// The signal notified at every durable commit (what replication
-    /// streamers block on).
+    /// The signal notified at every commit (what replication streamers
+    /// block on).
     pub(crate) fn commit_signal(&self) -> &Arc<CommitSignal> {
         &self.commit_signal
     }
@@ -463,8 +427,8 @@ pub fn serve<A: ToSocketAddrs>(
     serve_service(Arc::new(SearchService::new(engine)), addr, threads)
 }
 
-/// Binds `addr` and serves an already-configured service (durable
-/// backend, backpressure bounds, policies) on `threads` HTTP workers.
+/// Binds `addr` and serves an already-configured service (its store,
+/// backpressure bounds, deadlines) on `threads` HTTP workers.
 pub fn serve_service<A: ToSocketAddrs>(
     service: Arc<SearchService>,
     addr: A,

@@ -387,7 +387,7 @@ mod tests {
             stats.get("shards").and_then(Json::as_array).map(<[_]>::len),
             Some(3)
         );
-        // Ephemeral services report no storage section.
+        // In-memory services report no storage section.
         assert!(stats.get("storage").is_none());
         assert_eq!(stats.get("slots").and_then(Json::as_usize), Some(20));
     }

@@ -11,7 +11,7 @@ use silkmoth_storage::{RetentionHook, StoreStatus};
 
 use super::read::stats_json_pairs;
 use super::write::storage_error_response;
-use super::{error_response, Answer, Backend, SearchService};
+use super::{Answer, SearchService};
 use crate::http::Response;
 use crate::json::{obj, Json};
 use crate::shard::merge_stats;
@@ -22,13 +22,11 @@ struct CoreStatus {
     sets: usize,
     slots: usize,
     shard_sizes: Vec<usize>,
-    /// The durable store's counters; `None` on an ephemeral service.
-    store: Option<StoreStatus>,
-    /// Followers report the replicated store's seq, primaries their
-    /// own; ephemeral services (no WAL) report the request-level
-    /// update count instead so the field always moves on writes.
-    update_seq: u64,
-    auto_compactions: u64,
+    /// The store's counters: on a follower the replicated position, on
+    /// a primary its own, in memory or on disk alike.
+    store: StoreStatus,
+    /// The store lives in a directory, behind a WAL.
+    durable: bool,
 }
 
 impl CoreStatus {
@@ -36,7 +34,7 @@ impl CoreStatus {
     /// four fields that say whether the store is healthy; `/stats`
     /// (`full`) adds the position and policy counters.
     fn storage_json(&self, full: bool) -> Option<Json> {
-        let status = self.store.as_ref()?;
+        let status = self.durable.then_some(&self.store)?;
         let mut fields = vec![
             ("snapshot_seq", Json::Num(status.snapshot_seq as f64)),
             ("wal_records", Json::Num(status.wal_records as f64)),
@@ -70,42 +68,33 @@ impl SearchService {
     /// Recovers from lock poison — a status page must never take the
     /// whole listener's `/stats` down over one tenant's panicked writer.
     fn status(&self) -> CoreStatus {
-        let backend = self.backend.read().unwrap_or_else(PoisonError::into_inner);
-        let engine = backend.engine();
-        let store = match &*backend {
-            Backend::Durable(store) => Some(store.status()),
-            Backend::Ephemeral(_) => None,
-        };
+        let store = self.store.read().unwrap_or_else(PoisonError::into_inner);
+        let engine = store.engine();
         CoreStatus {
             sets: engine.len(),
             slots: engine.slot_count(),
             shard_sizes: engine.shard_sizes(),
-            update_seq: store
-                .map_or_else(|| self.updates.load(Ordering::Relaxed), |s| s.update_seq),
-            auto_compactions: store.map_or_else(
-                || self.auto_compactions.load(Ordering::Relaxed),
-                |s| s.auto_compactions,
-            ),
-            store,
+            store: store.status(),
+            durable: store.is_durable(),
         }
     }
 
     /// Where the durable store lives and how far it has **committed**
-    /// (`None` on an ephemeral service). Copies only, no engine access:
-    /// the position may run ahead of the engine while a batch is between
-    /// commit and apply; what needs the two to agree goes through
-    /// [`quiesced`](Self::quiesced).
+    /// (`None` on an in-memory store, which replication refuses). Copies
+    /// only, no engine access: the position may run ahead of the engine
+    /// while a batch is between commit and apply; what needs the two to
+    /// agree goes through [`quiesced`](Self::quiesced).
     pub(crate) fn store_position(&self) -> Option<(PathBuf, StoreStatus)> {
-        match &*self.backend.read().expect("engine lock poisoned") {
-            Backend::Durable(store) => Some((store.dir().to_path_buf(), store.status())),
-            Backend::Ephemeral(_) => None,
-        }
+        let store = self.store.read().expect("engine lock poisoned");
+        store
+            .is_durable()
+            .then(|| (store.dir().to_path_buf(), store.status()))
     }
 
     /// Installs the WAL segment retention floor on the durable store —
     /// sealed segments a replication cursor still needs are kept until
     /// the cursor moves past them. The hook survives a bootstrap store
-    /// replacement. No-op on an ephemeral service.
+    /// replacement. No-op on an in-memory store.
     pub fn set_wal_retention(&self, hook: RetentionHook) {
         *self
             .retention_hook
@@ -125,9 +114,9 @@ impl SearchService {
             ("status", Json::Str("ok".into())),
             ("version", Json::Str(env!("CARGO_PKG_VERSION").into())),
             ("uptime_secs", Json::Num(self.front.uptime_secs() as f64)),
-            ("durable", Json::Bool(status.store.is_some())),
+            ("durable", Json::Bool(status.durable)),
             ("role", Json::Str(role.into())),
-            ("update_seq", Json::Num(status.update_seq as f64)),
+            ("update_seq", Json::Num(status.store.update_seq as f64)),
             ("shards", Json::Num(status.shard_sizes.len() as f64)),
             ("sets", Json::Num(status.sets as f64)),
         ];
@@ -172,7 +161,7 @@ impl SearchService {
             ("slots", Json::Num(status.slots as f64)),
             (
                 "auto_compactions",
-                Json::Num(status.auto_compactions as f64),
+                Json::Num(status.store.auto_compactions as f64),
             ),
         ];
         if let Some(storage) = status.storage_json(true) {
@@ -197,8 +186,8 @@ impl SearchService {
             ("sets", Json::Num(status.sets as f64)),
             ("slots", Json::Num(status.slots as f64)),
             ("shards", Json::Num(status.shard_sizes.len() as f64)),
-            ("update_seq", Json::Num(status.update_seq as f64)),
-            ("durable", Json::Bool(status.store.is_some())),
+            ("update_seq", Json::Num(status.store.update_seq as f64)),
+            ("durable", Json::Bool(status.durable)),
         ];
         if let Some(storage) = status.storage_json(false) {
             fields.push(("storage", storage));
@@ -218,9 +207,6 @@ impl SearchService {
                     .bump_epoch()
                     .map(|epoch| (epoch, store.status().update_seq))
             })
-            // Follower role implies a durable backend, but don't panic
-            // on the impossible combination.
-            .ok_or_else(|| error_response(409, "service is not durable; nothing to promote"))?
             .map_err(|e| storage_error_response(&e))
         })
     }
@@ -231,6 +217,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    use silkmoth_core::CompactionPolicy;
     use silkmoth_storage::{Store, StoreConfig};
 
     use super::*;
@@ -239,7 +226,11 @@ mod tests {
 
     #[test]
     fn healthz_reports_shape() {
-        let s = service();
+        let cfg = StoreConfig {
+            policy: CompactionPolicy::default().compact_at_dead_ratio(0.2),
+            ..StoreConfig::default()
+        };
+        let s = SearchService::durable(Store::in_memory(engine(3), cfg));
         let (status, doc) = get(&s, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
@@ -251,11 +242,22 @@ mod tests {
             Some(env!("CARGO_PKG_VERSION"))
         );
         assert!(doc.get("uptime_secs").and_then(Json::as_usize).is_some());
-        // Ephemeral services count request-level updates as their seq.
+        // `update_seq` is the store's commit sequence, in memory as on
+        // disk: one per committed update ...
         assert_eq!(doc.get("update_seq").and_then(Json::as_usize), Some(0));
         post(&s, "/sets", r#"{"sets": [["seq marker"]]}"#);
         let (_, doc) = get(&s, "/healthz");
         assert_eq!(doc.get("update_seq").and_then(Json::as_usize), Some(1));
+        // ... and one more for the compaction the policy commits after
+        // a remove that crosses the dead ratio (5 of 21 slots).
+        send(&s, "DELETE", "/sets", r#"{"ids": [0, 1, 2, 3, 4]}"#);
+        let (_, doc) = get(&s, "/healthz");
+        assert_eq!(doc.get("update_seq").and_then(Json::as_usize), Some(3));
+        let (_, stats) = get(&s, "/stats");
+        assert_eq!(
+            stats.get("auto_compactions").and_then(Json::as_usize),
+            Some(1)
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The write path: admission, the group-commit queue in front of the
-//! durable store, the update routes, `POST /snapshot`, and the
+//! store, the update routes, `POST /snapshot`, and the
 //! **quiesced store accessor** — the one way anything outside the
 //! group-commit loop touches the store together with its engine.
 
@@ -12,7 +12,7 @@ use silkmoth_core::{Update, UpdateOutcome};
 use silkmoth_storage::{StorageError, Store};
 use silkmoth_telemetry::trace;
 
-use super::{array_field, error_response, parse_body, string_sets, Answer, Backend, SearchService};
+use super::{array_field, error_response, parse_body, string_sets, Answer, SearchService};
 use crate::http::Response;
 use crate::json::{obj, Json};
 use crate::shard::ShardedEngine;
@@ -29,10 +29,10 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// The group-commit queue in front of the durable store. Concurrent
-/// update requests enqueue here; whichever request thread finds no
-/// leader active claims leadership, drains the queue **once**, and
-/// commits everything drained as one batch (one WAL write + one
+/// The group-commit queue in front of the store. Concurrent update
+/// requests enqueue here; whichever request thread finds no leader
+/// active claims leadership, drains the queue **once**, and commits
+/// everything drained as one batch (on disk, one WAL write + one
 /// fsync), applies it to the engine, and delivers each update's
 /// outcome into its slot. The other threads wait on the condvar —
 /// crucially *without* queueing on a lock the leader holds, so a
@@ -112,8 +112,7 @@ impl UpdateSlot {
     }
 }
 
-/// What one applied update gets back (from its group commit, in
-/// durable mode).
+/// What one applied update gets back from its group commit.
 #[derive(Debug)]
 struct GroupReceipt {
     outcome: UpdateOutcome,
@@ -131,7 +130,7 @@ struct GroupReceipt {
 #[derive(Debug)]
 enum GroupCommitError {
     /// The update was invalid against the engine state it would have
-    /// applied to. It was never WAL-logged; the rest of its batch is
+    /// applied to. It was never committed; the rest of its batch is
     /// unaffected.
     Update(UpdateError),
     /// The batch's commit or apply failed — shared by every update in
@@ -163,10 +162,8 @@ impl SearchService {
         }
     }
 
-    /// Applies one update through the backend — group-committed to the
-    /// WAL first in durable mode, with the ephemeral compaction policy
-    /// applied afterwards in ephemeral mode — and renders its `200`
-    /// from `fields(outcome, live sets after the update)`.
+    /// Applies one update through the group commit and renders its
+    /// `200` from `fields(outcome, live sets after the update)`.
     fn apply_update(
         &self,
         update: Update,
@@ -174,34 +171,10 @@ impl SearchService {
     ) -> Answer {
         self.front.check_writable()?;
         let _admitted = self.admit_update().ok_or_else(overloaded_response)?;
-        let durable = matches!(
-            &*self.backend.read().expect("engine lock poisoned"),
-            Backend::Durable(_)
-        );
-        let receipt = if durable {
-            self.group_commit(update).map_err(|e| match e {
-                GroupCommitError::Update(e) => update_error_response(e),
-                GroupCommitError::Storage(e) => storage_error_response(&e),
-            })?
-        } else {
-            let mut backend = self.backend.write().expect("engine lock poisoned");
-            let Backend::Ephemeral(engine) = &mut *backend else {
-                unreachable!("a service never changes from ephemeral to durable");
-            };
-            let outcome = engine.apply(update).map_err(update_error_response)?;
-            if self
-                .policy
-                .should_compact(engine.len(), engine.slot_count())
-            {
-                engine.apply(Update::Compact).expect("compact cannot fail");
-                self.auto_compactions.fetch_add(1, Ordering::Relaxed);
-            }
-            GroupReceipt {
-                outcome,
-                total: engine.len(),
-                maintenance_error: None,
-            }
-        };
+        let receipt = self.group_commit(update).map_err(|e| match e {
+            GroupCommitError::Update(e) => update_error_response(e),
+            GroupCommitError::Storage(e) => storage_error_response(&e),
+        })?;
         self.updates.fetch_add(1, Ordering::Relaxed);
         let mut fields = fields(&receipt.outcome, receipt.total);
         if let Some(why) = &receipt.maintenance_error {
@@ -214,8 +187,8 @@ impl SearchService {
     }
 
     /// Commits one update through the group-commit queue, blocking
-    /// until a leader (possibly this thread) has made it durable and
-    /// applied it.
+    /// until a leader (possibly this thread) has committed and applied
+    /// it.
     fn group_commit(&self, update: Update) -> Result<GroupReceipt, GroupCommitError> {
         let enqueued = Instant::now();
         let slot = Arc::new(UpdateSlot::default());
@@ -298,10 +271,10 @@ impl SearchService {
 
     /// Commits one batch. Phase 1 under the **shared** engine lock:
     /// validate each update against the batch's virtual engine state
-    /// and make the accepted ones durable with one WAL write + one
-    /// fsync — searches keep executing through the fsync. Phase 2
-    /// under the write lock: apply the committed records to the engine
-    /// in WAL order, then run policy maintenance. The leader lock
+    /// and commit the accepted ones — on disk with one WAL write + one
+    /// fsync, while searches keep executing. Phase 2 under the write
+    /// lock: apply the committed records to the engine in commit
+    /// order, then run policy maintenance. The leader lock
     /// (held by the caller) keeps rotations and other batches from
     /// interleaving between the phases.
     fn commit_group(&self, group: Vec<QueuedUpdate>) {
@@ -311,24 +284,16 @@ impl SearchService {
                 slot.complete(Err(GroupCommitError::Storage(Arc::clone(&shared))));
             }
         };
-        // Phase 1: validate + durable commit, under the read lock.
+        // Phase 1: validate + commit, under the read lock.
         let (batch, slots) = {
-            let backend = self.backend.read().expect("engine lock poisoned");
-            let Backend::Durable(store) = &*backend else {
-                let slots: Vec<_> = group.into_iter().map(|q| q.slot).collect();
-                fail_all(
-                    &slots,
-                    StorageError::BadState("group commit on an ephemeral service".into()),
-                );
-                return;
-            };
+            let store = self.store.read().expect("engine lock poisoned");
             let engine = store.engine();
             // Validate each update against the state it will apply to:
             // appends advance a virtual next-gid, so a Remove may name
             // a gid appended earlier in the same batch; engine removes
             // are idempotent per gid, so an earlier Remove never
             // invalidates a later one. A rejected update is never
-            // logged and does not fail its batch.
+            // committed and does not fail its batch.
             let engine_next = engine.next_gid();
             let mut virtual_next = engine_next;
             let mut updates = Vec::with_capacity(group.len());
@@ -367,20 +332,12 @@ impl SearchService {
             }
         };
         // Phase 2: apply + maintain, under the write lock.
-        let mut backend = self.backend.write().expect("engine lock poisoned");
-        let applied = {
-            let Backend::Durable(store) = &mut *backend else {
-                unreachable!("backend flavor cannot change while the leader lock is held");
-            };
-            match store.apply_committed(batch) {
-                Ok(outcomes) => {
-                    let report = store.maintain();
-                    Ok((outcomes, report, store.engine().len()))
-                }
-                Err(e) => Err(e),
-            }
-        };
-        drop(backend);
+        let mut store = self.store.write().expect("engine lock poisoned");
+        let applied = store.apply_committed(batch).map(|outcomes| {
+            let report = store.maintain();
+            (outcomes, report, store.engine().len())
+        });
+        drop(store);
         match applied {
             Ok((outcomes, report, total)) => {
                 for (slot, outcome) in slots.iter().zip(outcomes) {
@@ -431,31 +388,27 @@ impl SearchService {
         })
     }
 
-    /// Runs `f` against the durable store **quiesced**: batch leadership
-    /// first, then the engine write lock (`None` on an ephemeral
-    /// service). While `f` runs no group commit sits between its WAL
-    /// commit and its engine apply and none can start, so the store's
-    /// sequence number and the engine agree. Enforced here so no caller
-    /// has to remember it; `*store = …` replaces the store.
-    pub(crate) fn quiesced<R>(&self, f: impl FnOnce(&mut Store<ShardedEngine>) -> R) -> Option<R> {
+    /// Runs `f` against the store **quiesced**: batch leadership first,
+    /// then the engine write lock. While `f` runs no group commit sits
+    /// between its commit and its engine apply and none can start, so
+    /// the store's sequence number and the engine agree. Enforced here
+    /// so no caller has to remember it; `*store = …` replaces the store.
+    pub(crate) fn quiesced<R>(&self, f: impl FnOnce(&mut Store<ShardedEngine>) -> R) -> R {
         let _leader = self.commit_queue.lead();
-        match &mut *self.backend.write().expect("engine lock poisoned") {
-            Backend::Durable(store) => Some(f(store)),
-            Backend::Ephemeral(_) => None,
-        }
+        f(&mut self.store.write().expect("engine lock poisoned"))
     }
 
     pub(super) fn snapshot(&self) -> Answer {
         let _admitted = self.admit_update().ok_or_else(overloaded_response)?;
-        let seq = self
-            .quiesced(|store| store.snapshot())
-            .ok_or_else(|| {
-                error_response(
+        let seq = self.quiesced(|store| {
+            if !store.is_durable() {
+                return Err(error_response(
                     409,
                     "server is not durable; restart with --data-dir to enable snapshots",
-                )
-            })?
-            .map_err(|e| storage_error_response(&e))?;
+                ));
+            }
+            store.snapshot().map_err(|e| storage_error_response(&e))
+        })?;
         Ok(Response::json(
             200,
             obj(vec![("snapshot_seq", Json::Num(seq as f64))]).to_string(),
@@ -602,9 +555,11 @@ mod tests {
 
     #[test]
     fn ephemeral_policy_compacts_automatically() {
-        let raw = corpus();
-        let s = SearchService::new(ShardedEngine::build(&raw, engine_cfg(), 3).unwrap())
-            .with_policy(CompactionPolicy::default().compact_at_dead_ratio(0.2));
+        let cfg = StoreConfig {
+            policy: CompactionPolicy::default().compact_at_dead_ratio(0.2),
+            ..StoreConfig::default()
+        };
+        let s = SearchService::durable(Store::in_memory(engine(3), cfg));
         // Removing 4/20 sets crosses the 0.2 dead ratio: the service
         // compacts on its own and /stats shows dense slots again.
         let (status, _) = {
@@ -623,6 +578,18 @@ mod tests {
         assert_eq!(
             stats.get("auto_compactions").and_then(Json::as_usize),
             Some(1)
+        );
+        // The store's telemetry hook counts it on /metrics too; the WAL
+        // families stay empty, since nothing was logged.
+        let page = s.handle(&Request::new("GET", "/metrics", Vec::new())).body;
+        let page = String::from_utf8(page).unwrap();
+        assert!(
+            page.contains("silkmoth_storage_auto_compactions_total 1"),
+            "{page}"
+        );
+        assert!(
+            page.contains("silkmoth_wal_commit_batch_records_count 0"),
+            "{page}"
         );
         // Global ids survive the auto-compaction (stable-gid guarantee).
         let (status, _) = {

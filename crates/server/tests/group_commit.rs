@@ -1,8 +1,8 @@
 //! Group commit under concurrency: N writer threads pushing updates
 //! through [`SearchService`]'s durable routes must (a) all get honest
 //! acks, (b) share fsyncs (fewer commit batches than updates), (c) see
-//! rejections confined to the invalid updates in a mixed batch, and
-//! (d) leave on-disk state that recovers to a **sequence-prefix of the
+//! rejections confined to the invalid updates in a mixed batch — on an
+//! in-memory store too, which logs nothing — and (d) leave on-disk state that recovers to a **sequence-prefix of the
 //! acknowledged updates** no matter when the crash image is taken —
 //! checked byte-identically at shard counts {1, 2, 7}.
 //!
@@ -65,6 +65,18 @@ fn durable_service(dir: &Path, shards: usize, store_cfg: StoreConfig) -> SearchS
     SearchService::durable(store)
 }
 
+/// The value of the sample `name` on the service's `/metrics` page.
+fn scrape(service: &SearchService, name: &str) -> usize {
+    let page = service.handle(&Request::new("GET", "/metrics", Vec::new()));
+    let page = String::from_utf8(page.body).unwrap();
+    page.lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("missing sample {name} in:\n{page}"))
+        .trim()
+        .parse::<f64>()
+        .unwrap() as usize
+}
+
 /// The appended gid from a successful `POST /sets` of one set.
 fn appended_gid(doc: &Json) -> u32 {
     let ids = doc.get("appended").and_then(Json::as_array).unwrap();
@@ -103,17 +115,8 @@ fn concurrent_writers_share_fsyncs_and_all_get_acked() {
     // The service's own storage telemetry saw every record; the batch
     // histogram's count is the number of commits (≈ fsyncs).
     let total = WRITERS * PER_WRITER;
-    let page = service.handle(&Request::new("GET", "/metrics", Vec::new()));
-    let page = String::from_utf8(page.body).unwrap();
-    let scrape = |suffix: &str| -> usize {
-        page.lines()
-            .find_map(|l| l.strip_prefix(&format!("silkmoth_wal_commit_batch_records_{suffix} ")))
-            .unwrap_or_else(|| panic!("missing histogram {suffix} in:\n{page}"))
-            .trim()
-            .parse::<f64>()
-            .unwrap() as usize
-    };
-    let (records, commits) = (scrape("sum"), scrape("count"));
+    let records = scrape(&service, "silkmoth_wal_commit_batch_records_sum");
+    let commits = scrape(&service, "silkmoth_wal_commit_batch_records_count");
     assert_eq!(records, total, "every ack was logged");
     assert!(
         commits < total,
@@ -128,21 +131,14 @@ fn concurrent_writers_share_fsyncs_and_all_get_acked() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn invalid_updates_in_a_mixed_batch_fail_alone() {
-    let dir = temp_dir("mixed");
-    let service = durable_service(
-        &dir,
-        2,
-        StoreConfig {
-            sync: true,
-            policy: CompactionPolicy::DISABLED,
-        },
-    );
+/// Eight writers mixing valid appends with removes of a gid that never
+/// existed: each invalid update fails alone, and the store's sequence
+/// counts exactly the accepted ones.
+fn mixed_batch_fails_invalid_updates_alone(service: &SearchService) {
     let appends = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for w in 0..8 {
-            let (service, appends) = (&service, &appends);
+            let appends = &appends;
             scope.spawn(move || {
                 for i in 0..10 {
                     if (w + i) % 3 == 0 {
@@ -164,14 +160,37 @@ fn invalid_updates_in_a_mixed_batch_fail_alone() {
     let appends = appends.load(Ordering::Relaxed);
     assert!(appends > 0);
     assert_eq!(service.engine().len(), base_sets().len() + appends);
-    // The store on disk agrees: only the accepted updates were logged.
+    // The store agrees: only the accepted updates were committed.
     let resp = service.handle(&Request::new("GET", "/healthz", Vec::new()));
     let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
     assert_eq!(
         doc.get("update_seq").and_then(Json::as_usize),
         Some(appends)
     );
+}
+
+#[test]
+fn invalid_updates_in_a_mixed_batch_fail_alone() {
+    let dir = temp_dir("mixed");
+    let service = durable_service(
+        &dir,
+        2,
+        StoreConfig {
+            sync: true,
+            policy: CompactionPolicy::DISABLED,
+        },
+    );
+    mixed_batch_fails_invalid_updates_alone(&service);
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The same path over an in-memory store, which writes no WAL and
+    // so records no WAL commit.
+    let service = SearchService::new(ShardedEngine::build(&base_sets(), cfg(), 2).unwrap());
+    mixed_batch_fails_invalid_updates_alone(&service);
+    assert_eq!(
+        scrape(&service, "silkmoth_wal_commit_batch_records_count"),
+        0
+    );
 }
 
 #[test]

@@ -559,3 +559,60 @@ fn wal_payloads_read_back_raw_and_bounded() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A store with no directory runs the same commit → apply → maintain
+/// path: commits are numbered and reach the commit hook, the policy's
+/// compaction is committed and reported like on disk, and nothing that
+/// needs a WAL happens — no `CommitBatch` event, no snapshot or segment
+/// however low their thresholds, and explicit snapshots and epoch bumps
+/// fail by name without changing the store.
+#[test]
+fn in_memory_store_commits_without_a_wal() {
+    use std::sync::{Arc, Mutex};
+
+    use silkmoth_storage::{CommitHook, StoreEvent, TelemetryHook};
+
+    let raw = base_sets();
+    let store_cfg = StoreConfig {
+        sync: true,
+        policy: CompactionPolicy::default()
+            .compact_at_dead_ratio(0.25)
+            .snapshot_at_wal_records(1)
+            .segment_at_wal_bytes(1),
+    };
+    let mut store = Store::in_memory(fresh_engine(&raw), store_cfg);
+    assert!(!store.is_durable());
+    assert_eq!(store.dir(), std::path::Path::new(""));
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let seqs = Arc::new(Mutex::new(Vec::new()));
+    let (sink, seq_sink) = (Arc::clone(&events), Arc::clone(&seqs));
+    store.set_telemetry_hook(TelemetryHook::new(move |e| sink.lock().unwrap().push(e)));
+    store.set_commit_hook(CommitHook::new(move |seq| {
+        seq_sink.lock().unwrap().push(seq)
+    }));
+
+    // 2 of 8 sets removed crosses the 0.25 dead ratio.
+    let receipt = store.apply(Update::Remove(vec![0, 5])).unwrap();
+    assert!(receipt.auto_compacted);
+    assert_eq!(receipt.auto_snapshot, None);
+    assert_eq!(receipt.maintenance_error, None);
+    assert_eq!(*events.lock().unwrap(), [StoreEvent::AutoCompaction]);
+    assert_eq!(*seqs.lock().unwrap(), [1, 2], "remove, then its compaction");
+    let status = store.status();
+    assert_eq!(
+        (status.update_seq, status.wal_records, status.wal_segments),
+        (2, 0, 1)
+    );
+    assert_eq!((status.snapshot_seq, status.auto_snapshots), (0, 0));
+    assert_eq!(status.auto_compactions, 1);
+
+    let mut mirror = fresh_engine(&raw);
+    mirror.apply(Update::Remove(vec![0, 5])).unwrap();
+    mirror.apply(Update::Compact).unwrap();
+    assert_engines_identical(store.engine(), &mirror, "in-memory store");
+
+    assert!(matches!(store.snapshot(), Err(StorageError::BadState(_))));
+    assert!(matches!(store.bump_epoch(), Err(StorageError::BadState(_))));
+    assert_eq!(store.status(), status, "failed snapshots change nothing");
+    assert_eq!(events.lock().unwrap().len(), 1);
+}

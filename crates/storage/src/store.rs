@@ -11,6 +11,10 @@
 //! whose failures are *reported in the receipt*, never surfaced as an
 //! error for an update that already committed (an error after the
 //! commit point would make the caller retry a durable update).
+//!
+//! [`Store::in_memory`] runs the same two phases with no directory and
+//! no WAL: a commit only numbers the batch, so the sequence numbers,
+//! the commit hook and policy auto-compaction behave exactly as on disk.
 
 use std::fmt;
 use std::fs::{self, File};
@@ -126,11 +130,6 @@ impl CommittedBatch {
     /// Always false — empty batches are rejected at commit.
     pub fn is_empty(&self) -> bool {
         self.updates.is_empty()
-    }
-
-    /// Global sequence number of the batch's last record.
-    pub fn last_seq(&self) -> u64 {
-        self.first_seq + self.updates.len() as u64 - 1
     }
 }
 
@@ -268,7 +267,8 @@ pub struct StoreStatus {
 /// the server fsync outside its engine write lock.
 #[derive(Debug)]
 struct CommitState {
-    wal: WalWriter,
+    /// `None` for an in-memory store, which logs nothing.
+    wal: Option<WalWriter>,
     /// Current snapshot generation.
     seq: u64,
     /// Index of the active WAL segment within the generation.
@@ -280,13 +280,46 @@ struct CommitState {
     last_fsync_ok: bool,
 }
 
+impl CommitState {
+    /// Generation 0 with nothing committed in it yet, `update_seq`
+    /// updates into the history.
+    fn fresh(wal: Option<WalWriter>, update_seq: u64) -> Self {
+        Self {
+            wal,
+            seq: 0,
+            segment_index: 0,
+            wal_records: 0,
+            update_seq,
+            last_fsync_ok: true,
+        }
+    }
+
+    /// Marks the last commit failed; a WAL refuses every later append
+    /// until the store is reopened.
+    fn poison(&mut self, why: String) {
+        if let Some(wal) = &mut self.wal {
+            wal.poison(why);
+        }
+        self.last_fsync_ok = false;
+    }
+}
+
 /// A durable engine: every acknowledged update is WAL-logged (fsync'd)
 /// *before* the in-memory engine mutates, and
 /// [`snapshot`](Store::snapshot) checkpoints + rotates generations
 /// atomically. Generic over [`StoreEngine`].
+///
+/// A store built with [`in_memory`](Store::in_memory) has no directory
+/// and no WAL. Its commits number their batches and run the commit hook;
+/// they write nothing and emit no [`StoreEvent::CommitBatch`]. Policy
+/// auto-compaction is committed and applied as on disk, and fires
+/// [`StoreEvent::AutoCompaction`]; the snapshot and segment policies do
+/// nothing, and [`snapshot`](Store::snapshot) /
+/// [`bump_epoch`](Store::bump_epoch) fail by name.
 #[derive(Debug)]
 pub struct Store<E: StoreEngine> {
-    dir: PathBuf,
+    /// `None` for an in-memory store.
+    dir: Option<PathBuf>,
     cfg: StoreConfig,
     engine: E,
     commit: Mutex<CommitState>,
@@ -396,25 +429,38 @@ impl<E: StoreEngine> Store<E> {
         };
         let wal = write_generation(&dir, meta, &engine)?;
         sync_dir(&dir)?;
-        Ok(Self {
+        let state = CommitState::fresh(Some(wal), update_seq);
+        Ok(Self::assemble(Some(dir), engine, cfg, state, epoch))
+    }
+
+    /// A store with no directory and no WAL over an already-built
+    /// engine, at sequence 0 of epoch 0 (see the type docs for what it
+    /// does and does not do). It touches no file.
+    pub fn in_memory(engine: E, cfg: StoreConfig) -> Self {
+        Self::assemble(None, engine, cfg, CommitState::fresh(None, 0), 0)
+    }
+
+    /// What every constructor ends in: a store with no hooks installed
+    /// and no policy action taken yet.
+    fn assemble(
+        dir: Option<PathBuf>,
+        engine: E,
+        cfg: StoreConfig,
+        state: CommitState,
+        epoch: u64,
+    ) -> Self {
+        Self {
             dir,
             cfg,
             engine,
-            commit: Mutex::new(CommitState {
-                wal,
-                seq: 0,
-                segment_index: 0,
-                wal_records: 0,
-                update_seq,
-                last_fsync_ok: true,
-            }),
+            commit: Mutex::new(state),
             epoch,
             auto_compactions: 0,
             auto_snapshots: 0,
             commit_hook: None,
             telemetry_hook: None,
             retention_hook: None,
-        })
+        }
     }
 
     /// Recovers a store from `dir`: loads the newest snapshot that
@@ -581,28 +627,18 @@ impl<E: StoreEngine> Store<E> {
                 }
             };
 
-            let store = Self {
-                engine,
-                commit: Mutex::new(CommitState {
-                    wal,
-                    seq,
-                    segment_index,
-                    wal_records: replayed,
-                    update_seq,
-                    last_fsync_ok: true,
-                }),
-                epoch: meta.epoch,
-                auto_compactions: 0,
-                auto_snapshots: 0,
-                commit_hook: None,
-                telemetry_hook: None,
-                retention_hook: None,
-                cfg,
-                dir,
+            let state = CommitState {
+                wal: Some(wal),
+                seq,
+                segment_index,
+                wal_records: replayed,
+                update_seq,
+                last_fsync_ok: true,
             };
+            let store = Self::assemble(Some(dir.clone()), engine, cfg, state, meta.epoch);
             let skipped = skipped_gens.len() as u64;
-            store.quarantine_generations(&skipped_gens);
-            store.retire_stale_files(seq);
+            Self::quarantine_generations(&dir, &skipped_gens);
+            store.retire_stale_files(&dir, seq);
             return Ok((
                 store,
                 RecoveryReport {
@@ -625,9 +661,15 @@ impl<E: StoreEngine> Store<E> {
         &self.engine
     }
 
-    /// The store directory.
+    /// The store directory (empty for an in-memory store).
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.dir.as_deref().unwrap_or(Path::new(""))
+    }
+
+    /// Whether the store lives in a directory, behind a WAL (false for
+    /// [`in_memory`](Self::in_memory)).
+    pub fn is_durable(&self) -> bool {
+        self.dir.is_some()
     }
 
     fn commit_state(&self) -> MutexGuard<'_, CommitState> {
@@ -720,6 +762,9 @@ impl<E: StoreEngine> Store<E> {
     /// * [`Update::Compact`] must be committed **alone**: compaction
     ///   drops tombstoned ids for good, so the updates behind it must be
     ///   validated against the post-compaction engine, in a later batch.
+    ///
+    /// An in-memory store only numbers the batch and runs the commit
+    /// hook: it encodes nothing and emits no [`StoreEvent::CommitBatch`].
     pub fn commit_batch(&self, updates: Vec<Update>) -> Result<CommittedBatch, StorageError> {
         if updates.is_empty() {
             return Err(StorageError::BadState("empty commit batch".into()));
@@ -729,39 +774,44 @@ impl<E: StoreEngine> Store<E> {
                 "Update::Compact must be committed in a batch of its own".into(),
             ));
         }
-        let payloads: Vec<Vec<u8>> = updates
-            .iter()
-            .map(|update| {
-                let mut payload = Vec::new();
-                encode_update(update, &mut payload);
-                payload
-            })
-            .collect();
         let records = updates.len() as u64;
-        let mut state = self.commit_state();
-        let timing = match state.wal.append_many(&payloads, self.cfg.sync) {
-            Ok(timing) => timing,
-            Err(e) => {
-                state.last_fsync_ok = false;
-                return Err(e);
-            }
-        };
-        state.last_fsync_ok = true;
-        state.wal_records += records;
+        let mut guard = self.commit_state();
+        let state = &mut *guard;
+        if let Some(wal) = &mut state.wal {
+            let payloads: Vec<Vec<u8>> = updates
+                .iter()
+                .map(|update| {
+                    let mut payload = Vec::new();
+                    encode_update(update, &mut payload);
+                    payload
+                })
+                .collect();
+            let timing = match wal.append_many(&payloads, self.cfg.sync) {
+                Ok(timing) => timing,
+                Err(e) => {
+                    state.last_fsync_ok = false;
+                    return Err(e);
+                }
+            };
+            state.last_fsync_ok = true;
+            state.wal_records += records;
+            self.emit(StoreEvent::CommitBatch {
+                records,
+                write: timing.write,
+                sync: timing.sync,
+            });
+        }
         state.update_seq += records;
         let last_seq = state.update_seq;
-        self.emit(StoreEvent::CommitBatch {
-            records,
-            write: timing.write,
-            sync: timing.sync,
-        });
         if let Some(hook) = &self.commit_hook {
             (hook.0)(last_seq);
         }
-        if self.cfg.policy.should_seal(state.wal.committed_len()) {
-            self.seal_active_segment(&mut state);
+        if let (Some(dir), Some(wal)) = (&self.dir, &state.wal) {
+            if self.cfg.policy.should_seal(wal.committed_len()) {
+                self.seal_active_segment(dir, state);
+            }
         }
-        drop(state);
+        drop(guard);
         Ok(CommittedBatch {
             updates,
             first_seq: last_seq - records + 1,
@@ -775,23 +825,20 @@ impl<E: StoreEngine> Store<E> {
     /// recovery — which then treats any torn tail in it as hard
     /// corruption — so a failed seal must not leave the new file
     /// behind.
-    fn seal_active_segment(&self, state: &mut CommitState) {
+    fn seal_active_segment(&self, dir: &Path, state: &mut CommitState) {
         let next = state.segment_index + 1;
-        let path = wal_segment_path(&self.dir, state.seq, next);
+        let path = wal_segment_path(dir, state.seq, next);
         let created = WalWriter::create(&path, state.seq, next, state.update_seq)
-            .and_then(|w| sync_dir(&self.dir).map(|()| w));
+            .and_then(|w| sync_dir(dir).map(|()| w));
         match created {
             Ok(w) => {
-                state.wal = w;
+                state.wal = Some(w);
                 state.segment_index = next;
-                self.retire_stale_files(state.seq);
+                self.retire_stale_files(dir, state.seq);
             }
             Err(why) => {
                 if fs::remove_file(&path).is_err() && path.exists() {
-                    state
-                        .wal
-                        .poison(format!("segment seal left a partial successor: {why}"));
-                    state.last_fsync_ok = false;
+                    state.poison(format!("segment seal left a partial successor: {why}"));
                 }
             }
         }
@@ -827,12 +874,10 @@ impl<E: StoreEngine> Store<E> {
     }
 
     fn poison_commits(&mut self, why: String) {
-        let state = self
-            .commit
+        self.commit
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        state.wal.poison(why);
-        state.last_fsync_ok = false;
+            .unwrap_or_else(PoisonError::into_inner)
+            .poison(why);
     }
 
     /// Runs the configured policy's post-commit maintenance: an
@@ -866,6 +911,7 @@ impl<E: StoreEngine> Store<E> {
                 }
             }
         }
+        // An in-memory store has no WAL records, so it never snapshots.
         let wal_records = self
             .commit
             .get_mut()
@@ -901,7 +947,15 @@ impl<E: StoreEngine> Store<E> {
     /// so the store switches to the new generation but **poisons its
     /// WAL**: no further update can be acknowledged into a generation
     /// that might not survive, and the old one is left on disk.
+    ///
+    /// An in-memory store has nowhere to write one: it answers
+    /// [`StorageError::BadState`] and changes nothing.
     pub fn snapshot(&mut self) -> Result<u64, StorageError> {
+        let Some(dir) = &self.dir else {
+            return Err(StorageError::BadState(
+                "an in-memory store takes no snapshots".into(),
+            ));
+        };
         let state = self
             .commit
             .get_mut()
@@ -912,22 +966,17 @@ impl<E: StoreEngine> Store<E> {
             update_seq: state.update_seq,
             epoch: self.epoch,
         };
-        let mut new_wal = write_generation(&self.dir, meta, &self.engine)?;
+        let new_wal = write_generation(dir, meta, &self.engine)?;
         state.seq = new_seq;
         state.segment_index = 0;
         state.wal_records = 0;
-        let committed = sync_dir(&self.dir);
-        if let Err(e) = &committed {
-            new_wal.poison(format!(
+        state.wal = Some(new_wal);
+        let committed = sync_dir(dir);
+        match &committed {
+            Err(e) => state.poison(format!(
                 "generation {new_seq} rename not durably synced: {e}"
-            ));
-            state.wal = new_wal;
-            state.last_fsync_ok = false;
-        } else {
-            state.wal = new_wal;
-        }
-        if committed.is_ok() {
-            self.retire_stale_files(new_seq);
+            )),
+            Ok(()) => self.retire_stale_files(dir, new_seq),
         }
         self.emit(StoreEvent::Snapshot);
         committed.map(|()| new_seq)
@@ -941,7 +990,8 @@ impl<E: StoreEngine> Store<E> {
     /// rotation never committed (the store keeps serving the old epoch,
     /// consistently) or the ambiguous post-rename failure poisoned the
     /// WAL (no further write is acknowledged until reopen) — in neither
-    /// case is an update committed under an unrecorded epoch.
+    /// case is an update committed under an unrecorded epoch. An
+    /// in-memory store fails as [`snapshot`](Self::snapshot) does.
     pub fn bump_epoch(&mut self) -> Result<u64, StorageError> {
         self.epoch += 1;
         match self.snapshot() {
@@ -958,21 +1008,21 @@ impl<E: StoreEngine> Store<E> {
     /// for inspection but never re-probed — without this, a corrupt
     /// newer generation would be silently re-skipped on every open
     /// until a rotation happened to pass its number.
-    fn quarantine_generations(&self, gens: &[u64]) {
+    fn quarantine_generations(dir: &Path, gens: &[u64]) {
         if gens.is_empty() {
             return;
         }
-        let Ok(entries) = fs::read_dir(&self.dir) else {
+        let Ok(entries) = fs::read_dir(dir) else {
             return;
         };
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if file_generation(name).is_some_and(|g| gens.contains(&g)) {
-                let _ = fs::rename(entry.path(), self.dir.join(format!("{name}.corrupt")));
+                let _ = fs::rename(entry.path(), dir.join(format!("{name}.corrupt")));
             }
         }
-        let _ = sync_dir(&self.dir);
+        let _ = sync_dir(dir);
     }
 
     /// Best-effort removal of stale files: snapshots of generations
@@ -984,9 +1034,9 @@ impl<E: StoreEngine> Store<E> {
     /// retired — recovery needs them. Failures are ignored: stale files
     /// are retried on the next rotation and are harmless to recovery,
     /// which always prefers the newest valid generation.
-    fn retire_stale_files(&self, keep: u64) {
+    fn retire_stale_files(&self, dir: &Path, keep: u64) {
         let floor = self.retention_floor();
-        if let Ok(segments) = list_wal_segments(&self.dir) {
+        if let Ok(segments) = list_wal_segments(dir) {
             for (i, seg) in segments.iter().enumerate() {
                 if seg.generation >= keep {
                     continue;
@@ -1006,7 +1056,7 @@ impl<E: StoreEngine> Store<E> {
                 }
             }
         }
-        let Ok(entries) = fs::read_dir(&self.dir) else {
+        let Ok(entries) = fs::read_dir(dir) else {
             return;
         };
         for entry in entries.flatten() {

@@ -18,9 +18,12 @@
 # Beside the snapshot it keeps a size budget (scripts/size_budget.txt):
 # the number of public items, and the workspace's product lines — the
 # lines before the first `#[cfg(test)]` of every crates/*/src/**/*.rs
-# (the benchmark suite package excepted) and src/**/*.rs. `--check`
-# fails when either number is above the recorded one, so growth, like
-# API drift, has to be committed deliberately.
+# (the benchmark suite package excepted) and src/**/*.rs — and those
+# product lines split into code, comment (`//`, `///`, `//!`) and blank
+# lines. `--check` prints each number's change against the recorded one
+# and fails when the public items or the product lines are above the
+# record, so growth, like API drift, has to be committed deliberately;
+# the split is reported, not gated.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,19 +44,28 @@ generate() {
         done
 }
 
+# product_lines — "<total> <code> <comment> <blank>" product lines.
 product_lines() {
     find src crates -name '*.rs' \( -path 'crates/*/src/*' -o -path 'src/*' \) \
         -not -path 'crates/bench/src/bin/suite/*' -print0 \
         | xargs -0 awk 'FNR == 1 { counting = 1 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-            counting { n++ }
-            END { print n + 0 }'
+            !counting { next }
+            { n++ }
+            /^[[:space:]]*$/ { blank++ }
+            /^[[:space:]]*\/\// { comment++ }
+            END { print n + 0, n - comment - blank, comment + 0, blank + 0 }'
 }
 
-# budget <public items> — the two tracked numbers, one per line.
+# budget <public items> — the tracked numbers, one per line.
 budget() {
+    local total code comment blank
+    read -r total code comment blank < <(product_lines)
     echo "public_items $1"
-    echo "product_lines $(product_lines)"
+    echo "product_lines $total"
+    echo "product_code_lines $code"
+    echo "product_comment_lines $comment"
+    echo "product_blank_lines $blank"
 }
 
 case "${1:-}" in
@@ -72,13 +84,20 @@ case "${1:-}" in
     status=0
     while read -r name now; do
         recorded=$(awk -v name="$name" '$1 == name { print $2 }' "$BUDGET")
+        if [ -n "$recorded" ]; then
+            printf '%s %s (%+d against %s)\n' "$name" "$now" $((now - recorded)) "$recorded"
+        else
+            echo "$name $now (not recorded)"
+        fi
+        case "$name" in
+        public_items | product_lines) ;;
+        *) continue ;;
+        esac
         if [ -z "$recorded" ] || [ "$now" -gt "$recorded" ]; then
             echo "error: $name rose to $now (budget in $BUDGET: ${recorded:-none})." >&2
             echo "If the growth is deliberate, run ./scripts/api_surface.sh and" >&2
             echo "commit the regenerated budget with your change." >&2
             status=1
-        else
-            echo "$name $now within the budget of $recorded."
         fi
     done < <(budget "$(wc -l <"$tmp")")
     exit "$status"

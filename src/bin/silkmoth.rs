@@ -457,7 +457,7 @@ fn build_engine_from_input(cli: &Cli, cfg: EngineConfig) -> ShardedEngine {
     ShardedEngine::build(&raw, cfg, cli.shards).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
-/// `silkmoth serve`: ephemeral, or durable when `--data-dir` is given —
+/// `silkmoth serve`: in memory, or durable when `--data-dir` is given —
 /// a populated data dir is recovered (snapshot + WAL replay; `--input`
 /// is not needed), an empty one is initialized from `--input`.
 fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
@@ -500,26 +500,31 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
         cfg,
         shards: cli.shards,
     };
+    if cli.data_dir.is_some() {
+        // Snapshots are what bound WAL growth, so durable serving
+        // defaults to a checkpoint every 4096 records; segments bound
+        // the size of any single WAL file in between (0 keeps one
+        // unbounded segment per generation).
+        policy = policy.snapshot_at_wal_records(cli.snapshot_every.unwrap_or(4096));
+        match cli.wal_segment_bytes.unwrap_or(64 * 1024 * 1024) {
+            0 => {}
+            bytes => policy = policy.segment_at_wal_bytes(bytes),
+        }
+    }
+    // The one store configuration: the default collection's, the
+    // follower's (with compaction off) and the catalog's.
+    let store_cfg = StoreConfig {
+        sync: !cli.no_fsync,
+        policy,
+    };
     let service = match &cli.data_dir {
         Some(dir) => {
-            // Snapshots are what bound WAL growth, so durable serving
-            // defaults to a checkpoint every 4096 records; segments
-            // bound the size of any single WAL file in between (0
-            // keeps one unbounded segment per generation).
-            policy = policy.snapshot_at_wal_records(cli.snapshot_every.unwrap_or(4096));
-            match cli.wal_segment_bytes.unwrap_or(64 * 1024 * 1024) {
-                0 => {}
-                bytes => policy = policy.segment_at_wal_bytes(bytes),
-            }
-            let mut store_cfg = StoreConfig {
-                sync: !cli.no_fsync,
-                policy,
+            // Compactions reach a follower through the log, never as
+            // its own decision — a local one would diverge it.
+            let store_cfg = match cli.replicate_from {
+                Some(_) => follower_store_config(store_cfg),
+                None => store_cfg,
             };
-            if cli.replicate_from.is_some() {
-                // Compactions reach a follower through the log, never
-                // as its own decision — a local one would diverge it.
-                store_cfg = follower_store_config(store_cfg);
-            }
             match Store::open(dir, &spec, store_cfg) {
                 Ok((store, report)) => {
                     eprintln!(
@@ -562,7 +567,10 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
                 Err(e) => fail(&e.to_string()),
             }
         }
-        None => SearchService::new(build_engine_from_input(cli, cfg)).with_policy(policy),
+        None => SearchService::durable(Store::in_memory(
+            build_engine_from_input(cli, cfg),
+            store_cfg,
+        )),
     };
     let service = match cli.max_inflight_updates {
         Some(n) => service.with_max_inflight_updates(n),
@@ -597,10 +605,7 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
             Arc::clone(&service),
             primary.clone(),
             spec,
-            follower_store_config(StoreConfig {
-                sync: !cli.no_fsync,
-                policy,
-            }),
+            follower_store_config(store_cfg),
             FollowerConfig::default(),
         )
     });
@@ -625,10 +630,7 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
         CatalogConfig {
             data_dir: cli.data_dir.as_ref().map(PathBuf::from),
             engine_cfg: cfg,
-            store_cfg: StoreConfig {
-                sync: !cli.no_fsync,
-                policy,
-            },
+            store_cfg,
             ephemeral_policy: policy,
             default_shards: cli.shards,
             max_collections: cli.max_collections,

@@ -17,6 +17,10 @@
 //! Removal renumbers nothing, so incremental ids and fresh-build ids
 //! relate by the order-preserving "live order" map; order-preservation
 //! is what keeps top-k tie order comparable.
+//!
+//! At the service level, a collection served from memory and one served
+//! from a store on disk take one write path, so the same request stream
+//! must get byte-identical answers from both.
 
 use std::collections::HashMap;
 
@@ -25,8 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silkmoth::server::{Json, Request, SearchService};
 use silkmoth::{
-    brute, Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SetIdx, ShardedEngine,
-    SimilarityFunction, Update,
+    brute, Collection, CompactionPolicy, Engine, EngineConfig, QuerySpec, RelatednessMetric,
+    SetIdx, ShardedEngine, SimilarityFunction, Store, StoreConfig, Update,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -535,4 +539,140 @@ fn service_stats_reflect_post_update_set_counts() {
         .map(|r| r.get("set").and_then(Json::as_usize).unwrap())
         .collect();
     assert_eq!(hits, vec![11], "global ids survive compaction");
+}
+
+/// A service's answer to one request: status and raw body.
+fn call(service: &SearchService, method: &str, path: &str, body: &str) -> (u16, Vec<u8>) {
+    let resp = service.handle(&Request::new(method, path, body.as_bytes().to_vec()));
+    (resp.status, resp.body)
+}
+
+/// `GET /stats` without its `storage` object, which only a store on
+/// disk has.
+fn stats_without_storage(service: &SearchService) -> String {
+    let (_, body) = call(service, "GET", "/stats", "");
+    match Json::parse(std::str::from_utf8(&body).unwrap()).unwrap() {
+        Json::Obj(pairs) => {
+            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "storage").collect()).to_string()
+        }
+        other => panic!("/stats is not an object: {other}"),
+    }
+}
+
+/// The JSON array of `sets` as request text.
+fn sets_json(sets: &[Vec<String>]) -> String {
+    let set = |s: &Vec<String>| {
+        let elems: Vec<String> = s.iter().map(|e| format!("\"{e}\"")).collect();
+        format!("[{}]", elems.join(","))
+    };
+    format!("[{}]", sets.iter().map(set).collect::<Vec<_>>().join(","))
+}
+
+/// One random request of the stream: an append, a remove (mostly of
+/// assigned ids, some already removed, now and then one never assigned:
+/// a 404), a compaction or a search. `next_gid` tracks the ids appends
+/// assign.
+fn stream_request(rng: &mut StdRng, next_gid: &mut u32) -> (&'static str, &'static str, String) {
+    match rng.random_range(0..100u32) {
+        0..=29 => {
+            let n = rng.random_range(1..=3usize);
+            let sets: Vec<_> = (0..n).map(|_| gen_set(rng, gen_element)).collect();
+            *next_gid += n as u32;
+            let body = format!(r#"{{"sets": {}}}"#, sets_json(&sets));
+            ("POST", "/sets", body)
+        }
+        30..=54 => {
+            let ids: Vec<String> = (0..rng.random_range(1..=3usize))
+                .map(|_| rng.random_range(0..*next_gid + 2).to_string())
+                .collect();
+            let body = format!(r#"{{"ids": [{}]}}"#, ids.join(","));
+            ("DELETE", "/sets", body)
+        }
+        55..=64 => ("POST", "/compact", String::new()),
+        _ => {
+            let reference = sets_json(&[gen_set(rng, gen_element)]);
+            let mut spec = format!(
+                r#"{{"reference": {}, "stats": true"#,
+                &reference[1..reference.len() - 1]
+            );
+            if let Some(k) = [None, Some(1), Some(3)][rng.random_range(0..3usize)] {
+                spec += &format!(r#", "k": {k}"#);
+            }
+            if let Some(f) = [None, Some(0.0), Some(0.3)][rng.random_range(0..3usize)] {
+                spec += &format!(r#", "floor": {f}"#);
+            }
+            ("POST", "/search", spec + "}")
+        }
+    }
+}
+
+/// Drives one seeded stream through an in-memory service and a service
+/// over a store on disk, both under `policy`, and returns how many
+/// compactions the policy committed.
+fn check_stream(seed: u64, policy: CompactionPolicy, shards: usize) -> usize {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let cfg = cfg(rng);
+    let base: Vec<Vec<String>> = (0..12).map(|_| gen_set(rng, gen_element)).collect();
+    let engine = || ShardedEngine::build(&base, cfg, shards).unwrap();
+    // The durable twin's fsyncs would prove nothing here.
+    let store_cfg = StoreConfig {
+        sync: false,
+        policy,
+    };
+    let memory = if policy.is_disabled() {
+        SearchService::new(engine())
+    } else {
+        SearchService::durable(Store::in_memory(engine(), store_cfg))
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "silkmoth-update-equivalence-{}-{seed}-{shards}-{}",
+        std::process::id(),
+        policy.is_disabled()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = SearchService::durable(Store::create(&dir, engine(), store_cfg).unwrap());
+
+    let run = format!("seed {seed}, {shards} shards, policy {policy:?}");
+    let mut next_gid = base.len() as u32;
+    for step in 0..40 {
+        let (method, path, body) = stream_request(rng, &mut next_gid);
+        let want = call(&durable, method, path, &body);
+        let got = call(&memory, method, path, &body);
+        assert_eq!(
+            (got.0, String::from_utf8_lossy(&got.1)),
+            (want.0, String::from_utf8_lossy(&want.1)),
+            "{run}, step {step}: {method} {path} {body}"
+        );
+    }
+    let stats = stats_without_storage(&memory);
+    assert_eq!(stats, stats_without_storage(&durable), "{run}: /stats");
+    let update_seq = |service: &SearchService| {
+        let (_, body) = call(service, "GET", "/healthz", "");
+        let doc = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        doc.get("update_seq").and_then(Json::as_usize)
+    };
+    assert_eq!(update_seq(&memory), update_seq(&durable), "{run}: /healthz");
+    let _ = std::fs::remove_dir_all(&dir);
+    Json::parse(&stats)
+        .unwrap()
+        .get("auto_compactions")
+        .and_then(Json::as_usize)
+        .unwrap()
+}
+
+/// The same seeded stream through an in-memory service and a service
+/// over a store on disk, at shard counts {1, 2, 7}, with and without a
+/// dead-ratio policy: every response is byte-identical, and so are
+/// `/stats` apart from its `storage` object and the `/healthz` sequence.
+#[test]
+fn in_memory_and_durable_services_answer_a_stream_byte_identically() {
+    let mut auto_compactions = 0;
+    for seed in 0..4u64 {
+        for shards in SHARD_COUNTS {
+            check_stream(seed, CompactionPolicy::DISABLED, shards);
+            let policy = CompactionPolicy::default().compact_at_dead_ratio(0.25);
+            auto_compactions += check_stream(seed, policy, shards);
+        }
+    }
+    assert!(auto_compactions > 0, "the policy never compacted");
 }
