@@ -5,9 +5,10 @@
 //! --replicate-addr`). A follower connects with a cursor — the count of
 //! updates it has already applied plus the failover epoch it applied
 //! them under — and the primary either resumes streaming raw WAL
-//! records from that point or, when the cursor predates the oldest
-//! retained WAL segment (or belongs to a different epoch), sends a full
-//! snapshot to bootstrap from. The follower ([`start_follower`], `serve
+//! records from that point, read from its store's retained log
+//! ([`RetainedLog`](silkmoth_storage::RetainedLog): this module never
+//! names a file), or, when the cursor predates that log (or belongs to
+//! a different epoch), sends a full snapshot to bootstrap from. The follower ([`start_follower`], `serve
 //! --replicate-from`) replays records through the same
 //! [`silkmoth_storage::Store`] commit path the primary used, so a
 //! caught-up follower is *byte-identical* to the primary: same ids, same
@@ -50,7 +51,7 @@
 //!
 //! - `proto`: the framing itself — encode/decode, CRC, length caps.
 //! - `source`: primary side — [`stream_updates`] serves one follower
-//!   connection from the service's retained WAL, [`serve_log`] is the TCP
+//!   connection from the store's retained log, [`serve_log`] is the TCP
 //!   accept loop (it also reports its followers on `/stats` and holds
 //!   back the WAL segments their cursors still need), and
 //!   [`bootstrap_snapshot`] is the `(seq, state)` cut a bootstrap ships.
@@ -74,7 +75,7 @@ use crate::durable::ShardSpec;
 use crate::service::SearchService;
 use crate::shard::ShardedEngine;
 use silkmoth_core::wire::decode_update;
-use silkmoth_storage::{parse_snapshot, StorageError, Store, StoreConfig, StoreEngine};
+use silkmoth_storage::{parse_snapshot, StorageError, StoreConfig, StoreEngine};
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -142,13 +143,6 @@ fn not_durable() -> ReplicaError {
     ReplicaError::Protocol("service is not durable; replication needs --data-dir".to_string())
 }
 
-/// The failover epoch of `service`'s store (0 on an in-memory store).
-fn store_epoch(service: &SearchService) -> u64 {
-    service
-        .store_position()
-        .map_or(0, |(_, status)| status.epoch)
-}
-
 /// Where replicated records land: a [`SearchService`]'s durable store,
 /// reached through the quiesced accessor — so follower searches
 /// serialize with replication exactly as primary searches serialize
@@ -169,14 +163,12 @@ impl ServiceSink {
 
     /// The failover epoch the sink's state was applied under.
     pub fn epoch(&self) -> u64 {
-        store_epoch(&self.service)
+        self.service.store_status().epoch
     }
 
     /// Total updates applied (the handshake cursor).
     pub fn applied_seq(&self) -> u64 {
-        self.service
-            .store_position()
-            .map_or(0, |(_, status)| status.update_seq)
+        self.service.store_status().update_seq
     }
 
     /// Replaces all local state with `snapshot`, positioning the sink
@@ -192,24 +184,10 @@ impl ServiceSink {
         }
         let engine = <ShardedEngine as StoreEngine>::restore(&self.spec, state)
             .map_err(ReplicaError::Storage)?;
-        let (dir, _) = self.service.store_position().ok_or_else(not_durable)?;
-        match std::fs::remove_dir_all(&dir) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(ReplicaError::Io {
-                    context: format!("wipe follower dir {} for bootstrap", dir.display()),
-                    source: e,
-                })
-            }
-        }
-        let store = Store::create_continuing(&dir, engine, self.cfg, seq, epoch)
-            .map_err(ReplicaError::Storage)?;
-        self.service.quiesced(|current| {
-            *current = store;
-            self.service.wire(current);
-        });
-        Ok(())
+        self.service
+            .restart_store(engine, self.cfg, seq, epoch)
+            .ok_or_else(not_durable)?
+            .map_err(ReplicaError::Storage)
     }
 
     /// Applies the record with sequence number `seq`, which advances

@@ -4,17 +4,13 @@
 //! snapshot a follower whose cursor cannot be resumed starts from.
 
 use super::proto::{read_handshake, write_frame, Frame};
-use super::{not_durable, store_epoch, ReplicaError};
+use super::{not_durable, ReplicaError};
 use crate::http::wake_acceptor;
 use crate::service::SearchService;
-use silkmoth_storage::{
-    list_wal_segments, read_wal_payloads, snapshot_bytes, CommitHook, RetentionHook, SnapshotMeta,
-    StorageError, StoreEngine, StoreStatus,
-};
+use silkmoth_storage::{snapshot_bytes, CommitHook, RetentionHook, SnapshotMeta, StoreEngine};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -75,119 +71,6 @@ impl CommitSignal {
         let signal = Arc::clone(self);
         CommitHook::new(move |seq| signal.notify(seq))
     }
-}
-
-/// One servable stretch of the retained log: a WAL file and the global
-/// update sequence its records start after. Its records end where the
-/// next span's begin.
-struct LogSpan {
-    path: PathBuf,
-    generation: u64,
-    base: u64,
-}
-
-/// Maps a follower cursor onto a store's **retained** WAL files —
-/// every segment still on disk (including sealed segments of older
-/// generations kept back for cursors like this one, whose bases chain
-/// globally across generations) — and reads the next batch of raw
-/// record payloads. `status` and `dir`
-/// must come from one consistent read of the store (hold the lock
-/// while calling `status()`; the file reads themselves happen
-/// lock-free — committed WAL bytes are append-only, and a segment
-/// retired away mid-read surfaces as `Ok(None)`, i.e. "bootstrap
-/// instead").
-fn store_records_after(
-    dir: &Path,
-    status: &StoreStatus,
-    applied: u64,
-    limit: usize,
-) -> Result<Option<Vec<Vec<u8>>>, ReplicaError> {
-    if applied > status.update_seq {
-        return Ok(None);
-    }
-    let take = ((status.update_seq - applied) as usize).min(limit);
-    if take == 0 {
-        return Ok(Some(Vec::new()));
-    }
-    // A segment with an unreadable header (mid-creation or damaged)
-    // serves no one; skip it — a cursor actually needing its records
-    // fails the shortfall check below.
-    let mut spans: Vec<LogSpan> = list_wal_segments(dir)
-        .map_err(ReplicaError::Storage)?
-        .into_iter()
-        .filter_map(|seg| {
-            Some(LogSpan {
-                base: seg.base_seq?,
-                path: seg.path,
-                generation: seg.generation,
-            })
-        })
-        .collect();
-    // Bases are global sequence numbers, so sorting by base chains the
-    // segments of every generation into one contiguous log.
-    spans.sort_by_key(|s| s.base);
-    let Some(mut i) = spans.iter().rposition(|s| s.base <= applied) else {
-        // The cursor predates everything retained.
-        return Ok(None);
-    };
-    let mut out: Vec<Vec<u8>> = Vec::with_capacity(take);
-    let mut cursor = applied;
-    while out.len() < take && i < spans.len() {
-        let span = &spans[i];
-        // Records past the committed count (a rotation racing this
-        // read created a newer, still-empty span) are never requested.
-        let end = spans
-            .get(i + 1)
-            .map(|next| next.base)
-            .unwrap_or(status.update_seq)
-            .min(status.update_seq);
-        if cursor < end {
-            let skip = cursor - span.base;
-            let want = ((end - cursor) as usize).min(take - out.len());
-            match read_wal_payloads(&span.path, span.generation, skip, want) {
-                Ok(payloads) => {
-                    if payloads.len() < want {
-                        // The WAL holds fewer intact records than the
-                        // store says it committed — local corruption,
-                        // not a race.
-                        return Err(ReplicaError::Storage(StorageError::Corrupt {
-                            file: span.path.display().to_string(),
-                            detail: format!(
-                                "only {} of {want} committed records after cursor {cursor} \
-                                 are intact",
-                                payloads.len()
-                            ),
-                        }));
-                    }
-                    cursor += payloads.len() as u64;
-                    out.extend(payloads);
-                }
-                // Retired between the listing and the open: the cursor
-                // is no longer servable from the retained log.
-                Err(StorageError::Io { source, .. })
-                    if source.kind() == std::io::ErrorKind::NotFound =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => return Err(ReplicaError::Storage(e)),
-            }
-        }
-        i += 1;
-    }
-    if out.len() < take {
-        // The spans never covered the requested range — a hole in the
-        // retained log is corruption, not a rotation race (retirement
-        // only ever removes a prefix of the old spans, which lands in
-        // the NotFound arm above).
-        return Err(ReplicaError::Storage(StorageError::Corrupt {
-            file: dir.display().to_string(),
-            detail: format!(
-                "retained WAL covers only {} of {take} committed records after cursor {applied}",
-                out.len()
-            ),
-        }));
-    }
-    Ok(Some(out))
 }
 
 /// The registry of live follower cursors on a primary, feeding the
@@ -340,7 +223,7 @@ fn stream_tracked(
             return Err(e);
         }
     };
-    let epoch = store_epoch(service);
+    let epoch = service.store_status().epoch;
     // A cursor minted under another epoch may index a diverged history,
     // and a cursor of 0 carries no shared-history evidence at all (the
     // primary's seq-0 state is its *initial build*, not necessarily
@@ -364,7 +247,7 @@ fn stream_tracked(
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        if store_epoch(service) != epoch {
+        if service.store_status().epoch != epoch {
             let msg = "primary epoch changed; reconnect to re-handshake".to_string();
             let _ = write_frame(io, &Frame::Error(msg.clone()));
             return Err(ReplicaError::Protocol(msg));
@@ -381,8 +264,8 @@ fn stream_tracked(
             }
             continue;
         }
-        let (dir, status) = service.store_position().ok_or_else(not_durable)?;
-        match store_records_after(&dir, &status, applied, cfg.batch)? {
+        let log = service.retained_log().ok_or_else(not_durable)?;
+        match log.records_after(applied, cfg.batch)? {
             Some(payloads) if !payloads.is_empty() => {
                 for payload in payloads {
                     if payload.len() as u64 > u64::from(cfg.max_frame_len) {

@@ -1,20 +1,20 @@
 //! Status and admin: the one read of a collection's state that
 //! `/healthz`, `/stats` and the catalog's `collections` section render
-//! from, the store position replication reads, and `POST /promote`.
+//! from, the store position and retained log replication reads, the
+//! bootstrap store replacement, and `POST /promote`.
 
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
 
 use silkmoth_core::PassStats;
-use silkmoth_storage::{RetentionHook, StoreStatus};
+use silkmoth_storage::{RetainedLog, RetentionHook, StorageError, Store, StoreConfig, StoreStatus};
 
 use super::read::stats_json_pairs;
 use super::write::storage_error_response;
 use super::{Answer, SearchService};
 use crate::http::Response;
 use crate::json::{obj, Json};
-use crate::shard::merge_stats;
+use crate::shard::{merge_stats, ShardedEngine};
 
 /// One consistent read of a collection's size and position, taken
 /// under a single hold of the engine lock.
@@ -79,16 +79,51 @@ impl SearchService {
         }
     }
 
-    /// Where the durable store lives and how far it has **committed**
-    /// (`None` on an in-memory store, which replication refuses). Copies
-    /// only, no engine access: the position may run ahead of the engine
-    /// while a batch is between commit and apply; what needs the two to
-    /// agree goes through [`quiesced`](Self::quiesced).
-    pub(crate) fn store_position(&self) -> Option<(PathBuf, StoreStatus)> {
+    /// How far the store has **committed**, and under which epoch.
+    /// Copies only, no engine access: the position may run ahead of the
+    /// engine while a batch is between commit and apply; what needs the
+    /// two to agree goes through [`quiesced`](Self::quiesced).
+    pub(crate) fn store_status(&self) -> StoreStatus {
+        self.store.read().expect("engine lock poisoned").status()
+    }
+
+    /// The store's retained WAL up to the records committed now — what
+    /// replication ships (`None` on an in-memory store, which
+    /// replication refuses). Its reads take no lock.
+    pub fn retained_log(&self) -> Option<RetainedLog> {
         let store = self.store.read().expect("engine lock poisoned");
-        store
-            .is_durable()
-            .then(|| (store.dir().to_path_buf(), store.status()))
+        store.retained_log()
+    }
+
+    /// Replaces the store with a fresh one in the same directory over
+    /// `engine`, continuing the history at `update_seq` of `epoch` — a
+    /// follower installing a bootstrap snapshot. The directory is wiped
+    /// first; the swap itself is quiesced and the new store wired like
+    /// the old. `None` on an in-memory store, which has no directory.
+    pub(crate) fn restart_store(
+        &self,
+        engine: ShardedEngine,
+        cfg: StoreConfig,
+        update_seq: u64,
+        epoch: u64,
+    ) -> Option<Result<(), StorageError>> {
+        let dir = {
+            let store = self.store.read().expect("engine lock poisoned");
+            store.is_durable().then(|| store.dir().to_path_buf())?
+        };
+        let store = match std::fs::remove_dir_all(&dir) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(StorageError::Io {
+                context: format!("wiping {} for a bootstrap", dir.display()),
+                source: e,
+            }),
+            _ => Store::create_continuing(&dir, engine, cfg, update_seq, epoch),
+        };
+        Some(store.map(|store| {
+            self.quiesced(|current| {
+                *current = store;
+                self.wire(current);
+            })
+        }))
     }
 
     /// Installs the WAL segment retention floor on the durable store —

@@ -31,8 +31,7 @@ use silkmoth_server::{
     ShardSpec, ShardedEngine,
 };
 use silkmoth_storage::{
-    list_wal_segments, read_wal_payloads, snapshot_bytes, RetentionHook, SnapshotMeta, Store,
-    StoreConfig, StoreEngine,
+    snapshot_bytes, RetentionHook, SnapshotMeta, Store, StoreConfig, StoreEngine,
 };
 use silkmoth_text::SimilarityFunction;
 use sim::{sim_duplex, FaultPlan, SimStream};
@@ -470,8 +469,12 @@ fn duplicate_records_are_skipped_idempotently() {
     append(&reference, &[vec!["w1 shared2".into()]]);
     remove(&reference, &[2]);
     let (snapshot, snap_seq, snap_epoch) = bootstrap_snapshot(&reference).unwrap();
-    let wal = &list_wal_segments(&reference_dir).unwrap()[0];
-    let payloads = read_wal_payloads(&wal.path, wal.generation, 0, 10).unwrap();
+    let payloads = reference
+        .retained_log()
+        .unwrap()
+        .records_after(0, 10)
+        .unwrap()
+        .unwrap();
     assert_eq!(payloads.len(), 3);
 
     let mut frames = vec![Frame::Snapshot {

@@ -309,6 +309,26 @@ fn follower_matches_primary_and_rebuild_across_shard_counts() {
             "shards={shards}: primary diverged from the from-scratch replay"
         );
 
+        // A caught-up follower ships its own log (the CLI chains
+        // replicas), and the records streamed to it serve from that log
+        // in the primary's bytes, byte for byte.
+        let caught_up = update_seq(&primary);
+        for _ in 0..5 {
+            reference.apply(random_op(&mut rng, &primary)).unwrap();
+        }
+        wait_caught_up(&primary, &follower, &format!("shards={shards} tail"));
+        let shipped = |service: &SearchService| {
+            let log = service.retained_log().expect("a durable service");
+            log.records_after(caught_up, usize::MAX).unwrap().unwrap()
+        };
+        let records = shipped(&primary);
+        assert_eq!(records.len() as u64, update_seq(&primary) - caught_up);
+        assert_eq!(
+            shipped(&follower),
+            records,
+            "shards={shards}: the follower's log ships other bytes than the primary's"
+        );
+
         runtime.shared.stop();
         let _ = runtime.handle.join();
         log.shutdown();

@@ -535,15 +535,14 @@ fn wal_payloads_read_back_raw_and_bounded() {
             .apply(Update::Append(vec![vec![format!("record {i}")]]))
             .unwrap();
     }
-    let gen = store.status().snapshot_seq;
-    let path = silkmoth_storage::wal_segment_path(&dir, gen, 0);
-    let all = silkmoth_storage::read_wal_payloads(&path, gen, 0, 100).unwrap();
+    let log = store.retained_log().unwrap();
+    let all = log.records_after(0, 100).unwrap().unwrap();
     assert_eq!(all.len(), 5);
     // Skip + limit slice the same stream, and payloads decode to the
     // exact updates that were committed.
-    let tail = silkmoth_storage::read_wal_payloads(&path, gen, 3, 100).unwrap();
+    let tail = log.records_after(3, 100).unwrap().unwrap();
     assert_eq!(tail, all[3..].to_vec());
-    let window = silkmoth_storage::read_wal_payloads(&path, gen, 1, 2).unwrap();
+    let window = log.records_after(1, 2).unwrap().unwrap();
     assert_eq!(window, all[1..3].to_vec());
     for (i, payload) in all.iter().enumerate() {
         match silkmoth_core::wire::decode_update(payload).unwrap() {
@@ -551,12 +550,9 @@ fn wal_payloads_read_back_raw_and_bounded() {
             other => panic!("unexpected update {other:?}"),
         }
     }
-    // Wrong generation is a named error, not a guess.
-    let err = silkmoth_storage::read_wal_payloads(&path, gen + 7, 0, 1).unwrap_err();
-    assert!(
-        err.to_string().contains("does not match generation"),
-        "{err}"
-    );
+    // A cursor ahead of what has committed is not servable: the caller
+    // bootstraps instead.
+    assert_eq!(log.records_after(6, 1).unwrap(), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -582,6 +578,7 @@ fn in_memory_store_commits_without_a_wal() {
     };
     let mut store = Store::in_memory(fresh_engine(&raw), store_cfg);
     assert!(!store.is_durable());
+    assert!(store.retained_log().is_none(), "no WAL to ship");
     assert_eq!(store.dir(), std::path::Path::new(""));
     let events = Arc::new(Mutex::new(Vec::new()));
     let seqs = Arc::new(Mutex::new(Vec::new()));

@@ -18,6 +18,7 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use silkmoth_core::wire::encode_update;
 use silkmoth_core::{CompactionPolicy, EngineConfig, RelatednessMetric, Update};
 use silkmoth_server::{ShardSpec, ShardedEngine};
 use silkmoth_storage::{crc32, EngineState, StorageError, Store, StoreConfig, StoreEngine};
@@ -250,7 +251,10 @@ fn corrupt_header_on_a_wal_with_records_is_a_hard_error_not_a_silent_discard() {
     let master = temp_dir("hdrcorrupt-master");
     let wal = record_wal(&master);
     let replica = temp_dir("hdrcorrupt-replica");
-    for (pos, what) in [(0usize, "magic"), (8, "generation")] {
+    for (pos, what, named) in [
+        (0usize, "magic", "bad magic"),
+        (8, "generation", "does not match snapshot seq"),
+    ] {
         let mut damaged = wal.clone();
         damaged[pos] ^= 0x01;
         let _ = std::fs::remove_dir_all(&replica);
@@ -264,7 +268,7 @@ fn corrupt_header_on_a_wal_with_records_is_a_hard_error_not_a_silent_discard() {
         let err =
             Store::<ShardedEngine>::open(&replica, &spec(), StoreConfig::default()).unwrap_err();
         assert!(
-            matches!(err, StorageError::Corrupt { .. }),
+            matches!(&err, StorageError::Corrupt { detail, .. } if detail.contains(named)),
             "flipped {what}: {err}"
         );
 
@@ -394,6 +398,84 @@ fn segment_byte_flip_fuzz_respects_the_seal() {
     assert!(
         recovered > 0 && errored > 0,
         "both outcomes exercised: {recovered} recovered, {errored} errored"
+    );
+    let _ = std::fs::remove_dir_all(&master);
+    let _ = std::fs::remove_dir_all(&replica);
+}
+
+/// Recovery and replication shipping read a segment through one parser,
+/// so they agree on every damaged final segment: for every truncation
+/// and every single-byte flip of the active segment (behind sealed
+/// ones), either the store refuses to open by name, or it replays `n`
+/// records and, reopened, ships exactly those `n` records — the bytes
+/// `encode_update` gives the updates it replayed.
+#[test]
+fn recovery_and_shipping_agree_on_every_damaged_final_segment() {
+    let master = temp_dir("agree-master");
+    let segs = record_segmented(&master, 48, 3);
+    let replica = temp_dir("agree-replica");
+    // Drop the empty successor (a crash right after the seal), so the
+    // active segment holds records.
+    let trimmed = &segs[..segs.len() - 1];
+    let (name, active) = trimmed.last().unwrap().clone();
+    assert!(
+        trimmed.len() >= 2 && active.len() > 28,
+        "records sit in the active segment"
+    );
+    let encoded: Vec<Vec<u8>> = updates()
+        .iter()
+        .map(|update| {
+            let mut bytes = Vec::new();
+            encode_update(update, &mut bytes);
+            bytes
+        })
+        .collect();
+
+    let mut variants: Vec<(String, Vec<u8>)> = (0..=active.len())
+        .map(|cut| (format!("cut at {cut}"), active[..cut].to_vec()))
+        .collect();
+    for pos in 0..active.len() {
+        for mask in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+            let mut bytes = active.clone();
+            bytes[pos] ^= mask;
+            variants.push((format!("byte {pos} ^ {mask:#04x}"), bytes));
+        }
+    }
+    let (mut recovered, mut refused) = (0usize, 0usize);
+    for (what, bytes) in variants {
+        let mut damaged = trimmed.to_vec();
+        *damaged.last_mut().unwrap() = (name.clone(), bytes);
+        // The prefix oracle runs inside `open_segmented`.
+        let Some(n) = open_segmented(&master, &replica, &damaged, &what) else {
+            let err = Store::<ShardedEngine>::open(&replica, &spec(), StoreConfig::default())
+                .unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{what}: {err}");
+            refused += 1;
+            continue;
+        };
+        let (store, report) =
+            Store::<ShardedEngine>::open(&replica, &spec(), StoreConfig::default()).unwrap();
+        assert_eq!(
+            (report.wal_replayed, report.wal_discarded),
+            (n, None),
+            "{what}: the repaired log reopens whole"
+        );
+        let shipped = store
+            .retained_log()
+            .unwrap()
+            .records_after(0, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            shipped,
+            encoded[..n as usize],
+            "{what}: shipping serves other records than recovery replayed"
+        );
+        recovered += 1;
+    }
+    assert!(
+        recovered > 0 && refused > 0,
+        "both outcomes exercised: {recovered} recovered, {refused} refused"
     );
     let _ = std::fs::remove_dir_all(&master);
     let _ = std::fs::remove_dir_all(&replica);

@@ -74,9 +74,11 @@
 //! [`epoch`](StoreStatus::epoch). The `replication` module of
 //! `silkmoth-server` ships the WAL to followers through three narrow
 //! extensions here: a commit-point observer
-//! ([`Store::set_commit_hook`]), a raw committed-record reader
-//! ([`read_wal_payloads`]), and snapshot parsing from bytes
-//! ([`parse_snapshot`]) for follower bootstrap.
+//! ([`Store::set_commit_hook`]), the retained log
+//! ([`Store::retained_log`]), which serves raw committed records after
+//! a cursor and never names a file, and snapshot parsing from bytes
+//! ([`parse_snapshot`]) for follower bootstrap. Recovery and shipping
+//! read segments through one parser, so they agree on every record.
 //!
 //! The store is generic over [`StoreEngine`], which keeps this crate
 //! from depending on the server: `silkmoth-server` implements it for
@@ -94,7 +96,7 @@ pub use store::{
     ApplyReceipt, CommitHook, CommittedBatch, MaintenanceReport, RecoveryReport, RetentionHook,
     Store, StoreConfig, StoreEvent, StoreStatus, TelemetryHook, WalDiscard,
 };
-pub use wal::{list_wal_segments, read_wal, read_wal_payloads, wal_segment_path, WalSegmentInfo};
+pub use wal::RetainedLog;
 
 use silkmoth_collection::{SetIdx, Tokenization, UpdateError};
 use silkmoth_core::{ConfigError, Update, UpdateOutcome};

@@ -22,11 +22,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use silkmoth_core::wire::encode_update;
+use silkmoth_core::wire::{decode_update, encode_update};
 use silkmoth_core::{CompactionPolicy, Update, UpdateOutcome};
 
 use crate::snapshot::{load_snapshot, snapshot_bytes, SnapshotMeta};
-use crate::wal::{list_wal_segments, read_wal, wal_segment_path, WalReplay, WalWriter};
+use crate::wal::{list_segments, segment_path, ParsedHeader, RetainedLog, Segment, WalWriter};
 use crate::{StorageError, StoreEngine};
 
 /// Store configuration.
@@ -335,43 +335,57 @@ fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snapshot-{seq}.smc"))
 }
 
-/// All snapshot generation numbers present in `dir`, descending.
-fn list_generations(dir: &Path) -> Result<Vec<u64>, StorageError> {
-    let mut seqs = Vec::new();
-    let entries =
-        fs::read_dir(dir).map_err(StorageError::io(format!("listing {}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(StorageError::io(format!("listing {}", dir.display())))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(seq) = name
-            .strip_prefix("snapshot-")
-            .and_then(|s| s.strip_suffix(".smc"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            seqs.push(seq);
-        }
-    }
-    seqs.sort_unstable_by(|a, b| b.cmp(a));
-    Ok(seqs)
+/// A file of a store directory, by its name: `snapshot-<g>.smc`,
+/// `wal-<g>-<n>.log` (segment `n` of generation `g`), a version-1 log
+/// `wal-<g>.log`, or a `*.tmp` left by an interrupted snapshot write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StoreFile {
+    Snapshot(u64),
+    Segment(u64, u32),
+    V1Wal,
+    Temp,
 }
 
-/// The snapshot generation a store file belongs to, parsed from its
-/// name (`snapshot-<g>.smc`, `wal-<g>-<n>.log`).
-fn file_generation(name: &str) -> Option<u64> {
-    if let Some(body) = name
-        .strip_prefix("snapshot-")
-        .and_then(|s| s.strip_suffix(".smc"))
-    {
-        return body.parse().ok();
+impl StoreFile {
+    fn parse(name: &str) -> Option<Self> {
+        if name.ends_with(".tmp") {
+            return Some(Self::Temp);
+        }
+        if let Some(g) = name.strip_prefix("snapshot-") {
+            return g.strip_suffix(".smc")?.parse().ok().map(Self::Snapshot);
+        }
+        let body = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+        match body.split_once('-') {
+            Some((g, n)) => Some(Self::Segment(g.parse().ok()?, n.parse().ok()?)),
+            None => body.parse::<u64>().ok().map(|_| Self::V1Wal),
+        }
     }
-    if let Some(body) = name
-        .strip_prefix("wal-")
-        .and_then(|s| s.strip_suffix(".log"))
-    {
-        return body.split_once('-')?.0.parse().ok();
+}
+
+/// Every store file in `dir` — the one listing of a store directory.
+pub(crate) fn list_files(dir: &Path) -> Result<Vec<(PathBuf, StoreFile)>, StorageError> {
+    let listing = || StorageError::io(format!("listing {}", dir.display()));
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir).map_err(listing())? {
+        let entry = entry.map_err(listing())?;
+        if let Some(file) = entry.file_name().to_str().and_then(StoreFile::parse) {
+            files.push((entry.path(), file));
+        }
     }
-    None
+    Ok(files)
+}
+
+/// All snapshot generation numbers present in `dir`, descending.
+fn list_generations(dir: &Path) -> Result<Vec<u64>, StorageError> {
+    let mut seqs: Vec<u64> = list_files(dir)?
+        .into_iter()
+        .filter_map(|(_, file)| match file {
+            StoreFile::Snapshot(g) => Some(g),
+            _ => None,
+        })
+        .collect();
+    seqs.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(seqs)
 }
 
 /// Fsyncs the directory itself so renames and creations inside it are
@@ -513,32 +527,32 @@ impl<E: StoreEngine> Store<E> {
 
             // The generation's log catalog, in replay order: every
             // segment by index.
-            let catalog: Vec<(PathBuf, u32)> = list_wal_segments(&dir)?
+            let mut catalog: Vec<(PathBuf, u32)> = list_segments(&dir)?
                 .into_iter()
                 .filter(|info| info.generation == seq)
                 .map(|info| (info.path, info.segment))
                 .collect();
+            catalog.sort_unstable_by_key(|&(_, index)| index);
 
-            // Decode and CRC-check every file in parallel; the chunks
-            // keep result order aligned with catalog order.
-            let mut replays: Vec<Option<Result<WalReplay, StorageError>>> =
-                catalog.iter().map(|_| None).collect();
-            if !catalog.is_empty() {
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(catalog.len());
-                let chunk = catalog.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (files, out) in catalog.chunks(chunk).zip(replays.chunks_mut(chunk)) {
+            // Decode and CRC-check every file in parallel, in catalog
+            // order chunk by chunk.
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let chunk = catalog.len().div_ceil(workers).max(1);
+            let replays: Vec<Result<Replay, StorageError>> = std::thread::scope(|scope| {
+                let decoders: Vec<_> = catalog
+                    .chunks(chunk)
+                    .map(|files| {
                         scope.spawn(move || {
-                            for ((path, _), slot) in files.iter().zip(out.iter_mut()) {
-                                *slot = Some(read_wal(path, seq));
-                            }
-                        });
-                    }
-                });
-            }
+                            let decode = |(path, _): &(PathBuf, u32)| Replay::decode(path, seq);
+                            files.iter().map(decode).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                decoders
+                    .into_iter()
+                    .flat_map(|decoder| decoder.join().expect("a segment decoder panicked"))
+                    .collect()
+            });
 
             // Stitch the replays back together in order, checking that
             // each segment continues the log exactly where the previous
@@ -548,8 +562,8 @@ impl<E: StoreEngine> Store<E> {
             let mut discarded = None;
             let mut active: Option<(PathBuf, u32, u64, u64)> = None;
             let files = catalog.len();
-            for (i, ((path, name_seg), slot)) in catalog.into_iter().zip(replays).enumerate() {
-                let replay = slot.expect("every catalog file was decoded")?;
+            for (i, ((path, name_seg), replay)) in catalog.into_iter().zip(replays).enumerate() {
+                let replay = replay?;
                 let is_last = i + 1 == files;
                 if let Some(d) = replay.discarded {
                     if !is_last {
@@ -563,7 +577,12 @@ impl<E: StoreEngine> Store<E> {
                     }
                     discarded = Some(d);
                 }
-                if let Some(got) = replay.segment {
+                if let Some(ParsedHeader {
+                    segment: got,
+                    base_seq: base,
+                    ..
+                }) = replay.header
+                {
                     if got != name_seg {
                         return Err(StorageError::Corrupt {
                             file: path.display().to_string(),
@@ -572,8 +591,6 @@ impl<E: StoreEngine> Store<E> {
                             ),
                         });
                     }
-                }
-                if let Some(base) = replay.base_seq {
                     if base != expected {
                         return Err(StorageError::Corrupt {
                             file: path.display().to_string(),
@@ -611,12 +628,8 @@ impl<E: StoreEngine> Store<E> {
                     // snapshot is renamed into place, so a missing WAL
                     // can only mean an externally pruned file — with
                     // zero committed records to lose, recreate it empty.
-                    let w = WalWriter::create(
-                        &wal_segment_path(&dir, seq, 0),
-                        seq,
-                        0,
-                        meta.update_seq,
-                    )?;
+                    let w =
+                        WalWriter::create(&segment_path(&dir, seq, 0), seq, 0, meta.update_seq)?;
                     sync_dir(&dir)?;
                     (w, 0)
                 }
@@ -689,6 +702,17 @@ impl<E: StoreEngine> Store<E> {
             auto_snapshots: self.auto_snapshots,
             wal_segments: state.segment_index + 1,
         }
+    }
+
+    /// The retained WAL up to the records committed now — what
+    /// replication ships (`None` for an in-memory store). The handle
+    /// pairs with whatever was read under the same hold of the store;
+    /// its reads take no lock.
+    pub fn retained_log(&self) -> Option<RetainedLog> {
+        Some(RetainedLog {
+            dir: self.dir.clone()?,
+            committed: self.commit_state().update_seq,
+        })
     }
 
     /// Installs (or replaces) the commit-point observer; see
@@ -827,7 +851,7 @@ impl<E: StoreEngine> Store<E> {
     /// behind.
     fn seal_active_segment(&self, dir: &Path, state: &mut CommitState) {
         let next = state.segment_index + 1;
-        let path = wal_segment_path(dir, state.seq, next);
+        let path = segment_path(dir, state.seq, next);
         let created = WalWriter::create(&path, state.seq, next, state.update_seq)
             .and_then(|w| sync_dir(dir).map(|()| w));
         match created {
@@ -1012,14 +1036,13 @@ impl<E: StoreEngine> Store<E> {
         if gens.is_empty() {
             return;
         }
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if file_generation(name).is_some_and(|g| gens.contains(&g)) {
-                let _ = fs::rename(entry.path(), dir.join(format!("{name}.corrupt")));
+        for (path, file) in list_files(dir).unwrap_or_default() {
+            if let StoreFile::Snapshot(g) | StoreFile::Segment(g, _) = file {
+                if gens.contains(&g) {
+                    let mut quarantined = path.clone().into_os_string();
+                    quarantined.push(".corrupt");
+                    let _ = fs::rename(&path, quarantined);
+                }
             }
         }
         let _ = sync_dir(dir);
@@ -1027,50 +1050,62 @@ impl<E: StoreEngine> Store<E> {
 
     /// Best-effort removal of stale files: snapshots of generations
     /// older than `keep` (plus stray tempfiles) unconditionally, and
-    /// older-generation WAL **segments**
-    /// only once no replication cursor still needs their records (a
-    /// segment's records end where the next one begins; see
-    /// [`RetentionHook`]). Current-generation segments are never
+    /// older-generation WAL **segments** only once no replication
+    /// cursor still needs their records (a segment's records end where
+    /// the next segment's base begins, the rule [`RetainedLog`] reads
+    /// by; see [`RetentionHook`]). Current-generation segments are never
     /// retired — recovery needs them. Failures are ignored: stale files
     /// are retried on the next rotation and are harmless to recovery,
     /// which always prefers the newest valid generation.
     fn retire_stale_files(&self, dir: &Path, keep: u64) {
         let floor = self.retention_floor();
-        if let Ok(segments) = list_wal_segments(dir) {
-            for (i, seg) in segments.iter().enumerate() {
-                if seg.generation >= keep {
-                    continue;
-                }
-                let needed = match seg.base_seq {
-                    // An unreadable header serves no cursor.
-                    None => false,
-                    Some(_) => match segments.get(i + 1).and_then(|next| next.base_seq) {
-                        Some(end) => end > floor,
-                        // The segment's extent is unbounded from here:
-                        // keep it while any cursor is outstanding.
-                        None => floor != u64::MAX,
-                    },
-                };
-                if !needed {
-                    let _ = fs::remove_file(&seg.path);
-                }
+        for seg in list_segments(dir).unwrap_or_default() {
+            // An unreadable header serves no cursor; a segment whose
+            // extent is open is kept while any cursor is outstanding.
+            let needed = seg.base.is_some() && seg.end.map_or(floor != u64::MAX, |end| end > floor);
+            if seg.generation < keep && !needed {
+                let _ = fs::remove_file(&seg.path);
             }
         }
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let stale_snapshot = name
-                .strip_prefix("snapshot-")
-                .and_then(|s| s.strip_suffix(".smc"))
-                .and_then(|s| s.parse::<u64>().ok())
-                .is_some_and(|seq| seq < keep);
-            if stale_snapshot || name.ends_with(".tmp") {
-                let _ = fs::remove_file(entry.path());
+        for (path, file) in list_files(dir).unwrap_or_default() {
+            if matches!(file, StoreFile::Snapshot(g) if g < keep) || file == StoreFile::Temp {
+                let _ = fs::remove_file(path);
             }
         }
+    }
+}
+
+/// One segment as recovery decodes it (`header` is `None` when the
+/// file was discarded whole).
+struct Replay {
+    entries: Vec<Update>,
+    valid_len: u64,
+    discarded: Option<WalDiscard>,
+    header: Option<ParsedHeader>,
+}
+
+impl Replay {
+    /// Decodes every frame of segment `path` of generation `seq`; a
+    /// CRC-valid record that does not decode is corruption by name.
+    fn decode(path: &Path, seq: u64) -> Result<Self, StorageError> {
+        let segment = Segment::read(path, seq)?;
+        let mut frames = segment.frames();
+        let entries = frames
+            .by_ref()
+            .enumerate()
+            .map(|(i, payload)| {
+                decode_update(payload).map_err(|e| StorageError::Corrupt {
+                    file: path.display().to_string(),
+                    detail: format!("CRC-valid record {i} undecodable: {e}"),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            entries,
+            valid_len: frames.valid_len(),
+            discarded: frames.discarded(),
+            header: segment.header.ok(),
+        })
     }
 }
 
@@ -1096,7 +1131,7 @@ fn write_generation<E: StoreEngine>(
     engine: &E,
 ) -> Result<WalWriter, StorageError> {
     let seq = meta.seq;
-    let wal = WalWriter::create(&wal_segment_path(dir, seq, 0), seq, 0, meta.update_seq)?;
+    let wal = WalWriter::create(&segment_path(dir, seq, 0), seq, 0, meta.update_seq)?;
     sync_dir(dir)?;
     let state = engine.capture();
     let bytes = snapshot_bytes(meta, &state);

@@ -24,7 +24,14 @@
 //! the next. Record `i` (zero-based) of a segment has global sequence
 //! `base + i + 1`, so each segment is independently addressable — the
 //! basis for parallel recovery and for retaining sealed segments past
-//! snapshot rotation while a replication cursor still needs them.
+//! snapshot rotation while a replication cursor still needs them. A
+//! segment's records end where the next segment's base begins.
+//!
+//! This module is the only reader of the format: one listing of the
+//! segment files, and one parser ([`Segment`]) — a header check, then
+//! an iterator over the CRC-checked record frames. Recovery
+//! (`Store::open`) decodes every frame it yields; replication shipping
+//! ([`RetainedLog::records_after`]) slices the raw payloads.
 //!
 //! Any other version is rejected by name, never guessed at — including
 //! version 1 (the pre-segment format, one `wal-<seq>.log` per
@@ -33,18 +40,20 @@
 //! corruption.
 //!
 //! A record is **committed** once its bytes are on disk (the store
-//! `fsync`s before acknowledging), so recovery treats a structurally
-//! invalid *suffix* — short prefix, length past end-of-file, CRC
-//! mismatch — as a torn, unacknowledged tail: replay stops there, the
-//! discard is reported, and the file is truncated back to the valid
-//! prefix before new records are appended. The writer maintains the
-//! same invariant on its side: a failed append (partial write, fsync
-//! error) rolls the file back to the last committed offset, so torn
-//! bytes can never sit *between* committed records. Only the **final**
-//! segment of a generation can legitimately end torn — new segments
-//! are created only after a fully committed append — so the store
-//! treats a torn tail in a sealed (non-final) segment as hard
-//! corruption.
+//! `fsync`s before acknowledging), so the frame iterator ends at a
+//! structurally invalid *suffix* — short prefix, length past
+//! end-of-file, CRC mismatch — and reports it as a torn,
+//! unacknowledged tail. Recovery discards it, reports the discard, and
+//! truncates the file back to the valid prefix before new records are
+//! appended; shipping never reaches it, because it asks only for
+//! records the store counts as committed, so a torn frame inside that
+//! range is corruption. The writer maintains the same invariant on its
+//! side: a failed append (partial write, fsync error) rolls the file
+//! back to the last committed offset, so torn bytes can never sit
+//! *between* committed records. Only the **final** segment of a
+//! generation can legitimately end torn — new segments are created
+//! only after a fully committed append — so the store treats a torn
+//! tail in a sealed (non-final) segment as hard corruption.
 //!
 //! Damage that cannot be a torn tail is a hard error, never a silent
 //! discard: an unknown format version, a corrupt magic/seq on a file
@@ -53,16 +62,13 @@
 //! or a CRC-valid record that fails to decode. Only a header-only file
 //! with a bad header — the torn-creation window — is discarded whole.
 
-use std::fs::{self, File, OpenOptions};
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use silkmoth_core::wire::decode_update;
-use silkmoth_core::Update;
-
 use crate::crc32::crc32;
-use crate::store::WalDiscard;
+use crate::store::{list_files, StoreFile, WalDiscard};
 use crate::StorageError;
 
 pub(crate) const WAL_MAGIC: &[u8; 4] = b"SMWL";
@@ -73,70 +79,55 @@ pub(crate) const WAL_HEADER_LEN: u64 = 28;
 /// buffered write vs. the fsync (`sync` is zero when fsync-less).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct AppendTiming {
-    pub write: Duration,
-    pub sync: Duration,
+    pub(crate) write: Duration,
+    pub(crate) sync: Duration,
 }
 
-/// Segment `segment` of generation `seq`'s WAL — the path contract
-/// replication readers share with the store itself.
-pub fn wal_segment_path(dir: &Path, seq: u64, segment: u32) -> PathBuf {
+/// Segment `segment` of generation `seq`'s WAL.
+pub(crate) fn segment_path(dir: &Path, seq: u64, segment: u32) -> PathBuf {
     dir.join(format!("wal-{seq}-{segment}.log"))
 }
 
-/// One WAL segment file found in a store directory: its name-derived
-/// identity plus the base sequence read from its header (`None` when
-/// the header is unreadable or disagrees with the file name).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalSegmentInfo {
-    /// The segment file.
-    pub path: PathBuf,
-    /// The snapshot generation the segment belongs to.
-    pub generation: u64,
-    /// Index within the generation, from 0.
-    pub segment: u32,
+/// One WAL segment file found in a store directory.
+#[derive(Debug)]
+pub(crate) struct SegmentInfo {
+    pub(crate) path: PathBuf,
+    /// The snapshot generation and the index within it, from the name.
+    pub(crate) generation: u64,
+    pub(crate) segment: u32,
     /// Global update sequence before the segment's first record, from
-    /// the header; record `i` has sequence `base_seq + i + 1`.
-    pub base_seq: Option<u64>,
+    /// the header (`None` when the header is unreadable or disagrees
+    /// with the name: such a segment serves no one).
+    pub(crate) base: Option<u64>,
+    /// Where its records end, if it has a base: the next segment's base
+    /// (`None` for the last segment, whose extent is open).
+    pub(crate) end: Option<u64>,
 }
 
-/// Every WAL segment present in `dir`, sorted by
-/// `(generation, segment)` — which is also ascending base-sequence
-/// order for intact headers. A file named like a version-1
-/// single-file log (`wal-<g>.log`) is a hard [`StorageError::Corrupt`]:
-/// it may hold committed records this build cannot replay.
-pub fn list_wal_segments(dir: &Path) -> Result<Vec<WalSegmentInfo>, StorageError> {
+/// Every WAL segment present in `dir` in base order, those with an
+/// unreadable header first: bases are global, so the order chains the
+/// segments of every generation into one log. A version-1 single-file
+/// log (`wal-<g>.log`) is a hard [`StorageError::Corrupt`]: it may hold
+/// committed records this build cannot replay.
+pub(crate) fn list_segments(dir: &Path) -> Result<Vec<SegmentInfo>, StorageError> {
     let mut segments = Vec::new();
-    let entries =
-        fs::read_dir(dir).map_err(StorageError::io(format!("listing {}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(StorageError::io(format!("listing {}", dir.display())))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(body) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".log"))
-        else {
-            continue;
-        };
-        let Some((gen, seg)) = body.split_once('-') else {
-            if body.parse::<u64>().is_ok() {
-                return Err(unsupported_version(&entry.path(), 1));
-            }
-            continue;
-        };
-        let (Ok(generation), Ok(segment)) = (gen.parse::<u64>(), seg.parse::<u32>()) else {
-            continue;
-        };
-        let path = entry.path();
-        let base_seq = read_segment_base(&path, generation, segment);
-        segments.push(WalSegmentInfo {
-            path,
-            generation,
-            segment,
-            base_seq,
-        });
+    for (path, file) in list_files(dir)? {
+        match file {
+            StoreFile::Segment(generation, segment) => segments.push(SegmentInfo {
+                base: read_segment_base(&path, generation, segment),
+                path,
+                generation,
+                segment,
+                end: None,
+            }),
+            StoreFile::V1Wal => return Err(unsupported_version(&path, 1)),
+            StoreFile::Snapshot(_) | StoreFile::Temp => {}
+        }
     }
-    segments.sort_unstable_by_key(|s| (s.generation, s.segment));
+    segments.sort_unstable_by_key(|s| (s.base, s.generation, s.segment));
+    for i in 1..segments.len() {
+        segments[i - 1].end = segments[i].base;
+    }
     Ok(segments)
 }
 
@@ -152,10 +143,11 @@ fn read_segment_base(path: &Path, generation: u64, segment: u32) -> Option<u64> 
 }
 
 /// A structurally valid WAL header.
-struct ParsedHeader {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ParsedHeader {
     generation: u64,
-    segment: u32,
-    base_seq: u64,
+    pub(crate) segment: u32,
+    pub(crate) base_seq: u64,
 }
 
 /// The hard error for a WAL of any version but [`WAL_VERSION`]:
@@ -171,11 +163,9 @@ fn unsupported_version(path: &Path, version: u32) -> StorageError {
 }
 
 enum HeaderIssue {
-    /// Too short to hold the header — the torn-creation window when
-    /// the file holds nothing else.
-    Short,
-    /// Wrong magic bytes.
-    BadMagic,
+    /// Too short for the header, or the wrong magic bytes — a torn
+    /// creation when the file holds nothing else.
+    Damaged(&'static str),
     /// A version this build does not know — always a hard error.
     UnknownVersion(u32),
 }
@@ -191,10 +181,10 @@ fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, HeaderIssue> {
         }
     }
     if bytes.len() < WAL_HEADER_LEN as usize {
-        return Err(HeaderIssue::Short);
+        return Err(HeaderIssue::Damaged("short header"));
     }
     if &bytes[..4] != WAL_MAGIC {
-        return Err(HeaderIssue::BadMagic);
+        return Err(HeaderIssue::Damaged("bad magic"));
     }
     Ok(ParsedHeader {
         generation: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
@@ -213,187 +203,213 @@ fn encode_header(seq: u64, segment: u32, base_seq: u64) -> Vec<u8> {
     header
 }
 
-/// What reading a WAL file produced: the committed records, how far
-/// the valid prefix reaches, and why reading stopped early (if it
-/// did).
+/// One WAL segment file read whole, its header checked against the
+/// generation it belongs to — the one parser of the format.
 #[derive(Debug)]
-pub struct WalReplay {
-    /// Every committed record, in append order.
-    pub entries: Vec<Update>,
-    /// Byte length of the valid prefix (header + committed records).
-    pub valid_len: u64,
-    /// The discarded torn tail, when the file did not end cleanly.
-    pub discarded: Option<WalDiscard>,
-    /// The header's base sequence (`None` when the file was discarded
-    /// whole).
-    pub base_seq: Option<u64>,
-    /// The header's segment index (`None` when the file was discarded
-    /// whole).
-    pub segment: Option<u32>,
+pub(crate) struct Segment {
+    bytes: Vec<u8>,
+    /// The header, or why a header-only file was discarded whole.
+    pub(crate) header: Result<ParsedHeader, String>,
 }
 
-/// Reads and validates one WAL segment file against its expected
-/// generation `seq`. See the module docs for the
-/// tail-handling policy: a short or corrupt header on a file with
-/// **no** records is the torn-creation crash window and is discarded
-/// whole (empty replay, `valid_len == 0`); a corrupt header on a file
-/// that holds record bytes is a hard [`StorageError::Corrupt`],
-/// because discarding it would silently drop committed records.
-pub fn read_wal(path: &Path, seq: u64) -> Result<WalReplay, StorageError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StorageError::io(format!("reading {}", path.display())))?;
-
-    let discard_all = |reason: String| WalReplay {
-        entries: Vec::new(),
-        valid_len: 0,
-        discarded: Some(WalDiscard {
-            offset: 0,
-            bytes: bytes.len() as u64,
-            reason,
-        }),
-        base_seq: None,
-        segment: None,
-    };
-    let corrupt_header = |detail: String| StorageError::Corrupt {
-        file: path.display().to_string(),
-        detail: format!("{detail} on a WAL holding records"),
-    };
-    let header = match parse_header(&bytes) {
-        Ok(header) => header,
-        // A file too short for its header cannot hold records: the
-        // torn-creation window, discarded whole (records are only ever
-        // appended after the full header is fsync'd).
-        Err(HeaderIssue::Short) => return Ok(discard_all("short header".into())),
-        Err(HeaderIssue::BadMagic) => {
-            // Anything longer than the header must hold records (or
-            // the tail of some other format's records) — never a torn
-            // creation.
+impl Segment {
+    /// Reads segment `path` of generation `generation`. See the module
+    /// docs for the policy: a short or corrupt header on a file with
+    /// **no** records is the torn-creation crash window, and the
+    /// segment holds no frames; a corrupt header on a file that holds
+    /// record bytes is a hard [`StorageError::Corrupt`], because
+    /// discarding it would silently drop committed records.
+    pub(crate) fn read(path: &Path, generation: u64) -> Result<Self, StorageError> {
+        let mut bytes = Vec::new();
+        File::open(path)
+            .and_then(|mut f| f.read_to_end(&mut bytes))
+            .map_err(StorageError::io(format!("reading {}", path.display())))?;
+        // Records are only ever appended after the full header is
+        // fsync'd, so a damaged header is a torn creation only on a
+        // file that holds nothing else.
+        let damaged = |detail: String| {
             if bytes.len() > WAL_HEADER_LEN as usize {
-                return Err(corrupt_header("bad magic".into()));
+                return Err(StorageError::Corrupt {
+                    file: path.display().to_string(),
+                    detail: format!("{detail} on a WAL holding records"),
+                });
             }
-            return Ok(discard_all("bad magic".into()));
-        }
-        Err(HeaderIssue::UnknownVersion(v)) => return Err(unsupported_version(path, v)),
-    };
-    let has_records = bytes.len() > WAL_HEADER_LEN as usize;
-    if header.generation != seq {
-        let detail = format!(
-            "header seq {} does not match snapshot seq {seq}",
-            header.generation
-        );
-        if has_records {
-            return Err(corrupt_header(detail));
-        }
-        return Ok(discard_all(detail));
+            Ok(Err(detail))
+        };
+        let header = match parse_header(&bytes) {
+            Ok(header) if header.generation == generation => Ok(header),
+            Ok(header) => damaged(format!(
+                "header seq {} does not match snapshot seq {generation}",
+                header.generation
+            ))?,
+            Err(HeaderIssue::Damaged(what)) => damaged(what.into())?,
+            Err(HeaderIssue::UnknownVersion(v)) => return Err(unsupported_version(path, v)),
+        };
+        Ok(Self { bytes, header })
     }
 
-    let mut entries = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    let mut discarded = None;
-    while pos < bytes.len() {
-        let tail = |reason: String| WalDiscard {
-            offset: pos as u64,
-            bytes: (bytes.len() - pos) as u64,
-            reason,
+    /// The record frames, in append order.
+    pub(crate) fn frames(&self) -> Frames<'_> {
+        let (pos, torn) = match &self.header {
+            Ok(_) => (WAL_HEADER_LEN as usize, None),
+            Err(reason) => (0, Some(reason.clone())),
         };
-        if bytes.len() - pos < 8 {
-            discarded = Some(tail("torn record frame".into()));
-            break;
+        Frames {
+            bytes: &self.bytes,
+            pos,
+            torn,
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let want_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > bytes.len() - pos - 8 {
-            discarded = Some(tail(format!("record length {len} past end of file")));
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != want_crc {
-            discarded = Some(tail("record CRC mismatch".into()));
-            break;
-        }
-        let entry = decode_update(payload).map_err(|e| StorageError::Corrupt {
-            file: path.display().to_string(),
-            detail: format!("CRC-valid record {} undecodable: {e}", entries.len()),
-        })?;
-        entries.push(entry);
-        pos += 8 + len;
     }
-    Ok(WalReplay {
-        entries,
-        valid_len: pos as u64,
-        discarded,
-        base_seq: Some(header.base_seq),
-        segment: Some(header.segment),
-    })
 }
 
-/// Reads raw committed record payloads from one WAL segment file for
-/// replication shipping: skips the first `skip`
-/// records, then returns up to `limit` payloads (each one encoded
-/// `Update`, exactly the bytes the store framed), validating the
-/// header and every record CRC on the way.
-///
-/// The reader stops silently at a torn tail — the caller bounds
-/// `limit` by the store's *committed* record count, so a torn suffix
-/// is always beyond everything requested; hitting it early (fewer than
-/// `limit` intact records after `skip`) therefore means real
-/// corruption and is reported by the caller, not here. Reading races
-/// appends safely: records are appended with a single `write_all`
-/// before the store's committed counter advances, and committed bytes
-/// are never truncated, so every record the caller may request is
-/// fully present in the file.
-pub fn read_wal_payloads(
-    path: &Path,
-    seq: u64,
-    skip: u64,
-    limit: usize,
-) -> Result<Vec<Vec<u8>>, StorageError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StorageError::io(format!("reading {}", path.display())))?;
-    let corrupt = |detail: String| StorageError::Corrupt {
-        file: path.display().to_string(),
-        detail,
-    };
-    let header = match parse_header(&bytes) {
-        Ok(header) => header,
-        Err(HeaderIssue::Short | HeaderIssue::BadMagic) => {
-            return Err(corrupt("bad or short WAL header".into()))
+/// The record frames of one [`Segment`]: each item is one CRC-checked
+/// payload (an encoded `Update`, exactly the bytes the store framed).
+/// Iteration ends at the end of the file or at the first torn frame,
+/// which [`discarded`](Self::discarded) then describes.
+#[derive(Debug)]
+pub(crate) struct Frames<'a> {
+    bytes: &'a [u8],
+    /// Where the next frame starts: the end of the valid prefix so far.
+    pos: usize,
+    /// Why iteration stopped short of the end of the file.
+    torn: Option<String>,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.torn.is_some() || self.pos == self.bytes.len() {
+            return None;
         }
-        Err(HeaderIssue::UnknownVersion(v)) => return Err(unsupported_version(path, v)),
-    };
-    if header.generation != seq {
-        return Err(corrupt(format!(
-            "header seq {} does not match generation {seq}",
-            header.generation
-        )));
+        let rest = &self.bytes[self.pos..];
+        let Some((frame, body)) = rest.split_first_chunk::<8>() else {
+            self.torn = Some("torn record frame".into());
+            return None;
+        };
+        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+        let want_crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
+        match body.get(..len) {
+            None => self.torn = Some(format!("record length {len} past end of file")),
+            Some(payload) if crc32(payload) != want_crc => {
+                self.torn = Some("record CRC mismatch".into());
+            }
+            Some(payload) => {
+                self.pos += 8 + len;
+                return Some(payload);
+            }
+        }
+        None
     }
-    let mut out = Vec::new();
-    let mut index = 0u64;
-    let mut pos = WAL_HEADER_LEN as usize;
-    while out.len() < limit && pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            break; // torn frame prefix — beyond the committed range
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let want_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > bytes.len() - pos - 8 {
-            break; // torn record body
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != want_crc {
-            break; // torn record payload
-        }
-        if index >= skip {
-            out.push(payload.to_vec());
-        }
-        index += 1;
-        pos += 8 + len;
+}
+
+impl Frames<'_> {
+    /// Byte length of the valid prefix read so far: header plus the
+    /// records yielded (0 for a file discarded whole).
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.pos as u64
     }
-    Ok(out)
+
+    /// The torn tail iteration stopped at, if it did.
+    pub(crate) fn discarded(&self) -> Option<WalDiscard> {
+        self.torn.clone().map(|reason| WalDiscard {
+            offset: self.pos as u64,
+            bytes: (self.bytes.len() - self.pos) as u64,
+            reason,
+        })
+    }
+}
+
+/// A durable store's retained WAL as replication ships it, taken with
+/// [`Store::retained_log`](crate::Store::retained_log): every segment
+/// still on disk — sealed segments of older generations kept back for
+/// a replication cursor included — chained into one log by base
+/// sequence, up to the records committed when the handle was taken.
+/// Reads take no store lock: committed WAL bytes are append-only.
+#[derive(Debug, Clone)]
+pub struct RetainedLog {
+    pub(crate) dir: PathBuf,
+    pub(crate) committed: u64,
+}
+
+impl RetainedLog {
+    /// The raw payloads (each one encoded `Update`, exactly the bytes
+    /// the store framed) of up to `limit` committed records after the
+    /// cursor `applied`, record `applied + 1` first, every one
+    /// CRC-checked — the records before it in its segment included.
+    ///
+    /// `Ok(None)` means the cursor cannot be served from the retained
+    /// log — it predates the log, runs ahead of the committed count, or
+    /// its segment was retired mid-read — so the caller bootstraps
+    /// instead. Fewer intact records than committed inside the range is
+    /// [`StorageError::Corrupt`]. Reading races appends safely: records
+    /// are appended with a single `write_all` before the committed
+    /// count advances, and committed bytes are never truncated.
+    pub fn records_after(
+        &self,
+        applied: u64,
+        limit: usize,
+    ) -> Result<Option<Vec<Vec<u8>>>, StorageError> {
+        if applied > self.committed {
+            return Ok(None);
+        }
+        let take = ((self.committed - applied) as usize).min(limit);
+        if take == 0 {
+            return Ok(Some(Vec::new()));
+        }
+        let segments = list_segments(&self.dir)?;
+        let mut chain = segments
+            .iter()
+            .filter_map(|seg| Some((seg.base?, seg)))
+            .peekable();
+        if chain.peek().is_none_or(|&(base, _)| base > applied) {
+            return Ok(None);
+        }
+        // Each segment's end is the next one's base, so a hole in the
+        // log shows as a shortfall in the segment before it, and the
+        // last segment runs to the committed count: a loop that
+        // returns nothing early has taken all `take` records.
+        let mut out: Vec<Vec<u8>> = Vec::with_capacity(take);
+        for (base, seg) in chain {
+            let cursor = applied + out.len() as u64;
+            // Records past the committed count (a rotation racing this
+            // read created a newer, still-empty segment) are never
+            // requested.
+            let end = seg.end.unwrap_or(self.committed).min(self.committed);
+            if out.len() == take || cursor >= end {
+                continue;
+            }
+            let want = ((end - cursor) as usize).min(take - out.len());
+            let segment = match Segment::read(&seg.path, seg.generation) {
+                Ok(segment) => segment,
+                // Retired between the listing and the read.
+                Err(StorageError::Io { source, .. })
+                    if source.kind() == std::io::ErrorKind::NotFound =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e),
+            };
+            let before = out.len();
+            out.extend(
+                segment
+                    .frames()
+                    .skip((cursor - base) as usize)
+                    .take(want)
+                    .map(<[u8]>::to_vec),
+            );
+            let got = out.len() - before;
+            if got < want {
+                return Err(StorageError::Corrupt {
+                    file: seg.path.display().to_string(),
+                    detail: format!(
+                        "only {got} of {want} committed records after cursor {cursor} are intact"
+                    ),
+                });
+            }
+        }
+        Ok(Some(out))
+    }
 }
 
 /// An open WAL segment being appended to. The file is held in **append

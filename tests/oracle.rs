@@ -2,8 +2,10 @@
 //! from the definitions alone, in exact integer arithmetic.
 //!
 //! * φ is Jaccard over two elements' distinct whitespace tokens, kept as
-//!   the integer pair (|x ∩ y|, |x ∪ y|), and φα clamps it to 0 below α
-//!   (§2.1).
+//!   the integer pair (|x ∩ y|, |x ∪ y|), or Eds over their characters,
+//!   the exact rational (|x| + |y| − LD) / (|x| + |y| + LD) from a
+//!   textbook integer Levenshtein distance LD; φα clamps it to 0 below α
+//!   (§2.1), an integer inequality.
 //! * The maximum matching score is the best total φα over every injection
 //!   of the smaller set into the larger one — exhaustive, over sets of at
 //!   most six elements — summed as an exact `i128` rational.
@@ -20,6 +22,14 @@
 //! answer that breaks an exact tie by f64 bits instead of by id. Both
 //! counts are pinned. Every hit's explanation must say related, with the
 //! hit's score bit for bit.
+//!
+//! The Eds leg meets one known wrong answer (ROADMAP item 9): for α > 0
+//! the engine bounds LD by ⌊(1 − α)/(1 + α) · (|x| + |y|)⌋ computed in
+//! f64, which can floor one short for a pair whose Eds is exactly α, so
+//! that pair's φ is 0. An answer that disagrees with the definitions but
+//! agrees exactly with them under that one defect is printed and counted
+//! as an **item 9 departure**, and the count is pinned; every other
+//! disagreement fails.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -74,12 +84,15 @@ impl Q {
 
 /// φα of two elements: the Jaccard of their distinct whitespace tokens,
 /// or 0 where that is below `alpha`.
-fn phi(x: &str, y: &str, alpha: Q) -> Q {
+fn jaccard(x: &str, y: &str, alpha: Q) -> Q {
     let x: BTreeSet<&str> = x.split_whitespace().collect();
     let y: BTreeSet<&str> = y.split_whitespace().collect();
     let inter = x.intersection(&y).count() as i128;
     let union = x.union(&y).count() as i128;
-    let sim = Q::new(inter, union);
+    clamp(Q::new(inter, union), alpha)
+}
+
+fn clamp(sim: Q, alpha: Q) -> Q {
     if sim.cmp(alpha) == Ordering::Less {
         Q::ZERO
     } else {
@@ -87,14 +100,53 @@ fn phi(x: &str, y: &str, alpha: Q) -> Q {
     }
 }
 
+/// The Levenshtein distance between two character strings: the textbook
+/// dynamic program over unit-cost insertions, deletions and
+/// substitutions.
+fn levenshtein(x: &[char], y: &[char]) -> usize {
+    let mut prev: Vec<usize> = (0..=y.len()).collect();
+    for (i, &a) in x.iter().enumerate() {
+        let mut row = vec![i + 1; y.len() + 1];
+        for (j, &b) in y.iter().enumerate() {
+            let substitute = prev[j] + usize::from(a != b);
+            row[j + 1] = substitute.min(prev[j + 1] + 1).min(row[j] + 1);
+        }
+        prev = row;
+    }
+    prev[y.len()]
+}
+
+/// Eds of two non-empty elements, exactly, with `|x| + |y|` and LD.
+fn eds(x: &str, y: &str) -> (Q, usize, usize) {
+    let (x, y): (Vec<char>, Vec<char>) = (x.chars().collect(), y.chars().collect());
+    let (n, ld) = (x.len() + y.len(), levenshtein(&x, &y));
+    (Q::new((n - ld) as i128, (n + ld) as i128), n, ld)
+}
+
+/// φα of two elements under Eds: the definition.
+fn edit(x: &str, y: &str, alpha: Q) -> Q {
+    clamp(eds(x, y).0, alpha)
+}
+
+/// φα under Eds as the engine computes it while item 9 stands: 0 where
+/// LD passes the bound ⌊(1 − α)/(1 + α) · (|x| + |y|)⌋ taken in f64.
+fn edit_with_item9(x: &str, y: &str, alpha: Q) -> Q {
+    let (sim, n, ld) = eds(x, y);
+    let a = alpha.to_f64();
+    if a > 0.0 && (((1.0 - a) / (1.0 + a) * n as f64).floor() as usize) < ld {
+        return Q::ZERO;
+    }
+    clamp(sim, alpha)
+}
+
 /// The maximum matching score: the best total φα over every injection of
 /// the smaller set into the larger (φα is symmetric, and with weights ≥ 0
 /// a best matching covers the smaller side).
-fn matching(r: &[String], s: &[String], alpha: Q) -> Q {
+fn matching(r: &[String], s: &[String], phi: &dyn Fn(&str, &str) -> Q) -> Q {
     let (rows, cols) = if r.len() <= s.len() { (r, s) } else { (s, r) };
     let w: Vec<Vec<Q>> = rows
         .iter()
-        .map(|x| cols.iter().map(|y| phi(x, y, alpha)).collect())
+        .map(|x| cols.iter().map(|y| phi(x, y)).collect())
         .collect();
     fn best(w: &[Vec<Q>], row: usize, used: &mut [bool]) -> Q {
         if row == w.len() {
@@ -117,8 +169,13 @@ fn matching(r: &[String], s: &[String], alpha: Q) -> Q {
 }
 
 /// Definition 1 or 2 over the exact matching score.
-fn relatedness(metric: RelatednessMetric, r: &[String], s: &[String], alpha: Q) -> Q {
-    let m = matching(r, s, alpha);
+fn relatedness(
+    metric: RelatednessMetric,
+    r: &[String],
+    s: &[String],
+    phi: &dyn Fn(&str, &str) -> Q,
+) -> Q {
+    let m = matching(r, s, phi);
     match metric {
         RelatednessMetric::Similarity => Q::new(m.n, m.d * (r.len() + s.len()) as i128 - m.n),
         RelatednessMetric::Containment => Q::new(m.n, m.d * r.len() as i128),
@@ -137,11 +194,42 @@ struct Departures {
     floor: usize,
     /// Top-k answers that break an exact tie by f64 bits, not by id.
     ties: usize,
+    /// Answers that are the definitions' under item 9 and not without.
+    item9: usize,
     /// Hits checked.
     hits: usize,
+    /// What each departure was, to print with its context.
+    notes: Vec<String>,
+}
+
+impl Departures {
+    fn add(&mut self, other: Departures, ctx: &str) {
+        for note in &other.notes {
+            println!("{note}: {ctx}");
+        }
+        self.floor += other.floor;
+        self.ties += other.ties;
+        self.item9 += other.item9;
+        self.hits += other.hits;
+    }
 }
 
 impl Exact {
+    fn new(
+        metric: RelatednessMetric,
+        reference: &[String],
+        raw: &[Vec<String>],
+        phi: &dyn Fn(&str, &str) -> Q,
+    ) -> Exact {
+        let scores = (0..raw.len() as u32).map(|sid| {
+            let score = relatedness(metric, reference, &raw[sid as usize], phi);
+            (sid, score)
+        });
+        Exact {
+            scores: scores.collect(),
+        }
+    }
+
     fn of(&self, sid: u32) -> Q {
         self.scores[sid as usize].1
     }
@@ -159,57 +247,53 @@ impl Exact {
         related
     }
 
-    /// Checks one engine answer against the exact one.
-    fn check(
-        &self,
-        hits: &[(u32, f64)],
-        floor: Q,
-        k: Option<usize>,
-        ctx: &str,
-        d: &mut Departures,
-    ) {
+    /// Checks one engine answer against the exact one: the float
+    /// departures it shows, or the first disagreement that is none.
+    fn check(&self, hits: &[(u32, f64)], floor: Q, k: Option<usize>) -> Result<Departures, String> {
+        let mut d = Departures {
+            hits: hits.len(),
+            ..Departures::default()
+        };
         for &(sid, score) in hits {
             let exact = self.of(sid).to_f64();
-            assert!(
-                (score - exact).abs() <= 1e-12,
-                "{ctx}: set {sid} scored {score}, exactly {exact}"
-            );
+            if (score - exact).abs() > 1e-12 {
+                return Err(format!("set {sid} scored {score}, exactly {exact}"));
+            }
         }
-        d.hits += hits.len();
         let want = self.answer(floor, k);
         let got_ids: Vec<u32> = hits.iter().map(|h| h.0).collect();
         let want_ids: Vec<u32> = want.iter().map(|w| w.0).collect();
         if got_ids == want_ids {
-            return;
+            return Ok(d);
         }
         if k.is_none() {
             let got: BTreeSet<u32> = got_ids.iter().copied().collect();
             let want: BTreeSet<u32> = want_ids.iter().copied().collect();
             for &sid in got.symmetric_difference(&want) {
                 let exact = self.of(sid);
-                let gap = (exact.to_f64() - floor.to_f64()).abs();
-                assert!(
-                    gap <= WINDOW,
-                    "{ctx}: set {sid} at {exact:?} against floor {floor:?}"
-                );
-                println!("float departure at the floor: {ctx}: set {sid} at {exact:?}");
+                if (exact.to_f64() - floor.to_f64()).abs() > WINDOW {
+                    return Err(format!("set {sid} at {exact:?} against floor {floor:?}"));
+                }
+                d.notes.push(format!(
+                    "float departure at the floor: set {sid} at {exact:?}"
+                ));
                 d.floor += 1;
             }
-            return;
+            return Ok(d);
         }
         // The same exact scores in the same order; only the ids of a tie
         // may differ.
         let got: Vec<Q> = got_ids.iter().map(|&sid| self.of(sid)).collect();
-        assert_eq!(got.len(), want.len(), "{ctx}: {got_ids:?} vs {want_ids:?}");
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(
-                g.cmp(w.1),
-                Ordering::Equal,
-                "{ctx}: {got_ids:?} vs {want_ids:?}"
-            );
+        let tie_only = got.len() == want.len()
+            && (got.iter().zip(&want)).all(|(g, w)| g.cmp(w.1) == Ordering::Equal);
+        if !tie_only {
+            return Err(format!("{got_ids:?}, exactly {want_ids:?}"));
         }
-        println!("float tie order: {ctx}: {got_ids:?}, exactly {want_ids:?}");
+        d.notes.push(format!(
+            "float tie order: {got_ids:?}, exactly {want_ids:?}"
+        ));
         d.ties += 1;
+        Ok(d)
     }
 }
 
@@ -240,6 +324,27 @@ fn random_set(rng: &mut StdRng) -> Vec<String> {
         .collect()
 }
 
+/// A set of one to six strings, each one of `words` after zero to two
+/// random single-character edits over `a`…`d` — near-duplicates, the
+/// shape string matching meets.
+fn random_string_set(rng: &mut StdRng, words: &[Vec<char>]) -> Vec<String> {
+    (0..rng.random_range(1..=6usize))
+        .map(|_| {
+            let mut word = words[rng.random_range(0..words.len())].clone();
+            for _ in 0..rng.random_range(0..=2usize) {
+                let letter = ['a', 'b', 'c', 'd'][rng.random_range(0..4usize)];
+                let at = rng.random_range(0..word.len());
+                match rng.random_range(0..3u8) {
+                    0 => word.insert(at, letter),
+                    1 if word.len() > 1 => drop(word.remove(at)),
+                    _ => word[at] = letter,
+                }
+            }
+            word.into_iter().collect()
+        })
+        .collect()
+}
+
 fn spec(reference: &[String], floor: Option<Q>, k: Option<usize>) -> QuerySpec {
     let mut spec = QuerySpec::new(reference.to_vec());
     if let Some(floor) = floor {
@@ -251,18 +356,135 @@ fn spec(reference: &[String], floor: Option<Q>, k: Option<usize>) -> QuerySpec {
     spec
 }
 
+/// What one reference's answers are checked against: the definitions at
+/// δ and, for Eds at α > 0, the definitions under item 9.
+struct Oracle {
+    exact: Exact,
+    item9: Option<Exact>,
+    delta: Q,
+}
+
+impl Oracle {
+    /// Judges one engine answer: the definitions', or else, when item
+    /// 9 gives it exactly, an item 9 departure, or else the definitions'
+    /// up to float departures.
+    fn judge(
+        &self,
+        hits: &[(u32, f64)],
+        floor: Q,
+        k: Option<usize>,
+        ctx: &str,
+        d: &mut Departures,
+    ) {
+        let clean = |d: &Departures| d.floor + d.ties == 0;
+        let judged = match (self.exact.check(hits, floor, k), &self.item9) {
+            (Ok(exact), _) if clean(&exact) => Ok(exact),
+            (exact, Some(model)) => match model.check(hits, floor, k) {
+                Ok(mut departed) if clean(&departed) => {
+                    departed.notes.push(format!("item 9 departure: {hits:?}"));
+                    departed.item9 += 1;
+                    Ok(departed)
+                }
+                _ => exact,
+            },
+            (exact, None) => exact,
+        };
+        d.add(judged.unwrap_or_else(|why| panic!("{ctx}: {why}")), ctx);
+    }
+}
+
+/// The engines under test over one collection: the engine itself, asked
+/// with explanations, and the sharded engine at 1, 2 and 7 shards.
+struct Engines {
+    engine: Engine,
+    sharded: Vec<ShardedEngine>,
+}
+
+impl Engines {
+    fn build(raw: &[Vec<String>], cfg: EngineConfig) -> Engines {
+        Engines {
+            engine: Engine::new(Collection::build(raw, cfg.tokenization()), cfg).unwrap(),
+            sharded: [1, 2, 7]
+                .iter()
+                .map(|&shards| ShardedEngine::build(raw, cfg, shards).unwrap())
+                .collect(),
+        }
+    }
+
+    /// Asks `reference` at δ and at `floor`, with and without top-`k`,
+    /// of every engine; then, at δ, the pass's verdict on every set.
+    fn ask(
+        &self,
+        reference: &[String],
+        oracle: &Oracle,
+        floor: Q,
+        k: usize,
+        ctx: &str,
+        d: &mut Departures,
+    ) {
+        for (at, k) in [
+            (None, None),
+            (Some(floor), None),
+            (Some(floor), Some(k)),
+            (None, Some(k)),
+        ] {
+            let ctx = format!("{ctx} floor {at:?} k {k:?}");
+            let floor = at.unwrap_or(oracle.delta);
+            let out = self
+                .engine
+                .execute(&spec(reference, at, k).with_explain(true));
+            oracle.judge(&out.hits, floor, k, &ctx, d);
+            check_explained(&out, &ctx);
+            for engine in &self.sharded {
+                let out = engine.execute(&spec(reference, at, k));
+                let ctx = format!("{ctx} shards {}", engine.shard_count());
+                oracle.judge(&out.hits, floor, k, &ctx, d);
+            }
+        }
+        // At δ, every set the definitions call unrelated, the pass
+        // recorded as unrelated too.
+        let r = self.engine.collection().encode_set(reference);
+        let related = |exact: &Exact, sid: u32| exact.of(sid).cmp(oracle.delta) != Ordering::Less;
+        for (sid, score) in &oracle.exact.scores {
+            let verdict = explain_pair(&self.engine, &r, *sid).verdict == Verdict::Related;
+            if verdict == related(&oracle.exact, *sid) {
+                continue;
+            }
+            let departed = (oracle.item9.as_ref()).is_some_and(|m| related(m, *sid) == verdict);
+            assert!(
+                departed,
+                "{ctx}: set {sid} at {score:?} against {:?}",
+                oracle.delta
+            );
+            let note = format!("item 9 departure: the pass calls set {sid} at {score:?} unrelated");
+            let departure = Departures {
+                item9: 1,
+                notes: vec![note],
+                ..Departures::default()
+            };
+            d.add(departure, ctx);
+        }
+    }
+}
+
+const SCHEMES: [SignatureScheme; 5] = [
+    SignatureScheme::Weighted,
+    SignatureScheme::Skyline,
+    SignatureScheme::Dichotomy,
+    SignatureScheme::Unweighted,
+    SignatureScheme::CombinedUnweighted,
+];
+const DELTAS: [Q; 4] = [
+    Q { n: 1, d: 2 },
+    Q { n: 7, d: 10 },
+    Q { n: 1, d: 3 },
+    Q { n: 3, d: 4 },
+];
+const FLOORS: [Q; 3] = [Q { n: 1, d: 4 }, Q { n: 2, d: 5 }, Q { n: 3, d: 5 }];
+
 #[test]
 fn engine_and_shards_answer_what_the_definitions_say() {
     let rng = &mut StdRng::seed_from_u64(0x0dac1e);
-    let schemes = [
-        SignatureScheme::Weighted,
-        SignatureScheme::Skyline,
-        SignatureScheme::Dichotomy,
-        SignatureScheme::Unweighted,
-        SignatureScheme::CombinedUnweighted,
-    ];
-    let deltas = [Q::new(1, 2), Q::new(7, 10), Q::new(1, 3), Q::new(3, 4)];
-    let floors = [Q::new(1, 4), Q::new(2, 5), Q::new(3, 5)];
     let mut d = Departures::default();
     for case in 0..24 {
         let raw: Vec<Vec<String>> = (0..10).map(|_| random_set(rng)).collect();
@@ -271,66 +493,32 @@ fn engine_and_shards_answer_what_the_definitions_say() {
             RelatednessMetric::Containment,
         ][case % 2];
         let alpha = [Q::ZERO, Q::new(1, 2)][case / 2 % 2];
-        let delta = deltas[rng.random_range(0..deltas.len())];
+        let delta = DELTAS[rng.random_range(0..DELTAS.len())];
         let cfg = EngineConfig {
             metric,
             similarity: SimilarityFunction::Jaccard,
             delta: delta.to_f64(),
             alpha: alpha.to_f64(),
-            scheme: schemes[rng.random_range(0..schemes.len())],
+            scheme: SCHEMES[rng.random_range(0..SCHEMES.len())],
             filter: FilterKind::CheckAndNearestNeighbor,
             reduction: rng.random::<bool>(),
         };
-        let engine = Engine::new(Collection::build(&raw, cfg.tokenization()), cfg).unwrap();
-        let sharded: Vec<ShardedEngine> = [1, 2, 7]
-            .iter()
-            .map(|&shards| ShardedEngine::build(&raw, cfg, shards).unwrap())
-            .collect();
+        let engines = Engines::build(&raw, cfg);
         let references = [
             random_set(rng),
             random_set(rng),
             raw[rng.random_range(0..10usize)].clone(),
         ];
         for reference in &references {
-            let exact = Exact {
-                scores: (0..raw.len() as u32)
-                    .map(|sid| {
-                        (
-                            sid,
-                            relatedness(metric, reference, &raw[sid as usize], alpha),
-                        )
-                    })
-                    .collect(),
+            let oracle = Oracle {
+                exact: Exact::new(metric, reference, &raw, &|x, y| jaccard(x, y, alpha)),
+                item9: None,
+                delta,
             };
-            let floor = floors[rng.random_range(0..floors.len())];
+            let floor = FLOORS[rng.random_range(0..FLOORS.len())];
             let k = rng.random_range(1..=3usize);
-            for (at, k) in [
-                (None, None),
-                (Some(floor), None),
-                (Some(floor), Some(k)),
-                (None, Some(k)),
-            ] {
-                let ctx = format!("case {case} {cfg:?} {reference:?} floor {at:?} k {k:?}");
-                let out = engine.execute(&spec(reference, at, k).with_explain(true));
-                exact.check(&out.hits, at.unwrap_or(delta), k, &ctx, &mut d);
-                check_explained(&out, &ctx);
-                for engine in &sharded {
-                    let out = engine.execute(&spec(reference, at, k));
-                    let ctx = format!("{ctx} shards {}", engine.shard_count());
-                    exact.check(&out.hits, at.unwrap_or(delta), k, &ctx, &mut d);
-                }
-            }
-            // At δ, every set the definitions call unrelated, the pass
-            // recorded as unrelated too.
-            let r = engine.collection().encode_set(reference);
-            for (sid, score) in &exact.scores {
-                let related = explain_pair(&engine, &r, *sid).verdict == Verdict::Related;
-                let exactly = score.cmp(delta) != Ordering::Less;
-                assert_eq!(
-                    related, exactly,
-                    "case {case}: set {sid} at {score:?} against {delta:?}"
-                );
-            }
+            let ctx = format!("case {case} {cfg:?} {reference:?}");
+            engines.ask(reference, &oracle, floor, k, &ctx, &mut d);
         }
     }
     println!(
@@ -342,6 +530,82 @@ fn engine_and_shards_answer_what_the_definitions_say() {
         (d.floor, d.ties),
         (0, 0),
         "the pinned float departures moved"
+    );
+}
+
+/// The Eds leg: q ∈ {2, 3} and α ∈ {0, 1/2, 4/5, 9/10}, each over four
+/// generated collections of near-duplicate strings. The signature scheme
+/// is drawn from those valid at (q, α): the unweighted two need
+/// α > q/(q + 1) (footnote 11).
+#[test]
+fn eds_answers_are_the_definitions_but_for_item_9() {
+    let rng = &mut StdRng::seed_from_u64(0xed5_0dac);
+    let mut d = Departures::default();
+    for q in [2usize, 3] {
+        for alpha in [Q::ZERO, Q::new(1, 2), Q::new(4, 5), Q::new(9, 10)] {
+            let schemes = if alpha.cmp(Q::new(q as i128, q as i128 + 1)) == Ordering::Greater {
+                &SCHEMES[..]
+            } else {
+                &SCHEMES[..3]
+            };
+            for case in 0..4 {
+                let words: Vec<Vec<char>> = (0..4)
+                    .map(|_| {
+                        let len = rng.random_range(3..=9usize);
+                        (0..len)
+                            .map(|_| ['a', 'b', 'c', 'd'][rng.random_range(0..4usize)])
+                            .collect()
+                    })
+                    .collect();
+                let raw: Vec<Vec<String>> =
+                    (0..10).map(|_| random_string_set(rng, &words)).collect();
+                let metric = [
+                    RelatednessMetric::Similarity,
+                    RelatednessMetric::Containment,
+                ][case % 2];
+                let delta = DELTAS[rng.random_range(0..DELTAS.len())];
+                let cfg = EngineConfig {
+                    metric,
+                    similarity: SimilarityFunction::Eds { q },
+                    delta: delta.to_f64(),
+                    alpha: alpha.to_f64(),
+                    scheme: schemes[rng.random_range(0..schemes.len())],
+                    filter: FilterKind::CheckAndNearestNeighbor,
+                    reduction: rng.random::<bool>(),
+                };
+                let engines = Engines::build(&raw, cfg);
+                let references = [
+                    random_string_set(rng, &words),
+                    random_string_set(rng, &words),
+                    raw[rng.random_range(0..10usize)].clone(),
+                ];
+                for reference in &references {
+                    let oracle = Oracle {
+                        exact: Exact::new(metric, reference, &raw, &|x, y| edit(x, y, alpha)),
+                        item9: Some(Exact::new(metric, reference, &raw, &|x, y| {
+                            edit_with_item9(x, y, alpha)
+                        })),
+                        delta,
+                    };
+                    let floor = FLOORS[rng.random_range(0..FLOORS.len())];
+                    let k = rng.random_range(1..=3usize);
+                    let ctx = format!("q {q} α {alpha:?} case {case} {cfg:?} {reference:?}");
+                    engines.ask(reference, &oracle, floor, k, &ctx, &mut d);
+                }
+            }
+        }
+    }
+    println!(
+        "{} hits checked; float departures: {} at the floor, {} in top-k tie order; \
+         item 9 departures: {}",
+        d.hits, d.floor, d.ties, d.item9
+    );
+    assert!(d.hits > 500, "{} hits", d.hits);
+    // Item 9's fix drives its count to 0.
+    assert_eq!(
+        (d.floor, d.ties, d.item9),
+        (0, 0, 100),
+        "the pinned departures moved"
     );
 }
 
@@ -357,25 +621,13 @@ fn table2_exact_values() {
     let sets: Vec<Vec<String>> = (0..4).map(|sid| texts(c.set(sid))).collect();
     // Example 2: |R ∩̃ S4| = 0.8 + 1 + 3/7 = 78/35, so contain(R, S4) =
     // 26/35 ≈ 0.743 ≥ 0.7, and S1–S3 fall below it.
-    let m = matching(&r, &sets[3], Q::ZERO);
+    let m = matching(&r, &sets[3], &|x, y| jaccard(x, y, Q::ZERO));
     assert_eq!((m.n, m.d), (78, 35));
     let m = Q::new(4, 5).add(Q::new(1, 1)).add(Q::new(3, 7));
     assert_eq!((m.n, m.d), (78, 35));
-    let exact = Exact {
-        scores: (0..4)
-            .map(|sid| {
-                (
-                    sid,
-                    relatedness(
-                        RelatednessMetric::Containment,
-                        &r,
-                        &sets[sid as usize],
-                        Q::ZERO,
-                    ),
-                )
-            })
-            .collect(),
-    };
+    let exact = Exact::new(RelatednessMetric::Containment, &r, &sets, &|x, y| {
+        jaccard(x, y, Q::ZERO)
+    });
     let s4 = exact.of(3);
     assert_eq!((s4.n, s4.d), (26, 35));
     let cfg = EngineConfig::full(
@@ -386,8 +638,7 @@ fn table2_exact_values() {
     );
     let engine = Engine::new(c, cfg).unwrap();
     let out = engine.execute(&spec(&r, None, None).with_explain(true));
-    let mut d = Departures::default();
-    exact.check(&out.hits, Q::new(7, 10), None, "Table 2", &mut d);
+    let d = exact.check(&out.hits, Q::new(7, 10), None).unwrap();
     check_explained(&out, "Table 2");
     assert_eq!(out.hits.iter().map(|h| h.0).collect::<Vec<_>>(), [3]);
     assert_eq!((d.floor, d.ties), (0, 0));
