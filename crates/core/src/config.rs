@@ -233,6 +233,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn defaults_are_full_silkmoth() {
+        let cfg = EngineConfig::full(
+            RelatednessMetric::Similarity,
+            SimilarityFunction::Jaccard,
+            0.7,
+            0.0,
+        );
+        assert_eq!(cfg.metric, RelatednessMetric::Similarity);
+        assert_eq!(cfg.scheme, SignatureScheme::Dichotomy);
+        assert_eq!(cfg.filter, FilterKind::CheckAndNearestNeighbor);
+        assert!(cfg.reduction);
+        let tiny =
+            silkmoth_collection::Collection::build(&[vec!["a b", "c d"]], Tokenization::Whitespace);
+        assert!(crate::Engine::new(tiny, cfg).is_ok());
+    }
+
+    #[test]
     fn validate_ranges() {
         let mut c = EngineConfig::full(
             RelatednessMetric::Similarity,

@@ -4,7 +4,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::builder::EngineBuilder;
 use crate::config::{ConfigError, EngineConfig, RelatednessMetric};
 use crate::explain::{recorded, PairExplanation, Verdict};
 use crate::filter::{PassStats, Restriction, Searcher};
@@ -72,14 +71,16 @@ pub struct UpdateOutcome {
 /// existing `Arc<Collection>` (shared, no copy), and builds the inverted
 /// index once (§3); every subsequent search pass reuses it.
 ///
-/// Prefer [`Engine::builder`] for fluent construction. A search is a
-/// [`QuerySpec`] handed to [`execute`](Engine::execute); discovery is
+/// [`Engine::new`] takes the whole configuration as one
+/// [`EngineConfig`] (start from [`EngineConfig::full`]) and validates it
+/// there. A search is a [`QuerySpec`] handed to
+/// [`execute`](Engine::execute); discovery is
 /// [`discover_self_parallel`](Engine::discover_self_parallel) for the
 /// self-join, and [`execute_batch`](Engine::execute_batch) over one spec
 /// per reference otherwise:
 ///
 /// ```
-/// use silkmoth_core::{Engine, QuerySpec, RelatednessMetric};
+/// use silkmoth_core::{Engine, EngineConfig, QuerySpec, RelatednessMetric};
 /// use silkmoth_collection::{Collection, Tokenization};
 /// use silkmoth_text::SimilarityFunction;
 ///
@@ -88,12 +89,13 @@ pub struct UpdateOutcome {
 ///     vec!["1 Main St Springfield IL", "2 Oak Ave Portland OR"],
 /// ];
 /// let collection = Collection::build(&raw, Tokenization::Whitespace);
-/// let engine = Engine::builder(collection)
-///     .metric(RelatednessMetric::Containment)
-///     .phi(SimilarityFunction::Jaccard)
-///     .delta(0.5)
-///     .build()
-///     .unwrap();
+/// let cfg = EngineConfig::full(
+///     RelatednessMetric::Containment,
+///     SimilarityFunction::Jaccard,
+///     0.5, // δ
+///     0.0, // α
+/// );
+/// let engine = Engine::new(collection, cfg).unwrap();
 /// let spec = QuerySpec::new(vec!["77 Massachusetts Avenue Boston MA".to_string()]);
 /// let out = engine.execute(&spec);
 /// assert_eq!(out.hits[0].0, 0);
@@ -106,8 +108,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds the inverted index and validates the configuration against
-    /// the collection's tokenization.
+    /// Validates `cfg` ([`EngineConfig::validate`]) and its tokenization
+    /// against the collection's, then builds the inverted index.
     pub fn new(
         collection: impl Into<Arc<Collection>>,
         cfg: EngineConfig,
@@ -126,13 +128,6 @@ impl Engine {
             collection,
             cfg,
         })
-    }
-
-    /// Starts a fluent [`EngineBuilder`] over `collection` with the
-    /// default configuration (full SilkMoth, SET-SIMILARITY, Jaccard,
-    /// δ = 0.7, α = 0).
-    pub fn builder(collection: impl Into<Arc<Collection>>) -> EngineBuilder {
-        EngineBuilder::new(collection.into())
     }
 
     /// The engine's configuration.
@@ -472,6 +467,46 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(hits[0].0, 3);
+    }
+
+    fn tiny() -> Collection {
+        Collection::build(&[vec!["a b", "c d"]], Tokenization::Whitespace)
+    }
+
+    #[test]
+    fn new_rejects_bad_delta() {
+        for delta in [0.0, -0.5, 1.5, f64::NAN] {
+            let cfg = jaccard_cfg(RelatednessMetric::Similarity, delta);
+            let err = Engine::new(tiny(), cfg).unwrap_err();
+            assert!(matches!(err, ConfigError::DeltaOutOfRange(_)), "δ={delta}");
+        }
+    }
+
+    #[test]
+    fn new_rejects_bad_alpha() {
+        for alpha in [-0.1, 1.0, 2.0] {
+            let cfg = EngineConfig::full(
+                RelatednessMetric::Similarity,
+                SimilarityFunction::Jaccard,
+                0.7,
+                alpha,
+            );
+            let err = Engine::new(tiny(), cfg).unwrap_err();
+            assert!(matches!(err, ConfigError::AlphaOutOfRange(_)), "α={alpha}");
+        }
+    }
+
+    #[test]
+    fn new_rejects_tokenization_mismatch() {
+        // Whitespace collection + edit similarity (needs q-grams).
+        let cfg = EngineConfig::full(
+            RelatednessMetric::Similarity,
+            SimilarityFunction::Eds { q: 2 },
+            0.7,
+            0.7,
+        );
+        let err = Engine::new(tiny(), cfg).unwrap_err();
+        assert!(matches!(err, ConfigError::TokenizationMismatch { .. }));
     }
 
     #[test]
@@ -817,8 +852,8 @@ mod tests {
 
     #[test]
     fn empty_reference_executes_without_panicking() {
-        // The wire codec round-trips empty references, so execution must
-        // tolerate them: every set matches vacuously with score 0, which
+        // `QuerySpec::new` accepts an empty reference, so execution must
+        // tolerate it: every set matches vacuously with score 0, which
         // only a floor of exactly 0 admits.
         let raw = vec![vec!["a b c".to_string()], vec!["d e".to_string()]];
         for metric in [

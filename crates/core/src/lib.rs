@@ -36,13 +36,16 @@
 //!
 //! ## Quick start
 //!
+//! [`Engine::new`] builds an engine from a collection and one
+//! [`EngineConfig`] — the paper's tuple of metric, φ, δ, α, signature
+//! scheme, filters and reduction — and is where that tuple is validated.
 //! The engine owns its collection behind an `Arc` — no lifetimes, and it
 //! is `Send + Sync`, so it slots directly into server state. A search is
 //! a [`QuerySpec`] handed to [`Engine::execute`]; the self-join is
 //! [`Engine::discover_self_parallel`]:
 //!
 //! ```
-//! use silkmoth_core::{Engine, QuerySpec, RelatednessMetric};
+//! use silkmoth_core::{Engine, EngineConfig, QuerySpec, RelatednessMetric};
 //! use silkmoth_collection::{Collection, Tokenization};
 //! use silkmoth_text::SimilarityFunction;
 //!
@@ -52,13 +55,14 @@
 //!     vec!["77 Massachusetts Avenue Boston MA", "Fifth Street Seattle WA 02115"],
 //! ];
 //! let collection = Collection::build(&corpus, Tokenization::Whitespace);
-//! let engine = Engine::builder(collection)
-//!     .metric(RelatednessMetric::Similarity)
-//!     .phi(SimilarityFunction::Jaccard)
-//!     .delta(0.25) // relatedness threshold δ
-//!     .alpha(0.0)  // similarity threshold α
-//!     .build()
-//!     .unwrap();
+//! // Full SilkMoth (dichotomy signatures, both filters, reduction):
+//! let cfg = EngineConfig::full(
+//!     RelatednessMetric::Similarity,
+//!     SimilarityFunction::Jaccard,
+//!     0.25, // relatedness threshold δ
+//!     0.0,  // similarity threshold α
+//! );
+//! let engine = Engine::new(collection, cfg).unwrap();
 //! let related = engine.discover_self_parallel(1);
 //! assert_eq!(related.pairs.len(), 1);
 //!
@@ -72,7 +76,6 @@
 //! ```
 
 pub mod brute;
-mod builder;
 mod config;
 mod engine;
 mod explain;
@@ -87,7 +90,6 @@ mod spec;
 mod verify;
 pub mod wire;
 
-pub use builder::EngineBuilder;
 pub use config::{
     ConfigError, EngineConfig, FilterKind, RelatednessMetric, SignatureScheme, FILTER_EPS,
     VERIFY_EPS,

@@ -182,21 +182,21 @@ impl Iterator for QueryIter<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RelatednessMetric;
+    use crate::config::{EngineConfig, RelatednessMetric};
     use crate::engine::Engine;
     use crate::spec::{QueryOutput, QuerySpec};
     use silkmoth_collection::paper_example::table2;
     use silkmoth_collection::{Collection, Tokenization};
     use silkmoth_text::SimilarityFunction;
 
+    fn jaccard_engine(c: Collection, metric: RelatednessMetric, delta: f64) -> Engine {
+        let cfg = EngineConfig::full(metric, SimilarityFunction::Jaccard, delta, 0.0);
+        Engine::new(c, cfg).unwrap()
+    }
+
     fn engine(delta: f64) -> Engine {
         let (c, _) = table2();
-        Engine::builder(c)
-            .metric(RelatednessMetric::Containment)
-            .phi(SimilarityFunction::Jaccard)
-            .delta(delta)
-            .build()
-            .unwrap()
+        jaccard_engine(c, RelatednessMetric::Containment, delta)
     }
 
     /// 209 sets of three elements over a few shared words: floor 0 queues
@@ -209,12 +209,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        Engine::builder(Collection::build(&raw, Tokenization::Whitespace))
-            .metric(RelatednessMetric::Similarity)
-            .phi(SimilarityFunction::Jaccard)
-            .delta(0.6)
-            .build()
-            .unwrap()
+        jaccard_engine(
+            Collection::build(&raw, Tokenization::Whitespace),
+            RelatednessMetric::Similarity,
+            0.6,
+        )
     }
 
     /// The spec for `r`'s element texts at `floor` (the engine's δ when
@@ -316,12 +315,11 @@ mod tests {
         let raw: Vec<Vec<String>> = (0..137)
             .map(|i| vec![format!("a{} b{}", i % 13, i % 3), format!("c{}", i % 4)])
             .collect();
-        let engine = Engine::builder(Collection::build(&raw, Tokenization::Whitespace))
-            .metric(RelatednessMetric::Similarity)
-            .phi(SimilarityFunction::Jaccard)
-            .delta(0.7)
-            .build()
-            .unwrap();
+        let engine = jaccard_engine(
+            Collection::build(&raw, Tokenization::Whitespace),
+            RelatednessMetric::Similarity,
+            0.7,
+        );
         let r = engine.collection().set(0).clone();
         let spec = spec(&r, Some(0.0));
         let full = engine.execute(&spec);
@@ -425,18 +423,16 @@ mod tests {
                     .collect()
             })
             .collect();
-        let big = Engine::builder(Collection::build(&columns, Tokenization::Whitespace))
-            .metric(RelatednessMetric::Containment)
-            .phi(SimilarityFunction::Jaccard)
-            .delta(0.3)
-            .build()
-            .unwrap();
-        let small = Engine::builder(Collection::build(&schemas, Tokenization::Whitespace))
-            .metric(RelatednessMetric::Similarity)
-            .phi(SimilarityFunction::Jaccard)
-            .delta(0.3)
-            .build()
-            .unwrap();
+        let big = jaccard_engine(
+            Collection::build(&columns, Tokenization::Whitespace),
+            RelatednessMetric::Containment,
+            0.3,
+        );
+        let small = jaccard_engine(
+            Collection::build(&schemas, Tokenization::Whitespace),
+            RelatednessMetric::Similarity,
+            0.3,
+        );
         let alone = |engine: &Engine, r: &SetRecord| -> (Vec<(SetIdx, f64)>, PassStats) {
             let mut searcher = searcher(engine, &spec(r, None));
             let mut iter = QueryIter::stage(&mut searcher, r, Restriction::default(), None, None);

@@ -23,10 +23,9 @@
 //!   expired query returns a truncated but well-formed [`QueryOutput`]
 //!   flagged [`timed_out`](QueryOutput::timed_out) instead of scanning
 //!   to the floor.
-//! * **Versioned encodings**: `core::wire` carries the binary form (see
-//!   [`wire::encode_query_spec`](crate::wire::encode_query_spec)),
-//!   `silkmoth-server`'s `queryspec` module the JSON form; both lead
-//!   with a format version and reject unknown versions by name.
+//! * **One serialized form**: `silkmoth-server`'s `queryspec` module
+//!   carries a spec as JSON (`spec_to_json` / `spec_from_json`), which
+//!   leads with a format version and rejects unknown versions by name.
 
 use std::time::{Duration, Instant};
 
@@ -76,8 +75,8 @@ impl QuerySpec {
     /// Override the relatedness threshold for this query. **This is the
     /// single place a floor is validated** — `floor` must lie in
     /// `[0, 1]` or the spec is refused with
-    /// [`ConfigError::FloorOutOfRange`]; every entry point (wire decode,
-    /// JSON decode, CLI) routes through here.
+    /// [`ConfigError::FloorOutOfRange`]; every entry point (library
+    /// callers, JSON decode, CLI) routes through here.
     pub fn with_floor(mut self, floor: f64) -> Result<Self, ConfigError> {
         if !(0.0..=1.0).contains(&floor) {
             return Err(ConfigError::FloorOutOfRange(floor));

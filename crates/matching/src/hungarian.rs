@@ -185,34 +185,6 @@ pub fn max_weight_assignment(w: &WeightMatrix) -> Assignment {
     Assignment { score, row_to_col }
 }
 
-/// Greedy matching: repeatedly takes the heaviest remaining edge.
-///
-/// A `1/2`-approximation lower bound on the maximum matching score, useful
-/// for sanity checks and quick estimates. `O(n·m·log(n·m))`.
-pub fn greedy_matching_score(w: &WeightMatrix) -> f64 {
-    let mut edges: Vec<(usize, usize)> = (0..w.rows())
-        .flat_map(|i| (0..w.cols()).map(move |j| (i, j)))
-        .collect();
-    edges.sort_unstable_by(|&(i1, j1), &(i2, j2)| {
-        w.get(i2, j2)
-            .partial_cmp(&w.get(i1, j1))
-            .unwrap()
-            .then(i1.cmp(&i2))
-            .then(j1.cmp(&j2))
-    });
-    let mut used_row = vec![false; w.rows()];
-    let mut used_col = vec![false; w.cols()];
-    let mut score = 0.0;
-    for (i, j) in edges {
-        if !used_row[i] && !used_col[j] {
-            used_row[i] = true;
-            used_col[j] = true;
-            score += w.get(i, j);
-        }
-    }
-    score
-}
-
 /// Exhaustive maximum matching by recursion over rows — the test oracle.
 ///
 /// Exponential in `min(rows, cols)`; intended for graphs with at most ~9
@@ -297,9 +269,6 @@ mod tests {
         w.set(1, 1, 0.0);
         let a = max_weight_assignment(&w);
         assert!((a.score - 1.8).abs() < 1e-9);
-        let g = greedy_matching_score(&w);
-        assert!((g - 1.0).abs() < 1e-9);
-        assert!(g <= a.score);
     }
 
     #[test]
@@ -375,9 +344,7 @@ mod tests {
         ) {
             let w = WeightMatrix::from_fn(rows, cols, |i, j| seed[i * 6 + j] as f64 / 1000.0);
             let a = max_weight_assignment(&w);
-            // Score within [greedy, min(rows,cols)].
-            let g = greedy_matching_score(&w);
-            prop_assert!(a.score + 1e-9 >= g);
+            // Score at most min(rows,cols).
             prop_assert!(a.score <= rows.min(cols) as f64 + 1e-9);
             // Score equals the sum along the reported assignment.
             let sum: f64 = a.row_to_col.iter().enumerate()

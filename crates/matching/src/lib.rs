@@ -14,7 +14,9 @@
 //! * [`max_weight_assignment`] — Kuhn–Munkres / Jonker–Volgenant with
 //!   potentials and slack arrays, `O(n²·m)` for an `n×m` matrix (`n ≤ m`
 //!   internally; inputs are transposed as needed);
-//! * [`greedy_matching_score`] — a fast greedy lower bound;
+//! * [`sparse_max_matching`] — the same score from the positive edges
+//!   alone, solved on the rows and columns they touch (what
+//!   verification calls when α > 0 zeroes most of the matrix);
 //! * [`exhaustive_max_matching`] — a brute-force oracle for testing
 //!   (exponential; only for tiny graphs);
 //! * [`reduce_identical`] — the triangle-inequality reduction of §5.3:
@@ -26,8 +28,6 @@ mod hungarian;
 mod reduction;
 pub mod sparse;
 
-pub use hungarian::{
-    exhaustive_max_matching, greedy_matching_score, max_weight_assignment, Assignment, WeightMatrix,
-};
+pub use hungarian::{exhaustive_max_matching, max_weight_assignment, Assignment, WeightMatrix};
 pub use reduction::{reduce_identical, Reduction};
-pub use sparse::{sparse_from_dense, sparse_max_matching, Edge};
+pub use sparse::{sparse_max_matching, Edge};

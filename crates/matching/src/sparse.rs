@@ -65,30 +65,28 @@ pub fn sparse_max_matching(edges: &[Edge]) -> f64 {
     max_weight_assignment(&w).score
 }
 
-/// Convenience: extracts the positive edges of a dense matrix and solves
-/// sparsely. Equals `max_weight_assignment(w).score` for non-negative
-/// matrices.
-pub fn sparse_from_dense(w: &WeightMatrix) -> f64 {
-    let mut edges = Vec::new();
-    for i in 0..w.rows() {
-        for j in 0..w.cols() {
-            let v = w.get(i, j);
-            if v > 0.0 {
-                edges.push(Edge {
-                    row: i,
-                    col: j,
-                    weight: v,
-                });
-            }
-        }
-    }
-    sparse_max_matching(&edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Extracts the positive edges of a dense matrix and solves sparsely.
+    fn sparse_from_dense(w: &WeightMatrix) -> f64 {
+        let mut edges = Vec::new();
+        for i in 0..w.rows() {
+            for j in 0..w.cols() {
+                let v = w.get(i, j);
+                if v > 0.0 {
+                    edges.push(Edge {
+                        row: i,
+                        col: j,
+                        weight: v,
+                    });
+                }
+            }
+        }
+        sparse_max_matching(&edges)
+    }
 
     #[test]
     fn empty_edges() {

@@ -1,6 +1,5 @@
-//! JSON encoding of [`QuerySpec`] — the wire form `POST /search` and
-//! `POST /search/batch` accept, mirroring `silkmoth_core::wire`'s
-//! binary form.
+//! JSON encoding of [`QuerySpec`] — the one serialized form of a query,
+//! which `POST /search` and `POST /search/batch` accept.
 //!
 //! ## Format (version 1)
 //!
@@ -23,7 +22,7 @@
 //! Floors go through [`QuerySpec::with_floor`] — the single floor
 //! validation point in the codebase — so the JSON layer cannot admit a
 //! threshold the engine would refuse. Deadlines carry millisecond
-//! granularity here (the binary form carries microseconds).
+//! granularity.
 
 use silkmoth_core::{PairExplanation, QuerySpec, Verdict};
 use std::time::Duration;

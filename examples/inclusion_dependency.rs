@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example inclusion_dependency`
 
 use silkmoth::{
-    Collection, Engine, QuerySpec, RelatednessMetric, SimilarityFunction, Tokenization,
+    Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
+    Tokenization,
 };
 
 fn main() {
@@ -20,13 +21,13 @@ fn main() {
     let collection = Collection::build(&corpus, Tokenization::Whitespace);
     println!("data lake: {}", collection.stats());
 
-    let engine = Engine::builder(collection)
-        .metric(RelatednessMetric::Containment)
-        .phi(SimilarityFunction::Jaccard)
-        .delta(0.7)
-        .alpha(0.5)
-        .build()
-        .expect("valid configuration");
+    let cfg = EngineConfig::full(
+        RelatednessMetric::Containment,
+        SimilarityFunction::Jaccard,
+        0.7,
+        0.5,
+    );
+    let engine = Engine::new(collection, cfg).expect("valid configuration");
     let collection = engine.collection();
 
     // 50 random reference columns with enough distinct values (§8.1 uses

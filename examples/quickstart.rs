@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use silkmoth::{
-    Collection, Engine, QuerySpec, RelatednessMetric, SimilarityFunction, Tokenization,
+    Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
+    Tokenization,
 };
 
 fn main() {
@@ -32,13 +33,13 @@ fn main() {
     let collection = Collection::build(&corpus, Tokenization::Whitespace);
 
     // SET-CONTAINMENT with Jaccard, α = 0.2 (Example 1), δ = 0.3.
-    let engine = Engine::builder(collection)
-        .metric(RelatednessMetric::Containment)
-        .phi(SimilarityFunction::Jaccard)
-        .delta(0.3)
-        .alpha(0.2)
-        .build()
-        .expect("valid configuration");
+    let cfg = EngineConfig::full(
+        RelatednessMetric::Containment,
+        SimilarityFunction::Jaccard,
+        0.3,
+        0.2,
+    );
+    let engine = Engine::new(collection, cfg).expect("valid configuration");
     let collection = engine.collection();
 
     // Search: which columns approximately contain Location? The query

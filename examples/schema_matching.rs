@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example schema_matching`
 
-use silkmoth::{Collection, Engine, RelatednessMetric, SimilarityFunction, Tokenization};
+use silkmoth::{
+    Collection, Engine, EngineConfig, RelatednessMetric, SimilarityFunction, Tokenization,
+};
 
 fn main() {
     let delta = 0.7;
@@ -19,13 +21,13 @@ fn main() {
     let collection = Collection::build(&corpus, Tokenization::Whitespace);
     println!("corpus: {}", collection.stats());
 
-    let engine = Engine::builder(collection)
-        .metric(RelatednessMetric::Similarity)
-        .phi(SimilarityFunction::Jaccard)
-        .delta(delta)
-        .alpha(0.0)
-        .build()
-        .expect("valid configuration");
+    let cfg = EngineConfig::full(
+        RelatednessMetric::Similarity,
+        SimilarityFunction::Jaccard,
+        delta,
+        0.0,
+    );
+    let engine = Engine::new(collection, cfg).expect("valid configuration");
     let collection = engine.collection();
 
     let t0 = std::time::Instant::now();

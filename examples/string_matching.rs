@@ -7,7 +7,9 @@
 //!
 //! Run with: `cargo run --release --example string_matching`
 
-use silkmoth::{Collection, Engine, RelatednessMetric, SimilarityFunction, Tokenization};
+use silkmoth::{
+    Collection, Engine, EngineConfig, RelatednessMetric, SimilarityFunction, Tokenization,
+};
 
 fn main() {
     let alpha = 0.8;
@@ -24,13 +26,13 @@ fn main() {
     let collection = Collection::build(&corpus, Tokenization::QGram { q });
     println!("corpus: {}", collection.stats());
 
-    let engine = Engine::builder(collection)
-        .metric(RelatednessMetric::Similarity)
-        .phi(SimilarityFunction::Eds { q })
-        .delta(delta)
-        .alpha(alpha)
-        .build()
-        .expect("valid configuration");
+    let cfg = EngineConfig::full(
+        RelatednessMetric::Similarity,
+        SimilarityFunction::Eds { q },
+        delta,
+        alpha,
+    );
+    let engine = Engine::new(collection, cfg).expect("valid configuration");
     let collection = engine.collection();
 
     let t0 = std::time::Instant::now();

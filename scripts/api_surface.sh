@@ -21,9 +21,11 @@
 # (the benchmark suite package excepted) and src/**/*.rs — and those
 # product lines split into code, comment (`//`, `///`, `//!`) and blank
 # lines. `--check` prints each number's change against the recorded one
-# and fails when the public items or the product lines are above the
-# record, so growth, like API drift, has to be committed deliberately;
-# the split is reported, not gated.
+# and fails when the public items or the product lines differ from the
+# record in either direction: growth, like API drift, has to be
+# committed deliberately, and a shrink has to be re-recorded so that the
+# lines it freed cannot be spent again unrecorded. The split is
+# reported, not gated.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -96,6 +98,11 @@ case "${1:-}" in
         if [ -z "$recorded" ] || [ "$now" -gt "$recorded" ]; then
             echo "error: $name rose to $now (budget in $BUDGET: ${recorded:-none})." >&2
             echo "If the growth is deliberate, run ./scripts/api_surface.sh and" >&2
+            echo "commit the regenerated budget with your change." >&2
+            status=1
+        elif [ "$now" -lt "$recorded" ]; then
+            echo "error: $name fell to $now (budget in $BUDGET: $recorded)." >&2
+            echo "Run ./scripts/api_surface.sh to re-record the lower number and" >&2
             echo "commit the regenerated budget with your change." >&2
             status=1
         fi

@@ -460,19 +460,10 @@ fn build_engine_from_input(cli: &Cli, cfg: EngineConfig) -> ShardedEngine {
 /// `silkmoth serve`: in memory, or durable when `--data-dir` is given —
 /// a populated data dir is recovered (snapshot + WAL replay; `--input`
 /// is not needed), an empty one is initialized from `--input`.
-fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
+fn run_serve(cli: &Cli, cfg: EngineConfig) {
     if cli.shards == 0 {
         fail("--shards must be at least 1");
     }
-    let cfg = EngineConfig {
-        metric: cli.metric,
-        similarity,
-        delta: cli.delta,
-        alpha: cli.alpha,
-        scheme: cli.scheme,
-        filter: cli.filter,
-        reduction: !cli.no_reduction,
-    };
     let mut policy = CompactionPolicy::default();
     if let Some(r) = cli.compact_ratio {
         policy = policy.compact_at_dead_ratio(r);
@@ -680,6 +671,19 @@ fn run_serve(cli: &Cli, similarity: SimilarityFunction) {
     }
 }
 
+/// The engine configuration the flags describe, for every command.
+fn engine_config(cli: &Cli, similarity: SimilarityFunction) -> EngineConfig {
+    EngineConfig {
+        metric: cli.metric,
+        similarity,
+        delta: cli.delta,
+        alpha: cli.alpha,
+        scheme: cli.scheme,
+        filter: cli.filter,
+        reduction: !cli.no_reduction,
+    }
+}
+
 fn main() {
     let cli = parse_cli();
     let similarity = match cli.phi.as_str() {
@@ -696,13 +700,11 @@ fn main() {
         }
         p => fail(&format!("unknown phi {p}")),
     };
-    let tokenization = match similarity {
-        SimilarityFunction::Eds { q } | SimilarityFunction::NEds { q } => Tokenization::QGram { q },
-        _ => Tokenization::Whitespace,
-    };
+    let cfg = engine_config(&cli, similarity);
+    let tokenization = cfg.tokenization();
 
     if cli.command == "serve" {
-        run_serve(&cli, similarity);
+        run_serve(&cli, cfg);
         return;
     }
 
@@ -720,19 +722,7 @@ fn main() {
         return;
     }
 
-    let engine = match Engine::builder(collection)
-        .metric(cli.metric)
-        .phi(similarity)
-        .delta(cli.delta)
-        .alpha(cli.alpha)
-        .scheme(cli.scheme)
-        .filter(cli.filter)
-        .reduction(!cli.no_reduction)
-        .build()
-    {
-        Ok(e) => e,
-        Err(e) => fail(&e.to_string()),
-    };
+    let engine = Engine::new(collection, cfg).unwrap_or_else(|e| fail(&e.to_string()));
 
     let t0 = std::time::Instant::now();
     match cli.command.as_str() {

@@ -33,15 +33,18 @@
 //! The engine owns its collection behind an `Arc` (pass a `Collection`
 //! to move it in, or an `Arc<Collection>` to share it), has no lifetime
 //! parameters, and is `Send + Sync` — it drops straight into server
-//! state. Configuration goes through the fluent builder; a search is a
-//! [`QuerySpec`] — the owned, serializable artifact the engine, the
+//! state. Its configuration is one [`EngineConfig`] — metric, φ, δ, α
+//! plus the signature scheme, filters and reduction, with
+//! [`EngineConfig::full`] giving full SilkMoth — validated by
+//! [`Engine::new`]; a search is a [`QuerySpec`] — the owned, serializable artifact the engine, the
 //! sharded engine, the HTTP routes and the CLI all execute identically —
 //! handed to [`Engine::execute`], with its per-query knobs (`top_k`,
 //! `floor`, a deadline):
 //!
 //! ```
 //! use silkmoth::{
-//!     Collection, Engine, QuerySpec, RelatednessMetric, SimilarityFunction, Tokenization,
+//!     Collection, Engine, EngineConfig, QuerySpec, RelatednessMetric, SimilarityFunction,
+//!     Tokenization,
 //! };
 //!
 //! let corpus = vec![
@@ -54,13 +57,13 @@
 //!     ],
 //! ];
 //! let collection = Collection::build(&corpus, Tokenization::Whitespace);
-//! let engine = Engine::builder(collection)
-//!     .metric(RelatednessMetric::Containment)
-//!     .phi(SimilarityFunction::Jaccard)
-//!     .delta(0.35)
-//!     .alpha(0.2)
-//!     .build()
-//!     .unwrap();
+//! let cfg = EngineConfig::full(
+//!     RelatednessMetric::Containment,
+//!     SimilarityFunction::Jaccard,
+//!     0.35, // δ
+//!     0.2,  // α
+//! );
+//! let engine = Engine::new(collection, cfg).unwrap();
 //!
 //! // Is the Location column (set 0) approximately contained in Address (set 1)?
 //! let location: Vec<String> = corpus[0].iter().map(|e| e.to_string()).collect();
@@ -98,9 +101,9 @@ pub use silkmoth_collection::{
     Collection, Element, InvertedIndex, SetIdx, SetRecord, Tokenization, UpdateError,
 };
 pub use silkmoth_core::{
-    brute, CompactionPolicy, ConfigError, DiscoveryOutput, Engine, EngineBuilder, EngineConfig,
-    FilterKind, PassStats, QueryOutput, QuerySpec, RelatedPair, RelatednessMetric, SignatureScheme,
-    Update, UpdateOutcome,
+    brute, CompactionPolicy, ConfigError, DiscoveryOutput, Engine, EngineConfig, FilterKind,
+    PassStats, QueryOutput, QuerySpec, RelatedPair, RelatednessMetric, SignatureScheme, Update,
+    UpdateOutcome,
 };
 pub use silkmoth_datagen::{ColumnsConfig, DblpConfig, SchemaConfig};
 pub use silkmoth_matching::{max_weight_assignment, WeightMatrix};

@@ -1,12 +1,12 @@
-//! Integration tests for the owned, shareable engine API: builder
+//! Integration tests for the owned, shareable engine API: construction
 //! validation, the per-query knobs of a `QuerySpec` (top-k, floor), and
 //! parallel batched discovery over external references.
 
 use std::sync::Arc;
 
 use silkmoth::{
-    Collection, ConfigError, Engine, PassStats, QuerySpec, RelatednessMetric, SignatureScheme,
-    SimilarityFunction, Tokenization,
+    Collection, ConfigError, Engine, EngineConfig, PassStats, QuerySpec, RelatednessMetric,
+    SignatureScheme, SimilarityFunction, Tokenization,
 };
 
 /// A schema-matching workload with planted related clusters.
@@ -23,14 +23,15 @@ fn spec_of(engine: &Engine, rid: u32) -> QuerySpec {
     QuerySpec::new(set.elements.iter().map(|e| e.text.to_string()).collect())
 }
 
+/// Full SilkMoth over Jaccard at `delta`, α = 0.
+fn jaccard(metric: RelatednessMetric, delta: f64) -> EngineConfig {
+    EngineConfig::full(metric, SimilarityFunction::Jaccard, delta, 0.0)
+}
+
 fn schema_engine(n: usize, metric: RelatednessMetric, delta: f64) -> Engine {
     let corpus = schema_corpus(n);
-    Engine::builder(Collection::build(&corpus, Tokenization::Whitespace))
-        .metric(metric)
-        .phi(SimilarityFunction::Jaccard)
-        .delta(delta)
-        .build()
-        .unwrap()
+    let collection = Collection::build(&corpus, Tokenization::Whitespace);
+    Engine::new(collection, jaccard(metric, delta)).unwrap()
 }
 
 #[test]
@@ -66,37 +67,49 @@ fn engine_shared_behind_arc_serves_concurrent_queries() {
 }
 
 #[test]
-fn builder_rejects_invalid_configurations() {
+fn engine_new_rejects_invalid_configurations() {
     let tiny = || Collection::build(&[vec!["a b", "c d"]], Tokenization::Whitespace);
+    let similarity = |delta| jaccard(RelatednessMetric::Similarity, delta);
     assert!(matches!(
-        Engine::builder(tiny()).delta(0.0).build(),
+        Engine::new(tiny(), similarity(0.0)),
         Err(ConfigError::DeltaOutOfRange(_))
     ));
     assert!(matches!(
-        Engine::builder(tiny()).delta(1.2).build(),
+        Engine::new(tiny(), similarity(1.2)),
         Err(ConfigError::DeltaOutOfRange(_))
     ));
     assert!(matches!(
-        Engine::builder(tiny()).alpha(1.0).build(),
+        Engine::new(
+            tiny(),
+            EngineConfig {
+                alpha: 1.0,
+                ..similarity(0.7)
+            }
+        ),
         Err(ConfigError::AlphaOutOfRange(_))
     ));
     // Whitespace tokenization cannot serve edit similarity.
+    let eds = |q, alpha| {
+        EngineConfig::full(
+            RelatednessMetric::Similarity,
+            SimilarityFunction::Eds { q },
+            0.7,
+            alpha,
+        )
+    };
     assert!(matches!(
-        Engine::builder(tiny())
-            .phi(SimilarityFunction::Eds { q: 2 })
-            .alpha(0.7)
-            .build(),
+        Engine::new(tiny(), eds(2, 0.7)),
         Err(ConfigError::TokenizationMismatch { .. })
     ));
     // Footnote 11: the unweighted scheme with edit similarity needs
     // α > q/(q+1).
     let qgram = Collection::build(&[vec!["abcd", "bcde"]], Tokenization::QGram { q: 3 });
+    let unweighted = EngineConfig {
+        scheme: SignatureScheme::Unweighted,
+        ..eds(3, 0.5)
+    };
     assert!(matches!(
-        Engine::builder(qgram)
-            .phi(SimilarityFunction::Eds { q: 3 })
-            .alpha(0.5)
-            .scheme(SignatureScheme::Unweighted)
-            .build(),
+        Engine::new(qgram, unweighted),
         Err(ConfigError::UnweightedEditNeedsAlpha { .. })
     ));
 }
@@ -159,12 +172,7 @@ fn discover_parallel_external_refs_identical_to_serial() {
         RelatednessMetric::Similarity,
         RelatednessMetric::Containment,
     ] {
-        let engine = Engine::builder(Arc::clone(&collection))
-            .metric(metric)
-            .phi(SimilarityFunction::Jaccard)
-            .delta(0.5)
-            .build()
-            .unwrap();
+        let engine = Engine::new(Arc::clone(&collection), jaccard(metric, 0.5)).unwrap();
         // (reference, set, score bits) in (r, s) order, and the stats
         // of all the passes merged.
         let discover = |threads: usize| {
@@ -194,7 +202,7 @@ fn engine_outlives_its_builder_scope() {
     fn make() -> Engine {
         let corpus = schema_corpus(30);
         let collection = Collection::build(&corpus, Tokenization::Whitespace);
-        Engine::builder(collection).delta(0.6).build().unwrap()
+        Engine::new(collection, jaccard(RelatednessMetric::Similarity, 0.6)).unwrap()
     }
     let engine = make();
     let out = engine.discover_self_parallel(1);

@@ -15,7 +15,9 @@
 //!
 //! It runs against `Engine::execute` (floor and top-k) and
 //! `ShardedEngine::execute` at 1, 2 and 7 shards over generated small
-//! collections, and on the paper's Table 2. Membership at the floor must
+//! collections, on adversarial ones — floors equal to a hit's exact
+//! score, top-k cuts inside a tie, Eds pairs exactly at α — and on the
+//! paper's Table 2. Membership at the floor must
 //! agree exactly. A disagreement whose exact score lies within `WINDOW` of
 //! the floor is a **float departure** — the engine decides membership in
 //! f64, with a tolerance — and is printed and counted; so is a top-k
@@ -605,6 +607,160 @@ fn eds_answers_are_the_definitions_but_for_item_9() {
     assert_eq!(
         (d.floor, d.ties, d.item9),
         (0, 0, 100),
+        "the pinned departures moved"
+    );
+}
+
+/// Floors that a hit's exact score equals, and top-k cuts that fall
+/// inside a tie: Jaccard collections in which three sets reappear with
+/// their elements reversed, so ties at the k-th score are certain, asked
+/// at every distinct positive exact score as the floor and, at each, the
+/// first k whose cut splits a tie.
+#[test]
+fn scores_on_the_floor_and_ties_at_the_kth_score() {
+    let rng = &mut StdRng::seed_from_u64(0xf1_00f);
+    let mut d = Departures::default();
+    let (mut on_floor, mut split_ties) = (0, 0);
+    for case in 0..8 {
+        let mut raw: Vec<Vec<String>> = (0..10).map(|_| random_set(rng)).collect();
+        for _ in 0..3 {
+            let mut copy = raw[rng.random_range(0..10usize)].clone();
+            copy.reverse();
+            raw.push(copy);
+        }
+        let metric = [
+            RelatednessMetric::Similarity,
+            RelatednessMetric::Containment,
+        ][case % 2];
+        let delta = DELTAS[rng.random_range(0..DELTAS.len())];
+        let cfg = EngineConfig {
+            metric,
+            similarity: SimilarityFunction::Jaccard,
+            delta: delta.to_f64(),
+            alpha: 0.0,
+            scheme: SCHEMES[rng.random_range(0..SCHEMES.len())],
+            filter: FilterKind::CheckAndNearestNeighbor,
+            reduction: rng.random::<bool>(),
+        };
+        let engines = Engines::build(&raw, cfg);
+        for reference in [random_set(rng), raw[rng.random_range(0..raw.len())].clone()] {
+            let oracle = Oracle {
+                exact: Exact::new(metric, &reference, &raw, &|x, y| jaccard(x, y, Q::ZERO)),
+                item9: None,
+                delta,
+            };
+            let mut floors: Vec<Q> = Vec::new();
+            for &(_, score) in &oracle.exact.scores {
+                if score.n > 0 && floors.iter().all(|f| f.cmp(score) != Ordering::Equal) {
+                    floors.push(score);
+                }
+            }
+            for floor in floors {
+                let ranked = oracle.exact.answer(floor, Some(raw.len()));
+                let tie = (1..ranked.len()).find(|&k| ranked[k - 1].1.cmp(ranked[k].1).is_eq());
+                on_floor += 1;
+                split_ties += usize::from(tie.is_some());
+                let k = tie.unwrap_or(1);
+                let ctx = format!("case {case} {cfg:?} {reference:?} floor {floor:?}");
+                engines.ask(&reference, &oracle, floor, k, &ctx, &mut d);
+            }
+        }
+    }
+    println!(
+        "{on_floor} floors on a score, {split_ties} cuts inside a tie, {} hits checked; \
+         float departures: {} at the floor, {} in top-k tie order",
+        d.hits, d.floor, d.ties
+    );
+    assert!(
+        on_floor > 50 && split_ties > 20,
+        "{on_floor} / {split_ties}"
+    );
+    assert_eq!(
+        (d.floor, d.ties),
+        (0, 0),
+        "the pinned float departures moved"
+    );
+}
+
+/// A string of `len` letters over `a`…`d` and the same string with `k`
+/// `z`s inserted: no `z` can be matched, so LD is exactly `k`.
+fn exact_alpha_pair(rng: &mut StdRng, len: usize, k: usize) -> (String, String) {
+    let x: Vec<char> = (0..len)
+        .map(|_| ['a', 'b', 'c', 'd'][rng.random_range(0..4usize)])
+        .collect();
+    let mut y = x.clone();
+    for _ in 0..k {
+        y.insert(rng.random_range(0..=y.len()), 'z');
+    }
+    (x.into_iter().collect(), y.into_iter().collect())
+}
+
+/// Item 9's trigger: element pairs whose Eds is exactly α, with
+/// |x| + |y| = 9k at α = 4/5 and 19k at α = 9/10 (LD = k), where the
+/// f64 bound on LD can floor to k − 1. Each collection's elements are
+/// such pairs for every k the lengths allow here, in both directions.
+#[test]
+fn eds_pairs_exactly_at_alpha_are_item_9_departures() {
+    let rng = &mut StdRng::seed_from_u64(0xa1_f4a);
+    let mut d = Departures::default();
+    for (alpha, per_ld, ks) in [(Q::new(4, 5), 9, 1..=3usize), (Q::new(9, 10), 19, 1..=2)] {
+        for q in [2usize, 3] {
+            for case in 0..4 {
+                let mut pool = Vec::new();
+                for k in ks.clone() {
+                    // |x| + |y| = 2·len + k = per_ld · k.
+                    let (x, y) = exact_alpha_pair(rng, (per_ld - 1) / 2 * k, k);
+                    let (sim, n, ld) = eds(&x, &y);
+                    assert!(sim.cmp(alpha).is_eq() && n == per_ld * k && ld == k);
+                    pool.extend([x, y]);
+                }
+                let pick = |rng: &mut StdRng| -> Vec<String> {
+                    (0..rng.random_range(1..=4usize))
+                        .map(|_| pool[rng.random_range(0..pool.len())].clone())
+                        .collect()
+                };
+                let raw: Vec<Vec<String>> = (0..10).map(|_| pick(rng)).collect();
+                let metric = [
+                    RelatednessMetric::Similarity,
+                    RelatednessMetric::Containment,
+                ][case % 2];
+                let delta = DELTAS[rng.random_range(0..DELTAS.len())];
+                let cfg = EngineConfig {
+                    metric,
+                    similarity: SimilarityFunction::Eds { q },
+                    delta: delta.to_f64(),
+                    alpha: alpha.to_f64(),
+                    scheme: SCHEMES[rng.random_range(0..SCHEMES.len())],
+                    filter: FilterKind::CheckAndNearestNeighbor,
+                    reduction: rng.random::<bool>(),
+                };
+                let engines = Engines::build(&raw, cfg);
+                for reference in [pick(rng), pick(rng)] {
+                    let oracle = Oracle {
+                        exact: Exact::new(metric, &reference, &raw, &|x, y| edit(x, y, alpha)),
+                        item9: Some(Exact::new(metric, &reference, &raw, &|x, y| {
+                            edit_with_item9(x, y, alpha)
+                        })),
+                        delta,
+                    };
+                    let floor = FLOORS[rng.random_range(0..FLOORS.len())];
+                    let k = rng.random_range(1..=3usize);
+                    let ctx = format!("q {q} α {alpha:?} case {case} {cfg:?} {reference:?}");
+                    engines.ask(&reference, &oracle, floor, k, &ctx, &mut d);
+                }
+            }
+        }
+    }
+    println!(
+        "{} hits checked; float departures: {} at the floor, {} in top-k tie order; \
+         item 9 departures: {}",
+        d.hits, d.floor, d.ties, d.item9
+    );
+    assert!(d.hits > 100, "{} hits", d.hits);
+    // Item 9's fix drives its count to 0.
+    assert_eq!(
+        (d.floor, d.ties, d.item9),
+        (0, 0, 317),
         "the pinned departures moved"
     );
 }

@@ -7,11 +7,10 @@
 //!   `brute::search` at the spec's floor and cutting it at its `k` — on
 //!   fresh collections and after incremental updates — and
 //!   `ShardedEngine::execute` reproduces it for shard counts {1, 2, 7}.
-//! * **Encodings are total and validated**: the `core::wire` binary
-//!   form and the server JSON form round-trip every spec; truncated or
-//!   garbage payloads are named errors, never panics; an out-of-range
-//!   floor is refused identically from the spec constructor, JSON, the
-//!   binary wire, and the CLI (the single validation point).
+//! * **The encoding is total and validated**: the server JSON form
+//!   round-trips every spec; garbage documents are named errors, never
+//!   panics; an out-of-range floor is refused identically from the spec
+//!   constructor, JSON and the CLI (the single validation point).
 //! * **Deadlines truncate, never corrupt**: under an adversarially slow
 //!   corpus a deadline-bearing query returns a well-formed subset
 //!   flagged `timed_out` instead of scanning to the floor.
@@ -28,7 +27,6 @@ use silkmoth::{
     brute, Collection, ConfigError, Engine, EngineConfig, QuerySpec, RelatednessMetric,
     ShardedEngine, SimilarityFunction, Update,
 };
-use silkmoth_core::wire::{decode_query_spec, encode_query_spec, WireError};
 use silkmoth_core::Verdict;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -186,67 +184,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Wire form: encode → decode is the identity, for specs of every
-    // shape (including adversarial strings and deadlines).
-    #[test]
-    fn wire_roundtrip_is_the_identity(seed in any::<u64>()) {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        for _ in 0..16 {
-            let n = rng.random_range(0..5usize);
-            let reference: Vec<String> = (0..n)
-                .map(|_| match rng.random_range(0..4u32) {
-                    0 => String::new(),
-                    1 => "héllo wörld 🚀\n\"quoted\"".to_owned(),
-                    _ => gen_element(rng),
-                })
-                .collect();
-            let mut spec = gen_spec(rng, reference);
-            if rng.random::<bool>() {
-                spec = spec.with_deadline(Duration::from_micros(rng.random_range(0..10_000_000)));
-            }
-            let mut buf = Vec::new();
-            encode_query_spec(&spec, &mut buf);
-            prop_assert_eq!(decode_query_spec(&buf).expect("round-trip"), spec);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    // Wire form: every truncation of a valid payload and arbitrary
-    // garbage decode to named errors, never panics or huge
-    // allocations.
-    #[test]
-    fn wire_truncation_and_garbage_never_panic(seed in any::<u64>()) {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let reference = vec![gen_element(rng), gen_element(rng)];
-        let spec = gen_spec(rng, reference)
-            .with_deadline(Duration::from_millis(rng.random_range(0..1000)));
-        let mut buf = Vec::new();
-        encode_query_spec(&spec, &mut buf);
-        for cut in 0..buf.len() {
-            prop_assert!(decode_query_spec(&buf[..cut]).is_err(), "cut at {}", cut);
-        }
-        for _ in 0..64 {
-            let len = rng.random_range(0..64usize);
-            let garbage: Vec<u8> = (0..len).map(|_| rng.random_range(0..=u8::MAX)).collect();
-            let _ = decode_query_spec(&garbage); // must not panic
-        }
-        // Flipping any single byte of a valid payload must never panic
-        // (it may decode to a different valid spec; framing + CRC catch
-        // corruption at the storage layer).
-        for i in 0..buf.len() {
-            let mut flipped = buf.clone();
-            flipped[i] ^= 0xFF;
-            let _ = decode_query_spec(&flipped);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
     // JSON form: `spec_from_json(spec_to_json(s)) == s` (deadlines at
     // millisecond granularity), and arbitrary JSON documents never
     // panic the parser.
@@ -279,9 +216,8 @@ proptest! {
 
 /// The floor check lives in exactly one place — [`QuerySpec::with_floor`]
 /// — so an out-of-range floor must fail with the *same* error from the
-/// spec constructor, the JSON decoder, and the binary wire decoder. (The
-/// CLI entry point is covered by
-/// `cli_floor_fails_like_every_other_entry_point` below.)
+/// spec constructor and the JSON decoder. (The CLI entry point is
+/// covered by `cli_floor_fails_like_every_other_entry_point` below.)
 #[test]
 fn floor_rejection_is_identical_across_entry_points() {
     for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
@@ -296,22 +232,6 @@ fn floor_rejection_is_identical_across_entry_points() {
             let body = format!(r#"{{"reference": ["a b c"], "floor": {bad}}}"#);
             let err = spec_from_json(&Json::parse(&body).unwrap()).unwrap_err();
             assert_eq!(err, want.to_string(), "{bad}");
-        }
-
-        // 3. Binary wire decoder: a hand-crafted payload with the bad
-        // floor bits must be refused with the same inner error.
-        let good = QuerySpec::new(vec!["a b c".into()])
-            .with_floor(0.5)
-            .unwrap();
-        let mut buf = Vec::new();
-        encode_query_spec(&good, &mut buf);
-        let floor_bits_at = buf.len() - 8;
-        buf[floor_bits_at..].copy_from_slice(&bad.to_bits().to_le_bytes());
-        match decode_query_spec(&buf).unwrap_err() {
-            WireError::InvalidSpec(inner) => {
-                assert_eq!(inner.to_string(), want.to_string(), "{bad}")
-            }
-            other => panic!("expected InvalidSpec, got {other:?}"),
         }
     }
 }
