@@ -1,10 +1,10 @@
 //! Collection construction — interning, then one walk over the distinct
 //! elements' tokens — incremental append, and external-set encoding. All
 //! three read an element's tokens in the same walk, [`for_each_token`],
-//! hash each token once, and encode the element from the ids
-//! ([`encode_element`]).
+//! hash each token once, and write the element's encoding from the ids
+//! into the slab the step shares ([`SlabWriter`]).
 
-use crate::element::{ByText, NO_ID};
+use crate::element::{ByText, SlabWriter, NO_ID};
 use crate::{Collection, ElemId, Element, SetRecord, TokenDict};
 use silkmoth_text::TokenId;
 use std::collections::HashMap;
@@ -129,22 +129,24 @@ pub(crate) fn build_interned<S: AsRef<str>, V: AsRef<[ElemId]>>(
         bounds.push(ids.len());
     }
     // Ids in decreasing frequency order; every element is encoded from
-    // its remapped ids.
+    // its remapped ids, into one slab, in id order.
     let new = dict.rank();
     for t in &mut ids {
         *t = new[*t as usize];
     }
+    let mut slab = SlabWriter::new(tokenization, texts.len(), ids.len());
+    for (text, span) in texts.iter().zip(bounds.windows(2)) {
+        slab.push(text.as_ref(), &ids[span[0]..span[1]]);
+    }
+    // Freed before the elements, the sets and the element dictionary
+    // are allocated.
+    drop(ids);
+    let slab = slab.finish();
     let elems: Vec<Arc<Element>> = texts
         .iter()
-        .zip(bounds.windows(2))
         .enumerate()
-        .map(|(e, (text, span))| {
-            let (text, own) = (text.as_ref(), &ids[span[0]..span[1]]);
-            Arc::new(encode_element(text, tokenization, e as ElemId, own))
-        })
+        .map(|(e, text)| Arc::new(Element::new(text.as_ref(), e as ElemId, &slab, e as u32)))
         .collect();
-    // Freed before the sets and the element dictionary are allocated.
-    drop(ids);
 
     let sets: Vec<SetRecord> = sets
         .iter()
@@ -157,50 +159,79 @@ pub(crate) fn build_interned<S: AsRef<str>, V: AsRef<[ElemId]>>(
         })
         .collect();
 
-    Collection::from_parts(sets, dict, elems, tokenization)
+    Collection::from_parts(sets, dict, slab, elems, tokenization)
 }
 
 /// Incremental append (see [`Collection::append_sets`]): an element
 /// whose text the dictionary holds is shared; an unseen text is walked
 /// once, its tokens the dictionary lacks are entered under fresh trailing
-/// ids ([`intern_tokens`]), and it is encoded under the next element id.
-/// Either way each of the element's distinct tokens counts one more
-/// posting.
+/// ids ([`intern_tokens`]), and it is encoded under the next element id,
+/// into the one slab this call writes. Either way each of the element's
+/// distinct tokens counts one more posting.
 pub(crate) fn append_sets<S: AsRef<str>>(
     collection: &mut Collection,
     raw: &[Vec<S>],
 ) -> std::ops::Range<crate::SetIdx> {
     let tokenization = collection.tokenization;
     let start = collection.sets.len() as crate::SetIdx;
+    let first = collection.by_id.len() as ElemId;
+    // The texts this call encodes, in id order, and by text; a text has
+    // no more tokens than bytes.
+    let (elements, bytes) = text_sizes(raw.iter().flatten());
+    let mut fresh: Vec<&str> = Vec::with_capacity(elements);
+    let mut unseen: HashMap<&str, ElemId> = HashMap::with_capacity(elements);
+    let mut slab = SlabWriter::new(tokenization, elements, bytes);
     let (mut padded, mut ids) = (String::new(), Vec::new());
-    for set in raw {
-        let mut elements = Vec::with_capacity(set.len());
-        for elem in set {
-            let text = elem.as_ref();
-            let element = match collection.elems.get(text) {
-                Some(ByText(known)) => Arc::clone(known),
-                None => {
-                    let dict = &mut collection.dict;
-                    intern_tokens(dict, text, tokenization, &mut padded, &mut ids);
-                    let id = collection.by_id.len() as ElemId;
-                    let encoded = Arc::new(encode_element(text, tokenization, id, &ids));
-                    collection.store(Arc::clone(&encoded));
-                    encoded
-                }
-            };
-            for &t in element.tokens.iter() {
+    let sets: Vec<Vec<ElemId>> = raw
+        .iter()
+        .map(|set| {
+            set.iter()
+                .map(|elem| {
+                    let text = elem.as_ref();
+                    if let Some(ByText(known)) = collection.elems.get(text) {
+                        return known.id;
+                    }
+                    *unseen.entry(text).or_insert_with(|| {
+                        let dict = &mut collection.dict;
+                        intern_tokens(dict, text, tokenization, &mut padded, &mut ids);
+                        fresh.push(text);
+                        first + slab.push(text, &ids)
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    if !fresh.is_empty() {
+        let slab = slab.finish();
+        let elems = fresh
+            .iter()
+            .zip(0..)
+            .map(|(text, slot)| Arc::new(Element::new(text, first + slot, &slab, slot)));
+        collection.store(first, &slab, elems);
+    }
+    for set in sets {
+        let elements: Box<[Arc<Element>]> = set
+            .into_iter()
+            .map(|id| Arc::clone(&collection.by_id[id as usize]))
+            .collect();
+        for element in elements.iter() {
+            for &t in element.tokens() {
                 collection.dict.add_postings(t, 1);
             }
-            elements.push(element);
         }
         collection.max_set_len = collection.max_set_len.max(elements.len());
-        collection.sets.push(SetRecord {
-            elements: elements.into(),
-        });
+        collection.sets.push(SetRecord { elements });
         collection.live.push(true);
     }
     collection.live_count += raw.len();
     start..collection.sets.len() as crate::SetIdx
+}
+
+/// How many texts, and how many bytes they hold.
+fn text_sizes<S: AsRef<str>>(texts: impl IntoIterator<Item = S>) -> (usize, usize) {
+    texts
+        .into_iter()
+        .fold((0, 0), |(n, bytes), t| (n + 1, bytes + t.as_ref().len()))
 }
 
 /// Fills `ids` with the ids of `text`'s tokens in positional order. The
@@ -238,29 +269,6 @@ fn intern_tokens(
     }
 }
 
-/// Encodes one element under dictionary id `id` from the ids of its
-/// tokens in positional order (what [`for_each_token`] walks).
-fn encode_element(text: &str, tokenization: Tokenization, id: ElemId, ids: &[TokenId]) -> Element {
-    let mut tokens = ids.to_vec();
-    tokens.sort_unstable();
-    tokens.dedup();
-    let (chunks, chars) = match tokenization {
-        Tokenization::Whitespace => (Box::default(), Box::default()),
-        Tokenization::QGram { q } => (
-            ids.iter().step_by(q).copied().collect(),
-            text.chars().collect(),
-        ),
-    };
-    Element {
-        text: text.into(),
-        tokens: tokens.into(),
-        chunks,
-        chars,
-        char_len: text.chars().count() as u32,
-        id,
-    }
-}
-
 pub(crate) fn encode_external_set<S: AsRef<str>>(
     collection: &Collection,
     elements: &[S],
@@ -273,22 +281,26 @@ pub(crate) fn encode_external_set<S: AsRef<str>>(
     let base = collection.dict.len() as TokenId;
     let tokenization = collection.tokenization;
     let (mut padded, mut ids) = (String::new(), Vec::new());
+    let (n, bytes) = text_sizes(elements);
+    let mut slab = SlabWriter::new(tokenization, n, bytes);
+    for e in elements {
+        ids.clear();
+        for_each_token(e.as_ref(), tokenization, &mut padded, |t| {
+            let known = collection.dict.id(t).or_else(|| fresh.get(t).copied());
+            ids.push(known.unwrap_or_else(|| {
+                let next = base + fresh.len() as TokenId;
+                fresh.insert(t.into(), next);
+                next
+            }));
+        });
+        slab.push(e.as_ref(), &ids);
+    }
+    let slab = slab.finish();
     SetRecord {
         elements: elements
             .iter()
-            .map(|e| {
-                let text = e.as_ref();
-                ids.clear();
-                for_each_token(text, tokenization, &mut padded, |t| {
-                    let known = collection.dict.id(t).or_else(|| fresh.get(t).copied());
-                    ids.push(known.unwrap_or_else(|| {
-                        let next = base + fresh.len() as TokenId;
-                        fresh.insert(t.into(), next);
-                        next
-                    }));
-                });
-                Arc::new(encode_element(text, tokenization, NO_ID, &ids))
-            })
+            .enumerate()
+            .map(|(slot, e)| Arc::new(Element::new(e.as_ref(), NO_ID, &slab, slot as u32)))
             .collect(),
     }
 }
@@ -362,8 +374,8 @@ mod tests {
         let raw = vec![vec!["x y x z y"]];
         let c = Collection::build(&raw, Tokenization::Whitespace);
         let e = &c.set(0).elements[0];
-        assert_eq!(e.tokens.len(), 3);
-        assert!(e.tokens.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(e.tokens().len(), 3);
+        assert!(e.tokens().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -372,15 +384,15 @@ mod tests {
         let c = Collection::build(&raw, Tokenization::QGram { q: 3 });
         let e0 = &c.set(0).elements[0];
         assert_eq!(e0.char_len, 6);
-        assert_eq!(e0.chunks.len(), 2); // ⌈6/3⌉
+        assert_eq!(e0.chunks().len(), 2); // ⌈6/3⌉
         let e1 = &c.set(0).elements[1];
-        assert_eq!(e1.chunks.len(), 2); // ⌈4/3⌉
-                                        // Chunk ids must be among the element's tokens.
-        for &ch in e0.chunks.iter() {
-            assert!(e0.tokens.binary_search(&ch).is_ok());
+        assert_eq!(e1.chunks().len(), 2); // ⌈4/3⌉
+                                          // Chunk ids must be among the element's tokens.
+        for &ch in e0.chunks().iter() {
+            assert!(e0.tokens().binary_search(&ch).is_ok());
         }
         // chars materialized for edit similarity.
-        assert_eq!(e0.chars.len(), 6);
+        assert_eq!(e0.chars().len(), 6);
     }
 
     #[test]
@@ -393,7 +405,7 @@ mod tests {
             v.sort_unstable();
             v
         };
-        assert_eq!(r.elements[0].tokens.as_ref(), want.as_slice());
+        assert_eq!(r.elements[0].tokens(), want.as_slice());
     }
 
     #[test]
@@ -405,12 +417,12 @@ mod tests {
         let e0 = &r.elements[0];
         let e1 = &r.elements[1];
         // Unknown ids are ≥ base.
-        assert!(e0.tokens.iter().all(|&t| t >= base));
+        assert!(e0.tokens().iter().all(|&t| t >= base));
         // "zzz" maps to the same fresh id in both elements.
-        let zzz0 = e0.tokens.iter().find(|&&t| e1.tokens.contains(&t));
+        let zzz0 = e0.tokens().iter().find(|&&t| e1.tokens().contains(&t));
         assert!(zzz0.is_some());
         // Known token resolves to the dictionary id.
-        assert!(e1.tokens.contains(&c.dict().id("alpha").unwrap()));
+        assert!(e1.tokens().contains(&c.dict().id("alpha").unwrap()));
     }
 
     #[test]
@@ -441,8 +453,8 @@ mod tests {
             Tokenization::Whitespace,
         );
         assert_eq!(
-            c.set(2).elements[0].tokens.len(),
-            fresh.set(2).elements[0].tokens.len()
+            c.set(2).elements[0].tokens().len(),
+            fresh.set(2).elements[0].tokens().len()
         );
     }
 
@@ -524,16 +536,61 @@ mod tests {
         assert_eq!(empty.max_set_len(), 0);
     }
 
+    /// Every stored element, read by id from its slab, is what the
+    /// element itself gives.
+    fn assert_views_are_the_elements(c: &Collection) {
+        assert_eq!(
+            c.slabs.iter().map(|(_, slab)| slab.len()).sum::<usize>(),
+            c.by_id.len()
+        );
+        for id in 0..c.by_id.len() as ElemId {
+            let (view, element) = (c.element_view(id), c.element(id));
+            assert_eq!(view.tokens(), element.tokens(), "tokens of {id}");
+            assert_eq!(view.chunks(), element.chunks(), "chunks of {id}");
+            assert_eq!(view.chars(), element.chars(), "chars of {id}");
+        }
+    }
+
+    #[test]
+    fn element_views_follow_build_append_and_compact() {
+        for tokenization in [
+            Tokenization::Whitespace,
+            Tokenization::QGram { q: 2 },
+            Tokenization::QGram { q: 3 },
+        ] {
+            let mut c = Collection::build(&[vec!["a b", "c", "a b"], vec!["d e"]], tokenization);
+            assert_eq!(c.slabs.len(), 1);
+            assert_views_are_the_elements(&c);
+            // New texts with new tokens, one of them twice, beside a
+            // stored one: one more slab, of the two new texts.
+            c.append_sets(&[vec!["c", "x y"], vec!["x y", "zz"]]);
+            assert_eq!((c.slabs.len(), c.slabs[1].0), (2, 3));
+            assert_views_are_the_elements(&c);
+            // Stored texts only: no slab.
+            c.append_sets(&[vec!["zz", "a b"]]);
+            assert_eq!(c.slabs.len(), 2);
+            c.append_sets(&[vec![""], vec!["c d"]]);
+            assert_eq!(c.slabs.len(), 3);
+            assert_views_are_the_elements(&c);
+            c.remove_sets(&[0, 2]).unwrap();
+            c.compact();
+            assert_eq!(c.slabs.len(), 1);
+            assert_views_are_the_elements(&c);
+            let empty = Collection::build(&Vec::<Vec<&str>>::new(), tokenization);
+            assert!(empty.slabs.is_empty());
+        }
+    }
+
     #[test]
     fn qgram_append_records_chunks() {
         let mut c = Collection::build(&[vec!["abcdef"]], Tokenization::QGram { q: 3 });
         c.append_sets(&[vec!["abcd"]]);
         let e = &c.set(1).elements[0];
-        assert_eq!(e.chunks.len(), 2); // ⌈4/3⌉
-        for &ch in e.chunks.iter() {
-            assert!(e.tokens.binary_search(&ch).is_ok());
+        assert_eq!(e.chunks().len(), 2); // ⌈4/3⌉
+        for &ch in e.chunks().iter() {
+            assert!(e.tokens().binary_search(&ch).is_ok());
         }
-        assert_eq!(e.chars.len(), 4);
+        assert_eq!(e.chars().len(), 4);
     }
 
     #[test]
@@ -547,9 +604,9 @@ mod tests {
     fn empty_element_string() {
         let raw = vec![vec![""]];
         let c = Collection::build(&raw, Tokenization::Whitespace);
-        assert!(c.set(0).elements[0].tokens.is_empty());
+        assert!(c.set(0).elements[0].tokens().is_empty());
         let cq = Collection::build(&raw, Tokenization::QGram { q: 2 });
-        assert!(cq.set(0).elements[0].tokens.is_empty());
-        assert!(cq.set(0).elements[0].chunks.is_empty());
+        assert!(cq.set(0).elements[0].tokens().is_empty());
+        assert!(cq.set(0).elements[0].chunks().is_empty());
     }
 }

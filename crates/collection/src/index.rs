@@ -63,7 +63,7 @@ impl InvertedIndex {
         let mut by_id: Vec<(ElemId, &[TokenId])> = Vec::new();
         for (sid, set) in collection.sets().iter().enumerate().skip(from as usize) {
             by_id.clear();
-            by_id.extend(set.elements.iter().map(|e| (e.id, &*e.tokens)));
+            by_id.extend(set.elements.iter().map(|e| (e.id, e.tokens())));
             by_id.sort_unstable_by_key(|&(id, _)| id);
             let set = sid as SetIdx;
             for &(id, tokens) in &by_id {
@@ -88,12 +88,15 @@ impl InvertedIndex {
         self.list(t).len()
     }
 
-    /// The contiguous postings of set `s` inside `I[t]`, located by binary
-    /// search (footnote 7), in element id order. Used by `NNSearch` to
-    /// enumerate the elements of one candidate set containing `t`.
+    /// The contiguous postings of set `s` inside `I[t]`, located by
+    /// interpolation, then gallop, in element id order: the position is
+    /// guessed from where `s` lies between the list's first and last set,
+    /// and steps of doubling length from the guess bracket it for a
+    /// bisection, so the worst case stays `O(log n)`. Used by `NNSearch`
+    /// to enumerate the elements of one candidate set containing `t`.
     pub fn postings_in_set(&self, t: TokenId, s: SetIdx) -> &[Posting] {
         let list = self.list(t);
-        let lo = list.partition_point(|p| p.set < s);
+        let lo = run_start(list, s);
         // A set's run is as short as the set: walk it.
         let run = list[lo..].iter().take_while(|p| p.set == s).count();
         &list[lo..lo + run]
@@ -110,6 +113,50 @@ impl InvertedIndex {
     pub fn total_postings(&self) -> usize {
         self.total_postings
     }
+}
+
+/// The first position in `list` whose set is not below `s` — what
+/// `list.partition_point(|p| p.set < s)` gives.
+///
+/// Set ids are dense and a list's postings spread over them, so the
+/// position is first guessed from where `s` lies between the list's first
+/// and last set; from the guess, steps of doubling length (a gallop) find
+/// a bracket around the answer, and bisection finishes inside it. A good
+/// guess costs a couple of probes near it instead of `log₂ n` across the
+/// list; a bad one costs at most about twice the bisection, so the worst
+/// case stays `O(log n)`.
+fn run_start(list: &[Posting], s: SetIdx) -> usize {
+    let n = list.len();
+    let (Some(first), Some(last)) = (list.first(), list.last()) else {
+        return 0;
+    };
+    let (first, last) = (first.set, last.set);
+    if s <= first {
+        return 0;
+    }
+    if s > last {
+        return n;
+    }
+    // first < s ≤ last: the answer is in 1..n, and so is the guess.
+    let guess = (u64::from(s - first) * (n - 1) as u64 / u64::from(last - first)) as usize;
+    // Gallop to a bracket `lo..hi` with every set before `lo` below `s`
+    // and none from `hi` on.
+    let (lo, hi) = if list[guess].set < s {
+        let (mut lo, mut step) = (guess + 1, 1);
+        while lo + step < n && list[lo + step - 1].set < s {
+            lo += step;
+            step *= 2;
+        }
+        (lo, (lo + step).min(n))
+    } else {
+        let (mut hi, mut step) = (guess, 1);
+        while hi > step && list[hi - step].set >= s {
+            hi -= step;
+            step *= 2;
+        }
+        (hi.saturating_sub(step), hi)
+    };
+    lo + list[lo..hi].partition_point(|p| p.set < s)
 }
 
 #[cfg(test)]
@@ -235,6 +282,56 @@ mod tests {
         let z = c.dict().id("z").unwrap();
         assert_eq!(i.cost(z), 2);
         assert!(i.list(z).iter().all(|p| p.set >= from));
+    }
+
+    /// Every probe worth asking of `list` — before its first set, at and
+    /// around each of its sets, past its last — answered by
+    /// [`run_start`] as by `partition_point`.
+    fn run_start_is_partition_point(list: &[Posting]) {
+        let sets = list.iter().map(|p| p.set);
+        let probes = sets.flat_map(|s| [s.saturating_sub(1), s, s.saturating_add(1)]);
+        for s in probes.chain([0, 1, SetIdx::MAX]) {
+            let want = list.partition_point(|p| p.set < s);
+            assert_eq!(
+                run_start(list, s),
+                want,
+                "set {s} in {} postings",
+                list.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn interpolated_run_start_equals_partition_point(
+            shape in 0u8..4,
+            len in 0usize..128,
+            base in 0u32..1_000,
+            small in proptest::collection::vec(0u32..4, 128),
+            large in proptest::collection::vec(0u32..1_000_000, 128),
+        ) {
+            // Gaps between neighbouring postings' sets, 0 inside a run.
+            let gap = |k: usize| match shape {
+                // Uniform: dense ids, short runs.
+                0 => small[k],
+                // Clustered: long runs of near sets, far apart.
+                1 => if k.is_multiple_of(16) { large[k] } else { small[k] / 2 },
+                // All one set.
+                2 => 0,
+                // Large gaps, an occasional run.
+                _ => if small[k] == 0 { 0 } else { large[k] },
+            };
+            let mut set = base;
+            let list: Vec<Posting> = (0..len)
+                .map(|k| {
+                    set += gap(k);
+                    Posting { set, id: k as ElemId }
+                })
+                .collect();
+            run_start_is_partition_point(&list);
+        }
     }
 
     #[test]

@@ -34,13 +34,22 @@
 //! id, by which work done for one occurrence of an element is known to
 //! hold for every other.
 //!
+//! An element's token ids, q-chunks and chars are not its own
+//! allocations: a build writes those of every distinct element into one
+//! slab, end to end in id order, and each later step that encodes new
+//! texts (an append, an external reference) writes one slab of its own.
+//! The element holds a handle to its slab and its position there, and
+//! [`Collection::element_view`] reads a stored element's encoding by id
+//! alone.
+//!
 //! The [`InvertedIndex`] maps each token to the sorted list of
 //! `(set, element id)` postings containing it, one per element position
-//! (§3, footnote 4); per-set sublists are located by binary search
-//! (footnote 7), which is what the nearest-neighbor filter's `NNSearch`
-//! relies on. A posting names its element by dictionary id, and
-//! [`Collection::element`] resolves the id, so a reader of the index
-//! learns which element a posting is without visiting the set.
+//! (§3, footnote 4); per-set sublists are located by interpolation, then
+//! gallop, where footnote 7 uses a binary search, which is what the
+//! nearest-neighbor filter's `NNSearch` relies on. A posting names its
+//! element by dictionary id, and [`Collection::element`] resolves the
+//! id, so a reader of the index learns which element a posting is
+//! without visiting the set.
 
 mod builder;
 pub mod codec;
@@ -52,11 +61,11 @@ mod stats;
 
 pub use builder::Tokenization;
 pub use dict::TokenDict;
-pub use element::{ElemId, Element, SetRecord};
+pub use element::{ElemId, Element, ElementView, SetRecord};
 pub use index::{InvertedIndex, Posting};
 pub use stats::CollectionStats;
 
-use element::ByText;
+use element::{ByText, Slab};
 use silkmoth_text::TokenId;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -91,6 +100,20 @@ impl std::error::Error for UpdateError {}
 /// there, and [`element`](Self::element) is the way back from the id.
 /// Identity is exact text equality.
 ///
+/// ## Layout
+///
+/// The stored elements' encodings — token ids, q-chunks, chars — lie in
+/// a few slabs, each the encodings of a run of consecutive ids end to
+/// end: one from the build (or the last [`compact`](Self::compact) or
+/// snapshot restore, which are builds), and one per
+/// [`append_sets`](Self::append_sets) call that brought new texts. Each
+/// token id is stored once, there; the [`Element`]s hold a handle to
+/// their slab. [`element_view`](Self::element_view) finds a slab by id
+/// and reads the encoding in place, which is how a search pass evaluates
+/// φ against an element it knows only by a posting's id: the
+/// encodings of neighbouring ids share cache lines, while the elements
+/// themselves, one allocation each, lie wherever the heap put them.
+///
 /// ## Incremental updates
 ///
 /// A collection is mutable after the initial build:
@@ -124,6 +147,10 @@ pub struct Collection {
     /// The same elements by id: `by_id[id]` is the one whose
     /// [`Element::id`] is `id`.
     by_id: Vec<Arc<Element>>,
+    /// The slabs holding those elements' encodings, each beside the id of
+    /// its first element, in id order: a build writes one, and each
+    /// [`append_sets`](Self::append_sets) that brings new texts one more.
+    slabs: Vec<(ElemId, Arc<Slab>)>,
     tokenization: Tokenization,
     /// Liveness per slot; `false` marks a tombstoned set.
     live: Vec<bool>,
@@ -281,6 +308,28 @@ impl Collection {
         &self.by_id[id as usize]
     }
 
+    /// The encoding of the stored element with dictionary id `id` — the
+    /// [`Element::view`] of [`element`](Self::element)`(id)` — read
+    /// straight from the slab that holds it.
+    ///
+    /// The slab is found by the id alone — at once for an id of the
+    /// build's slab, which holds most, by bisection among the appends'
+    /// otherwise — and holds the encodings of consecutive ids end to end,
+    /// so a reader that meets ids in a posting walk — the pass's φ table —
+    /// reads the tokens or chars it compares without loading the element
+    /// itself, whose handles lie wherever the heap put them.
+    #[inline]
+    pub fn element_view(&self, id: ElemId) -> ElementView<'_> {
+        let k = match self.slabs.get(1) {
+            Some(&(appended, _)) if id >= appended => {
+                self.slabs.partition_point(|&(first, _)| first <= id) - 1
+            }
+            _ => 0,
+        };
+        let (first, slab) = &self.slabs[k];
+        slab.view(id - first)
+    }
+
     /// The shared token dictionary.
     pub fn dict(&self) -> &TokenDict {
         &self.dict
@@ -314,6 +363,7 @@ impl Collection {
     pub(crate) fn from_parts(
         sets: Vec<SetRecord>,
         dict: TokenDict,
+        slab: Arc<Slab>,
         by_id: Vec<Arc<Element>>,
         tokenization: Tokenization,
     ) -> Self {
@@ -321,6 +371,7 @@ impl Collection {
         let mut collection = Self {
             elems: HashSet::with_capacity(by_id.len()),
             by_id: Vec::with_capacity(by_id.len()),
+            slabs: Vec::new(),
             live: vec![true; live_count],
             live_count,
             max_set_len: sets.iter().map(SetRecord::len).max().unwrap_or(0),
@@ -328,18 +379,28 @@ impl Collection {
             dict,
             tokenization,
         };
-        for element in by_id {
-            collection.store(element);
+        if !by_id.is_empty() {
+            collection.store(0, &slab, by_id);
         }
         collection
     }
 
-    /// Enters a newly encoded element, whose id is the next one, into
-    /// the element dictionary, by text and by id.
-    pub(crate) fn store(&mut self, element: Arc<Element>) {
-        debug_assert_eq!(element.id as usize, self.by_id.len());
-        self.elems.insert(ByText(Arc::clone(&element)));
-        self.by_id.push(element);
+    /// Enters newly encoded elements — the elements of `slab`, in slot
+    /// order, whose ids run on from `first`, the next one — into the
+    /// element dictionary, by text and by id.
+    pub(crate) fn store(
+        &mut self,
+        first: ElemId,
+        slab: &Arc<Slab>,
+        elements: impl IntoIterator<Item = Arc<Element>>,
+    ) {
+        debug_assert_eq!(first as usize, self.by_id.len());
+        self.slabs.push((first, Arc::clone(slab)));
+        for element in elements {
+            self.elems.insert(ByText(Arc::clone(&element)));
+            self.by_id.push(element);
+        }
+        debug_assert_eq!(self.by_id.len() - first as usize, slab.len());
     }
 }
 

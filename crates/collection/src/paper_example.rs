@@ -70,7 +70,7 @@ mod tests {
         let (_, r) = table2();
         assert_eq!(r.len(), 3);
         for e in r.elements.iter() {
-            assert_eq!(e.tokens.len(), 5);
+            assert_eq!(e.tokens().len(), 5);
         }
     }
 

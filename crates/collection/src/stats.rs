@@ -55,7 +55,7 @@ pub(crate) fn compute(c: &Collection) -> CollectionStats {
         let set = c.set(sid);
         num_elements += set.len();
         for e in set.elements.iter() {
-            total_postings += e.tokens.len();
+            total_postings += e.tokens().len();
             let id = e.id().expect("stored elements are in the dictionary");
             if !std::mem::replace(&mut seen[id as usize], true) {
                 distinct_elements += 1;

@@ -242,7 +242,8 @@ fn phi_key(i: usize, id: ElemId) -> u64 {
 
 impl PhiMemo {
     /// φα(rᵢ, stored element `id`): read back, or evaluated, counted and
-    /// kept the first time the pass meets the pair.
+    /// kept the first time the pass meets the pair. The element's
+    /// encoding is read by its id, from its slab.
     #[inline]
     fn phi(
         &mut self,
@@ -259,7 +260,7 @@ impl PhiMemo {
         if self.cols.get(u64::from(id)).is_some() {
             return 0.0;
         }
-        let sim = phi.eval(r_elem, collection.element(id));
+        let sim = phi.eval_views(r_elem.view(), collection.element_view(id));
         stats.sim_evals += 1;
         self.cells.set(key, sim);
         sim
@@ -273,25 +274,28 @@ impl PhiMemo {
         self.cells.get(phi_key(i, id)).unwrap_or(0.0)
     }
 
-    /// maxᵢ φα(rᵢ, `s_elem`) for a stored element: read back, or taken
-    /// over the element's column the first time verification meets it —
-    /// cells the filters left in the table are read, the others evaluated
-    /// and counted, and of those only the positive ones kept.
+    /// maxᵢ φα(rᵢ, stored element `id`): read back, or taken over the
+    /// element's column the first time verification meets it — cells the
+    /// filters left in the table are read, the others evaluated (the
+    /// element read by its id, as in [`phi`](Self::phi)) and counted, and
+    /// of those only the positive ones kept.
     fn column_max(
         &mut self,
         phi: &Phi,
+        collection: &Collection,
         r: &SetRecord,
-        (id, s_elem): (ElemId, &Element),
+        id: ElemId,
         stats: &mut PassStats,
     ) -> f64 {
         if let Some(max) = self.cols.get(u64::from(id)) {
             return max;
         }
+        let s_elem = collection.element_view(id);
         let mut max = 0.0f64;
         for (i, r_elem) in r.elements.iter().enumerate() {
             let key = phi_key(i, id);
             let sim = self.cells.get(key).unwrap_or_else(|| {
-                let sim = phi.eval(r_elem, s_elem);
+                let sim = phi.eval_views(r_elem.view(), s_elem);
                 stats.sim_evals += 1;
                 if sim > 0.0 {
                     self.cells.set(key, sim);
@@ -862,9 +866,9 @@ impl<'a> Searcher<'a> {
         stats: &mut PassStats,
     ) -> f64 {
         let s_set = self.collection.set(sid);
-        if r_elem.tokens.is_empty() {
+        if r_elem.tokens().is_empty() {
             // An empty element matches exactly the empty elements of S.
-            let has_empty = s_set.elements.iter().any(|e| e.tokens.is_empty());
+            let has_empty = s_set.elements.iter().any(|e| e.tokens().is_empty());
             return if has_empty { 1.0 } else { 0.0 };
         }
         let unshared = self.phi.no_shared_token_bound(r_elem);
@@ -878,7 +882,7 @@ impl<'a> Searcher<'a> {
         let mut walked = walked.iter().peekable();
         // Element positions of S met so far.
         let mut seen = 0usize;
-        for &t in r_elem.tokens.iter() {
+        for &t in r_elem.tokens() {
             // Both lists are sorted: step past the signature tokens below
             // `t`, and over `t` if it is one.
             while walked.next_if(|&&w| w < t).is_some() {}
@@ -944,8 +948,8 @@ impl<'a> Searcher<'a> {
         let stored = |j: usize| s.elements[j].id().expect("a stored element has an id");
         let need = need(self.cfg.metric, threshold, r.len(), s.len()) - FILTER_EPS;
         let mut bound = s.len() as f64;
-        for (j, s_elem) in s.elements.iter().enumerate() {
-            bound += phis.column_max(&self.phi, r, (stored(j), s_elem), stats) - 1.0;
+        for j in 0..s.len() {
+            bound += phis.column_max(&self.phi, self.collection, r, stored(j), stats) - 1.0;
             if bound < need {
                 if let Some(pair) = pair {
                     pair.column_bound = Some(bound);
@@ -1370,14 +1374,14 @@ mod tests {
         s_set: &SetRecord,
         touched: &mut Vec<(usize, ElemId)>,
     ) -> f64 {
-        if r_elem.tokens.is_empty() {
-            let has_empty = s_set.elements.iter().any(|e| e.tokens.is_empty());
+        if r_elem.tokens().is_empty() {
+            let has_empty = s_set.elements.iter().any(|e| e.tokens().is_empty());
             return if has_empty { 1.0 } else { 0.0 };
         }
         let mut best = 0.0f64;
         let mut all_share = true;
         for s_elem in s_set.elements.iter() {
-            if r_elem.tokens.iter().any(|&t| s_elem.contains_token(t)) {
+            if r_elem.tokens().iter().any(|&t| s_elem.contains_token(t)) {
                 touched.push((i, s_elem.id().unwrap()));
                 best = best.max(phi.eval(r_elem, s_elem));
             } else {

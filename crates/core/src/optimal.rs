@@ -35,14 +35,14 @@ pub fn optimal_signature(
         .map(|e| {
             let mut m = 0u64;
             for (bit, t) in tokens.iter().enumerate() {
-                if e.tokens.binary_search(t).is_ok() {
+                if e.tokens().binary_search(t).is_ok() {
                     m |= 1 << bit;
                 }
             }
             m
         })
         .collect();
-    let sizes: Vec<usize> = r.elements.iter().map(|e| e.tokens.len()).collect();
+    let sizes: Vec<usize> = r.elements.iter().map(|e| e.tokens().len()).collect();
     let costs: Vec<usize> = tokens.iter().map(|&t| index.cost(t)).collect();
 
     let validity_sum = |mask: u64| -> f64 {

@@ -1,6 +1,6 @@
 //! α-clamped element similarity evaluation — the engine's `φ_α(r, s)`.
 
-use silkmoth_collection::Element;
+use silkmoth_collection::{Element, ElementView};
 use silkmoth_text::sim::{cosine_sorted, dice_sorted, edit_sim_alpha};
 use silkmoth_text::{clamp_alpha, jaccard_sorted, SimilarityFunction};
 
@@ -34,16 +34,27 @@ impl Phi {
     ///
     /// Two empty elements are identical (similarity 1) under every φ.
     pub fn eval(&self, r: &Element, s: &Element) -> f64 {
+        self.eval_views(r.view(), s.view())
+    }
+
+    /// `φ_α` over two elements' encodings, wherever they were read: the
+    /// one kernel behind [`eval`](Self::eval) and the pass's by-id reads
+    /// ([`Collection::element_view`](silkmoth_collection::Collection::element_view)),
+    /// so both give the same bits.
+    #[inline]
+    pub(crate) fn eval_views(&self, r: ElementView<'_>, s: ElementView<'_>) -> f64 {
         match self.func {
             SimilarityFunction::Jaccard => {
-                clamp_alpha(jaccard_sorted(&r.tokens, &s.tokens), self.alpha)
+                clamp_alpha(jaccard_sorted(r.tokens(), s.tokens()), self.alpha)
             }
-            SimilarityFunction::Dice => clamp_alpha(dice_sorted(&r.tokens, &s.tokens), self.alpha),
+            SimilarityFunction::Dice => {
+                clamp_alpha(dice_sorted(r.tokens(), s.tokens()), self.alpha)
+            }
             SimilarityFunction::Cosine => {
-                clamp_alpha(cosine_sorted(&r.tokens, &s.tokens), self.alpha)
+                clamp_alpha(cosine_sorted(r.tokens(), s.tokens()), self.alpha)
             }
             SimilarityFunction::Eds { .. } | SimilarityFunction::NEds { .. } => {
-                edit_sim_alpha(self.func, &r.chars, &s.chars, self.alpha)
+                edit_sim_alpha(self.func, r.chars(), s.chars(), self.alpha)
             }
         }
     }
@@ -57,7 +68,7 @@ impl Phi {
     pub fn identity_key<'a>(&self, e: &'a Element) -> IdentityKey<'a> {
         match self.func {
             SimilarityFunction::Jaccard | SimilarityFunction::Dice | SimilarityFunction::Cosine => {
-                IdentityKey::Tokens(&e.tokens)
+                IdentityKey::Tokens(e.tokens())
             }
             _ => IdentityKey::Text(&e.text),
         }
@@ -104,6 +115,45 @@ mod tests {
         let raw = vec![texts.to_vec()];
         let c = Collection::build(&raw, t);
         c.set(0).elements.to_vec()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        // φ read by id from the slabs is φ over the elements, bit for
+        // bit, stored against stored and reference against stored.
+        #[test]
+        fn phi_by_id_is_eval_bit_for_bit(
+            func in 0usize..3,
+            alpha in 0u8..5,
+            corpus in proptest::collection::vec(
+                proptest::collection::vec("[a-d]{0,4}( [a-d]{1,3}){0,3}", 1..5), 1..8),
+            reference in proptest::collection::vec("[a-e]{0,4}( [a-e]{1,3}){0,2}", 1..5),
+        ) {
+            let func = [
+                SimilarityFunction::Jaccard,
+                SimilarityFunction::Eds { q: 2 },
+                SimilarityFunction::Eds { q: 3 },
+            ][func];
+            let tokenization = match func.q() {
+                Some(q) => Tokenization::QGram { q },
+                None => Tokenization::Whitespace,
+            };
+            let phi = Phi::new(func, f64::from(alpha) / 5.0);
+            let mut c = Collection::build(&corpus, tokenization);
+            let r = c.encode_set(&reference);
+            // The reference stored too: its new texts are a second slab.
+            c.append_sets(&[reference]);
+            let stored: Vec<&Element> =
+                c.sets().iter().flat_map(|s| s.elements.iter().map(|e| &**e)).collect();
+            for s in &stored {
+                let id = s.id().unwrap();
+                for e in r.elements.iter().map(|e| &**e).chain(stored.iter().copied()) {
+                    let by_id = phi.eval_views(e.view(), c.element_view(id));
+                    proptest::prop_assert_eq!(by_id.to_bits(), phi.eval(e, s).to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -167,9 +217,9 @@ mod tests {
         let es = elements(&["abcdef", "abXdeY"], Tokenization::QGram { q: 3 });
         let phi = Phi::new(SimilarityFunction::Eds { q: 3 }, 0.0);
         let shared = es[0]
-            .tokens
+            .tokens()
             .iter()
-            .any(|t| es[1].tokens.binary_search(t).is_ok());
+            .any(|t| es[1].tokens().binary_search(t).is_ok());
         assert!(!shared, "fixture must share no 3-gram");
         let sim = phi.eval(&es[0], &es[1]);
         assert!(sim > 0.0, "no-share pairs can still be similar: {sim}");

@@ -222,7 +222,7 @@ impl ElemState {
     fn new(e: &Element, params: SigParams) -> Self {
         let size = e.size(params.kind.is_edit());
         let pool: Vec<(TokenId, u32)> = if params.kind.is_edit() {
-            let mut chunks: Vec<TokenId> = e.chunks.to_vec();
+            let mut chunks: Vec<TokenId> = e.chunks().to_vec();
             chunks.sort_unstable();
             let mut grouped = Vec::new();
             let mut i = 0;
@@ -237,7 +237,7 @@ impl ElemState {
             }
             grouped
         } else {
-            e.tokens.iter().map(|&t| (t, 1)).collect()
+            e.tokens().iter().map(|&t| (t, 1)).collect()
         };
         let pool_units: usize = pool.iter().map(|&(_, m)| m as usize).sum();
         let cap = sim_thresh_cap(size, pool_units, params.alpha, params.kind);

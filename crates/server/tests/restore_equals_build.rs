@@ -14,7 +14,9 @@
 //! must capture back to the state it came from. A text an append adds
 //! must encode as a fresh build and as `encode_set` encode it, and a
 //! fixed corpus pins token ids, frequencies, encodings and snapshot
-//! bytes exactly.
+//! bytes exactly. Every collection checked also reads each element by
+//! id (`Collection::element_view`) as the element itself gives it,
+//! here and after a snapshot round trip through `Store::open`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,7 +24,9 @@ use rand::{Rng, SeedableRng};
 use silkmoth_collection::{Collection, Element, InvertedIndex, SetIdx, Tokenization};
 use silkmoth_core::{EngineConfig, RelatednessMetric, Update};
 use silkmoth_server::{ShardSpec, ShardedEngine};
-use silkmoth_storage::{snapshot_bytes, EngineState, SnapshotMeta, StoreEngine};
+use silkmoth_storage::{
+    snapshot_bytes, EngineState, SnapshotMeta, Store, StoreConfig, StoreEngine,
+};
 use silkmoth_text::SimilarityFunction;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -98,6 +102,8 @@ fn assert_same_collection(got: &Collection, want: &Collection, what: &str) {
     for id in 0..elements {
         assert_eq!(got.element(id), want.element(id), "{what}: element {id}");
     }
+    assert_views_are_the_elements(got, what);
+    assert_views_are_the_elements(want, what);
     let (gi, wi) = (InvertedIndex::build(got), InvertedIndex::build(want));
     assert_eq!(gi.num_tokens(), wi.num_tokens(), "{what}: lists");
     assert_eq!(gi.total_postings(), wi.total_postings(), "{what}: postings");
@@ -106,13 +112,26 @@ fn assert_same_collection(got: &Collection, want: &Collection, what: &str) {
     }
 }
 
+/// Every element id the sets of `c` hold, and every id below it, reads
+/// by id the tokens, chunks and chars of the element with that id.
+fn assert_views_are_the_elements(c: &Collection, what: &str) {
+    let ids = c.sets().iter().flat_map(|s| s.elements.iter());
+    let end = ids.map(|e| e.id().unwrap() + 1).max().unwrap_or(0);
+    for id in 0..end {
+        let (view, element) = (c.element_view(id), c.element(id));
+        assert_eq!(view.tokens(), element.tokens(), "{what}: tokens of {id}");
+        assert_eq!(view.chunks(), element.chunks(), "{what}: chunks of {id}");
+        assert_eq!(view.chars(), element.chars(), "{what}: chars of {id}");
+    }
+}
+
 /// An element's encoding with each token id spelled as its string: the
 /// distinct tokens (sorted), the q-chunks in order, and the characters.
 fn spelled<'c>(c: &'c Collection, e: &Element) -> (Vec<&'c str>, Vec<&'c str>, Vec<char>, u32) {
-    let mut tokens: Vec<&str> = e.tokens.iter().map(|&t| c.dict().token(t)).collect();
+    let mut tokens: Vec<&str> = e.tokens().iter().map(|&t| c.dict().token(t)).collect();
     tokens.sort_unstable();
-    let chunks = e.chunks.iter().map(|&t| c.dict().token(t)).collect();
-    (tokens, chunks, e.chars.to_vec(), e.char_len)
+    let chunks = e.chunks().iter().map(|&t| c.dict().token(t)).collect();
+    (tokens, chunks, e.chars().to_vec(), e.char_len)
 }
 
 /// A text `append_sets` adds encodes as `encode_set` encodes it then, and
@@ -207,6 +226,57 @@ proptest! {
     #[test]
     fn restore_equals_build_across_shard_counts(seed in any::<u64>()) {
         check(&mut StdRng::seed_from_u64(seed));
+    }
+}
+
+/// A store's collections read their elements by id after a snapshot
+/// round trip through `Store::open` — the snapshot restored, then the
+/// WAL's appends, which bring new texts and tokens, replayed on top —
+/// at every shard count and under both tokenizations.
+#[test]
+fn element_views_survive_a_snapshot_round_trip_through_store_open() {
+    let similarities = [
+        SimilarityFunction::Jaccard,
+        SimilarityFunction::Eds { q: 2 },
+        SimilarityFunction::Eds { q: 3 },
+    ];
+    for (k, similarity) in similarities.into_iter().enumerate() {
+        for shards in SHARD_COUNTS {
+            let what = format!("{similarity:?} at {shards} shards");
+            let dir = std::env::temp_dir().join(format!(
+                "silkmoth-element-views-{}-{k}-{shards}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut rng = StdRng::seed_from_u64(k as u64 * 10 + shards as u64);
+            let edit = similarity.is_edit();
+            let cfg = EngineConfig::full(RelatednessMetric::Similarity, similarity, 0.5, 0.0);
+            let engine =
+                ShardedEngine::build(&gen_sets(&mut rng, edit, 6..14), cfg, shards).unwrap();
+            let mut store = Store::create(&dir, engine, StoreConfig::default()).unwrap();
+            let unseen = vec![vec!["new tokens".to_string(), "zz yy".to_string()]];
+            store
+                .apply(Update::Append(gen_sets(&mut rng, edit, 2..5)))
+                .unwrap();
+            store.apply(Update::Remove(vec![0])).unwrap();
+            store.apply(Update::Compact).unwrap();
+            store.apply(Update::Append(unseen.clone())).unwrap();
+            store.snapshot().unwrap();
+            store
+                .apply(Update::Append(gen_sets(&mut rng, edit, 2..5)))
+                .unwrap();
+            store.apply(Update::Append(unseen)).unwrap();
+            drop(store);
+            let spec = ShardSpec { cfg, shards };
+            let (store, report) =
+                Store::<ShardedEngine>::open(&dir, &spec, StoreConfig::default()).unwrap();
+            assert_eq!(report.wal_replayed, 2, "{what}");
+            for (shard, engine) in store.engine().shards().iter().enumerate() {
+                let what = format!("{what}, shard {shard}");
+                assert_views_are_the_elements(engine.collection(), &what);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -356,12 +426,12 @@ fn a_fixed_corpus_builds_to_the_pinned_dictionary_encodings_and_snapshot() {
         for (id, &(text, tokens, chunks)) in pinned.elements.iter().enumerate() {
             let e = c.element(id as u32);
             assert_eq!(&*e.text, text, "{tokenization:?}");
-            assert_eq!((&*e.tokens, &*e.chunks), (tokens, chunks), "{text:?}");
+            assert_eq!((e.tokens(), e.chunks()), (tokens, chunks), "{text:?}");
             let chars: Vec<char> = match tokenization.is_edit() {
                 true => text.chars().collect(),
                 false => Vec::new(),
             };
-            assert_eq!(&*e.chars, &chars[..], "{text:?}");
+            assert_eq!(e.chars(), &chars[..], "{text:?}");
             assert_eq!(e.char_len as usize, text.chars().count(), "{text:?}");
         }
         let ids: Vec<Vec<u32>> = c
@@ -389,7 +459,7 @@ fn appended_and_reference_tokens_take_the_pinned_ids() {
     // "yy" comes second but sorts first.
     let ids = (words.dict().id("yy"), words.dict().id("zz"));
     assert_eq!(ids, (Some(7), Some(8)));
-    assert_eq!(&*words.set(3).elements[0].tokens, [0, 7, 8]);
+    assert_eq!(words.set(3).elements[0].tokens(), [0, 7, 8]);
 
     let mut c = Collection::build(&raw, Tokenization::QGram { q: 3 });
     c.append_sets(&[vec!["zz yy a", "日本語 zz"], vec!["yy b", "a a b"]]);
@@ -415,7 +485,7 @@ fn appended_and_reference_tokens_take_the_pinned_ids() {
     let encoded = |s: u32| -> Vec<(Option<u32>, Vec<u32>, Vec<u32>)> {
         let elements = c.set(s).elements.iter();
         elements
-            .map(|e| (e.id(), e.tokens.to_vec(), e.chunks.to_vec()))
+            .map(|e| (e.id(), e.tokens().to_vec(), e.chunks().to_vec()))
             .collect()
     };
     assert_eq!(
@@ -448,7 +518,7 @@ fn appended_and_reference_tokens_take_the_pinned_ids() {
     let got: Vec<(Vec<u32>, Vec<u32>)> = r
         .elements
         .iter()
-        .map(|e| (e.tokens.to_vec(), e.chunks.to_vec()))
+        .map(|e| (e.tokens().to_vec(), e.chunks().to_vec()))
         .collect();
     assert_eq!(
         got,

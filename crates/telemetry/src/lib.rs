@@ -797,11 +797,21 @@ mod tests {
         let reg = Registry::new();
         let h = reg.histogram("hammer_seconds", "h", &[], &LATENCY_BUCKETS);
         let done = AtomicBool::new(false);
+        // Each writer stops halfway until the reader has taken a
+        // snapshot, so at least one snapshot overlaps pending writes
+        // however the threads are scheduled.
+        let snapped = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let h = h.clone();
+                let snapped = &snapped;
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
+                        if i == PER_THREAD / 2 {
+                            while !snapped.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        }
                         // Deterministic spread across all bins incl. overflow.
                         let nanos = 1u64 << ((i + t as u64) % 34);
                         h.observe(Duration::from_nanos(nanos));
@@ -810,7 +820,7 @@ mod tests {
             }
             let reader = {
                 let h = h.clone();
-                let done = &done;
+                let (done, snapped) = (&done, &snapped);
                 scope.spawn(move || {
                     let mut snaps = 0usize;
                     let mut last_count = 0u64;
@@ -821,6 +831,7 @@ mod tests {
                         assert!(count >= last_count, "bin sum went backwards");
                         last_count = count;
                         snaps += 1;
+                        snapped.store(true, Ordering::Release);
                     }
                     snaps
                 })

@@ -34,11 +34,11 @@ proptest! {
         for set in c.sets() {
             for e in set.elements.iter() {
                 // Tokens sorted, distinct, and within the dictionary.
-                prop_assert!(e.tokens.windows(2).all(|w| w[0] < w[1]));
-                prop_assert!(e.tokens.iter().all(|&t| (t as usize) < c.dict().len()));
+                prop_assert!(e.tokens().windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(e.tokens().iter().all(|&t| (t as usize) < c.dict().len()));
                 // Every chunk id is one of the element's tokens.
-                for &ch in e.chunks.iter() {
-                    prop_assert!(e.tokens.binary_search(&ch).is_ok());
+                for &ch in e.chunks().iter() {
+                    prop_assert!(e.tokens().binary_search(&ch).is_ok());
                 }
             }
         }
@@ -81,14 +81,14 @@ proptest! {
             // Signature tokens are a sorted subset of the element's tokens.
             prop_assert!(se.tokens.windows(2).all(|w| w[0] < w[1]));
             for t in &se.tokens {
-                prop_assert!(re.tokens.binary_search(t).is_ok());
+                prop_assert!(re.tokens().binary_search(t).is_ok());
             }
-            prop_assert!(se.units <= re.tokens.len());
+            prop_assert!(se.units <= re.tokens().len());
             prop_assert!((0.0..=1.0).contains(&se.raw_bound));
             // Saturated elements hold at least the sim-thresh cap.
             if se.saturated {
                 let cap = silkmoth::core::signature::sim_thresh_cap(
-                    re.tokens.len(), re.tokens.len(), alpha, SigKind::Jaccard);
+                    re.tokens().len(), re.tokens().len(), alpha, SigKind::Jaccard);
                 prop_assert!(cap.is_some());
                 prop_assert!(se.units >= cap.unwrap());
             }
@@ -113,7 +113,7 @@ proptest! {
             let built = c.set(sid as u32);
             prop_assert_eq!(encoded.len(), built.len());
             for (a, b) in encoded.elements.iter().zip(built.elements.iter()) {
-                prop_assert_eq!(&a.tokens, &b.tokens);
+                prop_assert_eq!(a.tokens(), b.tokens());
             }
         }
     }
@@ -151,7 +151,7 @@ proptest! {
                     let alone = &c.encode_set(std::slice::from_ref(text)).elements[0];
                     prop_assert_eq!(alone, e);
                     prop_assert_eq!(alone.id(), None);
-                    for &t in alone.tokens.iter() {
+                    for &t in alone.tokens().iter() {
                         frequency[t as usize] += 1;
                     }
                     let id = e.id().expect("stored elements have ids");
@@ -164,7 +164,7 @@ proptest! {
                 // The removed slot's occurrences still count (stale until
                 // a compact, like its postings).
                 for e in c.set(0).elements.iter() {
-                    for &t in e.tokens.iter() {
+                    for &t in e.tokens().iter() {
                         frequency[t as usize] += 1;
                     }
                 }

@@ -146,7 +146,7 @@ proptest! {
             .iter()
             .zip(&sig.elems)
             .map(|(e, se)| {
-                e.tokens
+                e.tokens()
                     .iter()
                     .filter(|t| !se.tokens.contains(t))
                     .map(|&t| collection.dict().token(t).to_owned())
