@@ -20,7 +20,7 @@
 
 use silkmoth_server::json::{obj, Json};
 use silkmoth_server::read_simple_response;
-use silkmoth_telemetry::expo;
+use silkmoth_server::telemetry::expo;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::process::exit;

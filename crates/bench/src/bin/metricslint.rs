@@ -1,5 +1,5 @@
 //! `metricslint` — validates saved Prometheus text-format pages with
-//! the `silkmoth-telemetry` exposition linter.
+//! the exposition linter in `silkmoth_server::telemetry::expo`.
 //!
 //! ```text
 //! curl -s localhost:7700/metrics > a.prom
@@ -25,7 +25,7 @@
 //! ring.
 
 use silkmoth_server::json::Json;
-use silkmoth_telemetry::expo;
+use silkmoth_server::telemetry::expo;
 use std::process::exit;
 
 const USAGE: &str = "\

@@ -65,7 +65,6 @@ use manifest::{
 };
 use silkmoth_core::{CompactionPolicy, ConfigError, EngineConfig};
 use silkmoth_storage::{StorageError, Store, StoreConfig};
-use silkmoth_telemetry::Gauge;
 
 use crate::durable::ShardSpec;
 use crate::front::RequestInfo;
@@ -74,6 +73,7 @@ use crate::json::{obj, Json};
 use crate::metrics::{canonical_route, ServiceMetrics};
 use crate::service::{error_response, page, parse_body, Answer, Fields, SearchService};
 use crate::shard::ShardedEngine;
+use crate::telemetry::Gauge;
 
 /// How the catalog builds collection services: the shared engine
 /// configuration, where stores live, and the server-wide defaults a

@@ -17,7 +17,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use silkmoth_core::QuerySpec;
-use silkmoth_telemetry::trace::{self, TraceCollector, Tracer};
 
 use crate::http::Response;
 use crate::json::{obj, Json};
@@ -25,6 +24,7 @@ use crate::metrics::ServiceMetrics;
 use crate::queryspec::spec_to_json;
 use crate::replication::FollowerShared;
 use crate::service::{error_response, Answer};
+use crate::telemetry::trace::{self, TraceCollector, Tracer};
 
 /// How request log lines are rendered (`serve --log-format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,7 +270,7 @@ impl Front {
             metrics.set_followers(n as i64);
         }
         metrics.set_uptime_secs(self.uptime_secs());
-        Response::text(200, silkmoth_telemetry::CONTENT_TYPE, metrics.render())
+        Response::text(200, crate::telemetry::CONTENT_TYPE, metrics.render())
     }
 
     /// `GET /debug/traces`: the retained trace ring as JSON, oldest
@@ -438,13 +438,13 @@ mod tests {
     use std::time::Duration;
 
     use silkmoth_storage::{Store, StoreConfig};
-    use silkmoth_telemetry::trace::AttrValue;
 
     use super::*;
     use crate::http::Request;
     use crate::service::testutil::*;
     use crate::service::SearchService;
     use crate::shard::ShardedEngine;
+    use crate::telemetry::trace::AttrValue;
 
     #[test]
     fn metrics_page_matches_golden_file() {
@@ -459,7 +459,7 @@ mod tests {
         let req = Request::new("GET", "/metrics", Vec::new());
         let resp = s.handle(&req);
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.content_type, silkmoth_telemetry::CONTENT_TYPE);
+        assert_eq!(resp.content_type, crate::telemetry::CONTENT_TYPE);
         let body = std::str::from_utf8(&resp.body).unwrap();
         let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/golden_metrics.txt");
         if std::env::var_os("BLESS_GOLDEN_METRICS").is_some() {
@@ -471,9 +471,9 @@ mod tests {
             "exposition format drifted; re-bless with BLESS_GOLDEN_METRICS=1 if intended"
         );
         // The page must also satisfy the same parser + lint CI runs.
-        let families = silkmoth_telemetry::expo::parse_text(body).expect("page parses");
+        let families = crate::telemetry::expo::parse_text(body).expect("page parses");
         assert_eq!(
-            silkmoth_telemetry::expo::lint(None, &families),
+            crate::telemetry::expo::lint(None, &families),
             Vec::<String>::new()
         );
     }
@@ -506,10 +506,10 @@ mod tests {
             let resp = s.handle(&Request::new("GET", "/metrics", Vec::new()));
             String::from_utf8(resp.body).unwrap()
         };
-        let prev = silkmoth_telemetry::expo::parse_text(&first).unwrap();
-        let cur = silkmoth_telemetry::expo::parse_text(&second).unwrap();
+        let prev = crate::telemetry::expo::parse_text(&first).unwrap();
+        let cur = crate::telemetry::expo::parse_text(&second).unwrap();
         assert_eq!(
-            silkmoth_telemetry::expo::lint(Some(&prev), &cur),
+            crate::telemetry::expo::lint(Some(&prev), &cur),
             Vec::<String>::new()
         );
     }
@@ -779,8 +779,8 @@ mod tests {
             assert_eq!(a.status, b.status, "{path}");
             assert_eq!(a.body, b.body, "{path}: tracing changed the response body");
         }
-        assert!(traced.tracer().recorded() >= 4);
-        assert_eq!(plain.tracer().recorded(), 0);
+        assert!(traced.tracer().snapshot().len() >= 4);
+        assert!(plain.tracer().snapshot().is_empty());
     }
 
     /// `/debug/traces` JSON survives a hostile reader: the full page
@@ -792,10 +792,22 @@ mod tests {
         let query = collector.add_span(trace::ROOT, "query", 5, Duration::from_micros(90));
         collector.attr_u64(query, "candidates", 12);
         collector.attr(query, "note", AttrValue::Str("quote\" slash\\ nl\n".into()));
-        collector.attr(query, "ratio", AttrValue::F64(f64::NAN));
         collector.attr(query, "timed_out", AttrValue::Bool(false));
-        let trace = Arc::new(collector.finish(200, true));
-        let page = trace::render_traces(&[trace]);
+        let mut trace = collector.finish(200, true);
+        // The root's duration is wall-clock; fixed, the page is exact.
+        trace.dur_us = 250;
+        trace.spans[0].dur_us = 250;
+        let page = trace::render_traces(&[Arc::new(trace)]);
+        assert_eq!(
+            page,
+            concat!(
+                r#"{"version":1,"traces":[{"id":7,"route":"/search","status":200,"slow":true,"#,
+                r#""duration_us":250,"spans":[{"kind":"http","parent":null,"start_us":0,"#,
+                r#""duration_us":250,"attrs":{}},{"kind":"query","parent":0,"start_us":5,"#,
+                r#""duration_us":90,"attrs":{"candidates":12,"#,
+                r#""note":"quote\" slash\\ nl\n","timed_out":false}}]}]}"#,
+            )
+        );
 
         let doc = Json::parse(&page).expect("the page is valid JSON");
         let traces = doc.get("traces").and_then(Json::as_array).unwrap();
@@ -806,7 +818,6 @@ mod tests {
             attrs.get("note").and_then(Json::as_str),
             Some("quote\" slash\\ nl\n")
         );
-        assert_eq!(attrs.get("ratio"), Some(&Json::Null)); // NaN → null
         assert_eq!(attrs.get("candidates").and_then(Json::as_usize), Some(12));
 
         // Truncation at every char boundary: Err is fine, panic is not.

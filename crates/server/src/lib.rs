@@ -18,15 +18,19 @@
 //!   (`POST /search`, `POST /discover`, `POST /sets`, `GET /stats` with
 //!   cumulative per-shard [`PassStats`] merged, `GET /healthz`, …) and
 //!   the group-commit write path, answering through the listener's one
-//!   front (request ids, logs, traces, `GET /metrics` — the [`metrics`]
-//!   registry in the Prometheus text exposition format);
+//!   front (request ids, logs, traces, `GET /metrics` — the metric
+//!   families in the Prometheus text exposition format);
 //! * [`catalog`] — [`CatalogService`]: named collections, each a core
 //!   behind the default collection's front, recovered after a restart
 //!   from the versioned catalog manifest;
 //! * [`replication`] — WAL shipping from a durable primary to
 //!   followers: [`serve_log`] streams a core's update log over TCP,
 //!   [`start_follower`] tails one into a read-only core until
-//!   `POST /promote`.
+//!   `POST /promote`;
+//! * [`telemetry`] — the metrics registry behind `GET /metrics`, the
+//!   request-trace ring behind `GET /debug/traces`, and (public, for
+//!   the `metricslint` and `loadgen` tools) the exposition parser and
+//!   lint in [`telemetry::expo`].
 //!
 //! ## Example
 //!
@@ -68,18 +72,18 @@ pub mod durable;
 mod front;
 pub mod http;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod queryspec;
 pub mod replication;
 pub mod service;
 pub mod shard;
+pub mod telemetry;
 
 pub use catalog::{serve_catalog, CatalogConfig, CatalogError, CatalogService};
 pub use durable::ShardSpec;
 pub use front::LogFormat;
 pub use http::{read_simple_response, HttpServer, Request, Response};
 pub use json::{Json, JsonError};
-pub use metrics::{canonical_route, ServiceMetrics};
 pub use queryspec::{spec_from_json, spec_to_json, QUERY_SPEC_JSON_VERSION};
 pub use replication::{
     bootstrap_snapshot, dir_needs_fresh_store, follower_store_config, serve_log, start_follower,

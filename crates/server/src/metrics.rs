@@ -12,8 +12,9 @@
 //!   [`PhaseTiming`], the per-shard worst merged by
 //!   [`ShardedQueryOutput::merged_timing`](crate::shard::ShardedQueryOutput::merged_timing);
 //! * **storage** — WAL append/fsync latency and snapshot / compaction
-//!   counters, delivered through a [`TelemetryHook`] so the storage
-//!   crate itself stays dependency-free;
+//!   counters, delivered through the store's one [`TelemetryHook`]
+//!   (which also hangs the storage spans on the request's trace) so the
+//!   storage crate itself stays dependency-free;
 //! * **replication** — the follower lag/connect/bootstrap families,
 //!   refreshed from the follower loop's [`FollowerStatus`] at scrape
 //!   time (so the loop itself stays metrics-free), plus a follower count
@@ -24,9 +25,10 @@
 //! and statuses are the handful the service actually emits.
 
 use crate::replication::{FollowerState, FollowerStatus};
+use crate::telemetry::trace::{self, AttrValue};
+use crate::telemetry::{Counter, Gauge, Histogram, MetricKind, Registry, LATENCY_BUCKETS};
 use silkmoth_core::{PassStats, PhaseTiming};
 use silkmoth_storage::{StoreEvent, TelemetryHook};
-use silkmoth_telemetry::{Counter, Gauge, Histogram, MetricKind, Registry, LATENCY_BUCKETS};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,7 +57,7 @@ const HTTP_DURATION_HELP: &str = "Wall-clock request latency, by route";
 /// never reach this function with their prefix: the catalog resolves
 /// `/collections/<name>/search` to that collection and labels the
 /// request with the route behind the prefix, `/search`.
-pub fn canonical_route(path: &str) -> &'static str {
+pub(crate) fn canonical_route(path: &str) -> &'static str {
     if path == "/collections" || path.starts_with("/collections/") {
         return "/collections";
     }
@@ -79,7 +81,7 @@ pub fn canonical_route(path: &str) -> &'static str {
 /// Construct once per [`SearchService`](crate::service::SearchService);
 /// cloning shares the registry and every cell.
 #[derive(Debug, Clone)]
-pub struct ServiceMetrics {
+pub(crate) struct ServiceMetrics {
     registry: Arc<Registry>,
     /// `Some(name)` when this bundle records for one named collection:
     /// the route/query/WAL families carry a `collection` label and this
@@ -114,18 +116,12 @@ pub struct ServiceMetrics {
     followers: Gauge,
 }
 
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServiceMetrics {
     /// Registers every family the stack exposes, in the order the
     /// `/metrics` page renders them. The HTTP families are declared
     /// (header-only) here because their series only appear as routes
     /// are hit; everything else registers its series immediately.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::build(Arc::new(Registry::new()), None)
     }
 
@@ -135,7 +131,7 @@ impl ServiceMetrics {
     /// Process-wide families (build info, uptime, in-flight,
     /// replication) are get-or-created unlabelled, so every collection
     /// shares those cells.
-    pub fn for_collection(registry: &Arc<Registry>, collection: &str) -> Self {
+    pub(crate) fn for_collection(registry: &Arc<Registry>, collection: &str) -> Self {
         Self::build(Arc::clone(registry), Some(collection))
     }
 
@@ -319,27 +315,27 @@ impl ServiceMetrics {
     }
 
     /// The gauge tracking requests currently inside the handler.
-    pub fn inflight(&self) -> &Gauge {
+    pub(crate) fn inflight(&self) -> &Gauge {
         &self.inflight
     }
 
     /// The registry every family lives in — shared across collections
     /// in a catalog deployment, so the catalog can hang its own gauges
     /// (collection count, cardinality bound) on the same page.
-    pub fn registry(&self) -> &Arc<Registry> {
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
 
     /// The collection this bundle records for, when it was built with
     /// [`for_collection`](Self::for_collection).
-    pub fn collection(&self) -> Option<&str> {
+    pub(crate) fn collection(&self) -> Option<&str> {
         self.collection.as_deref()
     }
 
     /// Records one finished request into the per-route counter and
     /// latency histogram. `route` must come from [`canonical_route`] so
     /// the label set stays bounded.
-    pub fn observe_request(&self, route: &'static str, status: u16, elapsed: Duration) {
+    pub(crate) fn observe_request(&self, route: &'static str, status: u16, elapsed: Duration) {
         let status = status.to_string();
         let mut counter_labels = vec![("route", route), ("status", status.as_str())];
         let mut histogram_labels = vec![("route", route)];
@@ -362,7 +358,7 @@ impl ServiceMetrics {
 
     /// Records one query's per-phase timing (already merged across
     /// shards — element-wise max, the worst shard per phase).
-    pub fn observe_phases(&self, timing: &PhaseTiming) {
+    pub(crate) fn observe_phases(&self, timing: &PhaseTiming) {
         self.phase_stage.observe(timing.stage);
         self.phase_verify.observe(timing.verify);
         self.phase_explain.observe(timing.explain);
@@ -374,7 +370,7 @@ impl ServiceMetrics {
     /// reached the threshold they were verified against — under `top_k`
     /// the rising k-th best score, not the floor), plus the
     /// similarity-evaluation count and the signature cost distribution.
-    pub fn observe_funnel(&self, stats: &PassStats) {
+    pub(crate) fn observe_funnel(&self, stats: &PassStats) {
         let stages = [
             stats.candidates as u64,
             stats.after_check as u64,
@@ -392,17 +388,19 @@ impl ServiceMetrics {
 
     /// Refreshes the uptime gauge (called at scrape time so the page
     /// matches what `/healthz` reports).
-    pub fn set_uptime_secs(&self, secs: u64) {
+    pub(crate) fn set_uptime_secs(&self, secs: u64) {
         self.uptime.set(secs as i64);
     }
 
-    /// A [`TelemetryHook`] to install on the durable store: each commit
-    /// batch lands its write/fsync timings in the latency histograms,
-    /// its record count and total duration in the group-commit
-    /// families; snapshot and compaction events hit their counters. The
-    /// hook captures clones of the cells, so the storage crate never
-    /// sees the registry.
-    pub fn storage_hook(&self) -> TelemetryHook {
+    /// The one [`TelemetryHook`] the store keeps: each commit batch
+    /// lands its write/fsync timings in the latency histograms, its
+    /// record count and total duration in the group-commit families;
+    /// snapshot and compaction events hit their counters. Each event
+    /// also becomes a span in the calling thread's trace sink — a no-op
+    /// on threads with none installed (unsampled requests, background
+    /// maintenance). The hook captures clones of the cells, so the
+    /// storage crate never sees the registry.
+    pub(crate) fn storage_hook(&self) -> TelemetryHook {
         let append = self.wal_append.clone();
         let fsync = self.wal_fsync.clone();
         let batch_records = self.batch_records.clone();
@@ -420,10 +418,22 @@ impl ServiceMetrics {
                 fsync.observe(sync);
                 batch_records.observe_secs(records as f64);
                 batch_duration.observe(write + sync);
+                let attrs = vec![("records", AttrValue::U64(records))];
+                trace::emit("wal_write", write, attrs);
+                trace::emit("wal_fsync", sync, Vec::new());
             }
-            StoreEvent::Snapshot => snapshots.inc(),
-            StoreEvent::AutoCompaction => compactions.inc(),
-            StoreEvent::AutoSnapshot => auto_snapshots.inc(),
+            StoreEvent::Snapshot => {
+                snapshots.inc();
+                trace::emit("snapshot", Duration::ZERO, Vec::new());
+            }
+            StoreEvent::AutoCompaction => {
+                compactions.inc();
+                trace::emit("compaction", Duration::ZERO, Vec::new());
+            }
+            StoreEvent::AutoSnapshot => {
+                auto_snapshots.inc();
+                trace::emit("snapshot", Duration::ZERO, Vec::new());
+            }
         })
     }
 
@@ -448,7 +458,7 @@ impl ServiceMetrics {
     }
 
     /// Renders the `/metrics` page.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         self.registry.render()
     }
 }

@@ -7,7 +7,7 @@
 
 use super::proto::{read_frame, write_handshake, Frame, Handshake};
 use super::{ReplicaError, ServiceSink};
-use silkmoth_telemetry::trace::{self, TraceCollector, Tracer};
+use crate::telemetry::trace::{self, TraceCollector, Tracer};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};

@@ -32,7 +32,7 @@
 //! | `GET /stats`     | —                                                | request counters, per-shard and merged [`PassStats`], and (on disk) the storage generation |
 //! | `GET /healthz`   | —                                                | `{"status": "ok", "durable": b, "role": "primary"\|"follower", "version", "uptime_secs", "update_seq", …}` — `update_seq` is the store's commit sequence, policy compactions included |
 //! | `POST /promote`  | —                                                | `{"role": "primary", "epoch", "update_seq"}` — follower failover (409 when already primary) |
-//! | `GET /metrics`   | —                                                | the [`metrics`](crate::metrics) registry in the Prometheus text exposition format |
+//! | `GET /metrics`   | —                                                | the service's metric families in the Prometheus text exposition format |
 //! | `GET /debug/traces` | optional `?route=`, `?min_ms=`, `?id=` filters | `{"version": 1, "traces": […]}` — the captured-trace ring, newest-last |
 //!
 //! The last three are **per-process**: under a catalog they answer the
@@ -109,7 +109,7 @@
 //!
 //! Every request flows through the front's one wrapper: a monotonic
 //! request id, an in-flight gauge, and per-route counters + latency
-//! histograms in the [`metrics`](crate::metrics) bundle served on
+//! histograms in the service's metric bundle served on
 //! `GET /metrics`. Search routes additionally record per-phase query
 //! timing (stage / verify / explain, worst shard per phase) and — when
 //! the spec sets `"timing": true` — return the same numbers in the
@@ -141,8 +141,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use silkmoth_core::PassStats;
-use silkmoth_storage::{Store, StoreConfig, StoreEvent, TelemetryHook};
-use silkmoth_telemetry::trace::{self, AttrValue, Tracer};
+use silkmoth_storage::{Store, StoreConfig};
 
 use crate::front::{Front, LogFormat, RequestInfo};
 use crate::http::{self, HttpServer, Request, Response};
@@ -150,6 +149,7 @@ use crate::json::{obj, Json};
 use crate::metrics::{canonical_route, ServiceMetrics};
 use crate::replication::CommitSignal;
 use crate::shard::ShardedEngine;
+use crate::telemetry::trace::Tracer;
 use write::CommitQueue;
 
 pub(crate) use status::{page, Fields};
@@ -262,7 +262,7 @@ impl SearchService {
     pub(crate) fn wire(&self, store: &mut Store<ShardedEngine>) {
         self.commit_signal.reset(store.status().update_seq);
         store.set_commit_hook(self.commit_signal.hook());
-        store.set_telemetry_hook(store_telemetry_hook(&self.metrics));
+        store.set_telemetry_hook(self.metrics.storage_hook());
         if let Some(hook) = &*self
             .retention_hook
             .lock()
@@ -346,12 +346,12 @@ impl SearchService {
     }
 
     /// The service's metric bundle (what `GET /metrics` renders).
-    pub fn metrics(&self) -> &ServiceMetrics {
+    pub(crate) fn metrics(&self) -> &ServiceMetrics {
         &self.metrics
     }
 
     /// The request-trace ring (what `GET /debug/traces` serves).
-    pub fn tracer(&self) -> &Arc<Tracer> {
+    pub(crate) fn tracer(&self) -> &Arc<Tracer> {
         self.front.tracer()
     }
 
@@ -492,36 +492,6 @@ pub(crate) fn error_response(status: u16, msg: &str) -> Response {
         status,
         obj(vec![("error", Json::Str(msg.into()))]).to_string(),
     )
-}
-
-/// The one storage-layer hook, fanning each [`StoreEvent`] into the
-/// metric cells *and* the calling thread's trace sink. The store keeps
-/// exactly one hook, so both consumers must share it; the trace side is
-/// a no-op on threads with no sink installed (unsampled requests,
-/// background maintenance).
-fn store_telemetry_hook(metrics: &ServiceMetrics) -> TelemetryHook {
-    let cells = metrics.storage_hook();
-    TelemetryHook::new(move |event| {
-        cells.fire(event);
-        match event {
-            StoreEvent::CommitBatch {
-                records,
-                write,
-                sync,
-            } => {
-                trace::emit(
-                    "wal_write",
-                    write,
-                    vec![("records", AttrValue::U64(records))],
-                );
-                trace::emit("wal_fsync", sync, Vec::new());
-            }
-            StoreEvent::Snapshot | StoreEvent::AutoSnapshot => {
-                trace::emit("snapshot", Duration::ZERO, Vec::new());
-            }
-            StoreEvent::AutoCompaction => trace::emit("compaction", Duration::ZERO, Vec::new()),
-        }
-    })
 }
 
 /// What every seam's tests build on: a 20-set corpus on three shards

@@ -7,7 +7,6 @@ use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use silkmoth_core::{PassStats, QuerySpec};
-use silkmoth_telemetry::trace::{self, AttrValue, SpanId, TraceCollector};
 
 use super::{array_field, error_response, parse_body, string_sets, Answer, SearchService};
 use crate::front::RequestInfo;
@@ -15,6 +14,7 @@ use crate::http::Response;
 use crate::json::{obj, Json};
 use crate::queryspec::{explanation_json, spec_from_json};
 use crate::shard::ShardedQueryOutput;
+use crate::telemetry::trace::{self, AttrValue, SpanId, TraceCollector};
 
 impl SearchService {
     /// The whole-request deadline for a search arriving now, when
@@ -307,7 +307,7 @@ mod tests {
             assert_eq!(status, 200);
         }
         let page = s.metrics().render();
-        let families = silkmoth_telemetry::expo::parse_text(&page).unwrap();
+        let families = crate::telemetry::expo::parse_text(&page).unwrap();
         let sum_of = |family: &str, sample: &str| -> f64 {
             families
                 .iter()

@@ -10,12 +10,12 @@ use std::time::Instant;
 use silkmoth_collection::{SetIdx, UpdateError};
 use silkmoth_core::{Update, UpdateOutcome};
 use silkmoth_storage::{StorageError, Store};
-use silkmoth_telemetry::trace;
 
 use super::{array_field, error_response, parse_body, string_sets, Answer, SearchService};
 use crate::http::Response;
 use crate::json::{obj, Json};
 use crate::shard::ShardedEngine;
+use crate::telemetry::trace;
 
 /// Decrements the in-flight update counter on drop (see
 /// [`SearchService::with_max_inflight_updates`]).

@@ -1,11 +1,12 @@
 //! The read side of the exposition format: a parser for the text
-//! format [`Registry::render`](crate::Registry::render) emits, plus the
-//! lint CI runs over live scrapes (`scripts/metrics_check.sh`).
+//! format `GET /metrics` serves, plus the lint CI runs over live
+//! scrapes (`scripts/metrics_check.sh`).
 //!
-//! The parser accepts exactly the subset this crate renders — `# HELP`
-//! / `# TYPE` comments, `name{labels} value` samples, the label-value
-//! escapes `\\` `\"` `\n` — and fails by name on anything else, so a
-//! malformed page is a test failure, never a silent skip.
+//! The parser accepts exactly the subset the server renders — `# HELP`
+//! / `# TYPE` comments, `name{labels} value` samples, the HELP escapes
+//! `\\` `\n` and the label-value escapes `\\` `\"` `\n` — and fails by
+//! name on anything else, so a malformed page is a test failure, never
+//! a silent skip.
 
 use std::collections::BTreeMap;
 
@@ -44,7 +45,10 @@ fn belongs_to(family: &str, sample: &str) -> bool {
             .is_some_and(|rest| matches!(rest, "_bucket" | "_sum" | "_count"))
 }
 
-fn unescape_label_value(s: &str) -> Result<String, String> {
+/// Undoes the exposition escapes in one left-to-right pass: `\\` and
+/// `\n` everywhere, `\"` only in a label value (`quotes`). Any other
+/// escape is an error.
+fn unescape(s: &str, quotes: bool) -> Result<String, String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -54,7 +58,7 @@ fn unescape_label_value(s: &str) -> Result<String, String> {
         }
         match chars.next() {
             Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
+            Some('"') if quotes => out.push('"'),
             Some('n') => out.push('\n'),
             other => return Err(format!("bad escape \\{}", other.unwrap_or(' '))),
         }
@@ -91,7 +95,7 @@ fn parse_labels(text: &str) -> Result<(Vec<(String, String)>, usize), String> {
         if end >= bytes.len() {
             return Err(format!("unterminated value for label {name}"));
         }
-        labels.push((name.to_owned(), unescape_label_value(&text[eq + 2..end])?));
+        labels.push((name.to_owned(), unescape(&text[eq + 2..end], true)?));
         pos = end + 1;
         match bytes.get(pos) {
             Some(b',') => pos += 1,
@@ -115,10 +119,7 @@ pub fn parse_text(text: &str) -> Result<Vec<ParsedFamily>, String> {
             let (name, help) = rest
                 .split_once(' ')
                 .ok_or_else(|| at("HELP without text".into()))?;
-            pending_help = Some((
-                name.to_owned(),
-                help.replace("\\n", "\n").replace("\\\\", "\\"),
-            ));
+            pending_help = Some((name.to_owned(), unescape(help, false).map_err(&at)?));
             continue;
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
@@ -266,8 +267,8 @@ fn lint_histogram(f: &ParsedFamily, problems: &mut Vec<String>) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{Registry, LATENCY_BUCKETS};
     use super::*;
-    use crate::{Registry, LATENCY_BUCKETS};
     use std::time::Duration;
 
     fn page() -> (Registry, String) {
@@ -304,6 +305,30 @@ mod tests {
         let text = "# HELP e_total h\n# TYPE e_total counter\ne_total{v=\"a\\\"b\\\\c\\nd\"} 1\n";
         let families = parse_text(text).unwrap();
         assert_eq!(families[0].samples[0].labels[0].1, "a\"b\\c\nd");
+    }
+
+    /// Every escape the renderer emits parses back to the original text:
+    /// a backslash, a quote, a newline, and a literal backslash-`n`
+    /// (which must not come back as a backslash and a newline).
+    #[test]
+    fn help_and_label_values_roundtrip_through_render_and_parse() {
+        let texts = [
+            "plain",
+            "back\\slash",
+            "say \"hi\"",
+            "two\nlines",
+            "lit \\n here",
+            "\\\\n\n\\\"\\",
+        ];
+        for text in texts {
+            let reg = Registry::new();
+            reg.counter("rt_total", text, &[("v", text)]);
+            let families = parse_text(&reg.render()).expect("rendered page parses");
+            assert_eq!(families[0].help, text, "HELP {text:?}");
+            assert_eq!(families[0].samples[0].labels[0].1, text, "label {text:?}");
+        }
+        let err = parse_text("# HELP x a \\\"quote\n# TYPE x counter\n").unwrap_err();
+        assert!(err.contains("line 1: bad escape"), "{err}");
     }
 
     #[test]

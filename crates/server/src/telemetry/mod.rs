@@ -1,28 +1,23 @@
-//! # silkmoth-telemetry
-//!
-//! The metrics core for the SilkMoth stack, in the spirit of the
-//! `vendor/` stand-ins and `server::json`: no crates.io access, so this
-//! crate hand-rolls exactly the subset of a metrics library the stack
+//! The metrics core of the service: no crates.io access, so this
+//! module hand-rolls exactly the subset of a metrics library the server
 //! needs — atomic counters, gauges, fixed-bucket histograms — behind a
-//! [`Registry`] that renders the Prometheus **text exposition format
-//! version 0.0.4** ([`TEXT_FORMAT_VERSION`]).
+//! `Registry` that renders the Prometheus **text exposition format
+//! version 0.0.4**.
 //!
 //! ## Design
 //!
-//! * Every metric handle ([`Counter`], [`Gauge`], [`Histogram`]) is a
-//!   cheap `Clone` around `Arc<Atomic…>` state: recording is lock-free
-//!   (`Relaxed` fetch-adds — each cell is an independent statistical
+//! * Every metric handle (`Counter`, `Gauge`, `Histogram`) is a cheap
+//!   `Clone` around `Arc<Atomic…>` state: recording is lock-free
+//!   (`Relaxed` atomics — each cell is an independent statistical
 //!   counter, no cross-cell ordering is promised), so instrumentation
 //!   never blocks or reorders the code it observes.
 //! * Histograms use **fixed, log-scaled bucket bounds**
-//!   ([`LATENCY_BUCKETS`]: ×2 per bucket from 10 µs to ~5.2 s) with one
+//!   (`LATENCY_BUCKETS`: ×2 per bucket from 10 µs to ~5.2 s) with one
 //!   `AtomicU64` bin per bucket plus an overflow bin; the observation
-//!   count is *derived* as the bin sum, so a concurrent
-//!   [`Histogram::snapshot`] can never see a count that disagrees with
-//!   its bins (no torn read between a count cell and the bins).
-//! * Snapshots ([`HistogramSnapshot`]) are plain data and
-//!   [mergeable](HistogramSnapshot::merge) — shard- or thread-local
-//!   histograms fold into one.
+//!   count is *derived* as the bin sum, so a scrape racing writers can
+//!   never see a count that disagrees with its bins (no torn read
+//!   between a count cell and the bins). The sum is an `f64`, so it
+//!   never wraps and never moves backwards.
 //! * Registration is get-or-create by `(name, labels)`: handles for the
 //!   same series share state. Re-registering a name with a different
 //!   kind, help text, or bucket layout panics — that is a programming
@@ -30,8 +25,7 @@
 //!
 //! ## Exposition format and escaping
 //!
-//! [`Registry::render`] emits, per metric family, in registration
-//! order:
+//! `Registry::render` emits, per metric family, in registration order:
 //!
 //! ```text
 //! # HELP <name> <help>
@@ -42,7 +36,7 @@
 //! Histograms expand to cumulative `<name>_bucket{…,le="<bound>"}`
 //! rows (always ending with `le="+Inf"`), `<name>_sum` (seconds, as a
 //! shortest-round-trip float) and `<name>_count`. Escaping rules, like
-//! `server::json`, are part of the contract:
+//! [`crate::json`]'s, are part of the contract:
 //!
 //! * **HELP text**: `\` → `\\` and newline → `\n` (one line per
 //!   comment, always).
@@ -56,10 +50,9 @@
 //! families, type mismatches, and counters that move backwards between
 //! two scrapes all fail by name.
 //!
-//! The [`trace`] module is the per-request twin of the aggregate
-//! registry: request-scoped span trees ([`TraceCollector`] →
-//! [`Trace`]) retained in a bounded ring ([`Tracer`]) and served as
-//! JSON on `/debug/traces`.
+//! The `trace` module is the per-request twin of the aggregate
+//! registry: request-scoped span trees retained in a bounded ring and
+//! served as JSON on `/debug/traces`.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -67,23 +60,17 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 pub mod expo;
-pub mod trace;
-
-pub use trace::{AttrValue, SpanRecord, Trace, TraceCollector, Tracer};
-
-/// The Prometheus text exposition format version this crate emits; the
-/// `/metrics` route advertises it in its `Content-Type`.
-pub const TEXT_FORMAT_VERSION: &str = "0.0.4";
+pub(crate) mod trace;
 
 /// The `Content-Type` for a rendered exposition page.
-pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+pub(crate) const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Default latency histogram bounds in seconds: 20 log-scaled buckets,
 /// doubling from 10 µs to ~5.24 s (plus the implicit `+Inf` overflow
 /// bin). Covers a WAL fsync (~10 µs–10 ms) and a worst-case O(n³)
 /// verification pass (~seconds) in the same layout, so every latency
-/// histogram in the stack is merge- and compare-able.
-pub const LATENCY_BUCKETS: [f64; 20] = {
+/// histogram in the stack is compare-able.
+pub(crate) const LATENCY_BUCKETS: [f64; 20] = {
     let mut b = [0.0; 20];
     let mut i = 0;
     while i < 20 {
@@ -97,7 +84,7 @@ pub const LATENCY_BUCKETS: [f64; 20] = {
 
 /// What kind of metric a family holds (its `# TYPE` line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically non-decreasing `u64`.
     Counter,
     /// Arbitrary signed value.
@@ -108,7 +95,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The `# TYPE` keyword.
-    pub fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
             Self::Counter => "counter",
             Self::Gauge => "gauge",
@@ -119,16 +106,16 @@ impl MetricKind {
 
 /// A monotonically non-decreasing counter. Cloning shares the cell.
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub(crate) struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Adds one.
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n`.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -136,12 +123,12 @@ impl Counter {
     /// connect count polled from another subsystem at scrape time).
     /// Uses `fetch_max`, so the rendered value stays monotonic even if
     /// the poll observes an older total.
-    pub fn record_total(&self, total: u64) {
+    pub(crate) fn record_total(&self, total: u64) {
         self.0.fetch_max(total, Ordering::Relaxed);
     }
 
     /// The current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -149,26 +136,26 @@ impl Counter {
 /// A gauge: a signed value that can move both ways. Cloning shares the
 /// cell.
 #[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicI64>);
+pub(crate) struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     /// Sets the value.
-    pub fn set(&self, v: i64) {
+    pub(crate) fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
     }
 
     /// Adds `n` (e.g. entering an in-flight section).
-    pub fn add(&self, n: i64) {
+    pub(crate) fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtracts `n` (e.g. leaving an in-flight section).
-    pub fn sub(&self, n: i64) {
+    pub(crate) fn sub(&self, n: i64) {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// The current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -182,6 +169,10 @@ struct HistogramCore {
     /// Ascending upper bounds in seconds (`le` values).
     bounds: Arc<[f64]>,
     bins: Vec<AtomicU64>,
+    /// The bits of an `f64` nanosecond sum. Adding a non-negative
+    /// number to an `f64` never wraps and never makes it smaller, where
+    /// a `u64` wraps once a count histogram's values pass ≈ 1.8·10¹⁰
+    /// in total; whole-nanosecond sums below 2⁵³ are exact.
     sum_nanos: AtomicU64,
 }
 
@@ -191,23 +182,23 @@ impl HistogramCore {
         Self {
             bounds,
             bins,
-            sum_nanos: AtomicU64::new(0),
+            sum_nanos: AtomicU64::new(0f64.to_bits()),
         }
     }
 }
 
 /// A fixed-bucket latency histogram. Cloning shares the bins.
 #[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
+pub(crate) struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
     /// Records one duration.
-    pub fn observe(&self, d: Duration) {
+    pub(crate) fn observe(&self, d: Duration) {
         self.observe_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Records one observation given in seconds (negative clamps to 0).
-    pub fn observe_secs(&self, secs: f64) {
+    pub(crate) fn observe_secs(&self, secs: f64) {
         let nanos = (secs.max(0.0) * 1e9).min(u64::MAX as f64) as u64;
         self.observe_nanos(nanos);
     }
@@ -217,76 +208,34 @@ impl Histogram {
         let core = &*self.0;
         let bin = core.bounds.partition_point(|&b| b < secs);
         core.bins[bin].fetch_add(1, Ordering::Relaxed);
-        core.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        let _ = core
+            .sum_nanos
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + nanos as f64).to_bits())
+            });
     }
 
-    /// A consistent-enough copy of the bins: each bin is individually
-    /// monotonic, so a snapshot racing writers sees, per bin, some
-    /// value ≤ the final one — never a torn or overcounted bin. (The
-    /// sum may lag the bins by in-flight observations; both converge
-    /// once writers stop.)
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    /// The per-bucket (non-cumulative) counts, overflow bin last, and
+    /// the sum in seconds. Each bin is individually monotonic, so a
+    /// read racing writers sees, per bin, some value ≤ the final one —
+    /// never a torn or overcounted bin. (The sum may lag the bins by
+    /// in-flight observations; both converge once writers stop.)
+    fn snapshot(&self) -> (Vec<u64>, f64) {
         let core = &*self.0;
-        HistogramSnapshot {
-            bounds: Arc::clone(&core.bounds),
-            bins: core
-                .bins
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            sum_nanos: core.sum_nanos.load(Ordering::Relaxed),
-        }
+        let bins = core
+            .bins
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        (
+            bins,
+            f64::from_bits(core.sum_nanos.load(Ordering::Relaxed)) / 1e9,
+        )
     }
 }
 
-/// Plain-data copy of a histogram's bins, mergeable across shards or
-/// threads that share a bucket layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    bounds: Arc<[f64]>,
-    /// Per-bucket (non-cumulative) counts; last is the overflow bin.
-    bins: Vec<u64>,
-    sum_nanos: u64,
-}
-
-impl HistogramSnapshot {
-    /// The bucket upper bounds in seconds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (same length as `bounds` plus the overflow
-    /// bin).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations — the bin sum.
-    pub fn count(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
-    /// Sum of all observations, in seconds.
-    pub fn sum_secs(&self) -> f64 {
-        self.sum_nanos as f64 / 1e9
-    }
-
-    /// Folds `other` in (bin-wise add). Panics if the bucket layouts
-    /// differ — merging histograms with different bounds is a bug.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            &*self.bounds, &*other.bounds,
-            "merging histograms with different bucket layouts"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.sum_nanos += other.sum_nanos;
-    }
-}
-
-/// One registered series: a label set and its data cell.
-#[derive(Debug)]
+/// One registered series' data cell; cloning shares it.
+#[derive(Debug, Clone)]
 enum SeriesData {
     Counter(Counter),
     Gauge(Gauge),
@@ -318,7 +267,7 @@ struct Family {
 /// lookups of dynamic label sets; recording through the returned
 /// handles is lock-free.
 #[derive(Debug, Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     families: Mutex<Vec<Family>>,
 }
 
@@ -350,49 +299,93 @@ fn escape_label_value(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// The family `name`, appended if new. A family that exists must agree
+/// on kind, help text and (histograms) bucket layout — a mismatch is a
+/// programming error and panics.
+fn family<'a>(
+    families: &'a mut Vec<Family>,
+    name: &str,
+    help: &str,
+    kind: MetricKind,
+    bounds: Option<&[f64]>,
+) -> &'a mut Family {
+    assert!(valid_metric_name(name), "invalid metric name {name:?}");
+    if let Some(b) = bounds {
+        assert!(
+            b.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly ascending"
+        );
+    }
+    let at = match families.iter().position(|f| f.name == name) {
+        Some(at) => {
+            let f = &families[at];
+            assert_eq!(
+                f.kind, kind,
+                "metric {name} re-registered as a different kind"
+            );
+            assert_eq!(
+                f.help, help,
+                "metric {name} re-registered with different help"
+            );
+            if let (Some(have), Some(want)) = (&f.bounds, bounds) {
+                assert_eq!(
+                    &have[..],
+                    want,
+                    "histogram {name} re-registered with a different bucket layout"
+                );
+            }
+            at
+        }
+        None => {
+            families.push(Family {
+                name: name.to_owned(),
+                help: help.to_owned(),
+                kind,
+                bounds: bounds.map(Arc::from),
+                series: Vec::new(),
+            });
+            families.len() - 1
+        }
+    };
+    &mut families[at]
+}
+
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Gets or creates the counter `name{labels}`. Panics if `name` is
     /// already registered as a different kind or with different help.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let data = self.series(name, help, MetricKind::Counter, labels, None);
-        match data {
-            SeriesHandle::Counter(c) => c,
-            _ => unreachable!("kind checked in series()"),
+    pub(crate) fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
+        match self.series(name, help, MetricKind::Counter, labels, None) {
+            SeriesData::Counter(c) => c,
+            _ => unreachable!("kind checked in family()"),
         }
     }
 
     /// Gets or creates the gauge `name{labels}`.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let data = self.series(name, help, MetricKind::Gauge, labels, None);
-        match data {
-            SeriesHandle::Gauge(g) => g,
-            _ => unreachable!("kind checked in series()"),
+    pub(crate) fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+        match self.series(name, help, MetricKind::Gauge, labels, None) {
+            SeriesData::Gauge(g) => g,
+            _ => unreachable!("kind checked in family()"),
         }
     }
 
     /// Gets or creates the histogram `name{labels}` with the given
     /// bucket bounds (ascending, in seconds). Panics if the family
     /// already exists with a different layout.
-    pub fn histogram(
+    pub(crate) fn histogram(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let data = self.series(name, help, MetricKind::Histogram, labels, Some(bounds));
-        match data {
-            SeriesHandle::Histogram(h) => h,
-            _ => unreachable!("kind checked in series()"),
+        match self.series(name, help, MetricKind::Histogram, labels, Some(bounds)) {
+            SeriesData::Histogram(h) => h,
+            _ => unreachable!("kind checked in family()"),
         }
     }
 
@@ -403,41 +396,9 @@ impl Registry {
     /// which routes have been hit. Get-or-create like the handle
     /// constructors — re-declaring with a different kind, help, or
     /// bucket layout panics.
-    pub fn declare(&self, name: &str, help: &str, kind: MetricKind, bounds: Option<&[f64]>) {
-        if let Some(b) = bounds {
-            assert!(
-                b.windows(2).all(|w| w[0] < w[1]),
-                "histogram bounds must be strictly ascending"
-            );
-        }
-        assert!(valid_metric_name(name), "invalid metric name {name:?}");
+    pub(crate) fn declare(&self, name: &str, help: &str, kind: MetricKind, bounds: Option<&[f64]>) {
         let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind, kind,
-                    "metric {name} re-registered as a different kind"
-                );
-                assert_eq!(
-                    f.help, help,
-                    "metric {name} re-registered with different help"
-                );
-                if let (Some(have), Some(want)) = (&f.bounds, bounds) {
-                    assert_eq!(
-                        &have[..],
-                        want,
-                        "histogram {name} re-registered with a different bucket layout"
-                    );
-                }
-            }
-            None => families.push(Family {
-                name: name.to_owned(),
-                help: help.to_owned(),
-                kind,
-                bounds: bounds.map(Arc::from),
-                series: Vec::new(),
-            }),
-        }
+        family(&mut families, name, help, kind, bounds);
     }
 
     fn series(
@@ -447,8 +408,7 @@ impl Registry {
         kind: MetricKind,
         labels: &[(&str, &str)],
         bounds: Option<&[f64]>,
-    ) -> SeriesHandle {
-        assert!(valid_metric_name(name), "invalid metric name {name:?}");
+    ) -> SeriesData {
         for (k, _) in labels {
             assert!(valid_label_name(k), "invalid label name {k:?} on {name}");
         }
@@ -457,42 +417,9 @@ impl Registry {
             .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
             .collect();
         let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert_eq!(
-                    f.kind, kind,
-                    "metric {name} re-registered as a different kind"
-                );
-                assert_eq!(
-                    f.help, help,
-                    "metric {name} re-registered with different help"
-                );
-                if let (Some(have), Some(want)) = (&f.bounds, bounds) {
-                    assert_eq!(
-                        &have[..],
-                        want,
-                        "histogram {name} re-registered with a different bucket layout"
-                    );
-                }
-                f
-            }
-            None => {
-                families.push(Family {
-                    name: name.to_owned(),
-                    help: help.to_owned(),
-                    kind,
-                    bounds: bounds.map(Arc::from),
-                    series: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
+        let family = family(&mut families, name, help, kind, bounds);
         if let Some(series) = family.series.iter().find(|s| s.labels == labels) {
-            return match &series.data {
-                SeriesData::Counter(c) => SeriesHandle::Counter(c.clone()),
-                SeriesData::Gauge(g) => SeriesHandle::Gauge(g.clone()),
-                SeriesData::Histogram(h) => SeriesHandle::Histogram(h.clone()),
-            };
+            return series.data.clone();
         }
         let data = match kind {
             MetricKind::Counter => SeriesData::Counter(Counter(Arc::new(AtomicU64::new(0)))),
@@ -502,13 +429,11 @@ impl Registry {
                 SeriesData::Histogram(Histogram(Arc::new(HistogramCore::new(bounds))))
             }
         };
-        let handle = match &data {
-            SeriesData::Counter(c) => SeriesHandle::Counter(c.clone()),
-            SeriesData::Gauge(g) => SeriesHandle::Gauge(g.clone()),
-            SeriesData::Histogram(h) => SeriesHandle::Histogram(h.clone()),
-        };
-        family.series.push(Series { labels, data });
-        handle
+        family.series.push(Series {
+            labels,
+            data: data.clone(),
+        });
+        data
     }
 
     /// Renders the whole registry in the text exposition format (see
@@ -516,7 +441,7 @@ impl Registry {
     /// Families appear in registration order, series in per-family
     /// registration order — deterministic, which the golden-format test
     /// pins.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for family in families.iter() {
@@ -543,9 +468,9 @@ impl Registry {
                         );
                     }
                     SeriesData::Histogram(h) => {
-                        let snap = h.snapshot();
+                        let (bins, sum_secs) = h.snapshot();
                         let mut cum = 0u64;
-                        for (bound, &bin) in snap.bounds().iter().zip(snap.bins()) {
+                        for (bound, &bin) in h.0.bounds.iter().zip(&bins) {
                             cum += bin;
                             let _ = writeln!(
                                 out,
@@ -555,7 +480,7 @@ impl Registry {
                                 cum
                             );
                         }
-                        cum += snap.bins().last().copied().unwrap_or(0);
+                        cum += bins.last().copied().unwrap_or(0);
                         let _ = writeln!(
                             out,
                             "{}_bucket{} {}",
@@ -568,7 +493,7 @@ impl Registry {
                             "{}_sum{} {}",
                             family.name,
                             label_block(&series.labels, None),
-                            fmt_f64(snap.sum_secs())
+                            fmt_f64(sum_secs)
                         );
                         let _ = writeln!(
                             out,
@@ -583,13 +508,6 @@ impl Registry {
         }
         out
     }
-}
-
-/// Marker for which handle kind `series()` hands back.
-enum SeriesHandle {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
 }
 
 /// `{a="x",b="y"}` (or `{}`-less when empty), with an optional trailing
@@ -706,10 +624,9 @@ mod tests {
         h.observe(Duration::from_millis(5)); // ≤ 0.01
         h.observe(Duration::from_millis(5)); // ≤ 0.01
         h.observe(Duration::from_secs(1)); // overflow
-        let snap = h.snapshot();
-        assert_eq!(snap.bins(), &[1, 2, 0, 1]);
-        assert_eq!(snap.count(), 4);
-        assert!((snap.sum_secs() - 1.0105).abs() < 1e-9);
+        let (bins, sum_secs) = h.snapshot();
+        assert_eq!(bins, [1, 2, 0, 1]);
+        assert!((sum_secs - 1.0105).abs() < 1e-9);
         let text = reg.render();
         assert!(
             text.contains("lat_seconds_bucket{le=\"0.001\"} 1\n"),
@@ -737,20 +654,48 @@ mod tests {
         let reg = Registry::new();
         let h = reg.histogram("edge_seconds", "h", &[], &[0.001]);
         h.observe(Duration::from_millis(1));
-        assert_eq!(h.snapshot().bins(), &[1, 0]);
+        assert_eq!(h.snapshot().0, [1, 0]);
+    }
+
+    /// A count histogram's values reach far past what a `u64`
+    /// nanosecond sum holds: 200 signature costs of 10⁸ sum to 2·10¹⁰
+    /// "seconds", 2·10¹⁹ ns. The sum must render exactly and never move
+    /// backwards between scrapes.
+    #[test]
+    fn count_histogram_sum_never_wraps() {
+        let reg = Registry::new();
+        let h = reg.histogram("cost", "h", &[], &[1.0, 1e8]);
+        let mut pages = Vec::new();
+        for _ in 0..2 {
+            for _ in 0..100 {
+                h.observe_secs(1e8);
+            }
+            pages.push(reg.render());
+        }
+        assert!(
+            pages[0].contains("\ncost_sum 10000000000\n"),
+            "{}",
+            pages[0]
+        );
+        assert!(
+            pages[1].contains("\ncost_sum 20000000000\n"),
+            "{}",
+            pages[1]
+        );
+        assert!(pages[1].contains("\ncost_count 200\n"), "{}", pages[1]);
+        let prev = expo::parse_text(&pages[0]).unwrap();
+        let cur = expo::parse_text(&pages[1]).unwrap();
+        assert_eq!(expo::lint(Some(&prev), &cur), Vec::<String>::new());
     }
 
     #[test]
-    fn snapshots_merge_binwise() {
+    fn duration_sums_are_exact_whole_nanoseconds() {
         let reg = Registry::new();
-        let a = reg.histogram("m_seconds", "h", &[("shard", "0")], &LATENCY_BUCKETS);
-        let b = reg.histogram("m_seconds", "h", &[("shard", "1")], &LATENCY_BUCKETS);
-        a.observe(Duration::from_micros(50));
-        b.observe(Duration::from_millis(50));
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count(), 2);
-        assert!((merged.sum_secs() - 0.05005).abs() < 1e-9);
+        let h = reg.histogram("lat_seconds", "h", &[], &LATENCY_BUCKETS);
+        h.observe(Duration::from_nanos(1));
+        h.observe(Duration::from_nanos(123_456_789));
+        let text = reg.render();
+        assert!(text.contains("\nlat_seconds_sum 0.12345679\n"), "{text}");
     }
 
     #[test]
@@ -783,7 +728,7 @@ mod tests {
         }
     }
 
-    /// The ISSUE's torn-bucket test: 8 writer threads hammer one
+    /// The torn-bucket test: 8 writer threads hammer one
     /// histogram while a reader snapshots continuously. Totals must be
     /// conserved at the end, and every mid-flight snapshot must be
     /// bin-wise ≤ the final state with a count equal to its own bin sum
@@ -825,8 +770,7 @@ mod tests {
                     let mut snaps = 0usize;
                     let mut last_count = 0u64;
                     while !done.load(Ordering::Relaxed) {
-                        let snap = h.snapshot();
-                        let count = snap.count();
+                        let count: u64 = h.snapshot().0.iter().sum();
                         assert!(count <= THREADS as u64 * PER_THREAD, "overcounted bins");
                         assert!(count >= last_count, "bin sum went backwards");
                         last_count = count;
@@ -839,16 +783,16 @@ mod tests {
             // Writers finish first; then release the reader.
             // (Scope joins writers only when the closure returns, so
             // park until the totals are all in.)
-            while h.snapshot().count() < THREADS as u64 * PER_THREAD {
+            while h.snapshot().0.iter().sum::<u64>() < THREADS as u64 * PER_THREAD {
                 std::thread::yield_now();
             }
             done.store(true, Ordering::Relaxed);
             let snaps = reader.join().expect("reader panicked");
             assert!(snaps > 0);
         });
-        let snap = h.snapshot();
+        let (bins, sum_secs) = h.snapshot();
         assert_eq!(
-            snap.count(),
+            bins.iter().sum::<u64>(),
             THREADS as u64 * PER_THREAD,
             "observations lost"
         );
@@ -856,6 +800,6 @@ mod tests {
         let expected: u64 = (0..THREADS as u64)
             .flat_map(|t| (0..PER_THREAD).map(move |i| 1u64 << ((i + t) % 34)))
             .sum();
-        assert!((snap.sum_secs() - expected as f64 / 1e9).abs() < 1e-6);
+        assert!((sum_secs - expected as f64 / 1e9).abs() < 1e-6);
     }
 }

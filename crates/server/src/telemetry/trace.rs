@@ -2,7 +2,7 @@
 //! hierarchical [`SpanRecord`]s with monotonic offsets, durations, and
 //! typed attributes, retained in a bounded ring of completed traces.
 //!
-//! Aggregate metrics (the [`Registry`](crate::Registry)) answer "how is
+//! Aggregate metrics (the [`Registry`](super::Registry)) answer "how is
 //! the service doing"; a trace answers "why was *this* request slow" —
 //! which filter stage ate the time, which shard straggled, what the WAL
 //! fsync cost, how far the candidate set survived the check/NN funnel.
@@ -45,13 +45,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::json::{obj, Json};
+
 /// One typed span attribute value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttrValue {
+pub(crate) enum AttrValue {
     /// Unsigned counter-like values (funnel counts, byte sizes, seqs).
     U64(u64),
-    /// Floating-point values (scores, ratios).
-    F64(f64),
     /// Short descriptive strings.
     Str(String),
     /// Flags.
@@ -59,145 +59,109 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Renders the value as a JSON fragment.
-    fn render_json(&self, out: &mut String) {
+    /// The value as JSON.
+    fn to_json(&self) -> Json {
         match self {
-            Self::U64(v) => out.push_str(&v.to_string()),
-            Self::F64(v) if v.is_finite() => out.push_str(&v.to_string()),
-            // JSON has no NaN/Inf literal; a null is still valid JSON.
-            Self::F64(_) => out.push_str("null"),
-            Self::Str(s) => push_json_string(out, s),
-            Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Self::U64(v) => Json::Num(*v as f64),
+            Self::Str(s) => Json::Str(s.clone()),
+            Self::Bool(b) => Json::Bool(*b),
         }
     }
 }
 
 /// Index of a span inside its trace (the root is always index 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanId(u32);
+pub(crate) struct SpanId(u32);
 
 /// The root span every [`TraceCollector`] starts with.
-pub const ROOT: SpanId = SpanId(0);
+pub(crate) const ROOT: SpanId = SpanId(0);
 
 /// One completed span: a named slice of its trace's timeline, linked to
 /// a parent span, with typed attributes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// The span kind — a small closed vocabulary (`http`, `shard`,
     /// `stage`, `verify`, `explain`, `wal_write`, `wal_fsync`,
     /// `group_commit_wait`, `group_commit_lead`, `snapshot`,
     /// `compaction`, `apply`, …), never request data.
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Parent span index; `None` only for the root.
-    pub parent: Option<u32>,
+    pub(crate) parent: Option<u32>,
     /// Start offset from the trace's start, in microseconds.
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// Duration in microseconds.
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
     /// Typed attributes (funnel counts, shard index, record counts…).
-    pub attrs: Vec<(&'static str, AttrValue)>,
+    pub(crate) attrs: Vec<(&'static str, AttrValue)>,
 }
 
 /// One captured request: an id (the service's request id, echoed as
 /// `X-Request-Id`), the route, the response status, and the span tree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Trace {
+pub(crate) struct Trace {
     /// Trace id — identical to the request id in logs and the
     /// `X-Request-Id` response header.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Canonical route label of the request.
-    pub route: &'static str,
+    pub(crate) route: &'static str,
     /// HTTP status the request answered with.
-    pub status: u16,
+    pub(crate) status: u16,
     /// True when the trace was kept because the request met the
     /// slow-query threshold (as opposed to 1-in-N sampling).
-    pub slow: bool,
+    pub(crate) slow: bool,
     /// Whole-request duration in microseconds (the root span's).
-    pub dur_us: u64,
+    pub(crate) dur_us: u64,
     /// Spans, root first; `parent` indices point into this vector.
-    pub spans: Vec<SpanRecord>,
+    pub(crate) spans: Vec<SpanRecord>,
 }
 
 impl Trace {
-    /// Renders the trace as one JSON object (the `/debug/traces`
-    /// element format, version 1).
-    pub fn render_json(&self, out: &mut String) {
-        out.push_str(&format!("{{\"id\":{},\"route\":", self.id,));
-        push_json_string(out, self.route);
-        out.push_str(&format!(
-            ",\"status\":{},\"slow\":{},\"duration_us\":{},\"spans\":[",
-            self.status, self.slow, self.dur_us
-        ));
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":");
-            push_json_string(out, span.kind);
-            match span.parent {
-                Some(p) => out.push_str(&format!(",\"parent\":{p}")),
-                None => out.push_str(",\"parent\":null"),
-            }
-            out.push_str(&format!(
-                ",\"start_us\":{},\"duration_us\":{},\"attrs\":{{",
-                span.start_us, span.dur_us
-            ));
-            for (j, (key, value)) in span.attrs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_json_string(out, key);
-                out.push(':');
-                value.render_json(out);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
+    /// The trace as one `/debug/traces` element (format version 1).
+    fn to_json(&self) -> Json {
+        let num = |v: u64| Json::Num(v as f64);
+        let spans = self.spans.iter().map(|span| {
+            let attrs = span.attrs.iter();
+            obj(vec![
+                ("kind", Json::Str(span.kind.into())),
+                ("parent", span.parent.map_or(Json::Null, |p| num(p.into()))),
+                ("start_us", num(span.start_us)),
+                ("duration_us", num(span.dur_us)),
+                (
+                    "attrs",
+                    Json::Obj(attrs.map(|(k, v)| ((*k).into(), v.to_json())).collect()),
+                ),
+            ])
+        });
+        obj(vec![
+            ("id", num(self.id)),
+            ("route", Json::Str(self.route.into())),
+            ("status", num(self.status.into())),
+            ("slow", Json::Bool(self.slow)),
+            ("duration_us", num(self.dur_us)),
+            ("spans", Json::Arr(spans.collect())),
+        ])
     }
 }
 
 /// Renders a page of traces as the `/debug/traces` JSON document:
 /// `{"version":1,"traces":[…]}`, oldest first.
-pub fn render_traces(traces: &[Arc<Trace>]) -> String {
-    let mut out = String::with_capacity(64 + traces.len() * 256);
-    out.push_str("{\"version\":1,\"traces\":[");
-    for (i, trace) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        trace.render_json(&mut out);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Appends `s` as a JSON string literal (quotes + escapes).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+pub(crate) fn render_traces(traces: &[Arc<Trace>]) -> String {
+    let traces = traces.iter().map(|t| t.to_json()).collect();
+    obj(vec![
+        ("version", Json::Num(1.0)),
+        ("traces", Json::Arr(traces)),
+    ])
+    .to_string()
 }
 
 /// Builds one request's span tree. Created at the top of the request
 /// wrapper, carried through the handler, finished into a [`Trace`].
-///
-/// Spans come in two flavors: *live* spans bracket code that is about
-/// to run ([`start_span`](Self::start_span) / [`end_span`](Self::end_span)),
-/// and *retroactive* spans record work whose duration was measured
-/// elsewhere — per-shard `PhaseTiming`-style checkpoints, storage hook
-/// events — via [`add_span`](Self::add_span).
+/// Every span records work whose duration was measured elsewhere —
+/// per-shard `PhaseTiming`-style checkpoints via
+/// [`add_span`](Self::add_span), storage hook events via
+/// [`add_pending`](Self::add_pending).
 #[derive(Debug)]
-pub struct TraceCollector {
+pub(crate) struct TraceCollector {
     id: u64,
     route: &'static str,
     t0: Instant,
@@ -206,7 +170,7 @@ pub struct TraceCollector {
 
 impl TraceCollector {
     /// Starts a trace: the root span (kind `http`) opens now.
-    pub fn begin(id: u64, route: &'static str) -> Self {
+    pub(crate) fn begin(id: u64, route: &'static str) -> Self {
         Self {
             id,
             route,
@@ -222,33 +186,12 @@ impl TraceCollector {
     }
 
     /// Microseconds elapsed since the trace began.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.t0.elapsed().as_micros() as u64
     }
 
-    /// Opens a live span starting now; close it with
-    /// [`end_span`](Self::end_span).
-    pub fn start_span(&mut self, parent: SpanId, kind: &'static str) -> SpanId {
-        let start_us = self.now_us();
-        self.push(SpanRecord {
-            kind,
-            parent: Some(parent.0),
-            start_us,
-            dur_us: 0,
-            attrs: Vec::new(),
-        })
-    }
-
-    /// Closes a live span: duration = now − its start.
-    pub fn end_span(&mut self, span: SpanId) {
-        let now = self.now_us();
-        if let Some(record) = self.spans.get_mut(span.0 as usize) {
-            record.dur_us = now.saturating_sub(record.start_us);
-        }
-    }
-
     /// Records a span whose timing was measured elsewhere.
-    pub fn add_span(
+    pub(crate) fn add_span(
         &mut self,
         parent: SpanId,
         kind: &'static str,
@@ -265,21 +208,21 @@ impl TraceCollector {
     }
 
     /// Attaches one typed attribute to a span.
-    pub fn attr(&mut self, span: SpanId, key: &'static str, value: AttrValue) {
+    pub(crate) fn attr(&mut self, span: SpanId, key: &'static str, value: AttrValue) {
         if let Some(record) = self.spans.get_mut(span.0 as usize) {
             record.attrs.push((key, value));
         }
     }
 
     /// Shorthand for the most common attribute type.
-    pub fn attr_u64(&mut self, span: SpanId, key: &'static str, value: u64) {
+    pub(crate) fn attr_u64(&mut self, span: SpanId, key: &'static str, value: u64) {
         self.attr(span, key, AttrValue::U64(value));
     }
 
     /// Places a side-channel span on this trace's timeline: the
     /// emission instant is the span's end, so start = end − duration
     /// (clamped into the trace).
-    pub fn add_pending(&mut self, parent: SpanId, span: PendingSpan) -> SpanId {
+    pub(crate) fn add_pending(&mut self, parent: SpanId, span: PendingSpan) -> SpanId {
         let end_us = span.at.saturating_duration_since(self.t0).as_micros() as u64;
         let dur_us = span.dur.as_micros() as u64;
         self.push(SpanRecord {
@@ -292,7 +235,7 @@ impl TraceCollector {
     }
 
     /// Closes the root span and freezes the trace.
-    pub fn finish(mut self, status: u16, slow: bool) -> Trace {
+    pub(crate) fn finish(mut self, status: u16, slow: bool) -> Trace {
         let dur_us = self.now_us();
         self.spans[0].dur_us = dur_us;
         Trace {
@@ -324,45 +267,38 @@ struct Slot {
 /// The process-wide trace sink: sampling state plus the bounded ring of
 /// completed traces. One per service; handles are shared by `Arc`.
 #[derive(Debug)]
-pub struct Tracer {
+pub(crate) struct Tracer {
     slots: Box<[Mutex<Slot>]>,
     cursor: AtomicU64,
     /// 1-in-N sampling; 0 disables sampling (slow-query capture still
     /// records).
     sample: AtomicU64,
     ticks: AtomicU64,
-    recorded: AtomicU64,
 }
 
 impl Tracer {
     /// A tracer retaining up to `capacity` completed traces (clamped to
     /// ≥ 1), with sampling off.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             slots: (0..capacity).map(|_| Mutex::new(Slot::default())).collect(),
             cursor: AtomicU64::new(0),
             sample: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
         }
     }
 
     /// Sets 1-in-`n` sampling (`0` turns sampling off; slow-query
     /// capture is independent of this).
-    pub fn set_sample(&self, n: u64) {
+    pub(crate) fn set_sample(&self, n: u64) {
         self.sample.store(n, Ordering::Relaxed);
-    }
-
-    /// The current 1-in-N sampling rate (0 = off).
-    pub fn sample(&self) -> u64 {
-        self.sample.load(Ordering::Relaxed)
     }
 
     /// Draws this request's sampling decision: true for every Nth
     /// request under 1-in-N sampling. One relaxed fetch-add — the whole
     /// cost of tracing for a request that won't be captured.
-    pub fn should_sample(&self) -> bool {
+    pub(crate) fn should_sample(&self) -> bool {
         let n = self.sample.load(Ordering::Relaxed);
         if n == 0 {
             return false;
@@ -370,22 +306,11 @@ impl Tracer {
         self.ticks.fetch_add(1, Ordering::Relaxed).is_multiple_of(n)
     }
 
-    /// Total traces ever recorded (snapshots expose it so eviction is
-    /// observable: `recorded − capacity` traces have been dropped).
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// Number of traces the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Publishes one completed trace, evicting the oldest when full.
     /// The slot claim is a lock-free fetch-add; the publish itself
     /// takes only the claimed slot's lock (producers on different slots
     /// never contend).
-    pub fn record(&self, trace: Trace) {
+    pub(crate) fn record(&self, trace: Trace) {
         let n = self.cursor.fetch_add(1, Ordering::Relaxed);
         let seq = n + 1; // 0 marks an empty slot
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
@@ -396,13 +321,12 @@ impl Tracer {
             slot.seq = seq;
             slot.trace = Some(Arc::new(trace));
         }
-        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The retained traces, oldest first. Each slot is locked just long
     /// enough to clone its `Arc`, so a snapshot never tears a trace and
     /// never blocks producers for longer than one clone.
-    pub fn snapshot(&self) -> Vec<Arc<Trace>> {
+    pub(crate) fn snapshot(&self) -> Vec<Arc<Trace>> {
         let mut entries: Vec<(u64, Arc<Trace>)> = self
             .slots
             .iter()
@@ -420,17 +344,17 @@ impl Tracer {
 /// trace position is known; drained into the collector with
 /// [`TraceCollector::add_pending`].
 #[derive(Debug)]
-pub struct PendingSpan {
+pub(crate) struct PendingSpan {
     /// Span kind (same vocabulary as [`SpanRecord::kind`]).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// When the span was emitted — hooks fire *after* the work they
     /// describe, so this is the span's **end**; the collector derives
     /// the start as `at − dur`.
-    pub at: Instant,
+    pub(crate) at: Instant,
     /// Duration of the work the span describes.
-    pub dur: Duration,
+    pub(crate) dur: Duration,
     /// Typed attributes.
-    pub attrs: Vec<(&'static str, AttrValue)>,
+    pub(crate) attrs: Vec<(&'static str, AttrValue)>,
 }
 
 thread_local! {
@@ -442,7 +366,7 @@ thread_local! {
 /// dropped. Nested installs are not supported: the inner guard would
 /// steal the outer's spans, so the previous sink (if any) is replaced
 /// and restored empty.
-pub fn install_sink() -> SinkGuard {
+pub(crate) fn install_sink() -> SinkGuard {
     SINK.with(|sink| *sink.borrow_mut() = Some(Vec::new()));
     SinkGuard(())
 }
@@ -450,7 +374,7 @@ pub fn install_sink() -> SinkGuard {
 /// Records one span into the thread-local sink; a no-op (one
 /// thread-local read) when no sink is installed — which is why
 /// unconditional `emit` calls on hot paths are safe.
-pub fn emit(kind: &'static str, dur: Duration, attrs: Vec<(&'static str, AttrValue)>) {
+pub(crate) fn emit(kind: &'static str, dur: Duration, attrs: Vec<(&'static str, AttrValue)>) {
     SINK.with(|sink| {
         if let Some(pending) = sink.borrow_mut().as_mut() {
             pending.push(PendingSpan {
@@ -466,11 +390,11 @@ pub fn emit(kind: &'static str, dur: Duration, attrs: Vec<(&'static str, AttrVal
 /// Uninstalls the thread-local sink on drop; [`drain`](Self::drain)
 /// takes the collected spans first.
 #[derive(Debug)]
-pub struct SinkGuard(());
+pub(crate) struct SinkGuard(());
 
 impl SinkGuard {
     /// Takes everything emitted since the sink was installed.
-    pub fn drain(&self) -> Vec<PendingSpan> {
+    pub(crate) fn drain(&self) -> Vec<PendingSpan> {
         SINK.with(|sink| {
             sink.borrow_mut()
                 .as_mut()
@@ -501,10 +425,9 @@ mod tests {
     #[test]
     fn collector_builds_a_parented_tree() {
         let mut c = TraceCollector::begin(7, "/search");
-        let live = c.start_span(ROOT, "dispatch");
-        let child = c.add_span(live, "stage", 3, Duration::from_micros(11));
+        let shard = c.add_span(ROOT, "shard", 0, Duration::from_micros(20));
+        let child = c.add_span(shard, "stage", 3, Duration::from_micros(11));
         c.attr(child, "candidates", AttrValue::U64(42));
-        c.end_span(live);
         let trace = c.finish(200, true);
         assert_eq!(trace.id, 7);
         assert!(trace.slow);
@@ -541,8 +464,6 @@ mod tests {
         }
         let kept: Vec<u64> = tracer.snapshot().iter().map(|t| t.id).collect();
         assert_eq!(kept, vec![7, 8, 9, 10], "newest 4 survive, in order");
-        assert_eq!(tracer.recorded(), 10);
-        assert_eq!(tracer.capacity(), 4);
     }
 
     #[test]
@@ -588,7 +509,6 @@ mod tests {
                 }
             });
         });
-        assert_eq!(tracer.recorded(), WRITERS * PER_WRITER);
         assert_eq!(tracer.snapshot().len(), 16);
     }
 
@@ -601,36 +521,13 @@ mod tests {
             "note",
             AttrValue::Str("say \"hi\"\n\tdone\u{1}".into()),
         );
-        c.attr(span, "ratio", AttrValue::F64(0.5));
-        c.attr(span, "nan", AttrValue::F64(f64::NAN));
         c.attr(span, "ok", AttrValue::Bool(true));
         let page = render_traces(&[Arc::new(c.finish(200, false))]);
         assert!(page.starts_with("{\"version\":1,\"traces\":["), "{page}");
         assert!(page.contains("\"kind\":\"shard\""), "{page}");
         assert!(page.contains("\\\"hi\\\"\\n\\tdone\\u0001"), "{page}");
-        assert!(page.contains("\"nan\":null"), "{page}");
         assert!(page.contains("\"ok\":true"), "{page}");
-        // Balanced braces/brackets outside string literals — a cheap
-        // well-formedness proxy the fuzz test in the server crate
-        // strengthens with a real parser.
-        let mut depth = 0i64;
-        let mut in_str = false;
-        let mut escape = false;
-        for c in page.chars() {
-            if escape {
-                escape = false;
-                continue;
-            }
-            match c {
-                '\\' if in_str => escape = true,
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0, "{page}");
+        assert!(Json::parse(&page).is_ok(), "{page}");
     }
 
     #[test]

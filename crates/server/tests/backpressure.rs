@@ -28,6 +28,18 @@ fn service(max_inflight: usize) -> SearchService {
         .with_max_inflight_updates(max_inflight)
 }
 
+/// Requests inside the service's handler besides the `/metrics` scrape
+/// that reads the count (the page's in-flight gauge includes it).
+fn other_requests_in_flight(service: &SearchService) -> i64 {
+    let page = service.handle(&Request::new("GET", "/metrics", Vec::new()));
+    let page = String::from_utf8(page.body).unwrap();
+    let gauge = page
+        .lines()
+        .find_map(|l| l.strip_prefix("silkmoth_http_inflight_requests "))
+        .expect("the in-flight gauge is on the page");
+    gauge.parse::<i64>().unwrap() - 1
+}
+
 fn append_request() -> Request {
     Request::new(
         "POST",
@@ -98,7 +110,7 @@ fn rejected_updates_carry_retry_after_on_the_wire() {
     // Let that append get inside the handler before the first probe is
     // even sent, or a probe can take the slot and it is the in-process
     // append that gets the 503.
-    while service.metrics().inflight().get() == 0 {
+    while other_requests_in_flight(&service) == 0 {
         std::thread::yield_now();
     }
 
