@@ -24,7 +24,9 @@ use std::collections::BinaryHeap;
 use crate::config::{EngineConfig, FilterKind, FILTER_EPS};
 use crate::explain::{new_record, recorded, Record, Verdict::*};
 use crate::phi::Phi;
-use crate::signature::{generate, SigElem, SigKind, SigParams, Signature};
+use crate::signature::{
+    generate, sim_thresh_cap, unit_pool, SigElem, SigKind, SigParams, Signature,
+};
 use crate::verify::{matching_score_over, need, related_at, relatedness, size_check};
 use silkmoth_collection::{Collection, ElemId, Element, InvertedIndex, SetIdx, SetRecord};
 use silkmoth_matching::Edge;
@@ -102,6 +104,9 @@ pub struct PassStats {
     pub signature_cost: u64,
     /// 1 when no valid signature existed (degenerate pass).
     pub degenerate: u32,
+    /// Posting-run lookups the nearest-neighbor filter made: one per
+    /// token it probed in a candidate set.
+    pub nn_probes: u64,
 }
 
 impl PassStats {
@@ -116,6 +121,7 @@ impl PassStats {
         self.reduced_pairs += other.reduced_pairs;
         self.signature_cost += other.signature_cost;
         self.degenerate += other.degenerate;
+        self.nn_probes += other.nn_probes;
     }
 }
 
@@ -194,6 +200,10 @@ struct Scratch {
     visited: Stamped<()>,
     /// φα between the reference's elements and stored ones, for one pass.
     phis: PhiMemo,
+    /// The φ the posting walk took for the reference element it is at.
+    walk_cache: WalkCache,
+    /// The tokens the nearest-neighbor filter probes, for one pass.
+    probes: ProbeLists,
     /// The positive cells of the pair being solved.
     edges: Vec<Edge>,
 }
@@ -456,6 +466,149 @@ impl SlotMap {
     }
 }
 
+/// A direct-mapped cache in front of the φ table for the posting walk:
+/// the φα it took for the reference element it is at, by element id, in
+/// few enough cells to stay in a core's first-level cache. Where the
+/// corpus repeats its elements the walk meets the same id at posting
+/// after posting, and a hit here costs neither the table's hash nor its
+/// probe. A cell holds what the table returned, so a hit has the table's
+/// bits and the table's count of evaluations does not change. Moving on
+/// to the next reference element moves to the next version, so nothing
+/// is cleared between elements or passes.
+#[derive(Debug, Default)]
+struct WalkCache {
+    /// `(stamp, id, φα)`; a cell is taken where its stamp equals
+    /// `version`. Stamp 0 is never current.
+    cells: Vec<(u32, ElemId, f64)>,
+    version: u32,
+}
+
+/// The cells of a [`WalkCache`]: 8 kB.
+const WALK_CACHE_CELLS: usize = 512;
+
+impl WalkCache {
+    /// Makes the cells, once per thread.
+    fn allocate(&mut self) {
+        if self.cells.is_empty() {
+            self.cells = vec![(0, 0, 0.0); WALK_CACHE_CELLS];
+        }
+    }
+
+    /// Starts on the next reference element: every cell is stale.
+    fn next_element(&mut self) {
+        if self.version == u32::MAX {
+            // As `Stamped::begin`: a stamp from the first round would
+            // match the second's.
+            self.cells.iter_mut().for_each(|cell| cell.0 = 0);
+            self.version = 0;
+        }
+        self.version += 1;
+    }
+
+    /// φα of stored element `id` for the current reference element: read
+    /// back, or taken from the table by `miss` and kept.
+    #[inline]
+    fn phi(&mut self, id: ElemId, miss: impl FnOnce() -> f64) -> f64 {
+        let cell = &mut self.cells[id as usize % WALK_CACHE_CELLS];
+        if cell.0 == self.version && cell.1 == id {
+            return cell.2;
+        }
+        let sim = miss();
+        *cell = (self.version, id, sim);
+        sim
+    }
+}
+
+/// The tokens the nearest-neighbor filter probes after a walk, per
+/// reference element of one pass, each list chosen the first time the
+/// pass searches for its element (see [`Searcher::nn_search`]).
+#[derive(Debug, Default)]
+struct ProbeLists {
+    /// Per reference element, its list's range in `tokens`, once chosen.
+    at: Vec<Option<(u32, u32)>>,
+    tokens: Vec<TokenId>,
+}
+
+impl ProbeLists {
+    /// Starts a pass over a reference of `elements` elements: none
+    /// chosen.
+    fn begin(&mut self, elements: usize) {
+        self.at.clear();
+        self.at.resize(elements, None);
+        self.tokens.clear();
+    }
+
+    /// The tokens to probe for rᵢ after a walk over its signature tokens
+    /// `sig`, chosen the first time they are asked for.
+    fn after_walk(
+        &mut self,
+        i: usize,
+        r_elem: &Element,
+        sig: &[TokenId],
+        (kind, alpha): (SigKind, f64),
+        index: &InvertedIndex,
+    ) -> &[TokenId] {
+        let (start, end) = match self.at[i] {
+            Some(at) => at,
+            None => {
+                let at = self.choose(r_elem, sig, (kind, alpha), index);
+                *self.at[i].insert(at)
+            }
+        };
+        &self.tokens[start as usize..end as usize]
+    }
+
+    /// Without a sim-thresh cap, every token outside `sig`. With one, the
+    /// units `sig` holds are covered, and tokens outside it are added, the
+    /// cheapest posting list per unit first as the signature greedy takes
+    /// them, until the units covered reach the cap; a token the index
+    /// holds no posting of comes first and covers its units unprobed: no
+    /// element of `S` holds it.
+    fn choose(
+        &mut self,
+        r_elem: &Element,
+        sig: &[TokenId],
+        (kind, alpha): (SigKind, f64),
+        index: &InvertedIndex,
+    ) -> (u32, u32) {
+        let start = self.tokens.len() as u32;
+        let (size, units) = (
+            r_elem.size(kind.is_edit()),
+            r_elem.signature_pool_len(kind.is_edit()),
+        );
+        let outside = |t: &TokenId| sig.binary_search(t).is_err();
+        let Some(cap) = sim_thresh_cap(size, units, alpha, kind) else {
+            self.tokens
+                .extend(r_elem.tokens().iter().copied().filter(outside));
+            return (start, self.tokens.len() as u32);
+        };
+        let mut covered = 0;
+        let mut rest: Vec<(usize, u32, TokenId)> = Vec::new();
+        for (t, m) in unit_pool(r_elem, kind) {
+            if outside(&t) {
+                rest.push((index.cost(t), m, t));
+            } else {
+                covered += m as usize;
+            }
+        }
+        rest.sort_unstable_by(|a, b| {
+            (a.0 * b.1 as usize)
+                .cmp(&(b.0 * a.1 as usize))
+                .then(a.2.cmp(&b.2))
+        });
+        for (cost, m, t) in rest {
+            if covered >= cap {
+                break;
+            }
+            covered += m as usize;
+            if cost > 0 {
+                self.tokens.push(t);
+            }
+        }
+        (start, self.tokens.len() as u32)
+    }
+}
+
 /// A candidate's **positive cells**: `max φα(rᵢ, s)` over the postings of
 /// rᵢ's signature tokens in the candidate set, for the `i` where that is
 /// above 0. The cells of all candidates share one arena, each candidate's
@@ -630,11 +783,22 @@ impl<'a> Searcher<'a> {
         // ---- Candidate selection, with the similarities the check filter
         // decides on ------------------------------------------------------
         // A candidate comes from a posting of a signature token.
-        let Scratch { slots, phis, .. } = &mut self.scratch;
+        let walked = compute_sims && !signature.degenerate;
+        let Scratch {
+            slots,
+            phis,
+            walk_cache,
+            probes,
+            ..
+        } = &mut self.scratch;
         slots.begin(self.collection.len());
-        // The column summaries first: a block allocated behind the φ
-        // table would keep it from growing where it lies, and a table
-        // that moves is copied, capacity and all.
+        if walked {
+            probes.begin(n);
+        }
+        // The walk cache and the column summaries first: a block
+        // allocated behind the φ table would keep it from growing where
+        // it lies, and a table that moves is copied, capacity and all.
+        walk_cache.allocate();
         phis.cols.reserve(COLUMNS_RESERVED);
         phis.cols.begin(COLUMNS_START);
         phis.cells.reserve(stats.signature_cost as usize);
@@ -673,9 +837,10 @@ impl<'a> Searcher<'a> {
             for (i, sig_elem) in signature.elems.iter().enumerate() {
                 let r_elem = &r.elements[i];
                 let reaches = check_thr[i] - 1e-12;
+                walk_cache.next_element();
                 // The lists are walked where they lie. A `(set, id)` that
-                // several of them hold costs a table hit each time, and
-                // `max` does not mind the repeat.
+                // several of them hold costs a cache or table hit each
+                // time, and `max` does not mind the repeat.
                 for p in sig_elem.tokens.iter().flat_map(|&t| self.index.list(t)) {
                     let sid = p.set;
                     // Locate or admit the candidate slot; a set that is
@@ -692,8 +857,9 @@ impl<'a> Searcher<'a> {
                         slot
                     };
                     if compute_sims {
-                        let sim =
-                            phis.phi(&self.phi, self.collection, (i, r_elem), p.id, &mut stats);
+                        let sim = walk_cache.phi(p.id, || {
+                            phis.phi(&self.phi, self.collection, (i, r_elem), p.id, &mut stats)
+                        });
                         let cand = &mut admitted[slot];
                         cand.passed |= sim >= reaches;
                         if sim > 0.0 {
@@ -761,7 +927,6 @@ impl<'a> Searcher<'a> {
             });
         }
 
-        let walked = compute_sims && !signature.degenerate;
         StagedPass {
             cells,
             ub,
@@ -847,16 +1012,28 @@ impl<'a> Searcher<'a> {
     /// via the inverted index, exact except in the edit-similarity regime
     /// where elements sharing no q-gram can still clear α (then the §7.1
     /// chunk bound is folded in). The elements of `S` come from the
-    /// postings, by id, and their similarities from the pass's φ table,
-    /// evaluated here only where the pass has not met the pair before.
+    /// postings of the tokens it probes, by id, and their similarities
+    /// from the pass's φ table, evaluated here only where the pass has not
+    /// met the pair before.
     ///
     /// `walked` is rᵢ's signature tokens and `bᵢ`, when the posting walk
     /// took φ at every posting of them in `S`. Where an element sharing no
     /// token with rᵢ scores exactly 0 (Jaccard; edit similarity whose
     /// chunk bound α clamps), the nearest neighbor is then `bᵢ` or an
     /// element reached through one of rᵢ's other tokens — §5.2's
-    /// computation reuse: only those tokens are searched, and no element
-    /// needs marking, since meeting one twice only takes a maximum again.
+    /// computation reuse — and no element needs marking, since meeting one
+    /// twice only takes a maximum again. Which other tokens:
+    ///
+    /// - With a sim-thresh cap (α > 0, §6.1; §7.2 in q-chunks), only
+    ///   enough of them that, with the signature's, they cover `cap(rᵢ)`
+    ///   units (see [`ProbeLists`]). An element of `S` holding none of
+    ///   those units misses at least the cap of rᵢ's, so φ(rᵢ, s) < α and
+    ///   φα(rᵢ, s) = 0: it cannot raise the maximum, and the value is the
+    ///   one a search of every token finds, bit for bit.
+    /// - Without one, every token outside the signature.
+    ///
+    /// With no walk to reuse, every token of rᵢ is probed, and each
+    /// element of `S` is taken once.
     fn nn_search(
         &mut self,
         i: usize,
@@ -874,21 +1051,27 @@ impl<'a> Searcher<'a> {
         let unshared = self.phi.no_shared_token_bound(r_elem);
         let walked = walked.filter(|_| unshared == 0.0);
         let marking = walked.is_none();
-        let Scratch { visited, phis, .. } = &mut self.scratch;
-        if marking {
-            visited.begin(self.collection.max_set_len());
-        }
-        let (walked, mut best) = walked.unwrap_or((&[][..], 0.0));
-        let mut walked = walked.iter().peekable();
+        let Scratch {
+            visited,
+            phis,
+            probes,
+            ..
+        } = &mut self.scratch;
+        // The tokens to probe, and the nearest neighbor so far.
+        let (probed, mut best) = match walked {
+            None => {
+                visited.begin(self.collection.max_set_len());
+                (r_elem.tokens(), 0.0)
+            }
+            Some((sig, b)) => {
+                let params = (self.kind, self.cfg.alpha);
+                (probes.after_walk(i, r_elem, sig, params, self.index), b)
+            }
+        };
         // Element positions of S met so far.
         let mut seen = 0usize;
-        for &t in r_elem.tokens() {
-            // Both lists are sorted: step past the signature tokens below
-            // `t`, and over `t` if it is one.
-            while walked.next_if(|&&w| w < t).is_some() {}
-            if walked.next_if_eq(&&t).is_some() {
-                continue;
-            }
+        for &t in probed {
+            stats.nn_probes += 1;
             // The id whose postings in this list are being counted: a
             // text S holds twice is two postings, next to each other, in
             // every list that has it.
@@ -1365,31 +1548,88 @@ mod tests {
         }
     }
 
-    /// `nn_search` with nothing remembered: φ straight from the elements
-    /// of the set, position by position. Also notes the pairs it touched.
+    /// The tokens of rᵢ whose postings a nearest-neighbor search meets:
+    /// every token, except after a walk over rᵢ's signature tokens `sig`
+    /// where rᵢ has a sim-thresh cap. There they are `sig` and as many
+    /// more, cheapest posting list per unit first (then the smaller
+    /// token), as it takes to cover `cap(rᵢ)` units: tokens for Jaccard,
+    /// q-chunk occurrences for edit similarity.
+    fn probe_model(
+        r_elem: &Element,
+        sig: Option<&[TokenId]>,
+        cfg: &EngineConfig,
+        index: &InvertedIndex,
+    ) -> Vec<TokenId> {
+        let every = r_elem.tokens().to_vec();
+        let Some(sig) = sig else { return every };
+        let kind = SigKind::of(cfg.similarity);
+        let mut units: Vec<(TokenId, usize)> = if kind.is_edit() {
+            let mut chunks = r_elem.chunks().to_vec();
+            chunks.sort_unstable();
+            chunks.dedup();
+            let count = |t| r_elem.chunks().iter().filter(|&&c| c == t).count();
+            chunks.into_iter().map(|t| (t, count(t))).collect()
+        } else {
+            every.iter().map(|&t| (t, 1)).collect()
+        };
+        let all = units.iter().map(|u| u.1).sum();
+        let size = r_elem.size(kind.is_edit());
+        let Some(cap) = sim_thresh_cap(size, all, cfg.alpha, kind) else {
+            return every;
+        };
+        let mut covered: usize = units
+            .iter()
+            .filter(|u| sig.contains(&u.0))
+            .map(|u| u.1)
+            .sum();
+        units.retain(|u| !sig.contains(&u.0));
+        units.sort_by(|&(a, m), &(b, n)| {
+            (index.cost(a) * n)
+                .cmp(&(index.cost(b) * m))
+                .then(a.cmp(&b))
+        });
+        let mut probed = sig.to_vec();
+        for (t, m) in units {
+            if covered >= cap {
+                break;
+            }
+            probed.push(t);
+            covered += m;
+        }
+        probed
+    }
+
+    /// `nn_search` with nothing remembered: φα straight from the elements
+    /// of the set. Where an element sharing no token with rᵢ scores 0
+    /// that is the definitional maximum over S; elsewhere the elements
+    /// sharing none are bounded by `no_shared_token_bound`. Also notes
+    /// the pairs the search meets: the elements holding a `probed` token.
     fn nn_reference(
         phi: &Phi,
-        i: usize,
-        r_elem: &Element,
+        (i, r_elem): (usize, &Element),
         s_set: &SetRecord,
+        probed: &[TokenId],
         touched: &mut Vec<(usize, ElemId)>,
     ) -> f64 {
-        if r_elem.tokens().is_empty() {
-            let has_empty = s_set.elements.iter().any(|e| e.tokens().is_empty());
-            return if has_empty { 1.0 } else { 0.0 };
-        }
-        let mut best = 0.0f64;
-        let mut all_share = true;
+        let holds =
+            |s_elem: &Element, tokens: &[TokenId]| tokens.iter().any(|&t| s_elem.contains_token(t));
         for s_elem in s_set.elements.iter() {
-            if r_elem.tokens().iter().any(|&t| s_elem.contains_token(t)) {
+            if holds(s_elem, probed) {
                 touched.push((i, s_elem.id().unwrap()));
-                best = best.max(phi.eval(r_elem, s_elem));
-            } else {
-                all_share = false;
             }
         }
-        if !all_share {
-            best = best.max(phi.no_shared_token_bound(r_elem));
+        let unshared = phi.no_shared_token_bound(r_elem);
+        if unshared == 0.0 || r_elem.tokens().is_empty() {
+            let each = s_set.elements.iter().map(|s_elem| phi.eval(r_elem, s_elem));
+            return each.fold(0.0, f64::max);
+        }
+        let mut best = 0.0f64;
+        for s_elem in s_set.elements.iter() {
+            best = best.max(if holds(s_elem, r_elem.tokens()) {
+                phi.eval(r_elem, s_elem)
+            } else {
+                unshared
+            });
         }
         best
     }
@@ -1409,12 +1649,15 @@ mod tests {
         row
     }
 
-    // What the φ table and the kept cells may never change. A staged
-    // pass keeps, bit for bit, the maximum of φ evaluated at every
-    // posting of the reference element's signature tokens — where that is
-    // above 0; the nearest-neighbor filter then admits and prunes exactly
-    // the candidates a search that remembers nothing would, whether it
-    // reuses what the walk found or searches every token — while φ was
+    // What the φ table, the walk cache, the kept cells and the probe
+    // lists may never change. A staged pass keeps, bit for bit, the
+    // maximum of φ evaluated at every posting of the reference element's
+    // signature tokens — where that is above 0; each nearest-neighbor
+    // search then finds, bit for bit, what a search that remembers
+    // nothing would — the maximum of φα over S where an element sharing
+    // no token scores 0 — whether it reuses what the walk found and
+    // probes up to the sim-thresh cap, or searches every token; so the
+    // filter admits and prunes exactly the same candidates — while φ was
     // evaluated once per (reference element, element id) the pass met,
     // not once per posting.
     #[test]
@@ -1422,8 +1665,9 @@ mod tests {
         // Nearest-neighbor searches made after a walk where an element
         // sharing no token scores 0 (the pass reuses the walk), after a
         // walk where it need not (Eds with α below the chunk bound), and
-        // in passes with no walk (degenerate signatures).
-        let (mut reused, mut searched, mut unwalked) = (0, 0, 0);
+        // in passes with no walk (degenerate signatures); and of the
+        // first, those the sim-thresh cap spared a token.
+        let (mut reused, mut searched, mut unwalked, mut capped) = (0, 0, 0, 0);
         proptest::run_cases(
             "memoised_stage_is_bit_equal_to_phi_per_posting",
             128,
@@ -1434,10 +1678,13 @@ mod tests {
                 // 1/2 to 2/3: α = 0.7 clamps the bound to 0 for every
                 // element, 0.65 for those of odd length, 0.3 and 0.5 for
                 // none; and at those two a small δ has no valid signature.
+                // Under Jaccard every α above 0 caps an element of |r|
+                // tokens at ⌊(1−α)|r|⌋+1 of them, fewer than |r| from
+                // |r| = 2 (α = 0.7) or 3 (α = 0.4, 0.5) on.
                 let alphas: &[f64] = if edit {
                     &[0.3, 0.5, 0.65, 0.7]
                 } else {
-                    &[0.0, 0.4]
+                    &[0.0, 0.4, 0.5, 0.7]
                 };
                 let cfg = random_config(rng, edit, alphas);
                 let mut c = Collection::build(&raw[..raw.len() / 2], cfg.tokenization());
@@ -1449,7 +1696,10 @@ mod tests {
                 let n = r.len();
 
                 let mut searcher = Searcher::new(&c, &index, cfg);
-                let mut pass = searcher.stage(&r, Restriction::default(), None);
+                // Explaining every set id admits what a plain pass does,
+                // and records each nearest-neighbor value the pass takes.
+                let every: Vec<SetIdx> = (0..c.len() as SetIdx).collect();
+                let mut pass = searcher.stage(&r, Restriction::default(), Some(&every));
                 let params = SigParams {
                     theta: cfg.delta * n as f64,
                     alpha: cfg.alpha,
@@ -1525,36 +1775,44 @@ mod tests {
 
                 // The queue in the order it will be popped, each candidate
                 // with the verdict of a nearest-neighbor filter that
-                // evaluates φ itself.
-                let want: Vec<(SetIdx, bool)> = queued
+                // evaluates φ itself, and the values it searched for.
+                let want: Vec<(SetIdx, bool, Vec<Option<f64>>)> = queued
                     .iter()
                     .zip(&rows)
                     .map(|(cand, row)| {
                         let s_set = c.set(cand.sid);
                         let need = need(cfg.metric, cfg.delta, n, s_set.len());
                         let mut total = cand.cheap;
+                        let mut searches = vec![None; n];
                         for (i, r_elem) in r.elements.iter().enumerate() {
                             let (b, ub) = (row[i], pass.ub[i]);
                             if b >= ub || ub == 0.0 {
                                 continue;
                             }
+                            let unshared = phi.no_shared_token_bound(r_elem);
+                            let sig = &signature.elems[i].tokens[..];
+                            let walk = (!signature.degenerate && unshared == 0.0).then_some(sig);
+                            let probed = probe_model(r_elem, walk, &cfg, &index);
                             if signature.degenerate {
                                 unwalked += 1;
-                            } else if phi.no_shared_token_bound(r_elem) == 0.0 {
+                            } else if unshared == 0.0 {
                                 reused += 1;
+                                let others = r_elem.tokens().iter().filter(|t| !sig.contains(t));
+                                capped += usize::from(probed.len() < sig.len() + others.count());
                             } else {
                                 searched += 1;
                             }
-                            let nn = nn_reference(&phi, i, r_elem, s_set, &mut touched);
+                            let nn = nn_reference(&phi, (i, r_elem), s_set, &probed, &mut touched);
+                            searches[i] = Some(nn.min(ub));
                             total += nn.min(ub) - ub;
                             if total < need - FILTER_EPS {
-                                return (cand.sid, false);
+                                return (cand.sid, false, searches);
                             }
                         }
-                        (cand.sid, true)
+                        (cand.sid, true, searches)
                     })
                     .collect();
-                for &(sid, admitted) in &want {
+                for &(sid, admitted, _) in &want {
                     match searcher.step(&r, &mut pass, cfg.delta) {
                         Step::Survivor(got) => prop_assert!(admitted && got == sid, "set {}", sid),
                         Step::Pruned => prop_assert!(!admitted, "set {}", sid),
@@ -1566,6 +1824,23 @@ mod tests {
                     Step::Done
                 ));
                 prop_assert_eq!(pass.stats.after_nn, want.iter().filter(|w| w.1).count());
+                // Each value the pass searched for, bit for bit, and no
+                // other.
+                for (sid, _, searches) in &want {
+                    let pair = recorded(&mut pass.record, *sid).unwrap();
+                    for (i, want) in searches.iter().enumerate() {
+                        let got = pair.elements[i].nearest_neighbor_sim;
+                        prop_assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "set {} element {}: {:?}, not {:?}",
+                            sid,
+                            i,
+                            got,
+                            want
+                        );
+                    }
+                }
                 // One evaluation per pair met, whichever filter met it first.
                 touched.sort_unstable();
                 touched.dedup();
@@ -1574,9 +1849,9 @@ mod tests {
             },
         );
         assert!(
-            reused > 0 && searched > 0 && unwalked > 0,
-            "nearest-neighbor searches: {reused} reusing the walk, {searched} after a walk \
-             searching every token, {unwalked} with no walk"
+            reused > 0 && searched > 0 && unwalked > 0 && capped > 0,
+            "nearest-neighbor searches: {reused} reusing the walk ({capped} spared a token by \
+             the cap), {searched} after a walk searching every token, {unwalked} with no walk"
         );
     }
 
@@ -1813,6 +2088,16 @@ mod tests {
         assert_eq!(map.get(phi_key(0, 0)), None);
     }
 
+    impl WalkCache {
+        /// As `Stamped::age_to_the_wrap`.
+        fn age_to_the_wrap(&mut self) {
+            for (i, cell) in self.cells.iter_mut().enumerate() {
+                cell.0 = 1 + (i % 3) as u32;
+            }
+            self.version = u32::MAX - 1;
+        }
+    }
+
     impl SlotMap {
         /// As `Stamped::age_to_the_wrap`, keeping the slots.
         fn age_to_the_wrap(&mut self) {
@@ -1897,6 +2182,7 @@ mod tests {
         scratch.visited.age_to_the_wrap();
         scratch.phis.cells.age_to_the_wrap();
         scratch.phis.cols.age_to_the_wrap();
+        scratch.walk_cache.age_to_the_wrap();
         SCRATCH.set(scratch);
         assert_eq!(run_cases_here(&cases), want);
         let scratch = SCRATCH.take();
@@ -1906,6 +2192,7 @@ mod tests {
             scratch.visited.version,
             scratch.phis.cells.version,
             scratch.phis.cols.version,
+            scratch.walk_cache.version,
         ] {
             assert!(version < u32::MAX - 1, "the counter wrapped: {version}");
         }
@@ -1950,6 +2237,79 @@ mod tests {
             let scratch = SCRATCH.take();
             assert!(scratch.slots.cells.len() >= state.0.len(), "{at}");
             SCRATCH.set(scratch);
+        }
+    }
+
+    /// Sixty sets of two to six elements, each one of forty texts: a few
+    /// words of a thirty-word vocabulary (Jaccard), or 8 to 16 letters
+    /// over four (edit similarity).
+    fn probe_corpus(seed: u64, edit: bool) -> Vec<Vec<String>> {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let pool: Vec<String> = (0..40)
+            .map(|_| {
+                if edit {
+                    (0..rng.random_range(8..=16usize))
+                        .map(|_| char::from(b'a' + rng.random_range(0..4u8)))
+                        .collect()
+                } else {
+                    (0..rng.random_range(2..=6usize))
+                        .map(|_| format!("w{}", rng.random_range(0..30u32)))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                }
+            })
+            .collect();
+        (0..60)
+            .map(|_| {
+                (0..rng.random_range(2..=6usize))
+                    .map(|_| pool[rng.random_range(0..pool.len())].clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nn_probes_are_the_posting_runs_the_nearest_neighbor_filter_looked_up() {
+        // Each set of a fixed corpus as the reference, drained at δ: the
+        // posting-run lookups, beside the funnel they served and the φ
+        // evaluations. Probing every token outside the signature instead
+        // of stopping at the sim-thresh cap takes 3 997 lookups and 4 390
+        // evaluations on the Jaccard corpus, and 2 906 and 3 533 on the
+        // Eds one, for the same `after_check` and `after_nn`.
+        let jaccard = EngineConfig {
+            metric: RelatednessMetric::Containment,
+            similarity: SimilarityFunction::Jaccard,
+            delta: 0.5,
+            alpha: 0.5,
+            scheme: SignatureScheme::Dichotomy,
+            filter: FilterKind::CheckAndNearestNeighbor,
+            reduction: true,
+        };
+        let eds = EngineConfig {
+            metric: RelatednessMetric::Similarity,
+            similarity: SimilarityFunction::Eds { q: 3 },
+            alpha: 0.8,
+            ..jaccard
+        };
+        for (cfg, raw, want) in [
+            (
+                jaccard,
+                probe_corpus(0x9b0b, false),
+                (2274, 1989, 236, 4121),
+            ),
+            (eds, probe_corpus(0xed5, true), (550, 1004, 81, 3376)),
+        ] {
+            let mut total = PassStats::default();
+            for (_, stats) in run_cases_here(&[case(&raw, cfg)]) {
+                total.merge(&stats);
+            }
+            let got = (
+                total.nn_probes,
+                total.after_check,
+                total.after_nn,
+                total.sim_evals,
+            );
+            assert_eq!(got, want, "{:?}", cfg.similarity);
         }
     }
 

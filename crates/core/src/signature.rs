@@ -22,6 +22,13 @@
 //! validity sum entirely, which is what makes the dichotomy scheme's
 //! signatures so small.
 //!
+//! The same cap bounds the nearest-neighbor filter (§5.2): for an
+//! unsaturated element, an element of `S` that holds none of some
+//! `cap(r)` units of `r` also scores `φ_α = 0`. The search for `r`'s
+//! nearest neighbor in `S` therefore probes only the tokens that, with
+//! the signature's own (whose postings the candidate walk already
+//! read), cover `cap(r)` units, and its value is still exact.
+//!
 //! ## Degenerate signatures
 //!
 //! For edit similarity the weighted scheme can be empty (§7.3, when
@@ -202,6 +209,25 @@ pub fn sim_thresh_cap(size: usize, pool_units: usize, alpha: f64, kind: SigKind)
     (cap <= pool_units).then_some(cap)
 }
 
+/// The units a signature selects from, grouped by token in ascending
+/// token order: `(token, multiplicity)` — an element's distinct tokens,
+/// once each, or for edit similarity its q-chunk occurrences.
+pub(crate) fn unit_pool(e: &Element, kind: SigKind) -> Vec<(TokenId, u32)> {
+    if !kind.is_edit() {
+        return e.tokens().iter().map(|&t| (t, 1)).collect();
+    }
+    let mut chunks: Vec<TokenId> = e.chunks().to_vec();
+    chunks.sort_unstable();
+    let mut grouped: Vec<(TokenId, u32)> = Vec::new();
+    for t in chunks {
+        match grouped.last_mut() {
+            Some((last, m)) if *last == t => *m += 1,
+            _ => grouped.push((t, 1)),
+        }
+    }
+    grouped
+}
+
 /// Per-element state during generation.
 struct ElemState {
     /// `|r|`: distinct tokens (Jaccard) or characters (edit).
@@ -221,24 +247,7 @@ struct ElemState {
 impl ElemState {
     fn new(e: &Element, params: SigParams) -> Self {
         let size = e.size(params.kind.is_edit());
-        let pool: Vec<(TokenId, u32)> = if params.kind.is_edit() {
-            let mut chunks: Vec<TokenId> = e.chunks().to_vec();
-            chunks.sort_unstable();
-            let mut grouped = Vec::new();
-            let mut i = 0;
-            while i < chunks.len() {
-                let t = chunks[i];
-                let mut m = 0u32;
-                while i < chunks.len() && chunks[i] == t {
-                    m += 1;
-                    i += 1;
-                }
-                grouped.push((t, m));
-            }
-            grouped
-        } else {
-            e.tokens().iter().map(|&t| (t, 1)).collect()
-        };
+        let pool = unit_pool(e, params.kind);
         let pool_units: usize = pool.iter().map(|&(_, m)| m as usize).sum();
         let cap = sim_thresh_cap(size, pool_units, params.alpha, params.kind);
         Self {

@@ -61,7 +61,11 @@
 # matrix, whose funnel rows are all `=`, the ones that move are
 # `core.filter.us` and `core.engine.stage_us`, down; across the one-walk
 # collection build, `collection.build_s`, `server.shard.build_s` and
-# `storage.open.s`, down.
+# `storage.open.s`, down. Across the nearest-neighbor filter that probes
+# only up to the sim-thresh cap (with the walk's φ cache), one funnel row
+# moves: `core.sim_evals`, down on `topk-candidates`, `topk-verify` and
+# `mixed-rw` and `=` on `floor-small` (α = 0 there, so no cap applies);
+# every other row stays `=`.
 #
 # Run nothing else meanwhile: the suite pins itself and its server to one
 # CPU, and this box has two.

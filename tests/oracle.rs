@@ -488,13 +488,19 @@ const FLOORS: [Q; 3] = [Q { n: 1, d: 4 }, Q { n: 2, d: 5 }, Q { n: 3, d: 5 }];
 fn engine_and_shards_answer_what_the_definitions_say() {
     let rng = &mut StdRng::seed_from_u64(0x0dac1e);
     let mut d = Departures::default();
-    for case in 0..24 {
+    for case in 0..36 {
         let raw: Vec<Vec<String>> = (0..10).map(|_| random_set(rng)).collect();
         let metric = [
             RelatednessMetric::Similarity,
             RelatednessMetric::Containment,
         ][case % 2];
-        let alpha = [Q::ZERO, Q::new(1, 2)][case / 2 % 2];
+        // α = 0 and 1/2 by turns, then 7/10, where an element of two or
+        // three tokens is capped at ⌊3|r|/10⌋ + 1 = 1 of them and the
+        // nearest-neighbor filter probes no further than that.
+        let alpha = match case {
+            0..24 => [Q::ZERO, Q::new(1, 2)][case / 2 % 2],
+            _ => Q::new(7, 10),
+        };
         let delta = DELTAS[rng.random_range(0..DELTAS.len())];
         let cfg = EngineConfig {
             metric,
