@@ -37,7 +37,7 @@
 //! ```
 //! use silkmoth_core::{EngineConfig, QuerySpec, RelatednessMetric};
 //! use silkmoth_text::SimilarityFunction;
-//! use silkmoth_server::{serve, ShardedEngine};
+//! use silkmoth_server::{http, SearchService, ShardedEngine};
 //!
 //! let raw = vec![
 //!     vec!["77 Mass Ave Boston MA", "5th St 02115 Seattle WA"],
@@ -60,7 +60,8 @@
 //! assert_eq!(out.hits.len(), 1);
 //!
 //! // …or over HTTP: bind an ephemeral port, then shut down gracefully.
-//! let server = serve(engine, "127.0.0.1:0", 2).unwrap();
+//! let service = SearchService::new(engine);
+//! let server = http::serve("127.0.0.1:0", 2, move |req| service.handle(req)).unwrap();
 //! let addr = server.addr();
 //! server.shutdown();
 //! ```
@@ -89,5 +90,5 @@ pub use replication::{
     bootstrap_snapshot, dir_needs_fresh_store, follower_store_config, serve_log, start_follower,
     FollowerConfig, FollowerRuntime, ReplicaServer, ServiceSink, StreamerConfig,
 };
-pub use service::{serve, serve_service, EngineGuard, SearchService};
+pub use service::{EngineGuard, SearchService};
 pub use shard::{merge_stats, ShardedEngine, ShardedQueryOutput};

@@ -437,6 +437,12 @@ impl ServiceMetrics {
         })
     }
 
+    /// `(auto_compactions, auto_snapshots)` since the process started:
+    /// what `/stats` reports of `silkmoth_storage_auto_*_total`.
+    pub(crate) fn policy_counts(&self) -> (u64, u64) {
+        (self.auto_compactions.get(), self.auto_snapshots.get())
+    }
+
     /// Refreshes the replication families from a follower's status
     /// snapshot (called at scrape time on follower-role services).
     /// Monotonic totals (`connects`, `bootstraps`) go through

@@ -197,8 +197,8 @@ impl ServiceSink {
         let update = decode_update(payload)
             .map_err(|e| ReplicaError::Protocol(format!("record {seq} does not decode: {e}")))?;
         self.service.quiesced(|store| {
-            let receipt = store.apply(update).map_err(ReplicaError::Storage)?;
-            if receipt.auto_compacted {
+            let (_, report) = store.apply(update).map_err(ReplicaError::Storage)?;
+            if report.auto_compacted {
                 return Err(ReplicaError::Protocol(format!(
                     "follower store compacted on its own at record {seq}; the follower \
                      compaction policy must be disabled"

@@ -29,7 +29,7 @@
 //! | `DELETE /sets`   | `{"ids": [id, …]}`                               | `{"removed": n, "sets": n}` |
 //! | `POST /compact`  | —                                                | `{"sets": n}` |
 //! | `POST /snapshot` | —                                                | `{"snapshot_seq": n}` (a store on disk; 409 in memory) |
-//! | `GET /stats`     | —                                                | request counters, per-shard and merged [`PassStats`], and (on disk) the storage generation |
+//! | `GET /stats`     | —                                                | request counters, per-shard and merged [`PassStats`], the policy's auto-compactions since the process started, and (on disk) the storage generation |
 //! | `GET /healthz`   | —                                                | `{"status": "ok", "durable": b, "role": "primary"\|"follower", "version", "uptime_secs", "update_seq", …}` — `update_seq` is the store's commit sequence, policy compactions included |
 //! | `POST /promote`  | —                                                | `{"role": "primary", "epoch", "update_seq"}` — follower failover (409 when already primary) |
 //! | `GET /metrics`   | —                                                | the service's metric families in the Prometheus text exposition format |
@@ -110,11 +110,15 @@
 //! Every request flows through the front's one wrapper: a monotonic
 //! request id, an in-flight gauge, and per-route counters + latency
 //! histograms in the service's metric bundle served on
-//! `GET /metrics`. Search routes additionally record per-phase query
-//! timing (stage / verify / explain, worst shard per phase) and — when
-//! the spec sets `"timing": true` — return the same numbers in the
-//! response. [`with_log_format`](SearchService::with_log_format) turns
-//! on one structured log line per request (text or JSON), and
+//! `GET /metrics`. The three read routes run their specs through one
+//! executor, which records **each query** once — a batch of N specs or
+//! a discovery of N references as N: its per-shard counters into
+//! `/stats`, its phase timing (stage / verify / explain, worst shard
+//! per phase) and filter funnel into the metrics, and a `query` span
+//! onto the trace. When a spec sets `"timing": true` the response
+//! carries the same phase numbers.
+//! [`with_log_format`](SearchService::with_log_format) turns on one
+//! structured log line per request (text or JSON), and
 //! [`with_slow_query_ms`](SearchService::with_slow_query_ms) logs the
 //! full spec of any search slower than the threshold.
 //!
@@ -133,8 +137,6 @@ mod read;
 mod status;
 mod write;
 
-use std::io;
-use std::net::ToSocketAddrs;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
@@ -144,7 +146,7 @@ use silkmoth_core::PassStats;
 use silkmoth_storage::{Store, StoreConfig};
 
 use crate::front::{Front, LogFormat, RequestInfo};
-use crate::http::{self, HttpServer, Request, Response};
+use crate::http::{self, Request, Response};
 use crate::json::{obj, Json};
 use crate::metrics::{canonical_route, ServiceMetrics};
 use crate::replication::CommitSignal;
@@ -413,28 +415,6 @@ impl SearchService {
             _ => Err(error_response(405, "method not allowed for this route")),
         }
     }
-}
-
-/// Binds `addr` and serves `engine` on `threads` HTTP workers; every
-/// search request additionally scatters across the engine's shards on
-/// scoped threads. Shut down gracefully with [`HttpServer::shutdown`]
-/// or block with [`HttpServer::wait`].
-pub fn serve<A: ToSocketAddrs>(
-    engine: ShardedEngine,
-    addr: A,
-    threads: usize,
-) -> io::Result<HttpServer> {
-    serve_service(Arc::new(SearchService::new(engine)), addr, threads)
-}
-
-/// Binds `addr` and serves an already-configured service (its store,
-/// backpressure bounds, deadlines) on `threads` HTTP workers.
-pub fn serve_service<A: ToSocketAddrs>(
-    service: Arc<SearchService>,
-    addr: A,
-    threads: usize,
-) -> io::Result<HttpServer> {
-    http::serve(addr, threads, move |req: &Request| service.handle(req))
 }
 
 /// What a route hands back: the response, or — `Err` — the ready-to-send

@@ -1,6 +1,7 @@
 //! The read routes: `/search`, `/search/batch`, `/discover` — spec
-//! decode, engine execution under the shared lock, stats/metrics/trace
-//! bookkeeping, and response rendering.
+//! decode, one executor that runs the specs under the shared lock and
+//! records each query once (stats, metrics, trace), and response
+//! rendering.
 
 use std::sync::atomic::Ordering;
 use std::sync::PoisonError;
@@ -13,50 +14,59 @@ use crate::front::RequestInfo;
 use crate::http::Response;
 use crate::json::{obj, Json};
 use crate::queryspec::{explanation_json, spec_from_json};
-use crate::shard::ShardedQueryOutput;
-use crate::telemetry::trace::{self, AttrValue, SpanId, TraceCollector};
+use crate::shard::{merge_stats, ShardedQueryOutput};
+use crate::telemetry::trace::{self, AttrValue, TraceCollector};
 
 impl SearchService {
-    /// The whole-request deadline for a search arriving now, when
-    /// `--search-timeout-ms` is configured.
-    fn request_deadline(&self, start: Instant) -> Option<Instant> {
-        self.search_timeout.map(|t| start + t)
-    }
-
-    /// The `504` once the whole-request budget is exhausted: the
-    /// response must be that, not partial results.
-    fn check_deadline(&self, start: Instant) -> Result<(), Response> {
-        match self.search_timeout {
-            Some(t) if start.elapsed() >= t => Err(error_response(
-                504,
-                "search deadline exceeded (--search-timeout-ms)",
-            )),
-            _ => Ok(()),
+    /// Runs `specs` as one engine call under the whole-request deadline
+    /// and records each query once: per-shard stats into `/stats`,
+    /// phases and funnel into the metrics, a `query` span onto the
+    /// trace, fan-out and timeout onto `info`. Past the deadline the
+    /// request is the `504`, not partial results.
+    fn execute(
+        &self,
+        specs: &[QuerySpec],
+        info: &mut RequestInfo,
+    ) -> Result<Vec<ShardedQueryOutput>, Response> {
+        let start = Instant::now();
+        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
+        let outs = self
+            .engine()
+            .execute_batch_until(specs, self.search_timeout.map(|t| start + t));
+        let (executed, batched) = (start.elapsed(), outs.len() > 1);
+        for out in &outs {
+            for (cell, stats) in self.shard_stats.iter().zip(&out.shard_stats) {
+                cell.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .merge(stats);
+            }
+            let (timing, stats) = (out.merged_timing(), out.merged_stats());
+            self.metrics.observe_phases(&timing);
+            self.metrics.observe_funnel(&stats);
+            info.timed_out |= out.timed_out;
+            if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
+                // A batched query's own wall window is not observable:
+                // its span lasts its worst-shard phase sum.
+                let dur = if batched { timing.total() } else { executed };
+                record_query_spans(trace, out, &stats, at, dur, self.metrics.collection());
+            }
         }
+        info.shards = outs.first().map(|out| out.shard_stats.len());
+        if self.search_timeout.is_some_and(|t| start.elapsed() >= t) {
+            let msg = "search deadline exceeded (--search-timeout-ms)";
+            return Err(error_response(504, msg));
+        }
+        Ok(outs)
     }
 
     pub(super) fn search(&self, body: &[u8], info: &mut RequestInfo) -> Answer {
         let spec = spec_from_json(&parse_body(body)?).map_err(|msg| error_response(400, &msg))?;
         info.note_spec(&spec);
-        let start = Instant::now();
-        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
-        let out = self
-            .engine()
-            .execute_until(&spec, self.request_deadline(start));
-        let executed = start.elapsed();
         self.searches.fetch_add(1, Ordering::Relaxed);
-        self.accumulate(&out.shard_stats);
-        self.metrics.observe_phases(&out.merged_timing());
-        self.metrics.observe_funnel(&out.merged_stats());
-        if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
-            record_query_spans(trace, &out, at, executed, self.metrics.collection());
-        }
-        info.shards = Some(out.shard_timings.len());
-        info.timed_out = out.timed_out;
-        self.check_deadline(start)?;
+        let out = self.execute(std::slice::from_ref(&spec), info)?;
         Ok(Response::json(
             200,
-            query_output_json(&spec, &out).to_string(),
+            query_output_json(&spec, &out[0]).to_string(),
         ))
     }
 
@@ -72,36 +82,11 @@ impl SearchService {
             info.note_spec(&spec);
             specs.push(spec);
         }
-        let start = Instant::now();
-        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
-        let outs = self
-            .engine()
-            .execute_batch_until(&specs, self.request_deadline(start));
         self.searches
             .fetch_add(specs.len() as u64, Ordering::Relaxed);
-        for out in &outs {
-            self.accumulate(&out.shard_stats);
-            self.metrics.observe_phases(&out.merged_timing());
-            self.metrics.observe_funnel(&out.merged_stats());
-            info.timed_out |= out.timed_out;
-            // The batch executes as one engine call, so per-query wall
-            // windows are not observable here; each query span borrows
-            // the batch's start and its own worst-shard phase sum.
-            if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
-                record_query_spans(
-                    trace,
-                    out,
-                    at,
-                    out.merged_timing().total(),
-                    self.metrics.collection(),
-                );
-            }
-        }
-        info.shards = outs.first().map(|out| out.shard_timings.len());
-        self.check_deadline(start)?;
         let outputs: Vec<Json> = specs
             .iter()
-            .zip(&outs)
+            .zip(&self.execute(&specs, info)?)
             .map(|(spec, out)| query_output_json(spec, out))
             .collect();
         Ok(Response::json(
@@ -112,57 +97,33 @@ impl SearchService {
 
     /// RELATED SET DISCOVERY over external references: one spec per
     /// reference at the engine's δ, executed as one batch. Reference
-    /// `r`'s hits are its pairs, already in `(r, s)` order.
+    /// `r`'s hits are its pairs, already in `(r, s)` order; the stats
+    /// are the queries' sum.
     pub(super) fn discover(&self, body: &[u8], info: &mut RequestInfo) -> Answer {
         let specs: Vec<QuerySpec> = string_sets(&parse_body(body)?, "references")?
             .into_iter()
             .map(QuerySpec::new)
             .collect();
-        let start = Instant::now();
-        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
-        let outs = self
-            .engine()
-            .execute_batch_until(&specs, self.request_deadline(start));
-        let executed = start.elapsed();
         self.discoveries.fetch_add(1, Ordering::Relaxed);
-        let mut stats = PassStats::default();
-        let mut pairs = Vec::new();
-        for (r, out) in outs.iter().enumerate() {
-            self.accumulate(&out.shard_stats);
-            stats.merge(&out.merged_stats());
-            info.timed_out |= out.timed_out;
-            pairs.extend(out.hits.iter().map(|&(s, score)| {
+        let outs = self.execute(&specs, info)?;
+        let pairs = outs.iter().enumerate().flat_map(|(r, out)| {
+            out.hits.iter().map(move |&(s, score)| {
                 obj(vec![
                     ("r", Json::Num(r as f64)),
                     ("s", Json::Num(f64::from(s))),
                     ("score", Json::Num(score)),
                 ])
-            }));
-        }
-        self.metrics.observe_funnel(&stats);
-        if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
-            let span = trace.add_span(trace::ROOT, "discover", at, executed);
-            funnel_attrs(trace, span, &stats);
-        }
-        info.shards = outs.first().map(|out| out.shard_stats.len());
-        self.check_deadline(start)?;
+            })
+        });
+        let stats: Vec<PassStats> = outs.iter().map(ShardedQueryOutput::merged_stats).collect();
         Ok(Response::json(
             200,
             obj(vec![
-                ("pairs", Json::Arr(pairs)),
-                ("stats", Json::Obj(stats_json_pairs(&stats))),
+                ("pairs", Json::Arr(pairs.collect())),
+                ("stats", Json::Obj(stats_json_pairs(&merge_stats(&stats)))),
             ])
             .to_string(),
         ))
-    }
-
-    fn accumulate(&self, per_shard: &[PassStats]) {
-        for (mutex, stats) in self.shard_stats.iter().zip(per_shard) {
-            mutex
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .merge(stats);
-        }
     }
 }
 
@@ -221,35 +182,24 @@ fn query_output_json(spec: &QuerySpec, out: &ShardedQueryOutput) -> Json {
     obj(fields)
 }
 
-/// Attaches the paper's filter-funnel counters as span attributes —
-/// the per-request twin of the `silkmoth_query_filter_survivors_total`
-/// metric family.
-fn funnel_attrs(trace: &mut TraceCollector, span: SpanId, stats: &PassStats) {
-    trace.attr_u64(span, "candidates", stats.candidates as u64);
-    trace.attr_u64(span, "after_check", stats.after_check as u64);
-    trace.attr_u64(span, "after_nn", stats.after_nn as u64);
-    trace.attr_u64(span, "verified", stats.verified as u64);
-    trace.attr_u64(span, "results", stats.results as u64);
-    trace.attr_u64(span, "sim_evals", stats.sim_evals);
-    trace.attr_u64(span, "signature_cost", stats.signature_cost);
-}
-
 /// Places one executed query on the request's trace: a `query` span
-/// carrying the merged filter-funnel attributes, a `shard` child per
-/// shard, and `stage`/`verify`(/`explain`) grandchildren from that
-/// shard's [`PhaseTiming`]. Phase starts are reconstructed
-/// sequentially — stage → verify → explain is the engine's actual
-/// execution order inside one shard.
+/// carrying the published counters of its merged `stats`, a `shard`
+/// child per shard, and `stage`/`verify`(/`explain`) grandchildren from
+/// that shard's [`PhaseTiming`](silkmoth_core::PhaseTiming). Phase
+/// starts are reconstructed sequentially — stage → verify → explain is
+/// the engine's actual execution order inside one shard.
 fn record_query_spans(
     trace: &mut TraceCollector,
     out: &ShardedQueryOutput,
+    stats: &PassStats,
     start_us: u64,
     dur: Duration,
     collection: Option<&str>,
 ) {
-    let stats = out.merged_stats();
     let query = trace.add_span(trace::ROOT, "query", start_us, dur);
-    funnel_attrs(trace, query, &stats);
+    for (key, value) in published(stats) {
+        trace.attr_u64(query, key, value);
+    }
     if let Some(name) = collection {
         trace.attr(query, "collection", AttrValue::Str(name.to_owned()));
     }
@@ -269,20 +219,29 @@ fn record_query_spans(
     }
 }
 
+/// The [`PassStats`] counters the service publishes, in order: the
+/// fields of every `stats` object and the attributes of every `query`
+/// span.
+fn published(stats: &PassStats) -> [(&'static str, u64); 9] {
+    [
+        ("candidates", stats.candidates as u64),
+        ("after_check", stats.after_check as u64),
+        ("after_nn", stats.after_nn as u64),
+        ("verified", stats.verified as u64),
+        ("results", stats.results as u64),
+        ("sim_evals", stats.sim_evals),
+        ("reduced_pairs", stats.reduced_pairs),
+        ("signature_cost", stats.signature_cost),
+        ("degenerate", u64::from(stats.degenerate)),
+    ]
+}
+
 /// [`PassStats`] as ordered JSON object fields.
 pub(super) fn stats_json_pairs(stats: &PassStats) -> Vec<(String, Json)> {
-    let num = |v: f64| Json::Num(v);
-    vec![
-        ("candidates".into(), num(stats.candidates as f64)),
-        ("after_check".into(), num(stats.after_check as f64)),
-        ("after_nn".into(), num(stats.after_nn as f64)),
-        ("verified".into(), num(stats.verified as f64)),
-        ("results".into(), num(stats.results as f64)),
-        ("sim_evals".into(), num(stats.sim_evals as f64)),
-        ("reduced_pairs".into(), num(stats.reduced_pairs as f64)),
-        ("signature_cost".into(), num(stats.signature_cost as f64)),
-        ("degenerate".into(), num(f64::from(stats.degenerate))),
-    ]
+    published(stats)
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), Json::Num(value as f64)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -392,19 +351,57 @@ mod tests {
         assert_eq!(stats.get("slots").and_then(Json::as_usize), Some(20));
     }
 
+    /// `/discover` records each reference as one query, as `/search`
+    /// does: one signature-cost and one phase observation per reference,
+    /// and one `query` span per reference carrying every published
+    /// counter.
     #[test]
     fn discover_roundtrip() {
-        let s = service();
-        let (status, doc) = post(
-            &s,
-            "/discover",
-            r#"{"references": [["w0 w1 shared0", "w3 w4 shared0"], ["nothing matches this"]]}"#,
-        );
+        let s = service().with_trace_sample(1);
+        let sample = |name: &str, labels: &[(&str, &str)]| -> f64 {
+            let page = s.metrics().render();
+            crate::telemetry::expo::parse_text(&page)
+                .unwrap()
+                .iter()
+                .flat_map(|f| &f.samples)
+                .find(|x| {
+                    let got = x.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                    x.name == name && got.eq(labels.iter().copied())
+                })
+                .unwrap_or_else(|| panic!("{name} {labels:?} missing:\n{page}"))
+                .value
+        };
+        let cost = "silkmoth_query_signature_cost_count";
+        let stage = "silkmoth_query_phase_duration_seconds_count";
+        let before = (sample(cost, &[]), sample(stage, &[("phase", "stage")]));
+        let references = r#"{"references": [["w0 w1 shared0", "w3 w4 shared0"], ["nothing matches this"], ["w2 w3 shared1"]]}"#;
+        let (status, doc) = post(&s, "/discover", references);
         assert_eq!(status, 200, "{doc}");
         let pairs = doc.get("pairs").and_then(Json::as_array).unwrap();
         assert!(pairs
             .iter()
             .all(|p| p.get("r").is_some() && p.get("s").is_some() && p.get("score").is_some()));
+        assert_eq!(sample(cost, &[]), before.0 + 3.0);
+        assert_eq!(sample(stage, &[("phase", "stage")]), before.1 + 3.0);
+
+        let (_, page) = get(&s, "/debug/traces?route=/discover");
+        let traces = page.get("traces").and_then(Json::as_array).unwrap();
+        assert_eq!(traces.len(), 1, "{page}");
+        let spans = traces[0].get("spans").and_then(Json::as_array).unwrap();
+        let queries: Vec<&Json> = spans
+            .iter()
+            .filter(|sp| sp.get("kind").and_then(Json::as_str) == Some("query"))
+            .collect();
+        assert_eq!(queries.len(), 3, "{page}");
+        for query in queries {
+            let attrs = query.get("attrs").unwrap();
+            for (key, _) in published(&PassStats::default()) {
+                assert!(
+                    attrs.get(key).and_then(Json::as_usize).is_some(),
+                    "{key}: {query}"
+                );
+            }
+        }
     }
 
     /// `POST /discover` is the per-reference `/search`es flattened:

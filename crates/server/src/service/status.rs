@@ -14,6 +14,7 @@ use super::write::storage_error_response;
 use super::{Answer, SearchService};
 use crate::http::Response;
 use crate::json::{obj, Json};
+use crate::metrics::ServiceMetrics;
 use crate::shard::{merge_stats, ShardedEngine};
 
 /// One consistent read of a collection's size and position, taken
@@ -32,25 +33,24 @@ struct CoreStatus {
 impl CoreStatus {
     /// The `storage` object. The per-collection summary carries the
     /// four fields that say whether the store is healthy; `/stats`
-    /// (`full`) adds the position and policy counters.
-    fn storage_json(&self, full: bool) -> Option<Json> {
+    /// (`full`, the collection's metrics) adds the position and the
+    /// policy counters `/metrics` renders.
+    fn storage_json(&self, full: Option<&ServiceMetrics>) -> Option<Json> {
         let status = self.durable.then_some(&self.store)?;
         let mut fields = vec![
             ("snapshot_seq", Json::Num(status.snapshot_seq as f64)),
             ("wal_records", Json::Num(status.wal_records as f64)),
             ("wal_segments", Json::Num(f64::from(status.wal_segments))),
         ];
-        if full {
+        if full.is_some() {
             fields.push(("update_seq", Json::Num(status.update_seq as f64)));
             fields.push(("epoch", Json::Num(status.epoch as f64)));
         }
         fields.push(("last_fsync_ok", Json::Bool(status.last_fsync_ok)));
-        if full {
-            fields.push(("auto_snapshots", Json::Num(status.auto_snapshots as f64)));
-            fields.push((
-                "auto_compactions",
-                Json::Num(status.auto_compactions as f64),
-            ));
+        if let Some(metrics) = full {
+            let (compactions, snapshots) = metrics.policy_counts();
+            fields.push(("auto_snapshots", Json::Num(snapshots as f64)));
+            fields.push(("auto_compactions", Json::Num(compactions as f64)));
         }
         Some(obj(fields))
     }
@@ -196,10 +196,10 @@ impl SearchService {
             ("slots", Json::Num(status.slots as f64)),
             (
                 "auto_compactions",
-                Json::Num(status.store.auto_compactions as f64),
+                Json::Num(self.metrics.policy_counts().0 as f64),
             ),
         ];
-        if let Some(storage) = status.storage_json(true) {
+        if let Some(storage) = status.storage_json(Some(&self.metrics)) {
             fields.push(("storage", storage));
         }
         fields.push(("replication", replication));
@@ -224,7 +224,7 @@ impl SearchService {
             ("update_seq", Json::Num(status.store.update_seq as f64)),
             ("durable", Json::Bool(status.durable)),
         ];
-        if let Some(storage) = status.storage_json(false) {
+        if let Some(storage) = status.storage_json(None) {
             fields.push(("storage", storage));
         }
         fields

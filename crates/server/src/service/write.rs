@@ -122,7 +122,7 @@ struct GroupReceipt {
     /// policy maintenance failed — the route must still answer
     /// success, flagged `"degraded": true`, never an error status (a
     /// retry would duplicate the update; see
-    /// [`ApplyReceipt::maintenance_error`](silkmoth_storage::ApplyReceipt)).
+    /// [`MaintenanceReport`](silkmoth_storage::MaintenanceReport)).
     maintenance_error: Option<String>,
 }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use silkmoth_core::{EngineConfig, RelatednessMetric};
-use silkmoth_server::{serve_service, Request, SearchService, ShardedEngine};
+use silkmoth_server::{http, Request, SearchService, ShardedEngine};
 use silkmoth_text::SimilarityFunction;
 
 fn service(max_inflight: usize) -> SearchService {
@@ -98,7 +98,10 @@ fn bounded_inflight_updates_reject_the_excess_with_503() {
 #[test]
 fn rejected_updates_carry_retry_after_on_the_wire() {
     let service = Arc::new(service(1));
-    let server = serve_service(Arc::clone(&service), "127.0.0.1:0", 3).unwrap();
+    let server = {
+        let service = Arc::clone(&service);
+        http::serve("127.0.0.1:0", 3, move |req| service.handle(req)).unwrap()
+    };
     let addr = server.addr();
 
     let reader_guard = service.engine();

@@ -140,7 +140,7 @@ impl Harness {
     fn apply_everywhere(&mut self, update: &Update) {
         for flavor in &mut self.sharded {
             let store = flavor.store.as_mut().expect("store is open");
-            let got = store.apply(update.clone()).expect("durable apply").outcome;
+            let got = store.apply(update.clone()).expect("durable apply").0;
             let want = flavor.mirror.apply(update.clone()).expect("mirror apply");
             assert_eq!(got, want, "store and mirror outcomes agree");
         }

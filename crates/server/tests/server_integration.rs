@@ -6,7 +6,7 @@
 use silkmoth_collection::Collection;
 use silkmoth_core::{brute, EngineConfig, QuerySpec, RelatednessMetric};
 use silkmoth_server::json::{obj, Json};
-use silkmoth_server::{read_simple_response, serve, ShardedEngine};
+use silkmoth_server::{http, read_simple_response, HttpServer, SearchService, ShardedEngine};
 use silkmoth_text::SimilarityFunction;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -32,6 +32,12 @@ fn cfg() -> EngineConfig {
 
 fn engine() -> ShardedEngine {
     ShardedEngine::build(&corpus(), cfg(), SHARDS).unwrap()
+}
+
+/// Binds an ephemeral port and serves `engine` on `threads` workers.
+fn serve(engine: ShardedEngine, threads: usize) -> HttpServer {
+    let service = SearchService::new(engine);
+    http::serve("127.0.0.1:0", threads, move |req| service.handle(req)).unwrap()
 }
 
 /// Sends one request on an open connection and reads the full response.
@@ -74,7 +80,7 @@ fn concurrent_requests_over_tcp_with_graceful_shutdown() {
     let expected = engine.execute(&spec).hits;
     let sets = engine.len();
 
-    let server = serve(engine, "127.0.0.1:0", 4).unwrap();
+    let server = serve(engine, 4);
     let addr = server.addr();
     let search_body = format!(
         "{{\"reference\": [\"{}\", \"{}\"], \"k\": 5, \"floor\": 0.2}}",
@@ -158,7 +164,7 @@ fn concurrent_requests_over_tcp_with_graceful_shutdown() {
 
 #[test]
 fn malformed_and_unknown_requests_over_tcp() {
-    let server = serve(engine(), "127.0.0.1:0", 2).unwrap();
+    let server = serve(engine(), 2);
     let (mut stream, mut reader) = connect(server.addr());
     let (status, err) = roundtrip(&mut stream, &mut reader, "POST", "/search", "{broken");
     assert_eq!(status, 400);
@@ -188,7 +194,7 @@ fn discover_over_tcp_matches_brute_force() {
     let encoded: Vec<_> = refs.iter().map(|set| collection.encode_set(set)).collect();
     let expected = brute::discover(&encoded, &collection, &cfg());
     assert!(expected.iter().any(|p| p.r == 1 && p.s == 7));
-    let server = serve(engine(), "127.0.0.1:0", 2).unwrap();
+    let server = serve(engine(), 2);
     let (mut stream, mut reader) = connect(server.addr());
     let texts = |set: &Vec<String>| Json::Arr(set.iter().cloned().map(Json::Str).collect());
     let body = obj(vec![(

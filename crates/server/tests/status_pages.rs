@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use silkmoth_core::{CompactionPolicy, EngineConfig, RelatednessMetric};
+use silkmoth_server::telemetry::expo;
 use silkmoth_server::{CatalogConfig, CatalogService, Json, Request, SearchService, ShardedEngine};
 use silkmoth_storage::{Store, StoreConfig};
 use silkmoth_text::SimilarityFunction;
@@ -248,6 +249,27 @@ fn check(catalog: &CatalogService, durable: bool) {
     if durable {
         assert_eq!(number(&stats, "storage.update_seq"), 4);
         assert_eq!(number(&stats, "storage.auto_compactions"), 1);
+    }
+
+    // The policy counts on `/stats` are the cells `/metrics` renders.
+    let page = catalog.handle(&Request::new("GET", "/metrics", Vec::new()));
+    let families = expo::parse_text(std::str::from_utf8(&page.body).unwrap()).unwrap();
+    let metric = |name: &str| {
+        let sample = families.iter().flat_map(|f| &f.samples);
+        sample
+            .filter(|s| s.name == name && s.labels.is_empty())
+            .map(|s| s.value as usize)
+            .next()
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
+    let compactions = metric("silkmoth_storage_auto_compactions_total");
+    assert_eq!(number(&stats, "auto_compactions"), compactions);
+    if durable {
+        assert_eq!(number(&stats, "storage.auto_compactions"), compactions);
+        assert_eq!(
+            number(&stats, "storage.auto_snapshots"),
+            metric("silkmoth_storage_auto_snapshots_total")
+        );
     }
 }
 

@@ -13,7 +13,9 @@ use std::path::PathBuf;
 use silkmoth_collection::UpdateError;
 use silkmoth_core::{CompactionPolicy, EngineConfig, QuerySpec, RelatednessMetric, Update};
 use silkmoth_server::{ShardSpec, ShardedEngine};
-use silkmoth_storage::{load_snapshot, StorageError, Store, StoreConfig, StoreEngine};
+use silkmoth_storage::{
+    load_snapshot, MaintenanceReport, StorageError, Store, StoreConfig, StoreEngine,
+};
 use silkmoth_text::SimilarityFunction;
 
 const SHARDS: usize = 3;
@@ -182,24 +184,25 @@ fn policy_drives_auto_compaction_and_auto_snapshot() {
 
     // One removal of 2/8 sets = ratio 0.25: exactly at the threshold,
     // so the policy compacts right away (and logs the compaction).
-    let receipt = store.apply(Update::Remove(vec![0, 5])).unwrap();
-    assert!(receipt.auto_compacted);
-    assert_eq!(receipt.auto_snapshot, None, "2 records < threshold 4");
+    let (_, report) = store.apply(Update::Remove(vec![0, 5])).unwrap();
+    assert!(report.auto_compacted);
+    assert_eq!(report.auto_snapshot, None, "2 records < threshold 4");
     assert_eq!(store.engine().slot_count(), 6, "compacted away the dead");
     assert_eq!(store.status().wal_records, 2, "remove + compact logged");
 
     // Two more updates reach the WAL threshold: auto-snapshot fires and
-    // resets the WAL.
-    store
+    // resets the WAL. Across the three calls the policy acted twice:
+    // one compaction, one snapshot.
+    let (_, report) = store
         .apply(Update::Append(vec![vec!["one more".into()]]))
         .unwrap();
-    let receipt = store
+    assert_eq!(report, MaintenanceReport::default());
+    let (_, report) = store
         .apply(Update::Append(vec![vec!["and another".into()]]))
         .unwrap();
-    assert_eq!(receipt.auto_snapshot, Some(1));
+    assert!(!report.auto_compacted);
+    assert_eq!(report.auto_snapshot, Some(1));
     assert_eq!(store.status().wal_records, 0);
-    assert_eq!(store.status().auto_compactions, 1);
-    assert_eq!(store.status().auto_snapshots, 1);
 
     // The recovered store matches an in-memory engine that performed
     // the same (auto-included) updates.
@@ -362,7 +365,7 @@ fn update_seq_and_epoch_survive_rotation_and_recovery() {
 
 /// The lost-ack regression: when an update has durably committed and
 /// applied but the *post-commit* auto-snapshot fails, `apply` must
-/// return `Ok` with the failure in `maintenance_error` — an `Err` here
+/// return `Ok` with the failure in its `MaintenanceReport` — an `Err` here
 /// historically made callers retry an update that already happened,
 /// duplicating it.
 #[test]
@@ -378,20 +381,14 @@ fn committed_update_acks_despite_failed_maintenance() {
     // generation's WAL segment, and a directory squatting on that path
     // makes it fail — after the caller's update is already durable.
     std::fs::create_dir_all(dir.join("wal-1-0.log")).unwrap();
-    let receipt = store
+    let (outcome, report) = store
         .apply(Update::Append(vec![vec![
             "survives the failed snapshot".into()
         ]]))
         .unwrap();
-    assert_eq!(
-        receipt.outcome.appended,
-        vec![8],
-        "the update itself succeeded"
-    );
-    assert_eq!(receipt.auto_snapshot, None);
-    let why = receipt
-        .maintenance_error
-        .expect("auto-snapshot must have failed");
+    assert_eq!(outcome.appended, vec![8], "the update itself succeeded");
+    assert_eq!(report.auto_snapshot, None);
+    let why = report.error.expect("auto-snapshot must have failed");
     assert!(why.contains("auto-snapshot failed"), "{why}");
     // The ack was honest: the update is on disk. Nothing was
     // double-applied by the failed maintenance, and because the caller
@@ -589,10 +586,10 @@ fn in_memory_store_commits_without_a_wal() {
     }));
 
     // 2 of 8 sets removed crosses the 0.25 dead ratio.
-    let receipt = store.apply(Update::Remove(vec![0, 5])).unwrap();
-    assert!(receipt.auto_compacted);
-    assert_eq!(receipt.auto_snapshot, None);
-    assert_eq!(receipt.maintenance_error, None);
+    let (_, report) = store.apply(Update::Remove(vec![0, 5])).unwrap();
+    assert!(report.auto_compacted);
+    assert_eq!(report.auto_snapshot, None);
+    assert_eq!(report.error, None);
     assert_eq!(*events.lock().unwrap(), [StoreEvent::AutoCompaction]);
     assert_eq!(*seqs.lock().unwrap(), [1, 2], "remove, then its compaction");
     let status = store.status();
@@ -600,8 +597,7 @@ fn in_memory_store_commits_without_a_wal() {
         (status.update_seq, status.wal_records, status.wal_segments),
         (2, 0, 1)
     );
-    assert_eq!((status.snapshot_seq, status.auto_snapshots), (0, 0));
-    assert_eq!(status.auto_compactions, 1);
+    assert_eq!(status.snapshot_seq, 0);
 
     let mut mirror = fresh_engine(&raw);
     mirror.apply(Update::Remove(vec![0, 5])).unwrap();

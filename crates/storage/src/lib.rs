@@ -93,8 +93,8 @@ mod wal;
 pub use crc32::crc32;
 pub use snapshot::{load_snapshot, parse_snapshot, snapshot_bytes, SnapshotMeta};
 pub use store::{
-    ApplyReceipt, CommitHook, CommittedBatch, MaintenanceReport, RecoveryReport, RetentionHook,
-    Store, StoreConfig, StoreEvent, StoreStatus, TelemetryHook, WalDiscard,
+    CommitHook, CommittedBatch, MaintenanceReport, RecoveryReport, RetentionHook, Store,
+    StoreConfig, StoreEvent, StoreStatus, TelemetryHook, WalDiscard,
 };
 pub use wal::RetainedLog;
 

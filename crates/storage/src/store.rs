@@ -78,26 +78,12 @@ pub struct RecoveryReport {
     pub snapshots_skipped: u64,
 }
 
-/// What one [`Store::apply`] did beyond the update itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApplyReceipt {
-    /// The engine's outcome for the caller's update.
-    pub outcome: UpdateOutcome,
-    /// The policy triggered an automatic [`Update::Compact`] afterwards.
-    pub auto_compacted: bool,
-    /// The policy triggered an automatic snapshot; the new generation.
-    pub auto_snapshot: Option<u64>,
-    /// Post-commit maintenance (auto-compaction or auto-snapshot)
-    /// failed. The caller's update **is durably committed and applied**
-    /// — callers must acknowledge it as a success (at most flagged
-    /// degraded) and must not retry, or a non-idempotent update would
-    /// be applied twice.
-    pub maintenance_error: Option<String>,
-}
-
-/// What [`Store::maintain`] did. Maintenance runs after the caller's
-/// update is already durable, so failures are reported here instead of
-/// as an `Err` — see [`ApplyReceipt::maintenance_error`].
+/// What [`Store::maintain`] did — and [`Store::apply`] beyond the
+/// update itself. Maintenance runs after the caller's update is already
+/// durable, so its failures are reported here instead of as an `Err`:
+/// the update **is committed and applied**, and callers must
+/// acknowledge it as a success (at most flagged degraded) and must not
+/// retry, or a non-idempotent update would be applied twice.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MaintenanceReport {
     /// The policy triggered an automatic [`Update::Compact`].
@@ -252,10 +238,6 @@ pub struct StoreStatus {
     /// succeeded — `false` means the last update was **not** durably
     /// acknowledged.
     pub last_fsync_ok: bool,
-    /// Automatic compactions since open.
-    pub auto_compactions: u64,
-    /// Automatic snapshots since open.
-    pub auto_snapshots: u64,
     /// Segments in the current generation's WAL (the active one plus
     /// any sealed earlier ones).
     pub wal_segments: u32,
@@ -324,8 +306,6 @@ pub struct Store<E: StoreEngine> {
     engine: E,
     commit: Mutex<CommitState>,
     epoch: u64,
-    auto_compactions: u64,
-    auto_snapshots: u64,
     commit_hook: Option<CommitHook>,
     telemetry_hook: Option<TelemetryHook>,
     retention_hook: Option<RetentionHook>,
@@ -469,8 +449,6 @@ impl<E: StoreEngine> Store<E> {
             engine,
             commit: Mutex::new(state),
             epoch,
-            auto_compactions: 0,
-            auto_snapshots: 0,
             commit_hook: None,
             telemetry_hook: None,
             retention_hook: None,
@@ -698,8 +676,6 @@ impl<E: StoreEngine> Store<E> {
             update_seq: state.update_seq,
             epoch: self.epoch,
             last_fsync_ok: state.last_fsync_ok,
-            auto_compactions: self.auto_compactions,
-            auto_snapshots: self.auto_snapshots,
             wal_segments: state.segment_index + 1,
         }
     }
@@ -750,22 +726,19 @@ impl<E: StoreEngine> Store<E> {
     /// append + fsync — an error here means the update is **not**
     /// acknowledged), mutates the engine, then runs policy maintenance.
     /// Maintenance failures do **not** fail the call — the update is
-    /// already durable by then — they are reported in
-    /// [`ApplyReceipt::maintenance_error`].
-    pub fn apply(&mut self, update: Update) -> Result<ApplyReceipt, StorageError> {
+    /// already durable by then — they are reported in the
+    /// [`MaintenanceReport`].
+    pub fn apply(
+        &mut self,
+        update: Update,
+    ) -> Result<(UpdateOutcome, MaintenanceReport), StorageError> {
         self.engine
             .check_update(&update)
             .map_err(StorageError::Update)?;
         let batch = self.commit_batch(vec![update])?;
         let mut outcomes = self.apply_committed(batch)?;
         let outcome = outcomes.pop().expect("one update was committed");
-        let report = self.maintain();
-        Ok(ApplyReceipt {
-            outcome,
-            auto_compacted: report.auto_compacted,
-            auto_snapshot: report.auto_snapshot,
-            maintenance_error: report.error,
-        })
+        Ok((outcome, self.maintain()))
     }
 
     /// Makes a batch of updates durable with **one** buffered WAL write
@@ -907,9 +880,7 @@ impl<E: StoreEngine> Store<E> {
     /// Runs the configured policy's post-commit maintenance: an
     /// automatic [`Update::Compact`] when the tombstone ratio is over
     /// threshold, then an automatic snapshot when the WAL is long
-    /// enough. Failures are captured in the report, never returned as
-    /// an `Err` — maintenance runs after updates the caller already
-    /// acknowledged, so its failure must not look like theirs.
+    /// enough. Failures are reported in the [`MaintenanceReport`].
     pub fn maintain(&mut self) -> MaintenanceReport {
         let mut report = MaintenanceReport::default();
         if self
@@ -925,7 +896,6 @@ impl<E: StoreEngine> Store<E> {
                 .and_then(|batch| self.apply_committed(batch));
             match compacted {
                 Ok(_) => {
-                    self.auto_compactions += 1;
                     self.emit(StoreEvent::AutoCompaction);
                     report.auto_compacted = true;
                 }
@@ -944,7 +914,6 @@ impl<E: StoreEngine> Store<E> {
         if self.cfg.policy.should_snapshot(wal_records) {
             match self.snapshot() {
                 Ok(seq) => {
-                    self.auto_snapshots += 1;
                     self.emit(StoreEvent::AutoSnapshot);
                     report.auto_snapshot = Some(seq);
                 }

@@ -6,7 +6,7 @@
 //! cargo run --example related_service
 //! ```
 
-use silkmoth::server::{serve, Json, ShardedEngine};
+use silkmoth::server::{http, Json, SearchService, ShardedEngine};
 use silkmoth::{EngineConfig, RelatednessMetric, SimilarityFunction};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,7 +36,8 @@ fn main() {
     let engine = ShardedEngine::build(&raw, cfg, 2).expect("valid config");
 
     // Bind port 0: the OS picks a free port, `server.addr()` reports it.
-    let server = serve(engine, "127.0.0.1:0", 2).expect("bind");
+    let service = SearchService::new(engine);
+    let server = http::serve("127.0.0.1:0", 2, move |req| service.handle(req)).expect("bind");
     let addr = server.addr();
     println!("serving on http://{addr}");
 

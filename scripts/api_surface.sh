@@ -22,7 +22,8 @@
 # product lines split into code, comment (`//`, `///`, `//!`) and blank
 # lines. `--check` prints each number's change against the recorded one
 # and fails when the public items or the product lines differ from the
-# record in either direction: growth, like API drift, has to be
+# record in either direction (it prints every delta before it fails,
+# on drift too): growth, like API drift, has to be
 # committed deliberately, and a shrink has to be re-recorded so that the
 # lines it freed cannot be spent again unrecorded. The split is
 # reported, not gated.
@@ -75,15 +76,9 @@ case "${1:-}" in
     tmp=$(mktemp)
     trap 'rm -f "$tmp"' EXIT
     generate >"$tmp"
-    if ! diff -u "$SNAPSHOT" "$tmp"; then
-        echo >&2
-        echo "error: public API surface drifted from $SNAPSHOT." >&2
-        echo "If the change is deliberate, run ./scripts/api_surface.sh and" >&2
-        echo "commit the regenerated snapshot with your change." >&2
-        exit 1
-    fi
-    echo "API surface matches $SNAPSHOT ($(wc -l <"$SNAPSHOT") public items)."
-    status=0
+    # Every number's delta first, so a failing run still reports the
+    # size change; then the verdicts.
+    errors=()
     while read -r name now; do
         recorded=$(awk -v name="$name" '$1 == name { print $2 }' "$BUDGET")
         if [ -n "$recorded" ]; then
@@ -96,17 +91,29 @@ case "${1:-}" in
         *) continue ;;
         esac
         if [ -z "$recorded" ] || [ "$now" -gt "$recorded" ]; then
-            echo "error: $name rose to $now (budget in $BUDGET: ${recorded:-none})." >&2
-            echo "If the growth is deliberate, run ./scripts/api_surface.sh and" >&2
-            echo "commit the regenerated budget with your change." >&2
-            status=1
+            errors+=("error: $name rose to $now (budget in $BUDGET: ${recorded:-none})."
+                "If the growth is deliberate, run ./scripts/api_surface.sh and"
+                "commit the regenerated budget with your change.")
         elif [ "$now" -lt "$recorded" ]; then
-            echo "error: $name fell to $now (budget in $BUDGET: $recorded)." >&2
-            echo "Run ./scripts/api_surface.sh to re-record the lower number and" >&2
-            echo "commit the regenerated budget with your change." >&2
-            status=1
+            errors+=("error: $name fell to $now (budget in $BUDGET: $recorded)."
+                "Run ./scripts/api_surface.sh to re-record the lower number and"
+                "commit the regenerated budget with your change.")
         fi
     done < <(budget "$(wc -l <"$tmp")")
+    status=0
+    if diff -u "$SNAPSHOT" "$tmp"; then
+        echo "API surface matches $SNAPSHOT ($(wc -l <"$SNAPSHOT") public items)."
+    else
+        echo >&2
+        echo "error: public API surface drifted from $SNAPSHOT." >&2
+        echo "If the change is deliberate, run ./scripts/api_surface.sh and" >&2
+        echo "commit the regenerated snapshot with your change." >&2
+        status=1
+    fi
+    if [ "${#errors[@]}" -gt 0 ]; then
+        printf '%s\n' "${errors[@]}" >&2
+        status=1
+    fi
     exit "$status"
     ;;
 "")

@@ -21,7 +21,8 @@
 //! * [`server`] — the network service: [`ShardedEngine`] scatter-gather
 //!   over hash-partitioned engine shards (output identical to one
 //!   unsharded engine) behind a multi-threaded HTTP/1.1 front
-//!   (`silkmoth serve`, or [`server::serve`] from code);
+//!   (`silkmoth serve`, or [`server::http::serve`] over
+//!   [`server::SearchService::handle`] from code);
 //! * [`storage`] — durable snapshots + write-ahead log with crash
 //!   recovery and auto-compaction ([`Store`], `silkmoth serve
 //!   --data-dir`): every acknowledged update survives `kill -9`, and
