@@ -13,14 +13,16 @@
 //!
 //! ## Manifest
 //!
-//! [`Manifest`] is the on-disk registry: one versioned binary file
-//! (`catalog.manifest`) listing every collection with its shard count
-//! and [`Quotas`]. Following the workspace's format-versioning rule it
-//! carries a magic + version byte (readers reject unknown versions by
-//! name) and a CRC-32 trailer (the storage layer's [`crc32`]), and
-//! [`Manifest::save`] writes it atomically — tempfile, fsync, rename,
-//! directory fsync — so a crash mid-update leaves either the old
-//! registry or the new one, never a torn file.
+//! The on-disk registry: one versioned binary file (`catalog.manifest`)
+//! listing every collection as a [`CollectionSpec`] — its name, shard
+//! count and [`Quotas`]. Following the workspace's format-versioning
+//! rule it carries a magic + version byte (readers reject unknown
+//! versions by name) and a CRC-32 trailer (the storage layer's
+//! [`crc32`]), and [`save`] writes it atomically — tempfile, fsync,
+//! rename, directory fsync — so a crash mid-update leaves either the
+//! old registry or the new one, never a torn file. The catalog keeps no
+//! copy of it: it writes the file from its own registry, and only
+//! opening the catalog reads it back ([`load`]).
 
 use silkmoth_storage::crc32;
 use std::fmt;
@@ -30,6 +32,10 @@ use std::path::Path;
 
 /// The longest valid collection name.
 pub(crate) const NAME_MAX_LEN: usize = 64;
+
+/// The most engine shards a created collection may have: each shard is
+/// one thread per search, so the count a request may ask for is bounded.
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// The collection unscoped routes serve; created implicitly, cannot be
 /// dropped.
@@ -131,7 +137,7 @@ pub(crate) struct CollectionSpec {
     /// The collection's name (validated).
     pub(crate) name: String,
     /// Engine shards for this collection (clamped to ≥ 1 by the
-    /// engine).
+    /// engine, at most [`MAX_SHARDS`] but for `default`).
     pub(crate) shards: u32,
     /// Per-tenant bounds.
     pub(crate) quotas: Quotas,
@@ -155,7 +161,7 @@ pub enum ManifestError {
         computed: u32,
     },
     /// Structurally broken content (truncated field, duplicate or
-    /// invalid name).
+    /// invalid name, a shard count above the bound a create enforces).
     Corrupt(String),
 }
 
@@ -186,205 +192,157 @@ impl From<io::Error> for ManifestError {
     }
 }
 
-/// The durable collection registry: every collection the server must
-/// recover on restart, in name order. The `default` collection is
-/// listed like any other so the manifest is self-contained.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Manifest {
-    collections: Vec<CollectionSpec>,
+/// Encodes the registry `specs` (in name order): magic, version byte,
+/// entry count, the entries, CRC-32 trailer over everything before it.
+pub(crate) fn encode(specs: &[CollectionSpec]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + specs.len() * 48);
+    out.extend_from_slice(MAGIC);
+    out.push(MANIFEST_VERSION);
+    out.extend_from_slice(&(specs.len() as u32).to_le_bytes());
+    for spec in specs {
+        out.extend_from_slice(&(spec.name.len() as u16).to_le_bytes());
+        out.extend_from_slice(spec.name.as_bytes());
+        out.extend_from_slice(&spec.shards.to_le_bytes());
+        let q = &spec.quotas;
+        let fields = [
+            q.max_inflight_updates,
+            q.max_sets,
+            q.max_bytes,
+            q.deadline_cap_ms,
+        ];
+        let mut mask = 0u8;
+        for (bit, field) in fields.iter().enumerate() {
+            if field.is_some() {
+                mask |= 1 << bit;
+            }
+        }
+        out.push(mask);
+        for field in fields.into_iter().flatten() {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    out
 }
 
-impl Manifest {
-    /// The registered collections, in name order.
-    pub(crate) fn collections(&self) -> &[CollectionSpec] {
-        &self.collections
+/// Decodes a registry, checking magic, version, structure, and the CRC
+/// trailer. Every stored name is re-validated — a manifest is the one
+/// thing that could smuggle a bad name past the HTTP-layer check — and
+/// so is every shard count a collection is opened with (`default`'s is
+/// never read: its store is opened with the server's own count).
+pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<CollectionSpec>, ManifestError> {
+    let corrupt = |why: &str| ManifestError::Corrupt(why.into());
+    if bytes.len() < MAGIC.len() + 1 {
+        return Err(ManifestError::BadMagic);
     }
-
-    /// The spec registered under `name`, if any.
-    pub(crate) fn get(&self, name: &str) -> Option<&CollectionSpec> {
-        self.collections
-            .binary_search_by(|c| c.name.as_str().cmp(name))
-            .ok()
-            .map(|i| &self.collections[i])
+    if &bytes[..MAGIC.len()] != MAGIC {
+        return Err(ManifestError::BadMagic);
     }
-
-    /// Registers (or replaces) a collection. The name must already be
-    /// validated; storing an invalid name would poison every future
-    /// load.
-    pub(crate) fn upsert(&mut self, spec: CollectionSpec) -> Result<(), NameError> {
-        validate_name(&spec.name)?;
-        match self
-            .collections
-            .binary_search_by(|c| c.name.as_str().cmp(&spec.name))
-        {
-            Ok(i) => self.collections[i] = spec,
-            Err(i) => self.collections.insert(i, spec),
+    let version = bytes[MAGIC.len()];
+    if version != MANIFEST_VERSION {
+        return Err(ManifestError::UnknownVersion(version));
+    }
+    if bytes.len() < MAGIC.len() + 1 + 4 + 4 {
+        return Err(corrupt("truncated before the entry count"));
+    }
+    let (content, trailer) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte split"));
+    let computed = crc32(content);
+    if stored != computed {
+        return Err(ManifestError::BadChecksum { stored, computed });
+    }
+    let mut cursor = &content[MAGIC.len() + 1..];
+    let mut take = |n: usize, what: &str| -> Result<&[u8], ManifestError> {
+        if cursor.len() < n {
+            return Err(ManifestError::Corrupt(format!("truncated {what}")));
         }
-        Ok(())
-    }
-
-    /// Unregisters `name`; true when it was present.
-    pub(crate) fn remove(&mut self, name: &str) -> bool {
-        match self
-            .collections
-            .binary_search_by(|c| c.name.as_str().cmp(name))
-        {
-            Ok(i) => {
-                self.collections.remove(i);
-                true
+        let (head, rest) = cursor.split_at(n);
+        cursor = rest;
+        Ok(head)
+    };
+    let count = u32::from_le_bytes(take(4, "entry count")?.try_into().expect("4 bytes"));
+    let mut specs: Vec<CollectionSpec> = Vec::new();
+    for i in 0..count {
+        let name_len =
+            u16::from_le_bytes(take(2, "name length")?.try_into().expect("2 bytes")) as usize;
+        let name = std::str::from_utf8(take(name_len, "name")?)
+            .map_err(|_| corrupt("name is not UTF-8"))?
+            .to_owned();
+        validate_name(&name).map_err(|e| ManifestError::Corrupt(format!("entry {i}: {e}")))?;
+        let shards = u32::from_le_bytes(take(4, "shard count")?.try_into().expect("4 bytes"));
+        if shards as usize > MAX_SHARDS && name != DEFAULT_COLLECTION {
+            return Err(ManifestError::Corrupt(format!(
+                "entry {i}: {shards} shards, more than the {MAX_SHARDS}-shard limit"
+            )));
+        }
+        let mask = take(1, "quota mask")?[0];
+        if mask & !0b1111 != 0 {
+            return Err(corrupt("unknown quota field bits set"));
+        }
+        let mut field = |bit: u8| -> Result<Option<u64>, ManifestError> {
+            if mask & (1 << bit) == 0 {
+                return Ok(None);
             }
-            Err(_) => false,
-        }
-    }
-
-    /// Encodes the registry: magic, version byte, entry count, the
-    /// entries, CRC-32 trailer over everything before it.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.collections.len() * 48);
-        out.extend_from_slice(MAGIC);
-        out.push(MANIFEST_VERSION);
-        out.extend_from_slice(&(self.collections.len() as u32).to_le_bytes());
-        for spec in &self.collections {
-            out.extend_from_slice(&(spec.name.len() as u16).to_le_bytes());
-            out.extend_from_slice(spec.name.as_bytes());
-            out.extend_from_slice(&spec.shards.to_le_bytes());
-            let q = &spec.quotas;
-            let fields = [
-                q.max_inflight_updates,
-                q.max_sets,
-                q.max_bytes,
-                q.deadline_cap_ms,
-            ];
-            let mut mask = 0u8;
-            for (bit, field) in fields.iter().enumerate() {
-                if field.is_some() {
-                    mask |= 1 << bit;
-                }
-            }
-            out.push(mask);
-            for field in fields.into_iter().flatten() {
-                out.extend_from_slice(&field.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&crc32(&out).to_le_bytes());
-        out
-    }
-
-    /// Decodes a registry, checking magic, version, structure, and the
-    /// CRC trailer. Every stored name is re-validated — a manifest is
-    /// the one thing that could smuggle a bad name past the HTTP-layer
-    /// check.
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
-        let corrupt = |why: &str| ManifestError::Corrupt(why.into());
-        if bytes.len() < MAGIC.len() + 1 {
-            return Err(ManifestError::BadMagic);
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(ManifestError::BadMagic);
-        }
-        let version = bytes[MAGIC.len()];
-        if version != MANIFEST_VERSION {
-            return Err(ManifestError::UnknownVersion(version));
-        }
-        if bytes.len() < MAGIC.len() + 1 + 4 + 4 {
-            return Err(corrupt("truncated before the entry count"));
-        }
-        let (content, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte split"));
-        let computed = crc32(content);
-        if stored != computed {
-            return Err(ManifestError::BadChecksum { stored, computed });
-        }
-        let mut cursor = &content[MAGIC.len() + 1..];
-        let mut take = |n: usize, what: &str| -> Result<&[u8], ManifestError> {
-            if cursor.len() < n {
-                return Err(ManifestError::Corrupt(format!("truncated {what}")));
-            }
-            let (head, rest) = cursor.split_at(n);
-            cursor = rest;
-            Ok(head)
+            Ok(Some(u64::from_le_bytes(
+                take(8, "quota value")?.try_into().expect("8 bytes"),
+            )))
         };
-        let count = u32::from_le_bytes(take(4, "entry count")?.try_into().expect("4 bytes"));
-        let mut manifest = Self::default();
-        for i in 0..count {
-            let name_len =
-                u16::from_le_bytes(take(2, "name length")?.try_into().expect("2 bytes")) as usize;
-            let name = std::str::from_utf8(take(name_len, "name")?)
-                .map_err(|_| corrupt("name is not UTF-8"))?
-                .to_owned();
-            validate_name(&name).map_err(|e| ManifestError::Corrupt(format!("entry {i}: {e}")))?;
-            let shards = u32::from_le_bytes(take(4, "shard count")?.try_into().expect("4 bytes"));
-            let mask = take(1, "quota mask")?[0];
-            if mask & !0b1111 != 0 {
-                return Err(corrupt("unknown quota field bits set"));
-            }
-            let mut field = |bit: u8| -> Result<Option<u64>, ManifestError> {
-                if mask & (1 << bit) == 0 {
-                    return Ok(None);
-                }
-                Ok(Some(u64::from_le_bytes(
-                    take(8, "quota value")?.try_into().expect("8 bytes"),
-                )))
-            };
-            let quotas = Quotas {
-                max_inflight_updates: field(0)?,
-                max_sets: field(1)?,
-                max_bytes: field(2)?,
-                deadline_cap_ms: field(3)?,
-            };
-            if manifest.get(&name).is_some() {
-                return Err(ManifestError::Corrupt(format!(
-                    "duplicate collection {name:?}"
-                )));
-            }
-            manifest
-                .upsert(CollectionSpec {
-                    name,
-                    shards,
-                    quotas,
-                })
-                .expect("name validated above");
-        }
-        if !cursor.is_empty() {
-            return Err(corrupt("trailing bytes after the last entry"));
-        }
-        Ok(manifest)
-    }
-
-    /// Loads the manifest at `path`; `Ok(None)` when no file exists
-    /// (a legacy or fresh data directory).
-    pub(crate) fn load(path: &Path) -> Result<Option<Self>, ManifestError> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let quotas = Quotas {
+            max_inflight_updates: field(0)?,
+            max_sets: field(1)?,
+            max_bytes: field(2)?,
+            deadline_cap_ms: field(3)?,
         };
-        Self::decode(&bytes).map(Some)
+        if specs.iter().any(|spec| spec.name == name) {
+            return Err(ManifestError::Corrupt(format!(
+                "duplicate collection {name:?}"
+            )));
+        }
+        specs.push(CollectionSpec {
+            name,
+            shards,
+            quotas,
+        });
     }
+    if !cursor.is_empty() {
+        return Err(corrupt("trailing bytes after the last entry"));
+    }
+    Ok(specs)
+}
 
-    /// Writes the manifest to `path` atomically: encode into a
-    /// tempfile next to it, fsync, rename over the target, fsync the
-    /// directory. A crash at any point leaves either the previous
-    /// manifest or this one.
-    pub(crate) fn save(&self, path: &Path) -> Result<(), ManifestError> {
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let tmp = path.with_extension("manifest.tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&self.encode())?;
-            file.sync_all()?;
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
-            let _ = fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        if let Some(dir) = dir {
-            // Make the rename itself durable; without this a crash can
-            // lose the directory entry even though the data is synced.
-            fs::File::open(dir)?.sync_all()?;
-        }
-        Ok(())
+/// Loads the manifest at `path`; `Ok(None)` when no file exists (a
+/// legacy or fresh data directory).
+pub(crate) fn load(path: &Path) -> Result<Option<Vec<CollectionSpec>>, ManifestError> {
+    let bytes = match fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    decode(&bytes).map(Some)
+}
+
+/// Writes the registry `specs` to `path` atomically: encode into a
+/// tempfile next to it, fsync, rename over the target, fsync the
+/// directory. A crash at any point leaves either the previous manifest
+/// or this one.
+pub(crate) fn save(path: &Path, specs: &[CollectionSpec]) -> Result<(), ManifestError> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let tmp = path.with_extension("manifest.tmp");
+    {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(&encode(specs))?;
+        file.sync_all()?;
     }
+    if let Err(e) = fs::rename(&tmp, path) {
+        let _ = fs::remove_file(&tmp);
+        return Err(e.into());
+    }
+    if let Some(dir) = dir {
+        // Make the rename itself durable; without this a crash can
+        // lose the directory entry even though the data is synced.
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -422,56 +380,56 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_specs_and_quotas() {
-        let mut m = Manifest::default();
-        m.upsert(spec("default", 4, Quotas::default())).unwrap();
-        m.upsert(spec(
-            "tenant-a",
-            7,
-            Quotas {
-                max_inflight_updates: Some(2),
-                max_sets: Some(10_000),
-                max_bytes: None,
-                deadline_cap_ms: Some(250),
-            },
-        ))
-        .unwrap();
-        m.upsert(spec(
-            "zz",
-            1,
-            Quotas {
-                max_bytes: Some(u64::MAX),
-                ..Quotas::default()
-            },
-        ))
-        .unwrap();
-        let back = Manifest::decode(&m.encode()).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(
-            back.get("tenant-a").unwrap().quotas.deadline_cap_ms,
-            Some(250)
-        );
-        assert!(back.get("nope").is_none());
+        let specs = [
+            spec("default", 4, Quotas::default()),
+            spec(
+                "tenant-a",
+                7,
+                Quotas {
+                    max_inflight_updates: Some(2),
+                    max_sets: Some(10_000),
+                    max_bytes: None,
+                    deadline_cap_ms: Some(250),
+                },
+            ),
+            spec(
+                "zz",
+                1,
+                Quotas {
+                    max_bytes: Some(u64::MAX),
+                    ..Quotas::default()
+                },
+            ),
+        ];
+        let back = decode(&encode(&specs)).unwrap();
+        assert_eq!(back, specs);
+        let named = |name: &str| back.iter().find(|s| s.name == name);
+        assert_eq!(named("tenant-a").unwrap().quotas.deadline_cap_ms, Some(250));
+        assert!(named("nope").is_none());
     }
 
+    /// What `decode` refuses beyond a broken layout: a stored name the
+    /// route would reject, a name stored twice, and a collection opened
+    /// with more than [`MAX_SHARDS`] shards (`default`'s count is never
+    /// opened, so any count decodes there).
     #[test]
-    fn upsert_keeps_name_order_and_replaces_in_place() {
-        let mut m = Manifest::default();
-        m.upsert(spec("b", 1, Quotas::default())).unwrap();
-        m.upsert(spec("a", 2, Quotas::default())).unwrap();
-        m.upsert(spec("c", 3, Quotas::default())).unwrap();
-        let names: Vec<&str> = m.collections().iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-        m.upsert(spec("b", 9, Quotas::default())).unwrap();
-        assert_eq!(m.collections().len(), 3);
-        assert_eq!(m.get("b").unwrap().shards, 9);
-        assert!(m.remove("b"));
-        assert!(!m.remove("b"));
-        assert!(m.upsert(spec("../etc", 1, Quotas::default())).is_err());
+    fn decode_rejects_bad_names_duplicates_and_too_many_shards() {
+        let q = Quotas::default();
+        let corrupt = |specs: &[CollectionSpec]| match decode(&encode(specs)) {
+            Err(ManifestError::Corrupt(why)) => why,
+            other => panic!("{specs:?}: expected Corrupt, got {other:?}"),
+        };
+        assert!(corrupt(&[spec("../etc", 1, q)]).contains("'.'"));
+        assert!(corrupt(&[spec("a", 1, q), spec("a", 2, q)]).contains("duplicate"));
+        let over = MAX_SHARDS as u32 + 1;
+        assert!(corrupt(&[spec("a", over, q)]).contains(&format!("{over} shards")));
+        let bounded = [spec("a", MAX_SHARDS as u32, q), spec("default", over, q)];
+        assert_eq!(decode(&encode(&bounded)).unwrap(), bounded);
     }
 
     #[test]
     fn unknown_versions_are_rejected_by_name() {
-        let mut bytes = Manifest::default().encode();
+        let mut bytes = encode(&[]);
         bytes[4] = 2; // bump the version byte
         let fixed = {
             // Re-seal the trailer so only the version is wrong.
@@ -480,41 +438,36 @@ mod tests {
             bytes[n..].copy_from_slice(&crc);
             bytes
         };
-        match Manifest::decode(&fixed) {
+        match decode(&fixed) {
             Err(ManifestError::UnknownVersion(2)) => {}
             other => panic!("expected UnknownVersion(2), got {other:?}"),
         }
         assert!(matches!(
-            Manifest::decode(b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00"),
+            decode(b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00"),
             Err(ManifestError::BadMagic)
         ));
     }
 
     #[test]
     fn every_flipped_byte_is_caught() {
-        let mut m = Manifest::default();
-        m.upsert(spec(
+        let specs = [spec(
             "tenant",
             3,
             Quotas {
                 max_sets: Some(5),
                 ..Quotas::default()
             },
-        ))
-        .unwrap();
-        let good = m.encode();
-        assert!(Manifest::decode(&good).is_ok());
+        )];
+        let good = encode(&specs);
+        assert!(decode(&good).is_ok());
         for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x40;
-            assert!(
-                Manifest::decode(&bad).is_err(),
-                "flipping byte {i} went unnoticed"
-            );
+            assert!(decode(&bad).is_err(), "flipping byte {i} went unnoticed");
         }
         // Truncations too: no prefix may decode.
         for n in 0..good.len() {
-            assert!(Manifest::decode(&good[..n]).is_err(), "prefix {n} decoded");
+            assert!(decode(&good[..n]).is_err(), "prefix {n} decoded");
         }
     }
 
@@ -527,18 +480,14 @@ mod tests {
         ));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(MANIFEST_FILE);
-        assert!(Manifest::load(&path).unwrap().is_none());
-        let mut m = Manifest::default();
-        m.upsert(spec("default", 4, Quotas::default())).unwrap();
-        m.save(&path).unwrap();
-        assert_eq!(Manifest::load(&path).unwrap(), Some(m.clone()));
+        assert!(load(&path).unwrap().is_none());
+        let mut specs = vec![spec("default", 4, Quotas::default())];
+        save(&path, &specs).unwrap();
+        assert_eq!(load(&path).unwrap(), Some(specs.clone()));
         // A second save replaces atomically (no tempfile left behind).
-        m.upsert(spec("extra", 2, Quotas::default())).unwrap();
-        m.save(&path).unwrap();
-        assert_eq!(
-            Manifest::load(&path).unwrap().unwrap().collections().len(),
-            2
-        );
+        specs.push(spec("extra", 2, Quotas::default()));
+        save(&path, &specs).unwrap();
+        assert_eq!(load(&path).unwrap().unwrap().len(), 2);
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -554,6 +503,48 @@ mod tests {
         // presentation (all-ones in, all-ones out).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// `encode`'s bytes for a fixed spec list: an empty registry, and
+    /// three entries whose quota masks set no bit, one bit and the two
+    /// outer bits.
+    #[test]
+    fn encode_bytes_are_pinned_for_a_fixed_spec_list() {
+        #[rustfmt::skip]
+        const EMPTY: [u8; 13] = [b'S', b'M', b'C', b'T', 1, 0, 0, 0, 0, 0x94, 0xB2, 0xD2, 0xC0];
+        #[rustfmt::skip]
+        const THREE: [u8; 70] = [
+            b'S', b'M', b'C', b'T', 1, 3, 0, 0, 0,
+            1, 0, b'a', 1, 0, 0, 0, 0b0010,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            7, 0, b'd', b'e', b'f', b'a', b'u', b'l', b't', 4, 0, 0, 0, 0,
+            4, 0, b'z', b'-', b'9', b'_', 64, 0, 0, 0, 0b1001,
+            0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            1, 0, 0, 0, 0, 0, 0, 0,
+            0x8A, 0x74, 0x23, 0x7A,
+        ];
+        assert_eq!(encode(&[]), EMPTY);
+        let specs = [
+            spec(
+                "a",
+                1,
+                Quotas {
+                    max_sets: Some(3),
+                    ..Quotas::default()
+                },
+            ),
+            spec("default", 4, Quotas::default()),
+            spec(
+                "z-9_",
+                64,
+                Quotas {
+                    max_inflight_updates: Some(u64::MAX),
+                    deadline_cap_ms: Some(1),
+                    ..Quotas::default()
+                },
+            ),
+        ];
+        assert_eq!(encode(&specs), THREE);
     }
 
     /// Version-1 bytes as the first manifest encoder (a bitwise CRC-32
@@ -572,20 +563,20 @@ mod tests {
             250, 0, 0, 0, 0, 0, 0, 0,
             0xCA, 0x80, 0x76, 0x19,
         ];
-        let mut m = Manifest::default();
-        m.upsert(spec("default", 4, Quotas::default())).unwrap();
-        m.upsert(spec(
-            "tenant-a",
-            7,
-            Quotas {
-                max_inflight_updates: Some(2),
-                max_sets: Some(10_000),
-                max_bytes: Some(1 << 20),
-                deadline_cap_ms: Some(250),
-            },
-        ))
-        .unwrap();
-        assert_eq!(m.encode(), GOLDEN);
-        assert_eq!(Manifest::decode(&GOLDEN).unwrap(), m);
+        let specs = [
+            spec("default", 4, Quotas::default()),
+            spec(
+                "tenant-a",
+                7,
+                Quotas {
+                    max_inflight_updates: Some(2),
+                    max_sets: Some(10_000),
+                    max_bytes: Some(1 << 20),
+                    deadline_cap_ms: Some(250),
+                },
+            ),
+        ];
+        assert_eq!(encode(&specs), GOLDEN);
+        assert_eq!(decode(&GOLDEN).unwrap(), specs);
     }
 }

@@ -39,10 +39,15 @@
 //!
 //! ## Durability
 //!
-//! With a data directory, the registry itself is durable: a versioned
-//! manifest (`catalog.manifest`, CRC-sealed, atomic tempfile+rename
-//! updates; the `manifest` submodule) lists every collection, and each
-//! non-default collection's store lives under `collections/<name>/`.
+//! The catalog holds one registry: a map from every collection's name,
+//! `default` included, to its quotas and its service (whose engine is
+//! the one record of its shard count). With a data directory the
+//! registry is durable: a versioned manifest (`catalog.manifest`,
+//! CRC-sealed, atomic tempfile+rename updates; the `manifest`
+//! submodule) lists every collection, and each non-default
+//! collection's store lives under `collections/<name>/`. A create or a
+//! drop writes the manifest the registry will hold **before** it
+//! changes the map, so a failed save answers `500` and changes nothing.
 //! The default collection's store stays at the directory root — the
 //! exact legacy layout, so a pre-catalog data directory opens unchanged
 //! and a catalog directory still opens under a pre-catalog binary
@@ -54,21 +59,19 @@ mod manifest;
 pub use manifest::ManifestError;
 
 use std::collections::BTreeMap;
-use std::io;
-use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use manifest::{
-    validate_name, CollectionSpec, Manifest, Quotas, DEFAULT_COLLECTION, MANIFEST_FILE,
+    validate_name, CollectionSpec, Quotas, DEFAULT_COLLECTION, MANIFEST_FILE, MAX_SHARDS,
 };
 use silkmoth_core::{CompactionPolicy, ConfigError, EngineConfig};
 use silkmoth_storage::{StorageError, Store, StoreConfig};
 
 use crate::durable::ShardSpec;
 use crate::front::RequestInfo;
-use crate::http::{self, split_target, HttpServer, Request, Response};
+use crate::http::{split_target, Request, Response};
 use crate::json::{obj, Json};
 use crate::metrics::{canonical_route, ServiceMetrics};
 use crate::service::{error_response, page, parse_body, Answer, Fields, SearchService};
@@ -157,14 +160,46 @@ pub struct CatalogService {
     /// like the single-tenant service (including replication wiring,
     /// which covers the default collection only).
     default: Arc<SearchService>,
-    /// Every non-default collection, by name.
-    extras: RwLock<BTreeMap<String, Arc<SearchService>>>,
-    /// The durable registry the `extras` map mirrors.
-    manifest: Mutex<Manifest>,
+    /// Every collection, `default` included, by name: the registry the
+    /// manifest is written from.
+    registry: RwLock<Registry>,
     config: CatalogConfig,
     /// `silkmoth_catalog_collections`: registered collections,
     /// including `default`.
     collections_gauge: Gauge,
+}
+
+/// One registered collection: the quotas it was created with and the
+/// service that serves it.
+#[derive(Debug)]
+struct Registered {
+    quotas: Quotas,
+    service: Arc<SearchService>,
+}
+
+type Registry = BTreeMap<String, Registered>;
+
+/// The manifest entries of `registry`, in name order, each with its
+/// engine's live shard count.
+fn specs(registry: &Registry) -> Vec<CollectionSpec> {
+    registry
+        .iter()
+        .map(|(name, registered)| CollectionSpec {
+            name: name.clone(),
+            shards: registered.service.engine().shard_count() as u32,
+            quotas: registered.quotas,
+        })
+        .collect()
+}
+
+/// The registry's entries, `default` first and the rest in name order.
+fn default_first(registry: &Registry) -> impl Iterator<Item = (&String, &Registered)> {
+    let default = registry.get_key_value(DEFAULT_COLLECTION);
+    default.into_iter().chain(
+        registry
+            .iter()
+            .filter(|(name, _)| *name != DEFAULT_COLLECTION),
+    )
 }
 
 /// Where a non-default collection's store lives.
@@ -189,7 +224,7 @@ fn build_tenant(
     spec: &CollectionSpec,
     recover: bool,
 ) -> Result<Arc<SearchService>, CatalogError> {
-    let shards = (spec.shards as usize).max(1);
+    let shards = spec.shards as usize;
     let engine = || empty_engine(config.engine_cfg, shards);
     let service = match &config.data_dir {
         None => SearchService::durable(Store::in_memory(
@@ -245,13 +280,13 @@ impl CatalogService {
     /// default-only manifest written; an unknown manifest version is a
     /// hard error (never guess at another format's layout).
     pub fn open(default: Arc<SearchService>, config: CatalogConfig) -> Result<Self, CatalogError> {
-        let registry = default.metrics().registry();
-        let collections_gauge = registry.gauge(
+        let metrics = default.metrics().registry();
+        let collections_gauge = metrics.gauge(
             "silkmoth_catalog_collections",
             "Collections currently registered in the catalog (including default)",
             &[],
         );
-        registry
+        metrics
             .gauge(
                 "silkmoth_catalog_collections_max",
                 "Upper bound on catalog collections — the declared cardinality bound \
@@ -260,35 +295,32 @@ impl CatalogService {
             )
             .set(config.max_collections as i64);
         let manifest_path = config.data_dir.as_ref().map(|d| d.join(MANIFEST_FILE));
-        let mut manifest = match &manifest_path {
-            Some(path) => Manifest::load(path)?.unwrap_or_default(),
-            None => Manifest::default(),
+        let stored = match &manifest_path {
+            Some(path) => manifest::load(path)?,
+            None => None,
         };
-        if manifest.get(DEFAULT_COLLECTION).is_none() {
-            manifest
-                .upsert(CollectionSpec {
-                    name: DEFAULT_COLLECTION.to_owned(),
-                    shards: default.engine().shard_count() as u32,
-                    quotas: Quotas::default(),
-                })
-                .expect("the default collection name is valid");
-            if let Some(path) = &manifest_path {
-                manifest.save(path)?;
-            }
+        let mut registry = Registry::new();
+        let default_entry = Registered {
+            quotas: Quotas::default(),
+            service: Arc::clone(&default),
+        };
+        registry.insert(DEFAULT_COLLECTION.to_owned(), default_entry);
+        for spec in stored.iter().flatten() {
+            let service = if spec.name == DEFAULT_COLLECTION {
+                Arc::clone(&default)
+            } else {
+                build_tenant(&config, &default, spec, true)?
+            };
+            let quotas = spec.quotas;
+            registry.insert(spec.name.clone(), Registered { quotas, service });
         }
-        let mut extras = BTreeMap::new();
-        for spec in manifest.collections() {
-            if spec.name == DEFAULT_COLLECTION {
-                continue;
-            }
-            let service = build_tenant(&config, &default, spec, true)?;
-            extras.insert(spec.name.clone(), service);
+        if let (None, Some(path)) = (&stored, &manifest_path) {
+            manifest::save(path, &specs(&registry))?;
         }
-        collections_gauge.set(1 + extras.len() as i64);
+        collections_gauge.set(registry.len() as i64);
         Ok(Self {
             default,
-            extras: RwLock::new(extras),
-            manifest: Mutex::new(manifest),
+            registry: RwLock::new(registry),
             config,
             collections_gauge,
         })
@@ -301,27 +333,18 @@ impl CatalogService {
 
     /// The service for `name`, if that collection exists.
     pub fn collection(&self, name: &str) -> Option<Arc<SearchService>> {
-        if name == DEFAULT_COLLECTION {
-            return Some(Arc::clone(&self.default));
-        }
-        self.extras
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .cloned()
+        self.registry().get(name).map(|r| Arc::clone(&r.service))
     }
 
     /// Every collection name, `default` first.
     pub fn collection_names(&self) -> Vec<String> {
-        let mut names = vec![DEFAULT_COLLECTION.to_owned()];
-        names.extend(
-            self.extras
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .keys()
-                .cloned(),
-        );
-        names
+        default_first(&self.registry())
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
+
+    fn registry(&self) -> RwLockReadGuard<'_, Registry> {
+        self.registry.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Routes one request. The path resolves to a collection — the
@@ -402,68 +425,67 @@ impl CatalogService {
     }
 
     fn list(&self) -> Response {
-        // Clone the specs out before touching the extras map: create()
-        // and drop_collection() take extras before manifest, so holding
-        // the manifest across a collection() lookup would invert the
-        // lock order.
-        let specs: Vec<CollectionSpec> = self
-            .manifest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .collections()
-            .to_vec();
-        let collections: Vec<Json> = specs
+        let registry = self.registry();
+        let collections: Vec<Json> = registry
             .iter()
-            .map(|spec| {
-                let mut fields = vec![
-                    ("name", Json::Str(spec.name.clone())),
-                    ("shards", Json::Num(f64::from(spec.shards))),
-                ];
-                if let Some(service) = self.collection(&spec.name) {
-                    fields.push(("sets", Json::Num(service.engine().len() as f64)));
-                }
-                fields.push(("quotas", quotas_json(&spec.quotas)));
-                obj(fields)
+            .map(|(name, registered)| {
+                let engine = registered.service.engine();
+                obj(vec![
+                    ("name", Json::Str(name.clone())),
+                    ("shards", Json::Num(engine.shard_count() as f64)),
+                    ("sets", Json::Num(engine.len() as f64)),
+                    ("quotas", quotas_json(&registered.quotas)),
+                ])
             })
             .collect();
         page(vec![("collections", Json::Arr(collections))])
     }
 
     fn info(&self, name: &str) -> Answer {
-        let service = self
-            .collection(name)
-            .ok_or_else(|| no_such_collection(name))?;
-        let quotas = self
-            .manifest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .map(|spec| spec.quotas)
-            .unwrap_or_default();
+        let registry = self.registry();
+        let registered = registry.get(name).ok_or_else(|| no_such_collection(name))?;
         let mut fields = vec![("name", Json::Str(name.to_owned()))];
-        fields.extend(service.summary_fields());
-        fields.push(("quotas", quotas_json(&quotas)));
+        fields.extend(registered.service.summary_fields());
+        fields.push(("quotas", quotas_json(&registered.quotas)));
         Ok(page(fields))
+    }
+
+    /// Writes `specs` as the manifest (a no-op in memory).
+    fn save(&self, specs: &[CollectionSpec]) -> Result<(), Response> {
+        let Some(data_dir) = &self.config.data_dir else {
+            return Ok(());
+        };
+        manifest::save(&data_dir.join(MANIFEST_FILE), specs)
+            .map_err(|e| error_response(500, &format!("saving catalog manifest: {e}")))
     }
 
     fn create(&self, name: &str, body: &[u8]) -> Answer {
         self.default.front().check_writable()?;
         let (shards, quotas) = parse_create_body(body, self.config.default_shards)?;
-        // The extras write lock serializes every create/drop, so the
+        if shards > MAX_SHARDS {
+            return Err(error_response(
+                400,
+                &format!("'shards' is {shards}; a collection has at most {MAX_SHARDS}"),
+            ));
+        }
+        // The registry write lock serializes every create/drop, so the
         // map, the manifest, and the gauge stay consistent.
-        let mut extras = self.extras.write().unwrap_or_else(PoisonError::into_inner);
-        if name == DEFAULT_COLLECTION || extras.contains_key(name) {
+        let mut registry = self
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if registry.contains_key(name) {
             return Err(error_response(
                 409,
                 &format!("collection '{name}' already exists"),
             ));
         }
-        if 1 + extras.len() >= self.config.max_collections {
+        if registry.len() >= self.config.max_collections {
             return Err(error_response(
                 403,
                 &format!(
                     "collection limit reached ({} of --max-collections {})",
-                    1 + extras.len(),
+                    registry.len(),
                     self.config.max_collections
                 ),
             ));
@@ -474,27 +496,20 @@ impl CatalogService {
             quotas,
         };
         // Store first, manifest second: a crash in between leaves an
-        // orphan directory (harmless), never a registered collection
-        // without its store.
+        // orphan directory, never a registered collection without its
+        // store.
         let service =
             build_tenant(&self.config, &self.default, &spec, false).map_err(|e| match e {
                 CatalogError::Config(e) => error_response(400, &format!("engine config: {e}")),
                 CatalogError::Storage(e) => error_response(500, &format!("storage: {e}")),
                 e => error_response(500, &e.to_string()),
             })?;
-        let mut manifest = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-        manifest.upsert(spec).expect("name validated by the route");
-        if let Some(data_dir) = &self.config.data_dir {
-            if let Err(e) = manifest.save(&data_dir.join(MANIFEST_FILE)) {
-                // Roll the registration back: an unregistered store
-                // directory is recoverable garbage, a collection the
-                // next restart forgets is acked data loss.
-                manifest.remove(name);
-                return Err(manifest_save_failed(&e));
-            }
-        }
-        extras.insert(name.to_owned(), service);
-        self.collections_gauge.set(1 + extras.len() as i64);
+        let mut next = specs(&registry);
+        let at = next.partition_point(|s| s.name.as_str() < name);
+        next.insert(at, spec);
+        self.save(&next)?;
+        registry.insert(name.to_owned(), Registered { quotas, service });
+        self.collections_gauge.set(registry.len() as i64);
         Ok(page(vec![
             ("created", Json::Str(name.to_owned())),
             ("shards", Json::Num(shards as f64)),
@@ -509,23 +524,18 @@ impl CatalogService {
                 "the default collection cannot be dropped",
             ));
         }
-        let mut extras = self.extras.write().unwrap_or_else(PoisonError::into_inner);
-        if !extras.contains_key(name) {
+        let mut registry = self
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !registry.contains_key(name) {
             return Err(no_such_collection(name));
         }
-        let mut manifest = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-        let removed_spec = manifest.get(name).cloned();
-        manifest.remove(name);
-        if let Some(data_dir) = &self.config.data_dir {
-            if let Err(e) = manifest.save(&data_dir.join(MANIFEST_FILE)) {
-                if let Some(spec) = removed_spec {
-                    manifest.upsert(spec).expect("spec came from the manifest");
-                }
-                return Err(manifest_save_failed(&e));
-            }
-        }
-        extras.remove(name);
-        self.collections_gauge.set(1 + extras.len() as i64);
+        let mut next = specs(&registry);
+        next.retain(|s| s.name != name);
+        self.save(&next)?;
+        registry.remove(name);
+        self.collections_gauge.set(registry.len() as i64);
         // Unregistered first, purged second: if the purge fails the
         // orphan directory is inert (the manifest no longer points at
         // it, and a same-name create would fail loudly on the existing
@@ -542,15 +552,9 @@ impl CatalogService {
     /// Ends a top-level `/stats` or `/healthz` page with the
     /// per-collection `collections` section.
     fn with_collections(&self, mut fields: Fields) -> Fields {
-        let mut sections = vec![(
-            DEFAULT_COLLECTION.to_owned(),
-            obj(self.default.summary_fields()),
-        )];
-        let extras = self.extras.read().unwrap_or_else(PoisonError::into_inner);
-        for (name, service) in extras.iter() {
-            sections.push((name.clone(), obj(service.summary_fields())));
-        }
-        drop(extras);
+        let sections = default_first(&self.registry())
+            .map(|(name, r)| (name.clone(), obj(r.service.summary_fields())))
+            .collect();
         fields.push(("collections", Json::Obj(sections)));
         fields
     }
@@ -558,10 +562,6 @@ impl CatalogService {
 
 fn no_such_collection(name: &str) -> Response {
     error_response(404, &format!("no such collection '{name}'"))
-}
-
-fn manifest_save_failed(e: &ManifestError) -> Response {
-    error_response(500, &format!("saving catalog manifest: {e}"))
 }
 
 /// Parses the optional `PUT /collections/<name>` body:
@@ -628,22 +628,13 @@ fn quotas_json(quotas: &Quotas) -> Json {
     Json::Obj(fields)
 }
 
-/// Binds `addr` and serves the catalog on `threads` HTTP workers.
-pub fn serve_catalog<A: ToSocketAddrs>(
-    catalog: Arc<CatalogService>,
-    addr: A,
-    threads: usize,
-) -> io::Result<HttpServer> {
-    http::serve(addr, threads, move |req: &Request| catalog.handle(req))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::testutil::header;
     use silkmoth_core::RelatednessMetric;
     use silkmoth_text::SimilarityFunction;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex};
 
     fn engine_cfg() -> EngineConfig {
         EngineConfig::full(
@@ -1286,13 +1277,15 @@ mod tests {
             },
             ..ephemeral_config()
         };
-        let open = |cfg: &CatalogConfig| {
+        // The default store is opened at `shards`, as the CLI opens it
+        // at `--shards` whatever count it was saved with.
+        let open = |cfg: &CatalogConfig, shards: usize| {
             let default = Arc::new(SearchService::durable(
                 match Store::open(
                     &dir,
                     &ShardSpec {
                         cfg: engine_cfg(),
-                        shards: 2,
+                        shards,
                     },
                     cfg.store_cfg,
                 ) {
@@ -1310,7 +1303,7 @@ mod tests {
         };
 
         {
-            let catalog = open(&config);
+            let catalog = open(&config, 2);
             send(&catalog, "PUT", "/collections/t1", "{\"shards\": 3}");
             send(&catalog, "PUT", "/collections/t2", "");
             send(
@@ -1334,7 +1327,7 @@ mod tests {
             // Simulated kill -9: drop without any clean shutdown.
         }
         {
-            let catalog = open(&config);
+            let catalog = open(&config, 2);
             assert_eq!(catalog.collection_names(), ["default", "t1", "t2"]);
             assert_eq!(catalog.collection("t1").unwrap().engine().len(), 2);
             assert_eq!(
@@ -1350,10 +1343,142 @@ mod tests {
             assert!(!collection_dir(&dir, "t2").exists());
         }
         {
-            let catalog = open(&config);
+            // Reopened at another shard count, the default reports the
+            // count its engine runs with on every page.
+            let catalog = open(&config, 3);
             assert_eq!(catalog.collection_names(), ["default", "t1"]);
+            let (_, listing) = send(&catalog, "GET", "/collections", "");
+            let shards: Vec<(&str, usize)> = listing
+                .get("collections")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|c| {
+                    let name = c.get("name").and_then(Json::as_str).unwrap();
+                    (name, c.get("shards").and_then(Json::as_usize).unwrap())
+                })
+                .collect();
+            assert_eq!(shards, [("default", 3), ("t1", 3)], "{listing}");
+            let (_, info) = send(&catalog, "GET", "/collections/default", "");
+            assert_eq!(info.get("shards").and_then(Json::as_usize), Some(3));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The names `GET /collections` lists, in its order.
+    fn listed(catalog: &CatalogService) -> Vec<String> {
+        let (status, body) = send(catalog, "GET", "/collections", "");
+        assert_eq!(status, 200, "{body}");
+        body.get("collections")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|c| c.get("name").and_then(Json::as_str).unwrap().to_owned())
+            .collect()
+    }
+
+    /// A manifest that cannot be saved leaves the registry as it was:
+    /// the create and the drop both answer 500, no collection appears,
+    /// disappears or is counted differently, and a reopen lists what
+    /// the last good save held.
+    #[test]
+    fn a_failed_manifest_save_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!(
+            "silkmoth-catalog-svc-{}-failed-save",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = CatalogConfig {
+            data_dir: Some(dir.clone()),
+            store_cfg: StoreConfig {
+                sync: false,
+                policy: CompactionPolicy::DISABLED,
+            },
+            ..ephemeral_config()
+        };
+        let open = || {
+            let engine = ShardedEngine::build(&corpus(), engine_cfg(), 2).unwrap();
+            CatalogService::open(Arc::new(SearchService::new(engine)), config.clone()).unwrap()
+        };
+        let search = r#"{"reference": ["kept one"]}"#;
+
+        let catalog = open();
+        assert_eq!(send(&catalog, "PUT", "/collections/kept", "").0, 200);
+        let sets = r#"{"sets": [["kept one"]]}"#;
+        assert_eq!(
+            send(&catalog, "POST", "/collections/kept/sets", sets).0,
+            200
+        );
+        let gauge = || {
+            let page = catalog.handle(&request("GET", "/metrics", ""));
+            let text = String::from_utf8(page.body).unwrap();
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("silkmoth_catalog_collections "))
+                .map(str::to_owned);
+            line.expect("the collections gauge is exported")
+        };
+        let counted = gauge();
+        // `save` writes a tempfile beside the manifest first: a
+        // directory in its place makes every save fail.
+        std::fs::create_dir(dir.join("catalog.manifest.tmp")).unwrap();
+
+        let (status, body) = send(&catalog, "PUT", "/collections/lost", "");
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(listed(&catalog), ["default", "kept"]);
+        assert!(catalog.collection("lost").is_none());
+        let (status, _) = send(&catalog, "POST", "/collections/lost/search", search);
+        assert_eq!(status, 404);
+
+        let (status, body) = send(&catalog, "DELETE", "/collections/kept", "");
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(listed(&catalog), ["default", "kept"]);
+        let (status, body) = send(&catalog, "POST", "/collections/kept/search", search);
+        assert_eq!(status, 200, "{body}");
+        let hits = body.get("results").and_then(Json::as_array).unwrap();
+        assert_eq!(hits.len(), 1, "{body}");
+        assert_eq!(gauge(), counted);
+        drop(catalog);
+
+        let catalog = open();
+        assert_eq!(listed(&catalog), ["default", "kept"]);
+        assert_eq!(catalog.collection("kept").unwrap().engine().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The listing's order is the registry's name order, whatever the
+    /// order of creation; a second create of a name is refused and
+    /// leaves the first in place, and a dropped name leaves the list.
+    #[test]
+    fn the_listing_keeps_name_order_and_one_entry_per_name() {
+        let catalog = catalog_with(ephemeral_config());
+        for (name, shards) in [("b", 1), ("a", 2), ("c", 3)] {
+            let body = format!("{{\"shards\": {shards}}}");
+            let (status, _) = send(&catalog, "PUT", &format!("/collections/{name}"), &body);
+            assert_eq!(status, 200);
+        }
+        assert_eq!(listed(&catalog), ["a", "b", "c", "default"]);
+        assert_eq!(catalog.collection_names(), ["default", "a", "b", "c"]);
+        let (status, _) = send(&catalog, "PUT", "/collections/b", "{\"shards\": 5}");
+        assert_eq!(status, 409);
+        assert_eq!(catalog.collection("b").unwrap().engine().shard_count(), 1);
+        let (status, _) = send(&catalog, "DELETE", "/collections/b", "");
+        assert_eq!(status, 200);
+        assert_eq!(listed(&catalog), ["a", "c", "default"]);
+    }
+
+    /// A create may ask for at most `MAX_SHARDS` shards: one more is a
+    /// named 400 and registers nothing.
+    #[test]
+    fn a_create_past_the_shard_bound_is_a_named_400() {
+        let catalog = catalog_with(ephemeral_config());
+        let body = format!("{{\"shards\": {}}}", MAX_SHARDS + 1);
+        let (status, body) = send(&catalog, "PUT", "/collections/wide", &body);
+        assert_eq!(status, 400, "{body}");
+        let error = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains(&format!("at most {MAX_SHARDS}")), "{error}");
+        assert_eq!(listed(&catalog), ["default"]);
     }
 
     #[test]

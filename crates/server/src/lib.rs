@@ -80,7 +80,7 @@ pub mod service;
 pub mod shard;
 pub mod telemetry;
 
-pub use catalog::{serve_catalog, CatalogConfig, CatalogError, CatalogService};
+pub use catalog::{CatalogConfig, CatalogError, CatalogService};
 pub use durable::ShardSpec;
 pub use front::LogFormat;
 pub use http::{read_simple_response, HttpServer, Request, Response};

@@ -273,14 +273,42 @@ fn check(catalog: &CatalogService, durable: bool) {
     }
 }
 
+/// `GET /collections` after `aux` joins `default`: one entry per
+/// collection in name order, each with its name, live shard count, set
+/// count and only the quotas it was created with.
+fn check_listing(catalog: &CatalogService) {
+    send(
+        catalog,
+        "PUT",
+        "/collections/aux",
+        r#"{"shards": 3, "quotas": {"max_sets": 10}}"#,
+    );
+    let listing = send(catalog, "GET", "/collections", "");
+    let mut want = "$ object\n$.collections array\n".to_owned();
+    for (i, quotas) in [(0, "$.collections[0].quotas.max_sets number\n"), (1, "")] {
+        want += &format!(
+            "$.collections[{i}] object\n$.collections[{i}].name string\n\
+             $.collections[{i}].shards number\n$.collections[{i}].sets number\n\
+             $.collections[{i}].quotas object\n{quotas}"
+        );
+    }
+    let mut got = String::new();
+    shape(&listing, "$", &mut got);
+    assert_eq!(got, want, "GET /collections:\n{listing}");
+}
+
 #[test]
 fn status_pages_keep_their_shape_in_memory_and_on_disk() {
     let in_memory = SearchService::durable(Store::in_memory(engine(), store_cfg()));
-    check(&catalog(in_memory, None), false);
+    let in_memory = catalog(in_memory, None);
+    check(&in_memory, false);
+    check_listing(&in_memory);
 
     let dir = std::env::temp_dir().join(format!("silkmoth-status-pages-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durable = SearchService::durable(Store::create(&dir, engine(), store_cfg()).unwrap());
-    check(&catalog(durable, Some(dir.clone())), true);
+    let durable = catalog(durable, Some(dir.clone()));
+    check(&durable, true);
+    check_listing(&durable);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,9 @@
 #   4. `kill -9` the server (no graceful shutdown — the WAL tail must
 #      carry everything),
 #   5. restart from --data-dir alone and check /stats AND
-#      /collections/aux/stats match the expected live counts.
+#      /collections/aux/stats match the expected live counts, and that
+#      GET /collections lists `aux` with the 2 shards it was created
+#      with and `default` with the server's --shards.
 #
 # After the last round a REFERENCE server is built fresh from the seed
 # input and fed the exact same acked update sequence in-memory (both
@@ -36,6 +38,7 @@ UPDATES="${2:-12}"
 WRITERS=4           # concurrent writers per round
 PER_WRITER=5        # appends each concurrent writer issues
 SEGMENT_BYTES=512   # tiny WAL segments: every round seals several
+SHARDS=3            # the durable server's --shards
 SEED=20170711 # fixed: the soak is reproducible run-to-run
 SILKMOTH="${SILKMOTH:-target/release/silkmoth}"
 PORT=7741
@@ -186,14 +189,23 @@ check_aux() {
     [ "$got" = "$AUX_COUNT" ] || die "port $port reports $got aux sets, expected $AUX_COUNT"
 }
 
+# The catalog registry as listed: `aux` with its own shard count,
+# `default` with the count its engine runs with.
+check_listing() {
+    local port="$1" got want
+    want="[{\"name\":\"aux\",\"shards\":2},{\"name\":\"default\",\"shards\":$SHARDS}]"
+    got=$(curl -sf "localhost:$port/collections" | jq -c '[.collections[] | {name, shards}]')
+    [ "$got" = "$want" ] || die "port $port lists $got, expected $want"
+}
+
 # --- the soak ---------------------------------------------------------------
 for round in $(seq 1 "$ROUNDS"); do
     if [ "$round" -eq 1 ]; then
         "$SILKMOTH" serve --input "$INPUT" --data-dir "$STORE" --port "$PORT" \
-            --shards 3 --threads 2 --delta 0.4 --wal-segment-bytes "$SEGMENT_BYTES" &
+            --shards "$SHARDS" --threads 2 --delta 0.4 --wal-segment-bytes "$SEGMENT_BYTES" &
     else
         "$SILKMOTH" serve --data-dir "$STORE" --port "$PORT" \
-            --shards 3 --threads 2 --delta 0.4 --wal-segment-bytes "$SEGMENT_BYTES" &
+            --shards "$SHARDS" --threads 2 --delta 0.4 --wal-segment-bytes "$SEGMENT_BYTES" &
     fi
     SERVER_PID=$!
     wait_healthy "$PORT"
@@ -203,6 +215,7 @@ for round in $(seq 1 "$ROUNDS"); do
             die "creating the aux collection failed"
     else
         check_aux "$PORT" # the catalog manifest + aux store recovered too
+        check_listing "$PORT"
     fi
     issue_updates "$PORT" "$UPDATES"
     concurrent_appends "$PORT"
@@ -218,7 +231,7 @@ done
 # --- final recovery + differential check vs a reference rebuild -------------
 # --slow-query-ms 0 arms slow-query trace capture so metrics_check.sh
 # can verify /debug/traces caught its adversarial query.
-"$SILKMOTH" serve --data-dir "$STORE" --port "$PORT" --shards 3 --threads 2 --delta 0.4 \
+"$SILKMOTH" serve --data-dir "$STORE" --port "$PORT" --shards "$SHARDS" --threads 2 --delta 0.4 \
     --wal-segment-bytes "$SEGMENT_BYTES" --slow-query-ms 0 &
 SERVER_PID=$!
 "$SILKMOTH" serve --input "$INPUT" --port "$REF_PORT" --shards 1 --threads 2 --delta 0.4 &
@@ -227,6 +240,7 @@ wait_healthy "$PORT"
 wait_healthy "$REF_PORT"
 check_sets "$PORT"
 check_aux "$PORT"
+check_listing "$PORT"
 
 # Replay every acked update against the reference (same order, same
 # bodies → same gids, since ids are assigned monotonically).

@@ -31,8 +31,8 @@ use silkmoth::{
     StoreConfig, Tokenization,
 };
 use silkmoth_server::{
-    dir_needs_fresh_store, follower_store_config, serve_catalog, serve_log, start_follower,
-    CatalogConfig, CatalogService, FollowerConfig, LogFormat, SearchService, StreamerConfig,
+    dir_needs_fresh_store, follower_store_config, http, serve_log, start_follower, CatalogConfig,
+    CatalogService, FollowerConfig, LogFormat, SearchService, StreamerConfig,
 };
 use std::io::Read;
 use std::path::PathBuf;
@@ -642,7 +642,7 @@ fn run_serve(cli: &Cli, cfg: EngineConfig) {
     };
     let durable = cli.data_dir.is_some();
     let bind = format!("{}:{}", cli.addr, cli.port);
-    let server = serve_catalog(Arc::new(catalog), bind.as_str(), threads)
+    let server = http::serve(bind.as_str(), threads, move |req| catalog.handle(req))
         .unwrap_or_else(|e| fail(&format!("binding {bind}: {e}")));
     eprintln!(
         "# silkmoth-server listening on http://{} — {} sets, {} shards, {} workers, \
