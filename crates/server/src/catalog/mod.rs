@@ -459,6 +459,18 @@ impl CatalogService {
             .map_err(|e| error_response(500, &format!("saving catalog manifest: {e}")))
     }
 
+    /// Removes the store directory of `name`, a name the manifest does
+    /// not hold (a no-op in memory, or when there is none).
+    fn purge_unregistered(&self, name: &str) -> std::io::Result<()> {
+        let Some(data_dir) = &self.config.data_dir else {
+            return Ok(());
+        };
+        match std::fs::remove_dir_all(collection_dir(data_dir, name)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            purged => purged,
+        }
+    }
+
     fn create(&self, name: &str, body: &[u8]) -> Answer {
         self.default.front().check_writable()?;
         let (shards, quotas) = parse_create_body(body, self.config.default_shards)?;
@@ -497,7 +509,11 @@ impl CatalogService {
         };
         // Store first, manifest second: a crash in between leaves an
         // orphan directory, never a registered collection without its
-        // store.
+        // store. The manifest is the only registration, so a directory
+        // for a name it does not hold is such an orphan, and nothing
+        // refers to it: purge it rather than refuse the name for good.
+        self.purge_unregistered(name)
+            .map_err(|e| error_response(500, &format!("purging an unregistered store: {e}")))?;
         let service =
             build_tenant(&self.config, &self.default, &spec, false).map_err(|e| match e {
                 CatalogError::Config(e) => error_response(400, &format!("engine config: {e}")),
@@ -507,7 +523,13 @@ impl CatalogService {
         let mut next = specs(&registry);
         let at = next.partition_point(|s| s.name.as_str() < name);
         next.insert(at, spec);
-        self.save(&next)?;
+        if let Err(failed) = self.save(&next) {
+            // The store the manifest never got to name goes with the
+            // failed create (a failure here is purged by the next one).
+            drop(service);
+            let _ = self.purge_unregistered(name);
+            return Err(failed);
+        }
         registry.insert(name.to_owned(), Registered { quotas, service });
         self.collections_gauge.set(registry.len() as i64);
         Ok(page(vec![
@@ -1444,6 +1466,72 @@ mod tests {
         let catalog = open();
         assert_eq!(listed(&catalog), ["default", "kept"]);
         assert_eq!(catalog.collection("kept").unwrap().engine().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A create whose manifest save fails leaves no store behind, and a
+    /// store a crash left for an unregistered name does not block it:
+    /// once saves work again, the same create succeeds and serves.
+    #[test]
+    fn a_failed_create_does_not_block_its_name() {
+        let dir = std::env::temp_dir().join(format!(
+            "silkmoth-catalog-svc-{}-failed-create",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = CatalogConfig {
+            data_dir: Some(dir.clone()),
+            store_cfg: StoreConfig {
+                sync: false,
+                policy: CompactionPolicy::DISABLED,
+            },
+            ..ephemeral_config()
+        };
+        let open = || {
+            let engine = ShardedEngine::build(&corpus(), engine_cfg(), 2).unwrap();
+            CatalogService::open(Arc::new(SearchService::new(engine)), config.clone()).unwrap()
+        };
+        let catalog = open();
+        let blocker = dir.join("catalog.manifest.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let (status, body) = send(&catalog, "PUT", "/collections/again", "");
+        assert_eq!(status, 500, "{body}");
+        assert!(
+            !collection_dir(&dir, "again").exists(),
+            "the failed create's store is gone"
+        );
+        std::fs::remove_dir(&blocker).unwrap();
+
+        let (status, body) = send(&catalog, "PUT", "/collections/again", "");
+        assert_eq!(status, 200, "{body}");
+        let sets = r#"{"sets": [["again one"]]}"#;
+        assert_eq!(
+            send(&catalog, "POST", "/collections/again/sets", sets).0,
+            200
+        );
+        let search = r#"{"reference": ["again one"]}"#;
+        let (status, body) = send(&catalog, "POST", "/collections/again/search", search);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            body.get("results").and_then(Json::as_array).map(<[_]>::len),
+            Some(1)
+        );
+
+        // A store a crash left between the store's creation and the
+        // save: unregistered, so the next create of the name purges it.
+        drop(catalog);
+        let orphan = "orphan";
+        Store::create(
+            collection_dir(&dir, orphan),
+            empty_engine(engine_cfg(), 1).unwrap(),
+            config.store_cfg,
+        )
+        .unwrap();
+        let catalog = open();
+        assert_eq!(listed(&catalog), ["again", "default"]);
+        let (status, body) = send(&catalog, "PUT", &format!("/collections/{orphan}"), "");
+        assert_eq!(status, 200, "{body}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -152,34 +152,20 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Re-arms the socket's read timeout to what is left of the request
-/// deadline (capped at [`READ_TIMEOUT`]); errors with `TimedOut` once
-/// the deadline has passed.
-fn arm_deadline(stream: &TcpStream, deadline: Instant) -> io::Result<()> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "request deadline exceeded",
-        ));
-    }
-    stream.set_read_timeout(Some(remaining.min(READ_TIMEOUT)))
-}
-
 /// Reads one `\n`-terminated head line, enforcing the remaining head
 /// budget `cap` and the request deadline *while* reading — a line that
 /// never terminates can neither buffer unboundedly nor trickle past the
 /// deadline. `Ok(None)` means clean EOF before any byte.
 fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
+    conn: &mut Conn,
     cap: &mut usize,
     deadline: Instant,
 ) -> io::Result<Option<String>> {
     let mut bytes: Vec<u8> = Vec::new();
     loop {
-        arm_deadline(reader.get_ref(), deadline)?;
+        conn.arm_before_socket_read(deadline)?;
         let (consumed, complete) = {
-            let buf = match reader.fill_buf() {
+            let buf = match conn.reader.fill_buf() {
                 Ok(buf) => buf,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -204,7 +190,7 @@ fn read_head_line(
                 }
             }
         };
-        reader.consume(consumed);
+        conn.reader.consume(consumed);
         if bytes.len() > *cap {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -221,16 +207,12 @@ fn read_head_line(
 }
 
 /// Reads exactly `len` body bytes under the request deadline.
-fn read_body(
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-    deadline: Instant,
-) -> io::Result<Vec<u8>> {
+fn read_body(conn: &mut Conn, len: usize, deadline: Instant) -> io::Result<Vec<u8>> {
     let mut body = vec![0u8; len];
     let mut filled = 0usize;
     while filled < len {
-        arm_deadline(reader.get_ref(), deadline)?;
-        match reader.read(&mut body[filled..]) {
+        conn.arm_before_socket_read(deadline)?;
+        match conn.reader.read(&mut body[filled..]) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -248,13 +230,15 @@ fn read_body(
 /// Reads one request off the connection. `Ok(None)` means the client
 /// closed cleanly before sending another request; `InvalidData` errors
 /// mean a malformed or oversized request (the caller answers 400 and
-/// closes). The whole request must arrive within [`REQUEST_DEADLINE`]
-/// of this call (the caller only invokes it once the first byte is
-/// ready, so the clock effectively starts at the first byte).
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let deadline = Instant::now() + REQUEST_DEADLINE;
+/// closes). The whole request must arrive by `deadline`: every read
+/// that goes to the socket runs under what is left of it (capped at
+/// [`READ_TIMEOUT`]), and none starts once it has passed (`TimedOut`),
+/// while bytes already buffered are parsed without a syscall.
+/// [`serve_slice`] passes `now + REQUEST_DEADLINE` once the first byte
+/// is ready, so the clock effectively starts at the first byte.
+fn read_request(conn: &mut Conn, deadline: Instant) -> io::Result<Option<Request>> {
     let mut cap = MAX_HEAD_BYTES;
-    let Some(line) = read_head_line(reader, &mut cap, deadline)? else {
+    let Some(line) = read_head_line(conn, &mut cap, deadline)? else {
         return Ok(None);
     };
     let mut parts = line.split_whitespace();
@@ -269,7 +253,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
 
     let mut headers = Vec::new();
     loop {
-        let Some(line) = read_head_line(reader, &mut cap, deadline)? else {
+        let Some(line) = read_head_line(conn, &mut cap, deadline)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-headers",
@@ -323,7 +307,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
                 "request body too large",
             ));
         }
-        request.body = read_body(reader, len, deadline)?;
+        request.body = read_body(conn, len, deadline)?;
     }
     Ok(Some(request))
 }
@@ -364,33 +348,42 @@ pub fn read_simple_response<R: BufRead>(reader: &mut R) -> io::Result<(u16, Vec<
     Ok((status, body))
 }
 
-fn write_response(stream: &mut TcpStream, resp: &Response, close: bool) -> io::Result<()> {
-    let mut head = format!(
+/// Writes `resp` with its framing headers — `Content-Length`, and
+/// `Connection: close` when `close`, else `keep-alive` — as one buffer
+/// in one `write_all`: with `TCP_NODELAY` a head and a body written
+/// apart leave as two segments, and a client that wakes on the head
+/// blocks again on the body.
+fn write_response(out: &mut impl Write, resp: &Response, close: bool) -> io::Result<()> {
+    let mut bytes = Vec::with_capacity(256 + resp.body.len());
+    write!(
+        bytes,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
+    )?;
     for (name, value) in &resp.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        for part in [name.as_bytes(), b": ", value.as_bytes(), b"\r\n"] {
+            bytes.extend_from_slice(part);
+        }
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    bytes.extend_from_slice(b"\r\n");
+    bytes.extend_from_slice(&resp.body);
+    out.write_all(&bytes)?;
+    out.flush()
 }
 
-/// One live connection with its buffered reader and the instant it last
-/// completed a request (for the idle cutoff).
+/// One live connection with its buffered reader, the instant it last
+/// completed a request (for the idle cutoff), and whether the socket's
+/// read timeout is still [`PEEK_TIMEOUT`] — a request that read from
+/// the socket re-armed it, so the next peek must set it again.
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     idle_since: Instant,
+    peek_armed: bool,
 }
 
 impl Conn {
@@ -405,11 +398,38 @@ impl Conn {
             reader: BufReader::new(stream),
             writer,
             idle_since: Instant::now(),
+            peek_armed: false,
         })
     }
 
-    fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(Some(timeout))
+    /// Arms the read timeout for the peek, unless it is armed already.
+    fn arm_peek(&mut self) -> io::Result<()> {
+        if !self.peek_armed {
+            self.reader.get_ref().set_read_timeout(Some(PEEK_TIMEOUT))?;
+            self.peek_armed = true;
+        }
+        Ok(())
+    }
+
+    /// Before a read that goes to the socket — the buffer is empty —
+    /// re-arms the read timeout to what is left of `deadline` (capped at
+    /// [`READ_TIMEOUT`]); errors with `TimedOut` once the deadline has
+    /// passed. A read the buffer serves cannot block, so it needs no
+    /// timeout.
+    fn arm_before_socket_read(&mut self, deadline: Instant) -> io::Result<()> {
+        if !self.reader.buffer().is_empty() {
+            return Ok(());
+        }
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request deadline exceeded",
+            ));
+        }
+        self.peek_armed = false;
+        let stream = self.reader.get_ref();
+        stream.set_read_timeout(Some(remaining.min(READ_TIMEOUT)))
     }
 }
 
@@ -420,9 +440,13 @@ impl Conn {
 ///
 /// A worker never blocks longer than [`PEEK_TIMEOUT`] on an *idle*
 /// connection — it peeks with `fill_buf` first, which consumes nothing,
-/// and only commits to the request deadline once the next request has
-/// started arriving. This is what lets a fixed pool of N workers
-/// multiplex more than N keep-alive connections without starving anyone.
+/// and only commits to the request deadline (`now + REQUEST_DEADLINE`,
+/// passed to [`read_request`]) once the next request has started
+/// arriving. This is what lets a fixed pool of N workers multiplex more
+/// than N keep-alive connections without starving anyone. The peek's
+/// timeout is set again only after a request re-armed it, so a request
+/// whose bytes all arrived with the peek's read is parsed from the
+/// buffer and costs one receive and one send ([`write_response`]).
 fn serve_slice<H>(mut conn: Conn, handler: &H, shutdown: &AtomicBool) -> Option<Conn>
 where
     H: Fn(&Request) -> Response,
@@ -436,7 +460,7 @@ where
         // blocking read wakes the moment bytes land, so an active
         // connection pays no peek latency at all.
         if conn.reader.buffer().is_empty() {
-            if conn.set_read_timeout(PEEK_TIMEOUT).is_err() {
+            if conn.arm_peek().is_err() {
                 return None;
             }
             match conn.reader.fill_buf() {
@@ -459,7 +483,7 @@ where
             }
         }
         // A request is arriving: read it under the request deadline.
-        match read_request(&mut conn.reader) {
+        match read_request(&mut conn, Instant::now() + REQUEST_DEADLINE) {
             Ok(Some(request)) => {
                 let response = handler(&request);
                 // Draining: finish this request, then close instead of
@@ -795,6 +819,147 @@ mod tests {
         stream.read_to_string(&mut text).unwrap();
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
         server.shutdown();
+    }
+
+    /// A connected client socket and the server's `Conn` for it.
+    fn connected() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, Conn::new(server).unwrap())
+    }
+
+    /// Sends `bytes` one at a time, 10 ms apart, until they are all sent
+    /// or the server has closed.
+    fn trickle(mut client: TcpStream, bytes: Vec<u8>) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            for b in bytes {
+                if client.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        })
+    }
+
+    /// Reads one request under a deadline 200 ms out while `client`
+    /// trickles `bytes` (3 s and more of them) after sending `sent` at
+    /// once; the read must time out near the deadline — `TimedOut` from
+    /// the deadline check, or `WouldBlock` from a socket read armed with
+    /// the deadline's last milliseconds.
+    fn assert_cut_at_deadline(sent: &[u8], bytes: Vec<u8>) {
+        assert!(bytes.len() >= 300, "the trickle outlasts the deadline");
+        let (mut client, mut conn) = connected();
+        client.write_all(sent).unwrap();
+        let writer = trickle(client, bytes);
+        let start = Instant::now();
+        let read = read_request(&mut conn, start + Duration::from_millis(200));
+        let took = start.elapsed();
+        let kind = read.err().map(|e| e.kind());
+        assert!(
+            matches!(
+                kind,
+                Some(io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
+            ),
+            "{kind:?}"
+        );
+        let window = Duration::from_millis(100)..Duration::from_millis(1500);
+        assert!(window.contains(&took), "cut after {took:?}");
+        drop(conn);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_trickled_head_is_cut_at_the_callers_deadline() {
+        // One long request line: the deadline must hold within a line,
+        // not only between lines.
+        let head = format!("GET /{} HTTP/1.1\r\nHost: x\r\n\r\n", "a".repeat(300));
+        assert_cut_at_deadline(b"", head.into_bytes());
+    }
+
+    #[test]
+    fn a_trickled_body_is_cut_at_the_callers_deadline() {
+        let head = b"POST /b HTTP/1.1\r\nHost: x\r\nContent-Length: 300\r\n\r\n";
+        assert_cut_at_deadline(head, vec![b'x'; 300]);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_on_one_connection() {
+        let server = serve("127.0.0.1:0", 1, |req: &Request| {
+            let body = String::from_utf8_lossy(&req.body);
+            Response::json(200, format!("{} {}", req.path, body))
+        })
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // Two requests in one write: the second is parsed from what the
+        // first one's read left in the buffer.
+        stream
+            .write_all(
+                b"POST /first HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello\
+                  GET /second HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+            .unwrap();
+        for want in ["/first hello", "/second "] {
+            let (status, body) = read_simple_response(&mut reader).unwrap();
+            assert_eq!(
+                (status, String::from_utf8(body).unwrap().as_str()),
+                (200, want)
+            );
+        }
+        // The connection stays open and serves the next request.
+        stream
+            .write_all(b"GET /third HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let (status, body) = read_simple_response(&mut reader).unwrap();
+        assert_eq!((status, body.as_slice()), (200, b"/third ".as_slice()));
+        drop((stream, reader));
+        server.shutdown();
+    }
+
+    /// A writer that records each `write` call.
+    #[derive(Default)]
+    struct Recording(Vec<Vec<u8>>);
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_goes_out_in_one_write() {
+        let resp = Response::json(503, "{\"a\":\"b\"}".into()).with_header("Retry-After", "1");
+        let mut out = Recording::default();
+        write_response(&mut out, &resp, false).unwrap();
+        let writes: Vec<String> = out
+            .0
+            .into_iter()
+            .map(|w| String::from_utf8(w).unwrap())
+            .collect();
+        assert_eq!(
+            writes,
+            [
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+              Content-Length: 9\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\n{\"a\":\"b\"}"
+            ]
+        );
+        let mut out = Recording::default();
+        write_response(&mut out, &Response::json(200, String::new()), true).unwrap();
+        assert_eq!(
+            out.0,
+            [b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+               Content-Length: 0\r\nConnection: close\r\n\r\n"
+                .to_vec()]
+        );
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("]")
             }
@@ -134,7 +134,8 @@ impl fmt::Display for Json {
                         f.write_str(",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
                 f.write_str("}")
             }
@@ -142,20 +143,37 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string: each run of characters that needs no
+/// escape goes out in one `write_str`, and only `"`, `\` and the
+/// controls below U+0020 one by one. Every byte that needs an escape is
+/// ASCII, so a run ends on a character boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{8}' => f.write_str("\\b")?,
-            '\u{c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "", // `\u00XX`, written below
+            _ => continue,
+        };
+        if run < i {
+            f.write_str(&s[run..i])?;
         }
+        if escape.is_empty() {
+            write!(f, "\\u{:04x}", b)?;
+        } else {
+            f.write_str(escape)?;
+        }
+        run = i + 1;
+    }
+    if run < s.len() {
+        f.write_str(&s[run..])?;
     }
     f.write_str("\"")
 }
@@ -458,6 +476,63 @@ mod tests {
         assert!(!v.to_string().contains('\n'));
         assert!(!v.to_string().contains('\r'));
         assert_eq!(roundtrip(&v), v);
+    }
+
+    /// Strings and object keys encode to exactly these texts: every
+    /// escape class at the start, in the middle, at the end and next to
+    /// the others, and the characters that pass through unchanged.
+    #[test]
+    fn strings_and_keys_encode_to_exact_text() {
+        let cases: &[(&str, &str)] = &[
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("\"x", r#""\"x""#),
+            ("x\"y", r#""x\"y""#),
+            ("x\"", r#""x\"""#),
+            ("\\x", r#""\\x""#),
+            ("x\\y", r#""x\\y""#),
+            ("x\\", r#""x\\""#),
+            ("\nx", r#""\nx""#),
+            ("x\ny", r#""x\ny""#),
+            ("x\n", r#""x\n""#),
+            ("\rx", r#""\rx""#),
+            ("x\ry", r#""x\ry""#),
+            ("x\r", r#""x\r""#),
+            ("\tx", r#""\tx""#),
+            ("x\ty", r#""x\ty""#),
+            ("x\t", r#""x\t""#),
+            ("\u{8}x", r#""\bx""#),
+            ("x\u{8}y", r#""x\by""#),
+            ("x\u{8}", r#""x\b""#),
+            ("\u{c}x", r#""\fx""#),
+            ("x\u{c}y", r#""x\fy""#),
+            ("x\u{c}", r#""x\f""#),
+            ("\u{0}x", r#""\u0000x""#),
+            ("x\u{1b}y", r#""x\u001by""#),
+            ("x\u{1f}", r#""x\u001f""#),
+            ("\"\\\n\r\t\u{8}\u{c}\u{0}\"", r#""\"\\\n\r\t\b\f\u0000\"""#),
+            (
+                "\u{0}\u{1}\u{2}\u{3}\u{4}\u{5}\u{6}\u{7}\u{8}\u{9}\u{a}\u{b}\u{c}\u{d}\u{e}\u{f}\
+                 \u{10}\u{11}\u{12}\u{13}\u{14}\u{15}\u{16}\u{17}\
+                 \u{18}\u{19}\u{1a}\u{1b}\u{1c}\u{1d}\u{1e}\u{1f}",
+                r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f""#,
+            ),
+            ("\u{7f}", "\"\u{7f}\""),
+            ("x\u{7f}\n", "\"x\u{7f}\\n\""),
+            ("é\n", "\"é\\n\""),
+            ("\"€\"", "\"\\\"€\\\"\""),
+            ("🚀\t🚀", "\"🚀\\t🚀\""),
+            ("\u{1}é€🚀\u{7f}\\", "\"\\u0001é€🚀\u{7f}\\\\\""),
+        ];
+        for &(raw, want) in cases {
+            assert_eq!(Json::Str(raw.to_owned()).to_string(), want, "value {raw:?}");
+            let keyed = obj(vec![(raw, Json::Num(1.0)), ("", Json::Str(raw.to_owned()))]);
+            assert_eq!(
+                keyed.to_string(),
+                format!("{{{want}:1,\"\":{want}}}"),
+                "key {raw:?}"
+            );
+        }
     }
 
     #[test]

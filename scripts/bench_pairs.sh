@@ -53,8 +53,12 @@
 # opening: `collection.build_s` (one collection built from the corpus's
 # texts), `server.shard.build_s` (the sharded engine the server builds),
 # `storage.open.s` (recovery: snapshot load, rebuild and WAL replay) and
-# `core.engine.apply_us` (one update applied to the engine). And
-# `bench.rss_serving_peak_mb`. Each row gives each side's value and their
+# `core.engine.apply_us` (one update applied to the engine). The
+# request path around the engine: `server.http.roundtrip_us` (one
+# request's round trip over the socket), `server.json.decode_us` and
+# `server.json.encode_us` (the request and reply documents), and
+# `collection.encode_us` (the reference encoded against a shard's
+# dictionary). And `bench.rss_serving_peak_mb`. Each row gives each side's value and their
 # ratio (change / parent). Timings do not repeat exactly, so these rows
 # carry no `=` / `≠`: a saving claimed for a layer shows as a ratio below
 # 1 on its rows. Across the candidate stage without a candidates × |R|
@@ -65,7 +69,11 @@
 # only up to the sim-thresh cap (with the walk's φ cache), one funnel row
 # moves: `core.sim_evals`, down on `topk-candidates`, `topk-verify` and
 # `mixed-rw` and `=` on `floor-small` (α = 0 there, so no cap applies);
-# every other row stays `=`.
+# every other row stays `=`. Across the HTTP front that re-arms its read
+# timeout only before a socket read and writes each reply in one write,
+# with JSON strings escaped by runs, the request-path rows go down
+# (`server.http.roundtrip_us` and `server.json.encode_us` most) and
+# every funnel and write-path row stays `=`.
 #
 # Run nothing else meanwhile: the suite pins itself and its server to one
 # CPU, and this box has two.
@@ -190,7 +198,9 @@ paste <(funnel_rows parent) <(funnel_rows change) | awk -F'\t' '
 timing_rows() {
     tail -n 1 "$work/$1.trace.log" | jq -r '.metrics as $m
         | ("core.filter.us core.engine.stage_us core.engine.verify_us collection.build_s " +
-           "server.shard.build_s storage.open.s core.engine.apply_us bench.rss_serving_peak_mb"
+           "server.shard.build_s storage.open.s core.engine.apply_us " +
+           "server.http.roundtrip_us server.json.decode_us server.json.encode_us collection.encode_us " +
+           "bench.rss_serving_peak_mb"
            | split(" ")[]) as $name
         | "\($name)\t\($m[$name].value)"'
 }
