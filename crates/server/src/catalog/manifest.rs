@@ -13,18 +13,18 @@
 //!
 //! ## Manifest
 //!
-//! The on-disk registry: one versioned binary file (`catalog.manifest`)
+//! The on-disk registry: one file (`catalog.manifest`) of sealed bytes
+//! in the storage layer's [envelope](silkmoth_storage::envelope)
+//! (`SMCT`, version 2; version 1's one-byte version is refused by name)
 //! listing every collection as a [`CollectionSpec`] — its name, shard
-//! count and [`Quotas`]. Following the workspace's format-versioning
-//! rule it carries a magic + version byte (readers reject unknown
-//! versions by name) and a CRC-32 trailer (the storage layer's
-//! [`crc32`]), and [`save`] writes it atomically — tempfile, fsync,
-//! rename, directory fsync — so a crash mid-update leaves either the
-//! old registry or the new one, never a torn file. The catalog keeps no
+//! count and [`Quotas`] ([`encode`] gives the fields). [`save`] writes
+//! it atomically — tempfile, fsync, rename, directory fsync — so a
+//! crash mid-update leaves either the old registry or the new one,
+//! never a torn file. The catalog keeps no
 //! copy of it: it writes the file from its own registry, and only
 //! opening the catalog reads it back ([`load`]).
 
-use silkmoth_storage::crc32;
+use silkmoth_storage::envelope::{seal, EnvelopeError, Header};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -44,10 +44,7 @@ pub(crate) const DEFAULT_COLLECTION: &str = "default";
 /// The manifest's file name inside the server's data directory.
 pub(crate) const MANIFEST_FILE: &str = "catalog.manifest";
 
-/// The current manifest encoding version (the byte after the magic).
-pub(crate) const MANIFEST_VERSION: u8 = 1;
-
-const MAGIC: &[u8; 4] = b"SMCT";
+const MANIFEST_HEADER: Header = Header::new(*b"SMCT", 2);
 
 /// Why a collection name was rejected. Rendered into the server's
 /// named `400` response.
@@ -148,18 +145,8 @@ pub(crate) struct CollectionSpec {
 pub enum ManifestError {
     /// Filesystem failure reading or writing the manifest.
     Io(io::Error),
-    /// The file does not start with the `SMCT` magic.
-    BadMagic,
-    /// A version this reader does not understand — rejected by name,
-    /// never guessed at.
-    UnknownVersion(u8),
-    /// The CRC-32 trailer does not match the content.
-    BadChecksum {
-        /// CRC stored in the trailer.
-        stored: u32,
-        /// CRC computed over the content.
-        computed: u32,
-    },
+    /// The envelope refused the bytes (magic, version, CRC, length).
+    Envelope(EnvelopeError),
     /// Structurally broken content (truncated field, duplicate or
     /// invalid name, a shard count above the bound a create enforces).
     Corrupt(String),
@@ -169,16 +156,7 @@ impl fmt::Display for ManifestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Io(e) => write!(f, "catalog manifest io: {e}"),
-            Self::BadMagic => write!(f, "not a catalog manifest (bad magic)"),
-            Self::UnknownVersion(v) => write!(
-                f,
-                "catalog manifest version {v} is not supported (this reader understands \
-                 version {MANIFEST_VERSION}); refusing to guess at the layout"
-            ),
-            Self::BadChecksum { stored, computed } => write!(
-                f,
-                "catalog manifest checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            ),
+            Self::Envelope(e) => write!(f, "catalog manifest refused: {e}"),
             Self::Corrupt(why) => write!(f, "catalog manifest corrupt: {why}"),
         }
     }
@@ -192,12 +170,11 @@ impl From<io::Error> for ManifestError {
     }
 }
 
-/// Encodes the registry `specs` (in name order): magic, version byte,
-/// entry count, the entries, CRC-32 trailer over everything before it.
+/// Encodes the registry `specs` (in name order): header, entry count
+/// u32, per entry `name_len u16 | name | shards u32 | quota mask u8`
+/// and one u64 per quota whose mask bit is set, seal.
 pub(crate) fn encode(specs: &[CollectionSpec]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + specs.len() * 48);
-    out.extend_from_slice(MAGIC);
-    out.push(MANIFEST_VERSION);
+    let mut out = MANIFEST_HEADER.begin(64 + specs.len() * 48);
     out.extend_from_slice(&(specs.len() as u32).to_le_bytes());
     for spec in specs {
         out.extend_from_slice(&(spec.name.len() as u16).to_le_bytes());
@@ -221,37 +198,21 @@ pub(crate) fn encode(specs: &[CollectionSpec]) -> Vec<u8> {
             out.extend_from_slice(&field.to_le_bytes());
         }
     }
-    out.extend_from_slice(&crc32(&out).to_le_bytes());
+    seal(&mut out);
     out
 }
 
-/// Decodes a registry, checking magic, version, structure, and the CRC
-/// trailer. Every stored name is re-validated — a manifest is the one
-/// thing that could smuggle a bad name past the HTTP-layer check — and
-/// so is every shard count a collection is opened with (`default`'s is
-/// never read: its store is opened with the server's own count).
+/// Decodes a registry, checking the envelope (magic, version, CRC),
+/// then the structure. Every stored name is re-validated — a manifest
+/// is the one thing that could smuggle a bad name past the HTTP-layer
+/// check — and so is every shard count a collection is opened with
+/// (`default`'s is never read: its store is opened with the server's
+/// own count).
 pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<CollectionSpec>, ManifestError> {
     let corrupt = |why: &str| ManifestError::Corrupt(why.into());
-    if bytes.len() < MAGIC.len() + 1 {
-        return Err(ManifestError::BadMagic);
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(ManifestError::BadMagic);
-    }
-    let version = bytes[MAGIC.len()];
-    if version != MANIFEST_VERSION {
-        return Err(ManifestError::UnknownVersion(version));
-    }
-    if bytes.len() < MAGIC.len() + 1 + 4 + 4 {
-        return Err(corrupt("truncated before the entry count"));
-    }
-    let (content, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte split"));
-    let computed = crc32(content);
-    if stored != computed {
-        return Err(ManifestError::BadChecksum { stored, computed });
-    }
-    let mut cursor = &content[MAGIC.len() + 1..];
+    let mut cursor = MANIFEST_HEADER
+        .open(bytes)
+        .map_err(ManifestError::Envelope)?;
     let mut take = |n: usize, what: &str| -> Result<&[u8], ManifestError> {
         if cursor.len() < n {
             return Err(ManifestError::Corrupt(format!("truncated {what}")));
@@ -428,55 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn unknown_versions_are_rejected_by_name() {
-        let mut bytes = encode(&[]);
-        bytes[4] = 2; // bump the version byte
-        let fixed = {
-            // Re-seal the trailer so only the version is wrong.
-            let n = bytes.len() - 4;
-            let crc = crc32(&bytes[..n]).to_le_bytes();
-            bytes[n..].copy_from_slice(&crc);
-            bytes
-        };
-        match decode(&fixed) {
-            Err(ManifestError::UnknownVersion(2)) => {}
-            other => panic!("expected UnknownVersion(2), got {other:?}"),
-        }
-        assert!(matches!(
-            decode(b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00"),
-            Err(ManifestError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn every_flipped_byte_is_caught() {
-        let specs = [spec(
-            "tenant",
-            3,
-            Quotas {
-                max_sets: Some(5),
-                ..Quotas::default()
-            },
-        )];
-        let good = encode(&specs);
-        assert!(decode(&good).is_ok());
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            assert!(decode(&bad).is_err(), "flipping byte {i} went unnoticed");
-        }
-        // Truncations too: no prefix may decode.
-        for n in 0..good.len() {
-            assert!(decode(&good[..n]).is_err(), "prefix {n} decoded");
-        }
-    }
-
-    #[test]
     fn save_load_round_trips_and_missing_file_is_none() {
         let dir = std::env::temp_dir().join(format!(
             "silkmoth-catalog-test-{}-{:p}",
             std::process::id(),
-            &MAGIC
+            &MANIFEST_HEADER
         ));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(MANIFEST_FILE);
@@ -497,31 +414,23 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn crc32_matches_the_reference_vector() {
-        // The classic IEEE check value: the trailer's polynomial and
-        // presentation (all-ones in, all-ones out).
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
     /// `encode`'s bytes for a fixed spec list: an empty registry, and
     /// three entries whose quota masks set no bit, one bit and the two
     /// outer bits.
     #[test]
     fn encode_bytes_are_pinned_for_a_fixed_spec_list() {
         #[rustfmt::skip]
-        const EMPTY: [u8; 13] = [b'S', b'M', b'C', b'T', 1, 0, 0, 0, 0, 0x94, 0xB2, 0xD2, 0xC0];
+        const EMPTY: [u8; 16] = [b'S', b'M', b'C', b'T', 2, 0, 0, 0, 0, 0, 0, 0, 0xDF, 0xB1, 0xFA, 0x35];
         #[rustfmt::skip]
-        const THREE: [u8; 70] = [
-            b'S', b'M', b'C', b'T', 1, 3, 0, 0, 0,
+        const THREE: [u8; 73] = [
+            b'S', b'M', b'C', b'T', 2, 0, 0, 0, 3, 0, 0, 0,
             1, 0, b'a', 1, 0, 0, 0, 0b0010,
             3, 0, 0, 0, 0, 0, 0, 0,
             7, 0, b'd', b'e', b'f', b'a', b'u', b'l', b't', 4, 0, 0, 0, 0,
             4, 0, b'z', b'-', b'9', b'_', 64, 0, 0, 0, 0b1001,
             0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
             1, 0, 0, 0, 0, 0, 0, 0,
-            0x8A, 0x74, 0x23, 0x7A,
+            0x33, 0xDE, 0x6A, 0xEE,
         ];
         assert_eq!(encode(&[]), EMPTY);
         let specs = [
@@ -547,21 +456,22 @@ mod tests {
         assert_eq!(encode(&specs), THREE);
     }
 
-    /// Version-1 bytes as the first manifest encoder (a bitwise CRC-32
-    /// of its own) wrote them: a manifest already on disk must decode
+    /// Version-2 bytes are pinned: a manifest on disk must decode
     /// unchanged, and encoding its contents must give its bytes back.
+    /// The same registry in the version-1 layout (a one-byte version)
+    /// is refused by its version number, before its CRC is read.
     #[test]
-    fn version_1_bytes_are_pinned() {
+    fn version_2_bytes_are_pinned_and_version_1_is_refused() {
         #[rustfmt::skip]
-        const GOLDEN: [u8; 74] = [
-            b'S', b'M', b'C', b'T', 1, 2, 0, 0, 0,
+        const GOLDEN: [u8; 77] = [
+            b'S', b'M', b'C', b'T', 2, 0, 0, 0, 2, 0, 0, 0,
             7, 0, b'd', b'e', b'f', b'a', b'u', b'l', b't', 4, 0, 0, 0, 0,
             8, 0, b't', b'e', b'n', b'a', b'n', b't', b'-', b'a', 7, 0, 0, 0, 0b1111,
             2, 0, 0, 0, 0, 0, 0, 0,
             0x10, 0x27, 0, 0, 0, 0, 0, 0,
             0, 0, 0x10, 0, 0, 0, 0, 0,
             250, 0, 0, 0, 0, 0, 0, 0,
-            0xCA, 0x80, 0x76, 0x19,
+            0x7D, 0xFA, 0x3A, 0x7B,
         ];
         let specs = [
             spec("default", 4, Quotas::default()),
@@ -578,5 +488,17 @@ mod tests {
         ];
         assert_eq!(encode(&specs), GOLDEN);
         assert_eq!(decode(&GOLDEN).unwrap(), specs);
+
+        // The version-1 file: the one-byte version, then the same
+        // fields under their own seal.
+        let mut v1 = GOLDEN[..4].to_vec();
+        v1.push(1);
+        v1.extend_from_slice(&GOLDEN[8..GOLDEN.len() - 4]);
+        seal(&mut v1);
+        assert_eq!(v1[v1.len() - 4..], [0xCA, 0x80, 0x76, 0x19]);
+        match decode(&v1) {
+            Err(ManifestError::Envelope(EnvelopeError::UnknownVersion(1, 2))) => {}
+            other => panic!("expected version 1 refused by name, got {other:?}"),
+        }
     }
 }

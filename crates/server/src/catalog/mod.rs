@@ -54,7 +54,7 @@
 //! (which simply ignores the manifest and the subdirectory).
 //! [`CatalogService::open`] recovers every collection after `kill -9`.
 
-mod manifest;
+pub(crate) mod manifest;
 
 pub use manifest::ManifestError;
 

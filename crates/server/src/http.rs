@@ -168,6 +168,10 @@ fn read_head_line(
             let buf = match conn.reader.fill_buf() {
                 Ok(buf) => buf,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // The read timeout (`SO_RCVTIMEO`) is the deadline's cut.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    return Err(io::ErrorKind::TimedOut.into())
+                }
                 Err(e) => return Err(e),
             };
             if buf.is_empty() {
@@ -221,6 +225,9 @@ fn read_body(conn: &mut Conn, len: usize, deadline: Instant) -> io::Result<Vec<u
             }
             Ok(n) => filled += n,
             Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                return Err(io::ErrorKind::TimedOut.into())
+            }
             Err(e) => return Err(e),
         }
     }
@@ -844,9 +851,9 @@ mod tests {
 
     /// Reads one request under a deadline 200 ms out while `client`
     /// trickles `bytes` (3 s and more of them) after sending `sent` at
-    /// once; the read must time out near the deadline — `TimedOut` from
-    /// the deadline check, or `WouldBlock` from a socket read armed with
-    /// the deadline's last milliseconds.
+    /// once; the read must time out near the deadline with `TimedOut`,
+    /// whether the deadline check or a socket read armed with the
+    /// deadline's last milliseconds cut it.
     fn assert_cut_at_deadline(sent: &[u8], bytes: Vec<u8>) {
         assert!(bytes.len() >= 300, "the trickle outlasts the deadline");
         let (mut client, mut conn) = connected();
@@ -856,13 +863,7 @@ mod tests {
         let read = read_request(&mut conn, start + Duration::from_millis(200));
         let took = start.elapsed();
         let kind = read.err().map(|e| e.kind());
-        assert!(
-            matches!(
-                kind,
-                Some(io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock)
-            ),
-            "{kind:?}"
-        );
+        assert_eq!(kind, Some(io::ErrorKind::TimedOut));
         let window = Duration::from_millis(100)..Duration::from_millis(1500);
         assert!(window.contains(&took), "cut after {took:?}");
         drop(conn);

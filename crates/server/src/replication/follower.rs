@@ -356,7 +356,8 @@ fn stream_session<Io: Read + Write>(
         if shared.stopped() {
             return Ok(());
         }
-        let frame = read_frame(io, cfg.max_frame_len)?;
+        let closed = || ReplicaError::Protocol("primary closed the stream".to_string());
+        let frame = read_frame(io, cfg.max_frame_len)?.ok_or_else(closed)?;
         // Nothing may be applied after a stop request: promotion
         // assumes the applied count is frozen once stop() returns and
         // the loop is seen exited.

@@ -1,6 +1,6 @@
 //! WAL-shipping replication of a durable [`SearchService`].
 //!
-//! A primary exposes its storage WAL as a versioned, length-prefixed,
+//! A primary exposes its storage WAL as a versioned, framed,
 //! CRC-checked record stream over TCP ([`serve_log`], `serve
 //! --replicate-addr`). A follower connects with a cursor — the count of
 //! updates it has already applied plus the failover epoch it applied
@@ -38,18 +38,19 @@
 //!
 //! # Wire format
 //!
-//! All integers little-endian. The follower opens with a 25-byte
-//! handshake: magic `"SMRS"`, version byte (currently 1), epoch `u64`,
-//! applied seq `u64`, CRC-32 of the preceding 21 bytes. The primary then
-//! sends frames: `tag u8 | body_len u32 | crc32(tag + body) u32 | body`.
-//! Tags: error (0, UTF-8 message), heartbeat (1, committed seq), record
-//! (2, seq + raw WAL payload), snapshot (3, epoch + seq + bytes in the
-//! storage snapshot-file format). Unknown magic, versions, and tags are
-//! rejected by name; a version bump is required for any layout change.
+//! Protocol version 2, in the storage layer's
+//! [envelope](silkmoth_storage::envelope). The follower opens with a
+//! 28-byte sealed handshake (`SMRS`, version 2) whose fields are its
+//! epoch and its applied seq, `u64` each. The primary answers with
+//! frames whose body is `tag u8 | fields`: error (0, UTF-8 message),
+//! heartbeat (1, committed seq), record (2, seq + raw WAL payload),
+//! snapshot (3, epoch + seq + snapshot-file bytes). An unknown tag is
+//! refused by name like an unknown magic or version (version 1's
+//! 25-byte handshake included).
 //!
 //! # Modules
 //!
-//! - `proto`: the framing itself — encode/decode, CRC, length caps.
+//! - `proto`: the handshake and frame codecs over the envelope.
 //! - `source`: primary side — [`stream_updates`] serves one follower
 //!   connection from the store's retained log, [`serve_log`] is the TCP
 //!   accept loop (it also reports its followers on `/stats` and holds
@@ -60,7 +61,7 @@
 //!   [`ServiceSink`]; [`FollowerShared`] exposes live status and stop.
 
 mod follower;
-mod proto;
+pub(crate) mod proto;
 mod source;
 
 pub use follower::{
@@ -75,6 +76,7 @@ use crate::durable::ShardSpec;
 use crate::service::SearchService;
 use crate::shard::ShardedEngine;
 use silkmoth_core::wire::decode_update;
+use silkmoth_storage::envelope::EnvelopeError;
 use silkmoth_storage::{parse_snapshot, StorageError, StoreConfig, StoreEngine};
 use std::fmt;
 use std::io;
@@ -129,6 +131,17 @@ impl std::error::Error for ReplicaError {
 impl From<StorageError> for ReplicaError {
     fn from(e: StorageError) -> Self {
         Self::Storage(e)
+    }
+}
+
+/// Bytes the envelope refused are a named `Frame` error; a stream
+/// that failed underneath a frame stays an `Io` error.
+impl From<EnvelopeError> for ReplicaError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::Io(source) => Self::io("read frame")(source),
+            refused => Self::Frame(refused.to_string()),
+        }
     }
 }
 

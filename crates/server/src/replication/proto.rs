@@ -1,30 +1,19 @@
 //! Replication wire framing: the follower handshake and the
-//! primary→follower frame stream. The parent module's docs give the
-//! layout.
-//!
-//! Every frame's CRC covers the tag byte *and* the body, so a flipped
-//! tag is caught like a flipped payload byte; the handshake carries its
-//! own CRC over everything before it. Readers reject unknown magic,
-//! versions, and tags by name, and cap body lengths so a corrupted
-//! length prefix fails fast instead of allocating gigabytes.
+//! primary→follower frames, codecs over the storage layer's
+//! [envelope](silkmoth_storage::envelope); the parent module's docs
+//! give the fields. A frame's tag leads its body, so the frame's CRC
+//! covers it.
 
 use super::ReplicaError;
-use silkmoth_storage::crc32;
+use silkmoth_storage::envelope::{self, push_frame, seal, Header, HEADER_LEN};
 use std::io::{Read, Write};
 
-/// Current replication protocol version. Any change to the handshake
-/// or frame layout bumps this; peers reject other versions by name.
-pub(crate) const PROTOCOL_VERSION: u8 = 1;
+/// "SilkMoth Replication Stream": any change to the handshake or frame
+/// layout bumps the version.
+const HANDSHAKE_HEADER: Header = Header::new(*b"SMRS", 2);
 
-/// Magic prefix of the follower handshake ("SilkMoth Replication
-/// Stream").
-const MAGIC: [u8; 4] = *b"SMRS";
-
-/// Handshake length: magic 4 + version 1 + epoch 8 + applied 8 + crc 4.
-const HANDSHAKE_LEN: usize = 25;
-
-/// Frame header length: tag 1 + body_len 4 + crc 4.
-const FRAME_HEADER_LEN: usize = 9;
+/// Handshake length: header 8 + epoch 8 + applied 8 + seal 4.
+const HANDSHAKE_LEN: usize = HEADER_LEN + 8 + 8 + 4;
 
 const TAG_ERROR: u8 = 0;
 const TAG_HEARTBEAT: u8 = 1;
@@ -74,37 +63,23 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn tag(&self) -> u8 {
-        match self {
-            Self::Error(_) => TAG_ERROR,
-            Self::Heartbeat { .. } => TAG_HEARTBEAT,
-            Self::Record { .. } => TAG_RECORD,
-            Self::Snapshot { .. } => TAG_SNAPSHOT,
-        }
-    }
-
-    fn body(&self) -> Vec<u8> {
-        match self {
-            Self::Error(msg) => msg.as_bytes().to_vec(),
-            Self::Heartbeat { committed_seq } => committed_seq.to_le_bytes().to_vec(),
-            Self::Record { seq, payload } => {
-                let mut body = Vec::with_capacity(8 + payload.len());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(payload);
-                body
-            }
+    /// Appends the frame's body: its tag, its u64 fields, its bytes.
+    fn put_body(&self, out: &mut Vec<u8>) {
+        let (tag, words, bytes): (u8, &[u64], &[u8]) = match self {
+            Self::Error(msg) => (TAG_ERROR, &[], msg.as_bytes()),
+            Self::Heartbeat { committed_seq } => (TAG_HEARTBEAT, &[*committed_seq], &[]),
+            Self::Record { seq, payload } => (TAG_RECORD, &[*seq], payload),
             Self::Snapshot {
                 epoch,
                 seq,
                 snapshot,
-            } => {
-                let mut body = Vec::with_capacity(16 + snapshot.len());
-                body.extend_from_slice(&epoch.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(snapshot);
-                body
-            }
+            } => (TAG_SNAPSHOT, &[*epoch, *seq], snapshot),
+        };
+        out.push(tag);
+        for word in words {
+            out.extend_from_slice(&word.to_le_bytes());
         }
+        out.extend_from_slice(bytes);
     }
 }
 
@@ -114,13 +89,10 @@ fn u64_at(buf: &[u8], at: usize) -> u64 {
 
 /// Writes the follower handshake.
 pub(crate) fn write_handshake(io: &mut impl Write, hello: &Handshake) -> Result<(), ReplicaError> {
-    let mut buf = Vec::with_capacity(HANDSHAKE_LEN);
-    buf.extend_from_slice(&MAGIC);
-    buf.push(PROTOCOL_VERSION);
+    let mut buf = HANDSHAKE_HEADER.begin(HANDSHAKE_LEN);
     buf.extend_from_slice(&hello.epoch.to_le_bytes());
     buf.extend_from_slice(&hello.applied_seq.to_le_bytes());
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut buf);
     io.write_all(&buf)
         .map_err(ReplicaError::io("write handshake"))?;
     io.flush().map_err(ReplicaError::io("flush handshake"))
@@ -128,137 +100,80 @@ pub(crate) fn write_handshake(io: &mut impl Write, hello: &Handshake) -> Result<
 
 /// Reads and validates a follower handshake. Magic, version, and CRC
 /// failures are all named `Frame` errors — the primary answers them
-/// with an [`Frame::Error`] before closing.
+/// with an [`Frame::Error`] before closing. The header is checked
+/// before the rest is read: a handshake of another version may be
+/// shorter.
 pub(crate) fn read_handshake(io: &mut impl Read) -> Result<Handshake, ReplicaError> {
     let mut buf = [0u8; HANDSHAKE_LEN];
-    read_exact(io, &mut buf, "handshake")?;
-    if buf[..4] != MAGIC {
-        return Err(ReplicaError::Frame(format!(
-            "handshake magic {:02x?} is not {:02x?}",
-            &buf[..4],
-            MAGIC
-        )));
-    }
-    if buf[4] != PROTOCOL_VERSION {
-        return Err(ReplicaError::Frame(format!(
-            "unknown replication protocol version {} (this build speaks {PROTOCOL_VERSION})",
-            buf[4]
-        )));
-    }
-    let stored = u32::from_le_bytes(buf[21..25].try_into().expect("4 bytes"));
-    let actual = crc32(&buf[..21]);
-    if stored != actual {
-        return Err(ReplicaError::Frame(format!(
-            "handshake CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
+    let read = || ReplicaError::io("read handshake");
+    io.read_exact(&mut buf[..HEADER_LEN]).map_err(read())?;
+    HANDSHAKE_HEADER.check(&buf)?;
+    io.read_exact(&mut buf[HEADER_LEN..]).map_err(read())?;
+    let fields = HANDSHAKE_HEADER.open(&buf)?;
     Ok(Handshake {
-        epoch: u64_at(&buf, 5),
-        applied_seq: u64_at(&buf, 13),
+        epoch: u64_at(fields, 0),
+        applied_seq: u64_at(fields, 8),
     })
 }
 
-/// Writes one frame.
+/// Writes one frame in one write.
 pub fn write_frame(io: &mut impl Write, frame: &Frame) -> Result<(), ReplicaError> {
-    let tag = frame.tag();
-    let body = frame.body();
-    let mut crc_input = Vec::with_capacity(1 + body.len());
-    crc_input.push(tag);
-    crc_input.extend_from_slice(&body);
-    let crc = crc32(&crc_input);
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = tag;
-    header[1..5].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[5..9].copy_from_slice(&crc.to_le_bytes());
-    io.write_all(&header)
-        .map_err(ReplicaError::io("write frame header"))?;
-    io.write_all(&body)
-        .map_err(ReplicaError::io("write frame body"))?;
+    let mut buf = Vec::new();
+    push_frame(&mut buf, |body| frame.put_body(body));
+    io.write_all(&buf)
+        .map_err(ReplicaError::io("write frame"))?;
     io.flush().map_err(ReplicaError::io("flush frame"))
 }
 
 /// Reads one frame, rejecting bodies longer than `max_body_len` before
-/// allocating. All parse failures are named `Frame` errors; an EOF in
-/// the middle of a frame is a named `Io` error (torn stream).
-pub(crate) fn read_frame(io: &mut impl Read, max_body_len: u32) -> Result<Frame, ReplicaError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    read_exact(io, &mut header, "frame header")?;
-    let tag = header[0];
-    let body_len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes"));
-    let stored_crc = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes"));
-    if tag > TAG_SNAPSHOT {
-        return Err(ReplicaError::Frame(format!("unknown frame tag {tag}")));
-    }
-    if body_len > max_body_len {
-        return Err(ReplicaError::Frame(format!(
-            "frame body of {body_len} bytes exceeds the {max_body_len}-byte cap"
-        )));
-    }
-    let mut body = vec![0u8; body_len as usize];
-    read_exact(io, &mut body, "frame body")?;
-    let mut crc_input = Vec::with_capacity(1 + body.len());
-    crc_input.push(tag);
-    crc_input.extend_from_slice(&body);
-    let actual = crc32(&crc_input);
-    if stored_crc != actual {
-        return Err(ReplicaError::Frame(format!(
-            "frame CRC mismatch on tag {tag}: stored {stored_crc:#010x}, computed {actual:#010x}"
-        )));
-    }
-    decode_body(tag, body)
+/// allocating. `Ok(None)` is the stream's clean end, at a frame
+/// boundary; parse failures are named `Frame` errors, a torn frame
+/// included.
+pub(crate) fn read_frame(
+    io: &mut impl Read,
+    max_body_len: u32,
+) -> Result<Option<Frame>, ReplicaError> {
+    let body = envelope::read_frame(io, max_body_len)?;
+    body.map(decode_body).transpose()
 }
 
-fn decode_body(tag: u8, body: Vec<u8>) -> Result<Frame, ReplicaError> {
-    let need = |n: usize| {
-        if body.len() < n {
-            Err(ReplicaError::Frame(format!(
-                "frame tag {tag} body of {} bytes is shorter than its {n}-byte header",
-                body.len()
-            )))
-        } else {
-            Ok(())
-        }
+fn decode_body(mut body: Vec<u8>) -> Result<Frame, ReplicaError> {
+    let bad = |why: String| Err(ReplicaError::Frame(why));
+    let (tag, fields) = match body.split_first() {
+        Some((&tag, fields)) => (tag, fields.len()),
+        None => return bad("frame body holds no tag".to_string()),
     };
-    match tag {
-        TAG_ERROR => match String::from_utf8(body) {
-            Ok(msg) => Ok(Frame::Error(msg)),
-            Err(_) => Err(ReplicaError::Frame(
-                "error frame message is not UTF-8".to_string(),
-            )),
-        },
-        TAG_HEARTBEAT => {
-            if body.len() != 8 {
-                return Err(ReplicaError::Frame(format!(
-                    "heartbeat body is {} bytes, not 8",
-                    body.len()
-                )));
-            }
-            Ok(Frame::Heartbeat {
-                committed_seq: u64_at(&body, 0),
-            })
-        }
-        TAG_RECORD => {
-            need(8)?;
-            Ok(Frame::Record {
-                seq: u64_at(&body, 0),
-                payload: body[8..].to_vec(),
-            })
-        }
-        TAG_SNAPSHOT => {
-            need(16)?;
-            Ok(Frame::Snapshot {
-                epoch: u64_at(&body, 0),
-                seq: u64_at(&body, 8),
-                snapshot: body[16..].to_vec(),
-            })
-        }
-        _ => unreachable!("tag range checked by read_frame"),
+    // The bytes of the u64 fields ahead of the tag's trailing bytes.
+    let header = match tag {
+        TAG_ERROR => 0,
+        TAG_HEARTBEAT | TAG_RECORD => 8,
+        TAG_SNAPSHOT => 16,
+        _ => return bad(format!("unknown frame tag {tag}")),
+    };
+    if fields < header || (tag == TAG_HEARTBEAT && fields != header) {
+        return bad(format!(
+            "frame tag {tag} holds {fields} bytes, not its {header}-byte header"
+        ));
     }
-}
-
-fn read_exact(io: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), ReplicaError> {
-    io.read_exact(buf)
-        .map_err(ReplicaError::io(format!("read {what}")))
+    let word = |i: usize| u64_at(&body, 1 + 8 * i);
+    Ok(match tag {
+        TAG_HEARTBEAT => Frame::Heartbeat {
+            committed_seq: word(0),
+        },
+        TAG_RECORD => Frame::Record {
+            seq: word(0),
+            payload: body.split_off(9),
+        },
+        TAG_SNAPSHOT => Frame::Snapshot {
+            epoch: word(0),
+            seq: word(1),
+            snapshot: body.split_off(17),
+        },
+        _ => match String::from_utf8(body.split_off(1)) {
+            Ok(message) => Frame::Error(message),
+            Err(_) => return bad("error frame message is not UTF-8".to_string()),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -269,8 +184,9 @@ mod tests {
     fn roundtrip(frame: Frame) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &frame).unwrap();
-        let got = read_frame(&mut Cursor::new(&buf), 1 << 20).unwrap();
-        assert_eq!(got, frame);
+        let mut io = Cursor::new(&buf);
+        assert_eq!(read_frame(&mut io, 1 << 20).unwrap(), Some(frame));
+        assert_eq!(read_frame(&mut io, 1 << 20).unwrap(), None);
     }
 
     #[test]
@@ -304,217 +220,17 @@ mod tests {
         assert_eq!(read_handshake(&mut Cursor::new(&buf)).unwrap(), hello);
     }
 
+    /// A version-1 follower's 25-byte handshake — a one-byte version,
+    /// epoch, applied seq, CRC — is refused by its version number.
     #[test]
-    fn unknown_version_rejected_by_name() {
-        let mut buf = Vec::new();
-        write_handshake(
-            &mut buf,
-            &Handshake {
-                epoch: 0,
-                applied_seq: 0,
-            },
-        )
-        .unwrap();
-        buf[4] = 9;
-        let err = read_handshake(&mut Cursor::new(&buf)).unwrap_err();
-        assert!(
-            err.to_string().contains("version 9"),
-            "error should name the version: {err}"
-        );
-    }
-
-    #[test]
-    fn unknown_tag_rejected_by_name() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Heartbeat { committed_seq: 1 }).unwrap();
-        buf[0] = 200;
-        let err = read_frame(&mut Cursor::new(&buf), 1 << 20).unwrap_err();
-        assert!(
-            err.to_string().contains("tag 200"),
-            "error should name the tag: {err}"
-        );
-    }
-
-    #[test]
-    fn oversized_body_rejected_before_allocation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Heartbeat { committed_seq: 1 }).unwrap();
-        buf[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut Cursor::new(&buf), 1 << 20).unwrap_err();
-        assert!(
-            err.to_string().contains("cap"),
-            "error should mention the cap: {err}"
-        );
-    }
-
-    #[test]
-    fn flipped_tag_caught_by_crc() {
-        // Flip heartbeat (1) to record (2): still a known tag, but the
-        // CRC covers the tag byte, so the frame is rejected.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Frame::Heartbeat { committed_seq: 1 }).unwrap();
-        buf[0] = TAG_RECORD;
-        let err = read_frame(&mut Cursor::new(&buf), 1 << 20).unwrap_err();
-        assert!(
-            err.to_string().contains("CRC"),
-            "error should be a CRC mismatch: {err}"
-        );
-    }
-
-    // Exhaustive robustness fuzz of the framing, mirroring
-    // `wal_robustness.rs`: every proper prefix (torn stream) and every
-    // single-byte flip of a representative handshake and frame stream
-    // must produce a *named* error and never a panic — and a flip must
-    // never smuggle a divergent frame past the CRC: every frame parsed
-    // before the error matches the original.
-
-    const MAX_BODY: u32 = 1 << 20;
-
-    fn sample_frames() -> Vec<Frame> {
-        vec![
-            Frame::Heartbeat { committed_seq: 7 },
-            Frame::Record {
-                seq: 8,
-                payload: vec![0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42],
-            },
-            Frame::Snapshot {
-                epoch: 2,
-                seq: 8,
-                snapshot: (0..32u8).collect(),
-            },
-            Frame::Error("halting".to_string()),
-        ]
-    }
-
-    fn encode_stream(frames: &[Frame]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for frame in frames {
-            write_frame(&mut buf, frame).unwrap();
-        }
-        buf
-    }
-
-    /// Parses frames until the stream errors or is exhausted; returns the
-    /// frames and the error, if any.
-    fn parse_all(bytes: &[u8]) -> (Vec<Frame>, Option<String>) {
-        let mut cursor = Cursor::new(bytes);
-        let mut frames = Vec::new();
-        loop {
-            if cursor.position() == bytes.len() as u64 {
-                return (frames, None);
-            }
-            match read_frame(&mut cursor, MAX_BODY) {
-                Ok(frame) => frames.push(frame),
-                Err(e) => return (frames, Some(e.to_string())),
-            }
-        }
-    }
-
-    #[test]
-    fn every_prefix_of_a_frame_stream_fails_cleanly() {
-        let original = sample_frames();
-        let bytes = encode_stream(&original);
-        // A cut exactly between frames is a clean close (EOF at a frame
-        // boundary); every other cut is a torn frame and must error.
-        let boundaries: Vec<usize> = original
-            .iter()
-            .scan(0usize, |offset, frame| {
-                let mut one = Vec::new();
-                write_frame(&mut one, frame).unwrap();
-                *offset += one.len();
-                Some(*offset)
-            })
-            .collect();
-        for cut in 0..bytes.len() {
-            let (frames, err) = parse_all(&bytes[..cut]);
-            assert!(
-                frames.len() <= original.len(),
-                "cut {cut}: more frames than written"
-            );
-            assert_eq!(
-                frames,
-                original[..frames.len()],
-                "cut {cut}: divergent frame parsed from a truncated stream"
-            );
-            if cut == 0 || boundaries.contains(&cut) {
-                assert!(
-                    err.is_none(),
-                    "cut {cut} at a frame boundary errored: {err:?}"
-                );
-            } else {
-                let err = err.unwrap_or_else(|| panic!("cut {cut}: truncation swallowed silently"));
-                assert!(!err.is_empty(), "cut {cut}: unnamed error");
-            }
-        }
-    }
-
-    #[test]
-    fn every_byte_flip_of_a_frame_stream_is_caught() {
-        let original = sample_frames();
-        let bytes = encode_stream(&original);
-        for (at, mask) in (0..bytes.len()).flat_map(|i| [(i, 0xFFu8), (i, 0x01)]) {
-            let mut mutated = bytes.clone();
-            mutated[at] ^= mask;
-            let (frames, err) = parse_all(&mutated);
-            let err = err.unwrap_or_else(|| {
-                panic!("flip {mask:#04x} at byte {at} produced a clean parse of {frames:?}")
-            });
-            assert!(!err.is_empty(), "flip at {at}: unnamed error");
-            // Nothing divergent sneaks through: frames parsed before the
-            // error are exactly the originals.
-            assert_eq!(
-                frames,
-                original[..frames.len()],
-                "flip {mask:#04x} at byte {at} let a divergent frame through"
-            );
-        }
-    }
-
-    #[test]
-    fn every_prefix_and_flip_of_a_handshake_is_caught() {
-        let hello = Handshake {
-            epoch: 3,
-            applied_seq: 77,
-        };
-        let mut bytes = Vec::new();
-        write_handshake(&mut bytes, &hello).unwrap();
-
-        for cut in 0..bytes.len() {
-            let err = read_handshake(&mut Cursor::new(&bytes[..cut]))
-                .expect_err("truncated handshake accepted");
-            assert!(!err.to_string().is_empty(), "cut {cut}: unnamed error");
-        }
-        for (at, mask) in (0..bytes.len()).flat_map(|i| [(i, 0xFFu8), (i, 0x01)]) {
-            let mut mutated = bytes.clone();
-            mutated[at] ^= mask;
-            let err = read_handshake(&mut Cursor::new(&mutated)).unwrap_err();
-            assert!(
-                !err.to_string().is_empty(),
-                "flip {mask:#04x} at byte {at}: unnamed error"
-            );
-        }
-    }
-
-    /// Oversized length prefixes are rejected by the cap before any
-    /// allocation, for every frame position in the stream.
-    #[test]
-    fn corrupted_length_prefixes_never_allocate_wild() {
-        let original = sample_frames();
-        let bytes = encode_stream(&original);
-        // Frame headers start at the cumulative offsets of the encoding.
-        let mut offset = 0usize;
-        for frame in &original {
-            let mut single = Vec::new();
-            write_frame(&mut single, frame).unwrap();
-            let mut mutated = bytes.clone();
-            mutated[offset + 1..offset + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-            let (frames, err) = parse_all(&mutated);
-            assert_eq!(frames, original[..frames.len()]);
-            assert!(
-                err.expect("oversized length accepted").contains("cap"),
-                "length corruption at frame offset {offset} not stopped by the cap"
-            );
-            offset += single.len();
-        }
+    fn a_version_1_handshake_is_refused_by_name() {
+        let mut v1 = b"SMRS".to_vec();
+        v1.push(1);
+        v1.extend_from_slice(&3u64.to_le_bytes());
+        v1.extend_from_slice(&77u64.to_le_bytes());
+        seal(&mut v1);
+        assert_eq!(v1.len(), 25);
+        let err = read_handshake(&mut Cursor::new(&v1)).unwrap_err();
+        assert!(err.to_string().contains("version 1 "), "{err}");
     }
 }

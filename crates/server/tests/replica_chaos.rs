@@ -434,7 +434,7 @@ impl Connector for ScriptConnector {
         let frames = std::mem::take(&mut self.frames);
         let committed = self.committed;
         thread::spawn(move || {
-            let mut hello = [0u8; 25];
+            let mut hello = [0u8; 28];
             primary_io.read_exact(&mut hello).unwrap();
             for frame in &frames {
                 write_frame(&mut primary_io, frame).unwrap();

@@ -631,3 +631,43 @@ fn a_compact_record_carrying_a_remap_is_corrupt_by_name() {
     let _ = std::fs::remove_dir_all(&master);
     let _ = std::fs::remove_dir_all(&replica);
 }
+
+/// The bytes of one WAL segment are pinned: a 28-byte header (magic,
+/// version 2, generation 0, segment 0, base 0) and then one frame per
+/// committed update, `len | crc32(payload) | payload`. A change to the
+/// framing or to the update coding shows here before it reaches a
+/// store on disk.
+#[test]
+fn one_wal_segment_is_pinned_byte_for_byte() {
+    let dir = temp_dir("pinned");
+    let mut store =
+        Store::create(&dir, fresh_engine(&base_sets()), StoreConfig::default()).unwrap();
+    store
+        .apply(Update::Append(vec![vec![
+            "alpha beta".into(),
+            "gamma".into(),
+        ]]))
+        .unwrap();
+    store.apply(Update::Remove(vec![1, 4])).unwrap();
+    drop(store);
+    let wal = std::fs::read(dir.join("wal-0-0.log")).unwrap();
+    let hex: String = wal.iter().map(|b| format!("{b:02x}")).collect();
+    let pinned = concat!(
+        // "SMWL", version 2, generation 0, segment 0, base 0.
+        "534d574c",
+        "02000000",
+        "0000000000000000",
+        "00000000",
+        "0000000000000000",
+        // Append of one two-element set: 32-byte payload.
+        "20000000",
+        "dcd76d6f",
+        "0101000000020000000a000000616c70686120626574610500000067616d6d61",
+        // Remove of ids 1 and 4: 13-byte payload.
+        "0d000000",
+        "9ffadbc0",
+        "02020000000100000004000000",
+    );
+    assert_eq!(hex, pinned);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,6 +1,6 @@
-//! CRC-32 (IEEE 802.3, the zlib/gzip polynomial), sliced by 8: the WAL
-//! and snapshot formats checksum every record and file so that torn
-//! writes and bit rot surface as named errors. `TABLES[k][b]` is the
+//! CRC-32 (IEEE 802.3, the zlib/gzip polynomial), sliced by 8: the
+//! [envelope](crate::envelope) checksums every frame and sealed file so
+//! that torn writes and bit rot surface as named errors. `TABLES[k][b]` is the
 //! CRC of byte `b` followed by `k` zero bytes, so one step takes eight
 //! independent lookups. The tables are built in a `const` context.
 

@@ -13,14 +13,9 @@
 //!
 //! ```text
 //! <data-dir>/
-//!   snapshot-<seq>.smc    checkpoint: header + the live sets in the
-//!                         silkmoth-collection codec's dictionary-coded
-//!                         format (each distinct text once) + CRC-32
+//!   snapshot-<seq>.smc    checkpoint: the live sets, dictionary-coded
 //!   wal-<seq>-<n>.log     segment <n> of the updates committed after
-//!                         snapshot <seq>: header (with the global
-//!                         sequence the segment starts at), then
-//!                         length-prefixed, CRC-checked records (one
-//!                         encoded Update each)
+//!                         snapshot <seq>, one CRC-checked frame each
 //! ```
 //!
 //! Every acknowledged update is **WAL-logged and fsync'd before the
@@ -60,11 +55,11 @@
 //!
 //! ## Format versioning
 //!
-//! Both file headers carry a format version (snapshot: 3, WAL: 2).
-//! The rule: any change to
-//! the byte layout bumps the version, and readers reject versions they
-//! don't know ([`StorageError::Corrupt`]) rather than guessing — an
-//! old binary never misreads a new store.
+//! Both files — like `silkmoth-server`'s catalog manifest and
+//! replication stream — travel in the one [`envelope`]: a magic and a
+//! version (snapshot: 3, WAL: 2), then a CRC-32 seal or CRC-checked
+//! frames. Readers reject versions they don't know
+//! ([`StorageError::Corrupt`]) rather than guessing.
 //!
 //! ## Replication hooks
 //!
@@ -86,6 +81,7 @@
 //! without renumbering.
 
 mod crc32;
+pub mod envelope;
 mod snapshot;
 mod store;
 mod wal;

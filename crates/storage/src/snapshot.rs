@@ -1,24 +1,22 @@
 //! Snapshot files: one self-validating checkpoint of an engine's
 //! [`EngineState`].
 //!
-//! Layout (all integers little-endian):
+//! Layout: sealed [envelope](crate::envelope) bytes (`SMSS`, version
+//! 3) whose fields are (little-endian):
 //!
 //! ```text
-//! magic      "SMSS"                         4 bytes
-//! version    u32 (currently 3)              4 bytes
 //! seq        u64 — generation number        8 bytes
 //! update_seq u64 — committed updates total  8 bytes
 //! epoch      u64 — failover epoch           8 bytes
-//! next_id  u32                          4 bytes
-//! n_live   u32                          4 bytes
-//! n_dead   u32                          4 bytes
-//! live ids u32 × n_live (ascending)
-//! dead ids u32 × n_dead (ascending)
+//! next_id    u32                            4 bytes
+//! n_live     u32                            4 bytes
+//! n_dead     u32                            4 bytes
+//! live ids   u32 × n_live (ascending)
+//! dead ids   u32 × n_dead (ascending)
 //! payload_len u64
-//! payload  silkmoth_collection::codec::encode_interned of the live
-//!          sets: each distinct text once, then the sets in live-id
-//!          order as u32 text indices (carries the tokenization)
-//! crc32    u32 over every preceding byte
+//! payload    silkmoth_collection::codec::encode_interned of the live
+//!            sets: each distinct text once, then the sets in live-id
+//!            order as u32 text indices (carries the tokenization)
 //! ```
 //!
 //! A text is written, checksummed and decoded once however many sets
@@ -39,14 +37,12 @@ use std::path::Path;
 use silkmoth_collection::codec;
 use silkmoth_collection::SetIdx;
 
-use crate::crc32::crc32;
+use crate::envelope::{seal, Header, HEADER_LEN};
 use crate::{EngineState, StorageError};
 
-const SNAP_MAGIC: &[u8; 4] = b"SMSS";
-const SNAP_VERSION: u32 = 3;
-/// Fixed-size header: magic, version, seq, update_seq, epoch, next_id,
-/// n_live, n_dead.
-const SNAP_HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4;
+const SNAP_HEADER: Header = Header::new(*b"SMSS", 3);
+/// The fixed fields: seq, update_seq, epoch, next_id, n_live, n_dead.
+const SNAP_FIXED_LEN: usize = 8 + 8 + 8 + 4 + 4 + 4;
 
 /// The positional metadata a snapshot records alongside the engine
 /// state: which generation it is, how many updates the store had
@@ -66,11 +62,8 @@ pub struct SnapshotMeta {
 pub fn snapshot_bytes(meta: SnapshotMeta, state: &EngineState) -> Vec<u8> {
     let sets: Vec<&[u32]> = state.live.iter().map(|(_, set)| &set[..]).collect();
     let payload = codec::encode_interned(&state.texts, &sets, state.tokenization);
-    let mut out = Vec::with_capacity(
-        SNAP_HEADER_LEN + 12 + 4 * (state.live.len() + state.dead.len()) + payload.len(),
-    );
-    out.extend_from_slice(SNAP_MAGIC);
-    out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+    let ids = 4 * (state.live.len() + state.dead.len());
+    let mut out = SNAP_HEADER.begin(HEADER_LEN + SNAP_FIXED_LEN + ids + 12 + payload.len());
     out.extend_from_slice(&meta.seq.to_le_bytes());
     out.extend_from_slice(&meta.update_seq.to_le_bytes());
     out.extend_from_slice(&meta.epoch.to_le_bytes());
@@ -85,14 +78,13 @@ pub fn snapshot_bytes(meta: SnapshotMeta, state: &EngineState) -> Vec<u8> {
     }
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal(&mut out);
     out
 }
 
-/// Parses and fully validates snapshot bytes: magic, version, CRC,
-/// declared lengths, id ordering. Returns the snapshot metadata and the
-/// recovered state.
+/// Parses and fully validates snapshot bytes: the envelope (magic,
+/// version, CRC), declared lengths, id ordering. Returns the snapshot
+/// metadata and the recovered state.
 pub fn parse_snapshot(
     bytes: &[u8],
     file: &str,
@@ -101,31 +93,21 @@ pub fn parse_snapshot(
         file: file.to_owned(),
         detail,
     };
-    if bytes.len() < 4 || &bytes[..4] != SNAP_MAGIC {
-        return Err(corrupt("bad magic".into()));
-    }
-    if bytes.len() < SNAP_HEADER_LEN + 8 + 4 {
+    let body = SNAP_HEADER
+        .open(bytes)
+        .map_err(|e| corrupt(e.to_string()))?;
+    if body.len() < SNAP_FIXED_LEN + 8 {
         return Err(corrupt("truncated header".into()));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != SNAP_VERSION {
-        return Err(corrupt(format!(
-            "unknown snapshot format version {version}"
-        )));
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let le32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-    let le64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    if crc32(body) != le32(body.len()) {
-        return Err(corrupt("CRC mismatch".into()));
-    }
+    let le32 = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
+    let le64 = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
     let meta = SnapshotMeta {
-        seq: le64(8),
-        update_seq: le64(16),
-        epoch: le64(24),
+        seq: le64(0),
+        update_seq: le64(8),
+        epoch: le64(16),
     };
-    let (n_live, n_dead) = (le32(36) as usize, le32(40) as usize);
-    let ids_end = SNAP_HEADER_LEN
+    let (n_live, n_dead) = (le32(28) as usize, le32(32) as usize);
+    let ids_end = SNAP_FIXED_LEN
         .checked_add(4 * (n_live + n_dead))
         .ok_or_else(|| corrupt("id counts overflow".into()))?;
     if body.len() < ids_end + 8 {
@@ -133,8 +115,8 @@ pub fn parse_snapshot(
     }
     let read_ids =
         |from: usize, n: usize| -> Vec<SetIdx> { (0..n).map(|i| le32(from + 4 * i)).collect() };
-    let live_ids = read_ids(SNAP_HEADER_LEN, n_live);
-    let dead = read_ids(SNAP_HEADER_LEN + 4 * n_live, n_dead);
+    let live_ids = read_ids(SNAP_FIXED_LEN, n_live);
+    let dead = read_ids(SNAP_FIXED_LEN + 4 * n_live, n_dead);
     let payload_len = le64(ids_end);
     if (body.len() - ids_end - 8) as u64 != payload_len {
         return Err(corrupt(format!(
@@ -153,7 +135,7 @@ pub fn parse_snapshot(
         texts,
         live: live_ids.into_iter().zip(sets).collect(),
         dead,
-        next_id: le32(32),
+        next_id: le32(24),
         tokenization,
     };
     state.validate()?;
@@ -184,10 +166,9 @@ mod tests {
 
     /// Rewrites the trailing CRC so a deliberate edit reaches the
     /// checks behind it.
-    fn reseal(bytes: &mut [u8]) {
-        let body = bytes.len() - 4;
-        let crc = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    fn reseal(bytes: &mut Vec<u8>) {
+        bytes.truncate(bytes.len() - 4);
+        seal(bytes);
     }
 
     fn meta() -> SnapshotMeta {
@@ -208,49 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_an_error() {
-        let bytes = snapshot_bytes(meta(), &state());
-        for cut in 0..bytes.len() {
-            assert!(
-                parse_snapshot(&bytes[..cut], "test").is_err(),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_byte_flip_is_an_error() {
-        // The trailing CRC covers every byte, so any single-byte
-        // corruption must be rejected (a flip inside the CRC field
-        // itself included).
-        let bytes = snapshot_bytes(meta(), &state());
-        let mut copy = bytes.clone();
-        for i in 0..copy.len() {
-            copy[i] ^= 0x40;
-            assert!(parse_snapshot(&copy, "test").is_err(), "flip at {i}");
-            copy[i] = bytes[i];
-        }
-    }
-
-    #[test]
-    fn unknown_version_rejected_by_name() {
-        let mut bytes = snapshot_bytes(meta(), &state());
-        bytes[4] = 9;
-        let err = parse_snapshot(&bytes, "test").unwrap_err();
-        // Version is checked before the CRC so the message names the
-        // real problem, not a checksum mismatch.
-        assert!(err.to_string().contains("version 9"), "{err}");
-        // The per-occurrence layout this one replaced, likewise.
-        bytes[4] = 2;
-        let err = parse_snapshot(&bytes, "test").unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
-    }
-
-    #[test]
     fn absurd_text_count_is_corrupt_before_any_allocation() {
         let mut bytes = snapshot_bytes(meta(), &state());
         // The payload's n_texts, past its magic, tag and q.
-        let at = SNAP_HEADER_LEN + 4 * 6 + 8 + 9;
+        let at = HEADER_LEN + SNAP_FIXED_LEN + 4 * 6 + 8 + 9;
         assert_eq!(bytes[at..at + 8], 3u64.to_le_bytes());
         for absurd in [1u64 << 32, u64::MAX] {
             bytes[at..at + 8].copy_from_slice(&absurd.to_le_bytes());

@@ -1058,9 +1058,9 @@ impl Replay {
     /// CRC-valid record that does not decode is corruption by name.
     fn decode(path: &Path, seq: u64) -> Result<Self, StorageError> {
         let segment = Segment::read(path, seq)?;
-        let mut frames = segment.frames();
-        let entries = frames
-            .by_ref()
+        let (bodies, valid_len, discarded) = segment.records();
+        let entries = bodies
+            .iter()
             .enumerate()
             .map(|(i, payload)| {
                 decode_update(payload).map_err(|e| StorageError::Corrupt {
@@ -1071,8 +1071,8 @@ impl Replay {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             entries,
-            valid_len: frames.valid_len(),
-            discarded: frames.discarded(),
+            valid_len,
+            discarded,
             header: segment.header.ok(),
         })
     }

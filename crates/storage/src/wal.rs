@@ -1,21 +1,17 @@
 //! The write-ahead log: bounded **segments** per snapshot generation,
 //! holding the updates committed since that snapshot.
 //!
-//! Layout (all integers little-endian):
+//! Layout: the [envelope](crate::envelope) header (`SMWL`, version 2),
+//! then these fields (little-endian) and the records, one frame each:
 //!
 //! ```text
-//! magic    "SMWL"                          4 bytes
-//! version  u32 (currently 2)               4 bytes
 //! seq      u64 — the base snapshot's seq   8 bytes
 //! segment  u32 — index within the          4 bytes
 //!                generation, from 0
 //! base     u64 — global update sequence    8 bytes
 //!                before this segment's
 //!                first record
-//! records…
-//!
-//! record := payload_len u32 | crc32(payload) u32 | payload
-//! payload: one encoded Update (silkmoth_core::wire)
+//! records… frame bodies: one encoded Update each (silkmoth_core::wire)
 //! ```
 //!
 //! A generation's log is the concatenation of its segments
@@ -29,8 +25,8 @@
 //!
 //! This module is the only reader of the format: one listing of the
 //! segment files, and one parser ([`Segment`]) — a header check, then
-//! an iterator over the CRC-checked record frames. Recovery
-//! (`Store::open`) decodes every frame it yields; replication shipping
+//! the envelope's walk of the record frames. Recovery (`Store::open`)
+//! decodes every body; replication shipping
 //! ([`RetainedLog::records_after`]) slices the raw payloads.
 //!
 //! Any other version is rejected by name, never guessed at — including
@@ -40,14 +36,12 @@
 //! corruption.
 //!
 //! A record is **committed** once its bytes are on disk (the store
-//! `fsync`s before acknowledging), so the frame iterator ends at a
-//! structurally invalid *suffix* — short prefix, length past
-//! end-of-file, CRC mismatch — and reports it as a torn,
-//! unacknowledged tail. Recovery discards it, reports the discard, and
-//! truncates the file back to the valid prefix before new records are
-//! appended; shipping never reaches it, because it asks only for
-//! records the store counts as committed, so a torn frame inside that
-//! range is corruption. The writer maintains the same invariant on its
+//! `fsync`s before acknowledging), so the walk's torn frame starts a
+//! torn, unacknowledged tail. Recovery discards it, reports the
+//! discard, and truncates the file back to the valid prefix before new
+//! records are appended; shipping never reaches it, because it asks
+//! only for records the store counts as committed, so a torn frame
+//! inside that range is corruption. The writer maintains the same invariant on its
 //! side: a failed append (partial write, fsync error) rolls the file
 //! back to the last committed offset, so torn bytes can never sit
 //! *between* committed records. Only the **final** segment of a
@@ -67,13 +61,13 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::crc32::crc32;
+use crate::envelope::{push_frame, walk_frames, EnvelopeError, Header};
 use crate::store::{list_files, StoreFile, WalDiscard};
 use crate::StorageError;
 
-pub(crate) const WAL_MAGIC: &[u8; 4] = b"SMWL";
-pub(crate) const WAL_VERSION: u32 = 2;
-pub(crate) const WAL_HEADER_LEN: u64 = 28;
+const WAL_HEADER: Header = Header::new(*b"SMWL", 2);
+/// The envelope header plus seq, segment and base.
+const WAL_HEADER_LEN: u64 = 28;
 
 /// How long one committed [`WalWriter::append_many`] spent in the
 /// buffered write vs. the fsync (`sync` is zero when fsync-less).
@@ -150,53 +144,36 @@ pub(crate) struct ParsedHeader {
     pub(crate) base_seq: u64,
 }
 
-/// The hard error for a WAL of any version but [`WAL_VERSION`]:
+/// The hard error for a WAL of any version but this build's:
 /// discarding a file that may hold another format's committed records
 /// would lose data.
 fn unsupported_version(path: &Path, version: u32) -> StorageError {
     StorageError::Corrupt {
         file: path.display().to_string(),
         detail: format!(
-            "unsupported WAL format version {version} (this build reads version {WAL_VERSION})"
+            "unsupported WAL format version {version} (this build reads version {})",
+            WAL_HEADER.version
         ),
     }
 }
 
-enum HeaderIssue {
-    /// Too short for the header, or the wrong magic bytes — a torn
-    /// creation when the file holds nothing else.
-    Damaged(&'static str),
-    /// A version this build does not know — always a hard error.
-    UnknownVersion(u32),
-}
-
-fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, HeaderIssue> {
-    // The version is judged as soon as it is readable: another
-    // format's header may be shorter than ours (version 1's was 16
-    // bytes) and must not pass for a torn creation.
-    if bytes.len() >= 8 && &bytes[..4] == WAL_MAGIC {
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != WAL_VERSION {
-            return Err(HeaderIssue::UnknownVersion(version));
-        }
-    }
-    if bytes.len() < WAL_HEADER_LEN as usize {
-        return Err(HeaderIssue::Damaged("short header"));
-    }
-    if &bytes[..4] != WAL_MAGIC {
-        return Err(HeaderIssue::Damaged("bad magic"));
-    }
+/// Parses a header. The version is judged as soon as it is readable:
+/// another format's header may be shorter than ours (version 1's was
+/// 16 bytes) and must not pass for a torn creation.
+fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, EnvelopeError> {
+    let fields = WAL_HEADER.check(bytes)?;
+    let (fields, _) = fields
+        .split_first_chunk::<20>()
+        .ok_or(EnvelopeError::Truncated("header"))?;
     Ok(ParsedHeader {
-        generation: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        segment: u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")),
-        base_seq: u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")),
+        generation: u64::from_le_bytes(fields[..8].try_into().expect("8 bytes")),
+        segment: u32::from_le_bytes(fields[8..12].try_into().expect("4 bytes")),
+        base_seq: u64::from_le_bytes(fields[12..].try_into().expect("8 bytes")),
     })
 }
 
 fn encode_header(seq: u64, segment: u32, base_seq: u64) -> Vec<u8> {
-    let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
-    header.extend_from_slice(WAL_MAGIC);
-    header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    let mut header = WAL_HEADER.begin(WAL_HEADER_LEN as usize);
     header.extend_from_slice(&seq.to_le_bytes());
     header.extend_from_slice(&segment.to_le_bytes());
     header.extend_from_slice(&base_seq.to_le_bytes());
@@ -213,20 +190,15 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    /// Reads segment `path` of generation `generation`. See the module
-    /// docs for the policy: a short or corrupt header on a file with
-    /// **no** records is the torn-creation crash window, and the
-    /// segment holds no frames; a corrupt header on a file that holds
-    /// record bytes is a hard [`StorageError::Corrupt`], because
-    /// discarding it would silently drop committed records.
+    /// Reads segment `path` of generation `generation`. A damaged
+    /// header discards a file that holds nothing else (the
+    /// torn-creation window) and is a hard [`StorageError::Corrupt`] on
+    /// a file that holds records — see the module docs.
     pub(crate) fn read(path: &Path, generation: u64) -> Result<Self, StorageError> {
         let mut bytes = Vec::new();
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(StorageError::io(format!("reading {}", path.display())))?;
-        // Records are only ever appended after the full header is
-        // fsync'd, so a damaged header is a torn creation only on a
-        // file that holds nothing else.
         let damaged = |detail: String| {
             if bytes.len() > WAL_HEADER_LEN as usize {
                 return Err(StorageError::Corrupt {
@@ -242,81 +214,31 @@ impl Segment {
                 "header seq {} does not match snapshot seq {generation}",
                 header.generation
             ))?,
-            Err(HeaderIssue::Damaged(what)) => damaged(what.into())?,
-            Err(HeaderIssue::UnknownVersion(v)) => return Err(unsupported_version(path, v)),
+            Err(EnvelopeError::UnknownVersion(v, _)) => return Err(unsupported_version(path, v)),
+            Err(e) => damaged(e.to_string())?,
         };
         Ok(Self { bytes, header })
     }
 
-    /// The record frames, in append order.
-    pub(crate) fn frames(&self) -> Frames<'_> {
-        let (pos, torn) = match &self.header {
-            Ok(_) => (WAL_HEADER_LEN as usize, None),
-            Err(reason) => (0, Some(reason.clone())),
-        };
-        Frames {
-            bytes: &self.bytes,
-            pos,
-            torn,
-        }
-    }
-}
-
-/// The record frames of one [`Segment`]: each item is one CRC-checked
-/// payload (an encoded `Update`, exactly the bytes the store framed).
-/// Iteration ends at the end of the file or at the first torn frame,
-/// which [`discarded`](Self::discarded) then describes.
-#[derive(Debug)]
-pub(crate) struct Frames<'a> {
-    bytes: &'a [u8],
-    /// Where the next frame starts: the end of the valid prefix so far.
-    pos: usize,
-    /// Why iteration stopped short of the end of the file.
-    torn: Option<String>,
-}
-
-impl<'a> Iterator for Frames<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.torn.is_some() || self.pos == self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.pos..];
-        let Some((frame, body)) = rest.split_first_chunk::<8>() else {
-            self.torn = Some("torn record frame".into());
-            return None;
-        };
-        let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
-        let want_crc = u32::from_le_bytes(frame[4..].try_into().expect("4 bytes"));
-        match body.get(..len) {
-            None => self.torn = Some(format!("record length {len} past end of file")),
-            Some(payload) if crc32(payload) != want_crc => {
-                self.torn = Some("record CRC mismatch".into());
+    /// The record frames, in append order — each body one encoded
+    /// `Update`, exactly the bytes the store framed; none for a file
+    /// discarded whole — then where the valid prefix of the file ends,
+    /// and the torn tail past it, if any.
+    pub(crate) fn records(&self) -> (Vec<&[u8]>, u64, Option<WalDiscard>) {
+        let (bodies, valid_len, reason) = match &self.header {
+            Ok(_) => {
+                let (bodies, len, torn) = walk_frames(&self.bytes[WAL_HEADER_LEN as usize..]);
+                let reason = torn.map(|e| format!("torn record: {e}"));
+                (bodies, WAL_HEADER_LEN + len as u64, reason)
             }
-            Some(payload) => {
-                self.pos += 8 + len;
-                return Some(payload);
-            }
-        }
-        None
-    }
-}
-
-impl Frames<'_> {
-    /// Byte length of the valid prefix read so far: header plus the
-    /// records yielded (0 for a file discarded whole).
-    pub(crate) fn valid_len(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// The torn tail iteration stopped at, if it did.
-    pub(crate) fn discarded(&self) -> Option<WalDiscard> {
-        self.torn.clone().map(|reason| WalDiscard {
-            offset: self.pos as u64,
-            bytes: (self.bytes.len() - self.pos) as u64,
+            Err(reason) => (Vec::new(), 0, Some(reason.clone())),
+        };
+        let discarded = reason.map(|reason| WalDiscard {
+            offset: valid_len,
+            bytes: self.bytes.len() as u64 - valid_len,
             reason,
-        })
+        });
+        (bodies, valid_len, discarded)
     }
 }
 
@@ -391,13 +313,9 @@ impl RetainedLog {
                 Err(e) => return Err(e),
             };
             let before = out.len();
-            out.extend(
-                segment
-                    .frames()
-                    .skip((cursor - base) as usize)
-                    .take(want)
-                    .map(<[u8]>::to_vec),
-            );
+            let (bodies, ..) = segment.records();
+            let wanted = bodies.iter().skip((cursor - base) as usize).take(want);
+            out.extend(wanted.map(|body| body.to_vec()));
             let got = out.len() - before;
             if got < want {
                 return Err(StorageError::Corrupt {
@@ -518,9 +436,7 @@ impl WalWriter {
         let total: usize = payloads.iter().map(|p| 8 + p.len()).sum();
         let mut batch = Vec::with_capacity(total);
         for payload in payloads {
-            batch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            batch.extend_from_slice(&crc32(payload).to_le_bytes());
-            batch.extend_from_slice(payload);
+            push_frame(&mut batch, |body| body.extend_from_slice(payload));
         }
         let context = format!("appending to {}", self.path.display());
         let started = Instant::now();

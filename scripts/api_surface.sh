@@ -20,13 +20,16 @@
 # lines before the first `#[cfg(test)]` of every crates/*/src/**/*.rs
 # (the benchmark suite package excepted) and src/**/*.rs — and those
 # product lines split into code, comment (`//`, `///`, `//!`) and blank
-# lines. `--check` prints each number's change against the recorded one
+# lines — and beside them the test lines: those from the first
+# `#[cfg(test)]` on in the same files, plus every line of tests/**/*.rs
+# and crates/*/tests/**/*.rs. `--check` prints each number's change
+# against the recorded one
 # and fails when the public items or the product lines differ from the
 # record in either direction (it prints every delta before it fails,
 # on drift too): growth, like API drift, has to be
 # committed deliberately, and a shrink has to be re-recorded so that the
-# lines it freed cannot be spent again unrecorded. The split is
-# reported, not gated.
+# lines it freed cannot be spent again unrecorded. The split and the
+# test lines are reported, not gated.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,28 +50,32 @@ generate() {
         done
 }
 
-# product_lines — "<total> <code> <comment> <blank>" product lines.
-product_lines() {
+# source_lines — "<total> <code> <comment> <blank> <test>": product
+# lines, their split, and the lines from each file's first
+# `#[cfg(test)]` on.
+source_lines() {
     find src crates -name '*.rs' \( -path 'crates/*/src/*' -o -path 'src/*' \) \
         -not -path 'crates/bench/src/bin/suite/*' -print0 \
         | xargs -0 awk 'FNR == 1 { counting = 1 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
-            !counting { next }
+            !counting { test++; next }
             { n++ }
             /^[[:space:]]*$/ { blank++ }
             /^[[:space:]]*\/\// { comment++ }
-            END { print n + 0, n - comment - blank, comment + 0, blank + 0 }'
+            END { print n + 0, n - comment - blank, comment + 0, blank + 0, test + 0 }'
 }
 
 # budget <public items> — the tracked numbers, one per line.
 budget() {
-    local total code comment blank
-    read -r total code comment blank < <(product_lines)
+    local total code comment blank test suites
+    read -r total code comment blank test < <(source_lines)
+    suites=$(find tests crates/*/tests -name '*.rs' -print0 | xargs -0 cat | wc -l)
     echo "public_items $1"
     echo "product_lines $total"
     echo "product_code_lines $code"
     echo "product_comment_lines $comment"
     echo "product_blank_lines $blank"
+    echo "test_lines $((test + suites))"
 }
 
 case "${1:-}" in
