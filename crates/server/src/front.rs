@@ -24,7 +24,7 @@ use crate::metrics::ServiceMetrics;
 use crate::queryspec::spec_to_json;
 use crate::replication::FollowerShared;
 use crate::service::{error_response, Answer};
-use crate::telemetry::trace::{self, TraceCollector, Tracer};
+use crate::telemetry::trace::{self, Tracer};
 
 /// How request log lines are rendered (`serve --log-format`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,10 +49,6 @@ pub(crate) struct RequestInfo {
     log_specs: bool,
     /// Specs rendered for slow-query logging (empty unless armed).
     specs: Vec<Json>,
-    /// The request's span collector, present only when this request
-    /// can end up in the trace ring (sampled, or slow-query capture is
-    /// armed); routes hang query/shard/phase spans off it.
-    pub(crate) trace: Option<TraceCollector>,
 }
 
 impl RequestInfo {
@@ -149,8 +145,11 @@ impl Front {
     /// response: a fresh request id (attached as `X-Request-Id`), the
     /// in-flight gauge, the per-route counter and latency histogram of
     /// `metrics` (the collection the request resolved to), the trace
-    /// capture decision, and the structured log line. `route` must come
-    /// from [`canonical_route`](crate::metrics::canonical_route).
+    /// capture, and the structured log line. `route` must come from
+    /// [`canonical_route`](crate::metrics::canonical_route). A captured
+    /// request's trace is installed on this thread while `run` runs
+    /// ([`trace::begin`]), so every span emitted on the way — by the
+    /// read path, the group commit or the storage hook — lands in it.
     pub(crate) fn observe(
         &self,
         metrics: &ServiceMetrics,
@@ -163,16 +162,12 @@ impl Front {
             ..RequestInfo::default()
         };
         // Capture decision up front: requests that can't end up in the
-        // ring (not sampled, slow-query capture unarmed) never build a
-        // collector — the whole cost of tracing for them is the one
-        // fetch-add inside should_sample.
+        // ring (not sampled, slow-query capture unarmed) never begin a
+        // trace — the whole cost of tracing for them is the one
+        // fetch-add inside should_sample and one thread-local read per
+        // span call.
         let sampled = self.tracer.should_sample();
-        let sink = if sampled || self.slow_query_ms.is_some() {
-            info.trace = Some(TraceCollector::begin(id, route));
-            Some(trace::install_sink())
-        } else {
-            None
-        };
+        let capture = (sampled || self.slow_query_ms.is_some()).then(|| trace::begin(id, route));
         let start = Instant::now();
         metrics.inflight().add(1);
         let resp = run(&mut info).unwrap_or_else(|early| early);
@@ -182,15 +177,9 @@ impl Front {
         let slow = self
             .slow_query_ms
             .is_some_and(|limit| elapsed.as_secs_f64() * 1e3 >= limit as f64);
-        if let (Some(mut collector), Some(sink)) = (info.trace.take(), sink) {
-            if sampled || slow {
-                // Storage/group-commit spans emitted on this thread
-                // while the route ran hang off the root.
-                for span in sink.drain() {
-                    collector.add_pending(trace::ROOT, span);
-                }
-                self.tracer.record(collector.finish(resp.status, slow));
-            }
+        // A capture neither sampled nor slow is dropped, which discards it.
+        if let Some(capture) = capture.filter(|_| sampled || slow) {
+            self.tracer.record(capture.finish(resp.status, slow));
         }
         self.log_request(id, route, resp.status, elapsed, slow, &info);
         resp.with_header("X-Request-Id", id.to_string())
@@ -444,7 +433,7 @@ mod tests {
     use crate::service::testutil::*;
     use crate::service::SearchService;
     use crate::shard::ShardedEngine;
-    use crate::telemetry::trace::AttrValue;
+    use crate::telemetry::trace::{AttrValue, TraceCollector};
 
     #[test]
     fn metrics_page_matches_golden_file() {
@@ -693,7 +682,7 @@ mod tests {
             );
         }
 
-        // The durable update's trace shows the storage side channel.
+        // The durable update's trace carries the storage hook's spans.
         let spans = by_id(sets_id)
             .get("spans")
             .and_then(Json::as_array)
@@ -706,6 +695,45 @@ mod tests {
             assert!(kinds.contains(kind), "missing span kind {kind}: {kinds:?}");
         }
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An auto-snapshot leaves one `snapshot` span on the trace of the
+    /// request whose commit triggered it, though the store fires two
+    /// events for it (`Snapshot`, then `AutoSnapshot`); `/stats` still
+    /// counts it.
+    #[test]
+    fn an_auto_snapshot_is_one_snapshot_span() {
+        let dir = std::env::temp_dir().join(format!(
+            "silkmoth-auto-snapshot-trace-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            policy: silkmoth_core::CompactionPolicy::default().snapshot_at_wal_records(1),
+            ..StoreConfig::default()
+        };
+        let store = Store::create(&dir, engine(3), cfg).unwrap();
+        let s = SearchService::durable(store).with_slow_query_ms(0);
+        let req = Request::new("POST", "/sets", br#"{"sets": [["w0 w1 snap"]]}"#.to_vec());
+        let resp = s.handle(&req);
+        assert_eq!(resp.status, 200);
+        let id = header(&resp, "X-Request-Id").unwrap();
+        let (_, page) = get(&s, &format!("/debug/traces?id={id}"));
+        let traces = page.get("traces").and_then(Json::as_array).unwrap();
+        let spans = traces[0].get("spans").and_then(Json::as_array).unwrap();
+        let kinds: Vec<&str> = spans
+            .iter()
+            .filter_map(|sp| sp.get("kind").and_then(Json::as_str))
+            .collect();
+        let snapshots = kinds.iter().filter(|k| **k == "snapshot").count();
+        assert_eq!(snapshots, 1, "{kinds:?}");
+        let (_, stats) = get(&s, "/stats");
+        let storage = stats.get("storage").unwrap();
+        assert_eq!(
+            storage.get("auto_snapshots").and_then(Json::as_usize),
+            Some(1)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -749,11 +777,25 @@ mod tests {
     /// The differential guarantee: tracing captures observations, it
     /// never changes results. Same corpus + same requests with tracing
     /// at sample=1 vs fully disabled must produce byte-identical
-    /// bodies.
+    /// bodies — in memory, and on disk, where updates run the storage
+    /// hook's spans.
     #[test]
     fn tracing_on_vs_off_is_byte_identical() {
-        let traced = service().with_trace_sample(1);
-        let plain = service();
+        let dirs = ["traced", "plain"].map(|side| {
+            let dir = std::env::temp_dir().join(format!(
+                "silkmoth-tracing-on-off-{side}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        });
+        let durable = |dir| {
+            SearchService::durable(Store::create(dir, engine(3), StoreConfig::default()).unwrap())
+        };
+        let pairs = [
+            (service().with_trace_sample(1), service()),
+            (durable(&dirs[0]).with_trace_sample(1), durable(&dirs[1])),
+        ];
         let requests = [
             (
                 "POST",
@@ -770,17 +812,33 @@ mod tests {
                 "/discover",
                 r#"{"references": [["w0 w1 shared0"], ["w3 w4 shared0"]]}"#,
             ),
+            (
+                "POST",
+                "/sets",
+                r#"{"sets": [["w0 w1 traced"], ["w5 w6"]]}"#,
+            ),
+            ("DELETE", "/sets", r#"{"ids": [3, 21]}"#),
+            ("POST", "/compact", ""),
+            ("POST", "/snapshot", ""),
             ("GET", "/stats", ""),
         ];
-        for (method, path, body) in requests {
-            let req = Request::new(method, path, body.as_bytes().to_vec());
-            let a = traced.handle(&req);
-            let b = plain.handle(&req);
-            assert_eq!(a.status, b.status, "{path}");
-            assert_eq!(a.body, b.body, "{path}: tracing changed the response body");
+        for (traced, plain) in &pairs {
+            for (method, path, body) in requests {
+                let req = Request::new(method, path, body.as_bytes().to_vec());
+                let a = traced.handle(&req);
+                let b = plain.handle(&req);
+                assert_eq!(a.status, b.status, "{method} {path}");
+                assert_eq!(
+                    a.body, b.body,
+                    "{method} {path}: tracing changed the response body"
+                );
+            }
+            assert!(traced.tracer().snapshot().len() >= requests.len());
+            assert!(plain.tracer().snapshot().is_empty());
         }
-        assert!(traced.tracer().snapshot().len() >= 4);
-        assert!(plain.tracer().snapshot().is_empty());
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     /// `/debug/traces` JSON survives a hostile reader: the full page

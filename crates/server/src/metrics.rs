@@ -396,10 +396,11 @@ impl ServiceMetrics {
     /// lands its write/fsync timings in the latency histograms, its
     /// record count and total duration in the group-commit families;
     /// snapshot and compaction events hit their counters. Each event
-    /// also becomes a span in the calling thread's trace sink — a no-op
-    /// on threads with none installed (unsampled requests, background
-    /// maintenance). The hook captures clones of the cells, so the
-    /// storage crate never sees the registry.
+    /// but `AutoSnapshot` (its snapshot already fired `Snapshot`) also
+    /// becomes a span on the trace captured on the calling thread
+    /// ([`trace::emit`]) — a no-op on threads capturing none (unsampled
+    /// requests, background maintenance). The hook captures clones of
+    /// the cells, so the storage crate never sees the registry.
     pub(crate) fn storage_hook(&self) -> TelemetryHook {
         let append = self.wal_append.clone();
         let fsync = self.wal_fsync.clone();
@@ -430,10 +431,8 @@ impl ServiceMetrics {
                 compactions.inc();
                 trace::emit("compaction", Duration::ZERO, Vec::new());
             }
-            StoreEvent::AutoSnapshot => {
-                auto_snapshots.inc();
-                trace::emit("snapshot", Duration::ZERO, Vec::new());
-            }
+            // The snapshot it took already fired `Snapshot`, span and all.
+            StoreEvent::AutoSnapshot => auto_snapshots.inc(),
         })
     }
 

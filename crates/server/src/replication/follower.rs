@@ -7,7 +7,7 @@
 
 use super::proto::{read_frame, write_handshake, Frame, Handshake};
 use super::{ReplicaError, ServiceSink};
-use crate::telemetry::trace::{self, TraceCollector, Tracer};
+use crate::telemetry::trace::{self, AttrValue, Tracer};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
@@ -380,20 +380,23 @@ fn stream_session<Io: Read + Write>(
                         "record sequence gap: applied {applied}, next frame is {seq}"
                     )));
                 }
-                // Sampled applies land in the service's trace ring as
-                // one-span traces keyed by the update seq, so a
-                // follower's `/debug/traces` answers "what is apply
-                // latency here" the way `/search` traces answer it for
-                // queries.
-                let capture = shared.sampled_tracer();
+                // Sampled applies land in the service's trace ring keyed
+                // by the update seq, so a follower's `/debug/traces`
+                // answers "what is apply latency here" the way `/search`
+                // traces answer it for queries; the record's WAL spans
+                // reach the same trace through the storage hook.
+                let capture = shared
+                    .sampled_tracer()
+                    .map(|tracer| (tracer, trace::begin(seq, "replica/apply")));
                 let applied_at = Instant::now();
                 sink.apply_record(seq, &payload)?;
-                if let Some(tracer) = capture {
-                    let mut t = TraceCollector::begin(seq, "replica/apply");
-                    let span = t.add_span(trace::ROOT, "apply", 0, applied_at.elapsed());
-                    t.attr_u64(span, "seq", seq);
-                    t.attr_u64(span, "bytes", payload.len() as u64);
-                    tracer.record(t.finish(0, false));
+                if let Some((tracer, capture)) = capture {
+                    let attrs = vec![
+                        ("seq", AttrValue::U64(seq)),
+                        ("bytes", AttrValue::U64(payload.len() as u64)),
+                    ];
+                    trace::emit("apply", applied_at.elapsed(), attrs);
+                    tracer.record(capture.finish(0, false));
                 }
                 shared.update(|s| s.applied_seq = seq);
             }

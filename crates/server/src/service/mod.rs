@@ -131,7 +131,12 @@
 //! spans, and WAL write/fsync spans on a store on disk — with the
 //! paper's filter-funnel survivor counts as span attributes (and a
 //! catalog tenant's name), into a bounded in-memory ring served at
-//! `GET /debug/traces`.
+//! `GET /debug/traces`. The trace lives on the request's thread while
+//! the request runs, so the read path, the group commit and the storage
+//! hook each add their spans with one call (`trace::with` or
+//! `trace::emit`). A follower traces a sampled apply the same way: a
+//! `replica/apply` trace holds the `apply` span and the record's WAL
+//! spans.
 
 mod read;
 mod status;

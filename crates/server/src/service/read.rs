@@ -29,7 +29,7 @@ impl SearchService {
         info: &mut RequestInfo,
     ) -> Result<Vec<ShardedQueryOutput>, Response> {
         let start = Instant::now();
-        let trace_start = info.trace.as_ref().map(TraceCollector::now_us);
+        let trace_start = trace::with(|t| t.now_us());
         let outs = self
             .engine()
             .execute_batch_until(specs, self.search_timeout.map(|t| start + t));
@@ -44,11 +44,13 @@ impl SearchService {
             self.metrics.observe_phases(&timing);
             self.metrics.observe_funnel(&stats);
             info.timed_out |= out.timed_out;
-            if let (Some(trace), Some(at)) = (info.trace.as_mut(), trace_start) {
+            if let Some(at) = trace_start {
                 // A batched query's own wall window is not observable:
                 // its span lasts its worst-shard phase sum.
                 let dur = if batched { timing.total() } else { executed };
-                record_query_spans(trace, out, &stats, at, dur, self.metrics.collection());
+                trace::with(|t| {
+                    record_query_spans(t, out, &stats, at, dur, self.metrics.collection())
+                });
             }
         }
         info.shards = outs.first().map(|out| out.shard_stats.len());

@@ -15,9 +15,10 @@
 //! (sampling says yes, or slow-query logging is armed and the request
 //! might exceed the threshold); requests that can't be captured skip
 //! the collector entirely, so the disabled path costs one atomic
-//! fetch-add in [`Tracer::should_sample`] and nothing else. At the end
-//! of the request the collector [`finish`](TraceCollector::finish)es
-//! into an immutable [`Trace`] and — if the sample decision or the
+//! fetch-add in [`Tracer::should_sample`] and one thread-local read per
+//! [`emit`] or [`with`] call on its way. At the end of the request the
+//! guard [`finish`](TraceGuard::finish)es the collector into an
+//! immutable [`Trace`], which — if the sample decision or the
 //! slow-query threshold says keep it — is [`Tracer::record`]ed.
 //!
 //! ## The ring
@@ -31,16 +32,30 @@
 //! ring wraps, the oldest trace is dropped; a slot keeps the write with
 //! the highest sequence if two wrapped producers ever race on it.
 //!
-//! ## Side-channel spans
+//! ## One collector per request thread
 //!
-//! Storage events fire through a hook installed once per store, on
-//! whatever thread commits — there is no request context at the hook.
-//! [`install_sink`] puts a thread-local span sink in place for the
-//! duration of one request; [`emit`] appends to it (and is a no-op —
-//! one thread-local read — when no sink is installed). The request
-//! wrapper drains the sink into the collector before finishing.
+//! While a request is captured, its collector lives in a thread-local:
+//! [`begin`] installs it and returns the [`TraceGuard`] whose
+//! [`finish`](TraceGuard::finish) yields the [`Trace`] (dropping the
+//! guard discards it). Code anywhere on that thread then adds its span
+//! with one call and nothing threaded through signatures:
+//!
+//! - [`emit`] hangs a span that ends now off the root — the storage
+//!   hook (which fires on whatever thread commits) and the group commit
+//!   use it. With no trace installed it is a no-op: one thread-local
+//!   read, which is why unconditional `emit` calls on hot paths are
+//!   safe.
+//! - [`with`] lends the collector itself to code that builds a subtree
+//!   (the read path's query → shard → phase spans). The closure does
+//!   span bookkeeping only: it **must not** call [`emit`] or [`with`],
+//!   because the collector is mutably borrowed while it runs and a
+//!   nested borrow panics.
+//!
+//! Nested [`begin`]s are not supported: the inner one replaces the
+//! outer trace, and either guard's drop clears the thread-local.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -154,12 +169,11 @@ pub(crate) fn render_traces(traces: &[Arc<Trace>]) -> String {
     .to_string()
 }
 
-/// Builds one request's span tree. Created at the top of the request
-/// wrapper, carried through the handler, finished into a [`Trace`].
-/// Every span records work whose duration was measured elsewhere —
-/// per-shard `PhaseTiming`-style checkpoints via
-/// [`add_span`](Self::add_span), storage hook events via
-/// [`add_pending`](Self::add_pending).
+/// Builds one request's span tree, installed on the request's thread
+/// by [`begin`] and finished into a [`Trace`]. Every span records work
+/// whose duration was measured elsewhere — per-shard
+/// `PhaseTiming`-style checkpoints via [`add_span`](Self::add_span)
+/// inside [`with`], hook events via [`emit`].
 #[derive(Debug)]
 pub(crate) struct TraceCollector {
     id: u64,
@@ -217,21 +231,6 @@ impl TraceCollector {
     /// Shorthand for the most common attribute type.
     pub(crate) fn attr_u64(&mut self, span: SpanId, key: &'static str, value: u64) {
         self.attr(span, key, AttrValue::U64(value));
-    }
-
-    /// Places a side-channel span on this trace's timeline: the
-    /// emission instant is the span's end, so start = end − duration
-    /// (clamped into the trace).
-    pub(crate) fn add_pending(&mut self, parent: SpanId, span: PendingSpan) -> SpanId {
-        let end_us = span.at.saturating_duration_since(self.t0).as_micros() as u64;
-        let dur_us = span.dur.as_micros() as u64;
-        self.push(SpanRecord {
-            kind: span.kind,
-            parent: Some(parent.0),
-            start_us: end_us.saturating_sub(dur_us),
-            dur_us,
-            attrs: span.attrs,
-        })
     }
 
     /// Closes the root span and freezes the trace.
@@ -340,73 +339,62 @@ impl Tracer {
     }
 }
 
-/// A span recorded through the thread-local side channel before its
-/// trace position is known; drained into the collector with
-/// [`TraceCollector::add_pending`].
-#[derive(Debug)]
-pub(crate) struct PendingSpan {
-    /// Span kind (same vocabulary as [`SpanRecord::kind`]).
-    pub(crate) kind: &'static str,
-    /// When the span was emitted — hooks fire *after* the work they
-    /// describe, so this is the span's **end**; the collector derives
-    /// the start as `at − dur`.
-    pub(crate) at: Instant,
-    /// Duration of the work the span describes.
-    pub(crate) dur: Duration,
-    /// Typed attributes.
-    pub(crate) attrs: Vec<(&'static str, AttrValue)>,
-}
-
 thread_local! {
-    static SINK: RefCell<Option<Vec<PendingSpan>>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<TraceCollector>> = const { RefCell::new(None) };
 }
 
-/// Installs the thread-local span sink for the current request; spans
-/// [`emit`]ted on this thread accumulate until the guard is drained or
-/// dropped. Nested installs are not supported: the inner guard would
-/// steal the outer's spans, so the previous sink (if any) is replaced
-/// and restored empty.
-pub(crate) fn install_sink() -> SinkGuard {
-    SINK.with(|sink| *sink.borrow_mut() = Some(Vec::new()));
-    SinkGuard(())
+/// Starts capturing a trace on this thread: the root span (kind
+/// `http`) opens now, and [`emit`] / [`with`] reach the collector
+/// until the returned guard is finished or dropped.
+pub(crate) fn begin(id: u64, route: &'static str) -> TraceGuard {
+    CURRENT.with(|current| *current.borrow_mut() = Some(TraceCollector::begin(id, route)));
+    TraceGuard(PhantomData)
 }
 
-/// Records one span into the thread-local sink; a no-op (one
-/// thread-local read) when no sink is installed — which is why
-/// unconditional `emit` calls on hot paths are safe.
+/// Adds a child of the root that ends now and lasted `dur` (start =
+/// now − `dur`, clamped into the trace): hooks fire *after* the work
+/// they describe. A no-op when this thread captures no trace.
 pub(crate) fn emit(kind: &'static str, dur: Duration, attrs: Vec<(&'static str, AttrValue)>) {
-    SINK.with(|sink| {
-        if let Some(pending) = sink.borrow_mut().as_mut() {
-            pending.push(PendingSpan {
+    CURRENT.with(|current| {
+        if let Some(trace) = current.borrow_mut().as_mut() {
+            let dur_us = dur.as_micros() as u64;
+            trace.push(SpanRecord {
                 kind,
-                at: Instant::now(),
-                dur,
+                parent: Some(ROOT.0),
+                start_us: trace.now_us().saturating_sub(dur_us),
+                dur_us,
                 attrs,
             });
         }
     });
 }
 
-/// Uninstalls the thread-local sink on drop; [`drain`](Self::drain)
-/// takes the collected spans first.
-#[derive(Debug)]
-pub(crate) struct SinkGuard(());
+/// Runs `f` on this thread's collector; `None` (and `f` never runs)
+/// when no trace is captured. `f` must not call [`emit`] or `with`:
+/// the collector is borrowed while it runs, and a nested borrow panics.
+pub(crate) fn with<R>(f: impl FnOnce(&mut TraceCollector) -> R) -> Option<R> {
+    CURRENT.with(|current| current.borrow_mut().as_mut().map(f))
+}
 
-impl SinkGuard {
-    /// Takes everything emitted since the sink was installed.
-    pub(crate) fn drain(&self) -> Vec<PendingSpan> {
-        SINK.with(|sink| {
-            sink.borrow_mut()
-                .as_mut()
-                .map(std::mem::take)
-                .unwrap_or_default()
-        })
+/// The trace [`begin`] installed on this thread. Not `Send`: it stands
+/// for a thread-local.
+#[derive(Debug)]
+pub(crate) struct TraceGuard(PhantomData<*const ()>);
+
+impl TraceGuard {
+    /// Takes the trace off the thread, closes its root span and freezes
+    /// it.
+    pub(crate) fn finish(self, status: u16, slow: bool) -> Trace {
+        CURRENT
+            .with(|current| current.borrow_mut().take())
+            .expect("begin installed a trace on this thread")
+            .finish(status, slow)
     }
 }
 
-impl Drop for SinkGuard {
+impl Drop for TraceGuard {
     fn drop(&mut self) {
-        SINK.with(|sink| *sink.borrow_mut() = None);
+        CURRENT.with(|current| *current.borrow_mut() = None);
     }
 }
 
@@ -531,23 +519,33 @@ mod tests {
     }
 
     #[test]
-    fn sink_collects_only_while_installed() {
+    fn spans_reach_the_installed_trace_only() {
         emit("wal_write", Duration::from_micros(5), Vec::new());
-        let guard = install_sink();
+        assert_eq!(with(|t| t.now_us()), None, "no trace installed");
+        let capture = begin(4, "/sets");
         emit(
             "wal_write",
             Duration::from_micros(7),
             vec![("records", AttrValue::U64(2))],
         );
+        let query = with(|t| t.add_span(ROOT, "query", 0, Duration::from_micros(3))).unwrap();
         emit("wal_fsync", Duration::from_micros(11), Vec::new());
-        let pending = guard.drain();
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].kind, "wal_write");
-        assert_eq!(pending[0].attrs, vec![("records", AttrValue::U64(2))]);
-        assert_eq!(pending[1].dur, Duration::from_micros(11));
-        drop(guard);
+        let trace = capture.finish(200, false);
+        let kinds: Vec<_> = trace.spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, ["http", "wal_write", "query", "wal_fsync"]);
+        assert_eq!(query, SpanId(2));
+        assert!(trace.spans[1..].iter().all(|s| s.parent == Some(0)));
+        assert_eq!(trace.spans[1].attrs, vec![("records", AttrValue::U64(2))]);
+        assert_eq!(trace.spans[3].dur_us, 11);
+        // An emitted span ends when it is emitted, so it starts inside
+        // the trace.
+        assert!(trace.spans[1..].iter().all(|s| s.start_us <= trace.dur_us));
+        assert_eq!(with(|t| t.now_us()), None, "finish takes the trace off");
+
+        // A dropped guard discards its trace; the next begins empty.
+        drop(begin(5, "/sets"));
         emit("wal_write", Duration::from_micros(13), Vec::new());
-        let guard = install_sink();
-        assert!(guard.drain().is_empty(), "a fresh sink starts empty");
+        assert_eq!(with(|t| t.now_us()), None, "drop clears the thread");
+        assert_eq!(begin(6, "/sets").finish(200, false).spans.len(), 1);
     }
 }

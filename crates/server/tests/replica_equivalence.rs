@@ -127,6 +127,10 @@ fn primary_service(dir: &Path, shards: usize) -> Arc<SearchService> {
 /// A durable follower service over an **empty** store — everything it
 /// ever holds must come through the replication stream.
 fn empty_follower_service(dir: &Path, shards: usize) -> Arc<SearchService> {
+    Arc::new(SearchService::durable(empty_follower_store(dir, shards)))
+}
+
+fn empty_follower_store(dir: &Path, shards: usize) -> Store<ShardedEngine> {
     let state = EngineState {
         texts: Vec::new(),
         live: Vec::new(),
@@ -135,8 +139,7 @@ fn empty_follower_service(dir: &Path, shards: usize) -> Arc<SearchService> {
         tokenization: cfg().tokenization(),
     };
     let engine = <ShardedEngine as StoreEngine>::restore(&spec(shards), state).unwrap();
-    let store = Store::create(dir, engine, follower_store_config(nosync())).unwrap();
-    Arc::new(SearchService::durable(store))
+    Store::create(dir, engine, follower_store_config(nosync())).unwrap()
 }
 
 /// Starts a replication log listener for `service` on an ephemeral
@@ -335,6 +338,90 @@ fn follower_matches_primary_and_rebuild_across_shard_counts() {
         for dir in [&p_dir, &f_dir, &r_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+}
+
+/// A follower samples its applies into the ring behind its own
+/// `/debug/traces`: at 1-in-1 sampling every record it applies is a
+/// `replica/apply` trace keyed by the record's update seq, whose
+/// `apply` span names that seq and the record's size, beside the
+/// record's own WAL write and fsync spans.
+#[test]
+fn a_followers_sampled_applies_are_traced() {
+    let p_dir = temp_dir("traced-p");
+    let f_dir = temp_dir("traced-f");
+    let primary = primary_service(&p_dir, 2);
+    let mut log = attach_log(&primary);
+    let follower =
+        Arc::new(SearchService::durable(empty_follower_store(&f_dir, 2)).with_trace_sample(1));
+    let runtime = start_follower(
+        Arc::clone(&follower),
+        log.local_addr().to_string(),
+        spec(2),
+        follower_store_config(nosync()),
+        fast_follower(),
+    );
+    // The first update may reach the follower inside its bootstrap
+    // snapshot; the ones after it arrive as records.
+    let (status, doc) = post(&primary, "/sets", r#"{"sets": [["traced bootstrap"]]}"#);
+    assert_eq!(status, 200, "{doc}");
+    wait_caught_up(&primary, &follower, "bootstrap");
+    let first = update_seq(&primary);
+    for body in [
+        r#"{"sets": [["traced one"], ["traced two"]]}"#,
+        r#"{"sets": [["traced three"]]}"#,
+    ] {
+        let (status, doc) = post(&primary, "/sets", body);
+        assert_eq!(status, 200, "{doc}");
+    }
+    let (status, doc) = delete(&primary, "/sets", r#"{"ids": [0]}"#);
+    assert_eq!(status, 200, "{doc}");
+    // The loop counts a record applied only after its trace is in the
+    // ring; polling it adds no traces of its own, as `/stats` would.
+    let last = update_seq(&primary);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while runtime.shared.status().applied_seq < last {
+        assert!(Instant::now() < deadline, "follower never applied {last}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let req = Request::new("GET", "/debug/traces?route=replica/apply", Vec::new());
+    let page = Json::parse(std::str::from_utf8(&follower.handle(&req).body).unwrap()).unwrap();
+    let traces = page.get("traces").and_then(Json::as_array).unwrap();
+    for seq in first + 1..=last {
+        let trace = traces
+            .iter()
+            .find(|t| t.get("id").and_then(Json::as_usize) == Some(seq as usize))
+            .unwrap_or_else(|| panic!("no replica/apply trace for record {seq}: {page}"));
+        let spans = trace.get("spans").and_then(Json::as_array).unwrap();
+        let apply = spans
+            .iter()
+            .find(|sp| sp.get("kind").and_then(Json::as_str) == Some("apply"))
+            .unwrap_or_else(|| panic!("record {seq}: no apply span: {trace}"));
+        let attrs = apply.get("attrs").unwrap();
+        assert_eq!(
+            attrs.get("seq").and_then(Json::as_usize),
+            Some(seq as usize)
+        );
+        assert!(
+            attrs.get("bytes").and_then(Json::as_usize).unwrap() > 0,
+            "{trace}"
+        );
+        for kind in ["wal_write", "wal_fsync"] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|sp| sp.get("kind").and_then(Json::as_str) == Some(kind)),
+                "record {seq}: no {kind} span: {trace}"
+            );
+        }
+    }
+
+    runtime.shared.stop();
+    let _ = runtime.handle.join();
+    log.shutdown();
+    for dir in [&p_dir, &f_dir] {
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
 

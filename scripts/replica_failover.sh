@@ -20,6 +20,7 @@
 #
 # Usage: scripts/replica_failover.sh [updates] [post-failover-updates]
 # Env:   SILKMOTH=path/to/silkmoth (default: target/release/silkmoth)
+#        METRICSLINT=path/to/metricslint (default: target/release/metricslint)
 
 set -euo pipefail
 
@@ -145,7 +146,8 @@ wait_caught_up() {
 
 # --- primary + follower ----------------------------------------------------
 # --slow-query-ms 0 arms slow-query trace capture on both roles so
-# metrics_check.sh can verify /debug/traces caught its adversarial query.
+# metrics_check.sh can verify /debug/traces caught its adversarial query;
+# the follower's --trace-sample 1 also traces every replicated apply.
 "$SILKMOTH" serve --input "$INPUT" --data-dir "$P_STORE" --port "$PORT" \
     --shards 3 --threads 2 --delta 0.4 --replicate-addr "127.0.0.1:$REPL" \
     --slow-query-ms 0 &
@@ -155,7 +157,7 @@ wait_healthy "$PORT"
 # arrive through the replication stream.
 "$SILKMOTH" serve --data-dir "$F_STORE" --port "$F_PORT" \
     --shards 3 --threads 2 --delta 0.4 --replicate-from "127.0.0.1:$REPL" \
-    --slow-query-ms 0 &
+    --slow-query-ms 0 --trace-sample 1 &
 FOLLOWER_PID=$!
 wait_healthy "$F_PORT"
 
@@ -168,6 +170,12 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "localhost:$F_PORT/sets" \
 issue_updates "$PORT" "$UPDATES"
 check_sets "$PORT"
 wait_caught_up
+# The follower's sampled applies sit in its trace ring (256 traces):
+# check them before later traffic can evict them.
+curl -sf "localhost:$F_PORT/debug/traces" >"$WORK/follower.traces.json" ||
+    die "fetching the follower's /debug/traces"
+"${METRICSLINT:-target/release/metricslint}" --traces "$WORK/follower.traces.json" \
+    --require-route replica/apply || die "no replica/apply trace on the follower"
 check_sets "$F_PORT"
 echo "# follower caught up at update_seq $(update_seq "$F_PORT") with $(live_count) live sets"
 
